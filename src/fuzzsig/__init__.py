@@ -27,16 +27,16 @@ from .fuzzy import (
     RightShoulder,
     Triangular,
     default_variables,
-    eval_mf,
-    eval_mf_interval,
     fuzzify,
 )
 from .indicators import (
+    IndicatorFrame,
     IndicatorSnapshot,
     InsufficientHistoryError,
     MacdTriple,
     StochasticPair,
     ema,
+    indicator_frame,
     macd,
     rsi,
     sma,

@@ -4,20 +4,20 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
+import math
 import os
 import sys
-
-import numpy as np
 
 from .config import ConfigError, ResolvedConfig, load_config_file
 from .evaluate import backtest, emit_report, run_portfolio
 from .fixtures import DEFAULT_SEED, portfolio_fixture
-from .indicators import macd, rsi, stochastic, williams
-from .inference import PipelineError, recommend, rules_from_csv, rules_to_csv, build_rule_base
+from .indicators import indicator_frame
+from .inference import PipelineError, build_rule_base, recommend, rules_from_csv, rules_to_csv
 from .market_data import MarketDataError, PriceSeries, aggregate_periods, parse_csv, serialize_csv
-from .tuning import FibLevels, ScaledSecondary, SecondaryKind, classify_level
+from .tuning import FibLevels, SecondaryKind, classify_level, scale_secondary
 
 CONFIG_ENV_VAR = "FUZZSIG_CONFIG"
 
@@ -83,12 +83,10 @@ def _resolve_config(args: argparse.Namespace) -> ResolvedConfig:
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
     if path:
         cfg = load_config_file(path, cfg)
-    if getattr(args, "delta", None) is not None:
-        cfg.delta = args.delta
-    if getattr(args, "period_days", None) is not None:
-        cfg.days_per_period = args.period_days
-    cfg.validate()
-    return cfg
+    flags = {"delta": getattr(args, "delta", None),
+             "days_per_period": getattr(args, "period_days", None)}
+    overrides = {name: value for name, value in flags.items() if value is not None}
+    return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
 def _load_series(path: str) -> list[PriceSeries]:
@@ -120,49 +118,36 @@ def _load_rules(args: argparse.Namespace):
 
 def _indicator_rows(series: PriceSeries, cfg: ResolvedConfig) -> list[dict]:
     periods = aggregate_periods(series, cfg.days_per_period)
-    bars = periods.bars
-    highs = np.array([b.high for b in bars])
-    lows = np.array([b.low for b in bars])
-    closes = np.array([b.close for b in bars])
+    frame = indicator_frame(periods, **cfg.indicator_windows)
     levels = FibLevels(*cfg.levels)
 
-    def level_of(kind: SecondaryKind, raw: float) -> str:
-        scaled = ScaledSecondary(kind, raw, abs(raw) / cfg.divisor)
-        return classify_level(scaled, levels).value
+    def value(column, t: int) -> float | None:
+        x = float(column[t])
+        return None if math.isnan(x) else x
 
-    n = len(bars)
-    macd_offset = cfg.macd_long + cfg.macd_trigger - 2
-    triple = macd(closes, cfg.macd_short, cfg.macd_long, cfg.macd_trigger) \
-        if n > macd_offset else None
-    k, d = cfg.stochastic_k, cfg.stochastic_d
-    pair = stochastic(highs, lows, closes, k, d) if n >= k + d - 1 else None
+    def level(kind: SecondaryKind, raw: float | None) -> str | None:
+        if raw is None:
+            return None
+        return classify_level(scale_secondary(kind, raw, cfg.divisor), levels).value
+
     rows = []
-    for t in range(n):
-        row: dict = {
+    for t, bar in enumerate(periods.bars):
+        rsi, williams = value(frame.rsi, t), value(frame.williams, t)
+        rows.append({
             "symbol": periods.symbol,
             "period": t,
-            "date": bars[t].date.isoformat(),
-            "close": bars[t].close,
-        }
-        row["macd"] = float(triple.macd_line[t - macd_offset]) \
-            if triple is not None and t >= macd_offset else None
-        row["macd_signal"] = float(triple.signal_line[t - macd_offset]) \
-            if triple is not None and t >= macd_offset else None
-        row["macd_histogram"] = float(triple.histogram[t - macd_offset]) \
-            if triple is not None and t >= macd_offset else None
-        row["rsi"] = rsi(closes[:t + 1], cfg.rsi_window) if t >= cfg.rsi_window else None
-        row["rsi_level"] = None if row["rsi"] is None \
-            else level_of(SecondaryKind.RSI, row["rsi"])
-        row["percent_k"] = float(pair.percent_k[t - (k - 1)]) \
-            if pair is not None and t >= k - 1 else None
-        row["percent_d"] = float(pair.percent_d[t - (k + d - 2)]) \
-            if pair is not None and t >= k + d - 2 else None
-        row["williams"] = williams(highs[:t + 1], lows[:t + 1], closes[:t + 1],
-                                   cfg.williams_window) \
-            if t + 1 >= cfg.williams_window else None
-        row["williams_level"] = None if row["williams"] is None \
-            else level_of(SecondaryKind.WA, row["williams"])
-        rows.append(row)
+            "date": bar.date.isoformat(),
+            "close": bar.close,
+            "macd": value(frame.macd_line, t),
+            "macd_signal": value(frame.signal_line, t),
+            "macd_histogram": value(frame.histogram, t),
+            "rsi": rsi,
+            "rsi_level": level(SecondaryKind.RSI, rsi),
+            "percent_k": value(frame.percent_k, t),
+            "percent_d": value(frame.percent_d, t),
+            "williams": williams,
+            "williams_level": level(SecondaryKind.WA, williams),
+        })
     return rows
 
 
@@ -244,10 +229,10 @@ def _cmd_backtest(args, cfg: ResolvedConfig) -> int:
 
 
 def _cmd_rules(args, cfg: ResolvedConfig) -> int:
-    base = build_rule_base(cfg.primary_weight, cfg.secondary_weight, cfg.buy_at, cfg.sell_at)
     for line in cfg.canonical_lines():
         if line.startswith("fuzzy."):
             sys.stdout.write(f"# {line}\n")
+    base = build_rule_base(cfg.primary_weight, cfg.secondary_weight, cfg.buy_at, cfg.sell_at)
     sys.stdout.write(rules_to_csv(base, include_scores=True))
     return 0
 

@@ -12,16 +12,19 @@ then command-line flags.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass, field
 
 from .fuzzy import (
     Gaussian,
     LeftShoulder,
+    LinguisticVariable,
     MembershipFunction,
     RightShoulder,
     Triangular,
     default_mf_table,
+    default_variables,
 )
 
 
@@ -73,7 +76,33 @@ def format_mf(mf: MembershipFunction) -> str:
     return " ".join([name] + [repr(p) for p in params])
 
 
-@dataclass
+_INT_KEYS = {
+    "data.days_per_period": "days_per_period",
+    "indicators.macd_short": "macd_short",
+    "indicators.macd_long": "macd_long",
+    "indicators.macd_trigger": "macd_trigger",
+    "indicators.rsi_window": "rsi_window",
+    "indicators.stochastic_k": "stochastic_k",
+    "indicators.stochastic_d": "stochastic_d",
+    "indicators.williams_window": "williams_window",
+    "rules.primary_weight": "primary_weight",
+    "rules.secondary_weight": "secondary_weight",
+    "rules.buy_at": "buy_at",
+    "rules.sell_at": "sell_at",
+    "output.grid_points": "grid_points",
+}
+
+_FLOAT_KEYS = {
+    "tuning.divisor": "divisor",
+    "fuzzy.delta": "delta",
+    "fuzzy.histogram_gain": "histogram_gain",
+}
+
+_WINDOW_FIELDS = ("macd_short", "macd_long", "macd_trigger", "rsi_window",
+                  "stochastic_k", "stochastic_d", "williams_window")
+
+
+@dataclass(frozen=True)
 class ResolvedConfig:
     """Every tunable of the pipeline, with defaults matching the canonical tables."""
 
@@ -101,20 +130,21 @@ class ResolvedConfig:
     def __post_init__(self) -> None:
         self.validate()
 
+    def build_variables(self) -> tuple[LinguisticVariable, ...]:
+        """The linguistic variables; a table that leaves its domain uncovered is a ConfigError."""
+        try:
+            return default_variables(divisor=self.divisor, mf_table=self.mf_table)
+        except ValueError as exc:
+            raise ConfigError(f"fuzzy variable {exc}") from None
+
+    @property
+    def indicator_windows(self) -> dict[str, int]:
+        """Keyword arguments of indicators.indicator_frame and snapshot."""
+        return {name: getattr(self, name) for name in _WINDOW_FIELDS}
+
     def validate(self) -> None:
-        positive_ints = {
-            "days_per_period": self.days_per_period,
-            "macd_short": self.macd_short,
-            "macd_long": self.macd_long,
-            "macd_trigger": self.macd_trigger,
-            "rsi_window": self.rsi_window,
-            "stochastic_k": self.stochastic_k,
-            "stochastic_d": self.stochastic_d,
-            "williams_window": self.williams_window,
-            "primary_weight": self.primary_weight,
-            "secondary_weight": self.secondary_weight,
-        }
-        for name, value in positive_ints.items():
+        for name in ("days_per_period", *_WINDOW_FIELDS, "primary_weight", "secondary_weight"):
+            value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         if not self.macd_short < self.macd_long:
@@ -135,36 +165,18 @@ class ResolvedConfig:
             raise ConfigError(f"grid_points must be >= 3, got {self.grid_points}")
         expected_terms = {name: tuple(t for t, _ in terms)
                           for name, terms in default_mf_table().items()}
-        for var, terms in self.mf_table.items():
-            if var not in expected_terms:
-                raise ConfigError(f"unknown fuzzy variable {var!r}")
-            if tuple(t for t, _ in terms) != expected_terms[var]:
-                raise ConfigError(
-                    f"variable {var!r} must keep terms {expected_terms[var]}, "
-                    f"got {tuple(t for t, _ in terms)}"
-                )
+        for var in self.mf_table.keys() - expected_terms.keys():
+            raise ConfigError(f"unknown fuzzy variable {var!r}")
+        for var, expected in expected_terms.items():
+            got = tuple(t for t, _ in self.mf_table.get(var, ()))
+            if got != expected:
+                raise ConfigError(f"variable {var!r} must keep terms {expected}, got {got}")
 
     def canonical_lines(self) -> list[str]:
         """Stable `key = value` rendering of every setting, sorted by key."""
-        entries: dict[str, str] = {
-            "data.days_per_period": str(self.days_per_period),
-            "indicators.macd_short": str(self.macd_short),
-            "indicators.macd_long": str(self.macd_long),
-            "indicators.macd_trigger": str(self.macd_trigger),
-            "indicators.rsi_window": str(self.rsi_window),
-            "indicators.stochastic_k": str(self.stochastic_k),
-            "indicators.stochastic_d": str(self.stochastic_d),
-            "indicators.williams_window": str(self.williams_window),
-            "tuning.divisor": repr(self.divisor),
-            "tuning.levels": ", ".join(repr(v) for v in self.levels),
-            "fuzzy.delta": repr(self.delta),
-            "fuzzy.histogram_gain": repr(self.histogram_gain),
-            "rules.primary_weight": str(self.primary_weight),
-            "rules.secondary_weight": str(self.secondary_weight),
-            "rules.buy_at": str(self.buy_at),
-            "rules.sell_at": str(self.sell_at),
-            "output.grid_points": str(self.grid_points),
-        }
+        entries = {key: str(getattr(self, name)) for key, name in _INT_KEYS.items()}
+        entries.update((key, repr(getattr(self, name))) for key, name in _FLOAT_KEYS.items())
+        entries["tuning.levels"] = ", ".join(repr(v) for v in self.levels)
         for var, terms in self.mf_table.items():
             for label, mf in terms:
                 entries[f"fuzzy.{var}.{label}"] = format_mf(mf)
@@ -175,41 +187,13 @@ class ResolvedConfig:
         return digest.hexdigest()[:12]
 
 
-_INT_KEYS = {
-    "data.days_per_period": "days_per_period",
-    "indicators.macd_short": "macd_short",
-    "indicators.macd_long": "macd_long",
-    "indicators.macd_trigger": "macd_trigger",
-    "indicators.rsi_window": "rsi_window",
-    "indicators.stochastic_k": "stochastic_k",
-    "indicators.stochastic_d": "stochastic_d",
-    "indicators.williams_window": "williams_window",
-    "rules.primary_weight": "primary_weight",
-    "rules.secondary_weight": "secondary_weight",
-    "rules.buy_at": "buy_at",
-    "rules.sell_at": "sell_at",
-    "output.grid_points": "grid_points",
-}
-
-_FLOAT_KEYS = {
-    "tuning.divisor": "divisor",
-    "fuzzy.delta": "delta",
-    "fuzzy.histogram_gain": "histogram_gain",
-}
-
-
 def parse_config_text(text: str, base: ResolvedConfig | None = None) -> ResolvedConfig:
-    """Parse key-value lines on top of `base` (defaults when omitted)."""
+    """Parse key-value lines on top of `base` (defaults when omitted).
+
+    The membership-function tables are checked for coverage here, at load time.
+    """
     cfg = base if base is not None else ResolvedConfig()
-    fields = {
-        name: getattr(cfg, name)
-        for name in (
-            "days_per_period", "macd_short", "macd_long", "macd_trigger", "rsi_window",
-            "stochastic_k", "stochastic_d", "williams_window", "divisor", "levels",
-            "delta", "histogram_gain", "primary_weight", "secondary_weight",
-            "buy_at", "sell_at", "grid_points",
-        )
-    }
+    fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.init}
     mf_table = {var: list(terms) for var, terms in cfg.mf_table.items()}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -244,7 +228,9 @@ def parse_config_text(text: str, base: ResolvedConfig | None = None) -> Resolved
         except ValueError:
             raise ConfigError(f"line {lineno}: bad value {value!r} for {key!r}") from None
     fields["mf_table"] = {var: tuple(terms) for var, terms in mf_table.items()}
-    return ResolvedConfig(**fields)
+    cfg = ResolvedConfig(**fields)
+    cfg.build_variables()
+    return cfg
 
 
 def load_config_file(path: str, base: ResolvedConfig | None = None) -> ResolvedConfig:

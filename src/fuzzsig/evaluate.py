@@ -73,18 +73,21 @@ def run_portfolio(
     """One recommendation row per input symbol, in input order.
 
     Per-symbol pipeline failures become row notes instead of aborting the
-    batch. The default generation timestamp is the latest bar date across the
-    inputs, keeping identical inputs byte-identical on re-runs.
+    batch. The variable set and rule base depend only on the config, so they
+    are built once; a table that fails the coverage check is a ConfigError for
+    the whole batch. The default generation timestamp is the latest bar date
+    across the inputs, keeping identical inputs byte-identical on re-runs.
     """
     if not series_list:
         raise ValueError("empty input: no series to evaluate")
     cfg = config if config is not None else ResolvedConfig()
     if rule_base is None:
         rule_base = _rule_base_for(cfg)
+    variables = cfg.build_variables()
     rows: list[ReportRow] = []
     for series in series_list:
         try:
-            rec = recommend(series, cfg, rule_base)
+            rec = recommend(series, cfg, rule_base, variables)
             rows.append(ReportRow(series.symbol, rec.crisp, rec.signal))
         except PipelineError as exc:
             rows.append(ReportRow(series.symbol, None, None, note=str(exc)))

@@ -149,17 +149,6 @@ class FootprintOfUncertainty:
             raise ValueError(f"delta must be >= 0, got {self.delta}")
 
 
-def eval_mf(mf: MembershipFunction, x: float) -> float:
-    return mf.grade(x)
-
-
-def eval_mf_interval(
-    mf: MembershipFunction, fou: FootprintOfUncertainty, x: float
-) -> tuple[float, float]:
-    """[min, max] of the type-1 grade over the delta-blurred parameter set."""
-    return mf.grade_bounds(x, fou.delta)
-
-
 @dataclass(frozen=True)
 class LinguisticVariable:
     """Named domain interval with labelled term membership functions.

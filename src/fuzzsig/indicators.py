@@ -1,4 +1,7 @@
-"""Technical indicators on period bars: moving averages, MACD, RSI, stochastic, Williams."""
+"""Technical indicators on period bars: moving averages, MACD, RSI, stochastic, Williams.
+
+indicator_frame computes every series once over all bars; snapshot is its last row.
+"""
 
 from __future__ import annotations
 
@@ -45,6 +48,33 @@ class IndicatorSnapshot:
     stochastic_k: float
     williams: float
     close: float
+
+
+@dataclass(frozen=True)
+class IndicatorFrame:
+    """Every indicator over all period bars; see indicator_frame."""
+
+    close: np.ndarray
+    macd_line: np.ndarray
+    signal_line: np.ndarray
+    histogram: np.ndarray
+    rsi: np.ndarray
+    percent_k: np.ndarray
+    percent_d: np.ndarray
+    williams: np.ndarray
+    binding: str  # the indicator that needs the most bars, and that bar count
+    needed: int
+
+    def row(self, t: int) -> IndicatorSnapshot:
+        """The snapshot of bars 0..t; raises until every indicator has its history."""
+        if t + 1 < self.needed:
+            raise InsufficientHistoryError(
+                f"snapshot needs at least {self.needed} period bars "
+                f"({self.binding} is the binding indicator), got {t + 1}"
+            )
+        columns = (self.macd_line, self.signal_line, self.histogram, self.rsi,
+                   self.percent_k, self.williams, self.close)
+        return IndicatorSnapshot(*(float(column[t]) for column in columns))
 
 
 def _require(length: int, needed: int, what: str) -> None:
@@ -99,6 +129,17 @@ def macd(closes, short: int = 12, long: int = 26, trigger: int = 9) -> MacdTripl
     return MacdTriple(macd_line=line, signal_line=signal, histogram=line - signal)
 
 
+def _rsi_series(closes: np.ndarray, n: int) -> np.ndarray:
+    """RSI of every n-change window; out[i] covers closes i .. i+n."""
+    changes = np.diff(closes)
+    gain = sliding_window_view(np.clip(changes, 0.0, None), n).mean(axis=1)
+    loss = sliding_window_view(np.clip(-changes, 0.0, None), n).mean(axis=1)
+    flat = loss == 0.0
+    out = 100.0 - 100.0 / (1.0 + gain / np.where(flat, 1.0, loss))
+    out[flat] = np.where(gain[flat] == 0.0, 50.0, 100.0)
+    return out
+
+
 def rsi(closes, n: int = 21) -> float:
     """Relative strength index over the last n close-to-close changes.
 
@@ -107,14 +148,28 @@ def rsi(closes, n: int = 21) -> float:
     """
     c = np.asarray(closes, dtype=float)
     _require(len(c), n + 1, f"RSI({n})")
-    changes = np.diff(c[-(n + 1):])
-    gain = float(np.clip(changes, 0.0, None).mean())
-    loss = float(np.clip(-changes, 0.0, None).mean())
-    if gain == 0.0 and loss == 0.0:
-        return 50.0
-    if loss == 0.0:
-        return 100.0
-    return 100.0 - 100.0 / (1.0 + gain / loss)
+    return float(_rsi_series(c[-(n + 1):], n)[-1])
+
+
+def _hlc(highs, lows, closes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    h, lo, c = (np.asarray(x, dtype=float) for x in (highs, lows, closes))
+    if not (len(h) == len(lo) == len(c)):
+        raise ValueError("highs, lows, and closes must share length")
+    return h, lo, c
+
+
+def _percent_k(h: np.ndarray, lo: np.ndarray, c: np.ndarray, k: int) -> np.ndarray:
+    """%K of every k-bar window; out[i] covers bars i .. i+k-1."""
+    hh = sliding_window_view(h, k).max(axis=1)
+    ll = sliding_window_view(lo, k).min(axis=1)
+    span = hh - ll
+    safe = np.where(span == 0.0, 1.0, span)
+    return np.where(span == 0.0, 50.0, 100.0 * (c[k - 1:] - ll) / safe)
+
+
+def _williams(h: np.ndarray, lo: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
+    """Williams %R of every n-bar window: the same-window %K shifted to [-100, 0]."""
+    return _percent_k(h, lo, c, n) - 100.0
 
 
 def stochastic(highs, lows, closes, k: int = 10, d: int = 3) -> StochasticPair:
@@ -123,18 +178,9 @@ def stochastic(highs, lows, closes, k: int = 10, d: int = 3) -> StochasticPair:
     %D is the d-point simple average of %K. A degenerate range (highest high
     equal to lowest low) reads as the neutral 50.
     """
-    h = np.asarray(highs, dtype=float)
-    lo = np.asarray(lows, dtype=float)
-    c = np.asarray(closes, dtype=float)
-    if not (len(h) == len(lo) == len(c)):
-        raise ValueError("highs, lows, and closes must share length")
+    h, lo, c = _hlc(highs, lows, closes)
     _require(len(c), k + d - 1, f"stochastic({k},{d})")
-    hh = sliding_window_view(h, k).max(axis=1)
-    ll = sliding_window_view(lo, k).min(axis=1)
-    span = hh - ll
-    aligned = c[k - 1:]
-    safe = np.where(span == 0.0, 1.0, span)
-    pk = np.where(span == 0.0, 50.0, 100.0 * (aligned - ll) / safe)
+    pk = _percent_k(h, lo, c, k)
     return StochasticPair(percent_k=pk, percent_d=sma(pk, d))
 
 
@@ -144,20 +190,13 @@ def williams(highs, lows, closes, n: int = 30) -> float:
     Scaled to [-100, 0]; a degenerate range reads as the neutral -50.
     Computed as the exact complement of the same-window %K.
     """
-    h = np.asarray(highs, dtype=float)
-    lo = np.asarray(lows, dtype=float)
-    c = np.asarray(closes, dtype=float)
-    if not (len(h) == len(lo) == len(c)):
-        raise ValueError("highs, lows, and closes must share length")
+    h, lo, c = _hlc(highs, lows, closes)
     _require(len(c), n, f"Williams({n})")
-    hh = float(h[-n:].max())
-    ll = float(lo[-n:].min())
-    if hh == ll:
-        return -50.0
-    return 100.0 * (float(c[-1]) - ll) / (hh - ll) - 100.0
+    return float(_williams(h[-n:], lo[-n:], c[-n:], n)[-1])
 
 
-def snapshot_requirements(
+def indicator_frame(
+    periods: PriceSeries,
     *,
     macd_short: int = 12,
     macd_long: int = 26,
@@ -166,19 +205,44 @@ def snapshot_requirements(
     stochastic_k: int = 10,
     stochastic_d: int = 3,
     williams_window: int = 30,
-) -> dict[str, int]:
-    """Minimum period-bar counts per indicator for a full snapshot.
+) -> IndicatorFrame:
+    """Every indicator over all period bars, time-aligned: row t sees bars 0..t only.
 
-    MACD requires one genuine recursion step past the signal line's SMA seed,
-    hence long + trigger rather than long + trigger - 1.
+    Each column is NaN until its window fills (MACD from row long+trigger-2,
+    RSI from row n, %K from k-1, %D from k+d-2, Williams from n-1), so short
+    series give NaN columns rather than errors.
     """
-    del macd_short
-    return {
-        "MACD": macd_long + macd_trigger,
-        "RSI": rsi_window + 1,
-        "stochastic": stochastic_k + stochastic_d - 1,
-        "Williams": williams_window,
-    }
+    h = np.array([b.high for b in periods.bars])
+    lo = np.array([b.low for b in periods.bars])
+    c = np.array([b.close for b in periods.bars])
+    rows, empty = len(c), np.empty(0)
+
+    def aligned(values: np.ndarray) -> np.ndarray:
+        out = np.full(rows, np.nan)
+        out[rows - len(values):] = values
+        return out
+
+    triple = macd(c, macd_short, macd_long, macd_trigger) \
+        if rows >= macd_long + macd_trigger - 1 else MacdTriple(empty, empty, empty)
+    pk = _percent_k(h, lo, c, stochastic_k) if rows >= stochastic_k else empty
+    # Minimum bar counts for a full row. MACD requires one genuine recursion
+    # step past the signal line's SMA seed, hence long + trigger, not - 1.
+    requirements = {"MACD": macd_long + macd_trigger, "RSI": rsi_window + 1,
+                    "stochastic": stochastic_k + stochastic_d - 1, "Williams": williams_window}
+    binding, needed = max(requirements.items(), key=lambda kv: (kv[1], kv[0]))
+    return IndicatorFrame(
+        close=c,
+        macd_line=aligned(triple.macd_line),
+        signal_line=aligned(triple.signal_line),
+        histogram=aligned(triple.histogram),
+        rsi=aligned(_rsi_series(c, rsi_window) if rows > rsi_window else empty),
+        percent_k=aligned(pk),
+        percent_d=aligned(sma(pk, stochastic_d) if len(pk) >= stochastic_d else empty),
+        williams=aligned(_williams(h, lo, c, williams_window)
+                         if rows >= williams_window else empty),
+        binding=binding,
+        needed=needed,
+    )
 
 
 def snapshot(
@@ -192,29 +256,10 @@ def snapshot(
     stochastic_d: int = 3,
     williams_window: int = 30,
 ) -> IndicatorSnapshot:
-    """Latest value of each indicator bundled with the latest close."""
-    requirements = snapshot_requirements(
-        macd_short=macd_short, macd_long=macd_long, macd_trigger=macd_trigger,
+    """Latest value of each indicator bundled with the latest close: the frame's last row."""
+    frame = indicator_frame(
+        series, macd_short=macd_short, macd_long=macd_long, macd_trigger=macd_trigger,
         rsi_window=rsi_window, stochastic_k=stochastic_k, stochastic_d=stochastic_d,
         williams_window=williams_window,
     )
-    binding, needed = max(requirements.items(), key=lambda kv: (kv[1], kv[0]))
-    if len(series.bars) < needed:
-        raise InsufficientHistoryError(
-            f"snapshot needs at least {needed} period bars "
-            f"({binding} is the binding indicator), got {len(series.bars)}"
-        )
-    highs = np.array([b.high for b in series.bars])
-    lows = np.array([b.low for b in series.bars])
-    closes = np.array([b.close for b in series.bars])
-    triple = macd(closes, macd_short, macd_long, macd_trigger)
-    pair = stochastic(highs, lows, closes, stochastic_k, stochastic_d)
-    return IndicatorSnapshot(
-        macd_line=float(triple.macd_line[-1]),
-        signal_line=float(triple.signal_line[-1]),
-        histogram=float(triple.histogram[-1]),
-        rsi=rsi(closes, rsi_window),
-        stochastic_k=float(pair.percent_k[-1]),
-        williams=williams(highs, lows, closes, williams_window),
-        close=float(closes[-1]),
-    )
+    return frame.row(len(series.bars) - 1)

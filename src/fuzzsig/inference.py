@@ -285,17 +285,14 @@ def recommend_periods(
     periods: PriceSeries,
     config: ResolvedConfig | None = None,
     rule_base: RuleBase | None = None,
+    variables: tuple[LinguisticVariable, ...] | None = None,
 ) -> Recommendation:
-    """Run the pipeline on already-aggregated period bars."""
+    """Run the pipeline on aggregated period bars, building variables and rules unless given."""
     cfg = config if config is not None else ResolvedConfig()
-    snap = _stage(
-        "indicators", snapshot, periods,
-        macd_short=cfg.macd_short, macd_long=cfg.macd_long, macd_trigger=cfg.macd_trigger,
-        rsi_window=cfg.rsi_window, stochastic_k=cfg.stochastic_k,
-        stochastic_d=cfg.stochastic_d, williams_window=cfg.williams_window,
-    )
-    variables = _stage("fuzzification", default_variables,
-                       divisor=cfg.divisor, mf_table=cfg.mf_table)
+    snap = _stage("indicators", snapshot, periods, **cfg.indicator_windows)
+    if variables is None:
+        variables = _stage("fuzzification", default_variables,
+                           divisor=cfg.divisor, mf_table=cfg.mf_table)
     fou = FootprintOfUncertainty(cfg.delta) if cfg.delta > 0 else None
     inputs = _stage(
         "fuzzification", fuzzify, snap, variables,
@@ -322,11 +319,12 @@ def recommend(
     series: PriceSeries,
     config: ResolvedConfig | None = None,
     rule_base: RuleBase | None = None,
+    variables: tuple[LinguisticVariable, ...] | None = None,
 ) -> Recommendation:
     """Full pipeline on daily bars: aggregate, snapshot, fuzzify, fire, defuzzify."""
     cfg = config if config is not None else ResolvedConfig()
     periods = _stage("aggregation", aggregate_periods, series, cfg.days_per_period)
-    return recommend_periods(periods, cfg, rule_base)
+    return recommend_periods(periods, cfg, rule_base, variables)
 
 
 def rules_to_csv(rule_base: RuleBase, include_scores: bool = False) -> str:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from datetime import date
 
@@ -52,6 +53,11 @@ class ValidationReport:
 
 def _bar_problems(bar: PriceBar) -> list[tuple[str, str]]:
     problems: list[tuple[str, str]] = []
+    if not all(map(math.isfinite, (bar.open, bar.high, bar.low, bar.close, bar.volume))):
+        # NaN fails every comparison below, so it must be caught here
+        problems.append(("nonfinite_value", f"prices and volume must be finite, got "
+                         f"open={bar.open} high={bar.high} low={bar.low} close={bar.close} "
+                         f"volume={bar.volume}"))
     if min(bar.open, bar.high, bar.low, bar.close) <= 0.0:
         problems.append((
             "nonpositive_price",

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +91,18 @@ class TestPortfolio:
         assert "GOOD,0.5,Hold" in out
         assert 'BAD,,"error:' in out
 
+    def test_nan_price_exits_1_naming_the_row(self, basket_csv, tmp_path, capsys):
+        lines = Path(basket_csv).read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[5] = "nan"  # the close of data row 6
+        lines[5] = ",".join(fields)
+        path = tmp_path / "nan.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert run(["portfolio", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "row 6" in captured.err and "finite" in captured.err
+
 
 class TestIndicatorsCommand:
     def test_table_has_expected_columns(self, basket_csv, capsys):
@@ -105,6 +119,15 @@ class TestIndicatorsCommand:
         assert all(cell != "" for cell in last)
         assert last[8] in ("Low", "Medium", "High")
         assert last[12] in ("Low", "Medium", "High")
+
+    @pytest.mark.parametrize("fmt,digest", [
+        ("csv", "8c838133ee4e3b0a2adcdc4be8f5e0236f3bbceea427a7741f4d97f6e1990e12"),
+        ("json", "9c7f9da9b4346f5d308ac6d2c347101dde799752ce54e69a958f3b6c4723ef92"),
+    ])
+    def test_bundled_fixture_table_bytes_are_pinned(self, fmt, digest, capsysbinary):
+        fixture = str(DATA_DIR / "portfolio_fixture.csv")
+        assert run(["indicators", fixture, "--format", fmt]) == 0
+        assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == digest
 
     def test_json_format(self, basket_csv, capsys):
         assert run(["indicators", basket_csv, "--symbol", "SYN01", "--format", "json"]) == 0
@@ -167,6 +190,15 @@ class TestConfigHandling:
         cfg.write_text("fuzzy.nonsense = 1\n")
         assert run(["signal", flat_csv, "--symbol", "FLAT", "--config", str(cfg)]) == 1
         assert "nonsense" in capsys.readouterr().err
+
+    def test_uncovered_membership_table_exits_1_naming_the_variable(
+            self, basket_csv, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("fuzzy.rsi.low = leftshoulder 0.1 0.2\n")  # gap below rsi.medium
+        assert run(["portfolio", basket_csv, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'rsi'" in captured.err and "cover" in captured.err
 
     def test_period_days_flag(self, tmp_path, capsys):
         series = flat_series(periods=40, days_per_period=10)

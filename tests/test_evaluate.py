@@ -46,6 +46,27 @@ class TestRunPortfolio:
         for row in (report.rows[0], report.rows[1], report.rows[3]):
             assert row.crisp is not None
 
+    def test_variables_are_built_per_config_not_per_symbol(self, monkeypatch):
+        import fuzzsig.config
+        import fuzzsig.fuzzy
+
+        calls = []
+        original = fuzzsig.fuzzy.default_variables
+
+        def counted(**kwargs):
+            calls.append(1)
+            return original(**kwargs)
+
+        for module in (fuzzsig.config, fuzzsig.fuzzy):
+            monkeypatch.setattr(module, "default_variables", counted)
+        basket = portfolio_fixture(seed=12, symbols=10, periods=52)
+        counts = []
+        for symbols in (basket[:1], basket):
+            calls.clear()
+            run_portfolio(symbols, ResolvedConfig())
+            counts.append(len(calls))
+        assert counts == [1, 1]
+
     def test_empty_input_errors(self):
         with pytest.raises(ValueError, match="empty"):
             run_portfolio([])

@@ -12,8 +12,6 @@ from fuzzsig.fuzzy import (
     RightShoulder,
     Triangular,
     default_variables,
-    eval_mf,
-    eval_mf_interval,
     fuzzify,
     normalize_snapshot,
 )
@@ -119,17 +117,17 @@ class TestIntervalGrades:
         for mf in (Triangular(0.2, 0.5, 0.8), LeftShoulder(0.3, 0.45),
                    RightShoulder(0.55, 0.7), Gaussian(0.5, 0.15)):
             for x in np.linspace(-0.2, 1.2, 57):
-                lo, hi = eval_mf_interval(mf, fou, float(x))
-                g = eval_mf(mf, float(x))
+                lo, hi = mf.grade_bounds(float(x), fou.delta)
+                g = mf.grade(float(x))
                 assert lo == g and hi == g
 
     def test_gaussian_center_unaffected_by_width_blur(self):
-        lo, hi = eval_mf_interval(Gaussian(0.5, 0.15), FootprintOfUncertainty(0.05), 0.5)
+        lo, hi = Gaussian(0.5, 0.15).grade_bounds(0.5, FootprintOfUncertainty(0.05).delta)
         assert (lo, hi) == (1.0, 1.0)
 
     def test_triangular_interval_matches_parameter_sweep(self):
         mf = Triangular(0.2, 0.5, 0.8)
-        lo, hi = eval_mf_interval(mf, FootprintOfUncertainty(0.05), 0.35)
+        lo, hi = mf.grade_bounds(0.35, FootprintOfUncertainty(0.05).delta)
         slo, shi = swept_mf_bounds(mf, 0.35, 0.05, steps=1000)
         assert lo == pytest.approx(slo, abs=1e-3)
         assert hi == pytest.approx(shi, abs=1e-3)

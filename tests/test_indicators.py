@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +10,7 @@ from fuzzsig.fixtures import flat_series, random_walk_series
 from fuzzsig.indicators import (
     InsufficientHistoryError,
     ema,
+    indicator_frame,
     macd,
     rsi,
     sma,
@@ -14,7 +18,9 @@ from fuzzsig.indicators import (
     stochastic,
     williams,
 )
-from fuzzsig.market_data import PriceSeries, aggregate_periods
+from fuzzsig.market_data import PriceSeries, aggregate_periods, parse_csv
+
+from conftest import DATA_DIR
 
 from oracles import (
     closed_form_ema,
@@ -280,3 +286,54 @@ class TestSnapshot:
         assert snap.stochastic_k == 50.0
         assert snap.williams == -50.0
         assert snap.rsi == 50.0
+
+
+def bits(snap):
+    return [value.hex() for value in dataclasses.astuple(snap)]
+
+
+class TestIndicatorFrame:
+    @pytest.mark.parametrize("windows", [{}, {"rsi_window": 50}])
+    def test_row_t_is_the_snapshot_of_prefix_t_bit_for_bit(self, windows):
+        basket = parse_csv((DATA_DIR / "portfolio_fixture.csv").read_bytes())
+        usable = 0
+        for series in basket:
+            periods = aggregate_periods(series, 15)
+            frame = indicator_frame(periods, **windows)
+            for t in range(len(periods.bars)):
+                prefix = PriceSeries(periods.symbol, periods.bars[:t + 1])
+                try:
+                    want = snapshot(prefix, **windows)
+                except InsufficientHistoryError as exc:
+                    with pytest.raises(InsufficientHistoryError, match=re.escape(str(exc))):
+                        frame.row(t)
+                    continue
+                assert bits(frame.row(t)) == bits(want)
+                usable += 1
+        assert usable == len(basket) * (18 if not windows else 2)
+
+    def test_macd_shows_a_row_before_inference_accepts_it(self):
+        # the signal line exists from row long+trigger-2, but a snapshot needs
+        # one recursion step past its seed: long+trigger bars
+        frame = indicator_frame(period_series(40, seed=5))
+        assert np.isnan(frame.macd_line[32]) and not np.isnan(frame.macd_line[33])
+        assert not np.isnan(frame.signal_line[33]) and not np.isnan(frame.histogram[33])
+        with pytest.raises(InsufficientHistoryError, match="MACD"):
+            frame.row(33)
+        frame.row(34)
+
+    def test_columns_fill_from_their_windows(self):
+        frame = indicator_frame(period_series(40, seed=6))
+        first = {name: int(np.argmax(~np.isnan(getattr(frame, name))))
+                 for name in ("macd_line", "rsi", "percent_k", "percent_d", "williams")}
+        assert first == {"macd_line": 33, "rsi": 21, "percent_k": 9,
+                         "percent_d": 11, "williams": 29}
+
+    @pytest.mark.parametrize("n_periods", [0, 1, 5, 12, 30, 33])
+    def test_short_series_give_nan_columns_not_errors(self, n_periods):
+        series = period_series(40, seed=8)
+        frame = indicator_frame(PriceSeries("S", series.bars[:n_periods]))
+        assert len(frame.close) == len(frame.rsi) == len(frame.williams) == n_periods
+        assert np.all(np.isnan(frame.macd_line))
+        with pytest.raises(InsufficientHistoryError, match="MACD"):
+            frame.row(n_periods - 1)

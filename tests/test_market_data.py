@@ -60,6 +60,17 @@ class TestParseCsv:
         with pytest.raises(MarketDataError, match="volume"):
             parse_csv(text)
 
+    @pytest.mark.parametrize("field", ["open", "high", "low", "close", "volume"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_field_rejected_with_row_number(self, field, value):
+        cells = dict(zip(("open", "high", "low", "close", "volume"),
+                         ("10", "11", "9", "10.5", "100")))
+        cells[field] = value
+        text = HEADER + "A,2020-01-01,10,11,9,10.5,100\n" + \
+            "A,2020-01-02," + ",".join(cells.values()) + "\n"
+        with pytest.raises(MarketDataError, match="row 3: .*finite"):
+            parse_csv(text)
+
     def test_duplicate_symbol_date_rejected(self):
         text = HEADER + "X,2020-01-01,10,11,9,10,0\nX,2020-01-01,10,11,9,10,5\n"
         with pytest.raises(MarketDataError, match="row 3.*duplicate"):
@@ -189,6 +200,13 @@ class TestValidate:
     def test_empty_series_reported(self):
         report = validate(PriceSeries("S", ()))
         assert [f.code for f in report.findings] == ["empty_series"]
+
+    def test_nan_bar_is_a_finding(self):
+        series = make_series(3)
+        bars = list(series.bars)
+        bars[1] = bar(bars[1].date, c=float("nan"))
+        report = validate(PriceSeries("T", tuple(bars)))
+        assert [(f.index, f.code) for f in report.findings] == [(1, "nonfinite_value")]
 
     @given(seed=st.integers(0, 5_000))
     def test_corrupted_series_matches_per_invariant_scan(self, seed):
