@@ -14,33 +14,20 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
+import typing
 from dataclasses import dataclass, field
 
-from .fuzzy import (
-    Gaussian,
-    LeftShoulder,
-    LinguisticVariable,
-    MembershipFunction,
-    RightShoulder,
-    Triangular,
-    default_mf_table,
-    default_variables,
-)
+from .fuzzy import LinguisticVariable, MembershipFunction, default_mf_table, default_variables
 
 
 class ConfigError(ValueError):
     """Bad configuration key, value, or combination."""
 
 
-_MF_SHAPES = {
-    "triangular": (Triangular, 3),
-    "leftshoulder": (LeftShoulder, 2),
-    "rightshoulder": (RightShoulder, 2),
-    "gaussian": (Gaussian, 2),
-}
+_MF_SHAPES = {cls.__name__.lower(): cls for cls in typing.get_args(MembershipFunction)}
 
-_MF_NAMES = {Triangular: "triangular", LeftShoulder: "leftshoulder",
-             RightShoulder: "rightshoulder", Gaussian: "gaussian"}
+_MF_NAMES = {cls: name for name, cls in _MF_SHAPES.items()}
 
 
 def parse_mf(text: str) -> MembershipFunction:
@@ -50,13 +37,16 @@ def parse_mf(text: str) -> MembershipFunction:
     shape = parts[0].lower()
     if shape not in _MF_SHAPES:
         raise ConfigError(f"unknown membership function shape {shape!r}")
-    cls, arity = _MF_SHAPES[shape]
+    cls = _MF_SHAPES[shape]
+    arity = len(dataclasses.fields(cls))
     if len(parts) - 1 != arity:
         raise ConfigError(f"{shape} takes {arity} parameters, got {len(parts) - 1}")
     try:
         params = [float(p) for p in parts[1:]]
     except ValueError:
         raise ConfigError(f"non-numeric membership function parameter in {text!r}") from None
+    if not all(math.isfinite(p) for p in params):
+        raise ConfigError(f"non-finite membership function parameter in {text!r}")
     try:
         return cls(*params)
     except ValueError as exc:
@@ -64,16 +54,7 @@ def parse_mf(text: str) -> MembershipFunction:
 
 
 def format_mf(mf: MembershipFunction) -> str:
-    name = _MF_NAMES[type(mf)]
-    if isinstance(mf, Triangular):
-        params = (mf.left, mf.peak, mf.right)
-    elif isinstance(mf, LeftShoulder):
-        params = (mf.plateau_end, mf.foot)
-    elif isinstance(mf, RightShoulder):
-        params = (mf.foot, mf.plateau_start)
-    else:
-        params = (mf.center, mf.width)
-    return " ".join([name] + [repr(p) for p in params])
+    return " ".join([_MF_NAMES[type(mf)], *map(repr, dataclasses.astuple(mf))])
 
 
 _INT_KEYS = {
@@ -151,10 +132,15 @@ class ResolvedConfig:
             raise ConfigError(
                 f"macd_short must be below macd_long, got {self.macd_short}/{self.macd_long}"
             )
+        for name in _FLOAT_KEYS.values():
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.divisor <= 0:
             raise ConfigError(f"tuning divisor must be positive, got {self.divisor}")
-        if len(self.levels) != 3 or not self.levels[0] < self.levels[1] < self.levels[2]:
-            raise ConfigError(f"tuning levels must be three ascending ratios, got {self.levels}")
+        levels = self.levels
+        if len(levels) != 3 or not -math.inf < levels[0] < levels[1] < levels[2] < math.inf:
+            raise ConfigError(f"tuning levels must be three ascending finite ratios, got {levels}")
         if self.delta < 0:
             raise ConfigError(f"delta must be >= 0, got {self.delta}")
         if self.histogram_gain <= 0:

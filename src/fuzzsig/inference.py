@@ -3,8 +3,8 @@
 The generated rule base enumerates all 36 antecedent combinations (MACD 2 x
 RSI 3 x SO 3 x Williams 2) and scores each by weighted directional votes.
 Firing uses min for the AND, clipping for implication, and max for
-aggregation; interval grades are reduced with the Karnik-Mendel switch-point
-iteration and defuzzified at the centroid midpoint.
+aggregation; interval grades are reduced with an exhaustive Karnik-Mendel
+switch-point search and defuzzified at the centroid midpoint.
 """
 
 from __future__ import annotations
@@ -167,28 +167,32 @@ def fire_rules(
 ) -> AggregatedOutput:
     """Fire every rule (min over antecedent grades) and max-aggregate the clips.
 
-    Interval grades fire endpoint-wise, producing lower and upper envelopes.
+    Clipping and max commute, so the rules first fold into one (lower, upper)
+    strength pair per consequent, the max over its rules; each consequent term
+    is then clipped once per envelope. Interval grades fire endpoint-wise.
     """
-    grid = np.linspace(output_var.domain[0], output_var.domain[1], grid_points)
-    consequent_grid = {label: mf.grade(grid) for label, mf in output_var.terms}
-    lower = np.zeros(grid_points)
-    upper = np.zeros(grid_points)
+    terms = dict(output_var.terms)
+    strengths: dict[str, tuple[float, float]] = {}
     for rule in rule_base.rules:
         try:
-            pairs = [inputs.grades[name][getattr(rule, name)] for name in ANTECEDENT_VARIABLES]
+            lows, highs = zip(*[inputs.grades[name][getattr(rule, name)]
+                                for name in ANTECEDENT_VARIABLES])
         except KeyError as exc:
             raise InferenceError(f"rule references unknown variable/term: {exc}") from None
         label = rule.consequent.value.lower()
-        if label not in consequent_grid:
+        if label not in terms:
             raise InferenceError(f"output variable has no term {label!r}")
-        strength_lo = min(p[0] for p in pairs)
-        strength_hi = min(p[1] for p in pairs)
-        if strength_hi > 0.0:
-            clipped = np.minimum(consequent_grid[label], strength_hi)
-            np.maximum(upper, clipped, out=upper)
-        if strength_lo > 0.0:
-            clipped = np.minimum(consequent_grid[label], strength_lo)
-            np.maximum(lower, clipped, out=lower)
+        # max(best, s) keeps best when s is NaN: a NaN strength fires nothing
+        best_lo, best_hi = strengths.get(label, (0.0, 0.0))
+        strengths[label] = (max(best_lo, min(lows)), max(best_hi, min(highs)))
+    grid = np.linspace(output_var.domain[0], output_var.domain[1], grid_points)
+    lower = np.zeros(grid_points)
+    upper = np.zeros(grid_points)
+    for label, (strength_lo, strength_hi) in strengths.items():
+        mu = terms[label].grade(grid)
+        for envelope, strength in ((lower, strength_lo), (upper, strength_hi)):
+            if strength > 0.0:
+                np.maximum(envelope, np.minimum(mu, strength), out=envelope)
     return AggregatedOutput(grid=grid, lower=lower, upper=upper, interval=inputs.interval)
 
 
@@ -199,43 +203,47 @@ def _quad_weights(n: int) -> np.ndarray:
     return w
 
 
-def _km_switch(x: np.ndarray, lower: np.ndarray, upper: np.ndarray, *, right: bool) -> float:
-    weights = 0.5 * (lower + upper)
-    total = float(weights.sum())
-    if total <= 0.0:
-        weights = upper
-        total = float(weights.sum())
-    y = float(np.dot(x, weights) / total)
-    prev_k = -2
-    for _ in range(len(x)):
-        k = int(np.searchsorted(x, y, side="right")) - 1
-        k = min(max(k, 0), len(x) - 2)
-        if right:
-            weights = np.concatenate((lower[:k + 1], upper[k + 1:]))
-        else:
-            weights = np.concatenate((upper[:k + 1], lower[k + 1:]))
-        total = float(weights.sum())
-        if total <= 0.0:
-            break
-        y = float(np.dot(x, weights) / total)
-        if k == prev_k:
-            break
-        prev_k = k
-    return y
+def _centroid(x: np.ndarray, weights: np.ndarray) -> float:
+    return float(np.dot(x, weights) / weights.sum())
+
+
+def _prefix_sums(v: np.ndarray) -> np.ndarray:
+    """sums[j] = v[:j].sum() for j = 0..n, accumulated from the left."""
+    return np.cumsum(np.concatenate(([0.0], v)))
+
+
+def _switch_point_centroid(x: np.ndarray, head: np.ndarray, tail: np.ndarray,
+                           pick, empty: float) -> float:
+    """Centroid of the weights head[:j] ++ tail[j:] at the switch point j that pick selects.
+
+    Every j in 0..n is scored at once. Tail sums accumulate over the reversed
+    arrays, not as total minus head, so an assignment without weight sums to
+    exactly 0 and scores `empty`, not a ratio of rounding residue. j = 0 ranks
+    last and j = n after the interior points: they win only where no interior
+    assignment has weight.
+    """
+    weight = _prefix_sums(head) + _prefix_sums(tail[::-1])[::-1]
+    moment = _prefix_sums(x * head) + _prefix_sums((x * tail)[::-1])[::-1]
+    scores = np.divide(moment, weight, out=np.full(len(weight), empty), where=weight > 0.0)
+    j = (int(pick(np.concatenate((scores[1:], scores[:1])))) + 1) % len(scores)
+    return _centroid(x, np.concatenate((head[:j], tail[j:])))
 
 
 def km_type_reduce(agg: AggregatedOutput) -> tuple[float, float]:
     """Karnik-Mendel switch-point centroids [y_l, y_r] of the sampled set.
 
-    Iterates until the switch point stabilizes. Raises when no rule fired
-    (identically zero upper envelope): for in-range inputs the variables'
-    coverage floor makes that unreachable, so hitting it means misconfiguration.
+    Exhaustive over switch points: y_l takes upper grades left of the switch
+    and lower ones right of it, minimized; y_r the mirror image, maximized.
+    Raises when no rule fired (identically zero upper envelope): for in-range
+    inputs the variables' coverage floor makes that unreachable, so hitting it
+    means misconfiguration.
     """
     if float(agg.upper.max()) <= 0.0:
         raise InferenceError("no rule fired: aggregate output is identically zero")
     quad = _quad_weights(len(agg.grid))
-    y_l = _km_switch(agg.grid, quad * agg.lower, quad * agg.upper, right=False)
-    y_r = _km_switch(agg.grid, quad * agg.lower, quad * agg.upper, right=True)
+    lower, upper = quad * agg.lower, quad * agg.upper
+    y_l = _switch_point_centroid(agg.grid, upper, lower, np.argmin, np.inf)
+    y_r = _switch_point_centroid(agg.grid, lower, upper, np.argmax, -np.inf)
     return y_l, y_r
 
 
@@ -250,9 +258,7 @@ def defuzzify(agg: AggregatedOutput) -> float:
         return 0.5 * (y_l + y_r)
     if float(agg.upper.max()) <= 0.0:
         raise InferenceError("no rule fired: aggregate output is identically zero")
-    quad = _quad_weights(len(agg.grid))
-    weights = quad * agg.upper
-    return float(np.dot(agg.grid, weights) / weights.sum())
+    return _centroid(agg.grid, _quad_weights(len(agg.grid)) * agg.upper)
 
 
 def classify_signal(crisp: float) -> Signal:

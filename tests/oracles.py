@@ -2,8 +2,8 @@
 
 Each oracle deliberately takes a different computational route from the
 package code: naive per-window loops instead of cumulative sums, the
-closed-form geometric expansion instead of the EMA recursion, exhaustive
-switch-point enumeration instead of the Karnik-Mendel iteration.
+closed-form geometric expansion instead of the EMA recursion, a loop over
+every switch point instead of the Karnik-Mendel cumulative sums.
 """
 
 from __future__ import annotations

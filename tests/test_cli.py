@@ -74,6 +74,17 @@ class TestPortfolio:
         assert run(["portfolio", fixture, "--format", "csv"]) == 0
         assert capsysbinary.readouterr().out == (DATA_DIR / "golden_portfolio.csv").read_bytes()
 
+    @pytest.mark.parametrize("flags,digest", [
+        (["--delta", "0"], "cdfc71bfc162d8e046340c12c0757d0e5c7f9e65a40e1950d37867bb905c9f73"),
+        ([], "78565e1ac31d06368006bb2c68cb5cfe1d3b30b932ccf5c2b186db3f21ea43b0"),
+        (["--delta", "0.15"], "689f95b5e860300388e942a1389dbcc878a47ef0ed7f176ae3a79e2007325d37"),
+    ])
+    def test_bundled_fixture_json_bytes_are_pinned(self, flags, digest, capsysbinary):
+        # full-precision crisp values: the golden CSV's 1 dp cannot see drift of a few ulps
+        fixture = str(DATA_DIR / "portfolio_fixture.csv")
+        assert run(["portfolio", fixture, "--format", "json", *flags]) == 0
+        assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == digest
+
     def test_double_run_is_bit_identical(self, basket_csv, capsysbinary):
         for fmt in ("csv", "json", "plotdata"):
             run(["portfolio", basket_csv, "--format", fmt])
@@ -199,6 +210,29 @@ class TestConfigHandling:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "'rsi'" in captured.err and "cover" in captured.err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_delta_flag_exits_1(self, flat_csv, value, capsys):
+        assert run(["signal", flat_csv, "--symbol", "FLAT", "--delta", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "delta must be finite" in captured.err
+
+    @pytest.mark.parametrize("line,named", [
+        ("fuzzy.delta = nan", "delta must be finite"),
+        ("fuzzy.histogram_gain = inf", "histogram_gain must be finite"),
+        ("fuzzy.histogram_gain = nan", "histogram_gain must be finite"),
+        ("tuning.divisor = inf", "divisor must be finite"),
+        ("fuzzy.macd.low = gaussian nan 0.3", "line 1: non-finite"),
+        ("tuning.levels = 0.236, 0.382, inf", "tuning levels must be three ascending finite"),
+    ])
+    def test_nonfinite_config_value_exits_1(self, basket_csv, tmp_path, line, named, capsys):
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text(line + "\n")
+        assert run(["portfolio", basket_csv, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err
 
     def test_period_days_flag(self, tmp_path, capsys):
         series = flat_series(periods=40, days_per_period=10)

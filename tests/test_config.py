@@ -36,6 +36,12 @@ class TestMfSyntax:
         with pytest.raises(ConfigError, match="parameters"):
             parse_mf("gaussian 0.5")
 
+    @pytest.mark.parametrize("text", ["gaussian nan 0.3", "gaussian 0.5 inf",
+                                      "triangular -inf 0.5 0.7"])
+    def test_nonfinite_parameter_rejected(self, text):
+        with pytest.raises(ConfigError, match="non-finite"):
+            parse_mf(text)
+
     def test_invalid_ordering_rejected(self):
         with pytest.raises(ConfigError):
             parse_mf("triangular 0.9 0.5 0.1")
@@ -95,6 +101,11 @@ class TestValidation:
         ("histogram_gain", 0.0),
         ("grid_points", 2),
         ("levels", (0.5, 0.4, 0.7)),
+        ("delta", float("nan")),
+        ("delta", float("inf")),
+        ("histogram_gain", float("inf")),
+        ("divisor", float("inf")),
+        ("levels", (0.236, 0.382, float("inf"))),
     ])
     def test_bad_values_rejected(self, field, value):
         with pytest.raises(ConfigError):

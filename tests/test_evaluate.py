@@ -1,6 +1,10 @@
+import dataclasses
+import random
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzsig.config import ResolvedConfig
 from fuzzsig.evaluate import (
@@ -15,7 +19,7 @@ from fuzzsig.evaluate import (
 from fuzzsig.fixtures import portfolio_fixture, random_walk_series, uptrend_series
 from fuzzsig.indicators import InsufficientHistoryError
 from fuzzsig.inference import Signal, classify_signal, recommend
-from fuzzsig.market_data import PriceSeries, parse_csv
+from fuzzsig.market_data import PriceSeries, parse_csv, serialize_csv
 
 from conftest import DATA_DIR
 
@@ -71,11 +75,39 @@ class TestRunPortfolio:
         with pytest.raises(ValueError, match="empty"):
             run_portfolio([])
 
-    def test_row_order_follows_input_order(self):
-        basket = portfolio_fixture(seed=21, symbols=4, periods=52)
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=15)
+    def test_row_order_follows_input_order(self, seed):
+        basket = portfolio_fixture(seed=seed, symbols=4, periods=52)
         fwd = run_portfolio(basket)
         rev = run_portfolio(basket[::-1])
         assert list(fwd.rows) == list(rev.rows[::-1])
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=15)
+    def test_shuffled_csv_rows_give_the_same_crisp_values(self, seed):
+        basket = portfolio_fixture(seed=seed, symbols=4, periods=52)
+        header, *lines = serialize_csv(basket).decode().splitlines()
+        random.Random(seed).shuffle(lines)
+        shuffled = parse_csv("\n".join([header, *lines]).encode())
+        crisp = {row.symbol: row.crisp for row in run_portfolio(basket).rows}
+        assert {row.symbol: row.crisp for row in run_portfolio(shuffled).rows} == crisp
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=15)
+    def test_price_rescale_leaves_crisp_values(self, seed):
+        # every input is a price ratio; a power-of-two factor scales exactly
+        def scaled(factor):
+            return [PriceSeries(s.symbol, tuple(
+                dataclasses.replace(b, open=b.open * factor, high=b.high * factor,
+                                    low=b.low * factor, close=b.close * factor)
+                for b in s.bars)) for s in basket]
+
+        basket = portfolio_fixture(seed=seed, symbols=4, periods=52)
+        crisp = [row.crisp for row in run_portfolio(basket).rows]
+        assert [row.crisp for row in run_portfolio(scaled(4.0)).rows] == crisp
+        assert [row.crisp for row in run_portfolio(scaled(3.0)).rows] == pytest.approx(
+            crisp, rel=0, abs=1e-12)
 
     def test_fingerprint_changes_iff_config_changes(self):
         basket = portfolio_fixture(seed=3, symbols=2, periods=52)

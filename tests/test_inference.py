@@ -161,16 +161,29 @@ class TestKmTypeReduce:
 
     def test_matches_switch_point_enumeration(self):
         # the sampled set carries trapezoid quadrature weights; the oracle
-        # searches the same set exhaustively instead of iterating
+        # searches the same set with an explicit loop over switch points
         rng = np.random.default_rng(31)
-        for _ in range(50):
-            agg = interval_aggregate(rng)
+        cases = [(interval_aggregate(rng), None) for _ in range(50)]
+        # lower = 0 leaves both sides of many switch points without any weight;
+        # at hold clipped at 0.35, total minus prefix would leave residue there
+        grid = np.linspace(0.0, 1.0, 1001)
+        zeros = np.zeros(len(grid))
+        for upper, expected in (
+            (np.minimum(OUTPUT_VAR.mf("sell").grade(grid), 0.5), (0.0, 0.449)),
+            (np.minimum(OUTPUT_VAR.mf("buy").grade(grid), 0.5), (0.551, 1.0)),
+            (np.minimum(OUTPUT_VAR.mf("hold").grade(grid), 0.35), (0.35, 0.649)),
+            (np.where(grid == 0.0, 1.0, 0.0), (0.0, 0.0)),  # mass at one end only
+        ):
+            cases.append((AggregatedOutput(grid, zeros, upper, interval=True), expected))
+        for agg, expected in cases:
             quad = np.ones(len(agg.grid))
             quad[0] = quad[-1] = 0.5
             y_l, y_r = km_type_reduce(agg)
             e_l, e_r = enumerated_km(agg.grid, quad * agg.lower, quad * agg.upper)
             assert y_l == pytest.approx(e_l, abs=1e-9)
             assert y_r == pytest.approx(e_r, abs=1e-9)
+            if expected is not None:
+                assert (y_l, y_r) == pytest.approx(expected, abs=1e-9)
 
     def test_all_zero_aggregate_errors(self):
         zeros = np.zeros(101)
