@@ -82,6 +82,33 @@ _FLOAT_KEYS = {
 _WINDOW_FIELDS = ("macd_short", "macd_long", "macd_trigger", "rsi_window",
                   "stochastic_k", "stochastic_d", "williams_window")
 
+# Every scalar config key and the ResolvedConfig field it sets
+_SETTINGS = {**_INT_KEYS, **_FLOAT_KEYS, "tuning.levels": "levels"}
+_KEY_OF = {name: key for key, name in _SETTINGS.items()}
+
+# Settings whose values must ascend: (lower, higher)
+_ORDERED_PAIRS = (("macd_short", "macd_long"), ("sell_at", "buy_at"))
+
+
+def _check_setting(name: str, value) -> None:
+    """Raise ConfigError when one setting's value is invalid on its own."""
+    if name in ("days_per_period", *_WINDOW_FIELDS, "primary_weight", "secondary_weight"):
+        if not isinstance(value, int) or value < 1:
+            raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+    elif name in _FLOAT_KEYS.values() and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    elif name == "divisor" and value <= 0:
+        raise ConfigError(f"tuning divisor must be positive, got {value}")
+    elif name == "levels" and (
+            len(value) != 3 or not -math.inf < value[0] < value[1] < value[2] < math.inf):
+        raise ConfigError(f"tuning levels must be three ascending finite ratios, got {value}")
+    elif name == "delta" and value < 0:
+        raise ConfigError(f"delta must be >= 0, got {value}")
+    elif name == "histogram_gain" and value <= 0:
+        raise ConfigError(f"histogram_gain must be positive, got {value}")
+    elif name == "grid_points" and value < 3:
+        raise ConfigError(f"grid_points must be >= 3, got {value}")
+
 
 @dataclass(frozen=True)
 class ResolvedConfig:
@@ -124,31 +151,14 @@ class ResolvedConfig:
         return {name: getattr(self, name) for name in _WINDOW_FIELDS}
 
     def validate(self) -> None:
-        for name in ("days_per_period", *_WINDOW_FIELDS, "primary_weight", "secondary_weight"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-        if not self.macd_short < self.macd_long:
-            raise ConfigError(
-                f"macd_short must be below macd_long, got {self.macd_short}/{self.macd_long}"
-            )
-        for name in _FLOAT_KEYS.values():
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
-        if self.divisor <= 0:
-            raise ConfigError(f"tuning divisor must be positive, got {self.divisor}")
-        levels = self.levels
-        if len(levels) != 3 or not -math.inf < levels[0] < levels[1] < levels[2] < math.inf:
-            raise ConfigError(f"tuning levels must be three ascending finite ratios, got {levels}")
-        if self.delta < 0:
-            raise ConfigError(f"delta must be >= 0, got {self.delta}")
-        if self.histogram_gain <= 0:
-            raise ConfigError(f"histogram_gain must be positive, got {self.histogram_gain}")
-        if not self.sell_at < self.buy_at:
-            raise ConfigError(f"sell_at must be below buy_at, got {self.sell_at}/{self.buy_at}")
-        if self.grid_points < 3:
-            raise ConfigError(f"grid_points must be >= 3, got {self.grid_points}")
+        for f in dataclasses.fields(self):
+            _check_setting(f.name, getattr(self, f.name))
+        for low, high in _ORDERED_PAIRS:
+            if not getattr(self, low) < getattr(self, high):
+                raise ConfigError(
+                    f"{_KEY_OF[low]} must be below {_KEY_OF[high]}, "
+                    f"got {getattr(self, low)}/{getattr(self, high)}"
+                )
         expected_terms = {name: tuple(t for t, _ in terms)
                           for name, terms in default_mf_table().items()}
         for var in self.mf_table.keys() - expected_terms.keys():
@@ -189,15 +199,18 @@ def parse_config_text(text: str, base: ResolvedConfig | None = None) -> Resolved
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         try:
-            if key in _INT_KEYS:
-                fields[_INT_KEYS[key]] = int(value)
-            elif key in _FLOAT_KEYS:
-                fields[_FLOAT_KEYS[key]] = float(value)
-            elif key == "tuning.levels":
-                parts = [float(p) for p in value.split(",")]
-                if len(parts) != 3:
-                    raise ConfigError("tuning.levels takes exactly three ratios")
-                fields["levels"] = tuple(parts)
+            if key in _SETTINGS:
+                if key in _INT_KEYS:
+                    parsed = int(value)
+                elif key in _FLOAT_KEYS:
+                    parsed = float(value)
+                else:
+                    parsed = tuple(float(p) for p in value.split(","))
+                try:
+                    _check_setting(_SETTINGS[key], parsed)
+                except ConfigError as exc:
+                    raise ConfigError(f"{key}: {exc}") from None
+                fields[_SETTINGS[key]] = parsed
             elif key.startswith("fuzzy.") and key.count(".") == 2:
                 _, var, label = key.split(".")
                 if var not in mf_table:

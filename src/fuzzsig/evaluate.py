@@ -16,7 +16,7 @@ from .inference import (
     RuleBase,
     Signal,
     build_rule_base,
-    recommend,
+    recommend_block,
     recommend_periods,
 )
 from .market_data import PriceSeries, aggregate_periods
@@ -75,22 +75,20 @@ def run_portfolio(
     Per-symbol pipeline failures become row notes instead of aborting the
     batch. The variable set and rule base depend only on the config, so they
     are built once; a table that fails the coverage check is a ConfigError for
-    the whole batch. The default generation timestamp is the latest bar date
-    across the inputs, keeping identical inputs byte-identical on re-runs.
+    the whole batch. The symbols are evaluated in blocks (recommend_block).
+    The default generation timestamp is the latest bar date across the
+    inputs, keeping identical inputs byte-identical on re-runs.
     """
     if not series_list:
         raise ValueError("empty input: no series to evaluate")
     cfg = config if config is not None else ResolvedConfig()
     if rule_base is None:
         rule_base = _rule_base_for(cfg)
-    variables = cfg.build_variables()
-    rows: list[ReportRow] = []
-    for series in series_list:
-        try:
-            rec = recommend(series, cfg, rule_base, variables)
-            rows.append(ReportRow(series.symbol, rec.crisp, rec.signal))
-        except PipelineError as exc:
-            rows.append(ReportRow(series.symbol, None, None, note=str(exc)))
+    results = recommend_block(series_list, cfg, rule_base, cfg.build_variables())
+    rows = [ReportRow(series.symbol, None, None, note=str(result))
+            if isinstance(result, PipelineError)
+            else ReportRow(series.symbol, result.crisp, result.signal)
+            for series, result in zip(series_list, results)]
     if generated_at is None:
         generated_at = max(s.bars[-1].date for s in series_list if s.bars)
     return PortfolioReport(tuple(rows), generated_at, cfg.fingerprint())

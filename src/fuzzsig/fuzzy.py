@@ -3,7 +3,9 @@
 Triangular-family shapes serve RSI and the stochastic, Gaussians serve MACD and
 Williams. Every shape also exposes an interval ([lower, upper]) grade under a
 footprint-of-uncertainty blur: a breakpoint shift of +/- delta for the
-piecewise-linear shapes, a width spread of +/- delta for Gaussians.
+piecewise-linear shapes, a width spread of +/- delta for Gaussians. Grades
+take a float (and give floats) or an array of points (and give arrays), so a
+block of rows is graded in one pass.
 """
 
 from __future__ import annotations
@@ -24,6 +26,13 @@ _MIN_GAUSSIAN_WIDTH = 1e-12
 def _eval_scalar_or_array(x):
     arr = np.asarray(x, dtype=float)
     return np.atleast_1d(arr), arr.ndim == 0
+
+
+def _bounds(x, lo, hi):
+    """The (lower, upper) pair as floats for a scalar x, as arrays otherwise."""
+    if np.ndim(x) == 0:
+        return float(lo), float(hi)
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -50,13 +59,13 @@ class Triangular:
         out[arr == self.peak] = 1.0
         return float(out[0]) if scalar else out
 
-    def grade_bounds(self, x: float, delta: float) -> tuple[float, float]:
+    def grade_bounds(self, x, delta: float):
         # Unimodal, so the envelope extremes sit at the shifted endpoints,
         # except that the peak dominates whenever the blur window reaches it.
-        lo = min(self.grade(x - delta), self.grade(x + delta))
-        if x - delta <= self.peak <= x + delta:
-            return lo, 1.0
-        return lo, max(self.grade(x - delta), self.grade(x + delta))
+        left, right = self.grade(x - delta), self.grade(x + delta)
+        reaches_peak = np.logical_and(x - delta <= self.peak, self.peak <= x + delta)
+        return _bounds(x, np.minimum(left, right),
+                       np.where(reaches_peak, 1.0, np.maximum(left, right)))
 
 
 @dataclass(frozen=True)
@@ -79,10 +88,10 @@ class LeftShoulder:
             out[m] = (self.foot - arr[m]) / (self.foot - self.plateau_end)
         return float(out[0]) if scalar else out
 
-    def grade_bounds(self, x: float, delta: float) -> tuple[float, float]:
-        lo = min(self.grade(x - delta), self.grade(x + delta))
-        hi = 1.0 if x - delta <= self.plateau_end else self.grade(x - delta)
-        return lo, hi
+    def grade_bounds(self, x, delta: float):
+        left, right = self.grade(x - delta), self.grade(x + delta)
+        return _bounds(x, np.minimum(left, right),
+                       np.where(x - delta <= self.plateau_end, 1.0, left))
 
 
 @dataclass(frozen=True)
@@ -105,10 +114,10 @@ class RightShoulder:
             out[m] = (arr[m] - self.foot) / (self.plateau_start - self.foot)
         return float(out[0]) if scalar else out
 
-    def grade_bounds(self, x: float, delta: float) -> tuple[float, float]:
-        lo = min(self.grade(x - delta), self.grade(x + delta))
-        hi = 1.0 if x + delta >= self.plateau_start else self.grade(x + delta)
-        return lo, hi
+    def grade_bounds(self, x, delta: float):
+        left, right = self.grade(x - delta), self.grade(x + delta)
+        return _bounds(x, np.minimum(left, right),
+                       np.where(x + delta >= self.plateau_start, 1.0, right))
 
 
 @dataclass(frozen=True)
@@ -128,7 +137,7 @@ class Gaussian:
         out = np.exp(-0.5 * z * z)
         return float(out[0]) if scalar else out
 
-    def grade_bounds(self, x: float, delta: float) -> tuple[float, float]:
+    def grade_bounds(self, x, delta: float):
         # Width blur only: the center never moves, so x == center stays [1, 1].
         hi = Gaussian(self.center, self.width + delta).grade(x)
         lo = Gaussian(self.center, max(self.width - delta, _MIN_GAUSSIAN_WIDTH)).grade(x)
@@ -153,8 +162,9 @@ class FootprintOfUncertainty:
 class LinguisticVariable:
     """Named domain interval with labelled term membership functions.
 
-    Construction verifies coverage: the strongest term grade must stay at or
-    above COVERAGE_FLOOR at every point of a 1001-point domain grid.
+    Construction verifies coverage: the strongest term grade must be finite
+    and stay at or above COVERAGE_FLOOR at every point of a 1001-point domain
+    grid. A NaN grade of any term fails it, naming the term.
     """
 
     name: str
@@ -168,9 +178,16 @@ class LinguisticVariable:
         if not self.terms:
             raise ValueError(f"{self.name!r}: needs at least one term")
         grid = np.linspace(lo, hi, _COVERAGE_GRID)
-        cover = np.max([mf.grade(grid) for _, mf in self.terms], axis=0)
-        worst = int(np.argmin(cover))
-        if cover[worst] < COVERAGE_FLOOR:
+        grades = np.array([mf.grade(grid) for _, mf in self.terms])
+        cover = grades.max(axis=0)
+        worst = int(np.argmin(cover))  # the first NaN, if a grade is NaN
+        if not cover[worst] >= COVERAGE_FLOOR:
+            nonfinite = ~np.isfinite(grades[:, worst])
+            if nonfinite.any():
+                raise ValueError(
+                    f"{self.name!r}: term {self.terms[int(np.argmax(nonfinite))][0]!r} "
+                    f"has a non-finite grade at x={grid[worst]:.4f}"
+                )
             raise ValueError(
                 f"{self.name!r}: terms cover x={grid[worst]:.4f} at grade "
                 f"{cover[worst]:.4f}, below the {COVERAGE_FLOOR} floor"
@@ -190,7 +207,8 @@ class LinguisticVariable:
 class FuzzifiedInputs:
     """Per-variable, per-term membership grades as (lower, upper) pairs.
 
-    For type-1 evaluation (interval=False) lower equals upper exactly.
+    Each grade is a float for one row, or a length-N array for a block of N
+    rows. For type-1 evaluation (interval=False) lower equals upper exactly.
     """
 
     grades: dict[str, dict[str, tuple[float, float]]]
@@ -282,12 +300,25 @@ def fuzzify(
     they are [lower, upper] intervals, even at delta = 0.
     """
     normalized = normalize_snapshot(snap, divisor=divisor, histogram_gain=histogram_gain)
-    grades: dict[str, dict[str, tuple[float, float]]] = {}
+    return grade_inputs(normalized, variables, fou)
+
+
+def grade_inputs(
+    normalized: dict[str, float] | dict[str, np.ndarray],
+    variables: tuple[LinguisticVariable, ...],
+    fou: FootprintOfUncertainty | None = None,
+) -> FuzzifiedInputs:
+    """Grade the input variables' terms at normalized values (see fuzzify).
+
+    The values are floats for one row, giving float grades, or equal-length
+    arrays for a block of rows, giving array grades.
+    """
+    grades = {}
     for var in variables:
         if var.name not in normalized:
             continue
         x = normalized[var.name]
-        per_term: dict[str, tuple[float, float]] = {}
+        per_term = {}
         for label, mf in var.terms:
             if fou is None:
                 g = mf.grade(x)

@@ -7,6 +7,7 @@ import io
 import math
 from dataclasses import dataclass
 from datetime import date
+from operator import attrgetter
 
 CSV_HEADER = ("symbol", "date", "open", "high", "low", "close", "volume")
 
@@ -75,6 +76,11 @@ def _bar_problems(bar: PriceBar) -> list[tuple[str, str]]:
     return problems
 
 
+# Distinct date cells parse_csv remembers: a portfolio's symbols share their
+# dates, while a single long history would only grow the dictionary.
+_DATE_CACHE = 4096
+
+
 def parse_csv(stream) -> list[PriceSeries]:
     """Parse `symbol,date,open,high,low,close,volume` rows into per-symbol series.
 
@@ -84,47 +90,60 @@ def parse_csv(stream) -> list[PriceSeries]:
     """
     data = stream.read() if hasattr(stream, "read") else stream
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MarketDataError(f"input is not UTF-8 text: {exc}") from None
     reader = csv.reader(io.StringIO(data))
     try:
         header = next(reader)
     except StopIteration:
         raise MarketDataError("empty input: missing CSV header") from None
+    except csv.Error as exc:
+        raise MarketDataError(f"row 1: {exc}") from None
     if tuple(cell.strip() for cell in header) != CSV_HEADER:
         raise MarketDataError(
             f"bad header: expected {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
         )
     groups: dict[str, list[PriceBar]] = {}
     seen: set[tuple[str, date]] = set()
-    for line, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(CSV_HEADER):
-            raise MarketDataError(f"row {line}: expected {len(CSV_HEADER)} fields, got {len(row)}")
-        symbol = row[0].strip()
-        if not symbol:
-            raise MarketDataError(f"row {line}: empty symbol")
-        try:
-            day = date.fromisoformat(row[1].strip())
-        except ValueError:
-            raise MarketDataError(f"row {line}: bad ISO date {row[1]!r}") from None
-        try:
-            o, h, lo, c, v = (float(cell) for cell in row[2:])
-        except ValueError:
-            raise MarketDataError(f"row {line}: non-numeric price/volume field") from None
-        bar = PriceBar(day, o, h, lo, c, v)
-        problems = _bar_problems(bar)
-        if problems:
-            raise MarketDataError(f"row {line}: {problems[0][1]}")
-        key = (symbol, day)
-        if key in seen:
-            raise MarketDataError(f"row {line}: duplicate entry for {symbol} on {day.isoformat()}")
-        seen.add(key)
-        groups.setdefault(symbol, []).append(bar)
-    return [
-        PriceSeries(sym, tuple(sorted(bars, key=lambda b: b.date)))
-        for sym, bars in groups.items()
-    ]
+    days: dict[str, date] = {}  # raw date cell -> parsed date, for the first _DATE_CACHE cells
+    try:
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(CSV_HEADER):
+                raise MarketDataError(
+                    f"row {line}: expected {len(CSV_HEADER)} fields, got {len(row)}")
+            symbol = row[0].strip()
+            if not symbol:
+                raise MarketDataError(f"row {line}: empty symbol")
+            day = days.get(row[1])
+            if day is None:
+                try:
+                    day = date.fromisoformat(row[1].strip())
+                except ValueError:
+                    raise MarketDataError(f"row {line}: bad ISO date {row[1]!r}") from None
+                if len(days) < _DATE_CACHE:
+                    days[row[1]] = day
+            try:
+                o, h, lo, c, v = map(float, row[2:])
+            except ValueError:
+                raise MarketDataError(f"row {line}: non-numeric price/volume field") from None
+            bar = PriceBar(day, o, h, lo, c, v)
+            # accepts exactly the bars _bar_problems accepts (NaN fails every comparison)
+            if not (0.0 < lo <= o <= h < math.inf and lo <= c <= h and 0.0 <= v < math.inf):
+                raise MarketDataError(f"row {line}: {_bar_problems(bar)[0][1]}")
+            key = (symbol, day)
+            if key in seen:
+                raise MarketDataError(
+                    f"row {line}: duplicate entry for {symbol} on {day.isoformat()}")
+            seen.add(key)
+            groups.setdefault(symbol, []).append(bar)
+    except csv.Error as exc:  # e.g. a field above the csv module's size limit
+        raise MarketDataError(f"row {reader.line_num}: {exc}") from None
+    return [PriceSeries(sym, tuple(sorted(bars, key=attrgetter("date"))))
+            for sym, bars in groups.items()]
 
 
 def _fmt(x: float) -> str:

@@ -234,6 +234,22 @@ class TestConfigHandling:
         assert captured.out == ""
         assert named in captured.err
 
+    @pytest.mark.parametrize("text,named", [
+        ("fuzzy.delta = -1", "error: line 1: fuzzy.delta: delta must be >= 0, got -1.0"),
+        ("fuzzy.delta = 0.1\nindicators.stochastic_d = 0",
+         "error: line 2: indicators.stochastic_d: stochastic_d must be a positive integer"),
+        ("indicators.macd_long = 10",
+         "error: indicators.macd_short must be below indicators.macd_long, got 12/10"),
+    ])
+    def test_bad_config_value_exits_1_naming_line_and_key(self, basket_csv, tmp_path, text,
+                                                          named, capsys):
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text(text + "\n")
+        assert run(["portfolio", basket_csv, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(named)
+
     def test_period_days_flag(self, tmp_path, capsys):
         series = flat_series(periods=40, days_per_period=10)
         path = tmp_path / "f.csv"

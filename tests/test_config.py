@@ -84,6 +84,30 @@ class TestParseConfigText:
         with pytest.raises(ConfigError, match="line 1.*fuzzy.delta"):
             parse_config_text("fuzzy.delta = much\n")
 
+    @pytest.mark.parametrize("text,named", [
+        ("fuzzy.delta = -1\n", "line 1: fuzzy.delta: delta must be >= 0, got -1.0"),
+        ("# c\nindicators.rsi_window = 0\n",
+         "line 2: indicators.rsi_window: rsi_window must be a positive integer, got 0"),
+        ("output.grid_points = 2\n", "line 1: output.grid_points: grid_points must be >= 3"),
+        ("tuning.divisor = 0\n", "line 1: tuning.divisor: tuning divisor must be positive"),
+        ("fuzzy.histogram_gain = -1\n", "line 1: fuzzy.histogram_gain: histogram_gain must"),
+        ("tuning.levels = 0.2, 0.4\n", "line 1: tuning.levels: tuning levels must be three"),
+    ])
+    def test_bad_scalar_names_line_and_key(self, text, named):
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(text)
+        assert str(info.value).startswith(named)
+
+    @pytest.mark.parametrize("text,named", [
+        ("indicators.macd_short = 30\n",
+         "indicators.macd_short must be below indicators.macd_long, got 30/26"),
+        ("rules.buy_at = -1\nrules.sell_at = 0\n",
+         "rules.sell_at must be below rules.buy_at, got 0/-1"),
+    ])
+    def test_bad_combination_names_both_keys(self, text, named):
+        with pytest.raises(ConfigError, match=named):
+            parse_config_text(text)
+
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_text("fuzzy.delta 0.1\n")

@@ -1,6 +1,6 @@
 import dataclasses
 import random
-from datetime import date
+from datetime import date, timedelta
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +18,29 @@ from fuzzsig.evaluate import (
 )
 from fuzzsig.fixtures import portfolio_fixture, random_walk_series, uptrend_series
 from fuzzsig.indicators import InsufficientHistoryError
-from fuzzsig.inference import Signal, classify_signal, recommend
-from fuzzsig.market_data import PriceSeries, parse_csv, serialize_csv
+from fuzzsig.inference import (
+    BLOCK_ROWS,
+    PipelineError,
+    Signal,
+    classify_signal,
+    recommend,
+    rules_from_csv,
+)
+from fuzzsig.market_data import MarketDataError, PriceSeries, parse_csv, serialize_csv
 
 from conftest import DATA_DIR
+
+
+def _rows(report):
+    return [(None if r.crisp is None else r.crisp.hex(), r.signal, r.note) for r in report.rows]
+
+
+def _recommended(series, cfg, rule_base=None):
+    try:
+        rec = recommend(series, cfg, rule_base)
+    except PipelineError as exc:
+        return (None, None, str(exc))
+    return (rec.crisp.hex(), rec.signal, None)
 
 
 class TestRunPortfolio:
@@ -75,6 +94,32 @@ class TestRunPortfolio:
         with pytest.raises(ValueError, match="empty"):
             run_portfolio([])
 
+    @pytest.mark.parametrize("delta", [0.0, 0.05, 0.3])
+    def test_block_rows_equal_per_symbol_recommend(self, delta):
+        # the rows run through grading, firing and type reduction in blocks of
+        # BLOCK_ROWS; each must equal the one-symbol pipeline bit for bit
+        assert BLOCK_ROWS == 64
+        cfg = ResolvedConfig(delta=delta, days_per_period=1)
+        basket = portfolio_fixture(seed=29, symbols=130, periods=38, days_per_period=1)
+        for n in (1, 63, 64, 65, 130):
+            symbols = list(basket[:n])
+            if n > 1:  # too short for a snapshot, in the middle of the first block
+                mid = n // 2 if n < BLOCK_ROWS else 40
+                symbols[mid] = PriceSeries(symbols[mid].symbol, symbols[mid].bars[:30])
+            assert _rows(run_portfolio(symbols, cfg)) == [_recommended(s, cfg) for s in symbols]
+
+    @pytest.mark.parametrize("delta", [0.0, 0.05])
+    def test_rows_without_a_fired_rule_fail_alone(self, delta):
+        cfg = ResolvedConfig(delta=delta, days_per_period=1)
+        one_rule = rules_from_csv("macd,rsi,so,wa,consequent\nlow,medium,medium,low,hold\n")
+        basket = portfolio_fixture(seed=31, symbols=70, periods=38, days_per_period=1)
+        rows = _rows(run_portfolio(basket, cfg, rule_base=one_rule))
+        assert rows == [_recommended(s, cfg, one_rule) for s in basket]
+        notes = [row[2] for row in rows if row[0] is None]
+        assert 0 < len(notes) < len(rows)
+        stage = "type reduction" if delta else "defuzzification"
+        assert set(notes) == {f"{stage}: no rule fired: aggregate output is identically zero"}
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=15)
     def test_row_order_follows_input_order(self, seed):
@@ -121,6 +166,52 @@ class TestRunPortfolio:
         basket = portfolio_fixture(seed=3, symbols=2, periods=52)
         report = run_portfolio(basket)
         assert report.generated_at == max(s.bars[-1].date for s in basket)
+
+
+_ODD_CELLS = ["", " ", "nan", "inf", "-inf", "-1", "0", "1e308", "1e-320", "x", "2020-02-30",
+              "\"", "\xe9", "1,2"]
+
+
+@st.composite
+def csv_documents(draw):
+    """Raw bytes, or a valid daily OHLCV CSV with a few cells replaced by odd text."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=200))
+    lines = [",".join(("symbol", "date", "open", "high", "low", "close", "volume"))]
+    for symbol in draw(st.lists(st.sampled_from("ABC"), min_size=1, max_size=3, unique=True)):
+        price = draw(st.floats(1e-3, 1e6))
+        days = draw(st.integers(0, 45) | st.integers(35, 45))  # a snapshot needs 35
+        for i, step in enumerate(draw(st.lists(st.floats(-0.2, 0.2), min_size=days,
+                                               max_size=days))):
+            close = price * (1.0 + step)
+            day = date(2020, 1, 1) + timedelta(days=i)
+            lines.append(",".join((symbol, day.isoformat(), repr(price), repr(max(price, close)),
+                                   repr(min(price, close)), repr(close), "100")))
+            price = close
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        cells = lines[i].split(",")
+        cells[draw(st.integers(0, 6))] = draw(st.sampled_from(_ODD_CELLS) | st.text(max_size=4))
+        lines[i] = ",".join(cells)
+    return "\n".join(lines).encode("utf-8")
+
+
+class TestArbitraryInput:
+    @given(data=csv_documents())
+    @settings(max_examples=80)
+    def test_csv_bytes_fail_as_market_data_or_give_unit_crisp(self, data):
+        try:
+            series_list = parse_csv(data)
+        except MarketDataError:
+            return
+        if not series_list:  # a bare header: nothing to report
+            return
+        for row in run_portfolio(series_list, ResolvedConfig(days_per_period=1)).rows:
+            if row.crisp is None:
+                assert row.note and row.signal is None
+            else:
+                assert 0.0 <= row.crisp <= 1.0
+                assert row.signal is classify_signal(row.crisp)
 
 
 class TestBacktest:

@@ -146,6 +146,16 @@ class TestIntervalGrades:
         assert hi >= shi - 1e-12  # implementation envelope must contain the sweep
         assert lo <= slo + 1e-12
 
+    @given(mf=any_shape(), xs=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=70),
+           delta=st.sampled_from([0.0, 0.05, 0.3]))
+    def test_array_bounds_equal_scalar_bounds_bitwise(self, mf, xs, delta):
+        lo, hi = mf.grade_bounds(np.array(xs), delta)
+        assert lo.shape == hi.shape == (len(xs),)
+        for x, a, b in zip(xs, lo.tolist(), hi.tolist()):
+            scalar = mf.grade_bounds(x, delta)
+            assert all(type(g) is float for g in scalar)
+            assert (a.hex(), b.hex()) == tuple(g.hex() for g in scalar)
+
     @given(mf=any_shape(), x=st.floats(-0.5, 1.5),
            d1=st.floats(0.0, 0.2), d2=st.floats(0.0, 0.2))
     def test_monotone_in_delta(self, mf, x, d1, d2):
@@ -179,6 +189,13 @@ class TestDefaultVariables:
     def test_uncovered_variable_rejected(self):
         with pytest.raises(ValueError, match="floor"):
             LinguisticVariable("x", (0.0, 1.0), (("only", Triangular(0.4, 0.5, 0.6)),))
+
+    @pytest.mark.parametrize("mf", [Gaussian(float("nan"), 0.3),
+                                    Triangular(-float("inf"), 0.5, 1.0)])
+    def test_nonfinite_grades_rejected_naming_the_term(self, mf):
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="'x': term 'a' has a non-finite grade"):
+            LinguisticVariable("x", (0.0, 1.0), (("a", mf), ("b", Gaussian(0.5, 0.3))))
 
 
 def flat_snapshot():

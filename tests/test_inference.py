@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -7,8 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzsig.config import ResolvedConfig
-from fuzzsig.fixtures import downtrend_series, flat_series, uptrend_series
-from fuzzsig.fuzzy import FuzzifiedInputs, default_variables
+from fuzzsig.fixtures import downtrend_series, flat_series, portfolio_fixture, uptrend_series
+from fuzzsig.fuzzy import (
+    FootprintOfUncertainty,
+    FuzzifiedInputs,
+    default_variables,
+    fuzzify,
+    grade_inputs,
+    normalize_snapshot,
+)
+from fuzzsig.indicators import snapshot
 from fuzzsig.inference import (
     ANTECEDENT_TERMS,
     AggregatedOutput,
@@ -25,6 +34,7 @@ from fuzzsig.inference import (
     rules_from_csv,
     rules_to_csv,
 )
+from fuzzsig.market_data import aggregate_periods
 
 from oracles import brute_force_aggregate, enumerated_km
 
@@ -126,6 +136,27 @@ class TestFireRules:
         with pytest.raises(InferenceError, match="unknown"):
             fire_rules(inputs, bad, OUTPUT_VAR)
 
+    @pytest.mark.parametrize("delta", [0.0, 0.05, 0.3])
+    def test_block_rows_match_oracle_on_fixture_grades(self, delta):
+        # one block of fuzzified fixture snapshots: every row of the (rows, grid)
+        # envelopes equals the per-gridpoint oracle and the one-row firing
+        fou = FootprintOfUncertainty(delta) if delta else None
+        variables = default_variables()
+        snaps = [snapshot(aggregate_periods(s, 15))
+                 for s in portfolio_fixture(seed=8, symbols=12, periods=40)]
+        rows = [fuzzify(snap, variables, fou=fou) for snap in snaps]
+        block = grade_inputs(
+            {name: np.array([normalize_snapshot(snap)[name] for snap in snaps])
+             for name in ANTECEDENT_TERMS}, variables, fou)
+        base = build_rule_base()
+        agg = fire_rules(block, base, OUTPUT_VAR, grid_points=201)
+        assert agg.lower.shape == agg.upper.shape == (len(snaps), 201)
+        for i, inputs in enumerate(rows):
+            one = fire_rules(inputs, base, OUTPUT_VAR, grid_points=201)
+            lo, hi = brute_force_aggregate(inputs, base, OUTPUT_VAR, agg.grid)
+            for envelope, row, expected in ((agg.lower, one.lower, lo), (agg.upper, one.upper, hi)):
+                assert envelope[i].tobytes() == row.tobytes() == expected.tobytes()
+
 
 def interval_aggregate(rng, points=101):
     grid = np.linspace(0.0, 1.0, points)
@@ -190,6 +221,29 @@ class TestKmTypeReduce:
         agg = AggregatedOutput(np.linspace(0, 1, 101), zeros, zeros, interval=True)
         with pytest.raises(InferenceError, match="no rule fired"):
             km_type_reduce(agg)
+
+    def test_block_rows_equal_one_row_results_bitwise(self):
+        rng = np.random.default_rng(41)
+        rows = [interval_aggregate(rng) for _ in range(9)]
+        block = AggregatedOutput(rows[0].grid, np.array([a.lower for a in rows]),
+                                 np.array([a.upper for a in rows]), interval=True)
+        y_l, y_r = km_type_reduce(block)
+        assert [(a.hex(), b.hex()) for a, b in zip(y_l.tolist(), y_r.tolist())] == \
+            [tuple(y.hex() for y in km_type_reduce(a)) for a in rows]
+        type1 = dataclasses.replace(block, interval=False)
+        assert [c.hex() for c in defuzzify(type1).tolist()] == \
+            [defuzzify(dataclasses.replace(a, interval=False)).hex() for a in rows]
+
+    def test_block_with_one_dead_row_errors(self):
+        rng = np.random.default_rng(43)
+        rows = [interval_aggregate(rng) for _ in range(3)]
+        upper = np.array([a.upper for a in rows])
+        upper[1] = 0.0
+        block = AggregatedOutput(rows[0].grid, np.zeros_like(upper), upper, interval=True)
+        with pytest.raises(InferenceError, match="no rule fired"):
+            km_type_reduce(block)
+        with pytest.raises(InferenceError, match="no rule fired"):
+            defuzzify(dataclasses.replace(block, interval=False))
 
 
 class TestDefuzzify:

@@ -50,6 +50,15 @@ class TestParseCsv:
         with pytest.raises(MarketDataError, match="row 2"):
             parse_csv(text)
 
+    def test_non_utf8_bytes_rejected(self):
+        with pytest.raises(MarketDataError, match="not UTF-8"):
+            parse_csv(HEADER.encode() + b"X,2020-01-01,10,11,9,10,\xff\n")
+
+    def test_oversized_field_rejected_with_row_number(self):
+        with pytest.raises(MarketDataError, match="row 3: field larger than field limit"):
+            parse_csv(HEADER + "X,2020-01-01,10,11,9,10,0\n"
+                      + "X" * 200_000 + ",2020-01-02\n")
+
     def test_nonpositive_price_rejected(self):
         text = HEADER + "X,2020-01-01,0,1,0,1,0\n"
         with pytest.raises(MarketDataError, match="strictly positive"):
