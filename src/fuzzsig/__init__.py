@@ -62,6 +62,7 @@ from .inference import (
     rules_to_csv,
 )
 from .market_data import (
+    Bars,
     MarketDataError,
     PriceBar,
     PriceSeries,

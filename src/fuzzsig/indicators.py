@@ -212,9 +212,7 @@ def indicator_frame(
     RSI from row n, %K from k-1, %D from k+d-2, Williams from n-1), so short
     series give NaN columns rather than errors.
     """
-    h = np.array([b.high for b in periods.bars])
-    lo = np.array([b.low for b in periods.bars])
-    c = np.array([b.close for b in periods.bars])
+    h, lo, c = periods.bars.high, periods.bars.low, periods.bars.close
     rows, empty = len(c), np.empty(0)
 
     def aligned(values: np.ndarray) -> np.ndarray:

@@ -498,6 +498,13 @@ def rules_from_csv(text: str | bytes) -> RuleBase:
         text = text.decode("utf-8")
     reader = csv.reader(io.StringIO(text))
     try:
+        return _read_rules(reader)
+    except csv.Error as exc:  # e.g. a cell above the csv module's field size limit
+        raise InferenceError(f"rule row {reader.line_num}: {exc}") from None
+
+
+def _read_rules(reader) -> RuleBase:
+    try:
         header = next(reader)
     except StopIteration:
         raise InferenceError("empty rule table") from None

@@ -1,15 +1,24 @@
-"""OHLCV ingestion, validation, and aggregation into fixed-length trading periods."""
+"""OHLCV ingestion, validation, and aggregation into fixed-length trading periods.
+
+A PriceSeries stores its bars as columns (Bars): a tuple of dates and one
+read-only float64 array per price and for the volume. PriceBar objects are
+built only when a caller indexes or iterates the bars.
+"""
 
 from __future__ import annotations
 
 import csv
 import io
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from datetime import date
-from operator import attrgetter
+from itertools import chain, islice, repeat
+
+import numpy as np
 
 CSV_HEADER = ("symbol", "date", "open", "high", "low", "close", "volume")
+_COLUMNS = ("open", "high", "low", "close", "volume")  # the float columns of a Bars
 
 
 class MarketDataError(ValueError):
@@ -26,10 +35,93 @@ class PriceBar:
     volume: float
 
 
+def _column(values, length: int) -> np.ndarray:
+    column = np.asarray(values, dtype=np.float64)
+    if column.shape != (length,):
+        raise ValueError(f"a bar column needs shape ({length},), got {column.shape}")
+    if column.flags.writeable:  # copy rather than alias an array someone can still write
+        column = column.copy()
+        column.flags.writeable = False
+    return column
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Bars(Sequence):
+    """An immutable sequence of PriceBar stored as columns.
+
+    `date` is a tuple of dates; the other fields are read-only float64 arrays
+    of the same length. An int index builds one PriceBar of Python floats, a
+    slice is a Bars of views, and `+` concatenates. A Bars equals any PriceBar
+    sequence holding the same bars.
+    """
+
+    date: tuple[date, ...]
+    open: np.ndarray
+    high: np.ndarray
+    low: np.ndarray
+    close: np.ndarray
+    volume: np.ndarray
+
+    def __post_init__(self) -> None:
+        dates = tuple(self.date)
+        object.__setattr__(self, "date", dates)
+        for name in _COLUMNS:
+            object.__setattr__(self, name, _column(getattr(self, name), len(dates)))
+
+    @classmethod
+    def of(cls, bars: Sequence[PriceBar]) -> Bars:
+        """`bars` itself if it is a Bars, else its bars copied into columns."""
+        if isinstance(bars, Bars):
+            return bars
+        bars = tuple(bars)
+        values = np.array([(b.open, b.high, b.low, b.close, b.volume) for b in bars],
+                          dtype=np.float64).reshape(len(bars), len(_COLUMNS))
+        return cls(tuple(b.date for b in bars), *values.T)
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """open, high, low, close, volume."""
+        return self.open, self.high, self.low, self.close, self.volume
+
+    def __len__(self) -> int:
+        return len(self.date)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Bars(self.date[index], *(column[index] for column in self.columns()))
+        return PriceBar(self.date[index], *(float(column[index]) for column in self.columns()))
+
+    def __iter__(self) -> Iterator[PriceBar]:
+        return map(PriceBar, self.date, *(column.tolist() for column in self.columns()))
+
+    def __add__(self, other: Sequence[PriceBar]) -> Bars:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        other = Bars.of(other)
+        return Bars(self.date + other.date,
+                    *map(np.concatenate, zip(self.columns(), other.columns())))
+
+    def __radd__(self, other: Sequence[PriceBar]) -> Bars:
+        return Bars.of(other) + self if isinstance(other, Sequence) else NotImplemented
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Bars):
+            return self.date == other.date and all(
+                map(np.array_equal, self.columns(), other.columns()))
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True, slots=True)
 class PriceSeries:
     symbol: str
-    bars: tuple[PriceBar, ...]
+    bars: Bars  # any PriceBar sequence is converted to Bars once, on construction
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "bars", Bars.of(self.bars))
 
     def __len__(self) -> int:
         return len(self.bars)
@@ -76,9 +168,76 @@ def _bar_problems(bar: PriceBar) -> list[tuple[str, str]]:
     return problems
 
 
-# Distinct date cells parse_csv remembers: a portfolio's symbols share their
-# dates, while a single long history would only grow the dictionary.
-_DATE_CACHE = 4096
+# CSV records parse_csv converts at a time: enough to amortize each numpy call,
+# few enough that one chunk's cells stay small next to the parsed columns.
+_CHUNK_ROWS = 1024
+
+
+def _chunk_columns(rows: list[list[str]], codes: dict[str, int]):
+    """(dates, symbol codes, date ordinals, open..volume) of non-blank records.
+
+    None if any record fails a check; _first_fault then names the row. Symbols
+    get codes in order of first appearance.
+    """
+    width = len(CSV_HEADER)
+    if not set(map(len, rows)) <= {width}:
+        return None
+    cells = list(chain.from_iterable(rows))
+    symbols = list(map(str.strip, cells[0::width]))
+    if not all(symbols):
+        return None
+    date_cells = cells[1::width]
+    try:
+        distinct = list(set(date_cells))
+        days = dict(zip(distinct, map(date.fromisoformat, map(str.strip, distinct))))
+        o, h, lo, c, v = (np.fromiter(map(float, cells[k::width]), np.float64, len(rows))
+                          for k in range(2, width))
+    except ValueError:
+        return None
+    # the chained test accepts exactly the bars _bar_problems accepts (NaN fails it)
+    if not ((0.0 < lo) & (lo <= o) & (o <= h) & (h < np.inf) & (lo <= c) & (c <= h)
+            & (0.0 <= v) & (v < np.inf)).all():
+        return None
+    for symbol in dict.fromkeys(symbols):
+        codes.setdefault(symbol, len(codes))
+    dates = list(map(days.__getitem__, date_cells))
+    code = np.fromiter(map(codes.__getitem__, symbols), np.int64, len(rows))
+    ordinal = np.fromiter(map(date.toordinal, dates), np.int64, len(rows))
+    return dates, code, ordinal, o, h, lo, c, v
+
+
+def _first_fault(data: str) -> MarketDataError:
+    """The error for the earliest faulty row of `data`, checked one row at a time."""
+    reader = csv.reader(io.StringIO(data))
+    seen: set[tuple[str, date]] = set()
+    try:
+        next(reader)  # the header, already checked
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(CSV_HEADER):
+                return MarketDataError(
+                    f"row {line}: expected {len(CSV_HEADER)} fields, got {len(row)}")
+            symbol = row[0].strip()
+            if not symbol:
+                return MarketDataError(f"row {line}: empty symbol")
+            try:
+                day = date.fromisoformat(row[1].strip())
+            except ValueError:
+                return MarketDataError(f"row {line}: bad ISO date {row[1]!r}")
+            try:
+                problems = _bar_problems(PriceBar(day, *map(float, row[2:])))
+            except ValueError:
+                return MarketDataError(f"row {line}: non-numeric price/volume field")
+            if problems:
+                return MarketDataError(f"row {line}: {problems[0][1]}")
+            if (symbol, day) in seen:
+                return MarketDataError(
+                    f"row {line}: duplicate entry for {symbol} on {day.isoformat()}")
+            seen.add((symbol, day))
+    except csv.Error as exc:  # e.g. a field above the csv module's size limit
+        return MarketDataError(f"row {reader.line_num}: {exc}")
+    raise RuntimeError("parse_csv: the column checks rejected rows the row checks accept")
 
 
 def parse_csv(stream) -> list[PriceSeries]:
@@ -86,7 +245,9 @@ def parse_csv(stream) -> list[PriceSeries]:
 
     Accepts bytes, str, or a file object. Rows are grouped by symbol (in order of
     first appearance) and sorted by date. Every bar is checked on the way in;
-    errors name the offending row (the header is row 1).
+    errors name the offending row (the header is row 1). Records are converted
+    _CHUNK_ROWS at a time into columns; any fault sends the input to
+    _first_fault, which words the error for the earliest faulty row.
     """
     data = stream.read() if hasattr(stream, "read") else stream
     if isinstance(data, bytes):
@@ -105,45 +266,30 @@ def parse_csv(stream) -> list[PriceSeries]:
         raise MarketDataError(
             f"bad header: expected {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
         )
-    groups: dict[str, list[PriceBar]] = {}
-    seen: set[tuple[str, date]] = set()
-    days: dict[str, date] = {}  # raw date cell -> parsed date, for the first _DATE_CACHE cells
+    codes: dict[str, int] = {}
+    dates: list[date] = []
+    chunks: list[tuple[np.ndarray, ...]] = []
     try:
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CSV_HEADER):
-                raise MarketDataError(
-                    f"row {line}: expected {len(CSV_HEADER)} fields, got {len(row)}")
-            symbol = row[0].strip()
-            if not symbol:
-                raise MarketDataError(f"row {line}: empty symbol")
-            day = days.get(row[1])
-            if day is None:
-                try:
-                    day = date.fromisoformat(row[1].strip())
-                except ValueError:
-                    raise MarketDataError(f"row {line}: bad ISO date {row[1]!r}") from None
-                if len(days) < _DATE_CACHE:
-                    days[row[1]] = day
-            try:
-                o, h, lo, c, v = map(float, row[2:])
-            except ValueError:
-                raise MarketDataError(f"row {line}: non-numeric price/volume field") from None
-            bar = PriceBar(day, o, h, lo, c, v)
-            # accepts exactly the bars _bar_problems accepts (NaN fails every comparison)
-            if not (0.0 < lo <= o <= h < math.inf and lo <= c <= h and 0.0 <= v < math.inf):
-                raise MarketDataError(f"row {line}: {_bar_problems(bar)[0][1]}")
-            key = (symbol, day)
-            if key in seen:
-                raise MarketDataError(
-                    f"row {line}: duplicate entry for {symbol} on {day.isoformat()}")
-            seen.add(key)
-            groups.setdefault(symbol, []).append(bar)
-    except csv.Error as exc:  # e.g. a field above the csv module's size limit
-        raise MarketDataError(f"row {reader.line_num}: {exc}") from None
-    return [PriceSeries(sym, tuple(sorted(bars, key=attrgetter("date"))))
-            for sym, bars in groups.items()]
+        while records := list(islice(reader, _CHUNK_ROWS)):
+            chunk = _chunk_columns(list(filter(None, records)), codes)
+            if chunk is None:
+                raise _first_fault(data)
+            dates += chunk[0]
+            chunks.append(chunk[1:])
+    except csv.Error:
+        raise _first_fault(data) from None
+    if not dates:
+        return []
+    code, ordinal, *columns = map(np.concatenate, zip(*chunks))
+    order = np.lexsort((ordinal, code))  # stable: by symbol code, then by date
+    code, ordinal = code[order], ordinal[order]
+    if ((code[1:] == code[:-1]) & (ordinal[1:] == ordinal[:-1])).any():
+        raise _first_fault(data)
+    columns = [column[order] for column in columns]
+    dates = list(map(dates.__getitem__, order.tolist()))
+    edges = [0, *(np.flatnonzero(code[1:] != code[:-1]) + 1).tolist(), len(code)]
+    return [PriceSeries(symbol, Bars(tuple(dates[a:b]), *(column[a:b] for column in columns)))
+            for symbol, a, b in zip(codes, edges, edges[1:])]
 
 
 def _fmt(x: float) -> str:
@@ -156,11 +302,9 @@ def serialize_csv(series_list: list[PriceSeries]) -> bytes:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for series in series_list:
-        for b in series.bars:
-            writer.writerow([
-                series.symbol, b.date.isoformat(),
-                _fmt(b.open), _fmt(b.high), _fmt(b.low), _fmt(b.close), _fmt(b.volume),
-            ])
+        bars = series.bars
+        writer.writerows(zip(repeat(series.symbol), map(date.isoformat, bars.date),
+                             *(map(_fmt, column.tolist()) for column in bars.columns())))
     return out.getvalue().encode("utf-8")
 
 
@@ -173,24 +317,26 @@ def aggregate_periods(series: PriceSeries, days_per_period: int = 15) -> PriceSe
     """
     if days_per_period < 1:
         raise MarketDataError(f"days_per_period must be >= 1, got {days_per_period}")
-    n = len(series.bars) // days_per_period
+    bars, d = series.bars, days_per_period
+    n = len(bars) // d
     if n == 0:
         raise MarketDataError(
-            f"{series.symbol}: {len(series.bars)} bars is shorter than one "
-            f"{days_per_period}-bar period"
+            f"{series.symbol}: {len(bars)} bars is shorter than one {d}-bar period"
         )
-    out = []
-    for i in range(n):
-        chunk = series.bars[i * days_per_period:(i + 1) * days_per_period]
-        out.append(PriceBar(
-            date=chunk[-1].date,
-            open=chunk[0].open,
-            high=max(b.high for b in chunk),
-            low=min(b.low for b in chunk),
-            close=chunk[-1].close,
-            volume=sum(b.volume for b in chunk),
-        ))
-    return PriceSeries(series.symbol, tuple(out))
+    m = n * d
+
+    def chunks(column: np.ndarray) -> np.ndarray:
+        return column[:m].reshape(n, d)
+
+    return PriceSeries(series.symbol, Bars(
+        date=bars.date[d - 1:m:d],
+        open=bars.open[:m:d],
+        high=chunks(bars.high).max(axis=1),
+        low=chunks(bars.low).min(axis=1),
+        close=bars.close[d - 1:m:d],
+        # cumsum adds left to right, in the order of the builtin sum it replaces
+        volume=chunks(bars.volume).cumsum(axis=1)[:, -1],
+    ))
 
 
 def validate(series: PriceSeries) -> ValidationReport:
@@ -201,12 +347,12 @@ def validate(series: PriceSeries) -> ValidationReport:
     for i, bar in enumerate(series.bars):
         for code, msg in _bar_problems(bar):
             findings.append(Finding(series.symbol, i, code, msg))
-    for i in range(1, len(series.bars)):
-        prev, cur = series.bars[i - 1], series.bars[i]
-        if cur.date <= prev.date:
+    dates = series.bars.date
+    for i in range(1, len(dates)):
+        if dates[i] <= dates[i - 1]:
             findings.append(Finding(
                 series.symbol, i, "dates_not_increasing",
-                f"bar dates must increase strictly: {prev.date.isoformat()} "
-                f"then {cur.date.isoformat()}",
+                f"bar dates must increase strictly: {dates[i - 1].isoformat()} "
+                f"then {dates[i].isoformat()}",
             ))
     return ValidationReport(tuple(findings))

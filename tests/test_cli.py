@@ -280,3 +280,12 @@ class TestUsage:
         rules.write_text("macd,rsi,so,wa,consequent\nlow,medium,medium,low,hold\n")
         assert run(["signal", flat_csv, "--symbol", "FLAT", "--rules", str(rules)]) == 0
         assert "Hold" in capsys.readouterr().out
+
+    def test_oversized_rules_cell_exits_1_naming_the_row(self, tmp_path, capsys):
+        rules = tmp_path / "rules.csv"
+        rules.write_text("macd,rsi,so,wa,consequent\n" + "x" * 200_000 + ",medium\n")
+        fixture = str(DATA_DIR / "portfolio_fixture.csv")
+        assert run(["portfolio", fixture, "--rules", str(rules)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rule row 2: field larger than field limit (131072)\n"

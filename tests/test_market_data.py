@@ -1,12 +1,18 @@
+import dataclasses
 import io
+import random
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzsig.fixtures import portfolio_fixture, random_walk_series
+from fuzzsig.indicators import indicator_frame
 from fuzzsig.market_data import (
+    _CHUNK_ROWS,
+    Bars,
     MarketDataError,
     PriceBar,
     PriceSeries,
@@ -104,6 +110,11 @@ class TestParseCsv:
         assert parse_csv(text.encode()) == parse_csv(io.BytesIO(text.encode()))
         assert parse_csv(io.StringIO(text)) == parse_csv(text)
 
+    def test_symbol_and_date_cells_are_stripped(self):
+        (series,) = parse_csv(HEADER + " X , 2020-01-02 ,10,11,9,10,0\nX,2020-01-03,10,11,9,10,0\n")
+        assert series.symbol == "X"
+        assert [b.date for b in series.bars] == [date(2020, 1, 2), date(2020, 1, 3)]
+
     def test_rows_sorted_by_date_within_symbol(self):
         text = (HEADER
                 + "X,2020-01-02,10,11,9,10,0\n"
@@ -130,6 +141,190 @@ class TestParseCsv:
         once = parse_csv(serialize_csv(basket))
         twice = parse_csv(serialize_csv(once))
         assert once == twice
+
+
+def good_rows(n, symbol="A", start=date(2020, 1, 1)):
+    return [f"{symbol},{(start + timedelta(days=i)).isoformat()},10,11,9,10.5,100"
+            for i in range(n)]
+
+
+def put(lines, faults):
+    lines = list(lines)
+    for i, line in faults.items():
+        lines[i] = line
+    return lines
+
+
+OVERSIZED = "X" * 200_000 + ",2021-01-01,10,11,9,10.5,100"
+# A and B alternate, each with its dates descending
+INTERLEAVED = [row for pair in zip(good_rows(600, "A")[::-1], good_rows(600, "B")[::-1])
+               for row in pair]
+
+# Faulty inputs and the exact error the row-by-row parser gave for each.
+# Records are converted in chunks of _CHUNK_ROWS (1,024); the long inputs put
+# their faults in later chunks or split a duplicate across two.
+FAULTY = {
+    "field_count": (good_rows(3) + ["A,2020-02-01,10,11,9"],
+                    "row 5: expected 7 fields, got 5"),
+    "empty_symbol": (good_rows(2) + ["  ,2020-02-01,10,11,9,10.5,100"],
+                     "row 4: empty symbol"),
+    "bad_date": (good_rows(2) + ["A,2020-02-30,10,11,9,10.5,100"],
+                 "row 4: bad ISO date '2020-02-30'"),
+    "non_numeric": (good_rows(1) + ["A,2020-02-01,10,11,9,ten,100"],
+                    "row 3: non-numeric price/volume field"),
+    "nan": (["A,2020-01-01,10,nan,9,10.5,100"],
+            "row 2: prices and volume must be finite, got open=10.0 high=nan low=9.0 "
+            "close=10.5 volume=100.0"),
+    "inf_volume": (["A,2020-01-01,10,11,9,10.5,inf"],
+                   "row 2: prices and volume must be finite, got open=10.0 high=11.0 low=9.0 "
+                   "close=10.5 volume=inf"),
+    "negative_volume": (["A,2020-01-01,10,11,9,10.5,-1"],
+                        "row 2: volume must be >= 0, got -1.0"),
+    "zero_price": (["A,2020-01-01,0,11,0,10.5,100"],
+                   "row 2: prices must be strictly positive, got open=0.0 high=11.0 low=0.0 "
+                   "close=10.5"),
+    "bounds": (["A,2020-01-01,10,11,10.2,10.5,100"],
+               "row 2: low/high must bracket open/close, got open=10.0 high=11.0 low=10.2 "
+               "close=10.5"),
+    "duplicate": (good_rows(3) + good_rows(3)[1:2],
+                  "row 5: duplicate entry for A on 2020-01-02"),
+    "second_chunk": (put(good_rows(1500), {1300: "A,2020-13-01,10,11,9,10.5,100"}),
+                     "row 1302: bad ISO date '2020-13-01'"),
+    "third_chunk": (put(good_rows(2500), {2400: "A,2026-01-01,10,11,12,10.5,100"}),
+                    "row 2402: low/high must bracket open/close, got open=10.0 high=11.0 "
+                    "low=12.0 close=10.5"),
+    "earliest_across_chunks": (
+        put(good_rows(1500), {1200: "A,x,10,11,9,10.5,100", 3: "A,2020-01-04,10,9,9,10.5,100"}),
+        "row 5: low/high must bracket open/close, got open=10.0 high=9.0 low=9.0 close=10.5"),
+    "earliest_in_chunk": (
+        put(good_rows(20), {10: "A,2020-01-11,10,11,9,?,100", 8: ",2020-01-09,10,11,9,10.5,100"}),
+        "row 10: empty symbol"),
+    "csv_error_after_row_fault": (
+        put(good_rows(2000), {4: "A,2020-01-05,10,11,9,10.5,-5", 1800: OVERSIZED}),
+        "row 6: volume must be >= 0, got -5.0"),
+    "csv_error_later_chunk": (put(good_rows(1500), {1400: OVERSIZED}),
+                              "row 1402: field larger than field limit (131072)"),
+    "csv_error_before_duplicate": (put(good_rows(2000), {1500: OVERSIZED}) + good_rows(1),
+                                   "row 1502: field larger than field limit (131072)"),
+    "blank_rows": (good_rows(2) + ["", "", ""] + ["A,2020-03-01,10,11,9,10.5"],
+                   "row 7: expected 7 fields, got 6"),
+    "blank_first_chunk": (
+        [""] * 1100 + good_rows(2) + ["A,2020-03-01,10,11,9,10.5,nan"],
+        "row 1104: prices and volume must be finite, got open=10.0 high=11.0 low=9.0 "
+        "close=10.5 volume=nan"),
+    # a quoted newline makes the record number (row faults) and the physical
+    # line number (csv errors) differ
+    "quoted_newline_row_fault": (
+        ['"A\nB",2020-01-01,10,11,9,10.5,100'] + good_rows(3) + ["A,2020-03-01,1,1,1,1,1,1"],
+        "row 6: expected 7 fields, got 8"),
+    "quoted_newline_csv_error": (
+        ['"A\nB",2020-01-01,10,11,9,10.5,100'] + good_rows(3) + [OVERSIZED],
+        "row 7: field larger than field limit (131072)"),
+    "duplicate_across_chunks": (good_rows(1500) + good_rows(1500)[100:101],
+                                "row 1502: duplicate entry for A on 2020-04-10"),
+    "duplicate_by_spacing": (good_rows(2) + [" A , 2020-01-02 ,10,11,9,10.5,100"],
+                             "row 4: duplicate entry for A on 2020-01-02"),
+    "interleaved_unsorted_duplicate": (INTERLEAVED + ["B,2020-06-01,10,11,9,10.5,100"],
+                                       "row 1202: duplicate entry for B on 2020-06-01"),
+}
+
+
+class TestParseErrorParity:
+    def test_long_inputs_span_chunks(self):
+        assert _CHUNK_ROWS < 1100
+
+    @pytest.mark.parametrize("name", sorted(FAULTY))
+    def test_message_matches_row_by_row_parser(self, name):
+        lines, message = FAULTY[name]
+        with pytest.raises(MarketDataError) as info:
+            parse_csv(HEADER + "\n".join(lines) + "\n")
+        assert str(info.value) == message
+
+    def test_interleaved_unsorted_symbols_group_and_sort(self):
+        a, b = parse_csv(HEADER + "\n".join(INTERLEAVED) + "\n")
+        assert (a.symbol, b.symbol) == ("A", "B")
+        assert a == parse_csv(HEADER + "\n".join(good_rows(600, "A")) + "\n")[0]
+        assert [x.date for x in b.bars] == [x.date for x in a.bars]
+
+
+def hexes(bars):
+    return [(b.date, *map(float.hex, (b.open, b.high, b.low, b.close, b.volume))) for b in bars]
+
+
+class TestColumns:
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 10_000))
+    def test_shuffled_rows_parse_to_the_fixture_bit_for_bit(self, seed):
+        basket = portfolio_fixture(seed=seed, symbols=4, periods=20)
+        header, *rows = serialize_csv(basket).decode().splitlines()
+        random.Random(seed).shuffle(rows)
+        parsed = {s.symbol: s for s in parse_csv("\n".join([header, *rows]) + "\n")}
+        assert len(rows) > _CHUNK_ROWS
+        for series in basket:
+            got = parsed[series.symbol].bars
+            assert isinstance(got, Bars)
+            assert hexes(got) == hexes(series.bars)
+
+    @given(volumes=st.lists(st.floats(0.0, 1e9), min_size=1, max_size=120),
+           dpp=st.integers(1, 20))
+    def test_aggregate_equals_a_hand_fold(self, volumes, dpp):
+        start = date(2021, 3, 1)
+        bars = [PriceBar(start + timedelta(days=i), 10.0 + i % 3, 12.5 + i % 5, 9.0 - i % 2,
+                         11.0 + i % 4 / 3, v) for i, v in enumerate(volumes)]
+        if len(bars) < dpp:
+            return
+        expected = []
+        for j in range(len(bars) // dpp):
+            chunk = bars[j * dpp:(j + 1) * dpp]
+            total = 0.0
+            for b in chunk:  # left to right
+                total += b.volume
+            expected.append(PriceBar(chunk[-1].date, chunk[0].open, max(b.high for b in chunk),
+                                     min(b.low for b in chunk), chunk[-1].close, total))
+        assert hexes(aggregate_periods(PriceSeries("S", bars), dpp).bars) == hexes(expected)
+
+    def test_sequence_behaviour(self):
+        bars = random_walk_series("S", seed=4, periods=2, days_per_period=10).bars
+        listed = list(bars)
+        assert isinstance(bars, Bars) and len(bars) == 20
+        assert bars[-1] == listed[-1] and bars[-20] == listed[0]
+        assert type(bars[3].close) is float
+        with pytest.raises(IndexError):
+            bars[20]
+        head = bars[2:7]
+        assert isinstance(head, Bars) and list(head) == listed[2:7]
+        assert np.shares_memory(head.close, bars.close)
+        assert list(bars[::-3]) == listed[::-3]
+        assert bars[:5] + bars[5:] == bars
+        assert bars[:5] + tuple(listed[5:]) == bars == tuple(listed[:5]) + bars[5:]
+        assert bars == listed and bars == tuple(listed) and hash(bars) == hash(tuple(listed))
+        assert bars != listed[:-1]
+        moved = dataclasses.replace(bars[4], close=bars[4].high)
+        assert moved.close == listed[4].high and bars[4] == listed[4]
+
+    def test_series_converts_bars_once(self):
+        bars = make_series(5).bars
+        assert isinstance(bars, Bars)
+        assert PriceSeries("T", bars).bars is bars
+        assert PriceSeries("T", ()).bars == ()
+
+    def test_columns_are_read_only(self):
+        series = random_walk_series("S", seed=2, periods=40)
+        for column in series.bars.columns():
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+        frame = indicator_frame(aggregate_periods(series, 15))
+        with pytest.raises(ValueError):
+            frame.close[0] = 1.0
+
+    def test_caller_arrays_are_copied(self):
+        close = np.array([1.0, 2.0])
+        bars = Bars((date(2020, 1, 1), date(2020, 1, 2)), close, close, close, close, close)
+        close[0] = 5.0
+        assert bars.close[0] == 1.0
+        with pytest.raises(ValueError, match="shape"):
+            Bars((date(2020, 1, 1),), close, close, close, close, close)
 
 
 class TestAggregatePeriods:
