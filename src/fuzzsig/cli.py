@@ -15,7 +15,7 @@ from .config import ConfigError, ResolvedConfig, load_config_file
 from .evaluate import backtest, emit_report, run_portfolio
 from .fixtures import DEFAULT_SEED, portfolio_fixture
 from .indicators import indicator_frame
-from .inference import PipelineError, build_rule_base, recommend, rules_from_csv, rules_to_csv
+from .inference import PipelineError, recommend, rules_from_csv, rules_to_csv
 from .market_data import MarketDataError, PriceSeries, aggregate_periods, parse_csv, serialize_csv
 from .tuning import FibLevels, SecondaryKind, classify_level, scale_secondary
 
@@ -29,6 +29,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="override fuzzy.delta (0 disables the type-2 footprint)")
     parser.add_argument("--period-days", type=int, metavar="N",
                         help="override data.days_per_period")
+
+
+def _count(text: str) -> int:
+    """argparse type of a positive integer; anything else exits 2 with usage."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,8 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fixtures", help="synthetic fixture generation")
     p.add_argument("action", choices=("generate",))
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--symbols", type=int, default=10)
-    p.add_argument("--periods", type=int, default=52)
+    p.add_argument("--symbols", type=_count, default=10)
+    p.add_argument("--periods", type=_count, default=52)
     p.add_argument("--out", metavar="FILE", help="write here instead of stdout")
     _add_common(p)
 
@@ -232,8 +240,7 @@ def _cmd_rules(args, cfg: ResolvedConfig) -> int:
     for line in cfg.canonical_lines():
         if line.startswith("fuzzy."):
             sys.stdout.write(f"# {line}\n")
-    base = build_rule_base(cfg.primary_weight, cfg.secondary_weight, cfg.buy_at, cfg.sell_at)
-    sys.stdout.write(rules_to_csv(base, include_scores=True))
+    sys.stdout.write(rules_to_csv(cfg.build_rule_base(), include_scores=True))
     return 0
 
 

@@ -18,7 +18,11 @@ import math
 import typing
 from dataclasses import dataclass, field
 
-from .fuzzy import LinguisticVariable, MembershipFunction, default_mf_table, default_variables
+from .fuzzy import (FootprintOfUncertainty, LinguisticVariable, MembershipFunction,
+                    default_mf_table, default_variables)
+
+if typing.TYPE_CHECKING:
+    from .inference import RuleBase
 
 
 class ConfigError(ValueError):
@@ -144,6 +148,18 @@ class ResolvedConfig:
             return default_variables(divisor=self.divisor, mf_table=self.mf_table)
         except ValueError as exc:
             raise ConfigError(f"fuzzy variable {exc}") from None
+
+    def build_rule_base(self) -> RuleBase:
+        """The generated 36-rule base scored with the `rules.*` weights and thresholds."""
+        from .inference import build_rule_base  # inference imports this module
+
+        return build_rule_base(self.primary_weight, self.secondary_weight,
+                               self.buy_at, self.sell_at)
+
+    @property
+    def footprint(self) -> FootprintOfUncertainty | None:
+        """The type-2 footprint of `fuzzy.delta`; None (type-1) at delta 0."""
+        return FootprintOfUncertainty(self.delta) if self.delta > 0 else None
 
     @property
     def indicator_windows(self) -> dict[str, int]:

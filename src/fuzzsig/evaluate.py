@@ -11,14 +11,7 @@ from decimal import ROUND_HALF_UP, Decimal
 
 from .config import ResolvedConfig
 from .indicators import InsufficientHistoryError
-from .inference import (
-    PipelineError,
-    RuleBase,
-    Signal,
-    build_rule_base,
-    recommend_block,
-    recommend_periods,
-)
+from .inference import PipelineError, RuleBase, Signal, recommend_block, recommend_periods
 from .market_data import PriceSeries, aggregate_periods
 
 REPORT_CSV_HEADER = ("symbol", "fuzzy_output", "signal")
@@ -60,38 +53,30 @@ def format_1dp(crisp: float) -> str:
     return str(Decimal(repr(crisp)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
-def _rule_base_for(cfg: ResolvedConfig) -> RuleBase:
-    return build_rule_base(cfg.primary_weight, cfg.secondary_weight, cfg.buy_at, cfg.sell_at)
-
-
 def run_portfolio(
     series_list: list[PriceSeries],
     config: ResolvedConfig | None = None,
-    generated_at: date | None = None,
     rule_base: RuleBase | None = None,
 ) -> PortfolioReport:
     """One recommendation row per input symbol, in input order.
 
     Per-symbol pipeline failures become row notes instead of aborting the
-    batch. The variable set and rule base depend only on the config, so they
-    are built once; a table that fails the coverage check is a ConfigError for
-    the whole batch. The symbols are evaluated in blocks (recommend_block).
-    The default generation timestamp is the latest bar date across the
-    inputs, keeping identical inputs byte-identical on re-runs.
+    batch. The symbols are evaluated in blocks (recommend_block), which builds
+    the variables and rule base once from the config; a table that fails the
+    coverage check is a ConfigError for the whole batch. The report is dated
+    by the latest bar across the inputs, keeping identical inputs
+    byte-identical on re-runs.
     """
-    if not series_list:
+    if not any(series.bars for series in series_list):
         raise ValueError("empty input: no series to evaluate")
     cfg = config if config is not None else ResolvedConfig()
-    if rule_base is None:
-        rule_base = _rule_base_for(cfg)
-    results = recommend_block(series_list, cfg, rule_base, cfg.build_variables())
+    results = recommend_block(series_list, cfg, rule_base)
     rows = [ReportRow(series.symbol, None, None, note=str(result))
             if isinstance(result, PipelineError)
             else ReportRow(series.symbol, result.crisp, result.signal)
             for series, result in zip(series_list, results)]
-    if generated_at is None:
-        generated_at = max(s.bars[-1].date for s in series_list if s.bars)
-    return PortfolioReport(tuple(rows), generated_at, cfg.fingerprint())
+    as_of = max(s.bars.date[-1] for s in series_list if s.bars)
+    return PortfolioReport(tuple(rows), as_of, cfg.fingerprint())
 
 
 def backtest(series: PriceSeries, config: ResolvedConfig | None = None) -> BacktestStats:
@@ -103,7 +88,7 @@ def backtest(series: PriceSeries, config: ResolvedConfig | None = None) -> Backt
     """
     cfg = config if config is not None else ResolvedConfig()
     periods = aggregate_periods(series, cfg.days_per_period)
-    rule_base = _rule_base_for(cfg)
+    rule_base = cfg.build_rule_base()
     records: list[BacktestRecord] = []
     for t in range(len(periods.bars) - 1):
         prefix = PriceSeries(periods.symbol, periods.bars[:t + 1])

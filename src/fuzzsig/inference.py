@@ -6,7 +6,9 @@ Firing uses min for the AND, clipping for implication, and max for
 aggregation; interval grades are reduced with an exhaustive Karnik-Mendel
 switch-point search and defuzzified at the centroid midpoint. Firing and
 reduction take one row or a block of rows; recommend_block runs a portfolio
-through them BLOCK_ROWS rows at a time.
+through them BLOCK_ROWS rows at a time. The entry points take the rule base,
+the variables and the footprint from ResolvedConfig (build_rule_base,
+build_variables, footprint); a caller may pass its own rule base.
 """
 
 from __future__ import annotations
@@ -21,15 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .config import ResolvedConfig
-from .fuzzy import (
-    FootprintOfUncertainty,
-    FuzzifiedInputs,
-    LinguisticVariable,
-    default_variables,
-    fuzzify,
-    grade_inputs,
-    normalize_snapshot,
-)
+from .fuzzy import FuzzifiedInputs, LinguisticVariable, fuzzify, grade_inputs, normalize_snapshot
 from .indicators import snapshot
 from .market_data import PriceSeries, aggregate_periods
 
@@ -113,46 +107,29 @@ class RuleBase:
         return len(self.rules)
 
     @functools.cached_property
-    def _indexes(self) -> dict:
-        return {}
+    def index(self) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+        """The rules as index arrays over term grades stacked in ANTECEDENT_TERMS order.
 
-    def index(
-        self, layout: tuple[tuple[str, tuple[str, ...]], ...], labels: tuple[str, ...],
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rules as index arrays over term grades stacked in `layout` order.
-
-        `layout` lists each input variable with its terms and `labels` the
-        output terms. Returns every rule's four antecedent term positions
-        ((rules, 4), the rules grouped by consequent), the row where each
-        group starts, and each group's consequent as a position in `labels`.
-        Built once per layout; raises for the first rule naming an unknown
-        variable, term or consequent.
+        Returns every rule's four antecedent term positions ((rules, 4), the
+        rules grouped by consequent), the row where each group starts, and each
+        group's consequent label. Built once per rule base; raises for the
+        first rule naming an unknown term.
         """
-        key = (layout, labels)
-        if key not in self._indexes:
-            position: dict[str, dict[str, int]] = {}
-            stacked = 0
-            for name, terms in layout:
-                position[name] = {term: stacked + i for i, term in enumerate(terms)}
-                stacked += len(terms)
-            rows, codes = [], []
-            for rule in self.rules:
-                try:
-                    rows.append([position[name][term]
-                                 for name, term in zip(ANTECEDENT_VARIABLES, rule.antecedent())])
-                except KeyError as exc:
-                    raise InferenceError(
-                        f"rule references unknown variable/term: {exc}") from None
-                label = rule.consequent.value.lower()
-                if label not in labels:
-                    raise InferenceError(f"output variable has no term {label!r}")
-                codes.append(labels.index(label))
-            order = np.argsort(codes, kind="stable")
-            consequents, starts = np.unique(np.array(codes, dtype=np.intp)[order],
-                                            return_index=True)
-            self._indexes[key] = (
-                np.array(rows, dtype=np.intp).reshape(-1, 4)[order], starts, consequents)
-        return self._indexes[key]
+        stacked = itertools.count()
+        position = {name: {term: next(stacked) for term in terms}
+                    for name, terms in ANTECEDENT_TERMS.items()}
+        try:
+            rows = [[position[name][term]
+                     for name, term in zip(ANTECEDENT_VARIABLES, rule.antecedent())]
+                    for rule in self.rules]
+        except KeyError as exc:
+            raise InferenceError(f"rule references unknown variable/term: {exc}") from None
+        signals = list(Signal)
+        codes = np.array([signals.index(rule.consequent) for rule in self.rules], dtype=np.intp)
+        order = np.argsort(codes, kind="stable")
+        consequents, starts = np.unique(codes[order], return_index=True)
+        labels = tuple(signals[k].value.lower() for k in consequents.tolist())
+        return np.array(rows, dtype=np.intp).reshape(-1, 4)[order], starts, labels
 
 
 def vote_score(
@@ -223,22 +200,30 @@ def fire_rules(
     Clipping and max commute, so the rules first fold into one (lower, upper)
     strength pair per consequent, the max over its rules; each consequent term
     is then clipped once per envelope. Interval grades fire endpoint-wise.
-    The fold indexes the stacked term grades with RuleBase.index, so float
-    grades (one row) give 1-D envelopes and length-N array grades (a block of
-    rows) give (N, grid_points) envelopes from the same few reductions.
+    The fold indexes the term grades, stacked in ANTECEDENT_TERMS order, with
+    RuleBase.index, so float grades (one row) give 1-D envelopes and length-N
+    array grades (a block of rows) give (N, grid_points) envelopes from the
+    same few reductions. Inputs lacking an antecedent term, or an output
+    variable lacking a consequent's term, raise InferenceError.
     """
-    layout = tuple((name, tuple(per_term)) for name, per_term in inputs.grades.items())
-    antecedents, starts, consequents = rule_base.index(
-        layout, tuple(label for label, _ in output_var.terms))
-    # (terms, 2, N): every term's (lower, upper) grade per row
-    grades = np.array([pair for per_term in inputs.grades.values() for pair in per_term.values()],
-                      dtype=float)
+    antecedents, starts, labels = rule_base.index
+    try:
+        # (terms, 2, N): every antecedent term's (lower, upper) grade per row
+        grades = np.array([inputs.grades[name][term]
+                           for name, terms in ANTECEDENT_TERMS.items() for term in terms],
+                          dtype=float)
+    except KeyError as exc:
+        raise InferenceError(f"rule references unknown variable/term: {exc}") from None
     one_row = grades.ndim == 2
     grades = grades.reshape(len(grades), 2, -1)
     # (consequents, 2, N): the strongest rule of each consequent per row
     strengths = np.maximum.reduceat(grades[antecedents].min(axis=1), starts, axis=0)
     grid = np.linspace(output_var.domain[0], output_var.domain[1], grid_points)
-    mu = np.array([output_var.terms[k][1].grade(grid) for k in consequents])
+    terms = dict(output_var.terms)
+    try:
+        mu = np.array([terms[label].grade(grid) for label in labels])
+    except KeyError as exc:
+        raise InferenceError(f"output variable has no term {exc}") from None
     # a clip at strength <= 0 adds nothing to the zero envelopes
     envelopes = np.minimum(mu.reshape(-1, 1, 1, grid_points), strengths[..., None]).max(
         axis=0, initial=0.0)
@@ -347,17 +332,6 @@ class Recommendation:
     centroid_interval: tuple[float, float] | None = None
 
 
-def output_variable(variables: tuple[LinguisticVariable, ...]) -> LinguisticVariable:
-    for var in variables:
-        if var.name == "signal":
-            return var
-    raise InferenceError("variable set lacks the output variable 'signal'")
-
-
-def _footprint(cfg: ResolvedConfig) -> FootprintOfUncertainty | None:
-    return FootprintOfUncertainty(cfg.delta) if cfg.delta > 0 else None
-
-
 def _recommend_rows(
     symbols: list[str],
     inputs: FuzzifiedInputs,
@@ -371,8 +345,8 @@ def _recommend_rows(
     reduction; each row is classified on its own. A stage failing for the
     whole block raises.
     """
-    agg = _stage("inference", fire_rules, inputs, rule_base,
-                 output_variable(variables), cfg.grid_points)
+    output_var = next(var for var in variables if var.name == "signal")
+    agg = _stage("inference", fire_rules, inputs, rule_base, output_var, cfg.grid_points)
     stage = "type reduction" if agg.interval else "defuzzification"
     results: list[Recommendation | PipelineError | None] = [None] * len(symbols)
     live = []
@@ -408,21 +382,21 @@ def recommend_periods(
     periods: PriceSeries,
     config: ResolvedConfig | None = None,
     rule_base: RuleBase | None = None,
-    variables: tuple[LinguisticVariable, ...] | None = None,
 ) -> Recommendation:
-    """Run the pipeline on aggregated period bars, building variables and rules unless given."""
+    """Run the pipeline on aggregated period bars, building the rule base unless given.
+
+    The variables come from the config after the snapshot; a table that
+    fails their coverage check raises ConfigError, not PipelineError.
+    """
     cfg = config if config is not None else ResolvedConfig()
     snap = _stage("indicators", snapshot, periods, **cfg.indicator_windows)
-    if variables is None:
-        variables = _stage("fuzzification", default_variables,
-                           divisor=cfg.divisor, mf_table=cfg.mf_table)
+    variables = cfg.build_variables()
     inputs = _stage(
         "fuzzification", fuzzify, snap, variables,
-        divisor=cfg.divisor, histogram_gain=cfg.histogram_gain, fou=_footprint(cfg),
+        divisor=cfg.divisor, histogram_gain=cfg.histogram_gain, fou=cfg.footprint,
     )
     if rule_base is None:
-        rule_base = _stage("rule generation", build_rule_base,
-                           cfg.primary_weight, cfg.secondary_weight, cfg.buy_at, cfg.sell_at)
+        rule_base = cfg.build_rule_base()
     [result] = _recommend_rows([periods.symbol], inputs, cfg, rule_base, variables)
     if isinstance(result, PipelineError):
         raise result
@@ -433,26 +407,28 @@ def recommend(
     series: PriceSeries,
     config: ResolvedConfig | None = None,
     rule_base: RuleBase | None = None,
-    variables: tuple[LinguisticVariable, ...] | None = None,
 ) -> Recommendation:
     """Full pipeline on daily bars: aggregate, snapshot, fuzzify, fire, defuzzify."""
     cfg = config if config is not None else ResolvedConfig()
     periods = _stage("aggregation", aggregate_periods, series, cfg.days_per_period)
-    return recommend_periods(periods, cfg, rule_base, variables)
+    return recommend_periods(periods, cfg, rule_base)
 
 
 def recommend_block(
     series_list: list[PriceSeries],
     cfg: ResolvedConfig,
-    rule_base: RuleBase,
-    variables: tuple[LinguisticVariable, ...],
+    rule_base: RuleBase | None = None,
 ) -> list[Recommendation | PipelineError]:
     """recommend on every series, with its failure in place of a failed row.
 
-    Aggregation, the snapshot and its normalization run per series; the
-    surviving rows are graded, fired and type-reduced BLOCK_ROWS at a time.
-    Each row equals recommend(series, cfg, rule_base, variables) bit for bit.
+    The variables, and the rule base unless given, are built once from the
+    config. Aggregation, the snapshot and its normalization run per series;
+    the surviving rows are graded, fired and type-reduced BLOCK_ROWS at a
+    time. Each row equals recommend(series, cfg, rule_base) bit for bit.
     """
+    variables = cfg.build_variables()
+    if rule_base is None:
+        rule_base = cfg.build_rule_base()
     results: list[Recommendation | PipelineError | None] = [None] * len(series_list)
     pending: list[tuple[int, dict[str, float]]] = []
     for i, series in enumerate(series_list):
@@ -469,7 +445,7 @@ def recommend_block(
         normalized = {name: np.array([x[name] for _, x in block]) for name in block[0][1]}
         symbols = [series_list[i].symbol for i in rows]
         try:
-            inputs = _stage("fuzzification", grade_inputs, normalized, variables, _footprint(cfg))
+            inputs = _stage("fuzzification", grade_inputs, normalized, variables, cfg.footprint)
             block_results = _recommend_rows(symbols, inputs, cfg, rule_base, variables)
         except PipelineError as exc:
             block_results = [exc] * len(rows)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from datetime import date
@@ -168,16 +169,28 @@ def _bar_problems(bar: PriceBar) -> list[tuple[str, str]]:
     return problems
 
 
+def _iso_date(cell: str) -> date:
+    """The date of a YYYY-MM-DD cell, surrounding whitespace allowed; else ValueError.
+
+    date.fromisoformat alone also takes 20170103 and 2017-W01-3 from Python 3.11 on.
+    """
+    text = cell.strip()
+    if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+        raise ValueError(f"not a YYYY-MM-DD date: {cell!r}")
+    return date.fromisoformat(text)
+
+
 # CSV records parse_csv converts at a time: enough to amortize each numpy call,
 # few enough that one chunk's cells stay small next to the parsed columns.
 _CHUNK_ROWS = 1024
 
 
-def _chunk_columns(rows: list[list[str]], codes: dict[str, int]):
+def _chunk_columns(rows: list[list[str]], codes: dict[str, int], days: dict[str, date]):
     """(dates, symbol codes, date ordinals, open..volume) of non-blank records.
 
     None if any record fails a check; _first_fault then names the row. Symbols
-    get codes in order of first appearance.
+    get codes in order of first appearance; `days` keeps every date cell parsed
+    so far, so each distinct cell of the input is parsed once.
     """
     width = len(CSV_HEADER)
     if not set(map(len, rows)) <= {width}:
@@ -188,8 +201,8 @@ def _chunk_columns(rows: list[list[str]], codes: dict[str, int]):
         return None
     date_cells = cells[1::width]
     try:
-        distinct = list(set(date_cells))
-        days = dict(zip(distinct, map(date.fromisoformat, map(str.strip, distinct))))
+        for cell in set(date_cells).difference(days):
+            days[cell] = _iso_date(cell)
         o, h, lo, c, v = (np.fromiter(map(float, cells[k::width]), np.float64, len(rows))
                           for k in range(2, width))
     except ValueError:
@@ -222,7 +235,7 @@ def _first_fault(data: str) -> MarketDataError:
             if not symbol:
                 return MarketDataError(f"row {line}: empty symbol")
             try:
-                day = date.fromisoformat(row[1].strip())
+                day = _iso_date(row[1])
             except ValueError:
                 return MarketDataError(f"row {line}: bad ISO date {row[1]!r}")
             try:
@@ -267,11 +280,12 @@ def parse_csv(stream) -> list[PriceSeries]:
             f"bad header: expected {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
         )
     codes: dict[str, int] = {}
+    days: dict[str, date] = {}
     dates: list[date] = []
     chunks: list[tuple[np.ndarray, ...]] = []
     try:
         while records := list(islice(reader, _CHUNK_ROWS)):
-            chunk = _chunk_columns(list(filter(None, records)), codes)
+            chunk = _chunk_columns(list(filter(None, records)), codes, days)
             if chunk is None:
                 raise _first_fault(data)
             dates += chunk[0]
@@ -334,7 +348,7 @@ def aggregate_periods(series: PriceSeries, days_per_period: int = 15) -> PriceSe
         high=chunks(bars.high).max(axis=1),
         low=chunks(bars.low).min(axis=1),
         close=bars.close[d - 1:m:d],
-        # cumsum adds left to right, in the order of the builtin sum it replaces
+        # cumsum adds left to right; np.sum and Python 3.12's float sum do not
         volume=chunks(bars.volume).cumsum(axis=1)[:, -1],
     ))
 

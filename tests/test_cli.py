@@ -6,6 +6,7 @@ import pytest
 
 from fuzzsig.cli import run
 from fuzzsig.fixtures import flat_series, portfolio_fixture
+from fuzzsig.inference import build_rule_base, rules_to_csv
 from fuzzsig.market_data import serialize_csv
 
 from conftest import DATA_DIR
@@ -40,6 +41,21 @@ class TestRulesDump:
         out = capsys.readouterr().out
         assert "# fuzzy.delta = 0.05" in out
         assert "# fuzzy.wa.high = gaussian 0.618 0.22" in out
+
+    @pytest.mark.parametrize("line, weights", [
+        ("rules.primary_weight = 3", {"primary_weight": 3}),
+        ("rules.secondary_weight = 2", {"secondary_weight": 2}),
+        ("rules.buy_at = 4", {"buy_at": 4}),
+        ("rules.sell_at = -4", {"sell_at": -4}),
+    ])
+    def test_dump_follows_rules_keys(self, line, weights, tmp_path, capsys):
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text(line + "\n")
+        assert run(["rules", "dump", "--config", str(cfg)]) == 0
+        rules = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        expected = rules_to_csv(build_rule_base(**weights), include_scores=True).splitlines()
+        assert expected != rules_to_csv(build_rule_base(), include_scores=True).splitlines()
+        assert rules == expected
 
 
 class TestSignal:
@@ -172,6 +188,15 @@ class TestFixturesCommand:
         assert run(["fixtures", "generate", "--seed", "5", "--symbols", "2",
                     "--periods", "40"]) == 0
         assert capsysbinary.readouterr().out == expected
+
+    @pytest.mark.parametrize("flag, value", [("--symbols", "-2"), ("--symbols", "0"),
+                                             ("--periods", "-5"), ("--periods", "0"),
+                                             ("--periods", "x")])
+    def test_non_positive_counts_exit_2(self, flag, value, capsysbinary):
+        assert run(["fixtures", "generate", flag, value]) == 2
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert flag.encode() in captured.err
 
 
 class TestConfigHandling:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzsig.config import ResolvedConfig
+from fuzzsig.config import ConfigError, ResolvedConfig, parse_config_text
 from fuzzsig.evaluate import (
     PortfolioReport,
     ReportRow,
@@ -17,11 +17,13 @@ from fuzzsig.evaluate import (
     run_portfolio,
 )
 from fuzzsig.fixtures import portfolio_fixture, random_walk_series, uptrend_series
+from fuzzsig.fuzzy import Triangular
 from fuzzsig.indicators import InsufficientHistoryError
 from fuzzsig.inference import (
     BLOCK_ROWS,
     PipelineError,
     Signal,
+    build_rule_base,
     classify_signal,
     recommend,
     rules_from_csv,
@@ -93,6 +95,22 @@ class TestRunPortfolio:
     def test_empty_input_errors(self):
         with pytest.raises(ValueError, match="empty"):
             run_portfolio([])
+
+    def test_series_without_bars_are_empty_input(self):
+        with pytest.raises(ValueError, match="empty input"):
+            run_portfolio([PriceSeries("A", ()), PriceSeries("B", ())])
+
+    @pytest.mark.parametrize("line, weights", [
+        ("rules.primary_weight = 1", {"primary_weight": 1}),
+        ("rules.secondary_weight = 2", {"secondary_weight": 2}),
+        ("rules.buy_at = 4", {"buy_at": 4}),
+        ("rules.sell_at = -4", {"sell_at": -4}),
+    ])
+    def test_rules_keys_reach_the_rule_base(self, line, weights):
+        basket = portfolio_fixture(seed=4, symbols=12, periods=52)
+        expected = _rows(run_portfolio(basket, rule_base=build_rule_base(**weights)))
+        assert expected != _rows(run_portfolio(basket))
+        assert _rows(run_portfolio(basket, parse_config_text(line))) == expected
 
     @pytest.mark.parametrize("delta", [0.0, 0.05, 0.3])
     def test_block_rows_equal_per_symbol_recommend(self, delta):
@@ -268,6 +286,17 @@ class TestBacktest:
     def test_insufficient_history_errors(self):
         with pytest.raises(InsufficientHistoryError, match="backtest"):
             backtest(random_walk_series("S", seed=1, periods=36))
+
+    def test_uncovered_table_is_a_config_error_not_short_history(self):
+        # every prefix fails; the first one past the indicator windows must
+        # surface the config fault instead of being skipped like short history
+        table = dict(ResolvedConfig().mf_table)
+        table["rsi"] = tuple((label, Triangular(0, 0.01, 0.02)) for label, _ in table["rsi"])
+        cfg = ResolvedConfig(mf_table=table)
+        series = random_walk_series("S", seed=2, periods=45)
+        for call in (backtest, recommend):
+            with pytest.raises(ConfigError, match="fuzzy variable 'rsi': terms cover"):
+                call(series, cfg)
 
 
 def reference_report():

@@ -12,6 +12,7 @@ from fuzzsig.fixtures import downtrend_series, flat_series, portfolio_fixture, u
 from fuzzsig.fuzzy import (
     FootprintOfUncertainty,
     FuzzifiedInputs,
+    LinguisticVariable,
     default_variables,
     fuzzify,
     grade_inputs,
@@ -135,6 +136,19 @@ class TestFireRules:
         bad = RuleBase((Rule("low", "weird", "low", "low", Signal.SELL),))
         with pytest.raises(InferenceError, match="unknown"):
             fire_rules(inputs, bad, OUTPUT_VAR)
+
+    def test_inputs_lacking_a_variable_rejected(self):
+        inputs = singleton_inputs("low", "low", "low", "low")
+        del inputs.grades["so"]
+        with pytest.raises(InferenceError, match="unknown variable/term: 'so'"):
+            fire_rules(inputs, build_rule_base(), OUTPUT_VAR)
+
+    def test_output_variable_lacking_a_consequent_term_rejected(self):
+        renamed = tuple(("up" if label == "buy" else label, mf) for label, mf in OUTPUT_VAR.terms)
+        output_var = LinguisticVariable("signal", OUTPUT_VAR.domain, renamed)
+        inputs = singleton_inputs("low", "low", "low", "low")
+        with pytest.raises(InferenceError, match="output variable has no term 'buy'"):
+            fire_rules(inputs, build_rule_base(), output_var)
 
     @pytest.mark.parametrize("delta", [0.0, 0.05, 0.3])
     def test_block_rows_match_oracle_on_fixture_grades(self, delta):

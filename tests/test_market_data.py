@@ -170,6 +170,11 @@ FAULTY = {
                      "row 4: empty symbol"),
     "bad_date": (good_rows(2) + ["A,2020-02-30,10,11,9,10.5,100"],
                  "row 4: bad ISO date '2020-02-30'"),
+    # date.fromisoformat takes both of these from Python 3.11 on
+    "basic_format_date": (good_rows(2) + ["A,20170103,10,11,9,10.5,100"],
+                          "row 4: bad ISO date '20170103'"),
+    "week_date": (good_rows(2) + ["A, 2017-W01-3 ,10,11,9,10.5,100"],
+                  "row 4: bad ISO date ' 2017-W01-3 '"),
     "non_numeric": (good_rows(1) + ["A,2020-02-01,10,11,9,ten,100"],
                     "row 3: non-numeric price/volume field"),
     "nan": (["A,2020-01-01,10,nan,9,10.5,100"],
@@ -239,6 +244,21 @@ class TestParseErrorParity:
         with pytest.raises(MarketDataError) as info:
             parse_csv(HEADER + "\n".join(lines) + "\n")
         assert str(info.value) == message
+
+    def test_each_distinct_date_cell_is_parsed_once(self, monkeypatch):
+        import fuzzsig.market_data as market_data
+
+        calls = []
+        original = market_data._iso_date
+
+        def counted(cell):
+            calls.append(cell)
+            return original(cell)
+
+        monkeypatch.setattr(market_data, "_iso_date", counted)
+        series = parse_csv(HEADER + "\n".join(good_rows(1500, "A") + good_rows(1500, "B")) + "\n")
+        assert len(series[1].bars) == 1500
+        assert len(calls) == len(set(calls)) == 1500
 
     def test_interleaved_unsorted_symbols_group_and_sort(self):
         a, b = parse_csv(HEADER + "\n".join(INTERLEAVED) + "\n")
