@@ -87,10 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> ResolvedConfig:
-    cfg = ResolvedConfig()
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
-    if path:
-        cfg = load_config_file(path, cfg)
+    cfg = load_config_file(path) if path else ResolvedConfig()
     flags = {"delta": getattr(args, "delta", None),
              "days_per_period": getattr(args, "period_days", None)}
     overrides = {name: value for name, value in flags.items() if value is not None}
@@ -120,7 +118,7 @@ def _load_rules(args: argparse.Namespace):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return rules_from_csv(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MarketDataError(f"cannot read {path!r}: {exc}") from None
 
 
@@ -250,8 +248,11 @@ def _cmd_fixtures(args, cfg: ResolvedConfig) -> int:
                                     days_per_period=cfg.days_per_period)
     data = serialize_csv(series_list)
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise MarketDataError(f"cannot write {args.out!r}: {exc}") from None
     else:
         sys.stdout.buffer.write(data)
     return 0

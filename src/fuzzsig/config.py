@@ -61,35 +61,6 @@ def format_mf(mf: MembershipFunction) -> str:
     return " ".join([_MF_NAMES[type(mf)], *map(repr, dataclasses.astuple(mf))])
 
 
-_INT_KEYS = {
-    "data.days_per_period": "days_per_period",
-    "indicators.macd_short": "macd_short",
-    "indicators.macd_long": "macd_long",
-    "indicators.macd_trigger": "macd_trigger",
-    "indicators.rsi_window": "rsi_window",
-    "indicators.stochastic_k": "stochastic_k",
-    "indicators.stochastic_d": "stochastic_d",
-    "indicators.williams_window": "williams_window",
-    "rules.primary_weight": "primary_weight",
-    "rules.secondary_weight": "secondary_weight",
-    "rules.buy_at": "buy_at",
-    "rules.sell_at": "sell_at",
-    "output.grid_points": "grid_points",
-}
-
-_FLOAT_KEYS = {
-    "tuning.divisor": "divisor",
-    "fuzzy.delta": "delta",
-    "fuzzy.histogram_gain": "histogram_gain",
-}
-
-_WINDOW_FIELDS = ("macd_short", "macd_long", "macd_trigger", "rsi_window",
-                  "stochastic_k", "stochastic_d", "williams_window")
-
-# Every scalar config key and the ResolvedConfig field it sets
-_SETTINGS = {**_INT_KEYS, **_FLOAT_KEYS, "tuning.levels": "levels"}
-_KEY_OF = {name: key for key, name in _SETTINGS.items()}
-
 # Settings whose values must ascend: (lower, higher)
 _ORDERED_PAIRS = (("macd_short", "macd_long"), ("sell_at", "buy_at"))
 
@@ -99,7 +70,7 @@ def _check_setting(name: str, value) -> None:
     if name in ("days_per_period", *_WINDOW_FIELDS, "primary_weight", "secondary_weight"):
         if not isinstance(value, int) or value < 1:
             raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-    elif name in _FLOAT_KEYS.values() and not math.isfinite(value):
+    elif _KIND.get(name) is float and not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value!r}")
     elif name == "divisor" and value <= 0:
         raise ConfigError(f"tuning divisor must be positive, got {value}")
@@ -114,30 +85,35 @@ def _check_setting(name: str, value) -> None:
         raise ConfigError(f"grid_points must be >= 3, got {value}")
 
 
+def _setting(key: str, default):
+    """A scalar ResolvedConfig field, set by the dotted config-file `key`."""
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass(frozen=True)
 class ResolvedConfig:
     """Every tunable of the pipeline, with defaults matching the canonical tables."""
 
-    days_per_period: int = 15
-    macd_short: int = 12
-    macd_long: int = 26
-    macd_trigger: int = 9
-    rsi_window: int = 21
-    stochastic_k: int = 10
-    stochastic_d: int = 3
-    williams_window: int = 30
-    divisor: float = 89.0
-    levels: tuple[float, float, float] = (0.236, 0.382, 0.618)
-    delta: float = 0.05
-    histogram_gain: float = 50.0
+    days_per_period: int = _setting("data.days_per_period", 15)
+    macd_short: int = _setting("indicators.macd_short", 12)
+    macd_long: int = _setting("indicators.macd_long", 26)
+    macd_trigger: int = _setting("indicators.macd_trigger", 9)
+    rsi_window: int = _setting("indicators.rsi_window", 21)
+    stochastic_k: int = _setting("indicators.stochastic_k", 10)
+    stochastic_d: int = _setting("indicators.stochastic_d", 3)
+    williams_window: int = _setting("indicators.williams_window", 30)
+    divisor: float = _setting("tuning.divisor", 89.0)
+    levels: tuple[float, float, float] = _setting("tuning.levels", (0.236, 0.382, 0.618))
+    delta: float = _setting("fuzzy.delta", 0.05)
+    histogram_gain: float = _setting("fuzzy.histogram_gain", 50.0)
     mf_table: dict[str, tuple[tuple[str, MembershipFunction], ...]] = field(
         default_factory=default_mf_table
     )
-    primary_weight: int = 2
-    secondary_weight: int = 1
-    buy_at: int = 2
-    sell_at: int = -2
-    grid_points: int = 1001
+    primary_weight: int = _setting("rules.primary_weight", 2)
+    secondary_weight: int = _setting("rules.secondary_weight", 1)
+    buy_at: int = _setting("rules.buy_at", 2)
+    sell_at: int = _setting("rules.sell_at", -2)
+    grid_points: int = _setting("output.grid_points", 1001)
 
     def __post_init__(self) -> None:
         self.validate()
@@ -186,9 +162,10 @@ class ResolvedConfig:
 
     def canonical_lines(self) -> list[str]:
         """Stable `key = value` rendering of every setting, sorted by key."""
-        entries = {key: str(getattr(self, name)) for key, name in _INT_KEYS.items()}
-        entries.update((key, repr(getattr(self, name))) for key, name in _FLOAT_KEYS.items())
-        entries["tuning.levels"] = ", ".join(repr(v) for v in self.levels)
+        entries = {}
+        for key, name in _SETTINGS.items():
+            value = getattr(self, name)
+            entries[key] = ", ".join(map(repr, value)) if _KIND[name] is tuple else repr(value)
         for var, terms in self.mf_table.items():
             for label, mf in terms:
                 entries[f"fuzzy.{var}.{label}"] = format_mf(mf)
@@ -199,14 +176,21 @@ class ResolvedConfig:
         return digest.hexdigest()[:12]
 
 
-def parse_config_text(text: str, base: ResolvedConfig | None = None) -> ResolvedConfig:
-    """Parse key-value lines on top of `base` (defaults when omitted).
+# Every scalar config key and the ResolvedConfig field it sets, with the
+# field's kind (int, float or tuple, from its default) and the window fields
+_SETTINGS = {f.metadata["key"]: f.name for f in dataclasses.fields(ResolvedConfig) if f.metadata}
+_KEY_OF = {name: key for key, name in _SETTINGS.items()}
+_KIND = {f.name: type(f.default) for f in dataclasses.fields(ResolvedConfig) if f.metadata}
+_WINDOW_FIELDS = tuple(name for key, name in _SETTINGS.items() if key.startswith("indicators."))
+
+
+def parse_config_text(text: str) -> ResolvedConfig:
+    """Parse key-value lines on top of the defaults.
 
     The membership-function tables are checked for coverage here, at load time.
     """
-    cfg = base if base is not None else ResolvedConfig()
-    fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.init}
-    mf_table = {var: list(terms) for var, terms in cfg.mf_table.items()}
+    fields = {}
+    mf_table = {var: list(terms) for var, terms in default_mf_table().items()}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -216,12 +200,8 @@ def parse_config_text(text: str, base: ResolvedConfig | None = None) -> Resolved
         key, value = (part.strip() for part in line.split("=", 1))
         try:
             if key in _SETTINGS:
-                if key in _INT_KEYS:
-                    parsed = int(value)
-                elif key in _FLOAT_KEYS:
-                    parsed = float(value)
-                else:
-                    parsed = tuple(float(p) for p in value.split(","))
+                kind = _KIND[_SETTINGS[key]]
+                parsed = tuple(map(float, value.split(","))) if kind is tuple else kind(value)
                 try:
                     _check_setting(_SETTINGS[key], parsed)
                 except ConfigError as exc:
@@ -242,16 +222,15 @@ def parse_config_text(text: str, base: ResolvedConfig | None = None) -> Resolved
             raise ConfigError(f"line {lineno}: {exc}") from None
         except ValueError:
             raise ConfigError(f"line {lineno}: bad value {value!r} for {key!r}") from None
-    fields["mf_table"] = {var: tuple(terms) for var, terms in mf_table.items()}
-    cfg = ResolvedConfig(**fields)
+    cfg = ResolvedConfig(**fields, mf_table={var: tuple(terms) for var, terms in mf_table.items()})
     cfg.build_variables()
     return cfg
 
 
-def load_config_file(path: str, base: ResolvedConfig | None = None) -> ResolvedConfig:
+def load_config_file(path: str) -> ResolvedConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
-    return parse_config_text(text, base)
+    return parse_config_text(text)

@@ -149,8 +149,8 @@ def emit_report(report: PortfolioReport, format: str = "csv") -> bytes:
         }
         return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
     if format == "plotdata":
-        lines = [f"{row.symbol}\t{row.crisp!r}" for row in report.rows if row.crisp is not None]
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        return "".join(f"{row.symbol}\t{row.crisp!r}\n"
+                       for row in report.rows if row.crisp is not None).encode("utf-8")
     raise ValueError(f"unknown report format {format!r}")
 
 

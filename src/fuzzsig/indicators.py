@@ -243,21 +243,9 @@ def indicator_frame(
     )
 
 
-def snapshot(
-    series: PriceSeries,
-    *,
-    macd_short: int = 12,
-    macd_long: int = 26,
-    macd_trigger: int = 9,
-    rsi_window: int = 21,
-    stochastic_k: int = 10,
-    stochastic_d: int = 3,
-    williams_window: int = 30,
-) -> IndicatorSnapshot:
-    """Latest value of each indicator bundled with the latest close: the frame's last row."""
-    frame = indicator_frame(
-        series, macd_short=macd_short, macd_long=macd_long, macd_trigger=macd_trigger,
-        rsi_window=rsi_window, stochastic_k=stochastic_k, stochastic_d=stochastic_d,
-        williams_window=williams_window,
-    )
-    return frame.row(len(series.bars) - 1)
+def snapshot(series: PriceSeries, **windows: int) -> IndicatorSnapshot:
+    """Latest value of each indicator bundled with the latest close: the frame's last row.
+
+    `windows` are indicator_frame's keyword arguments.
+    """
+    return indicator_frame(series, **windows).row(len(series.bars) - 1)

@@ -5,10 +5,11 @@ RSI 3 x SO 3 x Williams 2) and scores each by weighted directional votes.
 Firing uses min for the AND, clipping for implication, and max for
 aggregation; interval grades are reduced with an exhaustive Karnik-Mendel
 switch-point search and defuzzified at the centroid midpoint. Firing and
-reduction take one row or a block of rows; recommend_block runs a portfolio
-through them BLOCK_ROWS rows at a time. The entry points take the rule base,
-the variables and the footprint from ResolvedConfig (build_rule_base,
-build_variables, footprint); a caller may pass its own rule base.
+reduction take one row or a block of rows. Every entry point evaluates rows
+through recommend_rows, BLOCK_ROWS at a time: a portfolio (recommend_block)
+has a row per symbol, and recommend_periods (signal, each backtest prefix) is
+the one-row case. The rule base, variables and footprint come from
+ResolvedConfig; a caller may pass its own rule base.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from enum import Enum
 import numpy as np
 
 from .config import ResolvedConfig
-from .fuzzy import FuzzifiedInputs, LinguisticVariable, fuzzify, grade_inputs, normalize_snapshot
+from .fuzzy import FuzzifiedInputs, LinguisticVariable, grade_inputs, normalize_snapshot
 from .indicators import snapshot
 from .market_data import PriceSeries, aggregate_periods
 
 
-# Rows graded, fired and type-reduced together by recommend_block: enough to
+# Rows graded, fired and type-reduced together by recommend_rows: enough to
 # amortize numpy's per-call overhead, few enough that the (rows, grid) envelopes
 # stay small.
 BLOCK_ROWS = 64
@@ -332,50 +333,59 @@ class Recommendation:
     centroid_interval: tuple[float, float] | None = None
 
 
-def _recommend_rows(
+def recommend_rows(
     symbols: list[str],
-    inputs: FuzzifiedInputs,
+    normalized: dict[str, np.ndarray],
     cfg: ResolvedConfig,
     rule_base: RuleBase,
     variables: tuple[LinguisticVariable, ...],
 ) -> list[Recommendation | PipelineError]:
-    """Fire, type-reduce and classify fuzzified rows: one row (float grades) or a block.
+    """Grade, fire, type-reduce and classify normalized rows, BLOCK_ROWS at a time.
 
-    A row whose upper envelope is zero fails alone and is kept out of the
-    reduction; each row is classified on its own. A stage failing for the
-    whole block raises.
+    `normalized` maps each input variable to one value per row. A row whose
+    upper envelope is zero fails alone and is kept out of the reduction; a
+    stage failing for a whole block fails each of its rows. A failed row gets
+    its PipelineError in place of a Recommendation.
     """
     output_var = next(var for var in variables if var.name == "signal")
-    agg = _stage("inference", fire_rules, inputs, rule_base, output_var, cfg.grid_points)
-    stage = "type reduction" if agg.interval else "defuzzification"
-    results: list[Recommendation | PipelineError | None] = [None] * len(symbols)
-    live = []
-    for i, fired in enumerate(_fired(agg).tolist()):
-        if fired:
-            live.append(i)
-        else:
-            results[i] = PipelineError(stage, InferenceError(_NO_RULE_FIRED))
-    if not live:
-        return results
-    if len(live) < len(symbols):
-        agg = AggregatedOutput(agg.grid, np.atleast_2d(agg.lower)[live],
-                               np.atleast_2d(agg.upper)[live], agg.interval)
-    if agg.interval:
-        y_l, y_r = _stage(stage, km_type_reduce, agg)
-        crisp = 0.5 * (y_l + y_r)
-        intervals = list(zip(np.atleast_1d(y_l).tolist(), np.atleast_1d(y_r).tolist()))
-    else:
-        crisp = _stage(stage, defuzzify, agg)
-        intervals = [None] * len(live)
-    for i, value, interval in zip(live, np.atleast_1d(crisp).tolist(), intervals):
+    stage = "defuzzification" if cfg.footprint is None else "type reduction"
+    results: list[Recommendation | PipelineError] = []
+    for start in range(0, len(symbols), BLOCK_ROWS):
+        block = symbols[start:start + BLOCK_ROWS]
+        rows = {name: x[start:start + BLOCK_ROWS] for name, x in normalized.items()}
         try:
-            signal = _stage("classification", classify_signal, value)
+            inputs = _stage("fuzzification", grade_inputs, rows, variables, cfg.footprint)
+            agg = _stage("inference", fire_rules, inputs, rule_base, output_var, cfg.grid_points)
+            fired = _fired(agg)
+            live = AggregatedOutput(agg.grid, agg.lower[fired], agg.upper[fired], agg.interval)
+            if not fired.any():
+                reduced = iter(())
+            elif agg.interval:
+                y_l, y_r = _stage(stage, km_type_reduce, live)
+                reduced = zip((0.5 * (y_l + y_r)).tolist(), zip(y_l.tolist(), y_r.tolist()))
+            else:
+                reduced = zip(_stage(stage, defuzzify, live).tolist(), itertools.repeat(None))
         except PipelineError as exc:
-            results[i] = exc
+            results += [exc] * len(block)
             continue
-        results[i] = Recommendation(symbol=symbols[i], crisp=value, signal=signal,
-                                    centroid_interval=interval)
+        for symbol, ok in zip(block, fired.tolist()):
+            if not ok:
+                results.append(PipelineError(stage, InferenceError(_NO_RULE_FIRED)))
+                continue
+            crisp, interval = next(reduced)
+            try:
+                signal = _stage("classification", classify_signal, crisp)
+                results.append(Recommendation(symbol, crisp, signal, interval))
+            except PipelineError as exc:
+                results.append(exc)
     return results
+
+
+def _normalized(periods: PriceSeries, cfg: ResolvedConfig) -> dict[str, float]:
+    """The snapshot of the period bars, mapped onto the input variables' domains."""
+    snap = _stage("indicators", snapshot, periods, **cfg.indicator_windows)
+    return _stage("fuzzification", normalize_snapshot, snap,
+                  divisor=cfg.divisor, histogram_gain=cfg.histogram_gain)
 
 
 def recommend_periods(
@@ -385,19 +395,17 @@ def recommend_periods(
 ) -> Recommendation:
     """Run the pipeline on aggregated period bars, building the rule base unless given.
 
-    The variables come from the config after the snapshot; a table that
-    fails their coverage check raises ConfigError, not PipelineError.
+    The one-row case of recommend_rows. The variables come from the config
+    after the snapshot; a table that fails their coverage check raises
+    ConfigError, not PipelineError.
     """
     cfg = config if config is not None else ResolvedConfig()
-    snap = _stage("indicators", snapshot, periods, **cfg.indicator_windows)
+    normalized = _normalized(periods, cfg)
     variables = cfg.build_variables()
-    inputs = _stage(
-        "fuzzification", fuzzify, snap, variables,
-        divisor=cfg.divisor, histogram_gain=cfg.histogram_gain, fou=cfg.footprint,
-    )
     if rule_base is None:
         rule_base = cfg.build_rule_base()
-    [result] = _recommend_rows([periods.symbol], inputs, cfg, rule_base, variables)
+    one_row = {name: np.array([x]) for name, x in normalized.items()}
+    [result] = recommend_rows([periods.symbol], one_row, cfg, rule_base, variables)
     if isinstance(result, PipelineError):
         raise result
     return result
@@ -423,34 +431,25 @@ def recommend_block(
 
     The variables, and the rule base unless given, are built once from the
     config. Aggregation, the snapshot and its normalization run per series;
-    the surviving rows are graded, fired and type-reduced BLOCK_ROWS at a
-    time. Each row equals recommend(series, cfg, rule_base) bit for bit.
+    one recommend_rows call evaluates the surviving rows. Each row equals
+    recommend(series, cfg, rule_base) bit for bit.
     """
     variables = cfg.build_variables()
     if rule_base is None:
         rule_base = cfg.build_rule_base()
     results: list[Recommendation | PipelineError | None] = [None] * len(series_list)
-    pending: list[tuple[int, dict[str, float]]] = []
+    live, rows = [], []
     for i, series in enumerate(series_list):
         try:
             periods = _stage("aggregation", aggregate_periods, series, cfg.days_per_period)
-            snap = _stage("indicators", snapshot, periods, **cfg.indicator_windows)
-            pending.append((i, _stage("fuzzification", normalize_snapshot, snap,
-                                      divisor=cfg.divisor, histogram_gain=cfg.histogram_gain)))
+            rows.append(_normalized(periods, cfg))
+            live.append(i)
         except PipelineError as exc:
             results[i] = exc
-    for start in range(0, len(pending), BLOCK_ROWS):
-        block = pending[start:start + BLOCK_ROWS]
-        rows = [i for i, _ in block]
-        normalized = {name: np.array([x[name] for _, x in block]) for name in block[0][1]}
-        symbols = [series_list[i].symbol for i in rows]
-        try:
-            inputs = _stage("fuzzification", grade_inputs, normalized, variables, cfg.footprint)
-            block_results = _recommend_rows(symbols, inputs, cfg, rule_base, variables)
-        except PipelineError as exc:
-            block_results = [exc] * len(rows)
-        for i, result in zip(rows, block_results):
-            results[i] = result
+    normalized = {name: np.array([x[name] for x in rows]) for name in ANTECEDENT_VARIABLES}
+    symbols = [series_list[i].symbol for i in live]
+    for i, result in zip(live, recommend_rows(symbols, normalized, cfg, rule_base, variables)):
+        results[i] = result
     return results
 
 

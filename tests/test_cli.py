@@ -118,6 +118,12 @@ class TestPortfolio:
         assert "GOOD,0.5,Hold" in out
         assert 'BAD,,"error:' in out
 
+    def test_plotdata_without_a_scored_row_is_empty(self, capsysbinary):
+        # 30-day periods leave every bundled symbol 26 periods, too few for a snapshot
+        fixture = str(DATA_DIR / "portfolio_fixture.csv")
+        assert run(["portfolio", fixture, "--format", "plotdata", "--period-days", "30"]) == 0
+        assert capsysbinary.readouterr().out == b""
+
     def test_nan_price_exits_1_naming_the_row(self, basket_csv, tmp_path, capsys):
         lines = Path(basket_csv).read_text().splitlines()
         fields = lines[5].split(",")
@@ -198,6 +204,14 @@ class TestFixturesCommand:
         assert captured.out == b""
         assert flag.encode() in captured.err
 
+    @pytest.mark.parametrize("target", ["missing/gen.csv", ""], ids=["no-parent", "directory"])
+    def test_unwritable_out_exits_1_naming_the_path(self, tmp_path, target, capsysbinary):
+        out = str(tmp_path / target)
+        assert run(["fixtures", "generate", "--out", out]) == 1
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err.decode().startswith(f"error: cannot write {out!r}: ")
+
 
 class TestConfigHandling:
     def test_config_file_applies(self, flat_csv, tmp_path, capsys):
@@ -274,6 +288,22 @@ class TestConfigHandling:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(named)
+
+    @pytest.mark.parametrize("source", ["--config", "env", "--rules"])
+    def test_non_utf8_file_exits_1_naming_the_path(self, basket_csv, tmp_path, source,
+                                                   capsys, monkeypatch):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"fuzzy.delta = 0.1  # caf\xe9\n")
+        argv = ["portfolio", basket_csv]
+        if source == "env":
+            monkeypatch.setenv("FUZZSIG_CONFIG", str(path))
+        else:
+            argv += [source, str(path)]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read ")
+        assert f"{str(path)!r}: 'utf-8' codec can't decode byte 0xe9" in captured.err
 
     def test_period_days_flag(self, tmp_path, capsys):
         series = flat_series(periods=40, days_per_period=10)

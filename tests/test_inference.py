@@ -370,6 +370,30 @@ class TestRecommend:
         with pytest.raises(PipelineError, match="indicators"):
             recommend(short)
 
+    @pytest.mark.parametrize("delta", [0.0, 0.05, 0.3])
+    def test_pipeline_equals_the_public_one_row_chain(self, delta):
+        # recommend runs rows through recommend_rows; the public layers one row
+        # at a time must give the same bits
+        cfg = ResolvedConfig(delta=delta)
+        output_var = next(v for v in cfg.build_variables() if v.name == "signal")
+        for series in portfolio_fixture(seed=37, symbols=20, periods=52):
+            snap = snapshot(aggregate_periods(series, cfg.days_per_period),
+                            **cfg.indicator_windows)
+            inputs = fuzzify(snap, cfg.build_variables(), divisor=cfg.divisor,
+                             histogram_gain=cfg.histogram_gain, fou=cfg.footprint)
+            agg = fire_rules(inputs, cfg.build_rule_base(), output_var, cfg.grid_points)
+            if delta:
+                interval = km_type_reduce(agg)
+                crisp = 0.5 * (interval[0] + interval[1])
+            else:
+                interval, crisp = None, defuzzify(agg)
+            rec = recommend(series, cfg)
+            assert rec.crisp.hex() == crisp.hex()
+            assert rec.centroid_interval == interval
+            if interval is not None:
+                assert [y.hex() for y in rec.centroid_interval] == [y.hex() for y in interval]
+            assert rec.signal is classify_signal(crisp)
+
 
 class TestTypeReductionCollapse:
     @given(seed=st.integers(0, 10_000))
