@@ -36,6 +36,7 @@ from .indicators import (
     MacdTriple,
     StochasticPair,
     ema,
+    indicator_block,
     indicator_frame,
     macd,
     rsi,

@@ -271,19 +271,67 @@ def default_variables(
     )
 
 
+def _row_fault(histogram: float, close: float, rsi: float, williams: float,
+               divisor: float, histogram_gain: float) -> Exception | None:
+    """The first error the one-row float arithmetic raises on these values, if any."""
+    try:
+        histogram_gain * histogram / close  # ZeroDivisionError on a zero close
+        scale_secondary(SecondaryKind.RSI, rsi, divisor)
+        scale_secondary(SecondaryKind.WA, williams, divisor)
+    except (ArithmeticError, ValueError) as exc:
+        return exc
+    return None
+
+
+def normalize_rows(
+    snap: IndicatorSnapshot,
+    *,
+    divisor: float = DEFAULT_DIVISOR,
+    histogram_gain: float = 50.0,
+) -> tuple[dict[str, np.ndarray], dict[int, Exception]]:
+    """Map raw indicator rows onto the input variables' normalized domains.
+
+    The snapshot's fields are floats (one row) or length-N arrays (a block).
+    MACD is tanh(gain * histogram / close), through math.tanh per element so
+    the values do not depend on numpy's SIMD kernels; RSI and Williams are
+    |value| / divisor and the stochastic %K / 100. Returns the normalized
+    columns and, for each row that fails (a zero close, RSI outside [0, 100],
+    Williams outside [-100, 0]), the error that row's values raise alone. A
+    failed row's normalized values are meaningless.
+    """
+    histogram, close, rsi, k, williams = np.array(
+        [snap.histogram, snap.close, snap.rsi, snap.stochastic_k, snap.williams],
+        dtype=float).reshape(5, -1)
+    with np.errstate(all="ignore"):  # failed rows raise below, as the float arithmetic would
+        ratio = histogram_gain * histogram / close
+        normalized = {
+            "macd": np.array([math.tanh(x) for x in ratio.tolist()]),
+            "rsi": np.abs(rsi) / divisor,
+            "so": k / 100.0,
+            "wa": np.abs(williams) / divisor,
+        }
+    suspect = ~((close != 0.0) & (rsi >= 0.0) & (rsi <= 100.0)
+                & (williams >= -100.0) & (williams <= 0.0)) | (divisor <= 0)
+    faults = {i: fault for i in np.flatnonzero(suspect).tolist()
+              if (fault := _row_fault(histogram[i].item(), close[i].item(), rsi[i].item(),
+                                      williams[i].item(), divisor, histogram_gain))}
+    return normalized, faults
+
+
 def normalize_snapshot(
     snap: IndicatorSnapshot,
     *,
     divisor: float = DEFAULT_DIVISOR,
     histogram_gain: float = 50.0,
 ) -> dict[str, float]:
-    """Map raw indicator values onto the input variables' normalized domains."""
-    return {
-        "macd": math.tanh(histogram_gain * snap.histogram / snap.close),
-        "rsi": scale_secondary(SecondaryKind.RSI, snap.rsi, divisor).scaled,
-        "so": snap.stochastic_k / 100.0,
-        "wa": scale_secondary(SecondaryKind.WA, snap.williams, divisor).scaled,
-    }
+    """Map raw indicator values onto the input variables' normalized domains.
+
+    The one-row normalize_rows: floats, or the row's error raised.
+    """
+    normalized, faults = normalize_rows(snap, divisor=divisor, histogram_gain=histogram_gain)
+    if faults:
+        raise faults[0]
+    return {name: x.item() for name, x in normalized.items()}
 
 
 def fuzzify(

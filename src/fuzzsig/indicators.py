@@ -1,11 +1,17 @@
 """Technical indicators on period bars: moving averages, MACD, RSI, stochastic, Williams.
 
-indicator_frame computes every series once over all bars; snapshot is its last row.
+Every series function takes its prices with time along the last axis: a 1-D
+array for one series, or an (N, T) array for a block of N series with the same
+number of periods. Windows reduce along that axis and the EMA steps over time
+with one vector operation across the N rows, so each block row equals the
+one-series result bit for bit. indicator_block computes every series once over
+a block; indicator_frame is its one-series case and snapshot its last row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -39,7 +45,10 @@ class StochasticPair:
 
 @dataclass(frozen=True)
 class IndicatorSnapshot:
-    """Latest value of every indicator plus the latest close, for one series."""
+    """Latest value of every indicator plus the latest close, for one series.
+
+    A block frame's row holds a length-N array per field instead of a float.
+    """
 
     macd_line: float
     signal_line: float
@@ -52,7 +61,7 @@ class IndicatorSnapshot:
 
 @dataclass(frozen=True)
 class IndicatorFrame:
-    """Every indicator over all period bars; see indicator_frame."""
+    """Every indicator over all period bars, (T,) or (N, T); see indicator_block."""
 
     close: np.ndarray
     macd_line: np.ndarray
@@ -66,7 +75,10 @@ class IndicatorFrame:
     needed: int
 
     def row(self, t: int) -> IndicatorSnapshot:
-        """The snapshot of bars 0..t; raises until every indicator has its history."""
+        """The snapshot of bars 0..t; raises until every indicator has its history.
+
+        Floats for one series, length-N arrays for a block.
+        """
         if t + 1 < self.needed:
             raise InsufficientHistoryError(
                 f"snapshot needs at least {self.needed} period bars "
@@ -74,7 +86,9 @@ class IndicatorFrame:
             )
         columns = (self.macd_line, self.signal_line, self.histogram, self.rsi,
                    self.percent_k, self.williams, self.close)
-        return IndicatorSnapshot(*(float(column[t]) for column in columns))
+        if self.close.ndim == 1:
+            return IndicatorSnapshot(*(float(column[t]) for column in columns))
+        return IndicatorSnapshot(*(column[:, t] for column in columns))
 
 
 def _require(length: int, needed: int, what: str) -> None:
@@ -90,9 +104,9 @@ def sma(closes, n: int) -> np.ndarray:
     c = np.asarray(closes, dtype=float)
     if n < 1:
         raise ValueError(f"window must be >= 1, got {n}")
-    _require(len(c), n, f"SMA({n})")
+    _require(c.shape[-1], n, f"SMA({n})")
     # per-window means (not a running sum) so each value only sees its window
-    return sliding_window_view(c, n).mean(axis=1)
+    return sliding_window_view(c, n, axis=-1).mean(axis=-1)
 
 
 def ema(closes, n: int) -> np.ndarray:
@@ -104,13 +118,17 @@ def ema(closes, n: int) -> np.ndarray:
     c = np.asarray(closes, dtype=float)
     if n < 1:
         raise ValueError(f"window must be >= 1, got {n}")
-    _require(len(c), n, f"EMA({n})")
+    _require(c.shape[-1], n, f"EMA({n})")
     alpha = 2.0 / (n + 1.0)
-    out = np.empty(len(c) - n + 1)
-    out[0] = c[:n].mean()
-    for i in range(n, len(c)):
-        out[i - n + 1] = alpha * c[i] + (1.0 - alpha) * out[i - n]
-    return out
+    keep = 1.0 - alpha
+
+    def step(previous, close):
+        return alpha * close + keep * previous
+
+    # one step per period, each a scalar (one series) or a vector across the rows
+    steps = accumulate(c.T[n:], step, initial=c[..., :n].mean(axis=-1))
+    # C order keeps time contiguous, so later window sums add in the 1-D order
+    return np.ascontiguousarray(np.array(list(steps)).T)
 
 
 def macd(closes, short: int = 12, long: int = 26, trigger: int = 9) -> MacdTriple:
@@ -122,18 +140,18 @@ def macd(closes, short: int = 12, long: int = 26, trigger: int = 9) -> MacdTripl
     c = np.asarray(closes, dtype=float)
     if not short < long:
         raise ValueError(f"short period must be below long period, got {short}/{long}")
-    _require(len(c), long + trigger - 1, f"MACD({short},{long},{trigger})")
-    line_full = ema(c, short)[long - short:] - ema(c, long)
+    _require(c.shape[-1], long + trigger - 1, f"MACD({short},{long},{trigger})")
+    line_full = ema(c, short)[..., long - short:] - ema(c, long)
     signal = ema(line_full, trigger)
-    line = line_full[trigger - 1:]
+    line = line_full[..., trigger - 1:]
     return MacdTriple(macd_line=line, signal_line=signal, histogram=line - signal)
 
 
 def _rsi_series(closes: np.ndarray, n: int) -> np.ndarray:
     """RSI of every n-change window; out[i] covers closes i .. i+n."""
-    changes = np.diff(closes)
-    gain = sliding_window_view(np.clip(changes, 0.0, None), n).mean(axis=1)
-    loss = sliding_window_view(np.clip(-changes, 0.0, None), n).mean(axis=1)
+    changes = np.diff(closes, axis=-1)
+    gain = sliding_window_view(np.clip(changes, 0.0, None), n, axis=-1).mean(axis=-1)
+    loss = sliding_window_view(np.clip(-changes, 0.0, None), n, axis=-1).mean(axis=-1)
     flat = loss == 0.0
     out = 100.0 - 100.0 / (1.0 + gain / np.where(flat, 1.0, loss))
     out[flat] = np.where(gain[flat] == 0.0, 50.0, 100.0)
@@ -153,18 +171,18 @@ def rsi(closes, n: int = 21) -> float:
 
 def _hlc(highs, lows, closes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     h, lo, c = (np.asarray(x, dtype=float) for x in (highs, lows, closes))
-    if not (len(h) == len(lo) == len(c)):
+    if not (h.shape == lo.shape == c.shape):
         raise ValueError("highs, lows, and closes must share length")
     return h, lo, c
 
 
 def _percent_k(h: np.ndarray, lo: np.ndarray, c: np.ndarray, k: int) -> np.ndarray:
     """%K of every k-bar window; out[i] covers bars i .. i+k-1."""
-    hh = sliding_window_view(h, k).max(axis=1)
-    ll = sliding_window_view(lo, k).min(axis=1)
+    hh = sliding_window_view(h, k, axis=-1).max(axis=-1)
+    ll = sliding_window_view(lo, k, axis=-1).min(axis=-1)
     span = hh - ll
     safe = np.where(span == 0.0, 1.0, span)
-    return np.where(span == 0.0, 50.0, 100.0 * (c[k - 1:] - ll) / safe)
+    return np.where(span == 0.0, 50.0, 100.0 * (c[..., k - 1:] - ll) / safe)
 
 
 def _williams(h: np.ndarray, lo: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
@@ -179,7 +197,7 @@ def stochastic(highs, lows, closes, k: int = 10, d: int = 3) -> StochasticPair:
     equal to lowest low) reads as the neutral 50.
     """
     h, lo, c = _hlc(highs, lows, closes)
-    _require(len(c), k + d - 1, f"stochastic({k},{d})")
+    _require(c.shape[-1], k + d - 1, f"stochastic({k},{d})")
     pk = _percent_k(h, lo, c, k)
     return StochasticPair(percent_k=pk, percent_d=sma(pk, d))
 
@@ -195,8 +213,10 @@ def williams(highs, lows, closes, n: int = 30) -> float:
     return float(_williams(h[-n:], lo[-n:], c[-n:], n)[-1])
 
 
-def indicator_frame(
-    periods: PriceSeries,
+def indicator_block(
+    high: np.ndarray,
+    low: np.ndarray,
+    close: np.ndarray,
     *,
     macd_short: int = 12,
     macd_long: int = 26,
@@ -206,18 +226,19 @@ def indicator_frame(
     stochastic_d: int = 3,
     williams_window: int = 30,
 ) -> IndicatorFrame:
-    """Every indicator over all period bars, time-aligned: row t sees bars 0..t only.
+    """Every indicator over the bars of (T,) or (N, T) price columns, time-aligned.
 
-    Each column is NaN until its window fills (MACD from row long+trigger-2,
-    RSI from row n, %K from k-1, %D from k+d-2, Williams from n-1), so short
-    series give NaN columns rather than errors.
+    Column t sees bars 0..t only. Each column is NaN until its window fills
+    (MACD from long+trigger-2, RSI from n, %K from k-1, %D from k+d-2,
+    Williams from n-1), so short series give NaN columns rather than errors.
+    Row i of an (N, T) block equals the frame of series i alone, bit for bit.
     """
-    h, lo, c = periods.bars.high, periods.bars.low, periods.bars.close
-    rows, empty = len(c), np.empty(0)
+    h, lo, c = _hlc(high, low, close)
+    rows, empty = c.shape[-1], np.empty(0)
 
     def aligned(values: np.ndarray) -> np.ndarray:
-        out = np.full(rows, np.nan)
-        out[rows - len(values):] = values
+        out = np.full(c.shape, np.nan)
+        out[..., rows - values.shape[-1]:] = values
         return out
 
     triple = macd(c, macd_short, macd_long, macd_trigger) \
@@ -235,12 +256,21 @@ def indicator_frame(
         histogram=aligned(triple.histogram),
         rsi=aligned(_rsi_series(c, rsi_window) if rows > rsi_window else empty),
         percent_k=aligned(pk),
-        percent_d=aligned(sma(pk, stochastic_d) if len(pk) >= stochastic_d else empty),
+        percent_d=aligned(sma(pk, stochastic_d) if pk.shape[-1] >= stochastic_d else empty),
         williams=aligned(_williams(h, lo, c, williams_window)
                          if rows >= williams_window else empty),
         binding=binding,
         needed=needed,
     )
+
+
+def indicator_frame(periods: PriceSeries, **windows: int) -> IndicatorFrame:
+    """Every indicator over all period bars: the one-series indicator_block.
+
+    `windows` are indicator_block's keyword arguments.
+    """
+    bars = periods.bars
+    return indicator_block(bars.high, bars.low, bars.close, **windows)
 
 
 def snapshot(series: PriceSeries, **windows: int) -> IndicatorSnapshot:

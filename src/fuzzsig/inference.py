@@ -8,8 +8,11 @@ switch-point search and defuzzified at the centroid midpoint. Firing and
 reduction take one row or a block of rows. Every entry point evaluates rows
 through recommend_rows, BLOCK_ROWS at a time: a portfolio (recommend_block)
 has a row per symbol, and recommend_periods (signal, each backtest prefix) is
-the one-row case. The rule base, variables and footprint come from
-ResolvedConfig; a caller may pass its own rule base.
+the one-row case. A portfolio computes its snapshots as block frames, one
+indicators.indicator_block per group of series with the same number of
+periods, and normalizes them as arrays (fuzzy.normalize_rows). The rule base,
+variables and footprint come from ResolvedConfig; a caller may pass its own
+rule base.
 """
 
 from __future__ import annotations
@@ -18,14 +21,20 @@ import csv
 import functools
 import io
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
 from .config import ResolvedConfig
-from .fuzzy import FuzzifiedInputs, LinguisticVariable, grade_inputs, normalize_snapshot
-from .indicators import snapshot
+from .fuzzy import (
+    FuzzifiedInputs,
+    LinguisticVariable,
+    grade_inputs,
+    normalize_rows,
+    normalize_snapshot,
+)
+from .indicators import IndicatorSnapshot, indicator_block, snapshot
 from .market_data import PriceSeries, aggregate_periods
 
 
@@ -381,13 +390,6 @@ def recommend_rows(
     return results
 
 
-def _normalized(periods: PriceSeries, cfg: ResolvedConfig) -> dict[str, float]:
-    """The snapshot of the period bars, mapped onto the input variables' domains."""
-    snap = _stage("indicators", snapshot, periods, **cfg.indicator_windows)
-    return _stage("fuzzification", normalize_snapshot, snap,
-                  divisor=cfg.divisor, histogram_gain=cfg.histogram_gain)
-
-
 def recommend_periods(
     periods: PriceSeries,
     config: ResolvedConfig | None = None,
@@ -400,7 +402,9 @@ def recommend_periods(
     ConfigError, not PipelineError.
     """
     cfg = config if config is not None else ResolvedConfig()
-    normalized = _normalized(periods, cfg)
+    snap = _stage("indicators", snapshot, periods, **cfg.indicator_windows)
+    normalized = _stage("fuzzification", normalize_snapshot, snap,
+                        divisor=cfg.divisor, histogram_gain=cfg.histogram_gain)
     variables = cfg.build_variables()
     if rule_base is None:
         rule_base = cfg.build_rule_base()
@@ -430,25 +434,52 @@ def recommend_block(
     """recommend on every series, with its failure in place of a failed row.
 
     The variables, and the rule base unless given, are built once from the
-    config. Aggregation, the snapshot and its normalization run per series;
-    one recommend_rows call evaluates the surviving rows. Each row equals
-    recommend(series, cfg, rule_base) bit for bit.
+    config. Each series is aggregated on its own; the series with the same
+    number of periods then share one indicator_block, whose last column is
+    their snapshot. The snapshots are normalized as one array (normalize_rows)
+    and one recommend_rows call evaluates the surviving rows in input order.
+    Each row equals recommend(series, cfg, rule_base) bit for bit, its stage
+    note included.
     """
     variables = cfg.build_variables()
     if rule_base is None:
         rule_base = cfg.build_rule_base()
     results: list[Recommendation | PipelineError | None] = [None] * len(series_list)
-    live, rows = [], []
+    groups: dict[int, list[tuple[int, PriceSeries]]] = {}
     for i, series in enumerate(series_list):
         try:
             periods = _stage("aggregation", aggregate_periods, series, cfg.days_per_period)
-            rows.append(_normalized(periods, cfg))
-            live.append(i)
         except PipelineError as exc:
             results[i] = exc
-    normalized = {name: np.array([x[name] for x in rows]) for name in ANTECEDENT_VARIABLES}
+            continue
+        groups.setdefault(len(periods.bars), []).append((i, periods))
+    index, snaps = [], []
+    for length, members in groups.items():
+        h, lo, c = (np.stack([getattr(p.bars, name) for _, p in members])
+                    for name in ("high", "low", "close"))
+        try:
+            frame = _stage("indicators", indicator_block, h, lo, c, **cfg.indicator_windows)
+            snaps.append(_stage("indicators", frame.row, length - 1))
+        except PipelineError as exc:
+            for i, _ in members:
+                results[i] = exc
+            continue
+        index += [i for i, _ in members]
+    if not snaps:
+        return results
+    live, order = sorted(index), np.argsort(index)
+    snap = IndicatorSnapshot(*(np.concatenate([getattr(s, field.name) for s in snaps])[order]
+                               for field in fields(IndicatorSnapshot)))
+    normalized, faults = normalize_rows(snap, divisor=cfg.divisor,
+                                        histogram_gain=cfg.histogram_gain)
+    ok = np.ones(len(live), dtype=bool)
+    for j, exc in faults.items():
+        results[live[j]] = PipelineError("fuzzification", exc)
+        ok[j] = False
+    live = [i for i, good in zip(live, ok.tolist()) if good]
+    rows = {name: x[ok] for name, x in normalized.items()}
     symbols = [series_list[i].symbol for i in live]
-    for i, result in zip(live, recommend_rows(symbols, normalized, cfg, rule_base, variables)):
+    for i, result in zip(live, recommend_rows(symbols, rows, cfg, rule_base, variables)):
         results[i] = result
     return results
 

@@ -327,7 +327,8 @@ def aggregate_periods(series: PriceSeries, days_per_period: int = 15) -> PriceSe
 
     Open is the first open, high the max high, low the min low, close the last
     close, volume the sum, date the last date. A trailing partial chunk is
-    dropped; "days" count trading rows, not calendar days.
+    dropped; "days" count trading rows, not calendar days. One-bar periods
+    are the bars themselves, so `series` is returned as it is.
     """
     if days_per_period < 1:
         raise MarketDataError(f"days_per_period must be >= 1, got {days_per_period}")
@@ -337,6 +338,8 @@ def aggregate_periods(series: PriceSeries, days_per_period: int = 15) -> PriceSe
         raise MarketDataError(
             f"{series.symbol}: {len(bars)} bars is shorter than one {d}-bar period"
         )
+    if d == 1:
+        return series
     m = n * d
 
     def chunks(column: np.ndarray) -> np.ndarray:

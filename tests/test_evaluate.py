@@ -125,6 +125,34 @@ class TestRunPortfolio:
                 mid = n // 2 if n < BLOCK_ROWS else 40
                 symbols[mid] = PriceSeries(symbols[mid].symbol, symbols[mid].bars[:30])
             assert _rows(run_portfolio(symbols, cfg)) == [_recommended(s, cfg) for s in symbols]
+        # a ragged basket: one indicator block per period count, its rows
+        # interleaved across the block boundary, plus one series exactly as long
+        # as the snapshot needs (35), one too short and one failing aggregation
+        ragged = portfolio_fixture(seed=37, symbols=130, periods=60, days_per_period=1)
+        ragged = [PriceSeries(s.symbol, s.bars[:(38, 45, 60)[i % 3]])
+                  for i, s in enumerate(ragged)]
+        ragged[62] = PriceSeries(ragged[62].symbol, ragged[62].bars[:35])
+        ragged[63] = PriceSeries(ragged[63].symbol, ragged[63].bars[:34])
+        ragged[64] = PriceSeries(ragged[64].symbol, ())
+        rows = _rows(run_portfolio(ragged, cfg))
+        assert rows == [_recommended(s, cfg) for s in ragged]
+        assert rows[62][0] is not None
+        assert rows[63][2].startswith("indicators: snapshot needs at least 35 period bars")
+        assert rows[64][2].startswith("aggregation: ")
+
+    def test_out_of_range_williams_note_matches_the_one_symbol_note(self):
+        # a close above the trailing high (a bar no CSV passes) puts %K above
+        # 100 and Williams above 0; the block row keeps the one-symbol note
+        basket = portfolio_fixture(seed=41, symbols=3, periods=60, days_per_period=1)
+        bars = list(basket[1].bars)
+        bars[-1] = dataclasses.replace(bars[-1], close=max(b.high for b in bars[-30:]) * 1.001)
+        basket[1] = PriceSeries(basket[1].symbol, bars)
+        cfg = ResolvedConfig(days_per_period=1)
+        rows = _rows(run_portfolio(basket, cfg))
+        assert rows == [_recommended(s, cfg) for s in basket]
+        prefix = "fuzzification: Williams value out of range [-100, 0]: "
+        assert rows[1][2].startswith(prefix) and float(rows[1][2][len(prefix):]) > 0.0
+        assert rows[0][0] is not None and rows[2][0] is not None
 
     @pytest.mark.parametrize("delta", [0.0, 0.05])
     def test_rows_without_a_fired_rule_fail_alone(self, delta):

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,9 +16,10 @@ from fuzzsig.fuzzy import (
     Triangular,
     default_variables,
     fuzzify,
+    normalize_rows,
     normalize_snapshot,
 )
-from fuzzsig.indicators import snapshot
+from fuzzsig.indicators import IndicatorSnapshot, snapshot
 from fuzzsig.market_data import aggregate_periods
 
 from oracles import swept_mf_bounds
@@ -245,3 +249,59 @@ class TestFuzzify:
         assert normalized["so"] == 0.5
         assert normalized["rsi"] == pytest.approx(50.0 / 89.0, rel=1e-12)
         assert normalized["wa"] == pytest.approx(50.0 / 89.0, rel=1e-12)
+
+
+def block_snapshot(**columns):
+    """A block snapshot: the flat snapshot's values, with the given columns replaced."""
+    n = len(next(iter(columns.values())))
+    base = {name: np.full(n, value)
+            for name, value in dataclasses.asdict(flat_snapshot()).items()}
+    return IndicatorSnapshot(**{**base, **{k: np.asarray(v, dtype=float)
+                                           for k, v in columns.items()}})
+
+
+def one_row(block, i):
+    return IndicatorSnapshot(*(float(x[i]) for x in dataclasses.astuple(block)))
+
+
+class TestNormalizeRows:
+    def test_rows_equal_normalize_snapshot_and_faults_keep_its_notes(self):
+        # RSI is checked before Williams, and a zero close fails the MACD ratio first
+        block = block_snapshot(
+            histogram=[0.3, -0.2, 0.1, 0.0, 0.4, 0.5],
+            close=[10.0, 12.0, 9.0, 0.0, 11.0, 8.0],
+            rsi=[55.0, 101.0, 40.0, 50.0, -1.0, 60.0],
+            williams=[-20.0, -30.0, 0.25, -40.0, 3.0, -100.0],
+        )
+        normalized, faults = normalize_rows(block, divisor=89.0, histogram_gain=50.0)
+        assert sorted(faults) == [1, 2, 3, 4]
+        for i in range(6):
+            snap = one_row(block, i)
+            if i not in faults:
+                want = normalize_snapshot(snap, divisor=89.0, histogram_gain=50.0)
+                assert {k: x[i].hex() for k, x in normalized.items()} == \
+                    {k: v.hex() for k, v in want.items()}
+                continue
+            with pytest.raises(type(faults[i])) as caught:
+                normalize_snapshot(snap, divisor=89.0, histogram_gain=50.0)
+            assert str(caught.value) == str(faults[i])
+        assert str(faults[1]) == "RSI out of range [0, 100]: 101.0"
+        assert str(faults[2]) == "Williams value out of range [-100, 0]: 0.25"
+        assert str(faults[3]) == "float division by zero"
+        assert str(faults[4]) == "RSI out of range [0, 100]: -1.0"
+
+    def test_bad_divisor_fails_every_row_with_its_note(self):
+        block = block_snapshot(rsi=[20.0, 200.0])
+        _, faults = normalize_rows(block, divisor=0.0)
+        assert [str(faults[i]) for i in (0, 1)] == [
+            "divisor must be positive, got 0.0", "RSI out of range [0, 100]: 200.0"]
+
+    def test_macd_input_is_math_tanh_per_element(self):
+        x = np.random.default_rng(11).uniform(-4.0, 4.0, 20_000)
+        want = [math.tanh(v) for v in x.tolist()]
+        if all(a == b for a, b in zip(np.tanh(x).tolist(), want)):
+            pytest.skip("np.tanh equals math.tanh on every sampled input on this CPU")
+        normalized, faults = normalize_rows(
+            block_snapshot(histogram=x, close=np.ones_like(x)), histogram_gain=1.0)
+        assert not faults
+        assert [v.hex() for v in normalized["macd"].tolist()] == [v.hex() for v in want]

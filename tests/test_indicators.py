@@ -3,13 +3,14 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzsig.fixtures import flat_series, random_walk_series
 from fuzzsig.indicators import (
     InsufficientHistoryError,
     ema,
+    indicator_block,
     indicator_frame,
     macd,
     rsi,
@@ -337,3 +338,71 @@ class TestIndicatorFrame:
         assert np.all(np.isnan(frame.macd_line))
         with pytest.raises(InsufficientHistoryError, match="MACD"):
             frame.row(n_periods - 1)
+
+
+FRAME_COLUMNS = ("close", "macd_line", "signal_line", "histogram", "rsi",
+                 "percent_k", "percent_d", "williams")
+
+
+@st.composite
+def window_settings(draw):
+    short = draw(st.integers(1, 14))
+    return {
+        "macd_short": short,
+        "macd_long": draw(st.integers(short + 1, 30)),
+        "macd_trigger": draw(st.integers(1, 12)),
+        "rsi_window": draw(st.integers(1, 30)),
+        "stochastic_k": draw(st.integers(1, 15)),
+        "stochastic_d": draw(st.integers(1, 5)),
+        "williams_window": draw(st.integers(1, 40)),
+    }
+
+
+class TestIndicatorBlock:
+    @given(
+        seed=st.integers(0, 10_000),
+        groups=st.lists(st.tuples(st.integers(0, 60), st.integers(1, 4)), min_size=1, max_size=4),
+        days_per_period=st.integers(1, 4),
+        windows=st.one_of(st.just({}), window_settings()),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_rows_equal_one_series_frames_bit_for_bit(
+        self, seed, groups, days_per_period, windows
+    ):
+        # ragged groups (one block per period count), series shorter than every
+        # window, and strided close columns when days_per_period > 1
+        for g, (length, members) in enumerate(groups):
+            basket = [
+                PriceSeries("S", aggregate_periods(random_walk_series(
+                    "S", seed=seed + 100 * g + i, periods=61,
+                    days_per_period=days_per_period), days_per_period).bars[:length])
+                for i in range(members)
+            ]
+            block = indicator_block(*(np.stack([getattr(s.bars, name) for s in basket])
+                                      for name in ("high", "low", "close")), **windows)
+            for i, series in enumerate(basket):
+                frame = indicator_frame(series, **windows)
+                assert (block.binding, block.needed) == (frame.binding, frame.needed)
+                for name in FRAME_COLUMNS:
+                    # NaN positions included: compare the raw float64 bits
+                    got, want = getattr(block, name)[i], getattr(frame, name)
+                    assert got.tobytes() == want.tobytes(), name
+
+    def test_ema_block_feeds_windows_in_the_one_series_order(self):
+        # MACD's signal line averages an EMA output; values using every mantissa
+        # bit make the sum depend on the order the window adds them in
+        block = np.random.default_rng(3).random((5, 80)) * 100.0
+        smoothed = sma(ema(block, 12), 9)
+        for i in range(5):
+            assert smoothed[i].tobytes() == sma(ema(block[i], 12), 9).tobytes()
+
+    def test_block_row_is_the_stack_of_one_series_snapshots(self):
+        basket = [period_series(40, seed=s) for s in range(3)]
+        block = indicator_block(*(np.stack([getattr(s.bars, name) for s in basket])
+                                  for name in ("high", "low", "close")))
+        rows = block.row(39)
+        for i, series in enumerate(basket):
+            want = snapshot(series)
+            assert [x[i].hex() for x in dataclasses.astuple(rows)] == bits(want)
+        with pytest.raises(InsufficientHistoryError, match="got 34$"):
+            block.row(33)

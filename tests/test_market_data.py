@@ -352,6 +352,16 @@ class TestAggregatePeriods:
         series = make_series(30)
         assert aggregate_periods(series, 1) == series
 
+    def test_one_day_periods_return_the_series_itself(self):
+        series = random_walk_series("S", seed=6, periods=40, days_per_period=1)
+        out = aggregate_periods(series, 1)
+        assert out is series
+        assert list(out.bars) == list(series.bars)
+        with pytest.raises(MarketDataError, match="^E: 0 bars is shorter than one 1-bar period$"):
+            aggregate_periods(PriceSeries("E", ()), 1)
+        with pytest.raises(MarketDataError, match="^days_per_period must be >= 1, got 0$"):
+            aggregate_periods(series, 0)
+
     def test_780_daily_bars_make_52_periods(self):
         series = random_walk_series("S", seed=5, periods=52, days_per_period=15)
         assert len(series.bars) == 780
