@@ -3,6 +3,21 @@
 A PriceSeries stores its bars as columns (Bars): a tuple of dates and one
 read-only float64 array per price and for the volume. PriceBar objects are
 built only when a caller indexes or iterates the bars.
+
+parse_csv tokenizes its input with np.loadtxt, _TEXT_CHUNK characters at a
+time, cut after a line end. It takes that path only when all of these hold;
+otherwise the csv module reads the input. Both paths give the same series,
+and every error comes from the csv-module path, which names the first faulty
+row:
+
+- the header line is exactly `symbol,date,open,high,low,close,volume`;
+- the input holds no '"', NUL or \\x1c-\\x1f, and any '\\r' is part of '\\r\\n';
+- every line fits in a chunk (so no field exceeds csv.field_size_limit());
+- np.loadtxt accepts every record: seven fields, five of them floats;
+- every symbol cell has fewer than 16 characters and is not blank after
+  str.strip, and every date cell is exactly 10 characters and a valid
+  YYYY-MM-DD date;
+- every bar passes the bar checks and no (symbol, date) pair repeats.
 """
 
 from __future__ import annotations
@@ -180,17 +195,131 @@ def _iso_date(cell: str) -> date:
     return date.fromisoformat(text)
 
 
-# CSV records parse_csv converts at a time: enough to amortize each numpy call,
-# few enough that one chunk's cells stay small next to the parsed columns.
+# CSV records the csv-module parser converts at a time: enough to amortize each
+# numpy call, few enough that one chunk's cells stay small next to the columns.
 _CHUNK_ROWS = 1024
+# Characters of CSV text per np.loadtxt call, and so the longest line the
+# loadtxt path takes. It equals the csv module's default field size limit, so
+# no field the loadtxt path reads is one the csv-module parser would reject; a
+# lower limit set with csv.field_size_limit shortens the chunks to match.
+_TEXT_CHUNK = 1 << 17
+_HEADER_LINE = ",".join(CSV_HEADER)
+# Characters np.loadtxt reads unlike the csv module or float(): '"' quotes to
+# csv; a U cell drops a trailing NUL; csv ends a line at a lone '\r'; numpy's
+# float parser skips \x1c-\x1f as whitespace, float() does not.
+_NOT_LOADTXT = '"\x00\r\x1c\x1d\x1e\x1f'
+# The loadtxt record: a symbol cell shorter than 16 characters, a date cell of
+# 10 (the 11th character shows a longer cell), and the five floats.
+_SYMBOL_WIDTH = 16
+_RECORD = np.dtype([("symbol", f"U{_SYMBOL_WIDTH}"), ("date", "U11"),
+                    ("values", np.float64, (len(_COLUMNS),))])
 
 
-def _chunk_columns(rows: list[list[str]], codes: dict[str, int], days: dict[str, date]):
-    """(dates, symbol codes, date ordinals, open..volume) of non-blank records.
+def _bars_ok(o, h, lo, c, v) -> bool:
+    """Whether every bar passes _bar_problems, checked on whole columns."""
+    # the chained test accepts exactly the bars _bar_problems accepts (NaN fails it)
+    return bool(((0.0 < lo) & (lo <= o) & (o <= h) & (h < np.inf) & (lo <= c) & (c <= h)
+                 & (0.0 <= v) & (v < np.inf)).all())
+
+
+def _series(chunks: list[tuple[np.ndarray, ...]], codes: dict[str, int],
+            days: dict[str, int]) -> list[PriceSeries] | None:
+    """Per-symbol series from (symbol code, date ordinal, open..volume) chunks.
+
+    Rows are grouped by symbol code and sorted by date; None if two rows share
+    a symbol and a date. `days` maps date cells to the ordinals the chunks hold.
+    """
+    if not chunks:
+        return []
+    code, ordinal, *columns = map(np.concatenate, zip(*chunks))
+    order = np.lexsort((ordinal, code))  # stable: by symbol code, then by date
+    code, ordinal = code[order], ordinal[order]
+    if ((code[1:] == code[:-1]) & (ordinal[1:] == ordinal[:-1])).any():
+        return None
+    columns = [column[order] for column in columns]
+    day_of = {n: date.fromordinal(n) for n in set(days.values())}
+    dates = list(map(day_of.__getitem__, ordinal.tolist()))
+    edges = [0, *(np.flatnonzero(code[1:] != code[:-1]) + 1).tolist(), len(code)]
+    return [PriceSeries(symbol, Bars(tuple(dates[a:b]), *(column[a:b] for column in columns)))
+            for symbol, a, b in zip(codes, edges, edges[1:])]
+
+
+def _loadtxt_chunk(text: str, codes: dict[str, int], days: dict[str, int]):
+    """(symbol codes, date ordinals, open..volume) of the records in `text`, or None.
+
+    `text` is whole lines. None if it holds a character of _NOT_LOADTXT (a
+    '\\r\\n' line end aside), np.loadtxt rejects it, or a cell fails a check
+    the csv-module parser makes.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if any(char in text for char in _NOT_LOADTXT):
+        return None
+    if not text.lstrip("\n"):  # blank lines only; loadtxt would warn
+        return np.empty(0, np.int64), np.empty(0, np.int64), *np.empty((len(_COLUMNS), 0))
+    try:
+        table = np.loadtxt(io.StringIO(text), dtype=_RECORD, delimiter=",", comments=None,
+                           quotechar=None, ndmin=1)
+    except ValueError:  # a wrong field count, or a value np.loadtxt does not take
+        return None
+    symbol, day = table["symbol"], table["date"]
+    values = table["values"].T.copy()
+    if not ((np.strings.str_len(symbol) < _SYMBOL_WIDTH).all()
+            and (np.strings.str_len(day) == 10).all() and _bars_ok(*values)):
+        return None
+    # symbols come in runs; each run's first cell stands for the run
+    starts = np.flatnonzero(np.concatenate(([True], symbol[1:] != symbol[:-1])))
+    run_cells = symbol[starts].tolist()
+    cell_code = {}
+    for cell in dict.fromkeys(run_cells):  # in order of first appearance
+        name = cell.strip()
+        if not name:
+            return None
+        cell_code[cell] = codes.setdefault(name, len(codes))
+    run_code = np.fromiter(map(cell_code.__getitem__, run_cells), np.int64, len(run_cells))
+    cells = day.tolist()
+    try:
+        for cell in set(cells).difference(days):
+            days[cell] = _iso_date(cell).toordinal()
+    except ValueError:
+        return None
+    return (np.repeat(run_code, np.diff(starts, append=len(symbol))),
+            np.fromiter(map(days.__getitem__, cells), np.int64, len(cells)), *values)
+
+
+def _loadtxt_series(data: str) -> list[PriceSeries] | None:
+    """parse_csv's result for `data`, tokenized by np.loadtxt; None to use the csv module.
+
+    `data` is read _TEXT_CHUNK characters at a time, cut after a '\\n'. None
+    unless the header is exact, every line fits in a chunk and every chunk
+    passes _loadtxt_chunk, and no (symbol, date) pair repeats.
+    """
+    start = data.find("\n") + 1 or len(data)
+    if data[:start] not in (_HEADER_LINE, _HEADER_LINE + "\n", _HEADER_LINE + "\r\n"):
+        return None
+    limit = min(_TEXT_CHUNK, csv.field_size_limit())
+    codes: dict[str, int] = {}
+    days: dict[str, int] = {}
+    chunks = []
+    while start < len(data):
+        end = (len(data) if len(data) - start <= limit
+               else data.rfind("\n", start, start + limit) + 1)
+        if end <= start:  # a line longer than the chunk
+            return None
+        chunk = _loadtxt_chunk(data[start:end], codes, days)
+        if chunk is None:
+            return None
+        chunks.append(chunk)
+        start = end
+    return _series(chunks, codes, days)
+
+
+def _chunk_columns(rows: list[list[str]], codes: dict[str, int], days: dict[str, int]):
+    """(symbol codes, date ordinals, open..volume) of non-blank records.
 
     None if any record fails a check; _first_fault then names the row. Symbols
-    get codes in order of first appearance; `days` keeps every date cell parsed
-    so far, so each distinct cell of the input is parsed once.
+    get codes in order of first appearance; `days` keeps the ordinal of every
+    date cell parsed so far, so each distinct cell of the input is parsed once.
     """
     width = len(CSV_HEADER)
     if not set(map(len, rows)) <= {width}:
@@ -202,21 +331,18 @@ def _chunk_columns(rows: list[list[str]], codes: dict[str, int], days: dict[str,
     date_cells = cells[1::width]
     try:
         for cell in set(date_cells).difference(days):
-            days[cell] = _iso_date(cell)
+            days[cell] = _iso_date(cell).toordinal()
         o, h, lo, c, v = (np.fromiter(map(float, cells[k::width]), np.float64, len(rows))
                           for k in range(2, width))
     except ValueError:
         return None
-    # the chained test accepts exactly the bars _bar_problems accepts (NaN fails it)
-    if not ((0.0 < lo) & (lo <= o) & (o <= h) & (h < np.inf) & (lo <= c) & (c <= h)
-            & (0.0 <= v) & (v < np.inf)).all():
+    if not _bars_ok(o, h, lo, c, v):
         return None
     for symbol in dict.fromkeys(symbols):
         codes.setdefault(symbol, len(codes))
-    dates = list(map(days.__getitem__, date_cells))
     code = np.fromiter(map(codes.__getitem__, symbols), np.int64, len(rows))
-    ordinal = np.fromiter(map(date.toordinal, dates), np.int64, len(rows))
-    return dates, code, ordinal, o, h, lo, c, v
+    ordinal = np.fromiter(map(days.__getitem__, date_cells), np.int64, len(rows))
+    return code, ordinal, o, h, lo, c, v
 
 
 def _first_fault(data: str) -> MarketDataError:
@@ -253,21 +379,8 @@ def _first_fault(data: str) -> MarketDataError:
     raise RuntimeError("parse_csv: the column checks rejected rows the row checks accept")
 
 
-def parse_csv(stream) -> list[PriceSeries]:
-    """Parse `symbol,date,open,high,low,close,volume` rows into per-symbol series.
-
-    Accepts bytes, str, or a file object. Rows are grouped by symbol (in order of
-    first appearance) and sorted by date. Every bar is checked on the way in;
-    errors name the offending row (the header is row 1). Records are converted
-    _CHUNK_ROWS at a time into columns; any fault sends the input to
-    _first_fault, which words the error for the earliest faulty row.
-    """
-    data = stream.read() if hasattr(stream, "read") else stream
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MarketDataError(f"input is not UTF-8 text: {exc}") from None
+def _csv_series(data: str) -> list[PriceSeries]:
+    """parse_csv's result for `data`, read with the csv module; raises on any fault."""
     reader = csv.reader(io.StringIO(data))
     try:
         header = next(reader)
@@ -280,30 +393,42 @@ def parse_csv(stream) -> list[PriceSeries]:
             f"bad header: expected {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
         )
     codes: dict[str, int] = {}
-    days: dict[str, date] = {}
-    dates: list[date] = []
-    chunks: list[tuple[np.ndarray, ...]] = []
+    days: dict[str, int] = {}
+    chunks = []
     try:
         while records := list(islice(reader, _CHUNK_ROWS)):
             chunk = _chunk_columns(list(filter(None, records)), codes, days)
             if chunk is None:
                 raise _first_fault(data)
-            dates += chunk[0]
-            chunks.append(chunk[1:])
+            chunks.append(chunk)
     except csv.Error:
         raise _first_fault(data) from None
-    if not dates:
-        return []
-    code, ordinal, *columns = map(np.concatenate, zip(*chunks))
-    order = np.lexsort((ordinal, code))  # stable: by symbol code, then by date
-    code, ordinal = code[order], ordinal[order]
-    if ((code[1:] == code[:-1]) & (ordinal[1:] == ordinal[:-1])).any():
+    series = _series(chunks, codes, days)
+    if series is None:
         raise _first_fault(data)
-    columns = [column[order] for column in columns]
-    dates = list(map(dates.__getitem__, order.tolist()))
-    edges = [0, *(np.flatnonzero(code[1:] != code[:-1]) + 1).tolist(), len(code)]
-    return [PriceSeries(symbol, Bars(tuple(dates[a:b]), *(column[a:b] for column in columns)))
-            for symbol, a, b in zip(codes, edges, edges[1:])]
+    return series
+
+
+def parse_csv(stream) -> list[PriceSeries]:
+    """Parse `symbol,date,open,high,low,close,volume` rows into per-symbol series.
+
+    Accepts bytes, str, or a file object; one leading byte-order mark is
+    dropped. Rows are grouped by symbol (in order of first appearance) and
+    sorted by date. Every bar is checked on the way in; errors name the
+    offending row (the header is row 1). np.loadtxt tokenizes the input when
+    it can (_loadtxt_series); otherwise, and whenever a check fails, the
+    csv-module parser reads it and _first_fault words the error for the
+    earliest faulty row.
+    """
+    data = stream.read() if hasattr(stream, "read") else stream
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MarketDataError(f"input is not UTF-8 text: {exc}") from None
+    data = data.removeprefix("\ufeff")
+    series = _loadtxt_series(data)
+    return _csv_series(data) if series is None else series
 
 
 def _fmt(x: float) -> str:

@@ -2,16 +2,19 @@ import dataclasses
 import io
 import random
 from datetime import date, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fuzzsig.market_data as market_data
 from fuzzsig.fixtures import portfolio_fixture, random_walk_series
 from fuzzsig.indicators import indicator_frame
 from fuzzsig.market_data import (
     _CHUNK_ROWS,
+    CSV_HEADER,
     Bars,
     MarketDataError,
     PriceBar,
@@ -269,6 +272,153 @@ class TestParseErrorParity:
 
 def hexes(bars):
     return [(b.date, *map(float.hex, (b.open, b.high, b.low, b.close, b.volume))) for b in bars]
+
+
+def outcome(data):
+    """parse_csv's series as exact bits, or its MarketDataError text."""
+    try:
+        return [(s.symbol, s.bars.date, *(column.tobytes() for column in s.bars.columns()))
+                for s in parse_csv(data)]
+    except MarketDataError as exc:
+        return str(exc)
+
+
+def csv_module_outcome(data):
+    """outcome() with the np.loadtxt path switched off."""
+    with mock.patch.object(market_data, "_loadtxt_series", lambda data: None):
+        return outcome(data)
+
+
+def _no_csv_module(*args):
+    raise AssertionError("the csv-module parser ran")
+
+
+_PADS = [" ", "\t", "\x0b", "\x1c", "\x1f", "\x85", "\xa0", "\u2003", "\u200b"]
+
+
+def _odd_cells(column, cell):
+    """Other spellings of `cell` in `column`, and cells that are wrong there."""
+    if column == 0:
+        return [f" {cell}", "", "  ", "A" * 15, "B" * 16, "C" * 17, "\xc4", "株" * 3, "A\x00",
+                "A B", '"A"', "#A"]
+    if column == 1:
+        return [f" {cell}", f"{cell} ", f"{cell}0", f"{cell} x", "2020-02-30", "20200101",
+                "2020-1-01", "\x002020-01-0"]
+    return [f"+{cell}", f"{cell}e0", f"{cell}.0", f"{cell[0]}_{cell[1:]}", "1_000", "nan", "inf",
+            "-0", ".5", "5.", "1e5", "0x1p3", "1e400", "1e-400", "\u0661\u0662", "", "  ", "1 0",
+            "\x00", '"7"']
+
+
+@st.composite
+def hazard_documents(draw):
+    """A valid OHLCV CSV with up to three hazards: odd cells, lines and line ends."""
+    lines = [",".join(CSV_HEADER)]
+    for i in range(draw(st.integers(0, 60))):
+        day = (date(2020, 1, 1) + timedelta(days=i)).isoformat()
+        lines.append(",".join((draw(st.sampled_from("AB")), day, "10", "11", "9", "10.5", "100")))
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["cell", "pad", "line", "end", "header"] if i else ["header"]))
+        if kind == "header":
+            lines[0] = draw(st.sampled_from([f" {lines[0]}", f"\ufeff{lines[0]}",
+                                             f'"symbol"{lines[0][6:]}']))
+        elif kind == "line":  # a blank or repeated line
+            lines.insert(i, draw(st.sampled_from(["", " ", "\t", "\u3000", *lines])))
+            ends.insert(i, "\n")
+        elif kind == "end":
+            ends[i] = "\r"
+        else:
+            cells = lines[i].split(",")
+            k = draw(st.integers(0, len(cells) - 1))
+            cells[k] = (draw(st.sampled_from(_odd_cells(k, cells[k]))) if kind == "cell"
+                        else draw(st.sampled_from(_PADS)) + cells[k]
+                        + draw(st.sampled_from(["", *_PADS])))
+            lines[i] = ",".join(cells)
+    if draw(st.booleans()):
+        ends[-1] = ""  # no final newline
+    return "".join(map(str.__add__, lines, ends))
+
+
+class TestLoadtxtPath:
+    @settings(max_examples=200)
+    @given(text=hazard_documents(), chunk=st.sampled_from([64, 128, market_data._TEXT_CHUNK]),
+           as_bytes=st.booleans())
+    def test_matches_the_csv_module_parser(self, text, chunk, as_bytes):
+        data = text.encode() if as_bytes else text
+        with mock.patch.object(market_data, "_TEXT_CHUNK", chunk):
+            assert outcome(data) == csv_module_outcome(data)
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n\r\n\n"])
+    def test_blank_bodies_give_no_series_and_no_warning(self, body):
+        assert parse_csv(HEADER + body) == []
+
+    def test_each_odd_cell_alone_matches_the_csv_module_parser(self):
+        lines = [HEADER.strip(), *good_rows(3)]
+        cells = lines[2].split(",")
+        for k, cell in enumerate(cells):
+            pads = [f"{pad}{cell}{pad}" for pad in _PADS]
+            for odd in [*_odd_cells(k, cell), *pads]:
+                row = ",".join([*cells[:k], odd, *cells[k + 1:]])
+                text = "\n".join([*lines[:2], row, *lines[3:]]) + "\n"
+                assert outcome(text) == csv_module_outcome(text), (k, odd)
+
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+    def test_is_taken_for_serialized_fixtures(self, monkeypatch, line_end):
+        basket = portfolio_fixture(seed=5, symbols=3, periods=20)
+        data = serialize_csv(basket).replace(b"\n", line_end.encode())
+        monkeypatch.setattr(market_data, "_chunk_columns", _no_csv_module)
+        parsed = parse_csv(data)
+        assert [s.symbol for s in parsed] == [s.symbol for s in basket]
+        for got, series in zip(parsed, basket):
+            assert hexes(got.bars) == hexes(series.bars)
+
+    def test_several_chunks_with_a_symbol_across_a_cut(self, monkeypatch):
+        basket = portfolio_fixture(seed=9, symbols=8, periods=52)
+        text = serialize_csv(basket).decode()
+        assert len(text) > 2 * market_data._TEXT_CHUNK
+        body = text.index("\n") + 1
+        cut = text.rfind("\n", body, body + market_data._TEXT_CHUNK)  # the first chunk's end
+        last_line, next_line = text[:cut].rsplit("\n", 1)[1], text[cut + 1:]
+        assert last_line.split(",")[0] == next_line.split(",")[0]
+        expected = csv_module_outcome(text)
+        monkeypatch.setattr(market_data, "_chunk_columns", _no_csv_module)
+        assert outcome(text) == expected
+
+    @pytest.mark.parametrize("fault", ["duplicate", "bad_cell", "long_line", "lone_cr"])
+    def test_faults_in_a_later_chunk_get_the_csv_module_error(self, fault):
+        basket = portfolio_fixture(seed=9, symbols=8, periods=52)
+        header, *rows = serialize_csv(basket).decode().splitlines()
+        if fault == "duplicate":
+            rows.append(rows[100])
+        elif fault == "bad_cell":
+            rows[-10] = rows[-10].replace(",", ",1_0x", 1)
+        elif fault == "long_line":
+            rows[-10] += " " * market_data._TEXT_CHUNK
+        else:
+            rows[-10] = rows[-10].replace(",", "\r,", 1)
+        text = "\n".join([header, *rows]) + "\n"
+        expected = csv_module_outcome(text)
+        assert isinstance(expected, str)
+        assert outcome(text) == expected
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("encode", [str.encode, str])
+    def test_one_leading_mark_is_dropped(self, encode):
+        text = HEADER + "X,2020-01-01,10,11,9,10,0\n"
+        assert parse_csv(encode("\ufeff" + text)) == parse_csv(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("\ufeff\ufeff" + HEADER, "bad header"),
+        (" \ufeff" + HEADER, "bad header"),
+        (HEADER + "X,\ufeff2020-01-01,10,11,9,10,0\n", "row 2: bad ISO date"),
+        (HEADER + "X,2020-01-01,\ufeff10,11,9,10,0\n", "row 2: non-numeric"),
+    ])
+    def test_a_mark_anywhere_else_is_an_error(self, text, message):
+        for data in (text, text.encode()):
+            with pytest.raises(MarketDataError, match=message):
+                parse_csv(data)
 
 
 class TestColumns:
