@@ -2,7 +2,8 @@
 
 The published evaluation data is not redistributable, so golden files are
 produced from these generators instead; everything here is reproducible from a
-seed alone.
+seed alone. Each generator builds its five price and volume columns as lists
+and hands them to Bars, with no PriceBar per day.
 """
 
 from __future__ import annotations
@@ -10,14 +11,14 @@ from __future__ import annotations
 import random
 from datetime import date, timedelta
 
-from .market_data import PriceBar, PriceSeries
+from .market_data import Bars, PriceSeries
 
 FIXTURE_START = date(2017, 1, 3)
 DEFAULT_SEED = 2017
 
 
-def _dates(count: int) -> list[date]:
-    return [FIXTURE_START + timedelta(days=i) for i in range(count)]
+def _dates(count: int) -> tuple[date, ...]:
+    return tuple(FIXTURE_START + timedelta(days=i) for i in range(count))
 
 
 def flat_series(
@@ -28,10 +29,8 @@ def flat_series(
 ) -> PriceSeries:
     """Constant price, zero range: every pipeline layer sits at its neutral point."""
     days = _dates(periods * days_per_period)
-    bars = tuple(
-        PriceBar(day, price, price, price, price, 1000.0) for day in days
-    )
-    return PriceSeries(symbol, bars)
+    prices = [price] * len(days)
+    return PriceSeries(symbol, Bars(days, prices, prices, prices, prices, [1000.0] * len(days)))
 
 
 def trending_series(
@@ -52,18 +51,18 @@ def trending_series(
     the stochastic off its pinned extremes during a sustained trend.
     """
     total = periods * days_per_period
-    days = _dates(total)
-    bars = []
+    opens, highs, lows, closes = [], [], [], []
     prev_close = start_price
-    for i, day in enumerate(days):
+    for i in range(total):
         frac = (i + 1) / total
         close = start_price * (1.0 + total_change * frac * frac)
         open_ = prev_close if i else close
-        high = max(open_, close) * (1.0 + wick_up)
-        low = min(open_, close) * (1.0 - wick_down)
-        bars.append(PriceBar(day, open_, high, low, close, 1000.0))
+        opens.append(open_)
+        highs.append(max(open_, close) * (1.0 + wick_up))
+        lows.append(min(open_, close) * (1.0 - wick_down))
+        closes.append(close)
         prev_close = close
-    return PriceSeries(symbol, tuple(bars))
+    return PriceSeries(symbol, Bars(_dates(total), opens, highs, lows, closes, [1000.0] * total))
 
 
 def uptrend_series(symbol: str = "UP", periods: int = 52, days_per_period: int = 15) -> PriceSeries:
@@ -93,21 +92,22 @@ def random_walk_series(
     leg_length = max(total_days // legs, 1)
     drifts = [(rng.random() - 0.5) * 0.008 for _ in range(legs)]
     start_price = round(20.0 + 180.0 * rng.random(), 4)
-    days = _dates(total_days)
-    bars = []
+    opens, highs, lows, closes, volumes = [], [], [], [], []
     close = start_price
     prev_close = start_price
-    for i, day in enumerate(days):
+    for i in range(total_days):
         drift = drifts[min(i // leg_length, legs - 1)]
         noise = (rng.random() - 0.5) * 0.02
         close = round(max(close * (1.0 + drift + noise), 0.01), 4)
         open_ = prev_close if i else close
-        high = round(max(open_, close) * (1.0 + rng.random() * 0.04), 4)
-        low = round(min(open_, close) * (1.0 - rng.random() * 0.04), 4)
-        volume = 50_000 + int(rng.random() * 950_000)
-        bars.append(PriceBar(day, open_, high, low, close, float(volume)))
+        # draw order: noise, high wick, low wick, volume
+        opens.append(open_)
+        highs.append(round(max(open_, close) * (1.0 + rng.random() * 0.04), 4))
+        lows.append(round(min(open_, close) * (1.0 - rng.random() * 0.04), 4))
+        closes.append(close)
+        volumes.append(float(50_000 + int(rng.random() * 950_000)))
         prev_close = close
-    return PriceSeries(symbol, tuple(bars))
+    return PriceSeries(symbol, Bars(_dates(total_days), opens, highs, lows, closes, volumes))
 
 
 def portfolio_fixture(

@@ -10,6 +10,7 @@ block of rows is graded in one pass.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -158,13 +159,45 @@ class FootprintOfUncertainty:
             raise ValueError(f"delta must be >= 0, got {self.delta}")
 
 
+@functools.lru_cache(maxsize=256)
+def _check_coverage(name: str, domain: tuple[float, float],
+                    terms: tuple[tuple[str, MembershipFunction], ...]) -> None:
+    """Raise ValueError unless the terms cover the domain (see LinguisticVariable).
+
+    The verdict depends only on these frozen values, so it is cached by value.
+    lru_cache keeps no exceptions, so a bad table raises the same text each time.
+    """
+    lo, hi = domain
+    if not lo < hi:
+        raise ValueError(f"{name!r}: domain must be a proper interval, got {domain}")
+    if not terms:
+        raise ValueError(f"{name!r}: needs at least one term")
+    grid = np.linspace(lo, hi, _COVERAGE_GRID)
+    grades = np.array([mf.grade(grid) for _, mf in terms])
+    cover = grades.max(axis=0)
+    worst = int(np.argmin(cover))  # the first NaN, if a grade is NaN
+    if not cover[worst] >= COVERAGE_FLOOR:
+        nonfinite = ~np.isfinite(grades[:, worst])
+        if nonfinite.any():
+            raise ValueError(
+                f"{name!r}: term {terms[int(np.argmax(nonfinite))][0]!r} "
+                f"has a non-finite grade at x={grid[worst]:.4f}"
+            )
+        raise ValueError(
+            f"{name!r}: terms cover x={grid[worst]:.4f} at grade "
+            f"{cover[worst]:.4f}, below the {COVERAGE_FLOOR} floor"
+        )
+
+
 @dataclass(frozen=True)
 class LinguisticVariable:
     """Named domain interval with labelled term membership functions.
 
     Construction verifies coverage: the strongest term grade must be finite
     and stay at or above COVERAGE_FLOOR at every point of a 1001-point domain
-    grid. A NaN grade of any term fails it, naming the term.
+    grid. A NaN grade of any term fails it, naming the term. The grid is
+    graded once per distinct (name, domain, terms) in a process; later
+    constructions reuse the verdict, and a failing table raises every time.
     """
 
     name: str
@@ -172,26 +205,10 @@ class LinguisticVariable:
     terms: tuple[tuple[str, MembershipFunction], ...]
 
     def __post_init__(self) -> None:
-        lo, hi = self.domain
-        if not lo < hi:
-            raise ValueError(f"{self.name!r}: domain must be a proper interval, got {self.domain}")
-        if not self.terms:
-            raise ValueError(f"{self.name!r}: needs at least one term")
-        grid = np.linspace(lo, hi, _COVERAGE_GRID)
-        grades = np.array([mf.grade(grid) for _, mf in self.terms])
-        cover = grades.max(axis=0)
-        worst = int(np.argmin(cover))  # the first NaN, if a grade is NaN
-        if not cover[worst] >= COVERAGE_FLOOR:
-            nonfinite = ~np.isfinite(grades[:, worst])
-            if nonfinite.any():
-                raise ValueError(
-                    f"{self.name!r}: term {self.terms[int(np.argmax(nonfinite))][0]!r} "
-                    f"has a non-finite grade at x={grid[worst]:.4f}"
-                )
-            raise ValueError(
-                f"{self.name!r}: terms cover x={grid[worst]:.4f} at grade "
-                f"{cover[worst]:.4f}, below the {COVERAGE_FLOOR} floor"
-            )
+        # tuples throughout, so the variable and its verdict hash by value
+        object.__setattr__(self, "domain", tuple(self.domain))
+        object.__setattr__(self, "terms", tuple(map(tuple, self.terms)))
+        _check_coverage(self.name, self.domain, self.terms)
 
     def term_names(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.terms)

@@ -2,8 +2,9 @@
 
 Every series function takes its prices with time along the last axis: a 1-D
 array for one series, or an (N, T) array for a block of N series with the same
-number of periods. Windows reduce along that axis and the EMA steps over time
-with one vector operation across the N rows, so each block row equals the
+number of periods. Windows reduce along that axis. The EMA steps a block over
+time with one vector operation across the N rows and one series in Python
+floats, the same IEEE products and sums, so each block row equals the
 one-series result bit for bit. indicator_block computes every series once over
 a block; indicator_frame is its one-series case and snapshot its last row.
 """
@@ -113,7 +114,9 @@ def ema(closes, n: int) -> np.ndarray:
     """Exponential moving average seeded with the SMA of the first n values.
 
     Thereafter out[t] = alpha * close[t] + (1 - alpha) * out[t-1] with
-    alpha = 2 / (n + 1). Same alignment as sma().
+    alpha = 2 / (n + 1). Same alignment as sma(). One series steps in Python
+    floats, which round every product and sum as the numpy scalars would;
+    a block steps as one vector operation across its rows.
     """
     c = np.asarray(closes, dtype=float)
     if n < 1:
@@ -121,11 +124,18 @@ def ema(closes, n: int) -> np.ndarray:
     _require(c.shape[-1], n, f"EMA({n})")
     alpha = 2.0 / (n + 1.0)
     keep = 1.0 - alpha
+    if c.ndim == 1:
+        previous = c[:n].mean().item()
+        out = [previous]
+        for scaled in (alpha * c[n:]).tolist():
+            previous = scaled + keep * previous
+            out.append(previous)
+        return np.array(out)
 
     def step(previous, close):
         return alpha * close + keep * previous
 
-    # one step per period, each a scalar (one series) or a vector across the rows
+    # one step per period, each a vector across the rows
     steps = accumulate(c.T[n:], step, initial=c[..., :n].mean(axis=-1))
     # C order keeps time contiguous, so later window sums add in the 1-D order
     return np.ascontiguousarray(np.array(list(steps)).T)

@@ -199,6 +199,25 @@ class AggregatedOutput:
     interval: bool
 
 
+@functools.lru_cache(maxsize=64)
+def _output_grades(output_var: LinguisticVariable, grid_points: int,
+                   labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The output grid and each label's term grades on it, (labels, grid_points).
+
+    Built once per distinct argument set and returned read-only, since every
+    caller shares them. A missing term raises InferenceError, which
+    lru_cache does not keep, so it raises on every call.
+    """
+    grid = np.linspace(output_var.domain[0], output_var.domain[1], grid_points)
+    terms = dict(output_var.terms)
+    try:
+        mu = np.array([terms[label].grade(grid) for label in labels])
+    except KeyError as exc:
+        raise InferenceError(f"output variable has no term {exc}") from None
+    grid.flags.writeable = mu.flags.writeable = False
+    return grid, mu
+
+
 def fire_rules(
     inputs: FuzzifiedInputs,
     rule_base: RuleBase,
@@ -213,8 +232,10 @@ def fire_rules(
     The fold indexes the term grades, stacked in ANTECEDENT_TERMS order, with
     RuleBase.index, so float grades (one row) give 1-D envelopes and length-N
     array grades (a block of rows) give (N, grid_points) envelopes from the
-    same few reductions. Inputs lacking an antecedent term, or an output
-    variable lacking a consequent's term, raise InferenceError.
+    same few reductions. The output grid and consequent grades are built once
+    per (output variable, grid_points, consequent labels) and shared, so the
+    returned grid is read-only. Inputs lacking an antecedent term, or an
+    output variable lacking a consequent's term, raise InferenceError.
     """
     antecedents, starts, labels = rule_base.index
     try:
@@ -228,12 +249,7 @@ def fire_rules(
     grades = grades.reshape(len(grades), 2, -1)
     # (consequents, 2, N): the strongest rule of each consequent per row
     strengths = np.maximum.reduceat(grades[antecedents].min(axis=1), starts, axis=0)
-    grid = np.linspace(output_var.domain[0], output_var.domain[1], grid_points)
-    terms = dict(output_var.terms)
-    try:
-        mu = np.array([terms[label].grade(grid) for label in labels])
-    except KeyError as exc:
-        raise InferenceError(f"output variable has no term {exc}") from None
+    grid, mu = _output_grades(output_var, grid_points, labels)
     # a clip at strength <= 0 adds nothing to the zero envelopes
     envelopes = np.minimum(mu.reshape(-1, 1, 1, grid_points), strengths[..., None]).max(
         axis=0, initial=0.0)

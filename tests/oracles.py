@@ -3,7 +3,8 @@
 Each oracle deliberately takes a different computational route from the
 package code: naive per-window loops instead of cumulative sums, the
 closed-form geometric expansion instead of the EMA recursion, a loop over
-every switch point instead of the Karnik-Mendel cumulative sums.
+every switch point instead of the Karnik-Mendel cumulative sums. The one
+exception is scalar_fold_ema: a bit-level reference, not a second route.
 """
 
 from __future__ import annotations
@@ -31,6 +32,22 @@ def closed_form_ema(closes, n: int) -> list[float]:
         weights = alpha * (1.0 - alpha) ** np.arange(m - 1, -1, -1)
         out.append((1.0 - alpha) ** m * seed + float(np.dot(weights, x[n:t + 1])))
     return out
+
+
+def scalar_fold_ema(closes, n: int) -> np.ndarray:
+    """The EMA recursion folded over numpy float64 scalars, one step per value.
+
+    The seed is the numpy mean of the first n values and each step is
+    alpha * close + (1 - alpha) * previous in numpy scalar arithmetic, so a
+    one-series EMA stepped in any other float type must match it bit for bit.
+    """
+    x = np.asarray(closes, dtype=float)
+    alpha = 2.0 / (n + 1.0)
+    keep = 1.0 - alpha
+    out = [x[:n].mean()]
+    for close in x[n:]:
+        out.append(alpha * close + keep * out[-1])
+    return np.array(out)
 
 
 def composed_macd(closes, short: int = 12, long: int = 26, trigger: int = 9):

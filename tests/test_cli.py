@@ -6,6 +6,7 @@ import pytest
 
 from fuzzsig.cli import run
 from fuzzsig.fixtures import flat_series, portfolio_fixture
+from fuzzsig.fuzzy import _check_coverage
 from fuzzsig.inference import build_rule_base, rules_to_csv
 from fuzzsig.market_data import serialize_csv
 
@@ -183,6 +184,20 @@ class TestBacktestCommand:
         assert "buy_hit_rate" in payload and "sell_hit_rate" in payload
         assert payload["records"]
 
+    @pytest.mark.parametrize("fmt, flags, digest", [
+        ("csv", ["--delta", "0"], "8c1815fdc8c7eecf265352b2001532af26da65050b1038cd3e6437b2186d2719"),
+        ("json", ["--delta", "0"], "f3fff871d3515a3b54255498012893ba478bdc092039e580262d2c39b5913cfb"),
+        ("csv", [], "08d0c1570785caf1871a15d67c71c0bf593361858e3b4b7f910b648b04e4744e"),
+        ("json", [], "e3c5c6e89bd5a5073ae3ab852ab3e82b4628553ba8faa1cf43ad5027b204c488"),
+    ])
+    def test_bundled_fixture_bytes_are_pinned(self, fmt, flags, digest, capsysbinary):
+        # every symbol's backtest, its full-precision next_return included
+        fixture = str(DATA_DIR / "portfolio_fixture.csv")
+        for i in range(10):
+            assert run(["backtest", fixture, "--symbol", f"SYN{i:02d}", "--format", fmt,
+                        *flags]) == 0
+        assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == digest
+
 
 class TestFixturesCommand:
     def test_generate_matches_library_generator(self, tmp_path, capsysbinary):
@@ -234,6 +249,16 @@ class TestConfigHandling:
         monkeypatch.setenv("FUZZSIG_CONFIG", str(cfg))
         assert run(["signal", flat_csv, "--symbol", "FLAT"]) == 0
         assert "centroid_interval" not in capsys.readouterr().out
+
+    def test_config_file_run_grades_each_coverage_grid_once(self, basket_csv, tmp_path,
+                                                             capsysbinary):
+        # the load-time check and the run build the same five variables
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text("fuzzy.rsi.medium = triangular 0.2 0.5 0.8\n")
+        _check_coverage.cache_clear()
+        assert run(["portfolio", basket_csv, "--config", str(cfg)]) == 0
+        info = _check_coverage.cache_info()
+        assert (info.misses, info.hits) == (5, 5)
 
     def test_bad_config_exits_1(self, flat_csv, tmp_path, capsys):
         cfg = tmp_path / "conf.txt"

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 from datetime import date, timedelta
 
@@ -26,9 +27,16 @@ from fuzzsig.inference import (
     build_rule_base,
     classify_signal,
     recommend,
+    recommend_periods,
     rules_from_csv,
 )
-from fuzzsig.market_data import MarketDataError, PriceSeries, parse_csv, serialize_csv
+from fuzzsig.market_data import (
+    MarketDataError,
+    PriceSeries,
+    aggregate_periods,
+    parse_csv,
+    serialize_csv,
+)
 
 from conftest import DATA_DIR
 
@@ -325,6 +333,45 @@ class TestBacktest:
         for call in (backtest, recommend):
             with pytest.raises(ConfigError, match="fuzzy variable 'rsi': terms cover"):
                 call(series, cfg)
+
+
+def _sha256_lines(lines):
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+class TestPrefixPins:
+    """Every scorable prefix of a 300-period walk, through the one-row path, pinned bit for bit.
+
+    The backtest scores one prefix at a time, so these digests guard the
+    indicator recursion, the variable build, firing and type reduction of a
+    single row. The values were recorded with the numpy-scalar EMA fold and
+    uncached variable and output-grid builds.
+    """
+
+    @pytest.mark.parametrize("delta, crisp_digest, interval_digest", [
+        (0.0, "3fd7927572de4a3d8fda8815496291319d95d3d1aacb0408e9372d0e305c2298",
+         # no centroid intervals at delta 0: the digest of no lines
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (0.05, "1335a580bbe8ee1e2b10d448c8575c5fbb5a3020ec7ea06373ef7190f3171897",
+         "ee857526781d35809c063cf2dcfdc9ca13271291dd55493c7dbe572c12167c1e"),
+    ])
+    def test_recommend_periods_on_every_prefix_is_pinned(self, delta, crisp_digest,
+                                                         interval_digest):
+        cfg = ResolvedConfig(delta=delta)
+        periods = aggregate_periods(random_walk_series("W", 11, periods=300), cfg.days_per_period)
+        crisp, intervals = [], []
+        for t in range(len(periods.bars)):
+            try:
+                rec = recommend_periods(PriceSeries("W", periods.bars[:t + 1]), cfg)
+            except PipelineError:
+                continue
+            crisp.append(f"{t}:{rec.crisp.hex()}")
+            if rec.centroid_interval is not None:
+                y_l, y_r = rec.centroid_interval
+                intervals.append(f"{t}:{y_l.hex()},{y_r.hex()}")
+        assert len(crisp) == 266
+        assert _sha256_lines(crisp) == crisp_digest
+        assert _sha256_lines(intervals) == interval_digest
 
 
 def reference_report():

@@ -14,6 +14,7 @@ from fuzzsig.fuzzy import (
     LinguisticVariable,
     RightShoulder,
     Triangular,
+    _check_coverage,
     default_variables,
     fuzzify,
     normalize_rows,
@@ -200,6 +201,32 @@ class TestDefaultVariables:
         with np.errstate(invalid="ignore"), \
                 pytest.raises(ValueError, match="'x': term 'a' has a non-finite grade"):
             LinguisticVariable("x", (0.0, 1.0), (("a", mf), ("b", Gaussian(0.5, 0.3))))
+
+    @pytest.mark.parametrize("terms", [
+        (("only", Triangular(0.4, 0.5, 0.6)),),
+        (("a", Gaussian(float("nan"), 0.3)), ("b", Gaussian(0.5, 0.3))),
+    ])
+    def test_a_rejected_table_raises_the_same_text_on_every_construction(self, terms):
+        # the coverage verdict is cached, but a raised check is not
+        messages = []
+        for _ in range(2):
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError) as caught:
+                LinguisticVariable("x", (0.0, 1.0), terms)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+
+    def test_coverage_is_graded_once_per_distinct_table(self):
+        _check_coverage.cache_clear()
+        default_variables()
+        default_variables()
+        info = _check_coverage.cache_info()
+        assert (info.misses, info.hits) == (5, 5)
+        assert info.maxsize is not None  # bounded
+
+    def test_list_arguments_become_tuples(self):
+        var = LinguisticVariable("x", [0.0, 1.0], [["a", Gaussian(0.5, 0.3)]])
+        assert var == LinguisticVariable("x", (0.0, 1.0), (("a", Gaussian(0.5, 0.3)),))
+        assert hash(var) == hash(LinguisticVariable("x", (0.0, 1.0), (("a", Gaussian(0.5, 0.3)),)))
 
 
 def flat_snapshot():

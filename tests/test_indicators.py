@@ -27,6 +27,7 @@ from oracles import (
     closed_form_ema,
     composed_macd,
     naive_sma,
+    scalar_fold_ema,
     scanned_stochastic,
     scanned_williams,
     tallied_rsi,
@@ -86,6 +87,24 @@ class TestEma:
     def test_too_short_errors(self):
         with pytest.raises(InsufficientHistoryError):
             ema([1.0] * 5, 6)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 60),
+        extra=st.integers(0, 700),
+        strided=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_one_series_equals_the_numpy_scalar_fold_bit_for_bit(self, seed, n, extra, strided):
+        # prices spanning ten orders of magnitude, every mantissa bit in use
+        rng = np.random.default_rng(seed)
+        length = n + extra
+        prices = rng.random(length) * 10.0 ** rng.integers(-4, 7, length)
+        if strided:  # the close column of a row-major OHLCV table
+            table = np.zeros((length, 5))
+            table[:, 3] = prices
+            prices = table[:, 3]
+        assert ema(prices, n).tobytes() == scalar_fold_ema(prices, n).tobytes()
 
 
 class TestMacd:
@@ -370,7 +389,8 @@ class TestIndicatorBlock:
         self, seed, groups, days_per_period, windows
     ):
         # ragged groups (one block per period count), series shorter than every
-        # window, and strided close columns when days_per_period > 1
+        # window, and strided close columns when days_per_period > 1; the block
+        # steps its EMAs as vectors, each one-series frame in Python floats
         for g, (length, members) in enumerate(groups):
             basket = [
                 PriceSeries("S", aggregate_periods(random_walk_series(

@@ -26,6 +26,7 @@ from fuzzsig.inference import (
     Rule,
     RuleBase,
     Signal,
+    _output_grades,
     build_rule_base,
     classify_signal,
     defuzzify,
@@ -147,8 +148,20 @@ class TestFireRules:
         renamed = tuple(("up" if label == "buy" else label, mf) for label, mf in OUTPUT_VAR.terms)
         output_var = LinguisticVariable("signal", OUTPUT_VAR.domain, renamed)
         inputs = singleton_inputs("low", "low", "low", "low")
-        with pytest.raises(InferenceError, match="output variable has no term 'buy'"):
-            fire_rules(inputs, build_rule_base(), output_var)
+        for _ in range(2):  # the output grades are cached, the failure is not
+            with pytest.raises(InferenceError, match="output variable has no term 'buy'"):
+                fire_rules(inputs, build_rule_base(), output_var)
+
+    def test_output_grid_and_grades_are_shared_read_only(self):
+        inputs = singleton_inputs("high", "low", "high", "low")
+        first = fire_rules(inputs, build_rule_base(), OUTPUT_VAR, grid_points=101)
+        second = fire_rules(inputs, build_rule_base(), OUTPUT_VAR, grid_points=101)
+        assert first.grid is second.grid
+        grid, mu = _output_grades(OUTPUT_VAR, 101, ("sell", "hold", "buy"))
+        for shared in (first.grid, grid, mu):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 0.5
+        assert _output_grades.cache_info().maxsize is not None  # bounded
 
     @pytest.mark.parametrize("delta", [0.0, 0.05, 0.3])
     def test_block_rows_match_oracle_on_fixture_grades(self, delta):
