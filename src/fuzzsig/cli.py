@@ -68,6 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("backtest", help="rolling no-lookahead evaluation of one symbol")
     p.add_argument("csv", help="input OHLCV CSV file")
     p.add_argument("--symbol", required=True)
+    p.add_argument("--rules", metavar="FILE", help="user-supplied rule table CSV")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common(p)
 
@@ -210,7 +211,7 @@ def _cmd_portfolio(args, cfg: ResolvedConfig) -> int:
 
 def _cmd_backtest(args, cfg: ResolvedConfig) -> int:
     series = _pick_symbol(_load_series(args.csv), args.symbol)
-    stats = backtest(series, cfg)
+    stats = backtest(series, cfg, _load_rules(args))
     if args.format == "json":
         payload = {
             "symbol": stats.symbol,

@@ -79,29 +79,36 @@ def run_portfolio(
     return PortfolioReport(tuple(rows), as_of, cfg.fingerprint())
 
 
-def backtest(series: PriceSeries, config: ResolvedConfig | None = None) -> BacktestStats:
+def backtest(
+    series: PriceSeries,
+    config: ResolvedConfig | None = None,
+    rule_base: RuleBase | None = None,
+) -> BacktestStats:
     """Rolling evaluation: the signal at period t sees bars up to t only.
 
     Each signal is paired with the simple close-to-close return into t+1.
     The hit rates count Buy signals preceding positive returns and Sell
-    signals preceding negative ones (None when a side never fired).
+    signals preceding negative ones (None when a side never fired). The rule
+    base is built once from the config unless given.
     """
     cfg = config if config is not None else ResolvedConfig()
     periods = aggregate_periods(series, cfg.days_per_period)
-    rule_base = cfg.build_rule_base()
+    if rule_base is None:
+        rule_base = cfg.build_rule_base()
+    bars = periods.bars
+    dates, closes = bars.date, bars.close.tolist()
     records: list[BacktestRecord] = []
-    for t in range(len(periods.bars) - 1):
-        prefix = PriceSeries(periods.symbol, periods.bars[:t + 1])
+    for t in range(len(bars) - 1):
+        prefix = PriceSeries(periods.symbol, bars[:t + 1])
         try:
             rec = recommend_periods(prefix, cfg, rule_base)
         except PipelineError:
             continue
-        here, ahead = periods.bars[t], periods.bars[t + 1]
         records.append(BacktestRecord(
             period_index=t,
-            date=here.date,
+            date=dates[t],
             signal=rec.signal,
-            next_return=(ahead.close - here.close) / here.close,
+            next_return=(closes[t + 1] - closes[t]) / closes[t],
         ))
     if len(records) < 2:
         raise InsufficientHistoryError(

@@ -6,7 +6,10 @@ number of periods. Windows reduce along that axis. The EMA steps a block over
 time with one vector operation across the N rows and one series in Python
 floats, the same IEEE products and sums, so each block row equals the
 one-series result bit for bit. indicator_block computes every series once over
-a block; indicator_frame is its one-series case and snapshot its last row.
+a block, and indicator_frame is its one-series case. snapshot computes only the
+last row, from the scalar rsi/williams building blocks and one float pass for
+MACD; it equals the frame's last row bit for bit at a cost of one pass over the
+closes.
 """
 
 from __future__ import annotations
@@ -81,10 +84,7 @@ class IndicatorFrame:
         Floats for one series, length-N arrays for a block.
         """
         if t + 1 < self.needed:
-            raise InsufficientHistoryError(
-                f"snapshot needs at least {self.needed} period bars "
-                f"({self.binding} is the binding indicator), got {t + 1}"
-            )
+            raise _history_error(self.binding, self.needed, t + 1)
         columns = (self.macd_line, self.signal_line, self.histogram, self.rsi,
                    self.percent_k, self.williams, self.close)
         if self.close.ndim == 1:
@@ -172,11 +172,20 @@ def rsi(closes, n: int = 21) -> float:
     """Relative strength index over the last n close-to-close changes.
 
     Average gain and loss are plain means over the window (zeros counted).
-    Flat windows return the neutral 50; all-gain 100; all-loss 0.
+    Flat windows return the neutral 50; all-gain 100; all-loss 0. A 1-D mean
+    sums in the order each sliding-window row does, so this equals the last
+    value of the frame's RSI column bit for bit.
     """
     c = np.asarray(closes, dtype=float)
+    if n < 1:
+        raise ValueError(f"window must be >= 1, got {n}")
     _require(len(c), n + 1, f"RSI({n})")
-    return float(_rsi_series(c[-(n + 1):], n)[-1])
+    changes = np.diff(c[-(n + 1):])
+    gain = np.clip(changes, 0.0, None).mean().item()
+    loss = np.clip(-changes, 0.0, None).mean().item()
+    if loss == 0.0:
+        return 50.0 if gain == 0.0 else 100.0
+    return 100.0 - 100.0 / (1.0 + gain / loss)
 
 
 def _hlc(highs, lows, closes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -200,6 +209,15 @@ def _williams(h: np.ndarray, lo: np.ndarray, c: np.ndarray, n: int) -> np.ndarra
     return _percent_k(h, lo, c, n) - 100.0
 
 
+def _percent_k_last(h: np.ndarray, lo: np.ndarray, close: float, k: int) -> float:
+    """The last value of _percent_k, from the last k bars alone."""
+    # numpy's max and min, like the window reductions, carry a NaN through;
+    # Python's max and min would skip one or not depending on where it sits
+    hh, ll = h[-k:].max().item(), lo[-k:].min().item()
+    span = hh - ll
+    return 50.0 if span == 0.0 else 100.0 * (close - ll) / span
+
+
 def stochastic(highs, lows, closes, k: int = 10, d: int = 3) -> StochasticPair:
     """Position of the close inside the trailing k-period high-low range, 0-100.
 
@@ -219,8 +237,27 @@ def williams(highs, lows, closes, n: int = 30) -> float:
     Computed as the exact complement of the same-window %K.
     """
     h, lo, c = _hlc(highs, lows, closes)
+    if n < 1:
+        raise ValueError(f"window must be >= 1, got {n}")
     _require(len(c), n, f"Williams({n})")
-    return float(_williams(h[-n:], lo[-n:], c[-n:], n)[-1])
+    return _percent_k_last(h, lo, c[-1].item(), n) - 100.0
+
+
+def _binding(macd_long: int, macd_trigger: int, rsi_window: int, stochastic_k: int,
+             stochastic_d: int, williams_window: int) -> tuple[str, int]:
+    """The indicator that needs the most bars for a full row, and that bar count."""
+    # MACD requires one genuine recursion step past the signal line's SMA seed,
+    # hence long + trigger, not - 1.
+    requirements = {"MACD": macd_long + macd_trigger, "RSI": rsi_window + 1,
+                    "stochastic": stochastic_k + stochastic_d - 1, "Williams": williams_window}
+    return max(requirements.items(), key=lambda kv: (kv[1], kv[0]))
+
+
+def _history_error(binding: str, needed: int, got: int) -> InsufficientHistoryError:
+    return InsufficientHistoryError(
+        f"snapshot needs at least {needed} period bars "
+        f"({binding} is the binding indicator), got {got}"
+    )
 
 
 def indicator_block(
@@ -254,11 +291,8 @@ def indicator_block(
     triple = macd(c, macd_short, macd_long, macd_trigger) \
         if rows >= macd_long + macd_trigger - 1 else MacdTriple(empty, empty, empty)
     pk = _percent_k(h, lo, c, stochastic_k) if rows >= stochastic_k else empty
-    # Minimum bar counts for a full row. MACD requires one genuine recursion
-    # step past the signal line's SMA seed, hence long + trigger, not - 1.
-    requirements = {"MACD": macd_long + macd_trigger, "RSI": rsi_window + 1,
-                    "stochastic": stochastic_k + stochastic_d - 1, "Williams": williams_window}
-    binding, needed = max(requirements.items(), key=lambda kv: (kv[1], kv[0]))
+    binding, needed = _binding(macd_long, macd_trigger, rsi_window, stochastic_k,
+                               stochastic_d, williams_window)
     return IndicatorFrame(
         close=c,
         macd_line=aligned(triple.macd_line),
@@ -283,9 +317,76 @@ def indicator_frame(periods: PriceSeries, **windows: int) -> IndicatorFrame:
     return indicator_block(bars.high, bars.low, bars.close, **windows)
 
 
-def snapshot(series: PriceSeries, **windows: int) -> IndicatorSnapshot:
-    """Latest value of each indicator bundled with the latest close: the frame's last row.
+def _macd_last(c: np.ndarray, short: int, long: int, trigger: int) -> tuple[float, float]:
+    """The last MACD line and signal line values of closes c, in one float pass.
 
-    `windows` are indicator_frame's keyword arguments.
+    EMA(short), EMA(long) and the trigger EMA of their difference step
+    together over the closes; only the trigger EMA's seed window is kept, as a
+    list. The seeds are ema's numpy means and every step is ema's IEEE
+    `scaled + keep * previous`, so both values equal macd(c)'s last ones bit
+    for bit. Needs long + trigger - 1 closes.
     """
-    return indicator_frame(series, **windows).row(len(series.bars) - 1)
+    a_short, a_long, a_trigger = (2.0 / (n + 1.0) for n in (short, long, trigger))
+    k_short, k_long, k_trigger = 1.0 - a_short, 1.0 - a_long, 1.0 - a_trigger
+    closes = c.tolist()
+    fast = c[:short].mean().item()
+    for x in closes[short:long]:
+        fast = a_short * x + k_short * fast
+    slow = c[:long].mean().item()
+    line = [fast - slow]  # the signal line's seed window
+    for x in closes[long:long + trigger - 1]:
+        fast = a_short * x + k_short * fast
+        slow = a_long * x + k_long * slow
+        line.append(fast - slow)
+    last, signal = line[-1], np.array(line).mean().item()
+    for x in closes[long + trigger - 1:]:
+        fast = a_short * x + k_short * fast
+        slow = a_long * x + k_long * slow
+        last = fast - slow
+        signal = a_trigger * last + k_trigger * signal
+    return last, signal
+
+
+def snapshot(
+    series: PriceSeries,
+    *,
+    macd_short: int = 12,
+    macd_long: int = 26,
+    macd_trigger: int = 9,
+    rsi_window: int = 21,
+    stochastic_k: int = 10,
+    stochastic_d: int = 3,
+    williams_window: int = 30,
+) -> IndicatorSnapshot:
+    """Latest value of each indicator bundled with the latest close.
+
+    The windows are indicator_block's. Only the last row is computed: MACD in
+    one float pass over the closes, RSI from the last rsi_window + 1 closes,
+    %K and Williams from their last k and n bars. It equals
+    indicator_frame(series).row(len - 1) bit for bit, NaN included, and raises
+    the same InsufficientHistoryError while the series is too short. A window
+    below 1, or macd_short >= macd_long, is a ValueError.
+    """
+    windows = (macd_short, macd_long, macd_trigger, rsi_window, stochastic_k,
+               stochastic_d, williams_window)
+    if min(windows) < 1:
+        raise ValueError(f"windows must be >= 1, got {windows}")
+    if not macd_short < macd_long:
+        raise ValueError(f"short period must be below long period, got {macd_short}/{macd_long}")
+    binding, needed = _binding(macd_long, macd_trigger, rsi_window, stochastic_k,
+                               stochastic_d, williams_window)
+    bars = series.bars
+    if len(bars) < needed:
+        raise _history_error(binding, needed, len(bars))
+    h, lo, c = bars.high, bars.low, bars.close
+    close = c[-1].item()
+    line, signal = _macd_last(c, macd_short, macd_long, macd_trigger)
+    return IndicatorSnapshot(
+        macd_line=line,
+        signal_line=signal,
+        histogram=line - signal,
+        rsi=rsi(c, rsi_window),
+        stochastic_k=_percent_k_last(h, lo, close, stochastic_k),
+        williams=williams(h, lo, c, williams_window),
+        close=close,
+    )

@@ -8,11 +8,11 @@ switch-point search and defuzzified at the centroid midpoint. Firing and
 reduction take one row or a block of rows. Every entry point evaluates rows
 through recommend_rows, BLOCK_ROWS at a time: a portfolio (recommend_block)
 has a row per symbol, and recommend_periods (signal, each backtest prefix) is
-the one-row case. A portfolio computes its snapshots as block frames, one
-indicators.indicator_block per group of series with the same number of
-periods, and normalizes them as arrays (fuzzy.normalize_rows). The rule base,
-variables and footprint come from ResolvedConfig; a caller may pass its own
-rule base.
+the one-row case, whose indicators.snapshot computes the last row alone. A
+portfolio computes its snapshots as block frames, one indicators.indicator_block
+per group of series with the same number of periods, and normalizes them as
+arrays (fuzzy.normalize_rows). The rule base, variables and footprint come from
+ResolvedConfig; a caller may pass its own rule base.
 """
 
 from __future__ import annotations

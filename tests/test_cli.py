@@ -1,13 +1,15 @@
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
 from fuzzsig.cli import run
+from fuzzsig.config import ResolvedConfig
 from fuzzsig.fixtures import flat_series, portfolio_fixture
 from fuzzsig.fuzzy import _check_coverage
-from fuzzsig.inference import build_rule_base, rules_to_csv
+from fuzzsig.inference import ANTECEDENT_TERMS, build_rule_base, rules_to_csv
 from fuzzsig.market_data import serialize_csv
 
 from conftest import DATA_DIR
@@ -197,6 +199,44 @@ class TestBacktestCommand:
             assert run(["backtest", fixture, "--symbol", f"SYN{i:02d}", "--format", fmt,
                         *flags]) == 0
         assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rules_file_of_the_built_rule_base_gives_the_same_bytes(self, fmt, tmp_path,
+                                                                     capsysbinary):
+        rules = tmp_path / "rules.csv"
+        rules.write_text(rules_to_csv(ResolvedConfig().build_rule_base()))
+        fixture = str(DATA_DIR / "portfolio_fixture.csv")
+        argv = ["backtest", fixture, "--symbol", "SYN03", "--format", fmt]
+        assert run(argv) == 0
+        built = capsysbinary.readouterr().out
+        assert run([*argv, "--rules", str(rules)]) == 0
+        assert capsysbinary.readouterr().out == built
+
+    def test_all_buy_rules_change_the_signals(self, tmp_path, capsys):
+        rules = tmp_path / "rules.csv"
+        rows = [",".join((*terms, "buy"))
+                for terms in itertools.product(*ANTECEDENT_TERMS.values())]
+        rules.write_text("macd,rsi,so,wa,consequent\n" + "\n".join(rows) + "\n")
+        fixture = str(DATA_DIR / "portfolio_fixture.csv")
+        argv = ["backtest", fixture, "--symbol", "SYN03", "--format", "json"]
+
+        def signals(extra):
+            assert run([*argv, *extra]) == 0
+            return [r["signal"] for r in json.loads(capsys.readouterr().out)["records"]]
+
+        default, all_buy = signals([]), signals(["--rules", str(rules)])
+        assert len(default) == len(all_buy) and set(default) != {"Buy"}
+        assert set(all_buy) == {"Buy"}
+
+    def test_bad_rules_row_exits_1_naming_the_row(self, tmp_path, capsys):
+        rules = tmp_path / "rules.csv"
+        rules.write_text("macd,rsi,so,wa,consequent\nlow,medium,medium,low,hold\n"
+                         "low,medium,medium,high,maybe\n")
+        fixture = str(DATA_DIR / "portfolio_fixture.csv")
+        assert run(["backtest", fixture, "--symbol", "SYN03", "--rules", str(rules)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rule row 3: unknown consequent 'maybe'\n"
 
 
 class TestFixturesCommand:

@@ -162,6 +162,18 @@ class TestRunPortfolio:
         assert rows[1][2].startswith(prefix) and float(rows[1][2][len(prefix):]) > 0.0
         assert rows[0][0] is not None and rows[2][0] is not None
 
+    def test_nan_high_note_matches_the_one_symbol_note(self):
+        # a NaN high (a bar no CSV passes) inside the Williams window: the
+        # one-symbol snapshot must carry the NaN as the block frame does
+        basket = portfolio_fixture(seed=41, symbols=3, periods=60, days_per_period=1)
+        bars = list(basket[1].bars)
+        bars[-20] = dataclasses.replace(bars[-20], high=float("nan"))
+        basket[1] = PriceSeries(basket[1].symbol, bars)
+        cfg = ResolvedConfig(days_per_period=1)
+        rows = _rows(run_portfolio(basket, cfg))
+        assert rows == [_recommended(s, cfg) for s in basket]
+        assert rows[1][2] == "fuzzification: Williams value out of range [-100, 0]: nan"
+
     @pytest.mark.parametrize("delta", [0.0, 0.05])
     def test_rows_without_a_fired_rule_fail_alone(self, delta):
         cfg = ResolvedConfig(delta=delta, days_per_period=1)

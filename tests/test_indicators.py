@@ -19,7 +19,7 @@ from fuzzsig.indicators import (
     stochastic,
     williams,
 )
-from fuzzsig.market_data import PriceSeries, aggregate_periods, parse_csv
+from fuzzsig.market_data import Bars, PriceSeries, aggregate_periods, parse_csv
 
 from conftest import DATA_DIR
 
@@ -156,6 +156,11 @@ class TestRsi:
         with pytest.raises(InsufficientHistoryError):
             rsi([1.0] * 21, 21)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_window_below_one_errors(self, n):
+        with pytest.raises(ValueError, match=f"window must be >= 1, got {n}"):
+            rsi([1.0, 2.0, 3.0], n)
+
 
 class TestStochastic:
     def test_close_at_trailing_high_is_100(self):
@@ -228,6 +233,11 @@ class TestWilliams:
         with pytest.raises(InsufficientHistoryError):
             williams([1.0] * 29, [1.0] * 29, [1.0] * 29, 30)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_window_below_one_errors(self, n):
+        with pytest.raises(ValueError, match=f"window must be >= 1, got {n}"):
+            williams([2.0] * 3, [1.0] * 3, [1.5] * 3, n)
+
 
 class TestRangesAndIdentities:
     @given(seed=st.integers(0, 10_000), length=st.integers(35, 120))
@@ -298,6 +308,17 @@ class TestSnapshot:
         short = PriceSeries("S", series.bars[:36])
         with pytest.raises(InsufficientHistoryError, match="RSI"):
             snapshot(short, rsi_window=50)
+
+    @pytest.mark.parametrize("windows, message", [
+        ({"macd_short": 26}, "short period must be below long period, got 26/26"),
+        ({"rsi_window": 0}, r"windows must be >= 1, got \(12, 26, 9, 0, 10, 3, 30\)"),
+        ({"stochastic_d": -1}, "windows must be >= 1"),
+    ])
+    def test_invalid_windows_are_value_errors_at_any_length(self, windows, message):
+        series = period_series(60, seed=3)
+        for length in (0, 60):
+            with pytest.raises(ValueError, match=message):
+                snapshot(PriceSeries("S", series.bars[:length]), **windows)
 
     def test_constant_series_conventions(self):
         series = aggregate_periods(flat_series(periods=40), 15)
@@ -375,6 +396,55 @@ def window_settings(draw):
         "stochastic_d": draw(st.integers(1, 5)),
         "williams_window": draw(st.integers(1, 40)),
     }
+
+
+@st.composite
+def period_series_draw(draw):
+    """Random-walk period bars, 0-80 long, some with a flat stretch or a NaN.
+
+    A flat stretch (open = high = low = close, unchanged) gives zero ranges
+    and zero changes, so the neutral %K, Williams and RSI readings show up.
+    """
+    length = draw(st.integers(0, 80))
+    days_per_period = draw(st.integers(1, 3))
+    daily = random_walk_series("S", seed=draw(st.integers(0, 10_000)), periods=80,
+                               days_per_period=days_per_period)
+    bars = aggregate_periods(daily, days_per_period).bars[:length]
+    start, stop = sorted((draw(st.integers(0, length)), draw(st.integers(0, length))))
+    columns = [column.copy() for column in bars.columns()]
+    if start < stop:
+        for column in columns[:4]:
+            column[start:stop] = bars.close[start]
+    # a NaN price, which Bars accepts although parse_csv rejects it
+    poisoned = draw(st.sampled_from([None, 1, 2, 3])) if length else None
+    if poisoned is not None:
+        columns[poisoned][draw(st.integers(0, length - 1))] = np.nan
+    return PriceSeries("S", Bars(bars.date, *columns))
+
+
+class TestSnapshotIsTheFrameRow:
+    @given(series=period_series_draw(), windows=st.one_of(st.just({}), window_settings()))
+    @settings(max_examples=80, deadline=None)
+    def test_every_prefix_snapshot_equals_the_frame_row_bit_for_bit(self, series, windows):
+        # snapshot computes only the last row; the frame computes every row
+        frame = indicator_frame(series, **windows)
+        h, lo, c = series.bars.high, series.bars.low, series.bars.close
+        rsi_window = windows.get("rsi_window", 21)
+        williams_window = windows.get("williams_window", 30)
+        for t in range(-1, len(c)):  # -1: the empty prefix
+            prefix = PriceSeries("S", series.bars[:t + 1])
+            try:
+                want = frame.row(t)
+            except InsufficientHistoryError as exc:
+                with pytest.raises(InsufficientHistoryError, match=f"^{re.escape(str(exc))}$"):
+                    snapshot(prefix, **windows)
+            else:
+                assert bits(snapshot(prefix, **windows)) == bits(want)
+            if t >= rsi_window:
+                assert rsi(c[:t + 1], rsi_window).hex() == frame.rsi[t].item().hex()
+            if t + 1 >= williams_window:
+                got = williams(h[:t + 1], lo[:t + 1], c[:t + 1], williams_window)
+                assert got.hex() == frame.williams[t].item().hex()
 
 
 class TestIndicatorBlock:
