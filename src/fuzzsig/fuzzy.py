@@ -335,22 +335,6 @@ def normalize_rows(
     return normalized, faults
 
 
-def normalize_snapshot(
-    snap: IndicatorSnapshot,
-    *,
-    divisor: float = DEFAULT_DIVISOR,
-    histogram_gain: float = 50.0,
-) -> dict[str, float]:
-    """Map raw indicator values onto the input variables' normalized domains.
-
-    The one-row normalize_rows: floats, or the row's error raised.
-    """
-    normalized, faults = normalize_rows(snap, divisor=divisor, histogram_gain=histogram_gain)
-    if faults:
-        raise faults[0]
-    return {name: x.item() for name, x in normalized.items()}
-
-
 def fuzzify(
     snap: IndicatorSnapshot,
     variables: tuple[LinguisticVariable, ...],
@@ -361,11 +345,15 @@ def fuzzify(
 ) -> FuzzifiedInputs:
     """Grade every input variable's terms at the snapshot's normalized values.
 
-    With fou=None the grades are type-1 (degenerate pairs); with a footprint
-    they are [lower, upper] intervals, even at delta = 0.
+    The one-row case of normalize_rows then grade_inputs: `snap` holds floats,
+    and a row that fails normalization raises its error. With fou=None the
+    grades are type-1 (degenerate pairs); with a footprint they are [lower,
+    upper] intervals, even at delta = 0.
     """
-    normalized = normalize_snapshot(snap, divisor=divisor, histogram_gain=histogram_gain)
-    return grade_inputs(normalized, variables, fou)
+    normalized, faults = normalize_rows(snap, divisor=divisor, histogram_gain=histogram_gain)
+    if faults:
+        raise faults[0]
+    return grade_inputs({name: x.item() for name, x in normalized.items()}, variables, fou)
 
 
 def grade_inputs(

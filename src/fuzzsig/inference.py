@@ -5,14 +5,14 @@ RSI 3 x SO 3 x Williams 2) and scores each by weighted directional votes.
 Firing uses min for the AND, clipping for implication, and max for
 aggregation; interval grades are reduced with an exhaustive Karnik-Mendel
 switch-point search and defuzzified at the centroid midpoint. Firing and
-reduction take one row or a block of rows. Every entry point evaluates rows
-through recommend_rows, BLOCK_ROWS at a time: a portfolio (recommend_block)
-has a row per symbol, and recommend_periods (signal, each backtest prefix) is
-the one-row case, whose indicators.snapshot computes the last row alone. A
-portfolio computes its snapshots as block frames, one indicators.indicator_block
-per group of series with the same number of periods, and normalizes them as
-arrays (fuzzy.normalize_rows). The rule base, variables and footprint come from
-ResolvedConfig; a caller may pass its own rule base.
+reduction take one row or a block of rows. Every entry point hands indicator
+rows to recommend_rows, which normalizes them (fuzzy.normalize_rows) and
+evaluates them BLOCK_ROWS at a time. recommend_periods (signal, each backtest
+prefix) passes the one row indicators.snapshot computes; a portfolio
+(recommend_block) passes, per group of series with the same number of
+periods, the last column of their indicators.indicator_block. The rule base,
+variables and footprint come from ResolvedConfig; a caller may pass its own
+rule base.
 """
 
 from __future__ import annotations
@@ -21,19 +21,13 @@ import csv
 import functools
 import io
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .config import ResolvedConfig
-from .fuzzy import (
-    FuzzifiedInputs,
-    LinguisticVariable,
-    grade_inputs,
-    normalize_rows,
-    normalize_snapshot,
-)
+from .fuzzy import FuzzifiedInputs, LinguisticVariable, grade_inputs, normalize_rows
 from .indicators import IndicatorSnapshot, indicator_block, snapshot
 from .market_data import PriceSeries, aggregate_periods
 
@@ -360,23 +354,34 @@ class Recommendation:
 
 def recommend_rows(
     symbols: list[str],
-    normalized: dict[str, np.ndarray],
+    snap: IndicatorSnapshot,
     cfg: ResolvedConfig,
     rule_base: RuleBase,
     variables: tuple[LinguisticVariable, ...],
 ) -> list[Recommendation | PipelineError]:
-    """Grade, fire, type-reduce and classify normalized rows, BLOCK_ROWS at a time.
+    """Normalize, grade, fire, type-reduce and classify indicator rows.
 
-    `normalized` maps each input variable to one value per row. A row whose
-    upper envelope is zero fails alone and is kept out of the reduction; a
-    stage failing for a whole block fails each of its rows. A failed row gets
-    its PipelineError in place of a Recommendation.
+    `snap` holds one row per symbol: floats for one row, length-N arrays for
+    a block. The rows are normalized at once (normalize_rows); a row that
+    fails normalization gets its own fuzzification error and is left out,
+    and the rest are evaluated BLOCK_ROWS at a time. A row whose upper
+    envelope is zero fails alone and is kept out of the reduction; a stage
+    failing for a whole block fails each of its rows. A failed row gets its
+    PipelineError in place of a Recommendation, at its own index.
     """
+    normalized, faults = normalize_rows(snap, divisor=cfg.divisor,
+                                        histogram_gain=cfg.histogram_gain)
+    results: list[Recommendation | PipelineError | None] = [None] * len(symbols)
+    kept = range(len(symbols))
+    if faults:
+        for i, exc in faults.items():
+            results[i] = PipelineError("fuzzification", exc)
+        kept = [i for i in kept if i not in faults]
+        normalized = {name: x[kept] for name, x in normalized.items()}
     output_var = next(var for var in variables if var.name == "signal")
     stage = "defuzzification" if cfg.footprint is None else "type reduction"
-    results: list[Recommendation | PipelineError] = []
-    for start in range(0, len(symbols), BLOCK_ROWS):
-        block = symbols[start:start + BLOCK_ROWS]
+    for start in range(0, len(kept), BLOCK_ROWS):
+        block = kept[start:start + BLOCK_ROWS]
         rows = {name: x[start:start + BLOCK_ROWS] for name, x in normalized.items()}
         try:
             inputs = _stage("fuzzification", grade_inputs, rows, variables, cfg.footprint)
@@ -391,18 +396,19 @@ def recommend_rows(
             else:
                 reduced = zip(_stage(stage, defuzzify, live).tolist(), itertools.repeat(None))
         except PipelineError as exc:
-            results += [exc] * len(block)
+            for i in block:
+                results[i] = exc
             continue
-        for symbol, ok in zip(block, fired.tolist()):
+        for i, ok in zip(block, fired.tolist()):
             if not ok:
-                results.append(PipelineError(stage, InferenceError(_NO_RULE_FIRED)))
+                results[i] = PipelineError(stage, InferenceError(_NO_RULE_FIRED))
                 continue
             crisp, interval = next(reduced)
             try:
                 signal = _stage("classification", classify_signal, crisp)
-                results.append(Recommendation(symbol, crisp, signal, interval))
+                results[i] = Recommendation(symbols[i], crisp, signal, interval)
             except PipelineError as exc:
-                results.append(exc)
+                results[i] = exc
     return results
 
 
@@ -413,19 +419,17 @@ def recommend_periods(
 ) -> Recommendation:
     """Run the pipeline on aggregated period bars, building the rule base unless given.
 
-    The one-row case of recommend_rows. The variables come from the config
+    The one-row case of recommend_rows, on the snapshot of the last period;
+    the row's PipelineError is raised. The variables come from the config
     after the snapshot; a table that fails their coverage check raises
     ConfigError, not PipelineError.
     """
     cfg = config if config is not None else ResolvedConfig()
     snap = _stage("indicators", snapshot, periods, **cfg.indicator_windows)
-    normalized = _stage("fuzzification", normalize_snapshot, snap,
-                        divisor=cfg.divisor, histogram_gain=cfg.histogram_gain)
     variables = cfg.build_variables()
     if rule_base is None:
         rule_base = cfg.build_rule_base()
-    one_row = {name: np.array([x]) for name, x in normalized.items()}
-    [result] = recommend_rows([periods.symbol], one_row, cfg, rule_base, variables)
+    [result] = recommend_rows([periods.symbol], snap, cfg, rule_base, variables)
     if isinstance(result, PipelineError):
         raise result
     return result
@@ -452,10 +456,8 @@ def recommend_block(
     The variables, and the rule base unless given, are built once from the
     config. Each series is aggregated on its own; the series with the same
     number of periods then share one indicator_block, whose last column is
-    their snapshot. The snapshots are normalized as one array (normalize_rows)
-    and one recommend_rows call evaluates the surviving rows in input order.
-    Each row equals recommend(series, cfg, rule_base) bit for bit, its stage
-    note included.
+    their snapshot, and one recommend_rows call. Each row equals
+    recommend(series, cfg, rule_base) bit for bit, its stage note included.
     """
     variables = cfg.build_variables()
     if rule_base is None:
@@ -469,34 +471,19 @@ def recommend_block(
             results[i] = exc
             continue
         groups.setdefault(len(periods.bars), []).append((i, periods))
-    index, snaps = [], []
     for length, members in groups.items():
         h, lo, c = (np.stack([getattr(p.bars, name) for _, p in members])
                     for name in ("high", "low", "close"))
         try:
             frame = _stage("indicators", indicator_block, h, lo, c, **cfg.indicator_windows)
-            snaps.append(_stage("indicators", frame.row, length - 1))
+            snap = _stage("indicators", frame.row, length - 1)
         except PipelineError as exc:
-            for i, _ in members:
-                results[i] = exc
-            continue
-        index += [i for i, _ in members]
-    if not snaps:
-        return results
-    live, order = sorted(index), np.argsort(index)
-    snap = IndicatorSnapshot(*(np.concatenate([getattr(s, field.name) for s in snaps])[order]
-                               for field in fields(IndicatorSnapshot)))
-    normalized, faults = normalize_rows(snap, divisor=cfg.divisor,
-                                        histogram_gain=cfg.histogram_gain)
-    ok = np.ones(len(live), dtype=bool)
-    for j, exc in faults.items():
-        results[live[j]] = PipelineError("fuzzification", exc)
-        ok[j] = False
-    live = [i for i, good in zip(live, ok.tolist()) if good]
-    rows = {name: x[ok] for name, x in normalized.items()}
-    symbols = [series_list[i].symbol for i in live]
-    for i, result in zip(live, recommend_rows(symbols, rows, cfg, rule_base, variables)):
-        results[i] = result
+            group = [exc] * len(members)
+        else:
+            group = recommend_rows([p.symbol for _, p in members], snap, cfg, rule_base,
+                                   variables)
+        for (i, _), result in zip(members, group):
+            results[i] = result
     return results
 
 

@@ -453,7 +453,9 @@ def aggregate_periods(series: PriceSeries, days_per_period: int = 15) -> PriceSe
     Open is the first open, high the max high, low the min low, close the last
     close, volume the sum, date the last date. A trailing partial chunk is
     dropped; "days" count trading rows, not calendar days. One-bar periods
-    are the bars themselves, so `series` is returned as it is.
+    are the bars themselves, so `series` is returned as it is. A non-finite
+    price or volume, which parse_csv rejects but a library caller can pass,
+    raises MarketDataError naming the first such bar.
     """
     if days_per_period < 1:
         raise MarketDataError(f"days_per_period must be >= 1, got {days_per_period}")
@@ -463,6 +465,11 @@ def aggregate_periods(series: PriceSeries, days_per_period: int = 15) -> PriceSe
         raise MarketDataError(
             f"{series.symbol}: {len(bars)} bars is shorter than one {d}-bar period"
         )
+    finite = np.isfinite(np.stack(bars.columns()))
+    if not finite.all():
+        i = int(np.argmin(finite.all(axis=0)))
+        _, message = _bar_problems(bars[i])[0]
+        raise MarketDataError(f"{series.symbol}: bar {i} ({bars.date[i].isoformat()}): {message}")
     if d == 1:
         return series
     m = n * d

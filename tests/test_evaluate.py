@@ -163,8 +163,8 @@ class TestRunPortfolio:
         assert rows[0][0] is not None and rows[2][0] is not None
 
     def test_nan_high_note_matches_the_one_symbol_note(self):
-        # a NaN high (a bar no CSV passes) inside the Williams window: the
-        # one-symbol snapshot must carry the NaN as the block frame does
+        # a NaN high (a bar no CSV passes) inside the Williams window fails the
+        # row at aggregation, in the block as for the one symbol
         basket = portfolio_fixture(seed=41, symbols=3, periods=60, days_per_period=1)
         bars = list(basket[1].bars)
         bars[-20] = dataclasses.replace(bars[-20], high=float("nan"))
@@ -172,7 +172,29 @@ class TestRunPortfolio:
         cfg = ResolvedConfig(days_per_period=1)
         rows = _rows(run_portfolio(basket, cfg))
         assert rows == [_recommended(s, cfg) for s in basket]
-        assert rows[1][2] == "fuzzification: Williams value out of range [-100, 0]: nan"
+        assert rows[1][2] == (
+            "aggregation: SYN01: bar 40 (2017-02-12): prices and volume must be finite, got "
+            "open=68.7514 high=nan low=67.9678 close=69.3455 volume=880490.0")
+
+    @given(seed=st.integers(0, 10_000), delta=st.sampled_from([0.0, 0.05]),
+           order=st.permutations(range(8)))
+    @settings(max_examples=15)
+    def test_ragged_basket_rows_follow_any_input_order(self, seed, delta, order):
+        # three period counts, one series too short for a snapshot and one
+        # without bars: each length group is evaluated on its own
+        cfg = ResolvedConfig(delta=delta, days_per_period=1)
+        basket = [PriceSeries(s.symbol, s.bars[:length]) for s, length in zip(
+            portfolio_fixture(seed=seed, symbols=8, periods=60, days_per_period=1),
+            (38, 45, 60, 38, 45, 60, 30, 0))]
+        rows = run_portfolio(basket, cfg).rows
+        permuted = run_portfolio([basket[i] for i in order], cfg).rows
+
+        def bits(row):
+            return (row.symbol, None if row.crisp is None else row.crisp.hex(), row.note)
+
+        assert [bits(row) for row in permuted] == [bits(rows[i]) for i in order]
+        assert rows[6].note.startswith("indicators: ")
+        assert rows[7].note.startswith("aggregation: ")
 
     @pytest.mark.parametrize("delta", [0.0, 0.05])
     def test_rows_without_a_fired_rule_fail_alone(self, delta):
@@ -278,6 +300,44 @@ class TestArbitraryInput:
             else:
                 assert 0.0 <= row.crisp <= 1.0
                 assert row.signal is classify_signal(row.crisp)
+
+
+def _poked(series, day, column):
+    bars = list(series.bars)
+    bars[day] = dataclasses.replace(bars[day], **{column: float("nan")})
+    return PriceSeries(series.symbol, bars)
+
+
+class TestNonFinitePrices:
+    # a NaN bar, which parse_csv rejects but a library caller can build, fails
+    # at aggregation under its own name rather than as a later stage's symptom
+    CASES = [
+        (3, "high", "S: bar 3 (2017-01-06): prices and volume must be finite, got "
+                    "open=129.8925 high=nan low=126.0412 close=130.5763 volume=687840.0"),
+        (14, "close", "S: bar 14 (2017-01-17): prices and volume must be finite, got "
+                      "open=129.2551 high=133.5547 low=125.2955 close=nan volume=320709.0"),
+    ]
+
+    @pytest.mark.parametrize("day, column, message", CASES)
+    def test_recommend_fails_at_aggregation(self, day, column, message):
+        with pytest.raises(PipelineError) as caught:
+            recommend(_poked(random_walk_series("S", 3, periods=60), day, column))
+        assert caught.value.stage == "aggregation"
+        assert str(caught.value) == f"aggregation: {message}"
+
+    @pytest.mark.parametrize("day, column, message", CASES)
+    def test_portfolio_row_note_names_the_bar(self, day, column, message):
+        basket = portfolio_fixture(seed=5, symbols=2, periods=60)
+        poked = _poked(random_walk_series("S", 3, periods=60), day, column)
+        rows = run_portfolio([basket[0], poked, basket[1]]).rows
+        assert rows[1].crisp is None and rows[1].note == f"aggregation: {message}"
+        assert rows[0].crisp is not None and rows[2].crisp is not None
+
+    @pytest.mark.parametrize("day, column, message", CASES)
+    def test_backtest_fails_at_aggregation(self, day, column, message):
+        with pytest.raises(MarketDataError) as caught:
+            backtest(_poked(random_walk_series("S", 3, periods=60), day, column))
+        assert str(caught.value) == message
 
 
 class TestBacktest:

@@ -18,7 +18,6 @@ from fuzzsig.fuzzy import (
     default_variables,
     fuzzify,
     normalize_rows,
-    normalize_snapshot,
 )
 from fuzzsig.indicators import IndicatorSnapshot, snapshot
 from fuzzsig.market_data import aggregate_periods
@@ -271,7 +270,9 @@ class TestFuzzify:
 
     def test_normalization_values(self):
         snap = flat_snapshot()
-        normalized = normalize_snapshot(snap)
+        normalized, faults = normalize_rows(snap)
+        assert not faults
+        normalized = {name: x.item() for name, x in normalized.items()}
         assert normalized["macd"] == 0.0
         assert normalized["so"] == 0.5
         assert normalized["rsi"] == pytest.approx(50.0 / 89.0, rel=1e-12)
@@ -292,7 +293,7 @@ def one_row(block, i):
 
 
 class TestNormalizeRows:
-    def test_rows_equal_normalize_snapshot_and_faults_keep_its_notes(self):
+    def test_rows_equal_one_row_calls_and_faults_keep_their_notes(self):
         # RSI is checked before Williams, and a zero close fails the MACD ratio first
         block = block_snapshot(
             histogram=[0.3, -0.2, 0.1, 0.0, 0.4, 0.5],
@@ -305,12 +306,13 @@ class TestNormalizeRows:
         for i in range(6):
             snap = one_row(block, i)
             if i not in faults:
-                want = normalize_snapshot(snap, divisor=89.0, histogram_gain=50.0)
+                want, none = normalize_rows(snap, divisor=89.0, histogram_gain=50.0)
+                assert not none
                 assert {k: x[i].hex() for k, x in normalized.items()} == \
-                    {k: v.hex() for k, v in want.items()}
+                    {k: v.item().hex() for k, v in want.items()}
                 continue
             with pytest.raises(type(faults[i])) as caught:
-                normalize_snapshot(snap, divisor=89.0, histogram_gain=50.0)
+                fuzzify(snap, default_variables(), divisor=89.0, histogram_gain=50.0)
             assert str(caught.value) == str(faults[i])
         assert str(faults[1]) == "RSI out of range [0, 100]: 101.0"
         assert str(faults[2]) == "Williams value out of range [-100, 0]: 0.25"

@@ -16,13 +16,15 @@ from fuzzsig.fuzzy import (
     default_variables,
     fuzzify,
     grade_inputs,
-    normalize_snapshot,
+    normalize_rows,
 )
-from fuzzsig.indicators import snapshot
+from fuzzsig.indicators import IndicatorSnapshot, indicator_block, snapshot
 from fuzzsig.inference import (
     ANTECEDENT_TERMS,
+    BLOCK_ROWS,
     AggregatedOutput,
     InferenceError,
+    PipelineError,
     Rule,
     RuleBase,
     Signal,
@@ -33,6 +35,7 @@ from fuzzsig.inference import (
     fire_rules,
     km_type_reduce,
     recommend,
+    recommend_rows,
     rules_from_csv,
     rules_to_csv,
 )
@@ -173,7 +176,7 @@ class TestFireRules:
                  for s in portfolio_fixture(seed=8, symbols=12, periods=40)]
         rows = [fuzzify(snap, variables, fou=fou) for snap in snaps]
         block = grade_inputs(
-            {name: np.array([normalize_snapshot(snap)[name] for snap in snaps])
+            {name: np.concatenate([normalize_rows(snap)[0][name] for snap in snaps])
              for name in ANTECEDENT_TERMS}, variables, fou)
         base = build_rule_base()
         agg = fire_rules(block, base, OUTPUT_VAR, grid_points=201)
@@ -406,6 +409,67 @@ class TestRecommend:
             if interval is not None:
                 assert [y.hex() for y in rec.centroid_interval] == [y.hex() for y in interval]
             assert rec.signal is classify_signal(crisp)
+
+
+def _outcome(result):
+    """A recommend_rows result as comparable bits: crisp and interval by float.hex."""
+    if isinstance(result, PipelineError):
+        return (type(result), result.stage, str(result))
+    interval = result.centroid_interval
+    return (result.symbol, result.crisp.hex(), result.signal,
+            None if interval is None else tuple(y.hex() for y in interval))
+
+
+class TestRecommendRows:
+    @pytest.mark.parametrize("delta", [0.0, 0.05])
+    def test_float_row_equals_length_one_arrays(self, delta):
+        cfg = ResolvedConfig(delta=delta)
+        variables, base = cfg.build_variables(), cfg.build_rule_base()
+        for series in portfolio_fixture(seed=43, symbols=8, periods=52):
+            snap = snapshot(aggregate_periods(series, cfg.days_per_period))
+            arrays = IndicatorSnapshot(*(np.array([x]) for x in dataclasses.astuple(snap)))
+            [floats] = recommend_rows([series.symbol], snap, cfg, base, variables)
+            [block] = recommend_rows([series.symbol], arrays, cfg, base, variables)
+            assert not isinstance(floats, PipelineError)
+            assert _outcome(floats) == _outcome(block)
+            assert (floats.centroid_interval is None) == (delta == 0.0)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.05])
+    def test_block_rows_equal_each_row_alone(self, delta):
+        # two BLOCK_ROWS chunks plus two rows, with normalization faults at the
+        # chunk edges: the faulted rows leave before chunking, so every later
+        # row moves to another chunk position and must keep its bits
+        assert BLOCK_ROWS == 64
+        cfg = ResolvedConfig(delta=delta, days_per_period=1)
+        variables = cfg.build_variables()
+        one_rule = rules_from_csv("macd,rsi,so,wa,consequent\nlow,medium,medium,low,hold\n")
+        basket = portfolio_fixture(seed=31, symbols=130, periods=38, days_per_period=1)
+        h, lo, c = (np.stack([getattr(s.bars, name) for s in basket])
+                    for name in ("high", "low", "close"))
+        columns = {name: np.array(x) for name, x in dataclasses.asdict(
+            indicator_block(h, lo, c).row(37)).items()}
+        columns["rsi"][0] = 101.0
+        columns["close"][63] = 0.0
+        columns["williams"][64] = 0.25
+        columns["rsi"][129] = -1.0
+        snap = IndicatorSnapshot(**columns)
+        symbols = [s.symbol for s in basket]
+        results = recommend_rows(symbols, snap, cfg, one_rule, variables)
+        assert len(results) == len(symbols)
+        for i, result in enumerate(results):
+            row = IndicatorSnapshot(*(float(x[i]) for x in dataclasses.astuple(snap)))
+            [alone] = recommend_rows([symbols[i]], row, cfg, one_rule, variables)
+            assert _outcome(result) == _outcome(alone)
+        notes = {i: str(r) for i, r in enumerate(results) if isinstance(r, PipelineError)}
+        assert [notes[i] for i in (0, 63, 64, 129)] == [
+            "fuzzification: RSI out of range [0, 100]: 101.0",
+            "fuzzification: float division by zero",
+            "fuzzification: Williams value out of range [-100, 0]: 0.25",
+            "fuzzification: RSI out of range [0, 100]: -1.0",
+        ]
+        stage = "type reduction" if delta else "defuzzification"
+        unfired = [i for i, note in notes.items() if note.startswith(f"{stage}: no rule fired")]
+        assert unfired and len(notes) == 4 + len(unfired) < len(results)
 
 
 class TestTypeReductionCollapse:

@@ -512,6 +512,24 @@ class TestAggregatePeriods:
         with pytest.raises(MarketDataError, match="^days_per_period must be >= 1, got 0$"):
             aggregate_periods(series, 0)
 
+    @pytest.mark.parametrize("dpp", [1, 15])
+    @pytest.mark.parametrize("column, value", [
+        ("open", float("nan")), ("high", float("inf")), ("low", float("-inf")),
+        ("close", float("nan")), ("volume", float("inf")),
+    ])
+    def test_nonfinite_value_names_the_first_bad_bar(self, dpp, column, value):
+        series = make_series(30)
+        bars = list(series.bars)
+        for i in (7, 21):
+            bars[i] = dataclasses.replace(bars[i], **{column: value})
+        got = {"open": 10.0, "high": 11.0, "low": 9.0, "close": 10.5, "volume": 100.0,
+               column: value}
+        message = ("T: bar 7 (2020-01-08): prices and volume must be finite, got "
+                   + " ".join(f"{name}={x}" for name, x in got.items()))
+        with pytest.raises(MarketDataError) as caught:
+            aggregate_periods(PriceSeries("T", bars), dpp)
+        assert str(caught.value) == message
+
     def test_780_daily_bars_make_52_periods(self):
         series = random_walk_series("S", seed=5, periods=52, days_per_period=15)
         assert len(series.bars) == 780
