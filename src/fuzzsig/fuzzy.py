@@ -135,7 +135,8 @@ class Gaussian:
     def grade(self, x):
         arr, scalar = _eval_scalar_or_array(x)
         z = (arr - self.center) / self.width
-        out = np.exp(-0.5 * z * z)
+        # math.exp per element, so the grades do not depend on numpy's SIMD kernels
+        out = np.array([math.exp(v) for v in (-0.5 * z * z).tolist()])
         return float(out[0]) if scalar else out
 
     def grade_bounds(self, x, delta: float):

@@ -258,8 +258,13 @@ def _quad_weights(n: int) -> np.ndarray:
     return w
 
 
-def _centroid(x: np.ndarray, weights: np.ndarray) -> float:
-    return float(np.dot(x, weights) / weights.sum())
+def _centroids(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per row of (N, n) weights, the weighted mean of x.
+
+    Elementwise products and numpy's pairwise row sums, not a BLAS dot, so
+    the values do not depend on the CPU's SIMD or BLAS kernel.
+    """
+    return np.multiply(x, weights).sum(axis=1) / weights.sum(axis=1)
 
 
 def _prefix_sums(v: np.ndarray) -> np.ndarray:
@@ -275,16 +280,15 @@ def _switch_point_centroids(x: np.ndarray, head: np.ndarray, tail: np.ndarray,
     the reversed arrays, not as total minus head, so an assignment without
     weight sums to exactly 0 and scores `empty`, not a ratio of rounding
     residue. j = 0 ranks last and j = n after the interior points: they win
-    only where no interior assignment has weight. The chosen j is evaluated
-    again row by row with _centroid, the type-1 expression.
+    only where no interior assignment has weight. The chosen weights are
+    evaluated again with _centroids, the type-1 expression.
     """
     weight = _prefix_sums(head) + _prefix_sums(tail[:, ::-1])[:, ::-1]
     moment = _prefix_sums(x * head) + _prefix_sums((x * tail)[:, ::-1])[:, ::-1]
     scores = np.divide(moment, weight, out=np.full(weight.shape, empty), where=weight > 0.0)
     picks = (pick(np.concatenate((scores[:, 1:], scores[:, :1]), axis=1), axis=1) + 1) \
         % scores.shape[1]
-    return np.array([_centroid(x, np.concatenate((h[:j], t[j:])))
-                     for h, t, j in zip(head, tail, picks.tolist())])
+    return _centroids(x, np.where(np.arange(len(x)) < picks[:, None], head, tail))
 
 
 _NO_RULE_FIRED = "no rule fired: aggregate output is identically zero"
@@ -328,9 +332,8 @@ def defuzzify(agg: AggregatedOutput):
         return 0.5 * (y_l + y_r)
     if not _fired(agg).all():
         raise InferenceError(_NO_RULE_FIRED)
-    quad = _quad_weights(len(agg.grid))
-    crisp = [_centroid(agg.grid, quad * row) for row in np.atleast_2d(agg.upper)]
-    return crisp[0] if agg.upper.ndim == 1 else np.array(crisp)
+    crisp = _centroids(agg.grid, _quad_weights(len(agg.grid)) * np.atleast_2d(agg.upper))
+    return crisp[0].item() if agg.upper.ndim == 1 else crisp
 
 
 def classify_signal(crisp: float) -> Signal:

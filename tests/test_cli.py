@@ -94,9 +94,9 @@ class TestPortfolio:
         assert capsysbinary.readouterr().out == (DATA_DIR / "golden_portfolio.csv").read_bytes()
 
     @pytest.mark.parametrize("flags,digest", [
-        (["--delta", "0"], "cdfc71bfc162d8e046340c12c0757d0e5c7f9e65a40e1950d37867bb905c9f73"),
-        ([], "78565e1ac31d06368006bb2c68cb5cfe1d3b30b932ccf5c2b186db3f21ea43b0"),
-        (["--delta", "0.15"], "689f95b5e860300388e942a1389dbcc878a47ef0ed7f176ae3a79e2007325d37"),
+        (["--delta", "0"], "771231f5462f17e82f0c83a966b2520d2030a918ec9dc1ba71f33fcebcfc0478"),
+        ([], "c71698f047ad49e919db5bd7f6b496d42689b1add0dbac712a06c34ff20bd3fa"),
+        (["--delta", "0.15"], "516d69c0c8de7dc5e84504b735415dde94a8c9a7ae6937d054db0a1fb08c7223"),
     ])
     def test_bundled_fixture_json_bytes_are_pinned(self, flags, digest, capsysbinary):
         # full-precision crisp values: the golden CSV's 1 dp cannot see drift of a few ulps

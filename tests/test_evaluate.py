@@ -416,16 +416,17 @@ class TestPrefixPins:
 
     The backtest scores one prefix at a time, so these digests guard the
     indicator recursion, the variable build, firing and type reduction of a
-    single row. The values were recorded with the numpy-scalar EMA fold and
-    uncached variable and output-grid builds.
+    single row. The values were recorded with the numpy-scalar EMA fold,
+    uncached variable and output-grid builds, math.exp Gaussian grades and
+    BLAS-free centroid sums, so they hold on any CPU and BLAS kernel.
     """
 
     @pytest.mark.parametrize("delta, crisp_digest, interval_digest", [
-        (0.0, "3fd7927572de4a3d8fda8815496291319d95d3d1aacb0408e9372d0e305c2298",
+        (0.0, "38aa40d1d500f5c0f57fdf497d5f6e03674b3d7e3400ef270c872c814989aa48",
          # no centroid intervals at delta 0: the digest of no lines
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-        (0.05, "1335a580bbe8ee1e2b10d448c8575c5fbb5a3020ec7ea06373ef7190f3171897",
-         "ee857526781d35809c063cf2dcfdc9ca13271291dd55493c7dbe572c12167c1e"),
+        (0.05, "6fe721c87e67ff3f1f3c8f12bc12bae02f3bffc0df9b4f4698c2332b24512682",
+         "cebb783d6e735b7d040ec78920be4d34e8d0b755d3b5260670851603ff3d3d05"),
     ])
     def test_recommend_periods_on_every_prefix_is_pinned(self, delta, crisp_digest,
                                                          interval_digest):
