@@ -1,18 +1,24 @@
 """Membership functions, linguistic variables, and fuzzification of snapshots.
 
 Triangular-family shapes serve RSI and the stochastic, Gaussians serve MACD and
-Williams. Every shape also exposes an interval ([lower, upper]) grade under a
+Williams. Every shape also has an interval ([lower, upper]) grade under a
 footprint-of-uncertainty blur: a breakpoint shift of +/- delta for the
-piecewise-linear shapes, a width spread of +/- delta for Gaussians. Grades
-take a float (and give floats) or an array of points (and give arrays), so a
-block of rows is graded in one pass.
+piecewise-linear shapes, a width spread of +/- delta for Gaussians.
+
+All membership math is one array kernel, grade_terms, over a TermTable: the
+linear shapes as trapezoids (a, b, c, d), the Gaussians as centres and widths.
+grade_inputs grades every term of every input variable in one call on a
+(terms, N) array, and a shape's own grade and grade_bounds are the one-term
+case. Gaussians take math.exp per element, so no grade depends on numpy's
+SIMD kernels. Grades take a float (and give floats) or an array of points
+(and give arrays), so a block of rows is graded in one pass.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,16 +30,16 @@ _COVERAGE_GRID = 1001
 _MIN_GAUSSIAN_WIDTH = 1e-12
 
 
-def _eval_scalar_or_array(x):
+def _grade_one(mf: MembershipFunction, x, delta: float | None):
+    """The one-term case of grade_terms: floats for a scalar x, arrays of x's shape otherwise."""
     arr = np.asarray(x, dtype=float)
-    return np.atleast_1d(arr), arr.ndim == 0
-
-
-def _bounds(x, lo, hi):
-    """The (lower, upper) pair as floats for a scalar x, as arrays otherwise."""
-    if np.ndim(x) == 0:
-        return float(lo), float(hi)
-    return lo, hi
+    [grades] = grade_terms(term_table((mf,)), arr.reshape(1, -1), delta)
+    if delta is None:
+        return grades.item() if arr.ndim == 0 else grades.reshape(arr.shape)
+    lower, upper = grades
+    if arr.ndim == 0:
+        return lower.item(), upper.item()
+    return lower.reshape(arr.shape), upper.reshape(arr.shape)
 
 
 @dataclass(frozen=True)
@@ -49,24 +55,10 @@ class Triangular:
             raise ValueError(f"need left <= peak <= right, got {self}")
 
     def grade(self, x):
-        arr, scalar = _eval_scalar_or_array(x)
-        out = np.zeros_like(arr)
-        if self.peak > self.left:
-            m = (arr >= self.left) & (arr < self.peak)
-            out[m] = (arr[m] - self.left) / (self.peak - self.left)
-        if self.right > self.peak:
-            m = (arr > self.peak) & (arr <= self.right)
-            out[m] = (self.right - arr[m]) / (self.right - self.peak)
-        out[arr == self.peak] = 1.0
-        return float(out[0]) if scalar else out
+        return _grade_one(self, x, None)
 
     def grade_bounds(self, x, delta: float):
-        # Unimodal, so the envelope extremes sit at the shifted endpoints,
-        # except that the peak dominates whenever the blur window reaches it.
-        left, right = self.grade(x - delta), self.grade(x + delta)
-        reaches_peak = np.logical_and(x - delta <= self.peak, self.peak <= x + delta)
-        return _bounds(x, np.minimum(left, right),
-                       np.where(reaches_peak, 1.0, np.maximum(left, right)))
+        return _grade_one(self, x, delta)
 
 
 @dataclass(frozen=True)
@@ -81,18 +73,10 @@ class LeftShoulder:
             raise ValueError(f"need plateau_end <= foot, got {self}")
 
     def grade(self, x):
-        arr, scalar = _eval_scalar_or_array(x)
-        out = np.zeros_like(arr)
-        out[arr <= self.plateau_end] = 1.0
-        if self.foot > self.plateau_end:
-            m = (arr > self.plateau_end) & (arr < self.foot)
-            out[m] = (self.foot - arr[m]) / (self.foot - self.plateau_end)
-        return float(out[0]) if scalar else out
+        return _grade_one(self, x, None)
 
     def grade_bounds(self, x, delta: float):
-        left, right = self.grade(x - delta), self.grade(x + delta)
-        return _bounds(x, np.minimum(left, right),
-                       np.where(x - delta <= self.plateau_end, 1.0, left))
+        return _grade_one(self, x, delta)
 
 
 @dataclass(frozen=True)
@@ -107,18 +91,10 @@ class RightShoulder:
             raise ValueError(f"need foot <= plateau_start, got {self}")
 
     def grade(self, x):
-        arr, scalar = _eval_scalar_or_array(x)
-        out = np.zeros_like(arr)
-        out[arr >= self.plateau_start] = 1.0
-        if self.plateau_start > self.foot:
-            m = (arr > self.foot) & (arr < self.plateau_start)
-            out[m] = (arr[m] - self.foot) / (self.plateau_start - self.foot)
-        return float(out[0]) if scalar else out
+        return _grade_one(self, x, None)
 
     def grade_bounds(self, x, delta: float):
-        left, right = self.grade(x - delta), self.grade(x + delta)
-        return _bounds(x, np.minimum(left, right),
-                       np.where(x + delta >= self.plateau_start, 1.0, right))
+        return _grade_one(self, x, delta)
 
 
 @dataclass(frozen=True)
@@ -133,20 +109,124 @@ class Gaussian:
             raise ValueError(f"width must be positive, got {self}")
 
     def grade(self, x):
-        arr, scalar = _eval_scalar_or_array(x)
-        z = (arr - self.center) / self.width
-        # math.exp per element, so the grades do not depend on numpy's SIMD kernels
-        out = np.array([math.exp(v) for v in (-0.5 * z * z).tolist()])
-        return float(out[0]) if scalar else out
+        return _grade_one(self, x, None)
 
     def grade_bounds(self, x, delta: float):
         # Width blur only: the center never moves, so x == center stays [1, 1].
-        hi = Gaussian(self.center, self.width + delta).grade(x)
-        lo = Gaussian(self.center, max(self.width - delta, _MIN_GAUSSIAN_WIDTH)).grade(x)
-        return lo, hi
+        return _grade_one(self, x, delta)
 
 
 MembershipFunction = Triangular | LeftShoulder | RightShoulder | Gaussian
+
+
+def _linear_row(a: float, b: float, c: float, d: float) -> tuple[float, ...]:
+    """A trapezoid's breakpoints (a, b, c, d) and its edges' (origin, width) pairs.
+
+    An edge without width covers no point; it gets origin 0 and width 1, so
+    the arithmetic the kernel does on it and then discards cannot warn.
+    """
+    rise = (a, b - a) if b > a else (0.0, 1.0)
+    fall = (d, d - c) if d > c else (0.0, 1.0)
+    return (a, b, c, d, *rise, *fall)
+
+
+@dataclass(frozen=True, eq=False)
+class TermTable:
+    """Parameter columns of a tuple of membership functions, one (terms, 1) column each.
+
+    A linear shape is a trapezoid (a, b, c, d): rising on [a, b), 1 on [b, c],
+    falling on (c, d] and 0 elsewhere. Triangular(l, p, r) is (l, p, p, r),
+    LeftShoulder(e, f) is (-inf, -inf, e, f) and RightShoulder(f, s) is
+    (f, s, inf, inf). A Gaussian's trapezoid is all NaN, which grades 0
+    everywhere; `gaussian` (the rows of the Gaussian mask) selects the rows
+    whose grades come from `center` and `width`, both (Gaussians, 1).
+    """
+
+    gaussian: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
+    rise_from: np.ndarray
+    rise: np.ndarray
+    fall_to: np.ndarray
+    fall: np.ndarray
+    center: np.ndarray
+    width: np.ndarray
+
+
+@functools.lru_cache(maxsize=256)
+def term_table(mfs: tuple[MembershipFunction, ...]) -> TermTable:
+    """The TermTable of these membership functions, built once per distinct tuple."""
+    inf, nan = math.inf, math.nan
+    corners = {
+        Triangular: lambda mf: (mf.left, mf.peak, mf.peak, mf.right),
+        LeftShoulder: lambda mf: (-inf, -inf, mf.plateau_end, mf.foot),
+        RightShoulder: lambda mf: (mf.foot, mf.plateau_start, inf, inf),
+        Gaussian: lambda mf: (nan, nan, nan, nan),
+    }
+    trapezoids = np.array([_linear_row(*corners[type(mf)](mf)) for mf in mfs],
+                          dtype=float).reshape(-1, 8).T
+    gaussians = [mf for mf in mfs if isinstance(mf, Gaussian)]
+    shapes = np.array([(mf.center, mf.width) for mf in gaussians], dtype=float).reshape(-1, 2).T
+    columns = [column[:, None] for column in (*trapezoids, *shapes)]
+    for column in columns:
+        column.flags.writeable = False
+    gaussian = np.array([i for i, mf in enumerate(mfs) if isinstance(mf, Gaussian)],
+                        dtype=np.intp)
+    return TermTable(gaussian, *columns)
+
+
+def _linear_grades(t: TermTable, x: np.ndarray) -> np.ndarray:
+    """Trapezoid grades at x, (terms, M): each row's own points, 0 on Gaussian rows.
+
+    Each edge's ramp is computed at every point and kept only on the edge,
+    where it lies in [0, 1); off the edge a narrow one may overflow, unseen.
+    """
+    with np.errstate(over="ignore"):
+        rising = np.where(x >= t.a, (x - t.rise_from) / t.rise, 0.0)
+        falling = np.where(x <= t.d, (t.fall_to - x) / t.fall, 0.0)
+    return np.where(x < t.b, rising, np.where(x <= t.c, 1.0, falling))
+
+
+def _gaussian_grades(z: np.ndarray) -> np.ndarray:
+    """exp(-z^2 / 2) per element, through math.exp."""
+    exponent = (-0.5 * z * z).ravel().tolist()
+    return np.fromiter(map(math.exp, exponent), float, len(exponent)).reshape(z.shape)
+
+
+def grade_terms(table: TermTable, x: np.ndarray, delta: float | None) -> np.ndarray:
+    """Every term's grade at its own points x, a (terms, N) array.
+
+    delta None gives (terms, N) grades. A delta gives (terms, 2, N) (lower,
+    upper) pairs under the footprint blur:
+    - a linear term is graded at x - delta and x + delta; the lower grade is
+      the smaller, the upper is 1 where [x - delta, x + delta] meets its
+      plateau [b, c] and the larger one elsewhere;
+    - a Gaussian is graded at widths max(width - delta, 1e-12) (lower) and
+      width + delta (upper), around the same centre.
+    The linear formula runs on every row, and the Gaussian rows are then
+    overwritten. A NaN point grades 0 on a linear term and NaN on a Gaussian.
+    """
+    gaussian = table.gaussian
+    if delta is None:
+        out = _linear_grades(table, x)
+        if len(gaussian):
+            out[gaussian] = _gaussian_grades((x[gaussian] - table.center) / table.width)
+        return out
+    # (terms, 2, N): each point shifted by -delta, then by +delta
+    shifted = x[:, None, :] + np.array([[-delta], [delta]])
+    left, right = _linear_grades(table, shifted.reshape(len(x), -1)).reshape(
+        shifted.shape).transpose(1, 0, 2)
+    out = np.empty(shifted.shape)
+    np.minimum(left, right, out=out[:, 0])
+    np.maximum(left, right, out=out[:, 1])
+    out[:, 1][(shifted[:, 0] <= table.c) & (shifted[:, 1] >= table.b)] = 1.0
+    if len(gaussian):
+        widths = np.stack((np.maximum(table.width - delta, _MIN_GAUSSIAN_WIDTH),
+                           table.width + delta), axis=1)
+        out[gaussian] = _gaussian_grades((x[gaussian] - table.center)[:, None, :] / widths)
+    return out
 
 
 @dataclass(frozen=True)
@@ -174,7 +254,8 @@ def _check_coverage(name: str, domain: tuple[float, float],
     if not terms:
         raise ValueError(f"{name!r}: needs at least one term")
     grid = np.linspace(lo, hi, _COVERAGE_GRID)
-    grades = np.array([mf.grade(grid) for _, mf in terms])
+    grades = grade_terms(term_table(tuple(mf for _, mf in terms)),
+                         np.broadcast_to(grid, (len(terms), len(grid))), None)
     cover = grades.max(axis=0)
     worst = int(np.argmin(cover))  # the first NaN, if a grade is NaN
     if not cover[worst] >= COVERAGE_FLOOR:
@@ -227,10 +308,16 @@ class FuzzifiedInputs:
 
     Each grade is a float for one row, or a length-N array for a block of N
     rows. For type-1 evaluation (interval=False) lower equals upper exactly.
+    grade_inputs also keeps the grades stacked, (terms, 2) for one row or
+    (terms, 2, N) for a block, with the (variable, term) of each stacked row
+    in `term_keys`; `grades` then holds views of it. Type-1 grades are stacked
+    once, (terms, 1[, N]). Inputs built from a dict alone have stacked=None.
     """
 
     grades: dict[str, dict[str, tuple[float, float]]]
     interval: bool
+    stacked: np.ndarray | None = field(default=None, repr=False, compare=False)
+    term_keys: tuple[tuple[str, str], ...] = ()
 
 
 def default_mf_table() -> dict[str, tuple[tuple[str, MembershipFunction], ...]]:
@@ -289,6 +376,10 @@ def default_variables(
     )
 
 
+_SECONDARY_LOW = np.array([[0.0], [-100.0]])  # RSI in [0, 100], Williams in [-100, 0]
+_SECONDARY_HIGH = np.array([[100.0], [0.0]])
+
+
 def _row_fault(histogram: float, close: float, rsi: float, williams: float,
                divisor: float, histogram_gain: float) -> Exception | None:
     """The first error the one-row float arithmetic raises on these values, if any."""
@@ -317,22 +408,24 @@ def normalize_rows(
     Williams outside [-100, 0]), the error that row's values raise alone. A
     failed row's normalized values are meaningless.
     """
-    histogram, close, rsi, k, williams = np.array(
-        [snap.histogram, snap.close, snap.rsi, snap.stochastic_k, snap.williams],
-        dtype=float).reshape(5, -1)
+    raw = np.array([snap.histogram, snap.close, snap.rsi, snap.stochastic_k, snap.williams],
+                   dtype=float).reshape(5, -1)
+    histogram, close, _, k, _ = raw
+    secondary = raw[2::2]  # RSI and Williams
     with np.errstate(all="ignore"):  # failed rows raise below, as the float arithmetic would
         ratio = histogram_gain * histogram / close
-        normalized = {
-            "macd": np.array([math.tanh(x) for x in ratio.tolist()]),
-            "rsi": np.abs(rsi) / divisor,
-            "so": k / 100.0,
-            "wa": np.abs(williams) / divisor,
-        }
-    suspect = ~((close != 0.0) & (rsi >= 0.0) & (rsi <= 100.0)
-                & (williams >= -100.0) & (williams <= 0.0)) | (divisor <= 0)
+        rsi, wa = np.abs(secondary) / divisor
+    normalized = {
+        "macd": np.fromiter(map(math.tanh, ratio.tolist()), float, len(ratio)),
+        "rsi": rsi,
+        "so": k / 100.0,
+        "wa": wa,
+    }
+    # the rows that may fail (NaN RSI or Williams too); the float arithmetic decides
+    in_range = ((secondary >= _SECONDARY_LOW) & (secondary <= _SECONDARY_HIGH)).all(axis=0)
+    suspect = ~in_range | (close == 0.0) | (divisor <= 0)
     faults = {i: fault for i in np.flatnonzero(suspect).tolist()
-              if (fault := _row_fault(histogram[i].item(), close[i].item(), rsi[i].item(),
-                                      williams[i].item(), divisor, histogram_gain))}
+              if (fault := _row_fault(*raw[[0, 1, 2, 4], i].tolist(), divisor, histogram_gain))}
     return normalized, faults
 
 
@@ -357,6 +450,20 @@ def fuzzify(
     return grade_inputs({name: x.item() for name, x in normalized.items()}, variables, fou)
 
 
+@functools.lru_cache(maxsize=64)
+def _input_terms(variables: tuple[LinguisticVariable, ...], names: tuple[str, ...]):
+    """The graded variables' names, their (variable, term) rows, each row's variable, the table.
+
+    Only the variables named in `names` are graded, in `variables` order.
+    Built once per distinct argument pair.
+    """
+    graded = [var for var in variables if var.name in names]
+    keys = tuple((var.name, label) for var in graded for label, _ in var.terms)
+    source = np.array([i for i, var in enumerate(graded) for _ in var.terms], dtype=np.intp)
+    table = term_table(tuple(mf for var in graded for _, mf in var.terms))
+    return tuple(var.name for var in graded), keys, source, table
+
+
 def grade_inputs(
     normalized: dict[str, float] | dict[str, np.ndarray],
     variables: tuple[LinguisticVariable, ...],
@@ -365,19 +472,29 @@ def grade_inputs(
     """Grade the input variables' terms at normalized values (see fuzzify).
 
     The values are floats for one row, giving float grades, or equal-length
-    arrays for a block of rows, giving array grades.
+    arrays for a block of rows, giving array grades. Every term of every
+    variable present in `normalized` is graded in one grade_terms call on a
+    (terms, N) array that gathers each term's input column; the per-term
+    parameters come from a TermTable built once per distinct variables tuple.
     """
-    grades = {}
-    for var in variables:
-        if var.name not in normalized:
-            continue
-        x = normalized[var.name]
-        per_term = {}
-        for label, mf in var.terms:
-            if fou is None:
-                g = mf.grade(x)
-                per_term[label] = (g, g)
-            else:
-                per_term[label] = mf.grade_bounds(x, fou.delta)
-        grades[var.name] = per_term
-    return FuzzifiedInputs(grades=grades, interval=fou is not None)
+    names, keys, source, table = _input_terms(tuple(variables), tuple(normalized))
+    interval = fou is not None
+    if not keys:
+        return FuzzifiedInputs({}, interval)
+    x = np.array([normalized[name] for name in names], dtype=float)
+    grades = grade_terms(table, x.reshape(len(names), -1)[source],
+                         fou.delta if interval else None)
+    one_row = x.ndim == 1
+    if one_row:
+        grades = grades[..., 0]
+    split = np.ndarray.tolist if one_row else list  # floats for one row, row views for a block
+    if interval:
+        stacked = grades
+        lower, upper = split(grades[:, 0]), split(grades[:, 1])
+    else:  # type-1: lower and upper are the same grades, stacked once
+        stacked = grades[:, None]
+        lower = upper = split(grades)
+    by_name: dict[str, dict[str, tuple[float, float]]] = {name: {} for name in names}
+    for (name, label), lo, hi in zip(keys, lower, upper):
+        by_name[name][label] = (lo, hi)
+    return FuzzifiedInputs(by_name, interval, stacked, keys)

@@ -27,7 +27,8 @@ from enum import Enum
 import numpy as np
 
 from .config import ResolvedConfig
-from .fuzzy import FuzzifiedInputs, LinguisticVariable, grade_inputs, normalize_rows
+from .fuzzy import (FuzzifiedInputs, LinguisticVariable, grade_inputs, grade_terms,
+                    normalize_rows, term_table)
 from .indicators import IndicatorSnapshot, indicator_block, snapshot
 from .market_data import PriceSeries, aggregate_periods
 
@@ -114,8 +115,8 @@ class RuleBase:
     def index(self) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
         """The rules as index arrays over term grades stacked in ANTECEDENT_TERMS order.
 
-        Returns every rule's four antecedent term positions ((rules, 4), the
-        rules grouped by consequent), the row where each group starts, and each
+        Returns every rule's four antecedent term positions ((4, rules), the
+        rules grouped by consequent), the rule where each group starts, and each
         group's consequent label. Built once per rule base; raises for the
         first rule naming an unknown term.
         """
@@ -133,7 +134,7 @@ class RuleBase:
         order = np.argsort(codes, kind="stable")
         consequents, starts = np.unique(codes[order], return_index=True)
         labels = tuple(signals[k].value.lower() for k in consequents.tolist())
-        return np.array(rows, dtype=np.intp).reshape(-1, 4)[order], starts, labels
+        return np.array(rows, dtype=np.intp).reshape(-1, 4)[order].T.copy(), starts, labels
 
 
 def vote_score(
@@ -205,11 +206,26 @@ def _output_grades(output_var: LinguisticVariable, grid_points: int,
     grid = np.linspace(output_var.domain[0], output_var.domain[1], grid_points)
     terms = dict(output_var.terms)
     try:
-        mu = np.array([terms[label].grade(grid) for label in labels])
+        table = term_table(tuple(terms[label] for label in labels))
     except KeyError as exc:
         raise InferenceError(f"output variable has no term {exc}") from None
+    mu = grade_terms(table, np.broadcast_to(grid, (len(labels), grid_points)), None)
     grid.flags.writeable = mu.flags.writeable = False
     return grid, mu
+
+
+@functools.lru_cache(maxsize=64)
+def _antecedent_rows(term_keys: tuple[tuple[str, str], ...]) -> np.ndarray | None:
+    """Where each ANTECEDENT_TERMS term sits among stacked rows labelled `term_keys`.
+
+    None when the rows are already in that order. A missing variable or term
+    raises KeyError naming it, which lru_cache does not keep.
+    """
+    position: dict[str, dict[str, int]] = {}
+    for i, (name, term) in enumerate(term_keys):
+        position.setdefault(name, {})[term] = i
+    rows = [position[name][term] for name, labels in ANTECEDENT_TERMS.items() for term in labels]
+    return None if rows == list(range(len(term_keys))) else np.array(rows, dtype=np.intp)
 
 
 def fire_rules(
@@ -222,39 +238,52 @@ def fire_rules(
 
     Clipping and max commute, so the rules first fold into one (lower, upper)
     strength pair per consequent, the max over its rules; each consequent term
-    is then clipped once per envelope. Interval grades fire endpoint-wise.
-    The fold indexes the term grades, stacked in ANTECEDENT_TERMS order, with
-    RuleBase.index, so float grades (one row) give 1-D envelopes and length-N
-    array grades (a block of rows) give (N, grid_points) envelopes from the
-    same few reductions. The output grid and consequent grades are built once
-    per (output variable, grid_points, consequent labels) and shared, so the
-    returned grid is read-only. Inputs lacking an antecedent term, or an
-    output variable lacking a consequent's term, raise InferenceError.
+    is then clipped once per envelope. Interval grades fire endpoint-wise;
+    type-1 grades (lower == upper) fire once, and the aggregate's lower and
+    upper envelopes are then the same array. The fold indexes the term
+    grades, stacked in ANTECEDENT_TERMS order, with RuleBase.index; grades
+    from grade_inputs arrive stacked and are read in place. Float grades (one
+    row) give 1-D envelopes and length-N array grades (a block of rows) give
+    (N, grid_points) envelopes from the same few reductions. The output grid
+    and consequent grades are built once per (output variable, grid_points,
+    consequent labels) and shared, so the returned grid is read-only. Inputs
+    lacking an antecedent term, or an output variable lacking a consequent's
+    term, raise InferenceError.
     """
     antecedents, starts, labels = rule_base.index
     try:
-        # (terms, 2, N): every antecedent term's (lower, upper) grade per row
-        grades = np.array([inputs.grades[name][term]
-                           for name, terms in ANTECEDENT_TERMS.items() for term in terms],
-                          dtype=float)
+        if inputs.stacked is None:
+            # (terms, 2, N): every antecedent term's (lower, upper) grade per row
+            grades = np.array([inputs.grades[name][term]
+                               for name, terms in ANTECEDENT_TERMS.items() for term in terms],
+                              dtype=float)
+        else:
+            rows = _antecedent_rows(inputs.term_keys)
+            grades = inputs.stacked if rows is None else inputs.stacked[rows]
     except KeyError as exc:
         raise InferenceError(f"rule references unknown variable/term: {exc}") from None
     one_row = grades.ndim == 2
-    grades = grades.reshape(len(grades), 2, -1)
-    # (consequents, 2, N): the strongest rule of each consequent per row
-    strengths = np.maximum.reduceat(grades[antecedents].min(axis=1), starts, axis=0)
+    grades = grades.reshape(*grades.shape[:2], -1)
+    if not inputs.interval:  # type-1 grades have lower == upper: only the upper ones fire
+        grades = grades[:, -1:]
+    # (consequents, halves, N): the strongest rule of each consequent per row
+    strengths = np.maximum.reduceat(grades[antecedents].min(axis=0), starts, axis=0)
     grid, mu = _output_grades(output_var, grid_points, labels)
     # a clip at strength <= 0 adds nothing to the zero envelopes
     envelopes = np.minimum(mu.reshape(-1, 1, 1, grid_points), strengths[..., None]).max(
         axis=0, initial=0.0)
-    lower, upper = envelopes[:, 0] if one_row else envelopes
-    return AggregatedOutput(grid=grid, lower=lower, upper=upper, interval=inputs.interval)
+    if one_row:
+        envelopes = envelopes[:, 0]
+    return AggregatedOutput(grid=grid, lower=envelopes[0], upper=envelopes[-1],
+                            interval=inputs.interval)
 
 
+@functools.lru_cache(maxsize=8)
 def _quad_weights(n: int) -> np.ndarray:
-    """Trapezoidal quadrature weights on a uniform grid (the step cancels)."""
+    """Trapezoidal quadrature weights on a uniform grid (the step cancels), read-only."""
     w = np.ones(n)
     w[0] = w[-1] = 0.5
+    w.flags.writeable = False
     return w
 
 
@@ -390,7 +419,8 @@ def recommend_rows(
             inputs = _stage("fuzzification", grade_inputs, rows, variables, cfg.footprint)
             agg = _stage("inference", fire_rules, inputs, rule_base, output_var, cfg.grid_points)
             fired = _fired(agg)
-            live = AggregatedOutput(agg.grid, agg.lower[fired], agg.upper[fired], agg.interval)
+            live = agg if fired.all() else AggregatedOutput(
+                agg.grid, agg.lower[fired], agg.upper[fired], agg.interval)
             if not fired.any():
                 reduced = iter(())
             elif agg.interval:

@@ -67,8 +67,9 @@ class Bars(Sequence):
 
     `date` is a tuple of dates; the other fields are read-only float64 arrays
     of the same length. An int index builds one PriceBar of Python floats, a
-    slice is a Bars of views, and `+` concatenates. A Bars equals any PriceBar
-    sequence holding the same bars.
+    slice is a Bars of read-only views of these columns (built without
+    repeating the construction checks), and `+` concatenates. A Bars equals
+    any PriceBar sequence holding the same bars.
     """
 
     date: tuple[date, ...]
@@ -103,7 +104,11 @@ class Bars(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Bars(self.date[index], *(column[index] for column in self.columns()))
+            # views of checked read-only columns: __post_init__ has nothing to check or copy
+            part = object.__new__(Bars)
+            for name, values in zip(("date", *_COLUMNS), (self.date, *self.columns())):
+                object.__setattr__(part, name, values[index])
+            return part
         return PriceBar(self.date[index], *(float(column[index]) for column in self.columns()))
 
     def __iter__(self) -> Iterator[PriceBar]:

@@ -15,3 +15,11 @@ settings.register_profile(
 settings.load_profile("default")
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# sha256 of `portfolio tests/data/portfolio_fixture.csv --format json` under each
+# flag set: full-precision crisp values, which the golden CSV's 1 dp cannot see
+PORTFOLIO_JSON_PINS = [
+    (["--delta", "0"], "771231f5462f17e82f0c83a966b2520d2030a918ec9dc1ba71f33fcebcfc0478"),
+    ([], "c71698f047ad49e919db5bd7f6b496d42689b1add0dbac712a06c34ff20bd3fa"),
+    (["--delta", "0.15"], "516d69c0c8de7dc5e84504b735415dde94a8c9a7ae6937d054db0a1fb08c7223"),
+]

@@ -3,11 +3,14 @@
 Each oracle deliberately takes a different computational route from the
 package code: naive per-window loops instead of cumulative sums, the
 closed-form geometric expansion instead of the EMA recursion, a loop over
-every switch point instead of the Karnik-Mendel cumulative sums. The one
-exception is scalar_fold_ema: a bit-level reference, not a second route.
+every switch point instead of the Karnik-Mendel cumulative sums. The
+exceptions are scalar_fold_ema and shape_grade / shape_grade_bounds:
+bit-level references, not second routes.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -131,6 +134,76 @@ def enumerated_km(grid, lower, upper) -> tuple[float, float]:
         if total > 0:
             y_r = max(y_r, float(np.dot(x, w_right) / total))
     return y_l, y_r
+
+
+def _points(x):
+    arr = np.asarray(x, dtype=float)
+    return np.atleast_1d(arr), arr.ndim == 0
+
+
+def shape_grade(mf, x):
+    """Per-shape membership formulas, the bit-exact reference for the grading kernel.
+
+    Each shape is evaluated with its own masks, the way the shapes graded
+    before they shared one kernel; Gaussians use math.exp per element. A
+    float x gives a float, an array an array of its shape.
+    """
+    from fuzzsig.fuzzy import Gaussian, LeftShoulder, RightShoulder, Triangular
+
+    arr, scalar = _points(x)
+    out = np.zeros_like(arr)
+    if isinstance(mf, Triangular):
+        if mf.peak > mf.left:
+            m = (arr >= mf.left) & (arr < mf.peak)
+            out[m] = (arr[m] - mf.left) / (mf.peak - mf.left)
+        if mf.right > mf.peak:
+            m = (arr > mf.peak) & (arr <= mf.right)
+            out[m] = (mf.right - arr[m]) / (mf.right - mf.peak)
+        out[arr == mf.peak] = 1.0
+    elif isinstance(mf, LeftShoulder):
+        out[arr <= mf.plateau_end] = 1.0
+        if mf.foot > mf.plateau_end:
+            m = (arr > mf.plateau_end) & (arr < mf.foot)
+            out[m] = (mf.foot - arr[m]) / (mf.foot - mf.plateau_end)
+    elif isinstance(mf, RightShoulder):
+        out[arr >= mf.plateau_start] = 1.0
+        if mf.plateau_start > mf.foot:
+            m = (arr > mf.foot) & (arr < mf.plateau_start)
+            out[m] = (arr[m] - mf.foot) / (mf.plateau_start - mf.foot)
+    elif isinstance(mf, Gaussian):
+        z = (arr - mf.center) / mf.width
+        out = np.array([math.exp(v) for v in (-0.5 * z * z).tolist()])
+    else:
+        raise TypeError(f"unsupported shape {type(mf)!r}")
+    return float(out[0]) if scalar else out
+
+
+def shape_grade_bounds(mf, x, delta: float):
+    """Per-shape (lower, upper) grades under a footprint blur of delta (see shape_grade).
+
+    Linear shapes: the smaller and larger grade at x - delta and x + delta,
+    the upper forced to 1 where the blur window reaches the plateau.
+    Gaussians: the grades at widths max(width - delta, 1e-12) and width + delta.
+    """
+    from fuzzsig.fuzzy import Gaussian, LeftShoulder, RightShoulder, Triangular
+
+    if isinstance(mf, Gaussian):
+        narrow = Gaussian(mf.center, max(mf.width - delta, 1e-12))
+        return shape_grade(narrow, x), shape_grade(Gaussian(mf.center, mf.width + delta), x)
+    left, right = shape_grade(mf, x - delta), shape_grade(mf, x + delta)
+    if isinstance(mf, Triangular):
+        upper = np.where(np.logical_and(x - delta <= mf.peak, mf.peak <= x + delta),
+                         1.0, np.maximum(left, right))
+    elif isinstance(mf, LeftShoulder):
+        upper = np.where(x - delta <= mf.plateau_end, 1.0, left)
+    elif isinstance(mf, RightShoulder):
+        upper = np.where(x + delta >= mf.plateau_start, 1.0, right)
+    else:
+        raise TypeError(f"unsupported shape {type(mf)!r}")
+    lower = np.minimum(left, right)
+    if np.ndim(x) == 0:
+        return float(lower), float(upper)
+    return lower, upper
 
 
 def swept_mf_bounds(mf, x: float, delta: float, steps: int = 1000) -> tuple[float, float]:

@@ -12,7 +12,7 @@ from fuzzsig.fuzzy import _check_coverage
 from fuzzsig.inference import ANTECEDENT_TERMS, build_rule_base, rules_to_csv
 from fuzzsig.market_data import serialize_csv
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, PORTFOLIO_JSON_PINS
 
 
 @pytest.fixture
@@ -93,13 +93,8 @@ class TestPortfolio:
         assert run(["portfolio", fixture, "--format", "csv"]) == 0
         assert capsysbinary.readouterr().out == (DATA_DIR / "golden_portfolio.csv").read_bytes()
 
-    @pytest.mark.parametrize("flags,digest", [
-        (["--delta", "0"], "771231f5462f17e82f0c83a966b2520d2030a918ec9dc1ba71f33fcebcfc0478"),
-        ([], "c71698f047ad49e919db5bd7f6b496d42689b1add0dbac712a06c34ff20bd3fa"),
-        (["--delta", "0.15"], "516d69c0c8de7dc5e84504b735415dde94a8c9a7ae6937d054db0a1fb08c7223"),
-    ])
+    @pytest.mark.parametrize("flags,digest", PORTFOLIO_JSON_PINS)
     def test_bundled_fixture_json_bytes_are_pinned(self, flags, digest, capsysbinary):
-        # full-precision crisp values: the golden CSV's 1 dp cannot see drift of a few ulps
         fixture = str(DATA_DIR / "portfolio_fixture.csv")
         assert run(["portfolio", fixture, "--format", "json", *flags]) == 0
         assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == digest

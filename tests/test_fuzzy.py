@@ -17,12 +17,13 @@ from fuzzsig.fuzzy import (
     _check_coverage,
     default_variables,
     fuzzify,
+    grade_inputs,
     normalize_rows,
 )
 from fuzzsig.indicators import IndicatorSnapshot, snapshot
 from fuzzsig.market_data import aggregate_periods
 
-from oracles import swept_mf_bounds
+from oracles import shape_grade, shape_grade_bounds, swept_mf_bounds
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -169,6 +170,94 @@ class TestIntervalGrades:
         assert lo2 <= lo1 + 1e-15
         assert hi2 >= hi1 - 1e-15
         assert 0.0 <= lo1 <= hi1 <= 1.0
+
+
+# breakpoints drawn from a few values, so that shapes often have degenerate edges
+corner = st.sampled_from([0.0, 0.2, 0.25, 0.5, 0.75, 1.0]) | unit
+
+
+@st.composite
+def any_term(draw):
+    """A shape of any kind with breakpoints from `corner`: left == peak, foot == plateau_start, ..."""
+    kind = draw(st.sampled_from(["tri", "left", "right", "gauss"]))
+    if kind == "tri":
+        return Triangular(*sorted(draw(st.tuples(corner, corner, corner))))
+    if kind == "left":
+        return LeftShoulder(*sorted(draw(st.tuples(corner, corner))))
+    if kind == "right":
+        return RightShoulder(*sorted(draw(st.tuples(corner, corner))))
+    return Gaussian(draw(corner), draw(st.sampled_from([0.05, 0.22, 0.3]) | st.floats(0.01, 1.0)))
+
+
+def breakpoints(mf):
+    return [float(v) for v in dataclasses.astuple(mf)]
+
+
+def hexes(values):
+    return [v.hex() for v in np.ravel(values).tolist()]
+
+
+@st.composite
+def graded_points(draw, mfs, delta, size):
+    """`size` points at the terms' breakpoints, at a breakpoint +/- delta, NaN or anywhere."""
+    near = sorted({p + s for mf in mfs for p in breakpoints(mf) for s in (-delta, 0.0, delta)})
+    point = st.sampled_from(near) | st.just(math.nan) | st.floats(-0.5, 1.5)
+    return draw(st.lists(point, min_size=size, max_size=size))
+
+
+DELTAS = [None, 0.0, 0.05, 0.15, 0.4]
+
+
+class TestGradingKernel:
+    """grade_inputs and every shape's grade / grade_bounds against the per-shape oracle, bit for bit."""
+
+    @given(data=st.data(), tables=st.lists(st.lists(any_term(), min_size=1, max_size=4),
+                                           min_size=1, max_size=3),
+           delta=st.sampled_from(DELTAS), rows=st.sampled_from([None, 1, 64]))
+    def test_grade_inputs_equals_the_shape_formulas(self, data, tables, delta, rows):
+        # a wide Gaussian keeps every random table above the coverage floor
+        variables = tuple(
+            LinguisticVariable(f"v{i}", (0.0, 1.0),
+                               (("cover", Gaussian(0.5, 1.0)),
+                                *((f"t{j}", mf) for j, mf in enumerate(mfs))))
+            for i, mfs in enumerate(tables))
+        blur = 0.0 if delta is None else delta
+        normalized = {}
+        for var in variables:
+            points = data.draw(graded_points([mf for _, mf in var.terms], blur, rows or 1))
+            normalized[var.name] = points[0] if rows is None else np.array(points)
+        fou = None if delta is None else FootprintOfUncertainty(delta)
+        graded = grade_inputs(normalized, variables, fou)
+        assert graded.interval is (fou is not None)
+        for var in variables:
+            x = normalized[var.name]
+            for label, mf in var.terms:
+                lower, upper = graded.grades[var.name][label]
+                if rows is None:
+                    assert type(lower) is float and type(upper) is float
+                else:
+                    assert lower.shape == upper.shape == (rows,)
+                if delta is None:
+                    want = shape_grade(mf, x)
+                    want = (want, want)
+                else:
+                    want = shape_grade_bounds(mf, x, delta)
+                assert (hexes(lower), hexes(upper)) == (hexes(want[0]), hexes(want[1]))
+
+    @given(data=st.data(), mf=any_term(), delta=st.sampled_from(DELTAS[1:]),
+           rows=st.sampled_from([None, 1, 64]))
+    def test_shape_methods_equal_the_shape_formulas(self, data, mf, delta, rows):
+        points = data.draw(graded_points([mf], delta, rows or 1))
+        x = points[0] if rows is None else np.array(points)
+        grade = mf.grade(x)
+        lower, upper = mf.grade_bounds(x, delta)
+        if rows is None:
+            assert type(grade) is float and type(lower) is float and type(upper) is float
+        else:
+            assert grade.shape == lower.shape == upper.shape == (rows,)
+        assert hexes(grade) == hexes(shape_grade(mf, x))
+        want_lower, want_upper = shape_grade_bounds(mf, x, delta)
+        assert (hexes(lower), hexes(upper)) == (hexes(want_lower), hexes(want_upper))
 
 
 class TestDefaultVariables:

@@ -147,6 +147,42 @@ class TestFireRules:
         with pytest.raises(InferenceError, match="unknown variable/term: 'so'"):
             fire_rules(inputs, build_rule_base(), OUTPUT_VAR)
 
+    @pytest.mark.parametrize("delta", [None, 0.05])
+    @pytest.mark.parametrize("rows", [None, 1, 7])
+    def test_stacked_grades_fire_as_their_dict_does(self, delta, rows):
+        # reordered terms make fire_rules gather the stacked rows into ANTECEDENT_TERMS order
+        reordered = tuple(LinguisticVariable(v.name, v.domain, v.terms[::-1])
+                          for v in default_variables())
+        rng = np.random.default_rng(3)
+        fou = None if delta is None else FootprintOfUncertainty(delta)
+        for variables in (default_variables(), reordered):
+            values = {name: rng.uniform(-0.2, 1.2, rows or 1) for name in ANTECEDENT_TERMS}
+            normalized = {k: v[0].item() for k, v in values.items()} if rows is None else values
+            stacked = grade_inputs(normalized, variables, fou)
+            assert stacked.stacked is not None
+            plain = FuzzifiedInputs(stacked.grades, stacked.interval)
+            got = fire_rules(stacked, build_rule_base(), OUTPUT_VAR)
+            want = fire_rules(plain, build_rule_base(), OUTPUT_VAR)
+            for name in ("grid", "lower", "upper", "interval"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_stacked_inputs_lacking_a_term_fail_at_inference(self):
+        variables = tuple(
+            LinguisticVariable(v.name, v.domain, tuple(("mid" if label == "medium" else label, mf)
+                                                       for label, mf in v.terms))
+            if v.name == "rsi" else v for v in default_variables())
+        inputs = grade_inputs({name: 0.5 for name in ANTECEDENT_TERMS}, variables)
+        with pytest.raises(InferenceError, match="unknown variable/term: 'medium'"):
+            fire_rules(inputs, build_rule_base(), OUTPUT_VAR)
+        without_so = grade_inputs({name: 0.5 for name in ANTECEDENT_TERMS},
+                                  tuple(v for v in default_variables() if v.name != "so"))
+        with pytest.raises(InferenceError, match="unknown variable/term: 'so'"):
+            fire_rules(without_so, build_rule_base(), OUTPUT_VAR)
+        snap = snapshot(aggregate_periods(flat_series(periods=40), 15))
+        [result] = recommend_rows(["FLAT"], snap, ResolvedConfig(), build_rule_base(), variables)
+        assert isinstance(result, PipelineError) and result.stage == "inference"
+        assert str(result) == "inference: rule references unknown variable/term: 'medium'"
+
     def test_output_variable_lacking_a_consequent_term_rejected(self):
         renamed = tuple(("up" if label == "buy" else label, mf) for label, mf in OUTPUT_VAR.terms)
         output_var = LinguisticVariable("signal", OUTPUT_VAR.domain, renamed)

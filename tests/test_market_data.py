@@ -472,6 +472,21 @@ class TestColumns:
         moved = dataclasses.replace(bars[4], close=bars[4].high)
         assert moved.close == listed[4].high and bars[4] == listed[4]
 
+    @given(start=st.none() | st.integers(-25, 25), stop=st.none() | st.integers(-25, 25),
+           step=st.none() | st.integers(-4, 4).filter(bool))
+    def test_slice_equals_the_checked_construction_and_shares_memory(self, start, stop, step):
+        bars = random_walk_series("S", seed=4, periods=2, days_per_period=10).bars
+        index = slice(start, stop, step)
+        part = bars[index]
+        built = Bars(bars.date[index], *(column[index].copy() for column in bars.columns()))
+        assert type(part) is Bars and type(part.date) is tuple
+        assert part == built and part.date == built.date
+        for column, whole in zip(part.columns(), bars.columns()):
+            assert column.dtype == np.float64 and not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[:] = 0.0
+            assert len(column) == 0 or np.shares_memory(column, whole)
+
     def test_series_converts_bars_once(self):
         bars = make_series(5).bars
         assert isinstance(bars, Bars)
