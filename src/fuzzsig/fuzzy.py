@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,20 +31,32 @@ _COVERAGE_GRID = 1001
 _MIN_GAUSSIAN_WIDTH = 1e-12
 
 
-def _grade_one(mf: MembershipFunction, x, delta: float | None):
-    """The one-term case of grade_terms: floats for a scalar x, arrays of x's shape otherwise."""
-    arr = np.asarray(x, dtype=float)
-    [grades] = grade_terms(term_table((mf,)), arr.reshape(1, -1), delta)
-    if delta is None:
-        return grades.item() if arr.ndim == 0 else grades.reshape(arr.shape)
-    lower, upper = grades
-    if arr.ndim == 0:
-        return lower.item(), upper.item()
-    return lower.reshape(arr.shape), upper.reshape(arr.shape)
+class _Shape:
+    """A membership function's grades: the one-term case of grade_terms.
+
+    A float x gives floats, an array x arrays of its shape. grade_bounds gives
+    the (lower, upper) pair under a footprint blur of delta.
+    """
+
+    def grade(self, x):
+        return self._grade(x, None)
+
+    def grade_bounds(self, x, delta: float):
+        return self._grade(x, delta)
+
+    def _grade(self, x, delta: float | None):
+        arr = np.asarray(x, dtype=float)
+        [grades] = grade_terms(term_table((self,)), arr.reshape(1, -1), delta)
+        if delta is None:
+            return grades.item() if arr.ndim == 0 else grades.reshape(arr.shape)
+        lower, upper = grades
+        if arr.ndim == 0:
+            return lower.item(), upper.item()
+        return lower.reshape(arr.shape), upper.reshape(arr.shape)
 
 
 @dataclass(frozen=True)
-class Triangular:
+class Triangular(_Shape):
     """Linear rise from left to 1 at peak, linear fall to right, 0 outside."""
 
     left: float
@@ -54,15 +67,9 @@ class Triangular:
         if not self.left <= self.peak <= self.right:
             raise ValueError(f"need left <= peak <= right, got {self}")
 
-    def grade(self, x):
-        return _grade_one(self, x, None)
-
-    def grade_bounds(self, x, delta: float):
-        return _grade_one(self, x, delta)
-
 
 @dataclass(frozen=True)
-class LeftShoulder:
+class LeftShoulder(_Shape):
     """Full membership up to plateau_end, falling linearly to 0 at foot."""
 
     plateau_end: float
@@ -72,15 +79,9 @@ class LeftShoulder:
         if not self.plateau_end <= self.foot:
             raise ValueError(f"need plateau_end <= foot, got {self}")
 
-    def grade(self, x):
-        return _grade_one(self, x, None)
-
-    def grade_bounds(self, x, delta: float):
-        return _grade_one(self, x, delta)
-
 
 @dataclass(frozen=True)
-class RightShoulder:
+class RightShoulder(_Shape):
     """Zero membership up to foot, rising linearly to 1 at plateau_start."""
 
     foot: float
@@ -90,16 +91,14 @@ class RightShoulder:
         if not self.foot <= self.plateau_start:
             raise ValueError(f"need foot <= plateau_start, got {self}")
 
-    def grade(self, x):
-        return _grade_one(self, x, None)
-
-    def grade_bounds(self, x, delta: float):
-        return _grade_one(self, x, delta)
-
 
 @dataclass(frozen=True)
-class Gaussian:
-    """exp(-((x - center) / width)^2 / 2); strictly positive, 1 at center."""
+class Gaussian(_Shape):
+    """exp(-((x - center) / width)^2 / 2); strictly positive, 1 at center.
+
+    The footprint blurs the width only: the center never moves, so x == center
+    stays [1, 1].
+    """
 
     center: float
     width: float
@@ -107,13 +106,6 @@ class Gaussian:
     def __post_init__(self) -> None:
         if not self.width > 0:
             raise ValueError(f"width must be positive, got {self}")
-
-    def grade(self, x):
-        return _grade_one(self, x, None)
-
-    def grade_bounds(self, x, delta: float):
-        # Width blur only: the center never moves, so x == center stays [1, 1].
-        return _grade_one(self, x, delta)
 
 
 MembershipFunction = Triangular | LeftShoulder | RightShoulder | Gaussian
@@ -130,8 +122,7 @@ def _linear_row(a: float, b: float, c: float, d: float) -> tuple[float, ...]:
     return (a, b, c, d, *rise, *fall)
 
 
-@dataclass(frozen=True, eq=False)
-class TermTable:
+class TermTable(NamedTuple):
     """Parameter columns of a tuple of membership functions, one (terms, 1) column each.
 
     A linear shape is a trapezoid (a, b, c, d): rising on [a, b), 1 on [b, c],
@@ -157,7 +148,7 @@ class TermTable:
 
 @functools.lru_cache(maxsize=256)
 def term_table(mfs: tuple[MembershipFunction, ...]) -> TermTable:
-    """The TermTable of these membership functions, built once per distinct tuple."""
+    """The TermTable of these membership functions, built once per distinct tuple, read-only."""
     inf, nan = math.inf, math.nan
     corners = {
         Triangular: lambda mf: (mf.left, mf.peak, mf.peak, mf.right),
@@ -170,10 +161,10 @@ def term_table(mfs: tuple[MembershipFunction, ...]) -> TermTable:
     gaussians = [mf for mf in mfs if isinstance(mf, Gaussian)]
     shapes = np.array([(mf.center, mf.width) for mf in gaussians], dtype=float).reshape(-1, 2).T
     columns = [column[:, None] for column in (*trapezoids, *shapes)]
-    for column in columns:
-        column.flags.writeable = False
     gaussian = np.array([i for i, mf in enumerate(mfs) if isinstance(mf, Gaussian)],
                         dtype=np.intp)
+    for column in (gaussian, *columns):
+        column.flags.writeable = False
     return TermTable(gaussian, *columns)
 
 
@@ -455,11 +446,12 @@ def _input_terms(variables: tuple[LinguisticVariable, ...], names: tuple[str, ..
     """The graded variables' names, their (variable, term) rows, each row's variable, the table.
 
     Only the variables named in `names` are graded, in `variables` order.
-    Built once per distinct argument pair.
+    Built once per distinct argument pair, and read-only.
     """
     graded = [var for var in variables if var.name in names]
     keys = tuple((var.name, label) for var in graded for label, _ in var.terms)
     source = np.array([i for i, var in enumerate(graded) for _ in var.terms], dtype=np.intp)
+    source.flags.writeable = False
     table = term_table(tuple(mf for var in graded for _, mf in var.terms))
     return tuple(var.name for var in graded), keys, source, table
 

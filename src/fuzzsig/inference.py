@@ -218,14 +218,19 @@ def _output_grades(output_var: LinguisticVariable, grid_points: int,
 def _antecedent_rows(term_keys: tuple[tuple[str, str], ...]) -> np.ndarray | None:
     """Where each ANTECEDENT_TERMS term sits among stacked rows labelled `term_keys`.
 
-    None when the rows are already in that order. A missing variable or term
-    raises KeyError naming it, which lru_cache does not keep.
+    None when the rows are already in that order; the array is shared and
+    read-only. A missing variable or term raises KeyError naming it, which
+    lru_cache does not keep.
     """
     position: dict[str, dict[str, int]] = {}
     for i, (name, term) in enumerate(term_keys):
         position.setdefault(name, {})[term] = i
     rows = [position[name][term] for name, labels in ANTECEDENT_TERMS.items() for term in labels]
-    return None if rows == list(range(len(term_keys))) else np.array(rows, dtype=np.intp)
+    if rows == list(range(len(term_keys))):
+        return None
+    rows = np.array(rows, dtype=np.intp)
+    rows.flags.writeable = False
+    return rows
 
 
 def fire_rules(
