@@ -187,17 +187,22 @@ _WINDOW_FIELDS = tuple(name for key, name in _SETTINGS.items() if key.startswith
 def parse_config_text(text: str) -> ResolvedConfig:
     """Parse key-value lines on top of the defaults.
 
-    The membership-function tables are checked for coverage here, at load time.
+    One leading byte-order mark is dropped, and a key may be set once. The
+    membership-function tables are checked for coverage here, at load time.
     """
     fields = {}
     mf_table = {var: list(terms) for var, terms in default_mf_table().items()}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    set_on: dict[str, int] = {}  # the line each key was set on
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in set_on:
+            raise ConfigError(f"line {lineno}: {key!r} already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             if key in _SETTINGS:
                 kind = _KIND[_SETTINGS[key]]

@@ -540,10 +540,13 @@ def rules_to_csv(rule_base: RuleBase, include_scores: bool = False) -> str:
 
 
 def rules_from_csv(text: str | bytes) -> RuleBase:
-    """Parse a user-supplied rule table; extra columns are ignored."""
+    """Parse a user-supplied rule table; extra columns are ignored.
+
+    One leading byte-order mark, as spreadsheets write in "CSV UTF-8", is dropped.
+    """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     try:
         return _read_rules(reader)
     except csv.Error as exc:  # e.g. a cell above the csv module's field size limit

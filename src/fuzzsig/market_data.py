@@ -4,11 +4,11 @@ A PriceSeries stores its bars as columns (Bars): a tuple of dates and one
 read-only float64 array per price and for the volume. PriceBar objects are
 built only when a caller indexes or iterates the bars.
 
-parse_csv tokenizes its input with np.loadtxt, _TEXT_CHUNK characters at a
-time, cut after a line end. It takes that path only when all of these hold;
-otherwise the csv module reads the input. Both paths give the same series,
-and every error comes from the csv-module path, which names the first faulty
-row:
+parse_csv has two readers. It tokenizes its input with np.loadtxt,
+_TEXT_CHUNK characters at a time, cut after a line end, when all of these
+hold; otherwise the csv module reads the input one record at a time, checks
+each row and collects it. Both readers give the same series, and every error
+comes from the csv-module reader, which stops at the first faulty row:
 
 - the header line is exactly `symbol,date,open,high,low,close,volume`;
 - the input holds no '"', NUL or \\x1c-\\x1f, and any '\\r' is part of '\\r\\n';
@@ -29,7 +29,7 @@ import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from datetime import date
-from itertools import chain, islice, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -200,9 +200,6 @@ def _iso_date(cell: str) -> date:
     return date.fromisoformat(text)
 
 
-# CSV records the csv-module parser converts at a time: enough to amortize each
-# numpy call, few enough that one chunk's cells stay small next to the columns.
-_CHUNK_ROWS = 1024
 # Characters of CSV text per np.loadtxt call, and so the longest line the
 # loadtxt path takes. It equals the csv module's default field size limit, so
 # no field the loadtxt path reads is one the csv-module parser would reject; a
@@ -319,73 +316,13 @@ def _loadtxt_series(data: str) -> list[PriceSeries] | None:
     return _series(chunks, codes, days)
 
 
-def _chunk_columns(rows: list[list[str]], codes: dict[str, int], days: dict[str, int]):
-    """(symbol codes, date ordinals, open..volume) of non-blank records.
-
-    None if any record fails a check; _first_fault then names the row. Symbols
-    get codes in order of first appearance; `days` keeps the ordinal of every
-    date cell parsed so far, so each distinct cell of the input is parsed once.
-    """
-    width = len(CSV_HEADER)
-    if not set(map(len, rows)) <= {width}:
-        return None
-    cells = list(chain.from_iterable(rows))
-    symbols = list(map(str.strip, cells[0::width]))
-    if not all(symbols):
-        return None
-    date_cells = cells[1::width]
-    try:
-        for cell in set(date_cells).difference(days):
-            days[cell] = _iso_date(cell).toordinal()
-        o, h, lo, c, v = (np.fromiter(map(float, cells[k::width]), np.float64, len(rows))
-                          for k in range(2, width))
-    except ValueError:
-        return None
-    if not _bars_ok(o, h, lo, c, v):
-        return None
-    for symbol in dict.fromkeys(symbols):
-        codes.setdefault(symbol, len(codes))
-    code = np.fromiter(map(codes.__getitem__, symbols), np.int64, len(rows))
-    ordinal = np.fromiter(map(days.__getitem__, date_cells), np.int64, len(rows))
-    return code, ordinal, o, h, lo, c, v
-
-
-def _first_fault(data: str) -> MarketDataError:
-    """The error for the earliest faulty row of `data`, checked one row at a time."""
-    reader = csv.reader(io.StringIO(data))
-    seen: set[tuple[str, date]] = set()
-    try:
-        next(reader)  # the header, already checked
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CSV_HEADER):
-                return MarketDataError(
-                    f"row {line}: expected {len(CSV_HEADER)} fields, got {len(row)}")
-            symbol = row[0].strip()
-            if not symbol:
-                return MarketDataError(f"row {line}: empty symbol")
-            try:
-                day = _iso_date(row[1])
-            except ValueError:
-                return MarketDataError(f"row {line}: bad ISO date {row[1]!r}")
-            try:
-                problems = _bar_problems(PriceBar(day, *map(float, row[2:])))
-            except ValueError:
-                return MarketDataError(f"row {line}: non-numeric price/volume field")
-            if problems:
-                return MarketDataError(f"row {line}: {problems[0][1]}")
-            if (symbol, day) in seen:
-                return MarketDataError(
-                    f"row {line}: duplicate entry for {symbol} on {day.isoformat()}")
-            seen.add((symbol, day))
-    except csv.Error as exc:  # e.g. a field above the csv module's size limit
-        return MarketDataError(f"row {reader.line_num}: {exc}")
-    raise RuntimeError("parse_csv: the column checks rejected rows the row checks accept")
-
-
 def _csv_series(data: str) -> list[PriceSeries]:
-    """parse_csv's result for `data`, read with the csv module; raises on any fault."""
+    """parse_csv's result for `data`, read with the csv module one record at a time.
+
+    Raises MarketDataError for the first faulty row, checked in this order:
+    field count, symbol, date, numbers, the bar checks, then a repeated
+    (symbol, date). A csv.Error names the physical line the reader stopped at.
+    """
     reader = csv.reader(io.StringIO(data))
     try:
         header = next(reader)
@@ -399,19 +336,44 @@ def _csv_series(data: str) -> list[PriceSeries]:
         )
     codes: dict[str, int] = {}
     days: dict[str, int] = {}
-    chunks = []
+    seen: set[tuple[int, int]] = set()
+    records: list[float] = []
     try:
-        while records := list(islice(reader, _CHUNK_ROWS)):
-            chunk = _chunk_columns(list(filter(None, records)), codes, days)
-            if chunk is None:
-                raise _first_fault(data)
-            chunks.append(chunk)
-    except csv.Error:
-        raise _first_fault(data) from None
-    series = _series(chunks, codes, days)
-    if series is None:
-        raise _first_fault(data)
-    return series
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(CSV_HEADER):
+                raise MarketDataError(
+                    f"row {line}: expected {len(CSV_HEADER)} fields, got {len(row)}")
+            symbol, cell, o, h, lo, c, v = row
+            symbol = symbol.strip()
+            if not symbol:
+                raise MarketDataError(f"row {line}: empty symbol")
+            ordinal = days.get(cell)
+            if ordinal is None:
+                try:
+                    ordinal = days[cell] = _iso_date(cell).toordinal()
+                except ValueError:
+                    raise MarketDataError(f"row {line}: bad ISO date {cell!r}") from None
+            try:
+                o, h, lo, c, v = float(o), float(h), float(lo), float(c), float(v)
+            except ValueError:
+                raise MarketDataError(f"row {line}: non-numeric price/volume field") from None
+            # the scalar form of _bars_ok's test, so equal to "_bar_problems finds none"
+            if not (0.0 < lo <= o <= h < math.inf and lo <= c <= h and 0.0 <= v < math.inf):
+                _, message = _bar_problems(PriceBar(date.fromordinal(ordinal), o, h, lo, c, v))[0]
+                raise MarketDataError(f"row {line}: {message}")
+            key = (codes.setdefault(symbol, len(codes)), ordinal)
+            if key in seen:
+                raise MarketDataError(f"row {line}: duplicate entry for {symbol} on "
+                                      f"{date.fromordinal(ordinal).isoformat()}")
+            seen.add(key)
+            records += (*key, o, h, lo, c, v)  # flat: np.array reads it faster than tuples
+    except csv.Error as exc:  # e.g. a field above the csv module's size limit
+        raise MarketDataError(f"row {reader.line_num}: {exc}") from None
+    table = np.array(records, dtype=np.float64).reshape(-1, len(CSV_HEADER))
+    code, ordinal = table[:, :2].T.astype(np.int64)  # ints below 2**53, so exact
+    return _series([(code, ordinal, *table[:, 2:].T)], codes, days)
 
 
 def parse_csv(stream) -> list[PriceSeries]:
@@ -422,8 +384,8 @@ def parse_csv(stream) -> list[PriceSeries]:
     sorted by date. Every bar is checked on the way in; errors name the
     offending row (the header is row 1). np.loadtxt tokenizes the input when
     it can (_loadtxt_series); otherwise, and whenever a check fails, the
-    csv-module parser reads it and _first_fault words the error for the
-    earliest faulty row.
+    csv module reads it one record at a time (_csv_series) and raises the
+    error for the earliest faulty row.
     """
     data = stream.read() if hasattr(stream, "read") else stream
     if isinstance(data, bytes):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,19 @@ def basket_csv(tmp_path):
     path = tmp_path / "basket.csv"
     path.write_bytes(serialize_csv(portfolio_fixture(seed=9, symbols=3, periods=52)))
     return str(path)
+
+
+@pytest.fixture
+def bundled_fixtures(tmp_path):
+    """The bundled fixture, and a copy with every symbol cell quoted.
+
+    A '"' keeps np.loadtxt out, so the copy is read by the csv-module parser.
+    """
+    plain = DATA_DIR / "portfolio_fixture.csv"
+    header, body = plain.read_text().split("\n", 1)
+    quoted = tmp_path / "quoted_fixture.csv"
+    quoted.write_text(header + "\n" + re.sub(r"^([^,\n]+),", r'"\1",', body, flags=re.M))
+    return [str(plain), str(quoted)]
 
 
 @pytest.fixture
@@ -88,16 +102,18 @@ class TestSignal:
 
 
 class TestPortfolio:
-    def test_bundled_fixture_gives_golden_bytes(self, capsysbinary):
-        fixture = str(DATA_DIR / "portfolio_fixture.csv")
-        assert run(["portfolio", fixture, "--format", "csv"]) == 0
-        assert capsysbinary.readouterr().out == (DATA_DIR / "golden_portfolio.csv").read_bytes()
+    def test_bundled_fixture_gives_golden_bytes(self, bundled_fixtures, capsysbinary):
+        for fixture in bundled_fixtures:
+            assert run(["portfolio", fixture, "--format", "csv"]) == 0
+            assert (capsysbinary.readouterr().out
+                    == (DATA_DIR / "golden_portfolio.csv").read_bytes()), fixture
 
     @pytest.mark.parametrize("flags,digest", PORTFOLIO_JSON_PINS)
-    def test_bundled_fixture_json_bytes_are_pinned(self, flags, digest, capsysbinary):
-        fixture = str(DATA_DIR / "portfolio_fixture.csv")
-        assert run(["portfolio", fixture, "--format", "json", *flags]) == 0
-        assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == digest
+    def test_bundled_fixture_json_bytes_are_pinned(self, flags, digest, bundled_fixtures,
+                                                   capsysbinary):
+        for fixture in bundled_fixtures:
+            assert run(["portfolio", fixture, "--format", "json", *flags]) == 0
+            assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == digest, fixture
 
     def test_double_run_is_bit_identical(self, basket_csv, capsysbinary):
         for fmt in ("csv", "json", "plotdata"):

@@ -108,6 +108,32 @@ class TestParseConfigText:
         with pytest.raises(ConfigError, match=named):
             parse_config_text(text)
 
+    @pytest.mark.parametrize("text,message", [
+        ("fuzzy.delta = 0.1\nfuzzy.delta = 0.2\n", "line 2: 'fuzzy.delta' already set on line 1"),
+        ("fuzzy.rsi.low = leftshoulder 0.2 0.4\n# again\n\n"
+         "fuzzy.rsi.low=leftshoulder 0.3 0.4\n", "line 4: 'fuzzy.rsi.low' already set on line 1"),
+    ])
+    def test_repeated_key_names_both_lines(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(text)
+        assert str(info.value) == message
+
+    def test_one_leading_byte_order_mark_is_dropped(self):
+        text = "fuzzy.delta = 0.1\nfuzzy.rsi.low = leftshoulder 0.2 0.4\n"
+        assert parse_config_text("\ufeff" + text) == parse_config_text(text)
+
+    @pytest.mark.parametrize("text,message", [
+        ("\ufeff\ufefffuzzy.delta = 0.1\n", "line 1: unknown config key '\\ufefffuzzy.delta'"),
+        (" \ufefffuzzy.delta = 0.1\n", "line 1: unknown config key '\\ufefffuzzy.delta'"),
+        ("fuzzy.delta = \ufeff0.1\n", "line 1: bad value '\\ufeff0.1' for 'fuzzy.delta'"),
+        ("fuzzy.delta = 0.1\n\ufeffindicators.rsi_window = 14\n",
+         "line 2: unknown config key '\\ufeffindicators.rsi_window'"),
+    ])
+    def test_a_byte_order_mark_anywhere_else_is_an_error(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(text)
+        assert str(info.value) == message
+
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_text("fuzzy.delta 0.1\n")

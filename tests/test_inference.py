@@ -547,6 +547,22 @@ class TestRulesCsv:
         with pytest.raises(InferenceError, match="term"):
             rules_from_csv(text)
 
+    @pytest.mark.parametrize("encode", [str.encode, str])
+    def test_one_leading_byte_order_mark_is_dropped(self, encode):
+        text = rules_to_csv(build_rule_base())
+        assert rules_from_csv(encode("\ufeff" + text)) == rules_from_csv(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("\ufeff\ufeffmacd,rsi,so,wa,consequent\n", "header must start with"),
+        (" \ufeffmacd,rsi,so,wa,consequent\n", "header must start with"),
+        ("macd,rsi,so,wa,consequent\n\ufefflow,low,low,low,sell\n",
+         "rule row 2: macd has no term '\\\\ufefflow'"),
+    ])
+    def test_a_byte_order_mark_anywhere_else_is_an_error(self, text, message):
+        for data in (text, text.encode()):
+            with pytest.raises(InferenceError, match=message):
+                rules_from_csv(data)
+
     def test_partial_user_base_fires(self):
         text = "macd,rsi,so,wa,consequent\nhigh,high,medium,low,buy\n"
         base = rules_from_csv(text)

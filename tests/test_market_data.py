@@ -13,7 +13,6 @@ import fuzzsig.market_data as market_data
 from fuzzsig.fixtures import portfolio_fixture, random_walk_series
 from fuzzsig.indicators import indicator_frame
 from fuzzsig.market_data import (
-    _CHUNK_ROWS,
     CSV_HEADER,
     Bars,
     MarketDataError,
@@ -163,9 +162,9 @@ OVERSIZED = "X" * 200_000 + ",2021-01-01,10,11,9,10.5,100"
 INTERLEAVED = [row for pair in zip(good_rows(600, "A")[::-1], good_rows(600, "B")[::-1])
                for row in pair]
 
-# Faulty inputs and the exact error the row-by-row parser gave for each.
-# Records are converted in chunks of _CHUNK_ROWS (1,024); the long inputs put
-# their faults in later chunks or split a duplicate across two.
+# Faulty inputs and the exact error the row-by-row parser gave for each. The
+# long inputs put a fault past the first thousand rows, behind an earlier one,
+# or a csv error after a row fault, so only the earliest fault may be named.
 FAULTY = {
     "field_count": (good_rows(3) + ["A,2020-02-01,10,11,9"],
                     "row 5: expected 7 fields, got 5"),
@@ -238,9 +237,6 @@ FAULTY = {
 
 
 class TestParseErrorParity:
-    def test_long_inputs_span_chunks(self):
-        assert _CHUNK_ROWS < 1100
-
     @pytest.mark.parametrize("name", sorted(FAULTY))
     def test_message_matches_row_by_row_parser(self, name):
         lines, message = FAULTY[name]
@@ -367,7 +363,7 @@ class TestLoadtxtPath:
     def test_is_taken_for_serialized_fixtures(self, monkeypatch, line_end):
         basket = portfolio_fixture(seed=5, symbols=3, periods=20)
         data = serialize_csv(basket).replace(b"\n", line_end.encode())
-        monkeypatch.setattr(market_data, "_chunk_columns", _no_csv_module)
+        monkeypatch.setattr(market_data, "_csv_series", _no_csv_module)
         parsed = parse_csv(data)
         assert [s.symbol for s in parsed] == [s.symbol for s in basket]
         for got, series in zip(parsed, basket):
@@ -382,7 +378,7 @@ class TestLoadtxtPath:
         last_line, next_line = text[:cut].rsplit("\n", 1)[1], text[cut + 1:]
         assert last_line.split(",")[0] == next_line.split(",")[0]
         expected = csv_module_outcome(text)
-        monkeypatch.setattr(market_data, "_chunk_columns", _no_csv_module)
+        monkeypatch.setattr(market_data, "_csv_series", _no_csv_module)
         assert outcome(text) == expected
 
     @pytest.mark.parametrize("fault", ["duplicate", "bad_cell", "long_line", "lone_cr"])
@@ -429,7 +425,6 @@ class TestColumns:
         header, *rows = serialize_csv(basket).decode().splitlines()
         random.Random(seed).shuffle(rows)
         parsed = {s.symbol: s for s in parse_csv("\n".join([header, *rows]) + "\n")}
-        assert len(rows) > _CHUNK_ROWS
         for series in basket:
             got = parsed[series.symbol].bars
             assert isinstance(got, Bars)
