@@ -2,14 +2,14 @@
 
 Every series function takes its prices with time along the last axis: a 1-D
 array for one series, or an (N, T) array for a block of N series with the same
-number of periods. Windows reduce along that axis. The EMA steps a block over
-time with one vector operation across the N rows and one series in Python
-floats, the same IEEE products and sums, so each block row equals the
-one-series result bit for bit. indicator_block computes every series once over
-a block, and indicator_frame is its one-series case. snapshot computes only the
-last row, from the scalar rsi/williams building blocks and one float pass for
-MACD; it equals the frame's last row bit for bit at a cost of one pass over the
-closes.
+number of periods. Windows reduce along that axis. The EMA steps over time
+with one operation per period, a numpy scalar for one series and a vector
+across the N rows for a block, the same IEEE products and sums, so each block
+row equals the one-series result bit for bit. indicator_block computes every
+series once over a block, and indicator_frame is its one-series case. snapshot
+computes only the last row, from the scalar rsi/williams building blocks and
+one float pass for MACD; it equals the frame's last row bit for bit at a cost
+of one pass over the closes.
 """
 
 from __future__ import annotations
@@ -51,7 +51,8 @@ class StochasticPair:
 class IndicatorSnapshot:
     """Latest value of every indicator plus the latest close, for one series.
 
-    A block frame's row holds a length-N array per field instead of a float.
+    snapshot gives floats; a one-series frame's row gives np.float64 values,
+    a float subclass; a block frame's row holds a length-N array per field.
     """
 
     macd_line: float
@@ -81,15 +82,13 @@ class IndicatorFrame:
     def row(self, t: int) -> IndicatorSnapshot:
         """The snapshot of bars 0..t; raises until every indicator has its history.
 
-        Floats for one series, length-N arrays for a block.
+        np.float64 values for one series, length-N views for a block.
         """
         if t + 1 < self.needed:
             raise _history_error(self.binding, self.needed, t + 1)
         columns = (self.macd_line, self.signal_line, self.histogram, self.rsi,
                    self.percent_k, self.williams, self.close)
-        if self.close.ndim == 1:
-            return IndicatorSnapshot(*(float(column[t]) for column in columns))
-        return IndicatorSnapshot(*(column[:, t] for column in columns))
+        return IndicatorSnapshot(*(column.T[t] for column in columns))
 
 
 def _require(length: int, needed: int, what: str) -> None:
@@ -114,9 +113,8 @@ def ema(closes, n: int) -> np.ndarray:
     """Exponential moving average seeded with the SMA of the first n values.
 
     Thereafter out[t] = alpha * close[t] + (1 - alpha) * out[t-1] with
-    alpha = 2 / (n + 1). Same alignment as sma(). One series steps in Python
-    floats, which round every product and sum as the numpy scalars would;
-    a block steps as one vector operation across its rows.
+    alpha = 2 / (n + 1). Same alignment as sma(). Each period is one step:
+    a numpy scalar for one series, a vector across the rows for a block.
     """
     c = np.asarray(closes, dtype=float)
     if n < 1:
@@ -124,18 +122,11 @@ def ema(closes, n: int) -> np.ndarray:
     _require(c.shape[-1], n, f"EMA({n})")
     alpha = 2.0 / (n + 1.0)
     keep = 1.0 - alpha
-    if c.ndim == 1:
-        previous = c[:n].mean().item()
-        out = [previous]
-        for scaled in (alpha * c[n:]).tolist():
-            previous = scaled + keep * previous
-            out.append(previous)
-        return np.array(out)
 
     def step(previous, close):
         return alpha * close + keep * previous
 
-    # one step per period, each a vector across the rows
+    # one step per period, each a scalar or a vector across the rows
     steps = accumulate(c.T[n:], step, initial=c[..., :n].mean(axis=-1))
     # C order keeps time contiguous, so later window sums add in the 1-D order
     return np.ascontiguousarray(np.array(list(steps)).T)

@@ -543,9 +543,13 @@ def rules_from_csv(text: str | bytes) -> RuleBase:
     """Parse a user-supplied rule table; extra columns are ignored.
 
     One leading byte-order mark, as spreadsheets write in "CSV UTF-8", is dropped.
+    Bytes that are not UTF-8 raise InferenceError.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InferenceError(f"rule table is not UTF-8 text: {exc}") from None
     reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     try:
         return _read_rules(reader)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -187,6 +188,11 @@ def _bar_problems(bar: PriceBar) -> list[tuple[str, str]]:
             f"low={bar.low} close={bar.close}",
         ))
     return problems
+
+
+def _date_order_problem(dates: Sequence[date], i: int) -> str:
+    return (f"bar dates must increase strictly: {dates[i - 1].isoformat()} "
+            f"then {dates[i].isoformat()}")
 
 
 def _iso_date(cell: str) -> date:
@@ -421,8 +427,9 @@ def aggregate_periods(series: PriceSeries, days_per_period: int = 15) -> PriceSe
     close, volume the sum, date the last date. A trailing partial chunk is
     dropped; "days" count trading rows, not calendar days. One-bar periods
     are the bars themselves, so `series` is returned as it is. A non-finite
-    price or volume, which parse_csv rejects but a library caller can pass,
-    raises MarketDataError naming the first such bar.
+    price or volume, or a date not after the one before it, which parse_csv
+    rejects but a library caller can pass, raises MarketDataError naming the
+    first such bar.
     """
     if days_per_period < 1:
         raise MarketDataError(f"days_per_period must be >= 1, got {days_per_period}")
@@ -437,6 +444,11 @@ def aggregate_periods(series: PriceSeries, days_per_period: int = 15) -> PriceSe
         i = int(np.argmin(finite.all(axis=0)))
         _, message = _bar_problems(bars[i])[0]
         raise MarketDataError(f"{series.symbol}: bar {i} ({bars.date[i].isoformat()}): {message}")
+    dates = bars.date
+    if not all(map(operator.lt, dates, dates[1:])):
+        i = next(i for i in range(1, len(dates)) if dates[i] <= dates[i - 1])
+        raise MarketDataError(f"{series.symbol}: bar {i} ({dates[i].isoformat()}): "
+                              f"{_date_order_problem(dates, i)}")
     if d == 1:
         return series
     m = n * d
@@ -466,9 +478,6 @@ def validate(series: PriceSeries) -> ValidationReport:
     dates = series.bars.date
     for i in range(1, len(dates)):
         if dates[i] <= dates[i - 1]:
-            findings.append(Finding(
-                series.symbol, i, "dates_not_increasing",
-                f"bar dates must increase strictly: {dates[i - 1].isoformat()} "
-                f"then {dates[i].isoformat()}",
-            ))
+            findings.append(Finding(series.symbol, i, "dates_not_increasing",
+                                    _date_order_problem(dates, i)))
     return ValidationReport(tuple(findings))

@@ -89,6 +89,22 @@ class TestSignal:
         assert payload["fuzzy_output"] == pytest.approx(0.5, abs=1e-6)
         assert payload["centroid_interval"][0] <= 0.5 <= payload["centroid_interval"][1]
 
+    @pytest.mark.parametrize("flags", [flags for flags, _ in PORTFOLIO_JSON_PINS])
+    def test_bundled_fixture_equals_the_portfolio_rows(self, flags, capsys):
+        # signal scores one snapshot; portfolio scores the last column of a block frame
+        fixture = str(DATA_DIR / "portfolio_fixture.csv")
+        assert run(["portfolio", fixture, "--format", "json", *flags]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(rows) == 10
+        for row in rows:
+            assert run(["signal", fixture, "--symbol", row["symbol"], "--format", "json",
+                        *flags]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["fuzzy_output"] is not None
+            assert payload["fuzzy_output"] == row["fuzzy_output"], row["symbol"]
+            assert payload["signal"] == row["signal"], row["symbol"]
+            assert (payload["centroid_interval"] is None) == (flags == ["--delta", "0"])
+
     def test_unknown_symbol_exits_1(self, flat_csv, capsys):
         assert run(["signal", flat_csv, "--symbol", "NOPE"]) == 1
         assert "NOPE" in capsys.readouterr().err

@@ -340,6 +340,46 @@ class TestNonFinitePrices:
         assert str(caught.value) == message
 
 
+def _redated(series, moves):
+    """The series with bar i dated as bar j is, for each (i, j) in moves."""
+    bars = list(series.bars)
+    for i, j in moves:
+        bars[i] = dataclasses.replace(bars[i], date=series.bars.date[j])
+    return PriceSeries(series.symbol, bars)
+
+
+class TestDatesNotIncreasing:
+    # a reversed pair or a repeated date, which parse_csv rejects but a library
+    # caller can build, fails at aggregation instead of giving a plausible signal
+    CASES = [
+        (((14, 15), (15, 14)), "S: bar 15 (2017-01-17): bar dates must increase strictly: "
+                               "2017-01-18 then 2017-01-17"),
+        (((20, 19),), "S: bar 20 (2017-01-22): bar dates must increase strictly: "
+                      "2017-01-22 then 2017-01-22"),
+    ]
+
+    @pytest.mark.parametrize("moves, message", CASES)
+    def test_recommend_fails_at_aggregation(self, moves, message):
+        with pytest.raises(PipelineError) as caught:
+            recommend(_redated(random_walk_series("S", 3, periods=60), moves))
+        assert caught.value.stage == "aggregation"
+        assert str(caught.value) == f"aggregation: {message}"
+
+    @pytest.mark.parametrize("moves, message", CASES)
+    def test_portfolio_row_note_names_the_bar(self, moves, message):
+        basket = portfolio_fixture(seed=5, symbols=2, periods=60)
+        redated = _redated(random_walk_series("S", 3, periods=60), moves)
+        rows = run_portfolio([basket[0], redated, basket[1]]).rows
+        assert rows[1].crisp is None and rows[1].note == f"aggregation: {message}"
+        assert [rows[0], rows[2]] == list(run_portfolio(basket).rows)
+
+    @pytest.mark.parametrize("moves, message", CASES)
+    def test_backtest_fails_at_aggregation(self, moves, message):
+        with pytest.raises(MarketDataError) as caught:
+            backtest(_redated(random_walk_series("S", 3, periods=60), moves))
+        assert str(caught.value) == message
+
+
 class TestBacktest:
     def test_monotone_rising_series_pairs_positive_returns(self):
         stats = backtest(uptrend_series(periods=45))

@@ -547,6 +547,10 @@ class TestRulesCsv:
         with pytest.raises(InferenceError, match="term"):
             rules_from_csv(text)
 
+    def test_non_utf8_bytes_rejected(self):
+        with pytest.raises(InferenceError, match="rule table is not UTF-8 text: .*0xff"):
+            rules_from_csv(b"macd,rsi,so,wa,consequent\n\xff,low,low,low,sell\n")
+
     @pytest.mark.parametrize("encode", [str.encode, str])
     def test_one_leading_byte_order_mark_is_dropped(self, encode):
         text = rules_to_csv(build_rule_base())

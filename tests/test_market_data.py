@@ -540,6 +540,24 @@ class TestAggregatePeriods:
             aggregate_periods(PriceSeries("T", bars), dpp)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("dpp", [1, 15])
+    @pytest.mark.parametrize("moves, message", [
+        (((7, 8), (8, 7)), "T: bar 8 (2020-01-08): bar dates must increase strictly: "
+                           "2020-01-09 then 2020-01-08"),
+        (((7, 6),), "T: bar 7 (2020-01-07): bar dates must increase strictly: "
+                    "2020-01-07 then 2020-01-07"),
+    ])
+    def test_date_out_of_order_names_the_first_bad_bar(self, dpp, moves, message):
+        series = make_series(30)
+        bars = list(series.bars)
+        for i, j in (*moves, (21, 20)):  # bar i takes bar j's date
+            bars[i] = dataclasses.replace(bars[i], date=series.bars.date[j])
+        redated = PriceSeries("T", bars)
+        with pytest.raises(MarketDataError) as caught:
+            aggregate_periods(redated, dpp)
+        assert str(caught.value) == message
+        assert message.endswith(validate(redated).findings[0].message)
+
     def test_780_daily_bars_make_52_periods(self):
         series = random_walk_series("S", seed=5, periods=52, days_per_period=15)
         assert len(series.bars) == 780
