@@ -89,7 +89,9 @@ def backtest(
     Each signal is paired with the simple close-to-close return into t+1.
     The hit rates count Buy signals preceding positive returns and Sell
     signals preceding negative ones (None when a side never fired). The rule
-    base is built once from the config unless given.
+    base is built once from the config unless given. Fewer than two signals
+    raise InsufficientHistoryError, naming the last failed period and its
+    PipelineError.
     """
     cfg = config if config is not None else ResolvedConfig()
     periods = aggregate_periods(series, cfg.days_per_period)
@@ -98,11 +100,13 @@ def backtest(
     bars = periods.bars
     dates, closes = bars.date, bars.close.tolist()
     records: list[BacktestRecord] = []
+    last_failure = ""
     for t in range(len(bars) - 1):
         prefix = PriceSeries(periods.symbol, bars[:t + 1])
         try:
             rec = recommend_periods(prefix, cfg, rule_base)
-        except PipelineError:
+        except PipelineError as exc:
+            last_failure = f"; period {t} failed at {exc}"
             continue
         records.append(BacktestRecord(
             period_index=t,
@@ -113,6 +117,7 @@ def backtest(
     if len(records) < 2:
         raise InsufficientHistoryError(
             f"{series.symbol}: backtest needs signals at >= 2 periods, got {len(records)}"
+            f"{last_failure}"
         )
     buys = [r for r in records if r.signal is Signal.BUY]
     sells = [r for r in records if r.signal is Signal.SELL]

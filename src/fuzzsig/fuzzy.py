@@ -7,11 +7,10 @@ piecewise-linear shapes, a width spread of +/- delta for Gaussians.
 
 All membership math is one array kernel, grade_terms, over a TermTable: the
 linear shapes as trapezoids (a, b, c, d), the Gaussians as centres and widths.
-grade_inputs grades every term of every input variable in one call on a
-(terms, N) array, and a shape's own grade and grade_bounds are the one-term
-case. Gaussians take math.exp per element, so no grade depends on numpy's
-SIMD kernels. Grades take a float (and give floats) or an array of points
-(and give arrays), so a block of rows is graded in one pass.
+grade_inputs grades every term of every input variable over a block of
+N >= 1 rows in one call on a (terms, N) array, and a shape's own grade and
+grade_bounds are the one-term case. Gaussians take math.exp per element, so
+no grade depends on numpy's SIMD kernels.
 """
 
 from __future__ import annotations
@@ -293,22 +292,18 @@ class LinguisticVariable:
         raise ValueError(f"{self.name!r} has no term {label!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FuzzifiedInputs:
-    """Per-variable, per-term membership grades as (lower, upper) pairs.
+    """Every graded term's membership grades over a block of N rows.
 
-    Each grade is a float for one row, or a length-N array for a block of N
-    rows. For type-1 evaluation (interval=False) lower equals upper exactly.
-    grade_inputs also keeps the grades stacked, (terms, 2) for one row or
-    (terms, 2, N) for a block, with the (variable, term) of each stacked row
-    in `term_keys`; `grades` then holds views of it. Type-1 grades are stacked
-    once, (terms, 1[, N]). Inputs built from a dict alone have stacked=None.
+    `stacked` is (terms, 2, N): each term's (lower, upper) grade per row, with
+    the (variable, term) of each stacked row in `term_keys`. Type-1 grades
+    (interval=False) have lower equal to upper and are stacked once, (terms, 1, N).
     """
 
-    grades: dict[str, dict[str, tuple[float, float]]]
+    stacked: np.ndarray = field(repr=False)
+    term_keys: tuple[tuple[str, str], ...]
     interval: bool
-    stacked: np.ndarray | None = field(default=None, repr=False, compare=False)
-    term_keys: tuple[tuple[str, str], ...] = ()
 
 
 def default_mf_table() -> dict[str, tuple[tuple[str, MembershipFunction], ...]]:
@@ -431,14 +426,14 @@ def fuzzify(
     """Grade every input variable's terms at the snapshot's normalized values.
 
     The one-row case of normalize_rows then grade_inputs: `snap` holds floats,
-    and a row that fails normalization raises its error. With fou=None the
-    grades are type-1 (degenerate pairs); with a footprint they are [lower,
-    upper] intervals, even at delta = 0.
+    the result is a one-row block, and a row that fails normalization raises
+    its error. With fou=None the grades are type-1; with a footprint they are
+    [lower, upper] intervals, even at delta = 0.
     """
     normalized, faults = normalize_rows(snap, divisor=divisor, histogram_gain=histogram_gain)
     if faults:
         raise faults[0]
-    return grade_inputs({name: x.item() for name, x in normalized.items()}, variables, fou)
+    return grade_inputs(normalized, variables, fou)
 
 
 @functools.lru_cache(maxsize=64)
@@ -463,30 +458,17 @@ def grade_inputs(
 ) -> FuzzifiedInputs:
     """Grade the input variables' terms at normalized values (see fuzzify).
 
-    The values are floats for one row, giving float grades, or equal-length
-    arrays for a block of rows, giving array grades. Every term of every
-    variable present in `normalized` is graded in one grade_terms call on a
-    (terms, N) array that gathers each term's input column; the per-term
-    parameters come from a TermTable built once per distinct variables tuple.
+    The values are equal-length arrays, one value per row; a float is a
+    one-row block. Every term of every variable present in `normalized` is
+    graded in one grade_terms call on a (terms, N) array that gathers each
+    term's input column; the per-term parameters come from a TermTable built
+    once per distinct variables tuple. Raises ValueError when `normalized`
+    names no variable.
     """
     names, keys, source, table = _input_terms(tuple(variables), tuple(normalized))
-    interval = fou is not None
-    if not keys:
-        return FuzzifiedInputs({}, interval)
-    x = np.array([normalized[name] for name in names], dtype=float)
-    grades = grade_terms(table, x.reshape(len(names), -1)[source],
-                         fou.delta if interval else None)
-    one_row = x.ndim == 1
-    if one_row:
-        grades = grades[..., 0]
-    split = np.ndarray.tolist if one_row else list  # floats for one row, row views for a block
-    if interval:
-        stacked = grades
-        lower, upper = split(grades[:, 0]), split(grades[:, 1])
-    else:  # type-1: lower and upper are the same grades, stacked once
-        stacked = grades[:, None]
-        lower = upper = split(grades)
-    by_name: dict[str, dict[str, tuple[float, float]]] = {name: {} for name in names}
-    for (name, label), lo, hi in zip(keys, lower, upper):
-        by_name[name][label] = (lo, hi)
-    return FuzzifiedInputs(by_name, interval, stacked, keys)
+    if not names:
+        raise ValueError(f"no input variable among {sorted(normalized)}")
+    x = np.array([normalized[name] for name in names], dtype=float).reshape(len(names), -1)
+    if fou is None:  # type-1: lower and upper are the same grades, stacked once
+        return FuzzifiedInputs(grade_terms(table, x[source], None)[:, None], keys, False)
+    return FuzzifiedInputs(grade_terms(table, x[source], fou.delta), keys, True)

@@ -5,7 +5,7 @@ RSI 3 x SO 3 x Williams 2) and scores each by weighted directional votes.
 Firing uses min for the AND, clipping for implication, and max for
 aggregation; interval grades are reduced with an exhaustive Karnik-Mendel
 switch-point search and defuzzified at the centroid midpoint. Firing and
-reduction take one row or a block of rows. Every entry point hands indicator
+reduction take a block of N >= 1 rows. Every entry point hands indicator
 rows to recommend_rows, which normalizes them (fuzzy.normalize_rows) and
 evaluates them BLOCK_ROWS at a time. recommend_periods (signal, each backtest
 prefix) passes the one row indicators.snapshot computes; a portfolio
@@ -186,7 +186,10 @@ def build_rule_base(
 
 @dataclass(frozen=True)
 class AggregatedOutput:
-    """Max-aggregated clipped consequents sampled on a uniform output grid."""
+    """Max-aggregated clipped consequents sampled on a uniform output grid.
+
+    `lower` and `upper` are (N, grid) envelopes, one row per input row.
+    """
 
     grid: np.ndarray
     lower: np.ndarray
@@ -247,28 +250,19 @@ def fire_rules(
     type-1 grades (lower == upper) fire once, and the aggregate's lower and
     upper envelopes are then the same array. The fold indexes the term
     grades, stacked in ANTECEDENT_TERMS order, with RuleBase.index; grades
-    from grade_inputs arrive stacked and are read in place. Float grades (one
-    row) give 1-D envelopes and length-N array grades (a block of rows) give
-    (N, grid_points) envelopes from the same few reductions. The output grid
-    and consequent grades are built once per (output variable, grid_points,
-    consequent labels) and shared, so the returned grid is read-only. Inputs
-    lacking an antecedent term, or an output variable lacking a consequent's
-    term, raise InferenceError.
+    already in that order are read in place. N rows of grades give
+    (N, grid_points) envelopes. The output grid and consequent grades are
+    built once per (output variable, grid_points, consequent labels) and
+    shared, so the returned grid is read-only. Inputs lacking an antecedent
+    term, or an output variable lacking a consequent's term, raise
+    InferenceError.
     """
     antecedents, starts, labels = rule_base.index
     try:
-        if inputs.stacked is None:
-            # (terms, 2, N): every antecedent term's (lower, upper) grade per row
-            grades = np.array([inputs.grades[name][term]
-                               for name, terms in ANTECEDENT_TERMS.items() for term in terms],
-                              dtype=float)
-        else:
-            rows = _antecedent_rows(inputs.term_keys)
-            grades = inputs.stacked if rows is None else inputs.stacked[rows]
+        rows = _antecedent_rows(inputs.term_keys)
     except KeyError as exc:
         raise InferenceError(f"rule references unknown variable/term: {exc}") from None
-    one_row = grades.ndim == 2
-    grades = grades.reshape(*grades.shape[:2], -1)
+    grades = inputs.stacked if rows is None else inputs.stacked[rows]
     if not inputs.interval:  # type-1 grades have lower == upper: only the upper ones fire
         grades = grades[:, -1:]
     # (consequents, halves, N): the strongest rule of each consequent per row
@@ -277,8 +271,6 @@ def fire_rules(
     # a clip at strength <= 0 adds nothing to the zero envelopes
     envelopes = np.minimum(mu.reshape(-1, 1, 1, grid_points), strengths[..., None]).max(
         axis=0, initial=0.0)
-    if one_row:
-        envelopes = envelopes[:, 0]
     return AggregatedOutput(grid=grid, lower=envelopes[0], upper=envelopes[-1],
                             interval=inputs.interval)
 
@@ -330,44 +322,38 @@ _NO_RULE_FIRED = "no rule fired: aggregate output is identically zero"
 
 def _fired(agg: AggregatedOutput) -> np.ndarray:
     """Per row, whether the upper envelope is anywhere above zero."""
-    return np.atleast_2d(agg.upper).max(axis=1) > 0.0
+    return agg.upper.max(axis=1) > 0.0
 
 
-def km_type_reduce(agg: AggregatedOutput):
-    """Karnik-Mendel switch-point centroids [y_l, y_r] of the sampled set.
+def km_type_reduce(agg: AggregatedOutput) -> tuple[np.ndarray, np.ndarray]:
+    """Karnik-Mendel switch-point centroids [y_l, y_r] of the sampled set, per row.
 
     Exhaustive over switch points: y_l takes upper grades left of the switch
     and lower ones right of it, minimized; y_r the mirror image, maximized.
-    One row (1-D envelopes) gives two floats; a block ((N, grid) envelopes)
-    gives two length-N arrays. Raises when no rule fired in some row
+    Returns two length-N arrays. Raises when no rule fired in some row
     (identically zero upper envelope): for in-range inputs the variables'
     coverage floor makes that unreachable, so hitting it means misconfiguration.
     """
     if not _fired(agg).all():
         raise InferenceError(_NO_RULE_FIRED)
     quad = _quad_weights(len(agg.grid))
-    lower, upper = quad * np.atleast_2d(agg.lower), quad * np.atleast_2d(agg.upper)
-    y_l = _switch_point_centroids(agg.grid, upper, lower, np.argmin, np.inf)
-    y_r = _switch_point_centroids(agg.grid, lower, upper, np.argmax, -np.inf)
-    if agg.upper.ndim == 1:
-        return float(y_l[0]), float(y_r[0])
-    return y_l, y_r
+    lower, upper = quad * agg.lower, quad * agg.upper
+    return (_switch_point_centroids(agg.grid, upper, lower, np.argmin, np.inf),
+            _switch_point_centroids(agg.grid, lower, upper, np.argmax, -np.inf))
 
 
-def defuzzify(agg: AggregatedOutput):
-    """Crisp output: trapezoid-quadrature centroid for type-1, KM midpoint otherwise.
+def defuzzify(agg: AggregatedOutput) -> np.ndarray:
+    """Crisp output per row: trapezoid-quadrature centroid for type-1, KM midpoint otherwise.
 
     Both paths weigh the sampled set identically (half-weight grid endpoints),
-    so zero-width intervals reduce to the type-1 centroid. One row gives a
-    float, a block of rows a length-N array.
+    so zero-width intervals reduce to the type-1 centroid.
     """
     if agg.interval:
         y_l, y_r = km_type_reduce(agg)
         return 0.5 * (y_l + y_r)
     if not _fired(agg).all():
         raise InferenceError(_NO_RULE_FIRED)
-    crisp = _centroids(agg.grid, _quad_weights(len(agg.grid)) * np.atleast_2d(agg.upper))
-    return crisp[0].item() if agg.upper.ndim == 1 else crisp
+    return _centroids(agg.grid, _quad_weights(len(agg.grid)) * agg.upper)
 
 
 def classify_signal(crisp: float) -> Signal:

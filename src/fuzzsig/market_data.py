@@ -14,9 +14,10 @@ comes from the csv-module reader, which stops at the first faulty row:
 - the input holds no '"', NUL or \\x1c-\\x1f, and any '\\r' is part of '\\r\\n';
 - every line fits in a chunk (so no field exceeds csv.field_size_limit());
 - np.loadtxt accepts every record: seven fields, five of them floats;
-- every symbol cell has fewer than 16 characters and is not blank after
-  str.strip, and every date cell is exactly 10 characters and a valid
-  YYYY-MM-DD date;
+- every symbol cell has fewer than 16 characters and, after str.strip, is
+  not blank and holds only printing characters (str.isprintable, so an
+  inner tab or no-break space fails), and every date cell is exactly 10
+  characters and a valid YYYY-MM-DD date;
 - every bar passes the bar checks and no (symbol, date) pair repeats.
 """
 
@@ -281,7 +282,7 @@ def _loadtxt_chunk(text: str, codes: dict[str, int], days: dict[str, int]):
     cell_code = {}
     for cell in dict.fromkeys(run_cells):  # in order of first appearance
         name = cell.strip()
-        if not name:
+        if not (name and name.isprintable()):
             return None
         cell_code[cell] = codes.setdefault(name, len(codes))
     run_code = np.fromiter(map(cell_code.__getitem__, run_cells), np.int64, len(run_cells))
@@ -355,6 +356,9 @@ def _csv_series(data: str) -> list[PriceSeries]:
             symbol = symbol.strip()
             if not symbol:
                 raise MarketDataError(f"row {line}: empty symbol")
+            if not symbol.isprintable():
+                raise MarketDataError(
+                    f"row {line}: symbol {symbol!r} holds a non-printing character")
             ordinal = days.get(cell)
             if ordinal is None:
                 try:

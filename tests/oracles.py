@@ -235,15 +235,41 @@ def swept_mf_bounds(mf, x: float, delta: float, steps: int = 1000) -> tuple[floa
     return min(values), max(values)
 
 
-def brute_force_aggregate(inputs, rule_base, output_var, grid):
-    """Per-gridpoint double loop over rules, independent of fire_rules' order."""
+def stacked_inputs(grades, interval: bool):
+    """FuzzifiedInputs from {variable: {term: (lower, upper)}}, stacked in ANTECEDENT_TERMS order.
+
+    Each pair holds floats (one row) or length-N arrays (N rows). Type-1
+    inputs keep the upper grades only. A variable missing from `grades` is
+    left out of the stack.
+    """
+    from fuzzsig.fuzzy import FuzzifiedInputs
+    from fuzzsig.inference import ANTECEDENT_TERMS
+
+    keys = tuple((name, term) for name, terms in ANTECEDENT_TERMS.items() if name in grades
+                 for term in terms)
+    stacked = np.array([grades[name][term] for name, term in keys],
+                       dtype=float).reshape(len(keys), 2, -1)
+    return FuzzifiedInputs(stacked if interval else stacked[:, 1:], keys, interval)
+
+
+def term_grades(inputs, row: int = 0) -> dict[str, dict[str, tuple[float, float]]]:
+    """One row of FuzzifiedInputs as {variable: {term: (lower, upper)}} floats."""
+    grades: dict[str, dict[str, tuple[float, float]]] = {}
+    for (name, term), pair in zip(inputs.term_keys, inputs.stacked[:, :, row].tolist()):
+        grades.setdefault(name, {})[term] = (pair[0], pair[-1])
+    return grades
+
+
+def brute_force_aggregate(inputs, rule_base, output_var, grid, row: int = 0):
+    """Per-gridpoint double loop over rules for one input row, independent of fire_rules' order."""
+    grades = term_grades(inputs, row)
     lower = []
     upper = []
     for y in grid:
         best_lo = 0.0
         best_hi = 0.0
         for rule in rule_base.rules:
-            pairs = [inputs.grades[name][getattr(rule, name)]
+            pairs = [grades[name][getattr(rule, name)]
                      for name in ("macd", "rsi", "so", "wa")]
             s_lo = min(p[0] for p in pairs)
             s_hi = min(p[1] for p in pairs)

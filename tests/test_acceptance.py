@@ -21,7 +21,6 @@ from fuzzsig.fixtures import (
 )
 from fuzzsig.fuzzy import (
     FootprintOfUncertainty,
-    FuzzifiedInputs,
     Gaussian,
     LeftShoulder,
     RightShoulder,
@@ -61,6 +60,7 @@ from oracles import (
     naive_sma,
     scanned_stochastic,
     scanned_williams,
+    stacked_inputs,
     tallied_rsi,
 )
 
@@ -143,7 +143,7 @@ def test_criterion_02_range_invariants():
         snap = random_snapshot(rng)
         for fou in (None, FootprintOfUncertainty(0.05)):
             inputs = fuzzify(snap, VARIABLES, fou=fou)
-            crisp = defuzzify(fire_rules(inputs, base, OUTPUT_VAR))
+            [crisp] = defuzzify(fire_rules(inputs, base, OUTPUT_VAR))
             assert 0.0 <= crisp <= 1.0
     ok(2, "indicator, grade, and crisp-output ranges hold under fuzzing")
 
@@ -177,8 +177,8 @@ def test_criterion_05_type_reduction_collapse():
         snap = random_snapshot(rng)
         plain = fuzzify(snap, VARIABLES, fou=None)
         degenerate = fuzzify(snap, VARIABLES, fou=FootprintOfUncertainty(0.0))
-        crisp_plain = defuzzify(fire_rules(plain, base, OUTPUT_VAR))
-        crisp_interval = defuzzify(fire_rules(degenerate, base, OUTPUT_VAR))
+        [crisp_plain] = defuzzify(fire_rules(plain, base, OUTPUT_VAR))
+        [crisp_interval] = defuzzify(fire_rules(degenerate, base, OUTPUT_VAR))
         assert abs(crisp_plain - crisp_interval) <= 1e-9
     quad = np.ones(101)
     quad[0] = quad[-1] = 0.5
@@ -186,8 +186,8 @@ def test_criterion_05_type_reduction_collapse():
     for _ in range(100):
         upper = rng.random(101)
         lower = upper * rng.random(101)
-        agg = AggregatedOutput(grid=grid, lower=lower, upper=upper, interval=True)
-        y_l, y_r = km_type_reduce(agg)
+        agg = AggregatedOutput(grid=grid, lower=lower[None], upper=upper[None], interval=True)
+        [y_l], [y_r] = km_type_reduce(agg)
         e_l, e_r = enumerated_km(grid, quad * lower, quad * upper)
         assert abs(y_l - e_l) <= 1e-9
         assert abs(y_r - e_r) <= 1e-9
@@ -203,9 +203,9 @@ def test_criterion_06_centroid_refinement():
             name: {term: (lambda g: (g, g))(rng.random()) for term in terms}
             for name, terms in ANTECEDENT_TERMS.items()
         }
-        inputs = FuzzifiedInputs(grades=grades, interval=False)
-        coarse = defuzzify(fire_rules(inputs, base, OUTPUT_VAR, grid_points=1001))
-        fine = defuzzify(fire_rules(inputs, base, OUTPUT_VAR, grid_points=100001))
+        inputs = stacked_inputs(grades, interval=False)
+        [coarse] = defuzzify(fire_rules(inputs, base, OUTPUT_VAR, grid_points=1001))
+        [fine] = defuzzify(fire_rules(inputs, base, OUTPUT_VAR, grid_points=100001))
         assert abs(coarse - fine) <= 1e-4
     ok(6, "1001-point centroid within 1e-4 of the 100001-point refinement")
 
@@ -235,11 +235,11 @@ def test_criterion_07_rule_base_structure():
                    for term in terms}
             for name, terms in ANTECEDENT_TERMS.items()
         }
-        inputs = FuzzifiedInputs(grades=grades, interval=True)
+        inputs = stacked_inputs(grades, interval=True)
         shuffled = list(base.rules)
         rng.shuffle(shuffled)
-        crisp_a = defuzzify(fire_rules(inputs, base, OUTPUT_VAR))
-        crisp_b = defuzzify(fire_rules(inputs, RuleBase(tuple(shuffled)), OUTPUT_VAR))
+        [crisp_a] = defuzzify(fire_rules(inputs, base, OUTPUT_VAR))
+        [crisp_b] = defuzzify(fire_rules(inputs, RuleBase(tuple(shuffled)), OUTPUT_VAR))
         assert crisp_a == crisp_b
     ok(7, "generated base is exhaustive, vote examples hold, shuffling is bit-identical")
 
@@ -272,8 +272,8 @@ def test_criterion_10_consequent_ordering():
                    for term in ANTECEDENT_TERMS[name]}
             for name, pick in zip(("macd", "rsi", "so", "wa"), rule.antecedent())
         }
-        inputs = FuzzifiedInputs(grades=grades, interval=False)
-        crisp = defuzzify(fire_rules(inputs, base, OUTPUT_VAR))
+        inputs = stacked_inputs(grades, interval=False)
+        [crisp] = defuzzify(fire_rules(inputs, base, OUTPUT_VAR))
         if rule.consequent is Signal.SELL:
             assert crisp < 0.4
         elif rule.consequent is Signal.BUY:

@@ -255,6 +255,17 @@ class TestBacktestCommand:
         assert len(default) == len(all_buy) and set(default) != {"Buy"}
         assert set(all_buy) == {"Buy"}
 
+    def test_no_signals_names_the_last_failure(self, tmp_path, capsys):
+        rules = tmp_path / "rules.csv"
+        rules.write_text("macd,rsi,so,wa,consequent\nlow,low,low,low,sell\n")
+        fixture = str(DATA_DIR / "portfolio_fixture.csv")
+        assert run(["backtest", fixture, "--symbol", "SYN00", "--rules", str(rules)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: SYN00: backtest needs signals at >= 2 periods, got 0; period 50 failed at "
+            "type reduction: no rule fired: aggregate output is identically zero\n")
+
     def test_bad_rules_row_exits_1_naming_the_row(self, tmp_path, capsys):
         rules = tmp_path / "rules.csv"
         rules.write_text("macd,rsi,so,wa,consequent\nlow,medium,medium,low,hold\n"

@@ -23,7 +23,7 @@ from fuzzsig.fuzzy import (
 from fuzzsig.indicators import IndicatorSnapshot, snapshot
 from fuzzsig.market_data import aggregate_periods
 
-from oracles import shape_grade, shape_grade_bounds, swept_mf_bounds
+from oracles import shape_grade, shape_grade_bounds, swept_mf_bounds, term_grades
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -229,20 +229,23 @@ class TestGradingKernel:
         fou = None if delta is None else FootprintOfUncertainty(delta)
         graded = grade_inputs(normalized, variables, fou)
         assert graded.interval is (fou is not None)
-        for var in variables:
-            x = normalized[var.name]
-            for label, mf in var.terms:
-                lower, upper = graded.grades[var.name][label]
-                if rows is None:
-                    assert type(lower) is float and type(upper) is float
-                else:
-                    assert lower.shape == upper.shape == (rows,)
-                if delta is None:
-                    want = shape_grade(mf, x)
-                    want = (want, want)
-                else:
-                    want = shape_grade_bounds(mf, x, delta)
-                assert (hexes(lower), hexes(upper)) == (hexes(want[0]), hexes(want[1]))
+        assert graded.term_keys == tuple((var.name, label) for var in variables
+                                         for label, _ in var.terms)
+        # a float input is a one-row block
+        assert graded.stacked.shape == (len(graded.term_keys), 1 if fou is None else 2, rows or 1)
+        terms = [(var.name, mf) for var in variables for _, mf in var.terms]
+        for (name, mf), pair in zip(terms, graded.stacked):
+            x, lower, upper = normalized[name], pair[0], pair[-1]
+            if delta is None:
+                want = shape_grade(mf, x)
+                want = (want, want)
+            else:
+                want = shape_grade_bounds(mf, x, delta)
+            assert (hexes(lower), hexes(upper)) == (hexes(want[0]), hexes(want[1]))
+
+    def test_grade_inputs_without_an_input_variable_is_an_error(self):
+        with pytest.raises(ValueError, match=r"no input variable among \['volume'\]"):
+            grade_inputs({"volume": 0.5}, default_variables())
 
     @given(data=st.data(), mf=any_term(), delta=st.sampled_from(DELTAS[1:]),
            rows=st.sampled_from([None, 1, 64]))
@@ -326,24 +329,24 @@ class TestFuzzify:
         import dataclasses
 
         snap = dataclasses.replace(flat_snapshot(), rsi=89.0)
-        out = fuzzify(snap, default_variables())
-        assert out.grades["rsi"]["high"] == (1.0, 1.0)
-        assert out.grades["rsi"]["medium"] == (0.0, 0.0)
-        assert out.grades["rsi"]["low"] == (0.0, 0.0)
+        out = term_grades(fuzzify(snap, default_variables()))
+        assert out["rsi"]["high"] == (1.0, 1.0)
+        assert out["rsi"]["medium"] == (0.0, 0.0)
+        assert out["rsi"]["low"] == (0.0, 0.0)
 
     def test_percent_k_50_is_pure_medium(self):
         snap = flat_snapshot()
         assert snap.stochastic_k == 50.0
-        out = fuzzify(snap, default_variables())
-        assert out.grades["so"]["medium"] == (1.0, 1.0)
-        assert out.grades["so"]["low"] == (0.0, 0.0)
-        assert out.grades["so"]["high"] == (0.0, 0.0)
+        out = term_grades(fuzzify(snap, default_variables()))
+        assert out["so"]["medium"] == (1.0, 1.0)
+        assert out["so"]["low"] == (0.0, 0.0)
+        assert out["so"]["high"] == (0.0, 0.0)
 
     def test_neutral_macd_grades_are_symmetric(self):
         snap = flat_snapshot()
         assert snap.histogram == 0.0
-        out = fuzzify(snap, default_variables())
-        assert out.grades["macd"]["high"] == out.grades["macd"]["low"]
+        out = term_grades(fuzzify(snap, default_variables()))
+        assert out["macd"]["high"] == out["macd"]["low"]
 
     def test_interval_mode_flags_and_nests_type1(self):
         snap = flat_snapshot()
@@ -352,9 +355,10 @@ class TestFuzzify:
         assert plain.interval is False
         blurred = fuzzify(snap, variables, fou=FootprintOfUncertainty(0.05))
         assert blurred.interval is True
-        for var, terms in plain.grades.items():
+        blurred_grades = term_grades(blurred)
+        for var, terms in term_grades(plain).items():
             for term, (g, _) in terms.items():
-                lo, hi = blurred.grades[var][term]
+                lo, hi = blurred_grades[var][term]
                 assert lo <= g <= hi
 
     def test_normalization_values(self):

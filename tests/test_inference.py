@@ -11,7 +11,6 @@ from fuzzsig.config import ResolvedConfig
 from fuzzsig.fixtures import downtrend_series, flat_series, portfolio_fixture, uptrend_series
 from fuzzsig.fuzzy import (
     FootprintOfUncertainty,
-    FuzzifiedInputs,
     LinguisticVariable,
     default_variables,
     fuzzify,
@@ -41,12 +40,12 @@ from fuzzsig.inference import (
 )
 from fuzzsig.market_data import aggregate_periods
 
-from oracles import brute_force_aggregate, enumerated_km
+from oracles import brute_force_aggregate, enumerated_km, stacked_inputs
 
 OUTPUT_VAR = next(v for v in default_variables() if v.name == "signal")
 
 
-def random_inputs(rng, interval=False):
+def random_grades(rng, interval=False):
     grades = {}
     for name, terms in ANTECEDENT_TERMS.items():
         per_term = {}
@@ -54,16 +53,23 @@ def random_inputs(rng, interval=False):
             a, b = sorted((rng.random(), rng.random()))
             per_term[term] = (a, b) if interval else (b, b)
         grades[name] = per_term
-    return FuzzifiedInputs(grades=grades, interval=interval)
+    return grades
 
 
-def singleton_inputs(macd, rsi, so, wa):
-    grades = {
+def random_inputs(rng, interval=False):
+    return stacked_inputs(random_grades(rng, interval), interval)
+
+
+def singleton_grades(macd, rsi, so, wa):
+    return {
         name: {term: ((1.0, 1.0) if term == pick else (0.0, 0.0))
                for term in ANTECEDENT_TERMS[name]}
         for name, pick in zip(("macd", "rsi", "so", "wa"), (macd, rsi, so, wa))
     }
-    return FuzzifiedInputs(grades=grades, interval=False)
+
+
+def singleton_inputs(macd, rsi, so, wa):
+    return stacked_inputs(singleton_grades(macd, rsi, so, wa), interval=False)
 
 
 class TestRuleBase:
@@ -102,7 +108,7 @@ class TestFireRules:
     def test_zero_inputs_give_zero_aggregate(self):
         grades = {name: {t: (0.0, 0.0) for t in terms}
                   for name, terms in ANTECEDENT_TERMS.items()}
-        inputs = FuzzifiedInputs(grades=grades, interval=False)
+        inputs = stacked_inputs(grades, interval=False)
         agg = fire_rules(inputs, build_rule_base(), OUTPUT_VAR)
         assert not np.any(agg.upper)
         assert not np.any(agg.lower)
@@ -111,7 +117,7 @@ class TestFireRules:
         inputs = singleton_inputs("low", "low", "medium", "low")  # score -4, Sell
         agg = fire_rules(inputs, build_rule_base(), OUTPUT_VAR)
         expected = OUTPUT_VAR.mf("sell").grade(agg.grid)
-        assert np.array_equal(agg.upper, expected)
+        assert np.array_equal(agg.upper, [expected])
 
     def test_matches_per_gridpoint_double_loop(self):
         rng = random.Random(99)
@@ -133,7 +139,7 @@ class TestFireRules:
         agg2 = fire_rules(inputs, RuleBase(tuple(shuffled)), OUTPUT_VAR)
         assert np.array_equal(agg.upper, agg2.upper)
         assert np.array_equal(agg.lower, agg2.lower)
-        assert defuzzify(agg) == defuzzify(agg2)
+        assert np.array_equal(defuzzify(agg), defuzzify(agg2))
 
     def test_unknown_term_rejected(self):
         inputs = singleton_inputs("low", "low", "low", "low")
@@ -142,27 +148,31 @@ class TestFireRules:
             fire_rules(inputs, bad, OUTPUT_VAR)
 
     def test_inputs_lacking_a_variable_rejected(self):
-        inputs = singleton_inputs("low", "low", "low", "low")
-        del inputs.grades["so"]
+        grades = singleton_grades("low", "low", "low", "low")
+        del grades["so"]
+        inputs = stacked_inputs(grades, interval=False)
         with pytest.raises(InferenceError, match="unknown variable/term: 'so'"):
             fire_rules(inputs, build_rule_base(), OUTPUT_VAR)
 
     @pytest.mark.parametrize("delta", [None, 0.05])
     @pytest.mark.parametrize("rows", [None, 1, 7])
-    def test_stacked_grades_fire_as_their_dict_does(self, delta, rows):
-        # reordered terms make fire_rules gather the stacked rows into ANTECEDENT_TERMS order
+    def test_reordered_variables_fire_as_default_order_variables(self, delta, rows):
+        # reordered terms make fire_rules gather the stacked rows into ANTECEDENT_TERMS order;
+        # a float input (rows None) is a one-row block
         reordered = tuple(LinguisticVariable(v.name, v.domain, v.terms[::-1])
                           for v in default_variables())
         rng = np.random.default_rng(3)
         fou = None if delta is None else FootprintOfUncertainty(delta)
-        for variables in (default_variables(), reordered):
+        for _ in range(3):
             values = {name: rng.uniform(-0.2, 1.2, rows or 1) for name in ANTECEDENT_TERMS}
             normalized = {k: v[0].item() for k, v in values.items()} if rows is None else values
-            stacked = grade_inputs(normalized, variables, fou)
-            assert stacked.stacked is not None
-            plain = FuzzifiedInputs(stacked.grades, stacked.interval)
-            got = fire_rules(stacked, build_rule_base(), OUTPUT_VAR)
-            want = fire_rules(plain, build_rule_base(), OUTPUT_VAR)
+            default = grade_inputs(normalized, default_variables(), fou)
+            gathered = grade_inputs(normalized, reordered, fou)
+            assert default.term_keys != gathered.term_keys
+            assert default.stacked.shape == (10, 1 if delta is None else 2, rows or 1)
+            got = fire_rules(gathered, build_rule_base(), OUTPUT_VAR)
+            want = fire_rules(default, build_rule_base(), OUTPUT_VAR)
+            assert want.upper.shape == (rows or 1, 1001)
             for name in ("grid", "lower", "upper", "interval"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
 
@@ -205,7 +215,7 @@ class TestFireRules:
     @pytest.mark.parametrize("delta", [0.0, 0.05, 0.3])
     def test_block_rows_match_oracle_on_fixture_grades(self, delta):
         # one block of fuzzified fixture snapshots: every row of the (rows, grid)
-        # envelopes equals the per-gridpoint oracle and the one-row firing
+        # envelopes equals the per-gridpoint oracle and the firing of its one-row block
         fou = FootprintOfUncertainty(delta) if delta else None
         variables = default_variables()
         snaps = [snapshot(aggregate_periods(s, 15))
@@ -219,15 +229,17 @@ class TestFireRules:
         assert agg.lower.shape == agg.upper.shape == (len(snaps), 201)
         for i, inputs in enumerate(rows):
             one = fire_rules(inputs, base, OUTPUT_VAR, grid_points=201)
-            lo, hi = brute_force_aggregate(inputs, base, OUTPUT_VAR, agg.grid)
+            assert one.lower.shape == one.upper.shape == (1, 201)
+            lo, hi = brute_force_aggregate(block, base, OUTPUT_VAR, agg.grid, row=i)
             for envelope, row, expected in ((agg.lower, one.lower, lo), (agg.upper, one.upper, hi)):
-                assert envelope[i].tobytes() == row.tobytes() == expected.tobytes()
+                assert envelope[i].tobytes() == row[0].tobytes() == expected.tobytes()
 
 
 def interval_aggregate(rng, points=101):
+    """A one-row interval aggregate: (1, points) envelopes."""
     grid = np.linspace(0.0, 1.0, points)
-    upper = rng.random(points)
-    lower = upper * rng.random(points)
+    upper = rng.random((1, points))
+    lower = upper * rng.random((1, points))
     return AggregatedOutput(grid=grid, lower=lower, upper=upper, interval=True)
 
 
@@ -237,8 +249,8 @@ class TestKmTypeReduce:
         for _ in range(25):
             grid = np.linspace(0.0, 1.0, 101)
             mu = rng.random(101)
-            agg = AggregatedOutput(grid=grid, lower=mu, upper=mu, interval=True)
-            y_l, y_r = km_type_reduce(agg)
+            agg = AggregatedOutput(grid=grid, lower=mu[None], upper=mu[None], interval=True)
+            [y_l], [y_r] = km_type_reduce(agg)
             centroid = float(np.trapezoid(grid * mu, grid) / np.trapezoid(mu, grid))
             assert y_l == pytest.approx(centroid, abs=1e-9)
             assert y_r == pytest.approx(centroid, abs=1e-9)
@@ -252,8 +264,8 @@ class TestKmTypeReduce:
             upper = np.concatenate((half, [max(mid_u, 1e-3)], half[::-1]))
             lower = np.concatenate((lower_half, [mid_l], lower_half[::-1]))
             agg = AggregatedOutput(grid=np.linspace(0, 1, 101),
-                                   lower=lower, upper=upper, interval=True)
-            y_l, y_r = km_type_reduce(agg)
+                                   lower=lower[None], upper=upper[None], interval=True)
+            [y_l], [y_r] = km_type_reduce(agg)
             assert y_l + y_r == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_switch_point_enumeration(self):
@@ -264,46 +276,47 @@ class TestKmTypeReduce:
         # lower = 0 leaves both sides of many switch points without any weight;
         # at hold clipped at 0.35, total minus prefix would leave residue there
         grid = np.linspace(0.0, 1.0, 1001)
-        zeros = np.zeros(len(grid))
+        zeros = np.zeros((1, len(grid)))
         for upper, expected in (
             (np.minimum(OUTPUT_VAR.mf("sell").grade(grid), 0.5), (0.0, 0.449)),
             (np.minimum(OUTPUT_VAR.mf("buy").grade(grid), 0.5), (0.551, 1.0)),
             (np.minimum(OUTPUT_VAR.mf("hold").grade(grid), 0.35), (0.35, 0.649)),
             (np.where(grid == 0.0, 1.0, 0.0), (0.0, 0.0)),  # mass at one end only
         ):
-            cases.append((AggregatedOutput(grid, zeros, upper, interval=True), expected))
+            cases.append((AggregatedOutput(grid, zeros, upper[None], interval=True), expected))
         for agg, expected in cases:
             quad = np.ones(len(agg.grid))
             quad[0] = quad[-1] = 0.5
-            y_l, y_r = km_type_reduce(agg)
-            e_l, e_r = enumerated_km(agg.grid, quad * agg.lower, quad * agg.upper)
+            [y_l], [y_r] = km_type_reduce(agg)
+            e_l, e_r = enumerated_km(agg.grid, quad * agg.lower[0], quad * agg.upper[0])
             assert y_l == pytest.approx(e_l, abs=1e-9)
             assert y_r == pytest.approx(e_r, abs=1e-9)
             if expected is not None:
                 assert (y_l, y_r) == pytest.approx(expected, abs=1e-9)
 
     def test_all_zero_aggregate_errors(self):
-        zeros = np.zeros(101)
+        zeros = np.zeros((1, 101))
         agg = AggregatedOutput(np.linspace(0, 1, 101), zeros, zeros, interval=True)
         with pytest.raises(InferenceError, match="no rule fired"):
             km_type_reduce(agg)
 
     def test_block_rows_equal_one_row_results_bitwise(self):
         rng = np.random.default_rng(41)
+        # a 9-row block against 9 one-row blocks
         rows = [interval_aggregate(rng) for _ in range(9)]
-        block = AggregatedOutput(rows[0].grid, np.array([a.lower for a in rows]),
-                                 np.array([a.upper for a in rows]), interval=True)
+        block = AggregatedOutput(rows[0].grid, np.concatenate([a.lower for a in rows]),
+                                 np.concatenate([a.upper for a in rows]), interval=True)
         y_l, y_r = km_type_reduce(block)
         assert [(a.hex(), b.hex()) for a, b in zip(y_l.tolist(), y_r.tolist())] == \
-            [tuple(y.hex() for y in km_type_reduce(a)) for a in rows]
+            [tuple(y.item().hex() for y in km_type_reduce(a)) for a in rows]
         type1 = dataclasses.replace(block, interval=False)
         assert [c.hex() for c in defuzzify(type1).tolist()] == \
-            [defuzzify(dataclasses.replace(a, interval=False)).hex() for a in rows]
+            [defuzzify(dataclasses.replace(a, interval=False)).item().hex() for a in rows]
 
     def test_block_with_one_dead_row_errors(self):
         rng = np.random.default_rng(43)
         rows = [interval_aggregate(rng) for _ in range(3)]
-        upper = np.array([a.upper for a in rows])
+        upper = np.concatenate([a.upper for a in rows])
         upper[1] = 0.0
         block = AggregatedOutput(rows[0].grid, np.zeros_like(upper), upper, interval=True)
         with pytest.raises(InferenceError, match="no rule fired"):
@@ -315,16 +328,18 @@ class TestKmTypeReduce:
 class TestDefuzzify:
     def test_hold_term_alone_centers_at_half(self):
         grid = np.linspace(0.0, 1.0, 1001)
-        mu = OUTPUT_VAR.mf("hold").grade(grid)
+        mu = OUTPUT_VAR.mf("hold").grade(grid)[None]
         agg = AggregatedOutput(grid, mu, mu, interval=False)
-        assert defuzzify(agg) == pytest.approx(0.5, abs=1e-6)
+        [crisp] = defuzzify(agg)
+        assert crisp == pytest.approx(0.5, abs=1e-6)
 
     def test_symmetric_aggregate_centers_at_half(self):
         rng = np.random.default_rng(41)
         half = rng.random(500)
-        mu = np.concatenate((half, [rng.random()], half[::-1]))
+        mu = np.concatenate((half, [rng.random()], half[::-1]))[None]
         agg = AggregatedOutput(np.linspace(0, 1, 1001), mu, mu, interval=False)
-        assert defuzzify(agg) == pytest.approx(0.5, abs=1e-6)
+        [crisp] = defuzzify(agg)
+        assert crisp == pytest.approx(0.5, abs=1e-6)
 
     def test_matches_fine_grid_refinement(self):
         rng = np.random.default_rng(43)
@@ -333,10 +348,11 @@ class TestDefuzzify:
             inputs = random_inputs(random.Random(int(rng.integers(1 << 30))))
             coarse = fire_rules(inputs, base, OUTPUT_VAR, grid_points=1001)
             fine = fire_rules(inputs, base, OUTPUT_VAR, grid_points=100001)
-            assert defuzzify(coarse) == pytest.approx(defuzzify(fine), abs=1e-4)
+            [crisp_coarse], [crisp_fine] = defuzzify(coarse), defuzzify(fine)
+            assert crisp_coarse == pytest.approx(crisp_fine, abs=1e-4)
 
     def test_all_zero_errors(self):
-        zeros = np.zeros(101)
+        zeros = np.zeros((1, 101))
         agg = AggregatedOutput(np.linspace(0, 1, 101), zeros, zeros, interval=False)
         with pytest.raises(InferenceError, match="no rule fired"):
             defuzzify(agg)
@@ -373,7 +389,7 @@ class TestConsequentOrdering:
         for rule in base.rules:
             inputs = singleton_inputs(*rule.antecedent())
             agg = fire_rules(inputs, base, OUTPUT_VAR)
-            crisp = defuzzify(agg)
+            [crisp] = defuzzify(agg)
             if rule.consequent is Signal.SELL:
                 assert crisp < 0.4
             elif rule.consequent is Signal.BUY:
@@ -424,26 +440,37 @@ class TestRecommend:
 
     @pytest.mark.parametrize("delta", [0.0, 0.05, 0.3])
     def test_pipeline_equals_the_public_one_row_chain(self, delta):
-        # recommend runs rows through recommend_rows; the public layers one row
-        # at a time must give the same bits
+        # recommend runs rows through recommend_rows; the public layers on each
+        # row's one-row block, and on one block of all the rows, give the same bits
         cfg = ResolvedConfig(delta=delta)
-        output_var = next(v for v in cfg.build_variables() if v.name == "signal")
-        for series in portfolio_fixture(seed=37, symbols=20, periods=52):
-            snap = snapshot(aggregate_periods(series, cfg.days_per_period),
-                            **cfg.indicator_windows)
-            inputs = fuzzify(snap, cfg.build_variables(), divisor=cfg.divisor,
-                             histogram_gain=cfg.histogram_gain, fou=cfg.footprint)
-            agg = fire_rules(inputs, cfg.build_rule_base(), output_var, cfg.grid_points)
-            if delta:
-                interval = km_type_reduce(agg)
-                crisp = 0.5 * (interval[0] + interval[1])
-            else:
-                interval, crisp = None, defuzzify(agg)
+        variables, base = cfg.build_variables(), cfg.build_rule_base()
+        output_var = next(v for v in variables if v.name == "signal")
+        scale = {"divisor": cfg.divisor, "histogram_gain": cfg.histogram_gain}
+
+        def chain(inputs):
+            agg = fire_rules(inputs, base, output_var, cfg.grid_points)
+            crisp = defuzzify(agg).tolist()
+            if not delta:
+                return [(c, None) for c in crisp]
+            y_l, y_r = km_type_reduce(agg)
+            return list(zip(crisp, zip(y_l.tolist(), y_r.tolist())))
+
+        basket = portfolio_fixture(seed=37, symbols=20, periods=52)
+        snaps = [snapshot(aggregate_periods(series, cfg.days_per_period), **cfg.indicator_windows)
+                 for series in basket]
+        columns = IndicatorSnapshot(*np.array([dataclasses.astuple(s) for s in snaps]).T)
+        normalized, faults = normalize_rows(columns, **scale)
+        assert not faults
+        block = chain(grade_inputs(normalized, variables, cfg.footprint))
+        for series, snap, (crisp, interval) in zip(basket, snaps, block):
+            [alone] = chain(fuzzify(snap, variables, fou=cfg.footprint, **scale))
+            assert (crisp.hex(), interval) == (alone[0].hex(), alone[1])
             rec = recommend(series, cfg)
             assert rec.crisp.hex() == crisp.hex()
             assert rec.centroid_interval == interval
             if interval is not None:
                 assert [y.hex() for y in rec.centroid_interval] == [y.hex() for y in interval]
+                assert [y.hex() for y in alone[1]] == [y.hex() for y in interval]
             assert rec.signal is classify_signal(crisp)
 
 
@@ -514,10 +541,9 @@ class TestTypeReductionCollapse:
     def test_zero_delta_interval_path_equals_type1(self, seed):
         rng = random.Random(seed)
         base = build_rule_base()
-        grades_t1 = random_inputs(rng, interval=False)
-        grades_iv = FuzzifiedInputs(grades=grades_t1.grades, interval=True)
-        crisp_t1 = defuzzify(fire_rules(grades_t1, base, OUTPUT_VAR))
-        crisp_iv = defuzzify(fire_rules(grades_iv, base, OUTPUT_VAR))
+        grades = random_grades(rng, interval=False)
+        [crisp_t1] = defuzzify(fire_rules(stacked_inputs(grades, False), base, OUTPUT_VAR))
+        [crisp_iv] = defuzzify(fire_rules(stacked_inputs(grades, True), base, OUTPUT_VAR))
         assert crisp_iv == pytest.approx(crisp_t1, abs=1e-9)
 
 

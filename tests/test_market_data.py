@@ -170,6 +170,9 @@ FAULTY = {
                     "row 5: expected 7 fields, got 5"),
     "empty_symbol": (good_rows(2) + ["  ,2020-02-01,10,11,9,10.5,100"],
                      "row 4: empty symbol"),
+    # a symbol that would break line-oriented output (plotdata) apart
+    "non_printing_symbol": (good_rows(2) + ['"AB\nC\tD",2020-02-01,10,11,9,10.5,100'],
+                            "row 4: symbol 'AB\\nC\\tD' holds a non-printing character"),
     "bad_date": (good_rows(2) + ["A,2020-02-30,10,11,9,10.5,100"],
                  "row 4: bad ISO date '2020-02-30'"),
     # date.fromisoformat takes both of these from Python 3.11 on
@@ -222,10 +225,10 @@ FAULTY = {
     # a quoted newline makes the record number (row faults) and the physical
     # line number (csv errors) differ
     "quoted_newline_row_fault": (
-        ['"A\nB",2020-01-01,10,11,9,10.5,100'] + good_rows(3) + ["A,2020-03-01,1,1,1,1,1,1"],
+        ['B,2020-01-01,"10\n",11,9,10.5,100'] + good_rows(3) + ["A,2020-03-01,1,1,1,1,1,1"],
         "row 6: expected 7 fields, got 8"),
     "quoted_newline_csv_error": (
-        ['"A\nB",2020-01-01,10,11,9,10.5,100'] + good_rows(3) + [OVERSIZED],
+        ['B,2020-01-01,"10\n",11,9,10.5,100'] + good_rows(3) + [OVERSIZED],
         "row 7: field larger than field limit (131072)"),
     "duplicate_across_chunks": (good_rows(1500) + good_rows(1500)[100:101],
                                 "row 1502: duplicate entry for A on 2020-04-10"),
@@ -296,7 +299,8 @@ def _odd_cells(column, cell):
     """Other spellings of `cell` in `column`, and cells that are wrong there."""
     if column == 0:
         return [f" {cell}", "", "  ", "A" * 15, "B" * 16, "C" * 17, "\xc4", "株" * 3, "A\x00",
-                "A B", '"A"', "#A"]
+                "A B", '"A"', "#A", '"AB\nC\tD"', "A\tB", "A\u2028B", "A\x85B", "\u200bA",
+                "A\xa0B"]
     if column == 1:
         return [f" {cell}", f"{cell} ", f"{cell}0", f"{cell} x", "2020-02-30", "20200101",
                 "2020-1-01", "\x002020-01-0"]
