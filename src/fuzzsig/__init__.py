@@ -68,6 +68,7 @@ from .market_data import (
     PriceBar,
     PriceSeries,
     ValidationReport,
+    aggregate_block,
     aggregate_periods,
     parse_csv,
     serialize_csv,

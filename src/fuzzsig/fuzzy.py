@@ -463,11 +463,15 @@ def grade_inputs(
     graded in one grade_terms call on a (terms, N) array that gathers each
     term's input column; the per-term parameters come from a TermTable built
     once per distinct variables tuple. Raises ValueError when `normalized`
-    names no variable.
+    names no variable, or gives one an array of more than one dimension.
     """
     names, keys, source, table = _input_terms(tuple(variables), tuple(normalized))
     if not names:
         raise ValueError(f"no input variable among {sorted(normalized)}")
+    for name in names:
+        if np.ndim(normalized[name]) > 1:
+            raise ValueError(f"{name} values must be a float or a 1-D array, got shape "
+                             f"{np.shape(normalized[name])}")
     x = np.array([normalized[name] for name in names], dtype=float).reshape(len(names), -1)
     if fou is None:  # type-1: lower and upper are the same grades, stacked once
         return FuzzifiedInputs(grade_terms(table, x[source], None)[:, None], keys, False)

@@ -5,11 +5,15 @@ array for one series, or an (N, T) array for a block of N series with the same
 number of periods. Windows reduce along that axis. The EMA steps over time
 with one operation per period, a numpy scalar for one series and a vector
 across the N rows for a block, the same IEEE products and sums, so each block
-row equals the one-series result bit for bit. indicator_block computes every
-series once over a block, and indicator_frame is its one-series case. snapshot
-computes only the last row, from the scalar rsi/williams building blocks and
-one float pass for MACD; it equals the frame's last row bit for bit at a cost
-of one pass over the closes.
+row equals the one-series result bit for bit. The window max and min of %K
+and Williams come from per-block prefix and suffix runs, O(T) for any window
+(_window_runs). indicator_block computes every series once over a block, and
+indicator_frame is its one-series case. snapshot computes only the last row,
+from the scalar rsi/williams building blocks and one float pass for MACD; it
+equals the frame's last row bit for bit at a cost of one pass over the
+closes. The one exception is the sign of a zero %K: with a close of -0.0 and
+a window whose lowest lows are zeros of both signs, numpy's window min and
+_window_runs may pick different zeros.
 """
 
 from __future__ import annotations
@@ -186,10 +190,33 @@ def _hlc(highs, lows, closes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return h, lo, c
 
 
+def _window_runs(op: np.ufunc, x: np.ndarray, k: int) -> np.ndarray:
+    """op (np.maximum or np.minimum) over every k-wide window along the last axis.
+
+    out[..., i] covers x[..., i .. i+k-1]. The axis is cut into k-wide blocks
+    and op runs forward and backward within each block; a window is the tail
+    of one block and the head of the next, so it is op of one backward and
+    one forward run (van Herk, Pattern Recognition Letters 13, 1992). That is
+    O(T) for any k. The padding of a last partial block is never read. Max and
+    min never round and carry a NaN through, so every value equals the
+    window's own reduction; only a zero extreme of a window holding both
+    +0.0 and -0.0 may take the other sign, which numpy's reduction picks by
+    SIMD lane.
+    """
+    t = x.shape[-1]
+    blocks = -(-t // k)
+    if blocks * k > t:
+        x = np.concatenate((x, np.zeros(x.shape[:-1] + (blocks * k - t,))), axis=-1)
+    runs = x.reshape(*x.shape[:-1], blocks, k)
+    ahead = op.accumulate(runs, axis=-1).reshape(x.shape)
+    behind = op.accumulate(runs[..., ::-1], axis=-1)[..., ::-1].reshape(x.shape)
+    return op(behind[..., :t - k + 1], ahead[..., k - 1:t])
+
+
 def _percent_k(h: np.ndarray, lo: np.ndarray, c: np.ndarray, k: int) -> np.ndarray:
     """%K of every k-bar window; out[i] covers bars i .. i+k-1."""
-    hh = sliding_window_view(h, k, axis=-1).max(axis=-1)
-    ll = sliding_window_view(lo, k, axis=-1).min(axis=-1)
+    hh = _window_runs(np.maximum, h, k)
+    ll = _window_runs(np.minimum, lo, k)
     span = hh - ll
     safe = np.where(span == 0.0, 1.0, span)
     return np.where(span == 0.0, 50.0, 100.0 * (c[..., k - 1:] - ll) / safe)
@@ -354,7 +381,8 @@ def snapshot(
     The windows are indicator_block's. Only the last row is computed: MACD in
     one float pass over the closes, RSI from the last rsi_window + 1 closes,
     %K and Williams from their last k and n bars. It equals
-    indicator_frame(series).row(len - 1) bit for bit, NaN included, and raises
+    indicator_frame(series).row(len - 1) bit for bit, NaN included (but for
+    the sign of a zero %K, see the module notes), and raises
     the same InsufficientHistoryError while the series is too short. A window
     below 1, or macd_short >= macd_long, is a ValueError.
     """

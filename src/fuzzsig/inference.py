@@ -9,8 +9,9 @@ reduction take a block of N >= 1 rows. Every entry point hands indicator
 rows to recommend_rows, which normalizes them (fuzzy.normalize_rows) and
 evaluates them BLOCK_ROWS at a time. recommend_periods (signal, each backtest
 prefix) passes the one row indicators.snapshot computes; a portfolio
-(recommend_block) passes, per group of series with the same number of
-periods, the last column of their indicators.indicator_block. The rule base,
+(recommend_block) aggregates each group of series with the same number of
+periods in one market_data.aggregate_block call and passes the last column
+of their indicators.indicator_block. The rule base,
 variables and footprint come from ResolvedConfig; a caller may pass its own
 rule base.
 """
@@ -30,7 +31,7 @@ from .config import ResolvedConfig
 from .fuzzy import (FuzzifiedInputs, LinguisticVariable, grade_inputs, grade_terms,
                     normalize_rows, term_table)
 from .indicators import IndicatorSnapshot, indicator_block, snapshot
-from .market_data import PriceSeries, aggregate_periods
+from .market_data import PriceSeries, aggregate_block, aggregate_periods
 
 
 # Rows graded, fired and type-reduced together by recommend_rows: enough to
@@ -478,35 +479,36 @@ def recommend_block(
     """recommend on every series, with its failure in place of a failed row.
 
     The variables, and the rule base unless given, are built once from the
-    config. Each series is aggregated on its own; the series with the same
-    number of periods then share one indicator_block, whose last column is
-    their snapshot, and one recommend_rows call. Each row equals
+    config. The series that make the same number of periods share one
+    aggregate_block call, one indicator_block, whose last column is their
+    snapshot, and one recommend_rows call. Each row equals
     recommend(series, cfg, rule_base) bit for bit, its stage note included.
     """
     variables = cfg.build_variables()
     if rule_base is None:
         rule_base = cfg.build_rule_base()
     results: list[Recommendation | PipelineError | None] = [None] * len(series_list)
-    groups: dict[int, list[tuple[int, PriceSeries]]] = {}
+    groups: dict[int, list[int]] = {}
     for i, series in enumerate(series_list):
-        try:
-            periods = _stage("aggregation", aggregate_periods, series, cfg.days_per_period)
-        except PipelineError as exc:
-            results[i] = exc
-            continue
-        groups.setdefault(len(periods.bars), []).append((i, periods))
+        groups.setdefault(len(series.bars) // cfg.days_per_period, []).append(i)
     for length, members in groups.items():
-        h, lo, c = (np.stack([getattr(p.bars, name) for _, p in members])
-                    for name in ("high", "low", "close"))
+        periods, faults = aggregate_block([series_list[i] for i in members], cfg.days_per_period,
+                                          ("high", "low", "close"))
+        for j, exc in faults.items():
+            results[members[j]] = PipelineError("aggregation", exc)
+        kept = [i for j, i in enumerate(members) if j not in faults]
+        if not kept:
+            continue
         try:
-            frame = _stage("indicators", indicator_block, h, lo, c, **cfg.indicator_windows)
+            frame = _stage("indicators", indicator_block, periods["high"], periods["low"],
+                           periods["close"], **cfg.indicator_windows)
             snap = _stage("indicators", frame.row, length - 1)
         except PipelineError as exc:
-            group = [exc] * len(members)
+            group = [exc] * len(kept)
         else:
-            group = recommend_rows([p.symbol for _, p in members], snap, cfg, rule_base,
+            group = recommend_rows([series_list[i].symbol for i in kept], snap, cfg, rule_base,
                                    variables)
-        for (i, _), result in zip(members, group):
+        for i, result in zip(kept, group):
             results[i] = result
     return results
 

@@ -4,6 +4,12 @@ A PriceSeries stores its bars as columns (Bars): a tuple of dates and one
 read-only float64 array per price and for the volume. PriceBar objects are
 built only when a caller indexes or iterates the bars.
 
+parse_csv keeps one copy of the rows: one set of key columns (symbol code,
+date ordinal) and one (5, rows) array of values, filled in input order and
+permuted in place only when the rows are not already grouped by symbol and
+sorted by date. Every parsed series holds read-only views of that array, so
+one kept PriceSeries keeps the whole parsed table alive.
+
 parse_csv has two readers. It tokenizes its input with np.loadtxt,
 _TEXT_CHUNK characters at a time, cut after a line end, when all of these
 hold; otherwise the csv module reads the input one record at a time, checks
@@ -19,6 +25,10 @@ comes from the csv-module reader, which stops at the first faulty row:
   inner tab or no-break space fails), and every date cell is exactly 10
   characters and a valid YYYY-MM-DD date;
 - every bar passes the bar checks and no (symbol, date) pair repeats.
+
+aggregate_block collapses the series that make the same number of periods
+into (N, periods) columns, one field at a time, and returns each failing
+series' error by its index; aggregate_periods is its one-series case.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ import io
 import math
 import operator
 import re
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from datetime import date
 from itertools import repeat
@@ -222,6 +232,11 @@ _NOT_LOADTXT = '"\x00\r\x1c\x1d\x1e\x1f'
 _SYMBOL_WIDTH = 16
 _RECORD = np.dtype([("symbol", f"U{_SYMBOL_WIDTH}"), ("date", "U11"),
                     ("values", np.float64, (len(_COLUMNS),))])
+# Where a record's date cell starts, in 4-byte code points, and the positions and
+# place values of its YYYYMMDD digits.
+_DATE_AT = _RECORD.fields["date"][1] // 4
+_DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]
+_DATE_WEIGHTS = np.array([10_000_000, 1_000_000, 100_000, 10_000, 1_000, 100, 10, 1])
 
 
 def _bars_ok(o, h, lo, c, v) -> bool:
@@ -231,96 +246,125 @@ def _bars_ok(o, h, lo, c, v) -> bool:
                  & (0.0 <= v) & (v < np.inf)).all())
 
 
-def _series(chunks: list[tuple[np.ndarray, ...]], codes: dict[str, int],
-            days: dict[str, int]) -> list[PriceSeries] | None:
-    """Per-symbol series from (symbol code, date ordinal, open..volume) chunks.
+def _series(code: np.ndarray, ordinal: np.ndarray, values: np.ndarray, symbols: Iterable[str],
+            ordinals: Iterable[int]) -> list[PriceSeries] | None:
+    """Per-symbol series from the parsed rows; None if two rows share a symbol and a date.
 
-    Rows are grouped by symbol code and sorted by date; None if two rows share
-    a symbol and a date. `days` maps date cells to the ordinals the chunks hold.
+    Row i holds symbol code code[i] (codes count the `symbols` from 0), date
+    ordinal ordinal[i] and the bar values[:, i] (open..volume); `ordinals` are
+    the distinct date ordinals. Rows are grouped by symbol code and sorted by
+    date, permuting `values` in place when they are not already in that order;
+    `values` is then made read-only and every series holds views of it.
     """
-    if not chunks:
+    if not len(code):
         return []
-    code, ordinal, *columns = map(np.concatenate, zip(*chunks))
-    order = np.lexsort((ordinal, code))  # stable: by symbol code, then by date
-    code, ordinal = code[order], ordinal[order]
-    if ((code[1:] == code[:-1]) & (ordinal[1:] == ordinal[:-1])).any():
-        return None
-    columns = [column[order] for column in columns]
-    day_of = {n: date.fromordinal(n) for n in set(days.values())}
-    dates = list(map(day_of.__getitem__, ordinal.tolist()))
-    edges = [0, *(np.flatnonzero(code[1:] != code[:-1]) + 1).tolist(), len(code)]
-    return [PriceSeries(symbol, Bars(tuple(dates[a:b]), *(column[a:b] for column in columns)))
-            for symbol, a, b in zip(codes, edges, edges[1:])]
+    same = code[1:] == code[:-1]
+    # codes that never decrease, with dates rising strictly within each code, are
+    # already in order and cannot repeat a (symbol, date) pair
+    if not ((code[1:] > code[:-1]) | (same & (ordinal[1:] > ordinal[:-1]))).all():
+        order = np.lexsort((ordinal, code))  # stable: by symbol code, then by date
+        code, ordinal = code[order], ordinal[order]
+        same = code[1:] == code[:-1]
+        if (same & (ordinal[1:] == ordinal[:-1])).any():
+            return None
+        for column in values:  # one column at a time, so one column is the extra memory
+            column[:] = column[order]
+    values.flags.writeable = False
+    distinct = np.array(sorted(set(ordinals)), dtype=np.int64)
+    day_of = np.array([date.fromordinal(n) for n in distinct.tolist()], dtype=object)
+    table = Bars(day_of[np.searchsorted(distinct, ordinal)], *values)
+    edges = [0, *(np.flatnonzero(~same) + 1).tolist(), len(code)]
+    return [PriceSeries(symbol, table[a:b]) for symbol, a, b in zip(symbols, edges, edges[1:])]
 
 
-def _loadtxt_chunk(text: str, codes: dict[str, int], days: dict[str, int]):
-    """(symbol codes, date ordinals, open..volume) of the records in `text`, or None.
+def _loadtxt_chunk(text: str, codes: dict[str, int], days: dict[int, int], code: np.ndarray,
+                   ordinal: np.ndarray, values: np.ndarray) -> int | None:
+    """Fill the leading rows of the key columns and values with the records of `text`.
 
-    `text` is whole lines. None if it holds a character of _NOT_LOADTXT (a
-    '\\r\\n' line end aside), np.loadtxt rejects it, or a cell fails a check
-    the csv-module parser makes.
+    `text` is whole lines. Returns the number of records, or None if `text`
+    holds a character of _NOT_LOADTXT (a '\\r\\n' line end aside), np.loadtxt
+    rejects it, or a cell fails a check the csv-module parser makes. `codes`
+    maps symbols to codes and `days` YYYYMMDD numbers to date ordinals; both
+    grow with each chunk, so each distinct date cell is parsed once.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n")
     if any(char in text for char in _NOT_LOADTXT):
         return None
     if not text.lstrip("\n"):  # blank lines only; loadtxt would warn
-        return np.empty(0, np.int64), np.empty(0, np.int64), *np.empty((len(_COLUMNS), 0))
+        return 0
     try:
         table = np.loadtxt(io.StringIO(text), dtype=_RECORD, delimiter=",", comments=None,
                            quotechar=None, ndmin=1)
     except ValueError:  # a wrong field count, or a value np.loadtxt does not take
         return None
-    symbol, day = table["symbol"], table["date"]
-    values = table["values"].T.copy()
-    if not ((np.strings.str_len(symbol) < _SYMBOL_WIDTH).all()
-            and (np.strings.str_len(day) == 10).all() and _bars_ok(*values)):
+    rows, symbol = len(table), table["symbol"]
+    chunk = values[:, :rows]
+    chunk[...] = table["values"].T
+    # each date cell's code points, and its digits (those below '0' wrap to large values)
+    cell = table.view(np.uint32).reshape(rows, -1)[:, _DATE_AT:_DATE_AT + 11]
+    digits = cell[:, _DATE_DIGITS] - np.uint32(ord("0"))
+    if not ((np.strings.str_len(symbol) < _SYMBOL_WIDTH).all() and (digits <= 9).all()
+            and (cell[:, [4, 7]] == ord("-")).all() and not cell[:, 10].any()
+            and _bars_ok(*chunk)):
         return None
     # symbols come in runs; each run's first cell stands for the run
     starts = np.flatnonzero(np.concatenate(([True], symbol[1:] != symbol[:-1])))
     run_cells = symbol[starts].tolist()
     cell_code = {}
-    for cell in dict.fromkeys(run_cells):  # in order of first appearance
-        name = cell.strip()
-        if not (name and name.isprintable()):
+    for name in dict.fromkeys(run_cells):  # in order of first appearance
+        stripped = name.strip()
+        if not (stripped and stripped.isprintable()):
             return None
-        cell_code[cell] = codes.setdefault(name, len(codes))
+        cell_code[name] = codes.setdefault(stripped, len(codes))
     run_code = np.fromiter(map(cell_code.__getitem__, run_cells), np.int64, len(run_cells))
-    cells = day.tolist()
-    try:
-        for cell in set(cells).difference(days):
-            days[cell] = _iso_date(cell).toordinal()
-    except ValueError:
-        return None
-    return (np.repeat(run_code, np.diff(starts, append=len(symbol))),
-            np.fromiter(map(days.__getitem__, cells), np.int64, len(cells)), *values)
+    code[:rows] = np.repeat(run_code, np.diff(starts, append=rows))
+    # every cell is YYYY-MM-DD, so its YYYYMMDD number names it
+    keys, first, inverse = np.unique(digits.astype(np.int64) @ _DATE_WEIGHTS,
+                                     return_index=True, return_inverse=True)
+    keys = keys.tolist()
+    known = list(map(days.get, keys))
+    if None in known:
+        fresh = [i for i, day in enumerate(known) if day is None]
+        try:
+            for i, cell in zip(fresh, table["date"][first[fresh]].tolist()):
+                known[i] = days[keys[i]] = _iso_date(cell).toordinal()
+        except ValueError:
+            return None
+    ordinal[:rows] = np.array(known, dtype=np.int64)[inverse]
+    return rows
 
 
 def _loadtxt_series(data: str) -> list[PriceSeries] | None:
     """parse_csv's result for `data`, tokenized by np.loadtxt; None to use the csv module.
 
-    `data` is read _TEXT_CHUNK characters at a time, cut after a '\\n'. None
-    unless the header is exact, every line fits in a chunk and every chunk
-    passes _loadtxt_chunk, and no (symbol, date) pair repeats.
+    `data` is read _TEXT_CHUNK characters at a time, cut after a '\\n', into one
+    set of key and value columns sized for its line count. None unless the
+    header is exact, every line fits in a chunk and every chunk passes
+    _loadtxt_chunk, and no (symbol, date) pair repeats.
     """
     start = data.find("\n") + 1 or len(data)
     if data[:start] not in (_HEADER_LINE, _HEADER_LINE + "\n", _HEADER_LINE + "\r\n"):
         return None
     limit = min(_TEXT_CHUNK, csv.field_size_limit())
+    capacity = data.count("\n", start) + 1  # no fewer than the records
+    code, ordinal = np.empty(capacity, np.int64), np.empty(capacity, np.int64)
+    values = np.empty((len(_COLUMNS), capacity))
     codes: dict[str, int] = {}
-    days: dict[str, int] = {}
-    chunks = []
+    days: dict[int, int] = {}
+    rows = 0
     while start < len(data):
         end = (len(data) if len(data) - start <= limit
                else data.rfind("\n", start, start + limit) + 1)
         if end <= start:  # a line longer than the chunk
             return None
-        chunk = _loadtxt_chunk(data[start:end], codes, days)
-        if chunk is None:
+        filled = _loadtxt_chunk(data[start:end], codes, days, code[rows:], ordinal[rows:],
+                                values[:, rows:])
+        if filled is None:
             return None
-        chunks.append(chunk)
+        rows += filled
         start = end
-    return _series(chunks, codes, days)
+    return _series(code[:rows], ordinal[:rows], values[:, :rows], codes, days.values())
 
 
 def _csv_series(data: str) -> list[PriceSeries]:
@@ -383,7 +427,7 @@ def _csv_series(data: str) -> list[PriceSeries]:
         raise MarketDataError(f"row {reader.line_num}: {exc}") from None
     table = np.array(records, dtype=np.float64).reshape(-1, len(CSV_HEADER))
     code, ordinal = table[:, :2].T.astype(np.int64)  # ints below 2**53, so exact
-    return _series([(code, ordinal, *table[:, 2:].T)], codes, days)
+    return _series(code, ordinal, table[:, 2:].T.copy(), codes, days.values())
 
 
 def parse_csv(stream) -> list[PriceSeries]:
@@ -424,51 +468,99 @@ def serialize_csv(series_list: list[PriceSeries]) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
-def aggregate_periods(series: PriceSeries, days_per_period: int = 15) -> PriceSeries:
-    """Collapse consecutive chunks of `days_per_period` bars into one bar each.
+def _period_fault(series: PriceSeries, d: int) -> MarketDataError | None:
+    """Why `series` cannot be aggregated into d-bar periods, or None.
 
-    Open is the first open, high the max high, low the min low, close the last
-    close, volume the sum, date the last date. A trailing partial chunk is
-    dropped; "days" count trading rows, not calendar days. One-bar periods
-    are the bars themselves, so `series` is returned as it is. A non-finite
-    price or volume, or a date not after the one before it, which parse_csv
-    rejects but a library caller can pass, raises MarketDataError naming the
-    first such bar.
+    Checked in this order: fewer bars than one period, the first bar with a
+    non-finite price or volume, the first date not after the one before it.
     """
-    if days_per_period < 1:
-        raise MarketDataError(f"days_per_period must be >= 1, got {days_per_period}")
-    bars, d = series.bars, days_per_period
-    n = len(bars) // d
-    if n == 0:
-        raise MarketDataError(
-            f"{series.symbol}: {len(bars)} bars is shorter than one {d}-bar period"
-        )
+    bars = series.bars
+    if len(bars) < d:
+        return MarketDataError(
+            f"{series.symbol}: {len(bars)} bars is shorter than one {d}-bar period")
     finite = np.isfinite(np.stack(bars.columns()))
     if not finite.all():
         i = int(np.argmin(finite.all(axis=0)))
         _, message = _bar_problems(bars[i])[0]
-        raise MarketDataError(f"{series.symbol}: bar {i} ({bars.date[i].isoformat()}): {message}")
+        return MarketDataError(f"{series.symbol}: bar {i} ({bars.date[i].isoformat()}): {message}")
     dates = bars.date
     if not all(map(operator.lt, dates, dates[1:])):
         i = next(i for i in range(1, len(dates)) if dates[i] <= dates[i - 1])
-        raise MarketDataError(f"{series.symbol}: bar {i} ({dates[i].isoformat()}): "
-                              f"{_date_order_problem(dates, i)}")
-    if d == 1:
+        return MarketDataError(f"{series.symbol}: bar {i} ({dates[i].isoformat()}): "
+                               f"{_date_order_problem(dates, i)}")
+    return None
+
+
+def aggregate_block(
+    series_list: Sequence[PriceSeries],
+    days_per_period: int,
+    fields: Sequence[str] = ("date", *_COLUMNS),
+) -> tuple[dict[str, np.ndarray], dict[int, MarketDataError]]:
+    """Collapse consecutive chunks of `days_per_period` bars into one period each, for N series.
+
+    Open is the first open, high the max high, low the min low, close the last
+    close, volume the sum, date the last date. A trailing partial chunk is
+    dropped; "days" count trading rows, not calendar days. Every series must
+    give the same number n of periods, so raw lengths may differ by less than
+    one period.
+
+    Returns the periods of the series that pass, in order, as an (N, n) array
+    per name in `fields` (date objects for "date"), and for each series that
+    fails, its index and its MarketDataError: too few bars for one period, the
+    first bar with a non-finite price or volume, or the first date not after
+    the one before it, checked in that order. parse_csv rejects the last two,
+    but a library caller can pass them. Each field is stacked and reduced on
+    its own, so the extra memory is one column of the block at a time.
+    """
+    d = days_per_period
+    if d < 1:
+        raise MarketDataError(f"days_per_period must be >= 1, got {d}")
+    counts = {len(series.bars) // d for series in series_list}
+    if len(counts) > 1:
+        raise ValueError(f"a block needs one period count, got {sorted(counts)}")
+    n = counts.pop() if counts else 0
+    bars = [series.bars for series in series_list]
+    if n == 0:
+        suspect = set(range(len(bars)))
+    else:  # the finite checks run on whole columns, the date checks per series
+        suspect = {i for i, b in enumerate(bars) if not all(map(operator.lt, b.date, b.date[1:]))}
+        starts = np.cumsum([0, *map(len, bars[:-1])])
+        for name in _COLUMNS:
+            finite = np.isfinite(np.concatenate([getattr(b, name) for b in bars]))
+            if not finite.all():
+                suspect.update(np.flatnonzero(~np.logical_and.reduceat(finite, starts)).tolist())
+    faults = {i: _period_fault(series_list[i], d) for i in sorted(suspect)}
+    kept = [b for i, b in enumerate(bars) if i not in faults]
+    rows, m = len(kept), n * d
+    periods = {}
+    for name in fields:
+        columns = [getattr(b, name) for b in kept]
+        if name == "date":
+            periods[name] = np.array([c[d - 1:m:d] for c in columns], object).reshape(rows, n)
+        elif name in ("open", "close"):
+            first = 0 if name == "open" else d - 1
+            periods[name] = np.array([c[first:m:d] for c in columns], float).reshape(rows, n)
+        else:
+            chunks = np.array([c[:m] for c in columns], float).reshape(rows, n, d)
+            periods[name] = (chunks.max(axis=2) if name == "high" else
+                             chunks.min(axis=2) if name == "low" else
+                             # cumsum adds left to right; np.sum and Python 3.12's float sum do not
+                             chunks.cumsum(axis=2)[..., -1])
+    return periods, faults
+
+
+def aggregate_periods(series: PriceSeries, days_per_period: int = 15) -> PriceSeries:
+    """The one-series aggregate_block, as a series of period bars.
+
+    One-bar periods are the bars themselves, so `series` is returned as it
+    is. A series that fails raises its MarketDataError.
+    """
+    periods, faults = aggregate_block([series], days_per_period)
+    if faults:
+        raise faults[0]
+    if days_per_period == 1:
         return series
-    m = n * d
-
-    def chunks(column: np.ndarray) -> np.ndarray:
-        return column[:m].reshape(n, d)
-
-    return PriceSeries(series.symbol, Bars(
-        date=bars.date[d - 1:m:d],
-        open=bars.open[:m:d],
-        high=chunks(bars.high).max(axis=1),
-        low=chunks(bars.low).min(axis=1),
-        close=bars.close[d - 1:m:d],
-        # cumsum adds left to right; np.sum and Python 3.12's float sum do not
-        volume=chunks(bars.volume).cumsum(axis=1)[:, -1],
-    ))
+    return PriceSeries(series.symbol, Bars(*(periods[name][0] for name in ("date", *_COLUMNS))))
 
 
 def validate(series: PriceSeries) -> ValidationReport:

@@ -4,8 +4,8 @@ Each oracle deliberately takes a different computational route from the
 package code: naive per-window loops instead of cumulative sums, the
 closed-form geometric expansion instead of the EMA recursion, a loop over
 every switch point instead of the Karnik-Mendel cumulative sums. The
-exceptions are scalar_fold_ema and shape_grade / shape_grade_bounds:
-bit-level references, not second routes.
+exceptions are scalar_fold_ema, windowed_extremes and shape_grade /
+shape_grade_bounds: bit-level references, not second routes.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def naive_sma(closes, n: int) -> list[float]:
@@ -99,6 +100,16 @@ def scanned_stochastic(highs, lows, closes, k: int = 10, d: int = 3):
             pk.append(100.0 * (closes[t] - ll) / (hh - ll))
     pd = [sum(pk[i - d + 1:i + 1]) / d for i in range(d - 1, len(pk))]
     return pk, pd
+
+
+def windowed_extremes(x, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Max and min of every k-wide window along the last axis, one reduction per window.
+
+    The formula indicators._percent_k used before its O(T) block runs; out[..., i]
+    covers x[..., i .. i+k-1].
+    """
+    windows = sliding_window_view(np.asarray(x, dtype=float), k, axis=-1)
+    return windows.max(axis=-1), windows.min(axis=-1)
 
 
 def scanned_williams(highs, lows, closes, n: int = 30) -> float:

@@ -380,6 +380,39 @@ class TestDatesNotIncreasing:
         assert str(caught.value) == message
 
 
+@st.composite
+def aggregation_baskets(draw):
+    """(days_per_period, basket): ragged lengths in two period-count groups, faults, any order."""
+    d = draw(st.sampled_from([1, 5, 15]))
+    seed = draw(st.integers(0, 10_000))
+    basket = []
+    for i, count in enumerate((36, 36, 36, 40, 40, 34)):  # 34 periods: too few for a snapshot
+        full = random_walk_series(f"S{i}", seed + i, periods=count + 1, days_per_period=d)
+        basket.append(PriceSeries(full.symbol, full.bars[:count * d + draw(st.integers(0, d - 1))]))
+    # NaN open and volume are read by no indicator, yet fail at aggregation as NaN high does
+    for fault in draw(st.lists(st.sampled_from(["open", "volume", "high", "repeat", "backward"]),
+                               max_size=3)):
+        i = draw(st.integers(0, len(basket) - 1))
+        bar = draw(st.integers(1, len(basket[i].bars) - 1))
+        basket[i] = (_redated(basket[i], [(bar, bar - 1)]) if fault == "repeat" else
+                     _redated(basket[i], [(bar - 1, bar), (bar, bar - 1)]) if fault == "backward"
+                     else _poked(basket[i], bar, fault))
+    short = random_walk_series("SHORT", seed, periods=1, days_per_period=d)
+    basket += [PriceSeries("SHORT", short.bars[:d - 1]), PriceSeries("EMPTY", ())]
+    return d, draw(st.permutations(basket))
+
+
+class TestBlockAggregation:
+    @given(case=aggregation_baskets(), delta=st.sampled_from([0.0, 0.05]))
+    @settings(max_examples=25)
+    def test_portfolio_rows_equal_per_series_recommend(self, case, delta):
+        # each period-count group is aggregated in one call; every row, its
+        # failure note included, must equal the one-series pipeline bit for bit
+        d, basket = case
+        cfg = ResolvedConfig(delta=delta, days_per_period=d)
+        assert _rows(run_portfolio(basket, cfg)) == [_recommended(s, cfg) for s in basket]
+
+
 class TestBacktest:
     def test_monotone_rising_series_pairs_positive_returns(self):
         stats = backtest(uptrend_series(periods=45))

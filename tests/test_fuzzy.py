@@ -247,6 +247,13 @@ class TestGradingKernel:
         with pytest.raises(ValueError, match=r"no input variable among \['volume'\]"):
             grade_inputs({"volume": 0.5}, default_variables())
 
+    def test_grade_inputs_rejects_values_of_more_than_one_dimension(self):
+        # a (2, 3) array per variable used to be flattened into six rows
+        with pytest.raises(ValueError, match=r"^macd values must be a float or a 1-D array, "
+                                             r"got shape \(2, 3\)$"):
+            grade_inputs({n: np.full((2, 3), 0.5) for n in ("macd", "rsi", "so", "wa")},
+                         default_variables())
+
     @given(data=st.data(), mf=any_term(), delta=st.sampled_from(DELTAS[1:]),
            rows=st.sampled_from([None, 1, 64]))
     def test_shape_methods_equal_the_shape_formulas(self, data, mf, delta, rows):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fuzzsig.fixtures import flat_series, random_walk_series
 from fuzzsig.indicators import (
     InsufficientHistoryError,
+    _window_runs,
     ema,
     indicator_block,
     indicator_frame,
@@ -31,6 +32,7 @@ from oracles import (
     scanned_stochastic,
     scanned_williams,
     tallied_rsi,
+    windowed_extremes,
 )
 
 
@@ -237,6 +239,37 @@ class TestWilliams:
     def test_window_below_one_errors(self, n):
         with pytest.raises(ValueError, match=f"window must be >= 1, got {n}"):
             williams([2.0] * 3, [1.0] * 3, [1.5] * 3, n)
+
+
+def extremes_inputs(t):
+    """(3, t) and 1-D inputs: a walk, flat spans of equal values and of +-0.0, a NaN at each bar."""
+    rng = np.random.default_rng(t)
+    walk = 100.0 + rng.normal(size=(3, t)).cumsum(axis=1)
+    flat = np.repeat(rng.choice([-1.5, -0.0, 0.0, 2.0], size=(3, t)), 3, axis=1)[:, :t]
+    yield from (walk, walk[0], flat, flat[1])
+    for i in range(t):
+        poked = walk.copy()
+        poked[i % 3, i] = np.nan
+        yield poked
+        yield poked[i % 3]
+
+
+class TestWindowRuns:
+    @pytest.mark.parametrize("t", [1, 2, 7, 23, 61])
+    def test_equal_the_per_window_reduction_bit_for_bit(self, t):
+        # numpy's own window reduction picks the sign of a zero extreme by SIMD
+        # lane when a window holds both +0.0 and -0.0; only such a zero may differ
+        for x in extremes_inputs(t):
+            for k in range(1, t + 1):
+                windows = np.lib.stride_tricks.sliding_window_view(x, k, axis=-1)
+                zero = windows == 0.0
+                mixed = (zero & np.signbit(windows)).any(axis=-1) & \
+                    (zero & ~np.signbit(windows)).any(axis=-1)
+                for op, want in zip((np.maximum, np.minimum), windowed_extremes(x, k)):
+                    got = _window_runs(op, x, k)
+                    exact = ~(mixed & (want == 0.0))
+                    assert got[exact].tobytes() == want[exact].tobytes(), (k, op)
+                    assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestRangesAndIdentities:

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import random
+import tracemalloc
 from datetime import date, timedelta
 from unittest import mock
 
@@ -18,6 +19,7 @@ from fuzzsig.market_data import (
     MarketDataError,
     PriceBar,
     PriceSeries,
+    aggregate_block,
     aggregate_periods,
     parse_csv,
     serialize_csv,
@@ -385,6 +387,20 @@ class TestLoadtxtPath:
         monkeypatch.setattr(market_data, "_csv_series", _no_csv_module)
         assert outcome(text) == expected
 
+    def test_peak_memory_stays_under_twice_the_text(self):
+        # the chunks fill one set of columns, which every series views read-only
+        text = serialize_csv(portfolio_fixture(1, 128, 52, 15)).decode()
+        assert text.count("\n") > 99_000
+        tracemalloc.start()
+        try:
+            series = parse_csv(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(text)
+        for s in series:
+            assert not any(column.flags.writeable for column in s.bars.columns())
+
     @pytest.mark.parametrize("fault", ["duplicate", "bad_cell", "long_line", "lone_cr"])
     def test_faults_in_a_later_chunk_get_the_csv_module_error(self, fault):
         basket = portfolio_fixture(seed=9, symbols=8, periods=52)
@@ -614,6 +630,36 @@ class TestAggregatePeriods:
             assert got.low == min(b.low for b in chunk)
             assert got.open == chunk[0].open
             assert got.close == chunk[-1].close
+
+    @pytest.mark.parametrize("dpp", [1, 5, 15])
+    def test_block_rows_equal_the_one_series_periods(self, dpp):
+        # raw lengths differ by less than one period; the last series has a NaN
+        # volume in its last bar, past its last whole period when dpp > 1
+        basket = [PriceSeries(s.symbol, s.bars[:10 * dpp + extra]) for s, extra in zip(
+            portfolio_fixture(seed=6, symbols=4, periods=11, days_per_period=dpp),
+            (0, dpp - 1, dpp // 2, dpp - 1))]
+        bars = list(basket[3].bars)
+        bars[-1] = dataclasses.replace(bars[-1], volume=float("nan"))
+        basket[3] = PriceSeries(basket[3].symbol, bars)
+        periods, faults = aggregate_block(basket, dpp)
+        with pytest.raises(MarketDataError) as caught:
+            aggregate_periods(basket[3], dpp)
+        assert {i: str(exc) for i, exc in faults.items()} == {3: str(caught.value)}
+        assert periods["close"].shape == (3, 10)
+        for row, series in enumerate(basket[:3]):
+            one = aggregate_periods(series, dpp).bars
+            assert tuple(periods["date"][row]) == one.date
+            for name, column in zip(("open", "high", "low", "close", "volume"), one.columns()):
+                assert periods[name][row].tobytes() == column.tobytes()
+
+    def test_block_needs_one_period_count(self):
+        with pytest.raises(ValueError, match=r"one period count, got \[1, 2\]"):
+            aggregate_block([make_series(29), make_series(30)], 15)
+        periods, faults = aggregate_block([make_series(14), make_series(0)], 15, ("close",))
+        assert periods["close"].shape == (0, 0)
+        assert [str(faults[i]) for i in (0, 1)] == [
+            "T: 14 bars is shorter than one 15-bar period",
+            "T: 0 bars is shorter than one 15-bar period"]
 
 
 class TestValidate:
