@@ -75,7 +75,7 @@ def run_portfolio(
             if isinstance(result, PipelineError)
             else ReportRow(series.symbol, result.crisp, result.signal)
             for series, result in zip(series_list, results)]
-    as_of = max(s.bars.date[-1] for s in series_list if s.bars)
+    as_of = max(s.bars.date[-1] for s in series_list if s.bars).item()
     return PortfolioReport(tuple(rows), as_of, cfg.fingerprint())
 
 
@@ -98,7 +98,7 @@ def backtest(
     if rule_base is None:
         rule_base = cfg.build_rule_base()
     bars = periods.bars
-    dates, closes = bars.date, bars.close.tolist()
+    dates, closes = bars.date.tolist(), bars.close.tolist()
     records: list[BacktestRecord] = []
     last_failure = ""
     for t in range(len(bars) - 1):

@@ -3,13 +3,16 @@
 The published evaluation data is not redistributable, so golden files are
 produced from these generators instead; everything here is reproducible from a
 seed alone. Each generator builds its five price and volume columns as lists
-and hands them to Bars, with no PriceBar per day.
+and its dates as one datetime64[D] range, and hands them to Bars, with no
+PriceBar or date object per day.
 """
 
 from __future__ import annotations
 
 import random
-from datetime import date, timedelta
+from datetime import date
+
+import numpy as np
 
 from .market_data import Bars, PriceSeries
 
@@ -17,8 +20,8 @@ FIXTURE_START = date(2017, 1, 3)
 DEFAULT_SEED = 2017
 
 
-def _dates(count: int) -> tuple[date, ...]:
-    return tuple(FIXTURE_START + timedelta(days=i) for i in range(count))
+def _dates(count: int) -> np.ndarray:
+    return np.datetime64(FIXTURE_START, "D") + np.arange(count)
 
 
 def flat_series(

@@ -1,14 +1,16 @@
 """OHLCV ingestion, validation, and aggregation into fixed-length trading periods.
 
-A PriceSeries stores its bars as columns (Bars): a tuple of dates and one
-read-only float64 array per price and for the volume. PriceBar objects are
-built only when a caller indexes or iterates the bars.
+A PriceSeries stores its bars as columns (Bars): one read-only array per
+field, datetime64[D] for the date and float64 for each price and the volume.
+PriceBar objects, dated by datetime.date, are built only when a caller
+indexes or iterates the bars.
 
 parse_csv keeps one copy of the rows: one set of key columns (symbol code,
 date ordinal) and one (5, rows) array of values, filled in input order and
 permuted in place only when the rows are not already grouped by symbol and
-sorted by date. Every parsed series holds read-only views of that array, so
-one kept PriceSeries keeps the whole parsed table alive.
+sorted by date. Every parsed series holds read-only views of that array and
+of one date column made from the ordinals, so one kept PriceSeries keeps the
+whole parsed table alive.
 
 parse_csv has two readers. It tokenizes its input with np.loadtxt,
 _TEXT_CHUNK characters at a time, cut after a line end, when all of these
@@ -28,7 +30,9 @@ comes from the csv-module reader, which stops at the first faulty row:
 
 aggregate_block collapses the series that make the same number of periods
 into (N, periods) columns, one field at a time, and returns each failing
-series' error by its index; aggregate_periods is its one-series case.
+series' error by its index; aggregate_periods is its one-series case. Dates
+are checked on whole columns too: _unordered finds every date that is not
+after the one before it, for aggregation, its error text and validate alike.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import operator
 import re
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -47,6 +50,10 @@ import numpy as np
 
 CSV_HEADER = ("symbol", "date", "open", "high", "low", "close", "volume")
 _COLUMNS = ("open", "high", "low", "close", "volume")  # the float columns of a Bars
+_FIELDS = ("date", *_COLUMNS)
+_DAY = np.dtype("datetime64[D]")
+# the days a datetime.date can hold (date ordinals 1 on), so every bar date converts to one
+_FIRST_DAY, _LAST_DAY = np.datetime64(date.min, "D"), np.datetime64(date.max, "D")
 
 
 class MarketDataError(ValueError):
@@ -63,10 +70,14 @@ class PriceBar:
     volume: float
 
 
-def _column(values, length: int) -> np.ndarray:
-    column = np.asarray(values, dtype=np.float64)
-    if column.shape != (length,):
-        raise ValueError(f"a bar column needs shape ({length},), got {column.shape}")
+def _column(values, dtype, length: int | None = None) -> np.ndarray:
+    """`values` as a read-only 1-D array of `dtype`, with `length` items if given."""
+    if not isinstance(values, (np.ndarray, Sequence)):  # e.g. a generator: read it once
+        values = list(values)
+    column = np.asarray(values, dtype=dtype)
+    if column.ndim != 1 or length not in (None, len(column)):
+        raise ValueError(f"a bar column needs shape ({'n' if length is None else length},), "
+                         f"got {column.shape}")
     if column.flags.writeable:  # copy rather than alias an array someone can still write
         column = column.copy()
         column.flags.writeable = False
@@ -77,14 +88,17 @@ def _column(values, length: int) -> np.ndarray:
 class Bars(Sequence):
     """An immutable sequence of PriceBar stored as columns.
 
-    `date` is a tuple of dates; the other fields are read-only float64 arrays
-    of the same length. An int index builds one PriceBar of Python floats, a
+    Every field is a read-only array of the same length: `date` is
+    datetime64[D] and the others are float64. Any iterable of dates (date
+    objects, datetime64 values or ISO strings) builds the date column; a NaT
+    or a day a datetime.date cannot hold is a ValueError naming its index. An
+    int index builds one PriceBar of a datetime.date and Python floats, a
     slice is a Bars of read-only views of these columns (built without
     repeating the construction checks), and `+` concatenates. A Bars equals
     any PriceBar sequence holding the same bars.
     """
 
-    date: tuple[date, ...]
+    date: np.ndarray
     open: np.ndarray
     high: np.ndarray
     low: np.ndarray
@@ -92,10 +106,14 @@ class Bars(Sequence):
     volume: np.ndarray
 
     def __post_init__(self) -> None:
-        dates = tuple(self.date)
+        dates = _column(self.date, _DAY)
+        inside = (_FIRST_DAY <= dates) & (dates <= _LAST_DAY)  # False for NaT
+        if not inside.all():
+            i = int(np.argmin(inside))
+            raise ValueError(f"bar {i}: date {dates[i]} is outside {_FIRST_DAY}..{_LAST_DAY}")
         object.__setattr__(self, "date", dates)
         for name in _COLUMNS:
-            object.__setattr__(self, name, _column(getattr(self, name), len(dates)))
+            object.__setattr__(self, name, _column(getattr(self, name), np.float64, len(dates)))
 
     @classmethod
     def of(cls, bars: Sequence[PriceBar]) -> Bars:
@@ -105,7 +123,7 @@ class Bars(Sequence):
         bars = tuple(bars)
         values = np.array([(b.open, b.high, b.low, b.close, b.volume) for b in bars],
                           dtype=np.float64).reshape(len(bars), len(_COLUMNS))
-        return cls(tuple(b.date for b in bars), *values.T)
+        return cls([b.date for b in bars], *values.T)
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """open, high, low, close, volume."""
@@ -118,28 +136,29 @@ class Bars(Sequence):
         if isinstance(index, slice):
             # views of checked read-only columns: __post_init__ has nothing to check or copy
             part = object.__new__(Bars)
-            for name, values in zip(("date", *_COLUMNS), (self.date, *self.columns())):
-                object.__setattr__(part, name, values[index])
+            for name in _FIELDS:
+                object.__setattr__(part, name, getattr(self, name)[index])
             return part
-        return PriceBar(self.date[index], *(float(column[index]) for column in self.columns()))
+        return PriceBar(self.date[index].item(),
+                        *(float(column[index]) for column in self.columns()))
 
     def __iter__(self) -> Iterator[PriceBar]:
-        return map(PriceBar, self.date, *(column.tolist() for column in self.columns()))
+        return map(PriceBar, *(getattr(self, name).tolist() for name in _FIELDS))
 
     def __add__(self, other: Sequence[PriceBar]) -> Bars:
         if not isinstance(other, Sequence):
             return NotImplemented
         other = Bars.of(other)
-        return Bars(self.date + other.date,
-                    *map(np.concatenate, zip(self.columns(), other.columns())))
+        return Bars(*(np.concatenate((getattr(self, name), getattr(other, name)))
+                      for name in _FIELDS))
 
     def __radd__(self, other: Sequence[PriceBar]) -> Bars:
         return Bars.of(other) + self if isinstance(other, Sequence) else NotImplemented
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Bars):
-            return self.date == other.date and all(
-                map(np.array_equal, self.columns(), other.columns()))
+            return all(np.array_equal(getattr(self, name), getattr(other, name))
+                       for name in _FIELDS)
         if isinstance(other, Sequence) and not isinstance(other, str):
             return tuple(self) == tuple(other)
         return NotImplemented
@@ -201,9 +220,13 @@ def _bar_problems(bar: PriceBar) -> list[tuple[str, str]]:
     return problems
 
 
-def _date_order_problem(dates: Sequence[date], i: int) -> str:
-    return (f"bar dates must increase strictly: {dates[i - 1].isoformat()} "
-            f"then {dates[i].isoformat()}")
+def _unordered(dates: np.ndarray) -> np.ndarray:
+    """The indices i >= 1 whose date is not after the one at i - 1, in order."""
+    return np.flatnonzero(dates[1:] <= dates[:-1]) + 1
+
+
+def _date_order_problem(dates: np.ndarray, i: int) -> str:
+    return f"bar dates must increase strictly: {dates[i - 1]} then {dates[i]}"
 
 
 def _iso_date(cell: str) -> date:
@@ -246,15 +269,15 @@ def _bars_ok(o, h, lo, c, v) -> bool:
                  & (0.0 <= v) & (v < np.inf)).all())
 
 
-def _series(code: np.ndarray, ordinal: np.ndarray, values: np.ndarray, symbols: Iterable[str],
-            ordinals: Iterable[int]) -> list[PriceSeries] | None:
+def _series(code: np.ndarray, ordinal: np.ndarray, values: np.ndarray,
+            symbols: Iterable[str]) -> list[PriceSeries] | None:
     """Per-symbol series from the parsed rows; None if two rows share a symbol and a date.
 
     Row i holds symbol code code[i] (codes count the `symbols` from 0), date
-    ordinal ordinal[i] and the bar values[:, i] (open..volume); `ordinals` are
-    the distinct date ordinals. Rows are grouped by symbol code and sorted by
-    date, permuting `values` in place when they are not already in that order;
-    `values` is then made read-only and every series holds views of it.
+    ordinal ordinal[i] and the bar values[:, i] (open..volume). Rows are
+    grouped by symbol code and sorted by date, permuting `values` in place when
+    they are not already in that order; `values` and the date column are then
+    made read-only and every series holds views of them.
     """
     if not len(code):
         return []
@@ -269,10 +292,9 @@ def _series(code: np.ndarray, ordinal: np.ndarray, values: np.ndarray, symbols: 
             return None
         for column in values:  # one column at a time, so one column is the extra memory
             column[:] = column[order]
-    values.flags.writeable = False
-    distinct = np.array(sorted(set(ordinals)), dtype=np.int64)
-    day_of = np.array([date.fromordinal(n) for n in distinct.tolist()], dtype=object)
-    table = Bars(day_of[np.searchsorted(distinct, ordinal)], *values)
+    day = (_FIRST_DAY - 1) + ordinal  # date ordinal 1 is _FIRST_DAY
+    values.flags.writeable = day.flags.writeable = False
+    table = Bars(day, *values)
     edges = [0, *(np.flatnonzero(~same) + 1).tolist(), len(code)]
     return [PriceSeries(symbol, table[a:b]) for symbol, a, b in zip(symbols, edges, edges[1:])]
 
@@ -364,7 +386,7 @@ def _loadtxt_series(data: str) -> list[PriceSeries] | None:
             return None
         rows += filled
         start = end
-    return _series(code[:rows], ordinal[:rows], values[:, :rows], codes, days.values())
+    return _series(code[:rows], ordinal[:rows], values[:, :rows], codes)
 
 
 def _csv_series(data: str) -> list[PriceSeries]:
@@ -427,7 +449,7 @@ def _csv_series(data: str) -> list[PriceSeries]:
         raise MarketDataError(f"row {reader.line_num}: {exc}") from None
     table = np.array(records, dtype=np.float64).reshape(-1, len(CSV_HEADER))
     code, ordinal = table[:, :2].T.astype(np.int64)  # ints below 2**53, so exact
-    return _series(code, ordinal, table[:, 2:].T.copy(), codes, days.values())
+    return _series(code, ordinal, table[:, 2:].T.copy(), codes)
 
 
 def parse_csv(stream) -> list[PriceSeries]:
@@ -463,7 +485,7 @@ def serialize_csv(series_list: list[PriceSeries]) -> bytes:
     writer.writerow(CSV_HEADER)
     for series in series_list:
         bars = series.bars
-        writer.writerows(zip(repeat(series.symbol), map(date.isoformat, bars.date),
+        writer.writerows(zip(repeat(series.symbol), np.datetime_as_string(bars.date).tolist(),
                              *(map(_fmt, column.tolist()) for column in bars.columns())))
     return out.getvalue().encode("utf-8")
 
@@ -482,19 +504,19 @@ def _period_fault(series: PriceSeries, d: int) -> MarketDataError | None:
     if not finite.all():
         i = int(np.argmin(finite.all(axis=0)))
         _, message = _bar_problems(bars[i])[0]
-        return MarketDataError(f"{series.symbol}: bar {i} ({bars.date[i].isoformat()}): {message}")
-    dates = bars.date
-    if not all(map(operator.lt, dates, dates[1:])):
-        i = next(i for i in range(1, len(dates)) if dates[i] <= dates[i - 1])
-        return MarketDataError(f"{series.symbol}: bar {i} ({dates[i].isoformat()}): "
-                               f"{_date_order_problem(dates, i)}")
+        return MarketDataError(f"{series.symbol}: bar {i} ({bars.date[i]}): {message}")
+    unordered = _unordered(bars.date)
+    if len(unordered):
+        i = int(unordered[0])
+        return MarketDataError(f"{series.symbol}: bar {i} ({bars.date[i]}): "
+                               f"{_date_order_problem(bars.date, i)}")
     return None
 
 
 def aggregate_block(
     series_list: Sequence[PriceSeries],
     days_per_period: int,
-    fields: Sequence[str] = ("date", *_COLUMNS),
+    fields: Sequence[str] = _FIELDS,
 ) -> tuple[dict[str, np.ndarray], dict[int, MarketDataError]]:
     """Collapse consecutive chunks of `days_per_period` bars into one period each, for N series.
 
@@ -505,12 +527,13 @@ def aggregate_block(
     one period.
 
     Returns the periods of the series that pass, in order, as an (N, n) array
-    per name in `fields` (date objects for "date"), and for each series that
+    per name in `fields` (datetime64[D] for "date"), and for each series that
     fails, its index and its MarketDataError: too few bars for one period, the
     first bar with a non-finite price or volume, or the first date not after
     the one before it, checked in that order. parse_csv rejects the last two,
-    but a library caller can pass them. Each field is stacked and reduced on
-    its own, so the extra memory is one column of the block at a time.
+    but a library caller can pass them, and both are found on the N series'
+    concatenated columns. Each field is stacked and reduced on its own, so the
+    extra memory is one column of the block at a time.
     """
     d = days_per_period
     if d < 1:
@@ -522,9 +545,12 @@ def aggregate_block(
     bars = [series.bars for series in series_list]
     if n == 0:
         suspect = set(range(len(bars)))
-    else:  # the finite checks run on whole columns, the date checks per series
-        suspect = {i for i, b in enumerate(bars) if not all(map(operator.lt, b.date, b.date[1:]))}
+    else:  # every series has bars, so each start is a distinct position
         starts = np.cumsum([0, *map(len, bars[:-1])])
+        unordered = _unordered(np.concatenate([b.date for b in bars]))
+        owner = np.searchsorted(starts, unordered, side="right") - 1
+        # the pair at a series' start straddles two series: its first date follows no other
+        suspect = set(owner[unordered != starts[owner]].tolist())
         for name in _COLUMNS:
             finite = np.isfinite(np.concatenate([getattr(b, name) for b in bars]))
             if not finite.all():
@@ -535,13 +561,12 @@ def aggregate_block(
     periods = {}
     for name in fields:
         columns = [getattr(b, name) for b in kept]
-        if name == "date":
-            periods[name] = np.array([c[d - 1:m:d] for c in columns], object).reshape(rows, n)
-        elif name in ("open", "close"):
+        dtype = _DAY if name == "date" else np.float64
+        if name in ("date", "open", "close"):  # the date and the close are the last bar's
             first = 0 if name == "open" else d - 1
-            periods[name] = np.array([c[first:m:d] for c in columns], float).reshape(rows, n)
+            periods[name] = np.array([c[first:m:d] for c in columns], dtype).reshape(rows, n)
         else:
-            chunks = np.array([c[:m] for c in columns], float).reshape(rows, n, d)
+            chunks = np.array([c[:m] for c in columns], dtype).reshape(rows, n, d)
             periods[name] = (chunks.max(axis=2) if name == "high" else
                              chunks.min(axis=2) if name == "low" else
                              # cumsum adds left to right; np.sum and Python 3.12's float sum do not
@@ -552,15 +577,17 @@ def aggregate_block(
 def aggregate_periods(series: PriceSeries, days_per_period: int = 15) -> PriceSeries:
     """The one-series aggregate_block, as a series of period bars.
 
-    One-bar periods are the bars themselves, so `series` is returned as it
-    is. A series that fails raises its MarketDataError.
+    One-bar periods are the bars themselves, so for them only the checks run
+    and `series` is returned as it is. A series that fails raises its
+    MarketDataError.
     """
-    periods, faults = aggregate_block([series], days_per_period)
+    one_day = days_per_period == 1
+    periods, faults = aggregate_block([series], days_per_period, () if one_day else _FIELDS)
     if faults:
         raise faults[0]
-    if days_per_period == 1:
+    if one_day:
         return series
-    return PriceSeries(series.symbol, Bars(*(periods[name][0] for name in ("date", *_COLUMNS))))
+    return PriceSeries(series.symbol, Bars(*(periods[name][0] for name in _FIELDS)))
 
 
 def validate(series: PriceSeries) -> ValidationReport:
@@ -572,8 +599,7 @@ def validate(series: PriceSeries) -> ValidationReport:
         for code, msg in _bar_problems(bar):
             findings.append(Finding(series.symbol, i, code, msg))
     dates = series.bars.date
-    for i in range(1, len(dates)):
-        if dates[i] <= dates[i - 1]:
-            findings.append(Finding(series.symbol, i, "dates_not_increasing",
-                                    _date_order_problem(dates, i)))
+    for i in _unordered(dates).tolist():
+        findings.append(Finding(series.symbol, i, "dates_not_increasing",
+                                _date_order_problem(dates, i)))
     return ValidationReport(tuple(findings))

@@ -11,6 +11,7 @@ shape_grade_bounds: bit-level references, not second routes.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -305,3 +306,9 @@ def reparse_rows(text: str) -> dict[str, list[tuple[str, float, float, float, fl
     for sym in rows:
         rows[sym].sort(key=lambda r: r[0])
     return rows
+
+
+def scanned_unordered_dates(dates) -> list[int]:
+    """Each i >= 1 whose date is not after the one before it, one comparison per pair."""
+    return [i for i, later in enumerate(map(operator.lt, dates, dates[1:]), start=1)
+            if not later]

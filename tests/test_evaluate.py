@@ -254,6 +254,7 @@ class TestRunPortfolio:
         basket = portfolio_fixture(seed=3, symbols=2, periods=52)
         report = run_portfolio(basket)
         assert report.generated_at == max(s.bars[-1].date for s in basket)
+        assert type(report.generated_at) is date
 
 
 _ODD_CELLS = ["", " ", "nan", "inf", "-inf", "-1", "0", "1e308", "1e-320", "x", "2020-02-30",
@@ -426,7 +427,10 @@ class TestBacktest:
         cfg = ResolvedConfig()
         series = random_walk_series("S", seed=88, periods=45)
         stats = backtest(series, cfg)
+        periods = aggregate_periods(series, cfg.days_per_period)
         for record in stats.records:
+            assert type(record.date) is date
+            assert record.date == periods.bars[record.period_index].date
             cutoff = (record.period_index + 1) * cfg.days_per_period
             prefix = PriceSeries(series.symbol, series.bars[:cutoff])
             again = recommend(prefix, cfg)

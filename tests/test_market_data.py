@@ -26,7 +26,7 @@ from fuzzsig.market_data import (
     validate,
 )
 
-from oracles import reparse_rows
+from oracles import reparse_rows, scanned_unordered_dates
 
 HEADER = "symbol,date,open,high,low,close,volume\n"
 
@@ -278,7 +278,7 @@ def hexes(bars):
 def outcome(data):
     """parse_csv's series as exact bits, or its MarketDataError text."""
     try:
-        return [(s.symbol, s.bars.date, *(column.tobytes() for column in s.bars.columns()))
+        return [(s.symbol, *(column.tobytes() for column in (s.bars.date, *s.bars.columns())))
                 for s in parse_csv(data)]
     except MarketDataError as exc:
         return str(exc)
@@ -493,13 +493,14 @@ class TestColumns:
         bars = random_walk_series("S", seed=4, periods=2, days_per_period=10).bars
         index = slice(start, stop, step)
         part = bars[index]
-        built = Bars(bars.date[index], *(column[index].copy() for column in bars.columns()))
-        assert type(part) is Bars and type(part.date) is tuple
-        assert part == built and part.date == built.date
-        for column, whole in zip(part.columns(), bars.columns()):
-            assert column.dtype == np.float64 and not column.flags.writeable
+        built = Bars(bars.date[index].copy(), *(column[index].copy() for column in bars.columns()))
+        assert type(part) is Bars and part == built
+        assert part.date.tobytes() == built.date.tobytes()
+        for column, whole, dtype in zip((part.date, *part.columns()), (bars.date, *bars.columns()),
+                                        ("datetime64[D]", *["float64"] * 5)):
+            assert column.dtype == np.dtype(dtype) and not column.flags.writeable
             with pytest.raises(ValueError):
-                column[:] = 0.0
+                column[:] = whole[:1]
             assert len(column) == 0 or np.shares_memory(column, whole)
 
     def test_series_converts_bars_once(self):
@@ -517,6 +518,26 @@ class TestColumns:
         frame = indicator_frame(aggregate_periods(series, 15))
         with pytest.raises(ValueError):
             frame.close[0] = 1.0
+
+    def test_dates_come_from_any_iterable_and_leave_as_date_objects(self):
+        days = [date(2020, 1, 1), date(2020, 1, 2), date(2020, 1, 6)]
+        close = [1.0, 2.0, 3.0]
+        bars = Bars(iter(days), close, close, close, close, close)
+        assert bars.date.dtype == np.dtype("datetime64[D]") and not bars.date.flags.writeable
+        for dates in (tuple(days), (d for d in days), map(date.isoformat, days),
+                      np.array(days, "datetime64[D]"), {d: None for d in days}.keys()):
+            assert Bars(dates, close, close, close, close, close) == bars
+        assert [type(b.date) for b in bars] == [date] * 3 and bars.date.tolist() == days
+        assert type(bars[1].date) is date and bars[-1].date == days[-1]
+        assert (bars + bars[:0]).date.tobytes() == bars.date.tobytes()
+
+    @pytest.mark.parametrize("bad", [None, np.datetime64("NaT"), "NaT", "10000-01-01",
+                                     np.datetime64("-0001-12-31")])
+    def test_a_date_outside_datetime_date_is_rejected_with_its_index(self, bad):
+        close = [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError, match=r"^bar 1: date \S+ is outside "
+                                             r"0001-01-01\.\.9999-12-31$"):
+            Bars([date(2020, 1, 1), bad, date(2020, 1, 3)], close, close, close, close, close)
 
     def test_caller_arrays_are_copied(self):
         close = np.array([1.0, 2.0])
@@ -648,8 +669,9 @@ class TestAggregatePeriods:
         assert periods["close"].shape == (3, 10)
         for row, series in enumerate(basket[:3]):
             one = aggregate_periods(series, dpp).bars
-            assert tuple(periods["date"][row]) == one.date
-            for name, column in zip(("open", "high", "low", "close", "volume"), one.columns()):
+            for name, column in zip(("date", "open", "high", "low", "close", "volume"),
+                                    (one.date, *one.columns())):
+                assert periods[name][row].dtype == column.dtype
                 assert periods[name][row].tobytes() == column.tobytes()
 
     def test_block_needs_one_period_count(self):
@@ -660,6 +682,55 @@ class TestAggregatePeriods:
         assert [str(faults[i]) for i in (0, 1)] == [
             "T: 14 bars is shorter than one 15-bar period",
             "T: 0 bars is shorter than one 15-bar period"]
+
+
+@st.composite
+def date_order_baskets(draw):
+    """(d, n, basket): series of n d-bar periods, some with repeated or backward dates.
+
+    The series share one run of dates from 2020-01-01 (a first date may move
+    later), so the pairs of dates that straddle two series in the block's
+    concatenated date column would fail the order check unless excused.
+    """
+    d = draw(st.sampled_from([1, 5, 15]))
+    n = draw(st.integers(1, 4))  # periods; one-bar series at d = 1 and n = 1
+    basket = []
+    for k in range(draw(st.integers(1, 6))):
+        length = n * d + draw(st.integers(0, d - 1))
+        dates = [date(2020, 1, 1) + timedelta(days=i) for i in range(length)]
+        for _ in range(draw(st.integers(0, 2)) if length > 1 else 0):
+            step = timedelta(days=draw(st.integers(0, 3)))  # 0 repeats a date
+            where = draw(st.sampled_from(["first", "inner", "last"]))
+            if where == "first":
+                dates[0] = dates[1] + step
+            else:
+                i = length - 1 if where == "last" else draw(st.integers(1, length - 1))
+                dates[i] = dates[i - 1] - step
+        prices = [10.0] * length
+        basket.append(PriceSeries(f"S{k}", Bars(dates, prices, prices, prices, prices, prices)))
+    return d, n, draw(st.permutations(basket))
+
+
+class TestDateOrder:
+    @settings(max_examples=200)
+    @given(case=date_order_baskets())
+    def test_block_and_validate_match_a_per_pair_scan(self, case):
+        d, n, basket = case
+        periods, faults = aggregate_block(basket, d)
+        faults = {i: str(exc) for i, exc in faults.items()}
+        for i, series in enumerate(basket):
+            dates = series.bars.date.tolist()
+            late = scanned_unordered_dates(dates)
+            problems = [f"bar dates must increase strictly: {dates[j - 1].isoformat()} then "
+                        f"{dates[j].isoformat()}" for j in late]
+            if late:
+                j = late[0]
+                assert faults.pop(i) == f"{series.symbol}: bar {j} ({dates[j]}): {problems[0]}"
+            assert [(f.index, f.code, f.message) for f in validate(series).findings] == [
+                (j, "dates_not_increasing", problem) for j, problem in zip(late, problems)]
+        assert faults == {}
+        kept = sum(not scanned_unordered_dates(s.bars.date.tolist()) for s in basket)
+        assert periods["date"].shape == periods["close"].shape == (kept, n)
 
 
 class TestValidate:
