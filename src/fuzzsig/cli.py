@@ -1,4 +1,9 @@
-"""Command-line front door: indicator dumps, signals, portfolio runs, backtests."""
+"""Command-line front door: indicator dumps, signals, portfolio runs, backtests.
+
+A command imports what only some commands use (fuzzsig.evaluate,
+fuzzsig.fixtures, json) when it runs, so each process loads what its command
+needs.
+"""
 
 from __future__ import annotations
 
@@ -6,14 +11,11 @@ import argparse
 import csv
 import dataclasses
 import io
-import json
 import math
 import os
 import sys
 
 from .config import ConfigError, ResolvedConfig, load_config_file
-from .evaluate import backtest, emit_report, run_portfolio
-from .fixtures import DEFAULT_SEED, portfolio_fixture
 from .indicators import indicator_frame
 from .inference import PipelineError, recommend, rules_from_csv, rules_to_csv
 from .market_data import MarketDataError, PriceSeries, aggregate_periods, parse_csv, serialize_csv
@@ -78,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fixtures", help="synthetic fixture generation")
     p.add_argument("action", choices=("generate",))
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int)  # None: fixtures.DEFAULT_SEED
     p.add_argument("--symbols", type=_count, default=10)
     p.add_argument("--periods", type=_count, default=52)
     p.add_argument("--out", metavar="FILE", help="write here instead of stdout")
@@ -158,6 +160,12 @@ def _indicator_rows(series: PriceSeries, cfg: ResolvedConfig) -> list[dict]:
     return rows
 
 
+def _write_json(payload) -> None:
+    import json  # loaded only by the commands that print JSON
+
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+
+
 _INDICATOR_COLUMNS = ("symbol", "period", "date", "close", "macd", "macd_signal",
                       "macd_histogram", "rsi", "rsi_level", "percent_k", "percent_d",
                       "williams", "williams_level")
@@ -169,7 +177,7 @@ def _cmd_indicators(args, cfg: ResolvedConfig) -> int:
         series_list = [_pick_symbol(series_list, args.symbol)]
     rows = [row for series in series_list for row in _indicator_rows(series, cfg)]
     if args.format == "json":
-        sys.stdout.write(json.dumps(rows, indent=2) + "\n")
+        _write_json(rows)
     else:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
@@ -192,7 +200,7 @@ def _cmd_signal(args, cfg: ResolvedConfig) -> int:
             "centroid_interval": rec.centroid_interval,
             "config_fingerprint": cfg.fingerprint(),
         }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        _write_json(payload)
     else:
         line = f"{rec.symbol} fuzzy_output={rec.crisp:.6f} signal={rec.signal.value}"
         if rec.centroid_interval is not None:
@@ -203,6 +211,8 @@ def _cmd_signal(args, cfg: ResolvedConfig) -> int:
 
 
 def _cmd_portfolio(args, cfg: ResolvedConfig) -> int:
+    from .evaluate import emit_report, run_portfolio
+
     series_list = _load_series(args.csv)
     report = run_portfolio(series_list, cfg, rule_base=_load_rules(args))
     sys.stdout.buffer.write(emit_report(report, args.format))
@@ -210,6 +220,8 @@ def _cmd_portfolio(args, cfg: ResolvedConfig) -> int:
 
 
 def _cmd_backtest(args, cfg: ResolvedConfig) -> int:
+    from .evaluate import backtest
+
     series = _pick_symbol(_load_series(args.csv), args.symbol)
     stats = backtest(series, cfg, _load_rules(args))
     if args.format == "json":
@@ -223,7 +235,7 @@ def _cmd_backtest(args, cfg: ResolvedConfig) -> int:
                 for r in stats.records
             ],
         }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        _write_json(payload)
     else:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
@@ -244,7 +256,10 @@ def _cmd_rules(args, cfg: ResolvedConfig) -> int:
 
 
 def _cmd_fixtures(args, cfg: ResolvedConfig) -> int:
-    series_list = portfolio_fixture(seed=args.seed, symbols=args.symbols,
+    from .fixtures import DEFAULT_SEED, portfolio_fixture
+
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    series_list = portfolio_fixture(seed=seed, symbols=args.symbols,
                                     periods=args.periods,
                                     days_per_period=cfg.days_per_period)
     data = serialize_csv(series_list)

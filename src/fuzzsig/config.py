@@ -13,7 +13,6 @@ then command-line flags.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 import typing
 from dataclasses import dataclass, field
@@ -172,6 +171,8 @@ class ResolvedConfig:
         return [f"{key} = {entries[key]}" for key in sorted(entries)]
 
     def fingerprint(self) -> str:
+        import hashlib  # loads OpenSSL, a few ms that commands printing no fingerprint skip
+
         digest = hashlib.sha256("\n".join(self.canonical_lines()).encode("utf-8"))
         return digest.hexdigest()[:12]
 

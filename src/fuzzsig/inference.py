@@ -269,9 +269,12 @@ def fire_rules(
     # (consequents, halves, N): the strongest rule of each consequent per row
     strengths = np.maximum.reduceat(grades[antecedents].min(axis=0), starts, axis=0)
     grid, mu = _output_grades(output_var, grid_points, labels)
-    # a clip at strength <= 0 adds nothing to the zero envelopes
-    envelopes = np.minimum(mu.reshape(-1, 1, 1, grid_points), strengths[..., None]).max(
-        axis=0, initial=0.0)
+    # (halves, N, grid_points): the clips fold into zero envelopes one consequent at a
+    # time, in place, so a clip at strength <= 0 adds nothing
+    envelopes = np.zeros((*strengths.shape[1:], grid_points))
+    clip = np.empty_like(envelopes)
+    for term, strength in zip(mu, strengths):
+        np.maximum(envelopes, np.minimum(term, strength[..., None], out=clip), out=envelopes)
     return AggregatedOutput(grid=grid, lower=envelopes[0], upper=envelopes[-1],
                             interval=inputs.interval)
 

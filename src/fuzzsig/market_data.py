@@ -28,6 +28,11 @@ comes from the csv-module reader, which stops at the first faulty row:
   characters and a valid YYYY-MM-DD date;
 - every bar passes the bar checks and no (symbol, date) pair repeats.
 
+The np.loadtxt reader decodes date cells as arrays: each cell's YYYYMMDD
+number splits into year, month and day, and the day must lie in its month,
+whose first day and length come from datetime64 once per month the chunk
+spans. The csv-module reader checks each distinct cell with _iso_date.
+
 aggregate_block collapses the series that make the same number of periods
 into (N, periods) columns, one field at a time, and returns each failing
 series' error by its index; aggregate_periods is its one-series case. Dates
@@ -299,15 +304,16 @@ def _series(code: np.ndarray, ordinal: np.ndarray, values: np.ndarray,
     return [PriceSeries(symbol, table[a:b]) for symbol, a, b in zip(symbols, edges, edges[1:])]
 
 
-def _loadtxt_chunk(text: str, codes: dict[str, int], days: dict[int, int], code: np.ndarray,
-                   ordinal: np.ndarray, values: np.ndarray) -> int | None:
+def _loadtxt_chunk(text: str, codes: dict[str, int], code: np.ndarray, ordinal: np.ndarray,
+                   values: np.ndarray) -> int | None:
     """Fill the leading rows of the key columns and values with the records of `text`.
 
     `text` is whole lines. Returns the number of records, or None if `text`
     holds a character of _NOT_LOADTXT (a '\\r\\n' line end aside), np.loadtxt
     rejects it, or a cell fails a check the csv-module parser makes. `codes`
-    maps symbols to codes and `days` YYYYMMDD numbers to date ordinals; both
-    grow with each chunk, so each distinct date cell is parsed once.
+    maps symbols to codes and grows with each chunk. Date cells are decoded
+    as arrays: each cell's YYYYMMDD number splits into year, month and day,
+    which must name a day of the calendar, as _iso_date requires.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n")
@@ -342,18 +348,21 @@ def _loadtxt_chunk(text: str, codes: dict[str, int], days: dict[int, int], code:
     run_code = np.fromiter(map(cell_code.__getitem__, run_cells), np.int64, len(run_cells))
     code[:rows] = np.repeat(run_code, np.diff(starts, append=rows))
     # every cell is YYYY-MM-DD, so its YYYYMMDD number names it
-    keys, first, inverse = np.unique(digits.astype(np.int64) @ _DATE_WEIGHTS,
-                                     return_index=True, return_inverse=True)
-    keys = keys.tolist()
-    known = list(map(days.get, keys))
-    if None in known:
-        fresh = [i for i, day in enumerate(known) if day is None]
-        try:
-            for i, cell in zip(fresh, table["date"][first[fresh]].tolist()):
-                known[i] = days[keys[i]] = _iso_date(cell).toordinal()
-        except ValueError:
-            return None
-    ordinal[:rows] = np.array(known, dtype=np.int64)[inverse]
+    year, month_day = np.divmod(digits.astype(np.int64) @ _DATE_WEIGHTS, 10_000)
+    month, day = np.divmod(month_day, 100)
+    if not ((year >= 1) & (1 <= month) & (month <= 12) & (day >= 1)).all():
+        return None
+    # the first day of every month from the chunk's first to the one after its last,
+    # converted once per month rather than once per cell (a datetime64[M] value
+    # counts months from 1970-01)
+    months = (year - 1970) * 12 + (month - 1)
+    low = months.min()
+    starts = np.arange(low, months.max() + 2).astype("datetime64[M]").astype(_DAY)
+    at = months - low
+    if not (day <= (starts[1:] - starts[:-1]).astype(np.int64)[at]).all():
+        return None
+    # _FIRST_DAY is date ordinal 1
+    ordinal[:rows] = (starts[at] - (_FIRST_DAY - 1)).astype(np.int64) + (day - 1)
     return rows
 
 
@@ -373,14 +382,13 @@ def _loadtxt_series(data: str) -> list[PriceSeries] | None:
     code, ordinal = np.empty(capacity, np.int64), np.empty(capacity, np.int64)
     values = np.empty((len(_COLUMNS), capacity))
     codes: dict[str, int] = {}
-    days: dict[int, int] = {}
     rows = 0
     while start < len(data):
         end = (len(data) if len(data) - start <= limit
                else data.rfind("\n", start, start + limit) + 1)
         if end <= start:  # a line longer than the chunk
             return None
-        filled = _loadtxt_chunk(data[start:end], codes, days, code[rows:], ordinal[rows:],
+        filled = _loadtxt_chunk(data[start:end], codes, code[rows:], ordinal[rows:],
                                 values[:, rows:])
         if filled is None:
             return None

@@ -264,6 +264,25 @@ def stacked_inputs(grades, interval: bool):
     return FuzzifiedInputs(stacked if interval else stacked[:, 1:], keys, interval)
 
 
+def max_of_clips(inputs, rule_base, output_var, grid_points: int = 1001):
+    """fire_rules' (lower, upper) envelopes as one max over an array of every clip.
+
+    The consequent strengths and output grades are computed as fire_rules
+    computes them; the clips are then built as one (consequents, halves, N,
+    grid_points) array and reduced over consequents from an initial 0.0.
+    `inputs` must be stacked in ANTECEDENT_TERMS order.
+    """
+    from fuzzsig.inference import _output_grades
+
+    antecedents, starts, labels = rule_base.index
+    grades = inputs.stacked if inputs.interval else inputs.stacked[:, -1:]
+    strengths = np.maximum.reduceat(grades[antecedents].min(axis=0), starts, axis=0)
+    _, mu = _output_grades(output_var, grid_points, labels)
+    envelopes = np.minimum(mu.reshape(-1, 1, 1, grid_points), strengths[..., None]).max(
+        axis=0, initial=0.0)
+    return envelopes[0], envelopes[-1]
+
+
 def term_grades(inputs, row: int = 0) -> dict[str, dict[str, tuple[float, float]]]:
     """One row of FuzzifiedInputs as {variable: {term: (lower, upper)}} floats."""
     grades: dict[str, dict[str, tuple[float, float]]] = {}

@@ -40,7 +40,7 @@ from fuzzsig.inference import (
 )
 from fuzzsig.market_data import aggregate_periods
 
-from oracles import brute_force_aggregate, enumerated_km, stacked_inputs
+from oracles import brute_force_aggregate, enumerated_km, max_of_clips, stacked_inputs
 
 OUTPUT_VAR = next(v for v in default_variables() if v.name == "signal")
 
@@ -128,6 +128,24 @@ class TestFireRules:
             lo, hi = brute_force_aggregate(inputs, base, OUTPUT_VAR, agg.grid)
             assert np.allclose(agg.lower, lo, rtol=0, atol=0)
             assert np.allclose(agg.upper, hi, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("interval", [False, True])
+    @pytest.mark.parametrize("rows", [1, 9])
+    def test_folded_clips_match_one_max_over_all_clips(self, interval, rows):
+        # signed zeros and NaN grades included: the fold must keep each bit of the one-array max
+        rng = np.random.default_rng(rows + interval)
+        pool = np.array([0.0, -0.0, np.nan, 0.25, 0.5, 1.0, *rng.random(4)])
+        sell_only = RuleBase(tuple(r for r in build_rule_base().rules
+                                   if r.consequent is Signal.SELL))
+        for base in (build_rule_base(), sell_only, RuleBase(())):
+            for _ in range(20):
+                grades = {name: {t: tuple(rng.choice(pool, (2, rows))) for t in terms}
+                          for name, terms in ANTECEDENT_TERMS.items()}
+                inputs = stacked_inputs(grades, interval)
+                agg = fire_rules(inputs, base, OUTPUT_VAR, grid_points=101)
+                lower, upper = max_of_clips(inputs, base, OUTPUT_VAR, grid_points=101)
+                assert agg.lower.tobytes() == lower.tobytes()
+                assert agg.upper.tobytes() == upper.tobytes()
 
     def test_rule_order_shuffle_is_bit_identical(self):
         rng = random.Random(5)

@@ -249,9 +249,7 @@ class TestParseErrorParity:
             parse_csv(HEADER + "\n".join(lines) + "\n")
         assert str(info.value) == message
 
-    def test_each_distinct_date_cell_is_parsed_once(self, monkeypatch):
-        import fuzzsig.market_data as market_data
-
+    def test_fast_reader_decodes_dates_as_arrays(self, monkeypatch):
         calls = []
         original = market_data._iso_date
 
@@ -260,9 +258,13 @@ class TestParseErrorParity:
             return original(cell)
 
         monkeypatch.setattr(market_data, "_iso_date", counted)
-        series = parse_csv(HEADER + "\n".join(good_rows(1500, "A") + good_rows(1500, "B")) + "\n")
-        assert len(series[1].bars) == 1500
-        assert len(calls) == len(set(calls)) == 1500
+        text = HEADER + "\n".join(good_rows(1500, "A") + good_rows(1500, "B")) + "\n"
+        expected = csv_module_outcome(text)
+        assert len(calls) == 1500  # the csv-module reader checks each distinct cell once
+        calls.clear()
+        with mock.patch.object(market_data, "_csv_series", _no_csv_module):
+            assert outcome(text) == expected
+        assert calls == []
 
     def test_interleaved_unsorted_symbols_group_and_sort(self):
         a, b = parse_csv(HEADER + "\n".join(INTERLEAVED) + "\n")
@@ -342,7 +344,32 @@ def hazard_documents(draw):
     return "".join(map(str.__add__, lines, ends))
 
 
+def _date_cell(year, month, day):
+    return f"{year:04d}-{month:02d}-{day:02d}"
+
+
+@st.composite
+def calendar_documents(draw):
+    """Rows whose date cells draw years 0000-9999, months 00-13 and days 00-32.
+
+    Century and leap years, and the days that end a month, are drawn more often.
+    """
+    years = st.one_of(st.sampled_from([0, 1, 1900, 2000, 2004, 2100, 9999]),
+                      st.integers(0, 9999))
+    days = st.one_of(st.integers(28, 31), st.integers(0, 32))
+    cells = draw(st.lists(st.builds(_date_cell, years, st.integers(0, 13), days),
+                          min_size=1, max_size=4))
+    rows = [f"{draw(st.sampled_from('AB'))},{cell},10,11,9,10.5,100" for cell in cells]
+    return HEADER + "\n".join(rows) + "\n"
+
+
 class TestLoadtxtPath:
+    @settings(max_examples=300)
+    @given(text=calendar_documents(), chunk=st.sampled_from([64, market_data._TEXT_CHUNK]))
+    def test_date_cells_decode_as_the_csv_module_parser_reads_them(self, text, chunk):
+        with mock.patch.object(market_data, "_TEXT_CHUNK", chunk):  # 64: a chunk per row
+            assert outcome(text) == csv_module_outcome(text)
+
     @settings(max_examples=200)
     @given(text=hazard_documents(), chunk=st.sampled_from([64, 128, market_data._TEXT_CHUNK]),
            as_bytes=st.booleans())
