@@ -13,7 +13,7 @@ import argparse
 
 from fuzzsig.config import ResolvedConfig
 from fuzzsig.fixtures import portfolio_fixture
-from fuzzsig.inference import recommend
+from fuzzsig.inference import PipelineError, recommend_block
 
 DELTAS = (0.0, 0.02, 0.05, 0.10, 0.15)
 
@@ -28,11 +28,13 @@ def main() -> None:
     header = "symbol  " + "  ".join(f"delta={d:<4}" for d in DELTAS)
     print(header)
     print("-" * len(header))
-    for series in basket:
+    # one block evaluation of the whole basket per delta; rows are per symbol
+    columns = [recommend_block(basket, ResolvedConfig(delta=delta)) for delta in DELTAS]
+    for series, row in zip(basket, zip(*columns)):
         cells = []
-        for delta in DELTAS:
-            cfg = ResolvedConfig(delta=delta)
-            rec = recommend(series, cfg)
+        for rec in row:
+            if isinstance(rec, PipelineError):
+                raise rec
             if rec.centroid_interval is None:
                 cells.append(f"{rec.crisp:.3f}/----")
             else:

@@ -66,8 +66,10 @@ _ORDERED_PAIRS = (("macd_short", "macd_long"), ("sell_at", "buy_at"))
 
 def _check_setting(name: str, value) -> None:
     """Raise ConfigError when one setting's value is invalid on its own."""
+    if _KIND.get(name) is int and (not isinstance(value, int) or isinstance(value, bool)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     if name in ("days_per_period", *_WINDOW_FIELDS, "primary_weight", "secondary_weight"):
-        if not isinstance(value, int) or value < 1:
+        if value < 1:
             raise ConfigError(f"{name} must be a positive integer, got {value!r}")
     elif _KIND.get(name) is float and not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value!r}")
@@ -163,8 +165,12 @@ class ResolvedConfig:
         """Stable `key = value` rendering of every setting, sorted by key."""
         entries = {}
         for key, name in _SETTINGS.items():
-            value = getattr(self, name)
-            entries[key] = ", ".join(map(repr, value)) if _KIND[name] is tuple else repr(value)
+            value, kind = getattr(self, name), _KIND[name]
+            # float settings render as floats: delta = 0 and delta = 0.0 are one config
+            if kind is tuple:
+                entries[key] = ", ".join(repr(float(x)) for x in value)
+            else:
+                entries[key] = repr(float(value) if kind is float else value)
         for var, terms in self.mf_table.items():
             for label, mf in terms:
                 entries[f"fuzzy.{var}.{label}"] = format_mf(mf)

@@ -1,16 +1,18 @@
-"""Membership functions, linguistic variables, and fuzzification of snapshots.
+"""Membership functions, linguistic variables, and fuzzification of indicator rows.
 
 Triangular-family shapes serve RSI and the stochastic, Gaussians serve MACD and
 Williams. Every shape also has an interval ([lower, upper]) grade under a
 footprint-of-uncertainty blur: a breakpoint shift of +/- delta for the
 piecewise-linear shapes, a width spread of +/- delta for Gaussians.
 
-All membership math is one array kernel, grade_terms, over a TermTable: the
-linear shapes as trapezoids (a, b, c, d), the Gaussians as centres and widths.
-grade_inputs grades every term of every input variable over a block of
-N >= 1 rows in one call on a (terms, N) array, and a shape's own grade and
-grade_bounds are the one-term case. Gaussians take math.exp per element, so
-no grade depends on numpy's SIMD kernels.
+Fuzzification is normalize_rows, then grade_inputs, on N >= 1 indicator
+rows: a block frame's last column (signal, portfolio) or a backtest prefix's
+snapshot. All membership math is one array kernel, grade_terms, over a
+TermTable: the linear shapes as trapezoids (a, b, c, d), the Gaussians as
+centres and widths. grade_inputs grades every term of every input variable
+in one call on a (terms, N) array, and a shape's own grade and grade_bounds
+are the one-term case. Gaussians take math.exp per element, so no grade
+depends on numpy's SIMD kernels.
 """
 
 from __future__ import annotations
@@ -415,27 +417,6 @@ def normalize_rows(
     return normalized, faults
 
 
-def fuzzify(
-    snap: IndicatorSnapshot,
-    variables: tuple[LinguisticVariable, ...],
-    *,
-    divisor: float = DEFAULT_DIVISOR,
-    histogram_gain: float = 50.0,
-    fou: FootprintOfUncertainty | None = None,
-) -> FuzzifiedInputs:
-    """Grade every input variable's terms at the snapshot's normalized values.
-
-    The one-row case of normalize_rows then grade_inputs: `snap` holds floats,
-    the result is a one-row block, and a row that fails normalization raises
-    its error. With fou=None the grades are type-1; with a footprint they are
-    [lower, upper] intervals, even at delta = 0.
-    """
-    normalized, faults = normalize_rows(snap, divisor=divisor, histogram_gain=histogram_gain)
-    if faults:
-        raise faults[0]
-    return grade_inputs(normalized, variables, fou)
-
-
 @functools.lru_cache(maxsize=64)
 def _input_terms(variables: tuple[LinguisticVariable, ...], names: tuple[str, ...]):
     """The graded variables' names, their (variable, term) rows, each row's variable, the table.
@@ -456,14 +437,16 @@ def grade_inputs(
     variables: tuple[LinguisticVariable, ...],
     fou: FootprintOfUncertainty | None = None,
 ) -> FuzzifiedInputs:
-    """Grade the input variables' terms at normalized values (see fuzzify).
+    """Grade the input variables' terms at normalized values (see normalize_rows).
 
     The values are equal-length arrays, one value per row; a float is a
-    one-row block. Every term of every variable present in `normalized` is
-    graded in one grade_terms call on a (terms, N) array that gathers each
-    term's input column; the per-term parameters come from a TermTable built
-    once per distinct variables tuple. Raises ValueError when `normalized`
-    names no variable, or gives one an array of more than one dimension.
+    one-row block. With fou=None the grades are type-1; with a footprint
+    they are [lower, upper] intervals, even at delta = 0. Every term of every
+    variable present in `normalized` is graded in one grade_terms call on a
+    (terms, N) array that gathers each term's input column; the per-term
+    parameters come from a TermTable built once per distinct variables
+    tuple. Raises ValueError when `normalized` names no variable, or gives
+    one an array of more than one dimension.
     """
     names, keys, source, table = _input_terms(tuple(variables), tuple(normalized))
     if not names:

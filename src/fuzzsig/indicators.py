@@ -8,11 +8,12 @@ across the N rows for a block, the same IEEE products and sums, so each block
 row equals the one-series result bit for bit. The window max and min of %K
 and Williams come from per-block prefix and suffix runs, O(T) for any window
 (_window_runs). indicator_block computes every series once over a block, and
-indicator_frame is its one-series case. snapshot computes only the last row,
-from the scalar rsi/williams building blocks and one float pass for MACD; it
-equals the frame's last row bit for bit at a cost of one pass over the
-closes. The one exception is the sign of a zero %K: with a close of -0.0 and
-a window whose lowest lows are zeros of both signs, numpy's window min and
+indicator_frame is its one-series case: the indicators, signal and portfolio
+paths. snapshot computes only the last row, in O(window) steps for RSI, %K
+and Williams and one float pass for MACD; it serves the backtest, which
+scores every prefix of one series, and equals the frame's last row bit for
+bit. The one exception is the sign of a zero %K: with a close of -0.0 and a
+window whose lowest lows are zeros of both signs, numpy's window min and
 _window_runs may pick different zeros.
 """
 
@@ -38,17 +39,6 @@ class MacdTriple:
     macd_line: np.ndarray
     signal_line: np.ndarray
     histogram: np.ndarray
-
-
-@dataclass(frozen=True)
-class StochasticPair:
-    """%K and its d-point moving average %D, both in [0, 100].
-
-    percent_k[i] covers input index k-1+i, percent_d[j] covers k+d-2+j.
-    """
-
-    percent_k: np.ndarray
-    percent_d: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -163,31 +153,18 @@ def _rsi_series(closes: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def rsi(closes, n: int = 21) -> float:
-    """Relative strength index over the last n close-to-close changes.
+def _rsi_last(c: np.ndarray, n: int) -> float:
+    """The last value of _rsi_series, from the last n + 1 closes alone.
 
-    Average gain and loss are plain means over the window (zeros counted).
-    Flat windows return the neutral 50; all-gain 100; all-loss 0. A 1-D mean
-    sums in the order each sliding-window row does, so this equals the last
-    value of the frame's RSI column bit for bit.
+    A 1-D mean sums in the order each sliding-window row does, so this
+    equals the frame's last RSI bit for bit.
     """
-    c = np.asarray(closes, dtype=float)
-    if n < 1:
-        raise ValueError(f"window must be >= 1, got {n}")
-    _require(len(c), n + 1, f"RSI({n})")
     changes = np.diff(c[-(n + 1):])
     gain = np.clip(changes, 0.0, None).mean().item()
     loss = np.clip(-changes, 0.0, None).mean().item()
     if loss == 0.0:
         return 50.0 if gain == 0.0 else 100.0
     return 100.0 - 100.0 / (1.0 + gain / loss)
-
-
-def _hlc(highs, lows, closes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    h, lo, c = (np.asarray(x, dtype=float) for x in (highs, lows, closes))
-    if not (h.shape == lo.shape == c.shape):
-        raise ValueError("highs, lows, and closes must share length")
-    return h, lo, c
 
 
 def _window_runs(op: np.ufunc, x: np.ndarray, k: int) -> np.ndarray:
@@ -222,11 +199,6 @@ def _percent_k(h: np.ndarray, lo: np.ndarray, c: np.ndarray, k: int) -> np.ndarr
     return np.where(span == 0.0, 50.0, 100.0 * (c[..., k - 1:] - ll) / safe)
 
 
-def _williams(h: np.ndarray, lo: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
-    """Williams %R of every n-bar window: the same-window %K shifted to [-100, 0]."""
-    return _percent_k(h, lo, c, n) - 100.0
-
-
 def _percent_k_last(h: np.ndarray, lo: np.ndarray, close: float, k: int) -> float:
     """The last value of _percent_k, from the last k bars alone."""
     # numpy's max and min, like the window reductions, carry a NaN through;
@@ -236,34 +208,18 @@ def _percent_k_last(h: np.ndarray, lo: np.ndarray, close: float, k: int) -> floa
     return 50.0 if span == 0.0 else 100.0 * (close - ll) / span
 
 
-def stochastic(highs, lows, closes, k: int = 10, d: int = 3) -> StochasticPair:
-    """Position of the close inside the trailing k-period high-low range, 0-100.
+def _binding(macd_short: int, macd_long: int, macd_trigger: int, rsi_window: int,
+             stochastic_k: int, stochastic_d: int, williams_window: int) -> tuple[str, int]:
+    """The indicator that needs the most bars for a full row, and that bar count.
 
-    %D is the d-point simple average of %K. A degenerate range (highest high
-    equal to lowest low) reads as the neutral 50.
+    A window below 1, or macd_short >= macd_long, is a ValueError.
     """
-    h, lo, c = _hlc(highs, lows, closes)
-    _require(c.shape[-1], k + d - 1, f"stochastic({k},{d})")
-    pk = _percent_k(h, lo, c, k)
-    return StochasticPair(percent_k=pk, percent_d=sma(pk, d))
-
-
-def williams(highs, lows, closes, n: int = 30) -> float:
-    """Distance of the latest close below the trailing n-period highest high.
-
-    Scaled to [-100, 0]; a degenerate range reads as the neutral -50.
-    Computed as the exact complement of the same-window %K.
-    """
-    h, lo, c = _hlc(highs, lows, closes)
-    if n < 1:
-        raise ValueError(f"window must be >= 1, got {n}")
-    _require(len(c), n, f"Williams({n})")
-    return _percent_k_last(h, lo, c[-1].item(), n) - 100.0
-
-
-def _binding(macd_long: int, macd_trigger: int, rsi_window: int, stochastic_k: int,
-             stochastic_d: int, williams_window: int) -> tuple[str, int]:
-    """The indicator that needs the most bars for a full row, and that bar count."""
+    windows = (macd_short, macd_long, macd_trigger, rsi_window, stochastic_k,
+               stochastic_d, williams_window)
+    if min(windows) < 1:
+        raise ValueError(f"windows must be >= 1, got {windows}")
+    if not macd_short < macd_long:
+        raise ValueError(f"short period must be below long period, got {macd_short}/{macd_long}")
     # MACD requires one genuine recursion step past the signal line's SMA seed,
     # hence long + trigger, not - 1.
     requirements = {"MACD": macd_long + macd_trigger, "RSI": rsi_window + 1,
@@ -293,12 +249,21 @@ def indicator_block(
 ) -> IndicatorFrame:
     """Every indicator over the bars of (T,) or (N, T) price columns, time-aligned.
 
-    Column t sees bars 0..t only. Each column is NaN until its window fills
-    (MACD from long+trigger-2, RSI from n, %K from k-1, %D from k+d-2,
-    Williams from n-1), so short series give NaN columns rather than errors.
-    Row i of an (N, T) block equals the frame of series i alone, bit for bit.
+    Column t sees bars 0..t only. RSI averages the gains and losses of the
+    last n changes (zeros counted), 50 on a flat window; %K is the close's
+    place in the last k bars' range and Williams the same-window %K - 100,
+    50 and -50 on a flat range; %D is the d-point SMA of %K. Each column is
+    NaN until its window fills (MACD from long+trigger-2, RSI from n, %K from
+    k-1, %D from k+d-2, Williams from n-1), so short series give NaN columns
+    rather than errors; a window below 1, or macd_short >= macd_long, is a
+    ValueError. Row i of an (N, T) block equals the frame of series i alone,
+    bit for bit.
     """
-    h, lo, c = _hlc(high, low, close)
+    binding, needed = _binding(macd_short, macd_long, macd_trigger, rsi_window, stochastic_k,
+                               stochastic_d, williams_window)
+    h, lo, c = (np.asarray(x, dtype=float) for x in (high, low, close))
+    if not (h.shape == lo.shape == c.shape):
+        raise ValueError("highs, lows, and closes must share length")
     rows, empty = c.shape[-1], np.empty(0)
 
     def aligned(values: np.ndarray) -> np.ndarray:
@@ -309,8 +274,6 @@ def indicator_block(
     triple = macd(c, macd_short, macd_long, macd_trigger) \
         if rows >= macd_long + macd_trigger - 1 else MacdTriple(empty, empty, empty)
     pk = _percent_k(h, lo, c, stochastic_k) if rows >= stochastic_k else empty
-    binding, needed = _binding(macd_long, macd_trigger, rsi_window, stochastic_k,
-                               stochastic_d, williams_window)
     return IndicatorFrame(
         close=c,
         macd_line=aligned(triple.macd_line),
@@ -319,7 +282,7 @@ def indicator_block(
         rsi=aligned(_rsi_series(c, rsi_window) if rows > rsi_window else empty),
         percent_k=aligned(pk),
         percent_d=aligned(sma(pk, stochastic_d) if pk.shape[-1] >= stochastic_d else empty),
-        williams=aligned(_williams(h, lo, c, williams_window)
+        williams=aligned(_percent_k(h, lo, c, williams_window) - 100.0
                          if rows >= williams_window else empty),
         binding=binding,
         needed=needed,
@@ -378,21 +341,14 @@ def snapshot(
 ) -> IndicatorSnapshot:
     """Latest value of each indicator bundled with the latest close.
 
-    The windows are indicator_block's. Only the last row is computed: MACD in
-    one float pass over the closes, RSI from the last rsi_window + 1 closes,
-    %K and Williams from their last k and n bars. It equals
-    indicator_frame(series).row(len - 1) bit for bit, NaN included (but for
-    the sign of a zero %K, see the module notes), and raises
-    the same InsufficientHistoryError while the series is too short. A window
-    below 1, or macd_short >= macd_long, is a ValueError.
+    The windows are indicator_block's, and so are their ValueErrors. Only
+    the last row is computed: MACD in one float pass over the closes, RSI
+    from the last rsi_window + 1 closes, %K and Williams from their last k
+    and n bars. It equals indicator_frame(series).row(len - 1) bit for bit,
+    NaN included (but for the sign of a zero %K, see the module notes), and
+    raises the same InsufficientHistoryError while the series is too short.
     """
-    windows = (macd_short, macd_long, macd_trigger, rsi_window, stochastic_k,
-               stochastic_d, williams_window)
-    if min(windows) < 1:
-        raise ValueError(f"windows must be >= 1, got {windows}")
-    if not macd_short < macd_long:
-        raise ValueError(f"short period must be below long period, got {macd_short}/{macd_long}")
-    binding, needed = _binding(macd_long, macd_trigger, rsi_window, stochastic_k,
+    binding, needed = _binding(macd_short, macd_long, macd_trigger, rsi_window, stochastic_k,
                                stochastic_d, williams_window)
     bars = series.bars
     if len(bars) < needed:
@@ -404,8 +360,8 @@ def snapshot(
         macd_line=line,
         signal_line=signal,
         histogram=line - signal,
-        rsi=rsi(c, rsi_window),
+        rsi=_rsi_last(c, rsi_window),
         stochastic_k=_percent_k_last(h, lo, close, stochastic_k),
-        williams=williams(h, lo, c, williams_window),
+        williams=_percent_k_last(h, lo, close, williams_window) - 100.0,
         close=close,
     )

@@ -7,13 +7,13 @@ aggregation; interval grades are reduced with an exhaustive Karnik-Mendel
 switch-point search and defuzzified at the centroid midpoint. Firing and
 reduction take a block of N >= 1 rows. Every entry point hands indicator
 rows to recommend_rows, which normalizes them (fuzzy.normalize_rows) and
-evaluates them BLOCK_ROWS at a time. recommend_periods (signal, each backtest
-prefix) passes the one row indicators.snapshot computes; a portfolio
-(recommend_block) aggregates each group of series with the same number of
-periods in one market_data.aggregate_block call and passes the last column
-of their indicators.indicator_block. The rule base,
-variables and footprint come from ResolvedConfig; a caller may pass its own
-rule base.
+evaluates them BLOCK_ROWS at a time. recommend_block (portfolio; recommend,
+its one-series case, runs signal) aggregates each group of series with the
+same number of periods in one market_data.aggregate_block call and passes
+the last column of their indicators.indicator_block. recommend_periods
+serves only the backtest: it passes the one row indicators.snapshot
+computes for each period prefix, in O(window). The rule base, variables and
+footprint come from ResolvedConfig; a caller may pass its own rule base.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .config import ResolvedConfig
 from .fuzzy import (FuzzifiedInputs, LinguisticVariable, grade_inputs, grade_terms,
                     normalize_rows, term_table)
 from .indicators import IndicatorSnapshot, indicator_block, snapshot
-from .market_data import PriceSeries, aggregate_block, aggregate_periods
+from .market_data import PriceSeries, aggregate_block
 
 
 # Rows graded, fired and type-reduced together by recommend_rows: enough to
@@ -447,10 +447,10 @@ def recommend_periods(
 ) -> Recommendation:
     """Run the pipeline on aggregated period bars, building the rule base unless given.
 
-    The one-row case of recommend_rows, on the snapshot of the last period;
-    the row's PipelineError is raised. The variables come from the config
-    after the snapshot; a table that fails their coverage check raises
-    ConfigError, not PipelineError.
+    The one-row case of recommend_rows, on the snapshot of the last period,
+    for the backtest's period prefixes; the row's PipelineError is raised.
+    The variables come from the config after the snapshot; a table that
+    fails their coverage check raises ConfigError, not PipelineError.
     """
     cfg = config if config is not None else ResolvedConfig()
     snap = _stage("indicators", snapshot, periods, **cfg.indicator_windows)
@@ -468,10 +468,15 @@ def recommend(
     config: ResolvedConfig | None = None,
     rule_base: RuleBase | None = None,
 ) -> Recommendation:
-    """Full pipeline on daily bars: aggregate, snapshot, fuzzify, fire, defuzzify."""
+    """Full pipeline on one series' daily bars: the one-series recommend_block.
+
+    The row's PipelineError is raised.
+    """
     cfg = config if config is not None else ResolvedConfig()
-    periods = _stage("aggregation", aggregate_periods, series, cfg.days_per_period)
-    return recommend_periods(periods, cfg, rule_base)
+    [result] = recommend_block([series], cfg, rule_base)
+    if isinstance(result, PipelineError):
+        raise result
+    return result
 
 
 def recommend_block(
@@ -479,13 +484,13 @@ def recommend_block(
     cfg: ResolvedConfig,
     rule_base: RuleBase | None = None,
 ) -> list[Recommendation | PipelineError]:
-    """recommend on every series, with its failure in place of a failed row.
+    """The pipeline on every series' daily bars, with its failure in place of a failed row.
 
     The variables, and the rule base unless given, are built once from the
     config. The series that make the same number of periods share one
     aggregate_block call, one indicator_block, whose last column is their
-    snapshot, and one recommend_rows call. Each row equals
-    recommend(series, cfg, rule_base) bit for bit, its stage note included.
+    snapshot, and one recommend_rows call. A row does not depend on the
+    other series: it equals recommend(series, cfg, rule_base), bit for bit.
     """
     variables = cfg.build_variables()
     if rule_base is None:

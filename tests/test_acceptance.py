@@ -26,16 +26,15 @@ from fuzzsig.fuzzy import (
     RightShoulder,
     Triangular,
     default_variables,
-    fuzzify,
+    grade_inputs,
+    normalize_rows,
 )
 from fuzzsig.indicators import (
     IndicatorSnapshot,
     ema,
+    indicator_block,
     macd,
-    rsi,
     sma,
-    stochastic,
-    williams,
 )
 from fuzzsig.inference import (
     ANTECEDENT_TERMS,
@@ -92,6 +91,13 @@ def random_snapshot(rng: np.random.Generator) -> IndicatorSnapshot:
     )
 
 
+def graded(snap: IndicatorSnapshot, fou: FootprintOfUncertainty | None):
+    """The fuzzified inputs of one indicator row: normalize_rows, then grade_inputs."""
+    normalized, faults = normalize_rows(snap)
+    assert not faults
+    return grade_inputs(normalized, VARIABLES, fou)
+
+
 def test_criterion_01_indicator_oracle_equivalence():
     """1000 seeded random series, lengths 35-300, vs brute-force oracles at 1e-9."""
     master = np.random.default_rng(20170103)
@@ -106,13 +112,12 @@ def test_criterion_01_indicator_oracle_equivalence():
         assert np.allclose(triple.macd_line, line, **tol)
         assert np.allclose(triple.signal_line, signal, **tol)
         assert np.allclose(triple.histogram, hist, **tol)
-        assert math.isclose(rsi(closes, 21), tallied_rsi(closes, 21), rel_tol=1e-9, abs_tol=1e-9)
-        pair = stochastic(highs, lows, closes)
+        frame = indicator_block(highs, lows, closes)
+        assert math.isclose(frame.rsi[-1], tallied_rsi(closes, 21), rel_tol=1e-9, abs_tol=1e-9)
         pk, pd = scanned_stochastic(highs, lows, closes)
-        assert np.allclose(pair.percent_k, pk, **tol)
-        assert np.allclose(pair.percent_d, pd, **tol)
-        assert math.isclose(williams(highs, lows, closes),
-                            scanned_williams(highs, lows, closes),
+        assert np.allclose(frame.percent_k[9:], pk, **tol)
+        assert np.allclose(frame.percent_d[11:], pd, **tol)
+        assert math.isclose(frame.williams[-1], scanned_williams(highs, lows, closes),
                             rel_tol=1e-9, abs_tol=1e-9)
     ok(1, "sma/ema/macd/rsi/stochastic/williams match oracles on 1000 series")
 
@@ -122,12 +127,11 @@ def test_criterion_02_range_invariants():
     rng = np.random.default_rng(8128)
     for _ in range(300):
         length = int(rng.integers(35, 150))
-        highs, lows, closes = random_ohlc(rng, length)
-        assert 0.0 <= rsi(closes, 21) <= 100.0
-        pair = stochastic(highs, lows, closes)
-        assert np.all((pair.percent_k >= 0.0) & (pair.percent_k <= 100.0))
-        assert np.all((pair.percent_d >= 0.0) & (pair.percent_d <= 100.0))
-        assert -100.0 <= williams(highs, lows, closes) <= 0.0
+        frame = indicator_block(*random_ohlc(rng, length))
+        for column, low, high in ((frame.rsi[21:], 0.0, 100.0), (frame.percent_k[9:], 0.0, 100.0),
+                                  (frame.percent_d[11:], 0.0, 100.0),
+                                  (frame.williams[29:], -100.0, 0.0)):
+            assert np.all((column >= low) & (column <= high))
     shapes = [Triangular(0.2, 0.5, 0.8), LeftShoulder(0.3, 0.45),
               RightShoulder(0.55, 0.7), Gaussian(0.5, 0.15)]
     for _ in range(2000):
@@ -142,8 +146,7 @@ def test_criterion_02_range_invariants():
     for _ in range(100):
         snap = random_snapshot(rng)
         for fou in (None, FootprintOfUncertainty(0.05)):
-            inputs = fuzzify(snap, VARIABLES, fou=fou)
-            [crisp] = defuzzify(fire_rules(inputs, base, OUTPUT_VAR))
+            [crisp] = defuzzify(fire_rules(graded(snap, fou), base, OUTPUT_VAR))
             assert 0.0 <= crisp <= 1.0
     ok(2, "indicator, grade, and crisp-output ranges hold under fuzzing")
 
@@ -154,10 +157,10 @@ def test_criterion_03_complementarity_identity():
     for _ in range(500):
         window = int(rng.integers(5, 40))
         length = window + int(rng.integers(0, 30))
-        highs, lows, closes = random_ohlc(rng, length)
-        pk = float(stochastic(highs, lows, closes, k=window, d=1).percent_k[-1])
-        wa = williams(highs, lows, closes, n=window)
-        assert pk + abs(wa) == 100.0
+        frame = indicator_block(*random_ohlc(rng, length), stochastic_k=window,
+                                williams_window=window)
+        pk, wa = frame.percent_k[window - 1:], frame.williams[window - 1:]
+        assert np.all(pk + np.abs(wa) == 100.0)
     ok(3, "%K + |WA| == 100 exactly on 500 series with matched windows")
 
 
@@ -175,10 +178,9 @@ def test_criterion_05_type_reduction_collapse():
     base = build_rule_base()
     for _ in range(100):
         snap = random_snapshot(rng)
-        plain = fuzzify(snap, VARIABLES, fou=None)
-        degenerate = fuzzify(snap, VARIABLES, fou=FootprintOfUncertainty(0.0))
-        [crisp_plain] = defuzzify(fire_rules(plain, base, OUTPUT_VAR))
-        [crisp_interval] = defuzzify(fire_rules(degenerate, base, OUTPUT_VAR))
+        [crisp_plain] = defuzzify(fire_rules(graded(snap, None), base, OUTPUT_VAR))
+        [crisp_interval] = defuzzify(fire_rules(graded(snap, FootprintOfUncertainty(0.0)), base,
+                                                OUTPUT_VAR))
         assert abs(crisp_plain - crisp_interval) <= 1e-9
     quad = np.ones(101)
     quad[0] = quad[-1] = 0.5

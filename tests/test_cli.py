@@ -89,9 +89,27 @@ class TestSignal:
         assert payload["fuzzy_output"] == pytest.approx(0.5, abs=1e-6)
         assert payload["centroid_interval"][0] <= 0.5 <= payload["centroid_interval"][1]
 
+    @pytest.mark.parametrize("fmt, flags, digest", [
+        ("text", ["--delta", "0"], "db4871dedc6d359f193b36b888e9d214632ea1be12023053a85902db34efb55d"),
+        ("json", ["--delta", "0"], "63fddf131c1b1035fdb52e51f38bd47300b4622308433630fb0f56f7de736672"),
+        ("text", [], "a23142b7fa63a04cc533faa64b17219c2891f91ee2335e6cd54d733802c6eec1"),
+        ("json", [], "2f1c4ae60fa54001051020ad445958291375916501e31c07b44412b59ce7fe89"),
+        ("text", ["--delta", "0.15"],
+         "475e472fa4657c479904364c65b0e4f10963d9da380adbd60b259b6b79b55d65"),
+        ("json", ["--delta", "0.15"],
+         "25abe54dbe5a4219559b074281bd04ac6018700cd04541ee46ec502037c61b17"),
+    ])
+    def test_bundled_fixture_bytes_are_pinned(self, fmt, flags, digest, capsysbinary):
+        # every symbol's signal, its full-precision fuzzy output included
+        fixture = str(DATA_DIR / "portfolio_fixture.csv")
+        for i in range(10):
+            assert run(["signal", fixture, "--symbol", f"SYN{i:02d}", "--format", fmt,
+                        *flags]) == 0
+        assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == digest
+
     @pytest.mark.parametrize("flags", [flags for flags, _ in PORTFOLIO_JSON_PINS])
     def test_bundled_fixture_equals_the_portfolio_rows(self, flags, capsys):
-        # signal scores one snapshot; portfolio scores the last column of a block frame
+        # signal is the one-series case of the portfolio's block path
         fixture = str(DATA_DIR / "portfolio_fixture.csv")
         assert run(["portfolio", fixture, "--format", "json", *flags]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]

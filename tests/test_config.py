@@ -161,6 +161,15 @@ class TestValidation:
         with pytest.raises(ConfigError):
             dataclasses.replace(ResolvedConfig(), **{field: value})
 
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ResolvedConfig)
+                                       if isinstance(f.default, int)])
+    @pytest.mark.parametrize("kind", [float, bool])
+    def test_int_settings_reject_floats_and_bools(self, field, kind):
+        # a float grid_points used to pass here and fail every row at inference
+        value = kind(getattr(ResolvedConfig(), field))
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value!r}$"):
+            ResolvedConfig(**{field: value})
+
     def test_inverted_thresholds_rejected(self):
         with pytest.raises(ConfigError, match="sell_at"):
             dataclasses.replace(ResolvedConfig(), buy_at=-2, sell_at=2)
@@ -201,6 +210,17 @@ class TestFingerprint:
         for field, value in tweaks.items():
             bumped = dataclasses.replace(ResolvedConfig(), **{field: value})
             assert bumped.fingerprint() != base, field
+
+    def test_equal_configs_share_a_fingerprint(self):
+        # an int given for a float setting compares equal to that float
+        assert ResolvedConfig().fingerprint() == "b90d09c25ede"
+        pairs = [(ResolvedConfig(delta=0), ResolvedConfig(delta=0.0)),
+                 (ResolvedConfig(divisor=89, histogram_gain=50), ResolvedConfig()),
+                 (ResolvedConfig(levels=(0.236, 0.382, 1)),
+                  ResolvedConfig(levels=(0.236, 0.382, 1.0)))]
+        for a, b in pairs:
+            assert a == b
+            assert a.fingerprint() == b.fingerprint()
 
     def test_mf_change_moves_the_fingerprint(self):
         table = ResolvedConfig().mf_table

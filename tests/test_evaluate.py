@@ -46,8 +46,15 @@ def _rows(report):
 
 
 def _recommended(series, cfg, rule_base=None):
+    """A portfolio row of one series by the one-row path: aggregate_periods, then snapshot.
+
+    recommend and run_portfolio take the block path; this is the backtest's.
+    """
     try:
-        rec = recommend(series, cfg, rule_base)
+        periods = aggregate_periods(series, cfg.days_per_period)
+        rec = recommend_periods(periods, cfg, rule_base)
+    except MarketDataError as exc:
+        return (None, None, f"aggregation: {exc}")
     except PipelineError as exc:
         return (None, None, str(exc))
     return (rec.crisp.hex(), rec.signal, None)

@@ -16,7 +16,6 @@ from fuzzsig.fuzzy import (
     Triangular,
     _check_coverage,
     default_variables,
-    fuzzify,
     grade_inputs,
     normalize_rows,
 )
@@ -331,12 +330,17 @@ def flat_snapshot():
     return snapshot(aggregate_periods(flat_series(periods=40), 15))
 
 
+def graded(snap, fou=None):
+    """One row's fuzzification, as recommend_rows does it: normalize_rows, then grade_inputs."""
+    normalized, faults = normalize_rows(snap)
+    assert not faults
+    return grade_inputs(normalized, default_variables(), fou)
+
+
 class TestFuzzify:
     def test_rsi_89_grades(self):
-        import dataclasses
-
         snap = dataclasses.replace(flat_snapshot(), rsi=89.0)
-        out = term_grades(fuzzify(snap, default_variables()))
+        out = term_grades(graded(snap))
         assert out["rsi"]["high"] == (1.0, 1.0)
         assert out["rsi"]["medium"] == (0.0, 0.0)
         assert out["rsi"]["low"] == (0.0, 0.0)
@@ -344,7 +348,7 @@ class TestFuzzify:
     def test_percent_k_50_is_pure_medium(self):
         snap = flat_snapshot()
         assert snap.stochastic_k == 50.0
-        out = term_grades(fuzzify(snap, default_variables()))
+        out = term_grades(graded(snap))
         assert out["so"]["medium"] == (1.0, 1.0)
         assert out["so"]["low"] == (0.0, 0.0)
         assert out["so"]["high"] == (0.0, 0.0)
@@ -352,15 +356,14 @@ class TestFuzzify:
     def test_neutral_macd_grades_are_symmetric(self):
         snap = flat_snapshot()
         assert snap.histogram == 0.0
-        out = term_grades(fuzzify(snap, default_variables()))
+        out = term_grades(graded(snap))
         assert out["macd"]["high"] == out["macd"]["low"]
 
     def test_interval_mode_flags_and_nests_type1(self):
         snap = flat_snapshot()
-        variables = default_variables()
-        plain = fuzzify(snap, variables)
+        plain = graded(snap)
         assert plain.interval is False
-        blurred = fuzzify(snap, variables, fou=FootprintOfUncertainty(0.05))
+        blurred = graded(snap, FootprintOfUncertainty(0.05))
         assert blurred.interval is True
         blurred_grades = term_grades(blurred)
         for var, terms in term_grades(plain).items():
@@ -411,9 +414,9 @@ class TestNormalizeRows:
                 assert {k: x[i].hex() for k, x in normalized.items()} == \
                     {k: v.item().hex() for k, v in want.items()}
                 continue
-            with pytest.raises(type(faults[i])) as caught:
-                fuzzify(snap, default_variables(), divisor=89.0, histogram_gain=50.0)
-            assert str(caught.value) == str(faults[i])
+            _, alone = normalize_rows(snap, divisor=89.0, histogram_gain=50.0)
+            assert list(alone) == [0]
+            assert (type(alone[0]), str(alone[0])) == (type(faults[i]), str(faults[i]))
         assert str(faults[1]) == "RSI out of range [0, 100]: 101.0"
         assert str(faults[2]) == "Williams value out of range [-100, 0]: 0.25"
         assert str(faults[3]) == "float division by zero"

@@ -9,16 +9,15 @@ from hypothesis import strategies as st
 from fuzzsig.fixtures import flat_series, random_walk_series
 from fuzzsig.indicators import (
     InsufficientHistoryError,
+    _percent_k_last,
+    _rsi_last,
     _window_runs,
     ema,
     indicator_block,
     indicator_frame,
     macd,
-    rsi,
     sma,
     snapshot,
-    stochastic,
-    williams,
 )
 from fuzzsig.market_data import Bars, PriceSeries, aggregate_periods, parse_csv
 
@@ -34,6 +33,10 @@ from oracles import (
     tallied_rsi,
     windowed_extremes,
 )
+
+
+WINDOWS = {"macd_short": 12, "macd_long": 26, "macd_trigger": 9, "rsi_window": 21,
+           "stochastic_k": 10, "stochastic_d": 3, "williams_window": 30}
 
 
 def random_closes(rng, length, start=50.0):
@@ -139,106 +142,117 @@ class TestMacd:
         assert len(triple.macd_line) == len(triple.signal_line) == len(triple.histogram)
 
 
+def rsi_column(closes, n=21):
+    """The frame's RSI column over closes alone (highs and lows set to them)."""
+    return indicator_block(closes, closes, closes, rsi_window=n).rsi
+
+
 class TestRsi:
+    # the frame's column; snapshot's last-row RSI equals it (TestSnapshotIsTheFrameRow)
     def test_strictly_increasing_is_100(self):
-        assert rsi(np.arange(1.0, 30.0), 21) == 100.0
+        assert rsi_column(np.arange(1.0, 30.0))[-1] == 100.0
 
     def test_strictly_decreasing_is_0(self):
-        assert rsi(np.arange(30.0, 1.0, -1.0), 21) == 0.0
+        assert rsi_column(np.arange(30.0, 1.0, -1.0))[-1] == 0.0
 
     def test_flat_window_is_neutral_50(self):
-        assert rsi([7.0] * 25, 21) == 50.0
+        assert np.all(rsi_column([7.0] * 25)[21:] == 50.0)
 
     def test_mixed_closes_match_tally(self):
         rng = np.random.default_rng(11)
-        closes = random_closes(rng, 22)
-        assert rsi(closes, 21) == pytest.approx(tallied_rsi(closes, 21), rel=1e-12)
+        closes = random_closes(rng, 60)
+        column = rsi_column(closes)
+        for t in range(21, 60):
+            assert column[t] == pytest.approx(tallied_rsi(closes[:t + 1], 21), rel=1e-12)
 
-    def test_too_short_errors(self):
-        with pytest.raises(InsufficientHistoryError):
-            rsi([1.0] * 21, 21)
-
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_window_below_one_errors(self, n):
-        with pytest.raises(ValueError, match=f"window must be >= 1, got {n}"):
-            rsi([1.0, 2.0, 3.0], n)
+    def test_too_short_is_nan_in_the_frame_and_an_error_in_snapshot(self):
+        assert np.all(np.isnan(rsi_column([1.0] * 21)))
+        series = period_series(60, seed=4)
+        with pytest.raises(InsufficientHistoryError, match="RSI"):
+            snapshot(PriceSeries("S", series.bars[:50]), rsi_window=50)
 
 
 class TestStochastic:
+    # the frame's %K and %D columns; snapshot's last-row %K equals the frame's
     def test_close_at_trailing_high_is_100(self):
         h = [10, 11, 12, 13, 14, 15, 16, 17, 18, 19.0]
         lo = [x - 1 for x in h]
         c = [x - 0.5 for x in h]
         c[-1] = h[-1]
-        assert stochastic(h, lo, c, k=10, d=1).percent_k[-1] == 100.0
+        assert indicator_block(h, lo, c, stochastic_k=10, stochastic_d=1).percent_k[-1] == 100.0
 
     def test_close_at_trailing_low_is_0(self):
         h = [10, 11, 12, 13, 14, 15, 16, 17, 18, 19.0]
         lo = [x - 1 for x in h]
         c = list(h)
         c[-1] = min(lo)
-        assert stochastic(h, lo, c, k=10, d=1).percent_k[-1] == 0.0
+        assert indicator_block(h, lo, c, stochastic_k=10, stochastic_d=1).percent_k[-1] == 0.0
 
     def test_degenerate_range_is_50(self):
         flat = [5.0] * 12
-        pair = stochastic(flat, flat, flat)
-        assert np.all(pair.percent_k == 50.0)
-        assert np.all(pair.percent_d == 50.0)
+        frame = indicator_block(flat, flat, flat)
+        assert np.all(frame.percent_k[9:] == 50.0)
+        assert np.all(frame.percent_d[11:] == 50.0)
 
     def test_matches_window_scan(self):
         rng = np.random.default_rng(19)
         h, lo, c = random_ohlc(rng, 60)
-        pair = stochastic(h, lo, c, k=10, d=3)
+        frame = indicator_block(h, lo, c, stochastic_k=10, stochastic_d=3)
         pk, pd = scanned_stochastic(h, lo, c, k=10, d=3)
-        assert np.allclose(pair.percent_k, pk, rtol=1e-12, atol=1e-12)
-        assert np.allclose(pair.percent_d, pd, rtol=1e-12, atol=1e-12)
+        assert np.allclose(frame.percent_k[9:], pk, rtol=1e-12, atol=1e-12)
+        assert np.allclose(frame.percent_d[11:], pd, rtol=1e-12, atol=1e-12)
 
     def test_percent_d_is_3_point_average_of_percent_k(self):
         rng = np.random.default_rng(23)
         h, lo, c = random_ohlc(rng, 40)
-        pair = stochastic(h, lo, c)
-        for j in range(len(pair.percent_d)):
-            assert pair.percent_d[j] == pytest.approx(
-                pair.percent_k[j:j + 3].mean(), rel=1e-12)
+        frame = indicator_block(h, lo, c)
+        for t in range(11, 40):
+            assert frame.percent_d[t] == pytest.approx(
+                frame.percent_k[t - 2:t + 1].mean(), rel=1e-12)
 
-    def test_too_short_errors(self):
-        with pytest.raises(InsufficientHistoryError):
-            stochastic([1.0] * 11, [1.0] * 11, [1.0] * 11, k=10, d=3)
+    def test_too_short_is_nan_in_the_frame_and_an_error_in_snapshot(self):
+        flat = [1.0] * 11
+        frame = indicator_block(flat, flat, flat, stochastic_k=10, stochastic_d=3)
+        assert np.all(np.isnan(frame.percent_d)) and np.all(np.isnan(frame.percent_k[:9]))
+        series = period_series(60, seed=4)
+        with pytest.raises(InsufficientHistoryError, match="stochastic"):
+            snapshot(PriceSeries("S", series.bars[:50]), stochastic_k=50)
 
 
 class TestWilliams:
+    # the frame's column; snapshot's last-row Williams equals it
     def test_close_at_trailing_high_is_0(self):
         h = list(np.linspace(10, 20, 30))
         lo = [x - 1 for x in h]
         c = list(np.linspace(9.5, 19.5, 30))
         c[-1] = max(h)
-        assert williams(h, lo, c, 30) == 0.0
+        assert indicator_block(h, lo, c, williams_window=30).williams[-1] == 0.0
 
     def test_close_at_trailing_low_is_minus_100(self):
         h = list(np.linspace(10, 20, 30))
         lo = [x - 1 for x in h]
         c = list(h)
         c[-1] = min(lo)
-        assert williams(h, lo, c, 30) == -100.0
+        assert indicator_block(h, lo, c, williams_window=30).williams[-1] == -100.0
 
     def test_degenerate_range_is_minus_50(self):
         flat = [5.0] * 30
-        assert williams(flat, flat, flat, 30) == -50.0
+        assert indicator_block(flat, flat, flat, williams_window=30).williams[-1] == -50.0
 
     def test_matches_extremum_scan(self):
         rng = np.random.default_rng(29)
         h, lo, c = random_ohlc(rng, 50)
-        assert williams(h, lo, c, 30) == pytest.approx(
-            scanned_williams(h, lo, c, 30), rel=1e-12, abs=1e-12)
+        column = indicator_block(h, lo, c, williams_window=30).williams
+        for t in range(29, 50):
+            assert column[t] == pytest.approx(
+                scanned_williams(h[:t + 1], lo[:t + 1], c[:t + 1], 30), rel=1e-12, abs=1e-12)
 
-    def test_too_short_errors(self):
-        with pytest.raises(InsufficientHistoryError):
-            williams([1.0] * 29, [1.0] * 29, [1.0] * 29, 30)
-
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_window_below_one_errors(self, n):
-        with pytest.raises(ValueError, match=f"window must be >= 1, got {n}"):
-            williams([2.0] * 3, [1.0] * 3, [1.5] * 3, n)
+    def test_too_short_is_nan_in_the_frame_and_an_error_in_snapshot(self):
+        flat = [1.0] * 29
+        assert np.all(np.isnan(indicator_block(flat, flat, flat, williams_window=30).williams))
+        series = period_series(60, seed=4)
+        with pytest.raises(InsufficientHistoryError, match="Williams"):
+            snapshot(PriceSeries("S", series.bars[:50]), williams_window=51)
 
 
 def extremes_inputs(t):
@@ -276,21 +290,23 @@ class TestRangesAndIdentities:
     @given(seed=st.integers(0, 10_000), length=st.integers(35, 120))
     def test_ranges_hold_on_random_series(self, seed, length):
         rng = np.random.default_rng(seed)
-        h, lo, c = random_ohlc(rng, length)
-        assert 0.0 <= rsi(c, 21) <= 100.0
-        pair = stochastic(h, lo, c)
-        assert np.all((pair.percent_k >= 0.0) & (pair.percent_k <= 100.0))
-        assert np.all((pair.percent_d >= 0.0) & (pair.percent_d <= 100.0))
-        assert -100.0 <= williams(h, lo, c, 30) <= 0.0
+        frame = indicator_block(*random_ohlc(rng, length))
+        for name, low, high in (("rsi", 0.0, 100.0), ("percent_k", 0.0, 100.0),
+                                ("percent_d", 0.0, 100.0), ("williams", -100.0, 0.0)):
+            column = getattr(frame, name)
+            filled = column[~np.isnan(column)]
+            assert filled.size and np.all((filled >= low) & (filled <= high)), name
 
     @given(seed=st.integers(0, 10_000), window=st.integers(5, 30))
     def test_percent_k_plus_abs_williams_is_exactly_100(self, seed, window):
         # same trailing window: (close - LL) and (HH - close) split HH - LL
         rng = np.random.default_rng(seed)
         h, lo, c = random_ohlc(rng, window + 5)
-        pk = stochastic(h, lo, c, k=window, d=1).percent_k[-1]
-        wa = williams(h, lo, c, n=window)
-        assert pk + abs(wa) == 100.0
+        frame = indicator_block(h, lo, c, stochastic_k=window, williams_window=window)
+        pk, wa = frame.percent_k[window - 1:], frame.williams[window - 1:]
+        assert np.all(pk + np.abs(wa) == 100.0)
+        last = _percent_k_last(h, lo, c[-1], window)  # snapshot's Williams is last - 100
+        assert last + abs(last - 100.0) == 100.0
 
     @given(seed=st.integers(0, 10_000), prefix=st.integers(1, 40))
     def test_window_local_indicators_are_shift_equivariant(self, seed, prefix):
@@ -299,11 +315,11 @@ class TestRangesAndIdentities:
         # MACD is anchored to the series start and is exempt by design)
         rng = np.random.default_rng(seed)
         h, lo, c = random_ohlc(rng, 60 + prefix)
-        assert rsi(c, 21) == rsi(c[prefix:], 21)
-        assert williams(h, lo, c, 30) == williams(h[prefix:], lo[prefix:], c[prefix:], 30)
-        full = stochastic(h, lo, c).percent_k[-1]
-        cut = stochastic(h[prefix:], lo[prefix:], c[prefix:]).percent_k[-1]
-        assert full == cut
+        full = indicator_block(h, lo, c)
+        cut = indicator_block(h[prefix:], lo[prefix:], c[prefix:])
+        for name, first in (("rsi", 21), ("percent_k", 9), ("percent_d", 11), ("williams", 29)):
+            assert getattr(full, name)[prefix + first:].tobytes() == \
+                getattr(cut, name)[first:].tobytes(), name
         assert sma(c, 20)[-1] == sma(c[prefix:], 20)[-1]
 
 
@@ -323,9 +339,10 @@ class TestSnapshot:
         assert snap.macd_line == triple.macd_line[-1]
         assert snap.signal_line == triple.signal_line[-1]
         assert snap.histogram == triple.histogram[-1]
-        assert snap.rsi == rsi(c, 21)
-        assert snap.stochastic_k == stochastic(h, lo, c).percent_k[-1]
-        assert snap.williams == williams(h, lo, c, 30)
+        assert snap.rsi == pytest.approx(tallied_rsi(c, 21), rel=1e-12)
+        assert snap.stochastic_k == pytest.approx(
+            scanned_stochastic(h, lo, c, k=10, d=1)[0][-1], rel=1e-12)
+        assert snap.williams == pytest.approx(scanned_williams(h, lo, c, 30), rel=1e-12)
         assert snap.close == c[-1]
 
     def test_minimal_support_is_35_periods(self):
@@ -343,15 +360,24 @@ class TestSnapshot:
             snapshot(short, rsi_window=50)
 
     @pytest.mark.parametrize("windows, message", [
-        ({"macd_short": 26}, "short period must be below long period, got 26/26"),
-        ({"rsi_window": 0}, r"windows must be >= 1, got \(12, 26, 9, 0, 10, 3, 30\)"),
-        ({"stochastic_d": -1}, "windows must be >= 1"),
+        pytest.param({"macd_short": 26}, "short period must be below long period, got 26/26",
+                     id="macd_short=26"),
+        *(pytest.param({name: value}, "windows must be >= 1, got "
+                       + re.escape(str(tuple({**WINDOWS, name: value}.values()))),
+                       id=f"{name}={value}")
+          for name in WINDOWS for value in (0, -1)),
     ])
     def test_invalid_windows_are_value_errors_at_any_length(self, windows, message):
+        # the frame used to divide by a zero %K or Williams window, give an
+        # all-NaN RSI with warnings, or fail in a reshape on a negative window
+        def block(series, **w):
+            return indicator_block(series.bars.high, series.bars.low, series.bars.close, **w)
+
         series = period_series(60, seed=3)
-        for length in (0, 60):
-            with pytest.raises(ValueError, match=message):
-                snapshot(PriceSeries("S", series.bars[:length]), **windows)
+        for length in (0, 5, 60):
+            for compute in (snapshot, indicator_frame, block):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    compute(PriceSeries("S", series.bars[:length]), **windows)
 
     def test_constant_series_conventions(self):
         series = aggregate_periods(flat_series(periods=40), 15)
@@ -473,11 +499,12 @@ class TestSnapshotIsTheFrameRow:
                     snapshot(prefix, **windows)
             else:
                 assert bits(snapshot(prefix, **windows)) == bits(want)
+            # the last-row steps match their columns also before the MACD fills
             if t >= rsi_window:
-                assert rsi(c[:t + 1], rsi_window).hex() == frame.rsi[t].item().hex()
+                assert _rsi_last(c[:t + 1], rsi_window).hex() == frame.rsi[t].item().hex()
             if t + 1 >= williams_window:
-                got = williams(h[:t + 1], lo[:t + 1], c[:t + 1], williams_window)
-                assert got.hex() == frame.williams[t].item().hex()
+                got = _percent_k_last(h[:t + 1], lo[:t + 1], c[t].item(), williams_window)
+                assert (got - 100.0).hex() == frame.williams[t].item().hex()
 
 
 class TestIndicatorBlock:

@@ -13,7 +13,6 @@ from fuzzsig.fuzzy import (
     FootprintOfUncertainty,
     LinguisticVariable,
     default_variables,
-    fuzzify,
     grade_inputs,
     normalize_rows,
 )
@@ -238,7 +237,7 @@ class TestFireRules:
         variables = default_variables()
         snaps = [snapshot(aggregate_periods(s, 15))
                  for s in portfolio_fixture(seed=8, symbols=12, periods=40)]
-        rows = [fuzzify(snap, variables, fou=fou) for snap in snaps]
+        rows = [grade_inputs(normalize_rows(snap)[0], variables, fou) for snap in snaps]
         block = grade_inputs(
             {name: np.concatenate([normalize_rows(snap)[0][name] for snap in snaps])
              for name in ANTECEDENT_TERMS}, variables, fou)
@@ -481,7 +480,8 @@ class TestRecommend:
         assert not faults
         block = chain(grade_inputs(normalized, variables, cfg.footprint))
         for series, snap, (crisp, interval) in zip(basket, snaps, block):
-            [alone] = chain(fuzzify(snap, variables, fou=cfg.footprint, **scale))
+            [alone] = chain(grade_inputs(normalize_rows(snap, **scale)[0], variables,
+                                         cfg.footprint))
             assert (crisp.hex(), interval) == (alone[0].hex(), alone[1])
             rec = recommend(series, cfg)
             assert rec.crisp.hex() == crisp.hex()

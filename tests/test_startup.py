@@ -17,11 +17,10 @@ EXPORTS = {
     "evaluate": ["BacktestRecord", "BacktestStats", "PortfolioReport", "ReportRow", "backtest",
                  "emit_report", "parse_report", "run_portfolio"],
     "fuzzy": ["FootprintOfUncertainty", "FuzzifiedInputs", "Gaussian", "LeftShoulder",
-              "LinguisticVariable", "RightShoulder", "Triangular", "default_variables",
-              "fuzzify"],
+              "LinguisticVariable", "RightShoulder", "Triangular", "default_variables"],
     "indicators": ["IndicatorFrame", "IndicatorSnapshot", "InsufficientHistoryError",
-                   "MacdTriple", "StochasticPair", "ema", "indicator_block", "indicator_frame",
-                   "macd", "rsi", "sma", "snapshot", "stochastic", "williams"],
+                   "MacdTriple", "ema", "indicator_block", "indicator_frame", "macd", "sma",
+                   "snapshot"],
     "inference": ["AggregatedOutput", "InferenceError", "PipelineError", "Recommendation",
                   "Rule", "RuleBase", "Signal", "build_rule_base", "classify_signal",
                   "defuzzify", "fire_rules", "km_type_reduce", "recommend", "rules_from_csv",
