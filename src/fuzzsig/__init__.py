@@ -30,8 +30,7 @@ _MODULE_NAMES = {
     "market_data": ("Bars", "MarketDataError", "PriceBar", "PriceSeries", "ValidationReport",
                     "aggregate_block", "aggregate_periods", "parse_csv", "serialize_csv",
                     "validate"),
-    "tuning": ("FibLevels", "Level", "ScaledSecondary", "SecondaryKind", "classify_level",
-               "golden_ratio", "scale_secondary"),
+    "tuning": ("golden_ratio", "level_labels", "scale_secondaries"),
 }
 _MODULE_OF = {name: module for module, names in _MODULE_NAMES.items() for name in names}
 

@@ -1,8 +1,8 @@
 """Command-line front door: indicator dumps, signals, portfolio runs, backtests.
 
-A command imports what only some commands use (fuzzsig.evaluate,
-fuzzsig.fixtures, json) when it runs, so each process loads what its command
-needs.
+The `indicators` table labels whole columns (tuning.scale_secondaries). A
+command imports what only some commands use (fuzzsig.evaluate,
+fuzzsig.fixtures, json) when it runs, so a process loads what it needs.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
 import math
 import os
 import sys
@@ -19,7 +20,7 @@ from .config import ConfigError, ResolvedConfig, load_config_file
 from .indicators import indicator_frame
 from .inference import PipelineError, recommend, rules_from_csv, rules_to_csv
 from .market_data import MarketDataError, PriceSeries, aggregate_periods, parse_csv, serialize_csv
-from .tuning import FibLevels, SecondaryKind, classify_level, scale_secondary
+from .tuning import level_labels, scale_secondaries
 
 CONFIG_ENV_VAR = "FUZZSIG_CONFIG"
 
@@ -125,50 +126,46 @@ def _load_rules(args: argparse.Namespace):
         raise MarketDataError(f"cannot read {path!r}: {exc}") from None
 
 
+_INDICATOR_COLUMNS = ("symbol", "period", "date", "close", "macd", "macd_signal",
+                      "macd_histogram", "rsi", "rsi_level", "percent_k", "percent_d",
+                      "williams", "williams_level")
+
+
 def _indicator_rows(series: PriceSeries, cfg: ResolvedConfig) -> list[dict]:
+    """One dict per period, keyed by _INDICATOR_COLUMNS; a NaN cell is None and has no level.
+
+    A failing RSI or Williams cell raises the earliest period's fault, RSI first.
+    """
     periods = aggregate_periods(series, cfg.days_per_period)
     frame = indicator_frame(periods, **cfg.indicator_windows)
-    levels = FibLevels(*cfg.levels)
 
-    def value(column, t: int) -> float | None:
-        x = float(column[t])
-        return None if math.isnan(x) else x
+    def cells(column) -> list[float | None]:
+        return [None if math.isnan(x) else x for x in column.tolist()]
 
-    def level(kind: SecondaryKind, raw: float | None) -> str | None:
-        if raw is None:
-            return None
-        return classify_level(scale_secondary(kind, raw, cfg.divisor), levels).value
+    rsi, williams = cells(frame.rsi), cells(frame.williams)
+    # a blank cell is scaled as 0.0, which cannot fail
+    neutral = ([0.0 if x is None else x for x in column] for column in (rsi, williams))
+    rsi_scaled, wa_scaled, faults = scale_secondaries(*neutral, cfg.divisor)
+    if faults:
+        raise faults[min(faults)]
 
-    rows = []
-    for t, bar in enumerate(periods.bars):
-        rsi, williams = value(frame.rsi, t), value(frame.williams, t)
-        rows.append({
-            "symbol": periods.symbol,
-            "period": t,
-            "date": bar.date.isoformat(),
-            "close": bar.close,
-            "macd": value(frame.macd_line, t),
-            "macd_signal": value(frame.signal_line, t),
-            "macd_histogram": value(frame.histogram, t),
-            "rsi": rsi,
-            "rsi_level": level(SecondaryKind.RSI, rsi),
-            "percent_k": value(frame.percent_k, t),
-            "percent_d": value(frame.percent_d, t),
-            "williams": williams,
-            "williams_level": level(SecondaryKind.WA, williams),
-        })
-    return rows
+    def levels(column: list[float | None], scaled) -> list[str | None]:
+        labels = level_labels(scaled, cfg.levels).tolist()
+        return [None if x is None else label for x, label in zip(column, labels)]
+
+    bars = periods.bars
+    columns = (itertools.repeat(periods.symbol), itertools.count(),
+               [day.isoformat() for day in bars.date.tolist()], bars.close.tolist(),
+               cells(frame.macd_line), cells(frame.signal_line), cells(frame.histogram),
+               rsi, levels(rsi, rsi_scaled), cells(frame.percent_k), cells(frame.percent_d),
+               williams, levels(williams, wa_scaled))
+    return [dict(zip(_INDICATOR_COLUMNS, row)) for row in zip(*columns)]
 
 
 def _write_json(payload) -> None:
     import json  # loaded only by the commands that print JSON
 
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-
-
-_INDICATOR_COLUMNS = ("symbol", "period", "date", "close", "macd", "macd_signal",
-                      "macd_histogram", "rsi", "rsi_level", "percent_k", "percent_d",
-                      "williams", "williams_level")
 
 
 def _cmd_indicators(args, cfg: ResolvedConfig) -> int:

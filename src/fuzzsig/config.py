@@ -17,7 +17,7 @@ import math
 import typing
 from dataclasses import dataclass, field
 
-from .fuzzy import (FootprintOfUncertainty, LinguisticVariable, MembershipFunction,
+from .fuzzy import (FootprintOfUncertainty, Gaussian, LinguisticVariable, MembershipFunction,
                     default_mf_table, default_variables)
 
 if typing.TYPE_CHECKING:
@@ -160,6 +160,13 @@ class ResolvedConfig:
             got = tuple(t for t, _ in self.mf_table.get(var, ()))
             if got != expected:
                 raise ConfigError(f"variable {var!r} must keep terms {expected}, got {got}")
+        # a footprint as wide as a Gaussian collapses its lower grade to 0 off the centre
+        gaussians = [(mf.width, f"fuzzy.{var}.{label}") for var, terms in self.mf_table.items()
+                     for label, mf in terms if isinstance(mf, Gaussian)]
+        width, key = min(gaussians, key=lambda entry: entry[0], default=(math.inf, None))
+        if not self.delta < width:
+            raise ConfigError(f"delta must be below the narrowest Gaussian width, "
+                              f"{width} of {key}, got {self.delta}")
 
     def canonical_lines(self) -> list[str]:
         """Stable `key = value` rendering of every setting, sorted by key."""

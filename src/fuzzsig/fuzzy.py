@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .indicators import IndicatorSnapshot
-from .tuning import DEFAULT_DIVISOR, SecondaryKind, scale_secondary
+from .tuning import DEFAULT_DIVISOR, scale_secondaries
 
 COVERAGE_FLOOR = 0.05
 _COVERAGE_GRID = 1001
@@ -183,7 +183,8 @@ def _linear_grades(t: TermTable, x: np.ndarray) -> np.ndarray:
 
 def _gaussian_grades(z: np.ndarray) -> np.ndarray:
     """exp(-z^2 / 2) per element, through math.exp."""
-    exponent = (-0.5 * z * z).ravel().tolist()
+    with np.errstate(over="ignore"):  # an overflow gives -inf, whose exp is the grade 0
+        exponent = (-0.5 * z * z).ravel().tolist()
     return np.fromiter(map(math.exp, exponent), float, len(exponent)).reshape(z.shape)
 
 
@@ -255,10 +256,10 @@ def _check_coverage(name: str, domain: tuple[float, float],
         if nonfinite.any():
             raise ValueError(
                 f"{name!r}: term {terms[int(np.argmax(nonfinite))][0]!r} "
-                f"has a non-finite grade at x={grid[worst]:.4f}"
+                f"has a non-finite grade at x={grid[worst]:.6g}"
             )
         raise ValueError(
-            f"{name!r}: terms cover x={grid[worst]:.4f} at grade "
+            f"{name!r}: terms cover x={grid[worst]:.6g} at grade "
             f"{cover[worst]:.4f}, below the {COVERAGE_FLOOR} floor"
         )
 
@@ -364,22 +365,6 @@ def default_variables(
     )
 
 
-_SECONDARY_LOW = np.array([[0.0], [-100.0]])  # RSI in [0, 100], Williams in [-100, 0]
-_SECONDARY_HIGH = np.array([[100.0], [0.0]])
-
-
-def _row_fault(histogram: float, close: float, rsi: float, williams: float,
-               divisor: float, histogram_gain: float) -> Exception | None:
-    """The first error the one-row float arithmetic raises on these values, if any."""
-    try:
-        histogram_gain * histogram / close  # ZeroDivisionError on a zero close
-        scale_secondary(SecondaryKind.RSI, rsi, divisor)
-        scale_secondary(SecondaryKind.WA, williams, divisor)
-    except (ArithmeticError, ValueError) as exc:
-        return exc
-    return None
-
-
 def normalize_rows(
     snap: IndicatorSnapshot,
     *,
@@ -391,29 +376,24 @@ def normalize_rows(
     The snapshot's fields are floats (one row) or length-N arrays (a block).
     MACD is tanh(gain * histogram / close), through math.tanh per element so
     the values do not depend on numpy's SIMD kernels; RSI and Williams are
-    |value| / divisor and the stochastic %K / 100. Returns the normalized
-    columns and, for each row that fails (a zero close, RSI outside [0, 100],
-    Williams outside [-100, 0]), the error that row's values raise alone. A
-    failed row's normalized values are meaningless.
+    scaled by tuning.scale_secondaries and the stochastic is %K / 100. Returns
+    the normalized columns and each failing row's error: ZeroDivisionError on
+    a zero close, else the row's scale_secondaries fault. A failed row's
+    normalized values are meaningless.
     """
-    raw = np.array([snap.histogram, snap.close, snap.rsi, snap.stochastic_k, snap.williams],
-                   dtype=float).reshape(5, -1)
-    histogram, close, _, k, _ = raw
-    secondary = raw[2::2]  # RSI and Williams
-    with np.errstate(all="ignore"):  # failed rows raise below, as the float arithmetic would
+    histogram, close, k = np.array([snap.histogram, snap.close, snap.stochastic_k],
+                                   dtype=float).reshape(3, -1)
+    rsi, wa, faults = scale_secondaries(snap.rsi, snap.williams, divisor)
+    with np.errstate(all="ignore"):  # a zero close is a fault below
         ratio = histogram_gain * histogram / close
-        rsi, wa = np.abs(secondary) / divisor
+    for i in np.flatnonzero(close == 0.0).tolist():
+        faults[i] = ZeroDivisionError("float division by zero")
     normalized = {
         "macd": np.fromiter(map(math.tanh, ratio.tolist()), float, len(ratio)),
         "rsi": rsi,
         "so": k / 100.0,
         "wa": wa,
     }
-    # the rows that may fail (NaN RSI or Williams too); the float arithmetic decides
-    in_range = ((secondary >= _SECONDARY_LOW) & (secondary <= _SECONDARY_HIGH)).all(axis=0)
-    suspect = ~in_range | (close == 0.0) | (divisor <= 0)
-    faults = {i: fault for i in np.flatnonzero(suspect).tolist()
-              if (fault := _row_fault(*raw[[0, 1, 2, 4], i].tolist(), divisor, histogram_gain))}
     return normalized, faults
 
 

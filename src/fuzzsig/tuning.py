@@ -1,43 +1,18 @@
-"""Fibonacci-ratio tuning of the secondary indicators (RSI and Williams)."""
+"""Fibonacci-ratio tuning of the secondary indicators (RSI and Williams), on columns.
+
+scale_secondaries divides |RSI| and |Williams| by the divisor, for fuzzification
+and the `indicators` table; level_labels reads them at the retracement levels.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
+
+import numpy as np
 
 DEFAULT_DIVISOR = 89.0
 
-
-class SecondaryKind(Enum):
-    RSI = "rsi"
-    WA = "wa"
-
-
-class Level(Enum):
-    LOW = "Low"
-    MEDIUM = "Medium"
-    HIGH = "High"
-
-
-@dataclass(frozen=True)
-class FibLevels:
-    """Retracement ratios used as thresholds on divisor-scaled indicator values."""
-
-    low_level: float = 0.236
-    mid_level: float = 0.382
-    golden: float = 0.618
-
-    def __post_init__(self) -> None:
-        if not self.low_level < self.mid_level < self.golden:
-            raise ValueError(f"levels must ascend, got {self}")
-
-
-@dataclass(frozen=True)
-class ScaledSecondary:
-    kind: SecondaryKind
-    raw: float
-    scaled: float
+_LOW_END, _HIGH_END = np.array([[[0.0], [-100.0]], [[100.0], [0.0]]])  # RSI, Williams
 
 
 def golden_ratio() -> float:
@@ -45,36 +20,38 @@ def golden_ratio() -> float:
     return 1.0 / ((1.0 + math.sqrt(5.0)) / 2.0)
 
 
-def scale_secondary(
-    kind: SecondaryKind, raw: float, divisor: float = DEFAULT_DIVISOR
-) -> ScaledSecondary:
-    """Divide |raw| by the Fibonacci divisor; validates the indicator's range.
+def scale_secondaries(
+    rsi, williams, divisor: float = DEFAULT_DIVISOR
+) -> tuple[np.ndarray, np.ndarray, dict[int, ValueError]]:
+    """|RSI| / divisor and |Williams| / divisor, with each failing row's error.
 
-    RSI must lie in [0, 100] and Williams in [-100, 0], so the scaled value
-    lands in [0, 100/divisor].
+    rsi and williams are floats (one row) or equal-length arrays. A row's first
+    failed check gives its ValueError: RSI in [0, 100] (NaN fails), a positive
+    divisor, Williams in [-100, 0]. A passing row's scaled values lie in
+    [0, 100/divisor]; a failed row's are meaningless.
     """
-    if kind is SecondaryKind.RSI:
-        if not 0.0 <= raw <= 100.0:
-            raise ValueError(f"RSI out of range [0, 100]: {raw}")
-    elif kind is SecondaryKind.WA:
-        if not -100.0 <= raw <= 0.0:
-            raise ValueError(f"Williams value out of range [-100, 0]: {raw}")
-    else:
-        raise ValueError(f"unknown secondary kind: {kind!r}")
-    if divisor <= 0:
-        raise ValueError(f"divisor must be positive, got {divisor}")
-    return ScaledSecondary(kind=kind, raw=raw, scaled=abs(raw) / divisor)
+    raw = np.array([rsi, williams], dtype=float).reshape(2, -1)
+    with np.errstate(all="ignore"):  # failed rows are reported below
+        rsi_scaled, wa_scaled = np.abs(raw) / divisor
+    inside = (raw >= _LOW_END) & (raw <= _HIGH_END)  # NaN is outside
+    if inside.all() and divisor > 0:
+        return rsi_scaled, wa_scaled, {}
+    faults = {}
+    for i in np.flatnonzero(~inside.all(axis=0) | (divisor <= 0)).tolist():
+        row_rsi, row_williams = raw[:, i].tolist()
+        faults[i] = ValueError(
+            f"RSI out of range [0, 100]: {row_rsi}" if not inside[0, i] else
+            f"divisor must be positive, got {divisor}" if divisor <= 0 else
+            f"Williams value out of range [-100, 0]: {row_williams}")
+    return rsi_scaled, wa_scaled, faults
 
 
-def classify_level(scaled: ScaledSecondary, levels: FibLevels = FibLevels()) -> Level:
-    """Crisp diagnostic label for a scaled secondary value.
+def level_labels(scaled, levels: tuple[float, float, float]) -> np.ndarray:
+    """Crisp diagnostic labels of scaled secondary values, one str per value.
 
-    High above the golden level, Medium between the mid and golden levels
-    inclusive, Low otherwise. For reporting only; inference uses the graded
-    membership functions instead.
+    High above levels[2] (the golden level), Medium from levels[1] up to
+    levels[2] inclusive, Low below. For reporting only; inference uses the
+    graded membership functions instead.
     """
-    if scaled.scaled > levels.golden:
-        return Level.HIGH
-    if scaled.scaled >= levels.mid_level:
-        return Level.MEDIUM
-    return Level.LOW
+    _, mid, golden = levels
+    return np.where(scaled > golden, "High", np.where(scaled >= mid, "Medium", "Low"))

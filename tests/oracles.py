@@ -4,8 +4,9 @@ Each oracle deliberately takes a different computational route from the
 package code: naive per-window loops instead of cumulative sums, the
 closed-form geometric expansion instead of the EMA recursion, a loop over
 every switch point instead of the Karnik-Mendel cumulative sums. The
-exceptions are scalar_fold_ema, windowed_extremes and shape_grade /
-shape_grade_bounds: bit-level references, not second routes.
+exceptions are scalar_fold_ema, windowed_extremes, shape_grade /
+shape_grade_bounds and scalar_scale_secondary / scalar_level: bit-level
+references, not second routes.
 """
 
 from __future__ import annotations
@@ -331,3 +332,32 @@ def scanned_unordered_dates(dates) -> list[int]:
     """Each i >= 1 whose date is not after the one before it, one comparison per pair."""
     return [i for i, later in enumerate(map(operator.lt, dates, dates[1:]), start=1)
             if not later]
+
+
+def scalar_scale_secondary(kind: str, raw: float, divisor: float) -> float:
+    """The one-value tuning rule: |raw| / divisor, after the range and divisor checks.
+
+    kind is "rsi" (RSI in [0, 100]) or "wa" (Williams in [-100, 0]); the
+    checks raise the ValueError texts the column version must keep.
+    """
+    if kind == "rsi":
+        if not 0.0 <= raw <= 100.0:
+            raise ValueError(f"RSI out of range [0, 100]: {raw}")
+    elif kind == "wa":
+        if not -100.0 <= raw <= 0.0:
+            raise ValueError(f"Williams value out of range [-100, 0]: {raw}")
+    else:
+        raise ValueError(f"unknown secondary kind: {kind!r}")
+    if divisor <= 0:
+        raise ValueError(f"divisor must be positive, got {divisor}")
+    return abs(raw) / divisor
+
+
+def scalar_level(scaled: float, levels: tuple[float, float, float]) -> str:
+    """High above the golden level, Medium from the mid level up to it, Low below."""
+    _, mid, golden = levels
+    if scaled > golden:
+        return "High"
+    if scaled >= mid:
+        return "Medium"
+    return "Low"

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import itertools
 import json
 import re
@@ -11,7 +13,7 @@ from fuzzsig.config import ResolvedConfig
 from fuzzsig.fixtures import flat_series, portfolio_fixture
 from fuzzsig.fuzzy import _check_coverage
 from fuzzsig.inference import ANTECEDENT_TERMS, build_rule_base, rules_to_csv
-from fuzzsig.market_data import serialize_csv
+from fuzzsig.market_data import MarketDataError, PriceSeries, aggregate_periods, serialize_csv
 
 from conftest import DATA_DIR, PORTFOLIO_JSON_PINS
 
@@ -217,6 +219,26 @@ class TestIndicatorsCommand:
         assert rows[0]["macd"] is None
         assert isinstance(rows[-1]["rsi"], float)
 
+    def test_blank_secondaries_have_blank_levels(self, capsys):
+        assert run(["indicators", str(DATA_DIR / "portfolio_fixture.csv")]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        for name in ("rsi", "williams"):
+            blank = [row[name] == "" for row in rows]
+            assert any(blank) and not all(blank)
+            assert [row[f"{name}_level"] == "" for row in rows] == blank
+            assert {row[f"{name}_level"] for row in rows} - {""} <= {"Low", "Medium", "High"}
+
+    def test_short_series_after_a_good_one_exits_1_with_its_aggregation_error(
+            self, tmp_path, capsys):
+        good = portfolio_fixture(seed=9, symbols=1, periods=52)[0]
+        short = PriceSeries("SHORT", flat_series(periods=1).bars[:5])
+        with pytest.raises(MarketDataError) as info:
+            aggregate_periods(short, 15)
+        path = tmp_path / "basket.csv"
+        path.write_bytes(serialize_csv([good, short]))
+        assert run(["indicators", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {info.value}\n")
+
 
 class TestBacktestCommand:
     def test_csv_output(self, basket_csv, capsys):
@@ -377,6 +399,21 @@ class TestConfigHandling:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "delta must be finite" in captured.err
+
+    def test_footprint_wider_than_a_gaussian_exits_1(self, flat_csv, capsys):
+        assert run(["portfolio", flat_csv, "--delta", "10"]) == 1
+        assert capsys.readouterr() == ("", "error: delta must be below the narrowest Gaussian "
+                                           "width, 0.22 of fuzzy.wa.low, got 10.0\n")
+
+    def test_tiny_divisor_exits_1_with_a_short_coverage_error(self, basket_csv, tmp_path,
+                                                              capsys):
+        # the wa domain reaches 1e302: its Gaussian exponent overflows to -inf, grade 0,
+        # without a RuntimeWarning (an error under the pytest config)
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text("tuning.divisor = 1e-300\n")
+        assert run(["portfolio", basket_csv, "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", "error: fuzzy variable 'wa': terms cover x=1e+299 "
+                                           "at grade 0.0000, below the 0.05 floor\n")
 
     @pytest.mark.parametrize("line,named", [
         ("fuzzy.delta = nan", "delta must be finite"),

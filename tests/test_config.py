@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -169,6 +170,22 @@ class TestValidation:
         value = kind(getattr(ResolvedConfig(), field))
         with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value!r}$"):
             ResolvedConfig(**{field: value})
+
+    @pytest.mark.parametrize("delta", [0.22, 0.3])
+    def test_footprint_must_stay_below_the_narrowest_gaussian_width(self, delta):
+        with pytest.raises(ConfigError) as info:
+            ResolvedConfig(delta=delta)
+        assert str(info.value) == ("delta must be below the narrowest Gaussian width, "
+                                   f"0.22 of fuzzy.wa.low, got {delta}")
+
+    def test_footprint_just_below_the_narrowest_gaussian_width_is_accepted(self):
+        assert ResolvedConfig(delta=math.nextafter(0.22, 0.0)).delta < 0.22
+
+    def test_a_narrower_gaussian_lowers_the_footprint_bound(self):
+        text = "fuzzy.macd.high = gaussian 0.5 0.21\n"
+        with pytest.raises(ConfigError, match="0.21 of fuzzy.macd.high, got 0.21$"):
+            parse_config_text(text + "fuzzy.delta = 0.21\n")
+        assert parse_config_text(text + "fuzzy.delta = 0.2\n").delta == 0.2
 
     def test_inverted_thresholds_rejected(self):
         with pytest.raises(ConfigError, match="sell_at"):

@@ -127,7 +127,7 @@ class TestRunPortfolio:
         assert expected != _rows(run_portfolio(basket))
         assert _rows(run_portfolio(basket, parse_config_text(line))) == expected
 
-    @pytest.mark.parametrize("delta", [0.0, 0.05, 0.3])
+    @pytest.mark.parametrize("delta", [0.0, 0.05, 0.2])
     def test_block_rows_equal_per_symbol_recommend(self, delta):
         # the rows run through grading, firing and type reduction in blocks of
         # BLOCK_ROWS; each must equal the one-symbol pipeline bit for bit

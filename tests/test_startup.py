@@ -28,8 +28,7 @@ EXPORTS = {
     "market_data": ["Bars", "MarketDataError", "PriceBar", "PriceSeries", "ValidationReport",
                     "aggregate_block", "aggregate_periods", "parse_csv", "serialize_csv",
                     "validate"],
-    "tuning": ["FibLevels", "Level", "ScaledSecondary", "SecondaryKind", "classify_level",
-               "golden_ratio", "scale_secondary"],
+    "tuning": ["golden_ratio", "level_labels", "scale_secondaries"],
 }
 
 # what only some commands use: portfolio and backtest, fixtures, the config

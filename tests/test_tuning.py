@@ -1,18 +1,31 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fuzzsig.tuning import (
-    FibLevels,
-    Level,
-    ScaledSecondary,
-    SecondaryKind,
-    classify_level,
-    golden_ratio,
-    scale_secondary,
-)
+from fuzzsig.tuning import golden_ratio, level_labels, scale_secondaries
+
+from oracles import scalar_level, scalar_scale_secondary
+
+LEVELS = (0.236, 0.382, 0.618)
+
+# each range's ends, the floats just outside them, the signed zeros and NaN
+EDGE_VALUES = [math.nan, 0.0, -0.0, 100.0, -100.0, math.inf, -math.inf,
+               math.nextafter(0.0, -1.0), math.nextafter(0.0, 1.0),
+               math.nextafter(100.0, 101.0), math.nextafter(-100.0, -101.0)]
+secondary_values = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(-150.0, 150.0))
+divisors = st.one_of(st.sampled_from([0.0, -1.0, 1e-3, 89.0, 1e6]), st.floats(1e-3, 1e6))
+
+
+def scalar_row(rsi: float, williams: float, divisor: float):
+    """The scalar rule on one row, RSI first: both scaled values, or the first error."""
+    try:
+        return (scalar_scale_secondary("rsi", rsi, divisor).hex(),
+                scalar_scale_secondary("wa", williams, divisor).hex())
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 class TestGoldenRatio:
@@ -33,68 +46,66 @@ class TestGoldenRatio:
         assert abs(x * x + x - 1.0) < 1e-12
 
 
-class TestScaleSecondary:
-    def test_rsi_89_scales_to_1(self):
-        assert scale_secondary(SecondaryKind.RSI, 89.0).scaled == 1.0
-
-    def test_williams_minus_89_scales_to_1(self):
-        assert scale_secondary(SecondaryKind.WA, -89.0).scaled == 1.0
+class TestScaleSecondaries:
+    def test_89_scales_to_1(self):
+        rsi, wa, faults = scale_secondaries(89.0, -89.0)
+        assert (rsi.tolist(), wa.tolist(), faults) == ([1.0], [1.0], {})
 
     def test_rsi_55_hits_the_golden_level(self):
-        assert scale_secondary(SecondaryKind.RSI, 55.0).scaled == pytest.approx(0.618, abs=5e-4)
+        rsi, _, _ = scale_secondaries(55.0, -10.0)
+        assert rsi.item() == pytest.approx(0.618, abs=5e-4)
 
-    def test_out_of_range_rsi_rejected(self):
-        with pytest.raises(ValueError, match="RSI"):
-            scale_secondary(SecondaryKind.RSI, -1.0)
-        with pytest.raises(ValueError, match="RSI"):
-            scale_secondary(SecondaryKind.RSI, 100.5)
+    def test_out_of_range_values_fail_their_rows(self):
+        _, _, faults = scale_secondaries([-1.0, 100.5, 50.0, 50.0, 50.0],
+                                         [-10.0, -10.0, 1.0, -100.5, -10.0])
+        assert {i: str(exc) for i, exc in faults.items()} == {
+            0: "RSI out of range [0, 100]: -1.0",
+            1: "RSI out of range [0, 100]: 100.5",
+            2: "Williams value out of range [-100, 0]: 1.0",
+            3: "Williams value out of range [-100, 0]: -100.5",
+        }
+        assert all(type(exc) is ValueError for exc in faults.values())
 
-    def test_out_of_range_williams_rejected(self):
-        with pytest.raises(ValueError, match="Williams"):
-            scale_secondary(SecondaryKind.WA, 1.0)
-        with pytest.raises(ValueError, match="Williams"):
-            scale_secondary(SecondaryKind.WA, -100.5)
+    def test_rsi_is_checked_before_the_divisor_and_the_divisor_before_williams(self):
+        _, _, faults = scale_secondaries([200.0, 50.0], [5.0, 5.0], 0.0)
+        assert [str(faults[i]) for i in (0, 1)] == [
+            "RSI out of range [0, 100]: 200.0", "divisor must be positive, got 0.0"]
 
-    def test_kind_preserved(self):
-        out = scale_secondary(SecondaryKind.WA, -42.0)
-        assert out.kind is SecondaryKind.WA
-        assert out.raw == -42.0
+    @given(rows=st.lists(st.tuples(secondary_values, secondary_values), min_size=1,
+                         max_size=8),
+           divisor=divisors)
+    def test_rows_equal_the_scalar_rule(self, rows, divisor):
+        rsi, wa, faults = scale_secondaries(*np.array(rows).T, divisor)
+        assert rsi.shape == wa.shape == (len(rows),)
+        for i, row in enumerate(rows):
+            got = ((type(faults[i]), str(faults[i])) if i in faults
+                   else (rsi[i].item().hex(), wa[i].item().hex()))
+            assert got == scalar_row(*row, divisor)
 
     @given(a=st.floats(0, 100), b=st.floats(0, 100))
     def test_monotone_in_absolute_value(self, a, b):
-        if abs(a) <= abs(b):
-            assert (scale_secondary(SecondaryKind.RSI, a).scaled
-                    <= scale_secondary(SecondaryKind.RSI, b).scaled)
+        lo, hi = sorted((a, b))
+        rsi, wa, _ = scale_secondaries([lo, hi], [-lo, -hi])
+        assert rsi[0] <= rsi[1] and wa[0] <= wa[1]
 
 
-class TestClassifyLevel:
-    def test_above_golden_is_high(self):
-        assert classify_level(ScaledSecondary(SecondaryKind.RSI, 62.3, 0.70)) is Level.HIGH
+class TestLevelLabels:
+    def test_labels_partition_the_scaled_range(self):
+        assert level_labels(np.array([0.10, 0.50, 0.70]), LEVELS).tolist() == [
+            "Low", "Medium", "High"]
 
-    def test_between_mid_and_golden_is_medium(self):
-        assert classify_level(ScaledSecondary(SecondaryKind.RSI, 44.5, 0.50)) is Level.MEDIUM
+    def test_levels_and_their_neighbours_equal_the_scalar_rule(self):
+        points = [x for level in LEVELS[1:]
+                  for x in (math.nextafter(level, 0.0), level, math.nextafter(level, 1.0))]
+        assert level_labels(np.array(points), LEVELS).tolist() == [
+            scalar_level(x, LEVELS) for x in points]
+        assert level_labels(np.array(points[:3]), LEVELS).tolist() == ["Low", "Medium", "Medium"]
+        assert level_labels(np.array(points[3:]), LEVELS).tolist() == [
+            "Medium", "Medium", "High"]
 
-    def test_below_mid_is_low(self):
-        assert classify_level(ScaledSecondary(SecondaryKind.RSI, 8.9, 0.10)) is Level.LOW
-
-    def test_boundaries(self):
-        assert classify_level(ScaledSecondary(SecondaryKind.RSI, 0, 0.618)) is Level.MEDIUM
-        assert classify_level(ScaledSecondary(SecondaryKind.RSI, 0, 0.382)) is Level.MEDIUM
-        assert classify_level(ScaledSecondary(SecondaryKind.RSI, 0, 0.3819)) is Level.LOW
-        assert classify_level(ScaledSecondary(SecondaryKind.RSI, 0, 0.6181)) is Level.HIGH
-
-    @given(scaled=st.floats(0.0, 100.0 / 89.0))
-    def test_total_and_partitioning(self, scaled):
-        # exactly one label for every reachable scaled value
-        levels = FibLevels()
-        got = classify_level(ScaledSecondary(SecondaryKind.RSI, 0, scaled), levels)
-        if scaled > levels.golden:
-            assert got is Level.HIGH
-        elif scaled >= levels.mid_level:
-            assert got is Level.MEDIUM
-        else:
-            assert got is Level.LOW
-
-    def test_levels_must_ascend(self):
-        with pytest.raises(ValueError, match="ascend"):
-            FibLevels(0.5, 0.4, 0.7)
+    @given(scaled=st.lists(st.floats(0.0, 100.0 / 89.0), min_size=1, max_size=20),
+           levels=st.lists(st.floats(0.0, 1.2), min_size=3, max_size=3, unique=True).map(
+               lambda xs: tuple(sorted(xs))))
+    def test_equals_the_scalar_rule(self, scaled, levels):
+        assert level_labels(np.array(scaled), levels).tolist() == [
+            scalar_level(x, levels) for x in scaled]
