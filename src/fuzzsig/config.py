@@ -13,6 +13,7 @@ then command-line flags.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import typing
 from dataclasses import dataclass, field
@@ -133,9 +134,9 @@ class ResolvedConfig:
         return build_rule_base(self.primary_weight, self.secondary_weight,
                                self.buy_at, self.sell_at)
 
-    @property
+    @functools.cached_property
     def footprint(self) -> FootprintOfUncertainty | None:
-        """The type-2 footprint of `fuzzy.delta`; None (type-1) at delta 0."""
+        """The type-2 footprint of `fuzzy.delta`, built once; None (type-1) at delta 0."""
         return FootprintOfUncertainty(self.delta) if self.delta > 0 else None
 
     @property

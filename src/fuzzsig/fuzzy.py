@@ -13,6 +13,13 @@ centres and widths. grade_inputs grades every term of every input variable
 in one call on a (terms, N) array, and a shape's own grade and grade_bounds
 are the one-term case. Gaussians take math.exp per element, so no grade
 depends on numpy's SIMD kernels.
+
+default_variables builds the linguistic variables once per distinct
+(divisor, membership-function table) in a process and returns that one
+tuple to every later call. Variables and membership functions hash their
+fields once and keep the value (never in a pickle or a copy, since str
+hashes are salted per process), so the caches keyed on them by value, such
+as the term table of grade_inputs, cost one lookup per call.
 """
 
 from __future__ import annotations
@@ -30,6 +37,27 @@ from .tuning import DEFAULT_DIVISOR, scale_secondaries
 COVERAGE_FLOOR = 0.05
 _COVERAGE_GRID = 1001
 _MIN_GAUSSIAN_WIDTH = 1e-12
+
+
+def _hash_once(cls):
+    """Class decorator over @dataclass(frozen=True): hash the fields once per object.
+
+    dataclass's own __hash__ hashes every field on each call, which for a
+    linguistic variable means every membership function. This one keeps the
+    first result on the object. The kept value stays out of pickles and
+    copies, because str hashes are salted per process: an object that comes
+    from a pickle hashes afresh in the process that loads it.
+    """
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        return {key: value for key, value in vars(self).items() if key != "_hash"}
+
+    cls._hash = functools.cached_property(cls.__hash__)  # dataclass's field hash
+    cls._hash.__set_name__(cls, "_hash")
+    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
+    return cls
 
 
 class _Shape:
@@ -56,6 +84,7 @@ class _Shape:
         return lower.reshape(arr.shape), upper.reshape(arr.shape)
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Triangular(_Shape):
     """Linear rise from left to 1 at peak, linear fall to right, 0 outside."""
@@ -69,6 +98,7 @@ class Triangular(_Shape):
             raise ValueError(f"need left <= peak <= right, got {self}")
 
 
+@_hash_once
 @dataclass(frozen=True)
 class LeftShoulder(_Shape):
     """Full membership up to plateau_end, falling linearly to 0 at foot."""
@@ -81,6 +111,7 @@ class LeftShoulder(_Shape):
             raise ValueError(f"need plateau_end <= foot, got {self}")
 
 
+@_hash_once
 @dataclass(frozen=True)
 class RightShoulder(_Shape):
     """Zero membership up to foot, rising linearly to 1 at plateau_start."""
@@ -93,6 +124,7 @@ class RightShoulder(_Shape):
             raise ValueError(f"need foot <= plateau_start, got {self}")
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Gaussian(_Shape):
     """exp(-((x - center) / width)^2 / 2); strictly positive, 1 at center.
@@ -115,11 +147,14 @@ MembershipFunction = Triangular | LeftShoulder | RightShoulder | Gaussian
 def _linear_row(a: float, b: float, c: float, d: float) -> tuple[float, ...]:
     """A trapezoid's breakpoints (a, b, c, d) and its edges' (origin, width) pairs.
 
-    An edge without width covers no point; it gets origin 0 and width 1, so
-    the arithmetic the kernel does on it and then discards cannot warn.
+    An edge without width covers no point. Its ramp is +inf at every point of
+    the shape's support [a, d], so it is never the smaller one: it starts at
+    -inf with width 1 for a rise (at +inf with width -1 when a is -inf), and
+    mirrored for a fall.
     """
-    rise = (a, b - a) if b > a else (0.0, 1.0)
-    fall = (d, d - c) if d > c else (0.0, 1.0)
+    inf = math.inf
+    rise = (a, b - a) if b > a else (inf, -1.0) if a == -inf else (-inf, 1.0)
+    fall = (d, d - c) if d > c else (-inf, -1.0) if d == inf else (inf, 1.0)
     return (a, b, c, d, *rise, *fall)
 
 
@@ -172,19 +207,24 @@ def term_table(mfs: tuple[MembershipFunction, ...]) -> TermTable:
 def _linear_grades(t: TermTable, x: np.ndarray) -> np.ndarray:
     """Trapezoid grades at x, (terms, M): each row's own points, 0 on Gaussian rows.
 
-    Each edge's ramp is computed at every point and kept only on the edge,
-    where it lies in [0, 1); off the edge a narrow one may overflow, unseen.
+    The grade is min(rising ramp, falling ramp, 1) on [a, d], and 0 off it or
+    at NaN. Each ramp is below 1 only on its own edge and at least 1 beyond
+    it, so the minimum is the edge's ramp, or 1 on the plateau: bit for bit
+    the piecewise formula. That holds for finite breakpoints; an edge that
+    reaches an infinite one (no config file can give it) ramps at 0 or NaN
+    everywhere, beyond the edge too. Off its edge a narrow ramp may
+    overflow, which grade_terms silences.
     """
-    with np.errstate(over="ignore"):
-        rising = np.where(x >= t.a, (x - t.rise_from) / t.rise, 0.0)
-        falling = np.where(x <= t.d, (t.fall_to - x) / t.fall, 0.0)
-    return np.where(x < t.b, rising, np.where(x <= t.c, 1.0, falling))
+    ramps = np.minimum((x - t.rise_from) / t.rise, (t.fall_to - x) / t.fall)
+    return np.where((x >= t.a) & (x <= t.d), np.minimum(ramps, 1.0), 0.0)
 
 
 def _gaussian_grades(z: np.ndarray) -> np.ndarray:
-    """exp(-z^2 / 2) per element, through math.exp."""
-    with np.errstate(over="ignore"):  # an overflow gives -inf, whose exp is the grade 0
-        exponent = (-0.5 * z * z).ravel().tolist()
+    """exp(-z^2 / 2) per element, through math.exp; an exponent overflowed to -inf grades 0.
+
+    grade_terms, the caller, silences that overflow.
+    """
+    exponent = (-0.5 * z * z).ravel().tolist()
     return np.fromiter(map(math.exp, exponent), float, len(exponent)).reshape(z.shape)
 
 
@@ -200,26 +240,32 @@ def grade_terms(table: TermTable, x: np.ndarray, delta: float | None) -> np.ndar
       width + delta (upper), around the same centre.
     The linear formula runs on every row, and the Gaussian rows are then
     overwritten. A NaN point grades 0 on a linear term and NaN on a Gaussian.
+    Overflow is silent (a ramp off its edge, a far Gaussian's z^2), and so is
+    a NaN from an infinite point or breakpoint.
     """
     gaussian = table.gaussian
-    if delta is None:
-        out = _linear_grades(table, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if delta is None:
+            out = _linear_grades(table, x)
+            if len(gaussian):
+                out[gaussian] = _gaussian_grades((x.take(gaussian, axis=0) - table.center)
+                                                 / table.width)
+            return out
+        # (terms, 2, N): each point shifted by -delta, then by +delta
+        shifts = np.array([[-delta], [delta]])
+        shifted = x[:, None, :] + shifts
+        left, right = _linear_grades(table, shifted.reshape(len(x), -1)).reshape(
+            shifted.shape).transpose(1, 0, 2)
+        out = np.empty(shifted.shape)
+        np.minimum(left, right, out=out[:, 0])
+        np.maximum(left, right, out=out[:, 1])
+        out[:, 1][(shifted[:, 0] <= table.c) & (shifted[:, 1] >= table.b)] = 1.0
         if len(gaussian):
-            out[gaussian] = _gaussian_grades((x[gaussian] - table.center) / table.width)
+            widths = table.width[:, None] + shifts  # (Gaussians, 2, 1)
+            np.maximum(widths[:, 0], _MIN_GAUSSIAN_WIDTH, out=widths[:, 0])
+            out[gaussian] = _gaussian_grades((x.take(gaussian, axis=0) - table.center)[:, None]
+                                             / widths)
         return out
-    # (terms, 2, N): each point shifted by -delta, then by +delta
-    shifted = x[:, None, :] + np.array([[-delta], [delta]])
-    left, right = _linear_grades(table, shifted.reshape(len(x), -1)).reshape(
-        shifted.shape).transpose(1, 0, 2)
-    out = np.empty(shifted.shape)
-    np.minimum(left, right, out=out[:, 0])
-    np.maximum(left, right, out=out[:, 1])
-    out[:, 1][(shifted[:, 0] <= table.c) & (shifted[:, 1] >= table.b)] = 1.0
-    if len(gaussian):
-        widths = np.stack((np.maximum(table.width - delta, _MIN_GAUSSIAN_WIDTH),
-                           table.width + delta), axis=1)
-        out[gaussian] = _gaussian_grades((x[gaussian] - table.center)[:, None, :] / widths)
-    return out
 
 
 @dataclass(frozen=True)
@@ -264,6 +310,7 @@ def _check_coverage(name: str, domain: tuple[float, float],
         )
 
 
+@_hash_once
 @dataclass(frozen=True)
 class LinguisticVariable:
     """Named domain interval with labelled term membership functions.
@@ -348,9 +395,22 @@ def default_variables(
 
     RSI and Williams live on [0, 100/divisor] (divisor-scaled absolute values),
     the stochastic on [0, 1] (%K / 100), MACD on [-1, 1] (tanh-squashed
-    histogram), and the output on [0, 1].
+    histogram), and the output on [0, 1]. Equal (divisor, table) arguments
+    share one tuple, built once per process; a table that fails the coverage
+    check raises on every call.
     """
     table = default_mf_table() if mf_table is None else mf_table
+    tables = tuple([table[name] for name in VARIABLE_ORDER])
+    try:
+        return _variables(divisor, tables)
+    except TypeError:  # terms given as lists: the cache key needs tuples
+        return _variables(divisor, tuple(tuple(map(tuple, terms)) for terms in tables))
+
+
+@functools.lru_cache(maxsize=64)
+def _variables(divisor: float, tables: tuple[tuple[tuple[str, MembershipFunction], ...], ...]
+               ) -> tuple[LinguisticVariable, ...]:
+    """default_variables' tuple for these term tables, in VARIABLE_ORDER; built once per pair."""
     secondary_top = 100.0 / divisor
     domains = {
         "macd": (-1.0, 1.0),
@@ -359,10 +419,8 @@ def default_variables(
         "wa": (0.0, secondary_top),
         "signal": (0.0, 1.0),
     }
-    return tuple(
-        LinguisticVariable(name, domains[name], tuple(table[name]))
-        for name in VARIABLE_ORDER
-    )
+    return tuple(LinguisticVariable(name, domains[name], terms)
+                 for name, terms in zip(VARIABLE_ORDER, tables))
 
 
 def normalize_rows(
@@ -374,22 +432,27 @@ def normalize_rows(
     """Map raw indicator rows onto the input variables' normalized domains.
 
     The snapshot's fields are floats (one row) or length-N arrays (a block).
-    MACD is tanh(gain * histogram / close), through math.tanh per element so
-    the values do not depend on numpy's SIMD kernels; RSI and Williams are
-    scaled by tuning.scale_secondaries and the stochastic is %K / 100. Returns
-    the normalized columns and each failing row's error: ZeroDivisionError on
-    a zero close, else the row's scale_secondaries fault. A failed row's
-    normalized values are meaningless.
+    MACD is tanh(gain * histogram / close), in Python floats per element, so
+    the values do not depend on numpy's SIMD kernels and a zero close raises
+    its own ZeroDivisionError rather than a numpy warning; RSI and Williams
+    are scaled by tuning.scale_secondaries and the stochastic is %K / 100.
+    Returns the normalized columns and each failing row's error: the
+    ZeroDivisionError of a zero close, else the row's scale_secondaries
+    fault. A failed row's normalized values are meaningless.
     """
     histogram, close, k = np.array([snap.histogram, snap.close, snap.stochastic_k],
                                    dtype=float).reshape(3, -1)
     rsi, wa, faults = scale_secondaries(snap.rsi, snap.williams, divisor)
-    with np.errstate(all="ignore"):  # a zero close is a fault below
-        ratio = histogram_gain * histogram / close
-    for i in np.flatnonzero(close == 0.0).tolist():
-        faults[i] = ZeroDivisionError("float division by zero")
+    gain = float(histogram_gain)  # a numpy scalar would divide by zero with a warning
+    macd = []
+    for i, (h, c) in enumerate(zip(histogram.tolist(), close.tolist())):
+        try:
+            macd.append(math.tanh(gain * h / c))
+        except ZeroDivisionError as exc:
+            faults[i] = exc
+            macd.append(math.nan)
     normalized = {
-        "macd": np.fromiter(map(math.tanh, ratio.tolist()), float, len(ratio)),
+        "macd": np.array(macd),
         "rsi": rsi,
         "so": k / 100.0,
         "wa": wa,
@@ -435,7 +498,8 @@ def grade_inputs(
         if np.ndim(normalized[name]) > 1:
             raise ValueError(f"{name} values must be a float or a 1-D array, got shape "
                              f"{np.shape(normalized[name])}")
-    x = np.array([normalized[name] for name in names], dtype=float).reshape(len(names), -1)
+    x = np.array([normalized[name] for name in names], dtype=float).reshape(
+        len(names), -1).take(source, axis=0)
     if fou is None:  # type-1: lower and upper are the same grades, stacked once
-        return FuzzifiedInputs(grade_terms(table, x[source], None)[:, None], keys, False)
-    return FuzzifiedInputs(grade_terms(table, x[source], fou.delta), keys, True)
+        return FuzzifiedInputs(grade_terms(table, x, None)[:, None], keys, False)
+    return FuzzifiedInputs(grade_terms(table, x, fou.delta), keys, True)

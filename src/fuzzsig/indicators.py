@@ -108,12 +108,16 @@ def ema(closes, n: int) -> np.ndarray:
 
     Thereafter out[t] = alpha * close[t] + (1 - alpha) * out[t-1] with
     alpha = 2 / (n + 1). Same alignment as sma(). Each period is one step:
-    a numpy scalar for one series, a vector across the rows for a block.
+    a numpy scalar for one series, a vector across the rows for a block. A
+    block of one row steps as its one series, since a length-1 vector step
+    costs several scalar ones, and is reshaped back.
     """
     c = np.asarray(closes, dtype=float)
     if n < 1:
         raise ValueError(f"window must be >= 1, got {n}")
     _require(c.shape[-1], n, f"EMA({n})")
+    if c.ndim > 1 and c.size == c.shape[-1]:
+        return ema(c.reshape(-1), n).reshape(*c.shape[:-1], -1)
     alpha = 2.0 / (n + 1.0)
     keep = 1.0 - alpha
 

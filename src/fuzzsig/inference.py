@@ -13,7 +13,10 @@ same number of periods in one market_data.aggregate_block call and passes
 the last column of their indicators.indicator_block. recommend_periods
 serves only the backtest: it passes the one row indicators.snapshot
 computes for each period prefix, in O(window). The rule base, variables and
-footprint come from ResolvedConfig; a caller may pass its own rule base.
+footprint come from ResolvedConfig; a caller may pass its own rule base. The
+variables are built once per table (fuzzy.default_variables), the footprint
+once per config, and the output grid and consequent grades once per output
+variable and grid size, so a call pays for its rows, not for rebuilding them.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import csv
 import functools
 import io
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -189,13 +192,18 @@ def build_rule_base(
 class AggregatedOutput:
     """Max-aggregated clipped consequents sampled on a uniform output grid.
 
-    `lower` and `upper` are (N, grid) envelopes, one row per input row.
+    `lower` and `upper` are (N, grid) envelopes, one row per input row;
+    `fired` says, per row, whether the upper envelope is anywhere above zero.
     """
 
     grid: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     interval: bool
+    fired: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "fired", np.maximum.reduce(self.upper, axis=1) > 0.0)
 
 
 @functools.lru_cache(maxsize=64)
@@ -267,14 +275,15 @@ def fire_rules(
     if not inputs.interval:  # type-1 grades have lower == upper: only the upper ones fire
         grades = grades[:, -1:]
     # (consequents, halves, N): the strongest rule of each consequent per row
-    strengths = np.maximum.reduceat(grades[antecedents].min(axis=0), starts, axis=0)
+    strengths = np.maximum.reduceat(np.minimum.reduce(grades.take(antecedents, axis=0)), starts,
+                                    axis=0)
     grid, mu = _output_grades(output_var, grid_points, labels)
     # (halves, N, grid_points): the clips fold into zero envelopes one consequent at a
     # time, in place, so a clip at strength <= 0 adds nothing
     envelopes = np.zeros((*strengths.shape[1:], grid_points))
     clip = np.empty_like(envelopes)
-    for term, strength in zip(mu, strengths):
-        np.maximum(envelopes, np.minimum(term, strength[..., None], out=clip), out=envelopes)
+    for term, strength in zip(mu, strengths[..., None]):
+        np.maximum(envelopes, np.minimum(term, strength, out=clip), out=envelopes)
     return AggregatedOutput(grid=grid, lower=envelopes[0], upper=envelopes[-1],
                             interval=inputs.interval)
 
@@ -294,7 +303,7 @@ def _centroids(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     Elementwise products and numpy's pairwise row sums, not a BLAS dot, so
     the values do not depend on the CPU's SIMD or BLAS kernel.
     """
-    return np.multiply(x, weights).sum(axis=1) / weights.sum(axis=1)
+    return np.add.reduce(np.multiply(x, weights), axis=1) / np.add.reduce(weights, axis=1)
 
 
 def _prefix_sums(v: np.ndarray) -> np.ndarray:
@@ -302,31 +311,39 @@ def _prefix_sums(v: np.ndarray) -> np.ndarray:
     return np.cumsum(np.concatenate((np.zeros((len(v), 1)), v), axis=1), axis=1)
 
 
-def _switch_point_centroids(x: np.ndarray, head: np.ndarray, tail: np.ndarray,
-                            pick, empty: float) -> np.ndarray:
-    """Per row, the centroid of weights head[:j] ++ tail[j:] at the switch point j pick selects.
+def _switch_points(x: np.ndarray, head: np.ndarray, tail: np.ndarray, pick,
+                   empty: float) -> np.ndarray:
+    """Per row, the switch point j in 0..n whose weights head[:j] ++ tail[j:] pick chooses.
 
-    Every j in 0..n of every row is scored at once. Tail sums accumulate over
-    the reversed arrays, not as total minus head, so an assignment without
-    weight sums to exactly 0 and scores `empty`, not a ratio of rounding
-    residue. j = 0 ranks last and j = n after the interior points: they win
-    only where no interior assignment has weight. The chosen weights are
-    evaluated again with _centroids, the type-1 expression.
+    Every j of every row is scored by its centroid at once. Tail sums
+    accumulate over the reversed arrays, not as total minus head, so an
+    assignment without weight sums to exactly 0 and scores `empty`, not a
+    ratio of rounding residue. j = 0 ranks last and j = n after the interior
+    points: they win only where no interior assignment scores as well.
     """
     weight = _prefix_sums(head) + _prefix_sums(tail[:, ::-1])[:, ::-1]
     moment = _prefix_sums(x * head) + _prefix_sums((x * tail)[:, ::-1])[:, ::-1]
-    scores = np.divide(moment, weight, out=np.full(weight.shape, empty), where=weight > 0.0)
-    picks = (pick(np.concatenate((scores[:, 1:], scores[:, :1]), axis=1), axis=1) + 1) \
-        % scores.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = moment / weight
+    np.copyto(scores, empty, where=~(weight > 0.0))  # no weight (or a NaN one)
+    picks = pick(scores, axis=1)
+    # j = 0 ranks last: where pick chose it, an interior point that ties with it
+    # wins instead, as does a NaN one, which pick would have chosen first
+    tied = (picks == 0).nonzero()[0]
+    inner = pick(scores[tied, 1:], axis=1) + 1
+    best = scores[tied, inner]
+    picks[tied] = np.where((best == scores[tied, 0]) | np.isnan(best), inner, 0)
+    return picks
+
+
+def _switch_point_centroids(x: np.ndarray, head: np.ndarray, tail: np.ndarray,
+                            pick, empty: float) -> np.ndarray:
+    """Per row, the centroid of the weights at _switch_points' j, by the type-1 _centroids."""
+    picks = _switch_points(x, head, tail, pick, empty)
     return _centroids(x, np.where(np.arange(len(x)) < picks[:, None], head, tail))
 
 
 _NO_RULE_FIRED = "no rule fired: aggregate output is identically zero"
-
-
-def _fired(agg: AggregatedOutput) -> np.ndarray:
-    """Per row, whether the upper envelope is anywhere above zero."""
-    return agg.upper.max(axis=1) > 0.0
 
 
 def km_type_reduce(agg: AggregatedOutput) -> tuple[np.ndarray, np.ndarray]:
@@ -338,7 +355,7 @@ def km_type_reduce(agg: AggregatedOutput) -> tuple[np.ndarray, np.ndarray]:
     (identically zero upper envelope): for in-range inputs the variables'
     coverage floor makes that unreachable, so hitting it means misconfiguration.
     """
-    if not _fired(agg).all():
+    if np.count_nonzero(agg.fired) < len(agg.fired):
         raise InferenceError(_NO_RULE_FIRED)
     quad = _quad_weights(len(agg.grid))
     lower, upper = quad * agg.lower, quad * agg.upper
@@ -355,7 +372,7 @@ def defuzzify(agg: AggregatedOutput) -> np.ndarray:
     if agg.interval:
         y_l, y_r = km_type_reduce(agg)
         return 0.5 * (y_l + y_r)
-    if not _fired(agg).all():
+    if np.count_nonzero(agg.fired) < len(agg.fired):
         raise InferenceError(_NO_RULE_FIRED)
     return _centroids(agg.grid, _quad_weights(len(agg.grid)) * agg.upper)
 
@@ -413,10 +430,11 @@ def recommend_rows(
         try:
             inputs = _stage("fuzzification", grade_inputs, rows, variables, cfg.footprint)
             agg = _stage("inference", fire_rules, inputs, rule_base, output_var, cfg.grid_points)
-            fired = _fired(agg)
-            live = agg if fired.all() else AggregatedOutput(
+            fired = agg.fired
+            alive = np.count_nonzero(fired)
+            live = agg if alive == len(fired) else AggregatedOutput(
                 agg.grid, agg.lower[fired], agg.upper[fired], agg.interval)
-            if not fired.any():
+            if not alive:
                 reduced = iter(())
             elif agg.interval:
                 y_l, y_r = _stage(stage, km_type_reduce, live)

@@ -34,10 +34,10 @@ def scale_secondaries(
     with np.errstate(all="ignore"):  # failed rows are reported below
         rsi_scaled, wa_scaled = np.abs(raw) / divisor
     inside = (raw >= _LOW_END) & (raw <= _HIGH_END)  # NaN is outside
-    if inside.all() and divisor > 0:
+    if np.count_nonzero(inside) == inside.size and divisor > 0:
         return rsi_scaled, wa_scaled, {}
     faults = {}
-    for i in np.flatnonzero(~inside.all(axis=0) | (divisor <= 0)).tolist():
+    for i in (~inside.all(axis=0) | (divisor <= 0)).nonzero()[0].tolist():
         row_rsi, row_williams = raw[:, i].tolist()
         faults[i] = ValueError(
             f"RSI out of range [0, 100]: {row_rsi}" if not inside[0, i] else

@@ -11,7 +11,7 @@ import pytest
 from fuzzsig.cli import run
 from fuzzsig.config import ResolvedConfig
 from fuzzsig.fixtures import flat_series, portfolio_fixture
-from fuzzsig.fuzzy import _check_coverage
+from fuzzsig.fuzzy import _check_coverage, _variables
 from fuzzsig.inference import ANTECEDENT_TERMS, build_rule_base, rules_to_csv
 from fuzzsig.market_data import MarketDataError, PriceSeries, aggregate_periods, serialize_csv
 
@@ -373,10 +373,13 @@ class TestConfigHandling:
         # the load-time check and the run build the same five variables
         cfg = tmp_path / "conf.txt"
         cfg.write_text("fuzzy.rsi.medium = triangular 0.2 0.5 0.8\n")
+        _variables.cache_clear()
         _check_coverage.cache_clear()
         assert run(["portfolio", basket_csv, "--config", str(cfg)]) == 0
         info = _check_coverage.cache_info()
-        assert (info.misses, info.hits) == (5, 5)
+        assert (info.misses, info.hits) == (5, 0)
+        info = _variables.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_bad_config_exits_1(self, flat_csv, tmp_path, capsys):
         cfg = tmp_path / "conf.txt"

@@ -1,5 +1,11 @@
+import copy
 import dataclasses
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +21,8 @@ from fuzzsig.fuzzy import (
     RightShoulder,
     Triangular,
     _check_coverage,
+    _variables,
+    default_mf_table,
     default_variables,
     grade_inputs,
     normalize_rows,
@@ -313,12 +321,72 @@ class TestDefaultVariables:
         assert messages[0] == messages[1]
 
     def test_coverage_is_graded_once_per_distinct_table(self):
+        # the second call reuses the first call's variables, so nothing is graded again
+        _variables.cache_clear()
         _check_coverage.cache_clear()
-        default_variables()
-        default_variables()
+        first = default_variables()
+        assert default_variables() is first
         info = _check_coverage.cache_info()
-        assert (info.misses, info.hits) == (5, 5)
+        assert (info.misses, info.hits) == (5, 0)
         assert info.maxsize is not None  # bounded
+        assert _variables.cache_info().maxsize is not None
+
+    def test_equal_tables_share_one_tuple_with_one_hash(self):
+        table = default_mf_table()
+        copied = {name: tuple((label, dataclasses.replace(mf)) for label, mf in terms)
+                  for name, terms in table.items()}
+        listed = {name: [list(pair) for pair in terms] for name, terms in table.items()}
+        a = default_variables(mf_table=table)
+        for other in (default_variables(), default_variables(mf_table=copied),
+                      default_variables(mf_table=listed), default_variables(divisor=89)):
+            assert other is a
+            assert hash(other) == hash(a)
+
+    def test_one_changed_gaussian_width_gives_another_tuple(self):
+        table = default_mf_table()
+        table["wa"] = (("low", Gaussian(0.236, 0.23)), table["wa"][1])
+        changed = default_variables(mf_table=table)
+        assert changed != default_variables()
+        assert changed[3] != default_variables()[3]
+        assert changed[:3] == default_variables()[:3]
+
+    def test_a_rejected_table_raises_the_same_text_on_every_call(self):
+        table = default_mf_table()
+        table["rsi"] = (("low", LeftShoulder(0.1, 0.2)), *table["rsi"][1:])  # a gap below medium
+        messages = []
+        for _ in range(3):
+            with pytest.raises(ValueError) as caught:
+                default_variables(mf_table=table)
+            messages.append(str(caught.value))
+        assert messages == [messages[0]] * 3
+        assert "'rsi': terms cover x=" in messages[0]
+
+    @pytest.mark.parametrize("clone", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy,
+                                       lambda v: tuple(map(copy.copy, v))])
+    def test_a_copied_variable_hashes_afresh(self, clone):
+        fresh = default_variables()
+        hash(fresh)  # keep a hash on each variable before copying
+        copied = clone(fresh)
+        assert all("_hash" not in vars(var) for var in copied)
+        assert copied == fresh
+        assert hash(copied) == hash(fresh)
+        assert [hash(mf) for var in copied for _, mf in var.terms] == \
+            [hash(mf) for var in fresh for _, mf in var.terms]
+
+    def test_a_variable_pickled_under_another_hash_seed_hashes_as_built_here(self):
+        # str hashes are salted per process: a kept hash must not travel in the pickle
+        seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+        code = ("import pickle, sys; from fuzzsig.fuzzy import default_variables; "
+                "v = default_variables(); hash(v); sys.stdout.buffer.write(pickle.dumps(v))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             check=True).stdout
+        loaded = pickle.loads(out)
+        assert loaded == default_variables()
+        assert hash(loaded) == hash(default_variables())
+        assert {loaded[0]: "found"}[default_variables()[0]] == "found"
 
     def test_list_arguments_become_tuples(self):
         var = LinguisticVariable("x", [0.0, 1.0], [["a", Gaussian(0.5, 0.3)]])

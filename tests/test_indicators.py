@@ -538,6 +538,23 @@ class TestIndicatorBlock:
                     got, want = getattr(block, name)[i], getattr(frame, name)
                     assert got.tobytes() == want.tobytes(), name
 
+    @pytest.mark.parametrize("periods", [35, 36, 52, 260, 1040])
+    def test_one_and_two_row_blocks_equal_the_one_series_frame(self, periods):
+        # a one-row block steps its EMAs as its one series; a two-row block steps
+        # them as vectors; both give the one-series frame's bits at every length
+        series = aggregate_periods(random_walk_series("S", seed=periods, periods=periods), 15)
+        bars = series.bars
+        frame = indicator_frame(series)
+        for rows in (1, 2):
+            block = indicator_block(*(np.tile(getattr(bars, name), (rows, 1))
+                                      for name in ("high", "low", "close")))
+            for name in FRAME_COLUMNS:
+                for got in getattr(block, name):
+                    assert got.tobytes() == getattr(frame, name).tobytes(), (rows, name)
+        closes = bars.close[None]
+        assert ema(closes, 26).shape == (1, periods - 25)
+        assert ema(closes, 26)[0].tobytes() == scalar_fold_ema(bars.close, 26).tobytes()
+
     def test_ema_block_feeds_windows_in_the_one_series_order(self):
         # MACD's signal line averages an EMA output; values using every mantissa
         # bit make the sum depend on the order the window adds them in

@@ -27,6 +27,7 @@ from fuzzsig.inference import (
     RuleBase,
     Signal,
     _output_grades,
+    _switch_points,
     build_rule_base,
     classify_signal,
     defuzzify,
@@ -261,6 +262,21 @@ def interval_aggregate(rng, points=101):
 
 
 class TestKmTypeReduce:
+    @pytest.mark.parametrize("pick, empty, want", [(np.argmin, np.inf, [1, 0, 3, 1]),
+                                                   (np.argmax, -np.inf, [1, 3, 0, 1])])
+    def test_the_all_tail_switch_point_ranks_last(self, pick, empty, want):
+        # j = 0 takes every weight from the tail: it wins only where it beats every
+        # interior j outright. Row 0 ties everywhere, rows 1 and 2 mirror each
+        # other, and row 3's NaN weights score as no weight at every j.
+        x = np.array([0.0, 0.5, 1.0])
+        head = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        tail = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        head[3, 1] = tail[3, 1] = np.nan
+        assert _switch_points(x, head, tail, pick, empty).tolist() == want
+        # a NaN grid point makes every score NaN; pick takes the first interior one
+        nan_x = np.array([0.0, np.nan, 1.0])
+        assert _switch_points(nan_x, head[:1], tail[:1], pick, empty).tolist() == [1]
+
     def test_degenerate_intervals_equal_type1_centroid(self):
         rng = np.random.default_rng(17)
         for _ in range(25):
