@@ -12,14 +12,14 @@ indicator_frame is its one-series case: the indicators, signal and portfolio
 paths. snapshot computes only the last row, in O(window) steps for RSI, %K
 and Williams and one float pass for MACD; it serves the backtest, which
 scores every prefix of one series, and equals the frame's last row bit for
-bit. The one exception is the sign of a zero %K: with a close of -0.0 and a
-window whose lowest lows are zeros of both signs, numpy's window min and
-_window_runs may pick different zeros.
+bit. Its last-row steps call the ufuncs that numpy's mean, clip, diff, max
+and min end in, on the same operands, so they keep the wrappers' bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -160,12 +160,15 @@ def _rsi_series(closes: np.ndarray, n: int) -> np.ndarray:
 def _rsi_last(c: np.ndarray, n: int) -> float:
     """The last value of _rsi_series, from the last n + 1 closes alone.
 
-    A 1-D mean sums in the order each sliding-window row does, so this
-    equals the frame's last RSI bit for bit.
+    A 1-D sum adds in the order each sliding-window row does, so this equals
+    the frame's last RSI bit for bit. The ufuncs are the ones numpy's
+    wrappers call: np.diff subtracts these slices, np.clip with no upper
+    bound is np.maximum, and a float64 mean is np.add.reduce and one divide
+    by the count; calling them directly skips the wrappers' Python cost.
     """
-    changes = np.diff(c[-(n + 1):])
-    gain = np.clip(changes, 0.0, None).mean().item()
-    loss = np.clip(-changes, 0.0, None).mean().item()
+    changes = c[-n:] - c[-(n + 1):-1]
+    gain = np.add.reduce(np.maximum(changes, 0.0)).item() / n
+    loss = np.add.reduce(np.maximum(-changes, 0.0)).item() / n
     if loss == 0.0:
         return 50.0 if gain == 0.0 else 100.0
     return 100.0 - 100.0 / (1.0 + gain / loss)
@@ -200,23 +203,35 @@ def _percent_k(h: np.ndarray, lo: np.ndarray, c: np.ndarray, k: int) -> np.ndarr
     ll = _window_runs(np.minimum, lo, k)
     span = hh - ll
     safe = np.where(span == 0.0, 1.0, span)
-    return np.where(span == 0.0, 50.0, 100.0 * (c[..., k - 1:] - ll) / safe)
+    rise = c[..., k - 1:] - ll
+    # a window min of zeros of both signs may be either zero; + 0.0 makes a
+    # zero rise +0.0 as in _percent_k_last (in place: no extra temporary)
+    rise += 0.0
+    return np.where(span == 0.0, 50.0, 100.0 * rise / safe)
 
 
 def _percent_k_last(h: np.ndarray, lo: np.ndarray, close: float, k: int) -> float:
-    """The last value of _percent_k, from the last k bars alone."""
-    # numpy's max and min, like the window reductions, carry a NaN through;
-    # Python's max and min would skip one or not depending on where it sits
-    hh, ll = h[-k:].max().item(), lo[-k:].min().item()
+    """The last value of _percent_k, from the last k bars alone.
+
+    ndarray.max and .min are np.maximum.reduce and np.minimum.reduce, called
+    here directly. They carry a NaN through, like the window runs; Python's
+    max and min would skip one or not depending on where it sits. Max and
+    min never round, so hh and ll equal the frame's but for the sign of a
+    zero, and the numerator's + 0.0 makes a zero %K +0.0 on both paths.
+    """
+    hh = np.maximum.reduce(h[-k:]).item()
+    ll = np.minimum.reduce(lo[-k:]).item()
     span = hh - ll
-    return 50.0 if span == 0.0 else 100.0 * (close - ll) / span
+    return 50.0 if span == 0.0 else 100.0 * (close - ll + 0.0) / span
 
 
+@lru_cache(maxsize=64, typed=True)
 def _binding(macd_short: int, macd_long: int, macd_trigger: int, rsi_window: int,
              stochastic_k: int, stochastic_d: int, williams_window: int) -> tuple[str, int]:
     """The indicator that needs the most bars for a full row, and that bar count.
 
-    A window below 1, or macd_short >= macd_long, is a ValueError.
+    A window below 1, or macd_short >= macd_long, is a ValueError, raised
+    on every call: the cache keeps results, never exceptions.
     """
     windows = (macd_short, macd_long, macd_trigger, rsi_window, stochastic_k,
                stochastic_d, williams_window)
@@ -307,23 +322,25 @@ def _macd_last(c: np.ndarray, short: int, long: int, trigger: int) -> tuple[floa
 
     EMA(short), EMA(long) and the trigger EMA of their difference step
     together over the closes; only the trigger EMA's seed window is kept, as a
-    list. The seeds are ema's numpy means and every step is ema's IEEE
-    `scaled + keep * previous`, so both values equal macd(c)'s last ones bit
-    for bit. Needs long + trigger - 1 closes.
+    list. The seeds are ema's numpy means: a float64 mean is np.add.reduce
+    and one divide by the count, called here directly to skip the wrapper's
+    Python cost. Every step is ema's IEEE `scaled + keep * previous`, so both
+    values equal macd(c)'s last ones bit for bit. Needs long + trigger - 1
+    closes.
     """
     a_short, a_long, a_trigger = (2.0 / (n + 1.0) for n in (short, long, trigger))
     k_short, k_long, k_trigger = 1.0 - a_short, 1.0 - a_long, 1.0 - a_trigger
     closes = c.tolist()
-    fast = c[:short].mean().item()
+    fast = np.add.reduce(c[:short]).item() / short
     for x in closes[short:long]:
         fast = a_short * x + k_short * fast
-    slow = c[:long].mean().item()
+    slow = np.add.reduce(c[:long]).item() / long
     line = [fast - slow]  # the signal line's seed window
     for x in closes[long:long + trigger - 1]:
         fast = a_short * x + k_short * fast
         slow = a_long * x + k_long * slow
         line.append(fast - slow)
-    last, signal = line[-1], np.array(line).mean().item()
+    last, signal = line[-1], np.add.reduce(line).item() / trigger
     for x in closes[long + trigger - 1:]:
         fast = a_short * x + k_short * fast
         slow = a_long * x + k_long * slow
@@ -349,8 +366,8 @@ def snapshot(
     the last row is computed: MACD in one float pass over the closes, RSI
     from the last rsi_window + 1 closes, %K and Williams from their last k
     and n bars. It equals indicator_frame(series).row(len - 1) bit for bit,
-    NaN included (but for the sign of a zero %K, see the module notes), and
-    raises the same InsufficientHistoryError while the series is too short.
+    NaN and the sign of a zero included, and raises the same
+    InsufficientHistoryError while the series is too short.
     """
     binding, needed = _binding(macd_short, macd_long, macd_trigger, rsi_window, stochastic_k,
                                stochastic_d, williams_window)

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -12,7 +13,11 @@ settings.register_profile(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.load_profile("default")
+# fresh random examples, with a reproducing blob for each failure:
+# HYPOTHESIS_PROFILE=ci runs the properties on draws the default never makes
+settings.register_profile("ci", settings.get_profile("default"), derandomize=False,
+                          print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 DATA_DIR = Path(__file__).parent / "data"
 

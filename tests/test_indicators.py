@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzsig.fixtures import flat_series, random_walk_series
+from fuzzsig.fixtures import flat_series, portfolio_fixture, random_walk_series
 from fuzzsig.indicators import (
     InsufficientHistoryError,
+    _percent_k,
     _percent_k_last,
     _rsi_last,
     _window_runs,
@@ -19,7 +20,7 @@ from fuzzsig.indicators import (
     sma,
     snapshot,
 )
-from fuzzsig.market_data import Bars, PriceSeries, aggregate_periods, parse_csv
+from fuzzsig.market_data import Bars, PriceSeries, aggregate_periods, parse_csv, serialize_csv
 
 from conftest import DATA_DIR
 
@@ -481,6 +482,20 @@ def period_series_draw(draw):
     return PriceSeries("S", Bars(bars.date, *columns))
 
 
+@st.composite
+def signed_zero_bars(draw):
+    """1-25 bars whose highs, lows and closes are drawn from {-1, -0.0, +0.0, 1}.
+
+    Bars takes them although parse_csv rejects every one: windows whose
+    extreme is a zero of both signs, and closes of -0.0, give zero %K values.
+    """
+    length = draw(st.integers(1, 25))
+    prices = st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1.0]), min_size=length, max_size=length)
+    h, lo, c = (np.array(draw(prices)) for _ in range(3))
+    dates = np.datetime64("2020-01-01") + np.arange(length)
+    return PriceSeries("S", Bars(dates, c, h, lo, c, np.ones(length)))
+
+
 class TestSnapshotIsTheFrameRow:
     @given(series=period_series_draw(), windows=st.one_of(st.just({}), window_settings()))
     @settings(max_examples=80, deadline=None)
@@ -505,6 +520,33 @@ class TestSnapshotIsTheFrameRow:
             if t + 1 >= williams_window:
                 got = _percent_k_last(h[:t + 1], lo[:t + 1], c[t].item(), williams_window)
                 assert (got - 100.0).hex() == frame.williams[t].item().hex()
+
+    @given(series=signed_zero_bars())
+    def test_a_zero_percent_k_has_one_sign_on_both_paths(self, series):
+        # the last row's window min and the window runs may pick zeros of
+        # opposite signs; the %K numerator is +0.0 either way
+        h, lo, c = series.bars.high, series.bars.low, series.bars.close
+        for t in range(len(c)):
+            for k in range(1, min(t + 1, 15) + 1):
+                assert _percent_k_last(h[:t + 1], lo[:t + 1], c[t].item(), k).hex() == \
+                    _percent_k(h[:t + 1], lo[:t + 1], c[:t + 1], k)[-1].item().hex(), (t, k)
+        for k in range(1, min(len(c), 15) + 1):
+            windows = {"macd_short": 1, "macd_long": 2, "macd_trigger": 1, "rsi_window": 1,
+                       "stochastic_k": k, "stochastic_d": 1, "williams_window": k}
+            if len(c) >= max(k, 3):
+                want = indicator_frame(series, **windows).row(len(c) - 1)
+                assert bits(snapshot(series, **windows)) == bits(want), k
+
+    def test_every_prefix_of_the_long_backtest_walk(self):
+        # the seed-7 1,040-period walk of the backtest_long benchmark, read back
+        # from its CSV: every window sum is long enough for numpy's unrolled add
+        [daily] = parse_csv(serialize_csv(portfolio_fixture(7, 1, 1040, 15)))
+        periods = aggregate_periods(daily, 15)
+        frame = indicator_frame(periods)
+        assert len(periods.bars) == 1040
+        for t in range(frame.needed - 1, 1040):
+            prefix = PriceSeries("S", periods.bars[:t + 1])
+            assert bits(snapshot(prefix)) == bits(frame.row(t)), t
 
 
 class TestIndicatorBlock:
