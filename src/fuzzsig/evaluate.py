@@ -1,13 +1,15 @@
-"""Portfolio-level evaluation, rolling no-lookahead backtests, and report emission."""
+"""Portfolio-level evaluation, rolling no-lookahead backtests, and report emission.
+
+json and decimal load on first use, by the json format, parse_report and
+format_1dp, so a backtest loads neither and a csv report no json.
+"""
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from datetime import date
-from decimal import ROUND_HALF_UP, Decimal
 
 from .config import ResolvedConfig
 from .indicators import InsufficientHistoryError
@@ -50,6 +52,8 @@ class BacktestStats:
 
 def format_1dp(crisp: float) -> str:
     """Half-up rounding of the crisp output to one decimal place."""
+    from decimal import ROUND_HALF_UP, Decimal
+
     return str(Decimal(repr(crisp)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
@@ -145,6 +149,8 @@ def emit_report(report: PortfolioReport, format: str = "csv") -> bytes:
                 writer.writerow([row.symbol, format_1dp(row.crisp), row.signal.value])
         return out.getvalue().encode("utf-8")
     if format == "json":
+        import json
+
         payload = {
             "as_of": report.generated_at.isoformat(),
             "config_fingerprint": report.config_fingerprint,
@@ -168,6 +174,8 @@ def emit_report(report: PortfolioReport, format: str = "csv") -> bytes:
 
 def parse_report(data: bytes | str) -> PortfolioReport:
     """Inverse of the json emission; round-trips a report losslessly."""
+    import json
+
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     payload = json.loads(data)

@@ -9,11 +9,13 @@ row equals the one-series result bit for bit. The window max and min of %K
 and Williams come from per-block prefix and suffix runs, O(T) for any window
 (_window_runs). indicator_block computes every series once over a block, and
 indicator_frame is its one-series case: the indicators, signal and portfolio
-paths. snapshot computes only the last row, in O(window) steps for RSI, %K
-and Williams and one float pass for MACD; it serves the backtest, which
-scores every prefix of one series, and equals the frame's last row bit for
-bit. Its last-row steps call the ufuncs that numpy's mean, clip, diff, max
-and min end in, on the same operands, so they keep the wrappers' bits.
+paths. snapshot computes only the last row: RSI, %K and Williams in
+O(window) steps, and MACD in float EMA steps that resume from the state the
+previous call left (_macd_entry) when its closes begin with that call's. It
+serves the backtest, which scores every prefix of one series in turn and so
+steps each close once, and equals the frame's last row bit for bit. Its
+last-row steps call the ufuncs that numpy's mean, clip, diff, max and min
+end in, on the same operands, so they keep the wrappers' bits.
 """
 
 from __future__ import annotations
@@ -317,8 +319,13 @@ def indicator_frame(periods: PriceSeries, **windows: int) -> IndicatorFrame:
     return indicator_block(bars.high, bars.low, bars.close, **windows)
 
 
+# The EMA state _macd_last reached after the closes it was last given: its
+# windows, those closes as bytes, and (fast, slow, MACD line, signal).
+_macd_entry: tuple[tuple[int, int, int], bytes, tuple[float, float, float, float]] | None = None
+
+
 def _macd_last(c: np.ndarray, short: int, long: int, trigger: int) -> tuple[float, float]:
-    """The last MACD line and signal line values of closes c, in one float pass.
+    """The last MACD line and signal line values of float64 closes c, in float EMA steps.
 
     EMA(short), EMA(long) and the trigger EMA of their difference step
     together over the closes; only the trigger EMA's seed window is kept, as a
@@ -327,25 +334,43 @@ def _macd_last(c: np.ndarray, short: int, long: int, trigger: int) -> tuple[floa
     Python cost. Every step is ema's IEEE `scaled + keep * previous`, so both
     values equal macd(c)'s last ones bit for bit. Needs long + trigger - 1
     closes.
+
+    The backtest asks for every prefix of one series in turn, so the state
+    after the closes of the last call is kept (_macd_entry). A call with the
+    same windows whose closes begin with exactly those bytes resumes from it
+    and steps over the new closes alone, the same steps in the same order as
+    a pass from the first close; any other call seeds afresh. Matching bytes
+    rather than values keeps -0.0 apart from +0.0 and one NaN payload apart
+    from another. The entry holds a copy, never a view of c, and a call that
+    races another in a second thread can only miss it.
     """
-    a_short, a_long, a_trigger = (2.0 / (n + 1.0) for n in (short, long, trigger))
+    global _macd_entry
+    windows, data, entry = (short, long, trigger), c.tobytes(), _macd_entry
+    a_short, a_long, a_trigger = (2.0 / (n + 1.0) for n in windows)
     k_short, k_long, k_trigger = 1.0 - a_short, 1.0 - a_long, 1.0 - a_trigger
-    closes = c.tolist()
-    fast = np.add.reduce(c[:short]).item() / short
-    for x in closes[short:long]:
-        fast = a_short * x + k_short * fast
-    slow = np.add.reduce(c[:long]).item() / long
-    line = [fast - slow]  # the signal line's seed window
-    for x in closes[long:long + trigger - 1]:
-        fast = a_short * x + k_short * fast
-        slow = a_long * x + k_long * slow
-        line.append(fast - slow)
-    last, signal = line[-1], np.add.reduce(line).item() / trigger
-    for x in closes[long + trigger - 1:]:
+    if entry is not None and entry[0] == windows and data.startswith(entry[1]):
+        fast, slow, last, signal = entry[2]
+        start = len(entry[1]) // c.itemsize
+    else:
+        start = long + trigger - 1
+        seed = c[:start].tolist()
+        fast = np.add.reduce(c[:short]).item() / short
+        for x in seed[short:long]:
+            fast = a_short * x + k_short * fast
+        slow = np.add.reduce(c[:long]).item() / long
+        line = [fast - slow]  # the signal line's seed window
+        for x in seed[long:]:
+            fast = a_short * x + k_short * fast
+            slow = a_long * x + k_long * slow
+            line.append(fast - slow)
+        last, signal = line[-1], np.add.reduce(line).item() / trigger
+    for x in c[start:].tolist():
         fast = a_short * x + k_short * fast
         slow = a_long * x + k_long * slow
         last = fast - slow
         signal = a_trigger * last + k_trigger * signal
+    if len(c) >= long + trigger - 1:  # fewer closes leave no seeded state to resume
+        _macd_entry = (windows, data, (fast, slow, last, signal))
     return last, signal
 
 
@@ -363,9 +388,10 @@ def snapshot(
     """Latest value of each indicator bundled with the latest close.
 
     The windows are indicator_block's, and so are their ValueErrors. Only
-    the last row is computed: MACD in one float pass over the closes, RSI
-    from the last rsi_window + 1 closes, %K and Williams from their last k
-    and n bars. It equals indicator_frame(series).row(len - 1) bit for bit,
+    the last row is computed: MACD in float EMA steps, over the new closes
+    alone when the closes extend the previous call's (_macd_last), RSI from
+    the last rsi_window + 1 closes, %K and Williams from their last k and n
+    bars. It equals indicator_frame(series).row(len - 1) bit for bit,
     NaN and the sign of a zero included, and raises the same
     InsufficientHistoryError while the series is too short.
     """

@@ -329,12 +329,14 @@ def _loadtxt_chunk(text: str, codes: dict[str, int], code: np.ndarray, ordinal: 
     rows, symbol = len(table), table["symbol"]
     chunk = values[:, :rows]
     chunk[...] = table["values"].T
-    # each date cell's code points, and its digits (those below '0' wrap to large values)
-    cell = table.view(np.uint32).reshape(rows, -1)[:, _DATE_AT:_DATE_AT + 11]
+    # each record's code points: a symbol cell, which holds no NUL, is shorter than
+    # 16 characters when its 16th is 0; date digits below '0' wrap to large values
+    points = table.view(np.uint32).reshape(rows, -1)
+    cell = points[:, _DATE_AT:_DATE_AT + 11]
     digits = cell[:, _DATE_DIGITS] - np.uint32(ord("0"))
-    if not ((np.strings.str_len(symbol) < _SYMBOL_WIDTH).all() and (digits <= 9).all()
-            and (cell[:, [4, 7]] == ord("-")).all() and not cell[:, 10].any()
-            and _bars_ok(*chunk)):
+    if points[:, _SYMBOL_WIDTH - 1].any() or not (
+            (digits <= 9).all() and (cell[:, [4, 7]] == ord("-")).all()
+            and not cell[:, 10].any() and _bars_ok(*chunk)):
         return None
     # symbols come in runs; each run's first cell stands for the run
     starts = np.flatnonzero(np.concatenate(([True], symbol[1:] != symbol[:-1])))

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import hashlib
 import random
+import weakref
 from datetime import date, timedelta
 
 import pytest
@@ -442,6 +444,17 @@ class TestBacktest:
             prefix = PriceSeries(series.symbol, series.bars[:cutoff])
             again = recommend(prefix, cfg)
             assert again.signal is record.signal
+
+    def test_keeps_no_parsed_table_alive(self):
+        # one-day periods are the parsed series itself, so every prefix's closes
+        # are views of the table's close column; the MACD entry keeps a copy
+        [series] = parse_csv(serialize_csv([random_walk_series("S", seed=3, periods=60,
+                                                               days_per_period=1)]))
+        column = weakref.ref(series.bars.close.base)
+        assert len(backtest(series, ResolvedConfig(days_per_period=1)).records) >= 2
+        del series
+        gc.collect()
+        assert column() is None
 
     def test_stats_match_two_pass_recomputation(self):
         cfg = ResolvedConfig()

@@ -1,14 +1,19 @@
 import dataclasses
 import re
+import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuzzsig import indicators
 from fuzzsig.fixtures import flat_series, portfolio_fixture, random_walk_series
 from fuzzsig.indicators import (
     InsufficientHistoryError,
+    _macd_last,
     _percent_k,
     _percent_k_last,
     _rsi_last,
@@ -547,6 +552,166 @@ class TestSnapshotIsTheFrameRow:
         for t in range(frame.needed - 1, 1040):
             prefix = PriceSeries("S", periods.bars[:t + 1])
             assert bits(snapshot(prefix)) == bits(frame.row(t)), t
+
+
+def exact(values):
+    """Each float's 64 bits: unlike float.hex, it tells NaN payloads apart."""
+    return [struct.pack("<d", value).hex() for value in values]
+
+
+def from_scratch(compute, *args, **kwargs):
+    """compute(*args, **kwargs) with the MACD entry cleared, and the entry put back after."""
+    kept, indicators._macd_entry = indicators._macd_entry, None
+    try:
+        return compute(*args, **kwargs)
+    finally:
+        indicators._macd_entry = kept
+
+
+def quiet_nan(payload):
+    return np.array([0x7FF8_0000_0000_0000 | payload], np.uint64).view(np.float64).item()
+
+
+NAN_A, NAN_B = quiet_nan(1), quiet_nan(2)
+
+
+def twin(x):
+    """A close with other bits: the other signed zero, the other NaN, or the next float."""
+    if x == 0.0:
+        return -x
+    if x != x:
+        return NAN_B if exact([x]) == exact([NAN_A]) else NAN_A
+    return float(np.nextafter(x, np.inf))
+
+
+@st.composite
+def macd_windows(draw):
+    short = draw(st.integers(1, 5))
+    return short, draw(st.integers(short + 1, 8)), draw(st.integers(1, 5))
+
+
+@st.composite
+def macd_call_runs(draw):
+    """Two or three close series and a run of calls on their prefixes.
+
+    The closes mix ordinary floats with +-0.0, subnormals and two NaN
+    payloads. The second series copies the first but for one early close,
+    which gets other bits (twin). Each call grows the prefix by 0-3 closes,
+    shrinks it, restarts it at the shortest length, moves to another series
+    or to other windows; the prefix keeps to the lengths _macd_last takes.
+    """
+    values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, NAN_A, NAN_B]),
+                       st.floats(-1e3, 1e3))
+    first = draw(st.lists(values, min_size=13, max_size=30))
+    early = draw(st.integers(0, 6))
+    series = [first, [*first[:early], twin(first[early]), *first[early + 1:]]]
+    if draw(st.booleans()):
+        series.append(draw(st.lists(values, min_size=13, max_size=30)))
+    windows = [draw(macd_windows()), draw(macd_windows())]
+    moves = st.one_of(st.tuples(st.just("grow"), st.integers(0, 3)),
+                      st.tuples(st.just("shrink"), st.integers(1, 6)),
+                      st.tuples(st.just("restart"), st.just(0)),
+                      st.tuples(st.just("series"), st.integers(0, len(series) - 1)),
+                      st.tuples(st.just("windows"), st.integers(0, 1)))
+    calls, s, w, n = [], 0, 0, 0
+    for move, k in draw(st.lists(moves, min_size=1, max_size=25)):
+        if move == "series":
+            s = k
+        elif move == "windows":
+            w = k
+        shortest = windows[w][1] + windows[w][2] - 1
+        n = {"grow": n + k, "shrink": n - k, "restart": shortest}.get(move, n)
+        n = min(max(n, shortest), len(series[s]))
+        calls.append((s, n, w, draw(st.booleans())))
+    return [np.array(closes) for closes in series], windows, calls
+
+
+class TestMacdResume:
+    @given(run=macd_call_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_every_call_equals_a_call_from_scratch_bit_for_bit(self, run):
+        series, windows, calls = run
+        for s, n, w, via_snapshot in calls:
+            short, long, trigger = windows[w]
+            c = series[s][:n]
+            if not via_snapshot:
+                got = _macd_last(c, short, long, trigger)
+                assert exact(got) == exact(from_scratch(_macd_last, c, short, long, trigger))
+                continue
+            bars = Bars(np.datetime64("2020-01-01") + np.arange(n), c, c, c, c, np.ones(n))
+            prefix = PriceSeries("S", bars)
+            config = {"macd_short": short, "macd_long": long, "macd_trigger": trigger,
+                         "rsi_window": 1, "stochastic_k": 1, "stochastic_d": 1,
+                         "williams_window": 1}
+            try:
+                want = from_scratch(snapshot, prefix, **config)
+            except InsufficientHistoryError as exc:
+                with pytest.raises(InsufficientHistoryError, match=f"^{re.escape(str(exc))}$"):
+                    snapshot(prefix, **config)
+            else:
+                got = snapshot(prefix, **config)
+                assert exact(dataclasses.astuple(got)) == exact(dataclasses.astuple(want))
+
+    def test_a_call_on_longer_closes_steps_on_from_the_kept_state(self):
+        c = random_closes(np.random.default_rng(4), 41)
+        _macd_last(c[:40], 12, 26, 9)
+        assert indicators._macd_entry[:2] == ((12, 26, 9), c[:40].tobytes())
+        # a state no pass from the first close reaches: a call that uses it resumed
+        poisoned = (12, 26, 9), c[:40].tobytes(), (1.0, 2.0, 3.0, 4.0)
+        indicators._macd_entry = poisoned
+        assert _macd_last(c[:40], 12, 26, 9) == (3.0, 4.0)
+        indicators._macd_entry = poisoned
+        assert _macd_last(c, 12, 26, 9) != from_scratch(_macd_last, c, 12, 26, 9)
+
+    @pytest.mark.parametrize("n, windows", [(39, (12, 26, 9)), (41, (11, 26, 9)),
+                                            (41, (12, 25, 9)), (41, (12, 26, 8))])
+    def test_shorter_closes_or_other_windows_start_afresh(self, n, windows):
+        c = random_closes(np.random.default_rng(5), 41)
+        indicators._macd_entry = (12, 26, 9), c[:40].tobytes(), (1.0, 2.0, 3.0, 4.0)
+        assert exact(_macd_last(c[:n], *windows)) == \
+            exact(from_scratch(_macd_last, c[:n], *windows))
+
+    def test_closes_too_few_to_seed_leave_no_entry(self):
+        # a call below long + trigger - 1 closes ends mid-seed: nothing to resume
+        indicators._macd_entry = None
+        _macd_last(random_closes(np.random.default_rng(6), 33), 12, 26, 9)
+        assert indicators._macd_entry is None
+
+    def test_threads_racing_for_the_entry_each_get_their_own_bits(self):
+        # four threads, each scoring every prefix of its own walk, replace the
+        # entry under one another; a call may miss it but never mix two walks
+        walks = [random_closes(np.random.default_rng(seed), 120) for seed in range(4)]
+        want = [[exact(from_scratch(_macd_last, c[:n], 12, 26, 9)) for n in range(34, 121)]
+                for c in walks]
+        got = [None] * len(walks)
+
+        def score(i):
+            got[i] = [exact(_macd_last(walks[i][:n], 12, 26, 9)) for n in range(34, 121)]
+
+        threads = [threading.Thread(target=score, args=(i,)) for i in range(len(walks))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == want
+
+    @pytest.mark.parametrize("kept, closes", [
+        # equal by ==, but resuming would end on zeros of the other sign
+        ([1.0, -1.0, 0.0], [1.0, -1.0, -0.0, -0.0]),
+        ([1.0, -1.0, -0.0], [1.0, -1.0, 0.0, -0.0]),
+        # equal but for a NaN payload, which resuming would carry on
+        ([1.0, NAN_A], [1.0, NAN_B, 2.0]),
+    ], ids=["plus-zero-kept", "minus-zero-kept", "nan-payload"])
+    def test_closes_equal_only_by_value_start_afresh(self, kept, closes):
+        _macd_last(np.array(kept), 1, 2, 1)
+        got = _macd_last(np.array(closes), 1, 2, 1)
+        assert exact(got) == exact(from_scratch(_macd_last, np.array(closes), 1, 2, 1))
 
 
 class TestIndicatorBlock:

@@ -302,7 +302,8 @@ _PADS = [" ", "\t", "\x0b", "\x1c", "\x1f", "\x85", "\xa0", "\u2003", "\u200b"]
 def _odd_cells(column, cell):
     """Other spellings of `cell` in `column`, and cells that are wrong there."""
     if column == 0:
-        return [f" {cell}", "", "  ", "A" * 15, "B" * 16, "C" * 17, "\xc4", "株" * 3, "A\x00",
+        return [f" {cell}", "", "  ", "A" * 15, "B" * 16, "C" * 17, "株" * 15, "株" * 16,
+                "\U0001f600" * 16, f" {'D' * 14} ", "\xc4", "株" * 3, "A\x00",
                 "A B", '"A"', "#A", '"AB\nC\tD"', "A\tB", "A\u2028B", "A\x85B", "\u200bA",
                 "A\xa0B"]
     if column == 1:
@@ -391,6 +392,20 @@ class TestLoadtxtPath:
                 row = ",".join([*cells[:k], odd, *cells[k + 1:]])
                 text = "\n".join([*lines[:2], row, *lines[3:]]) + "\n"
                 assert outcome(text) == csv_module_outcome(text), (k, odd)
+
+    @pytest.mark.parametrize("symbol", ["Q" * 15, "株" * 15, "\U0001f600" * 15, "Q" * 16,
+                                        "株" * 16, "\U0001f600" * 16, f" {'Q' * 14} "])
+    def test_only_symbol_cells_below_16_characters_take_the_loadtxt_path(self, monkeypatch,
+                                                                         symbol):
+        # the 16th code point of a cell shorter than 16 characters is 0
+        text = "\n".join([HEADER.strip(), *good_rows(3, symbol)]) + "\n"
+        expected = csv_module_outcome(text)
+        assert expected[0][0] == symbol.strip()
+        if len(symbol) < market_data._SYMBOL_WIDTH:
+            monkeypatch.setattr(market_data, "_csv_series", _no_csv_module)
+            assert outcome(text) == expected
+        else:
+            assert market_data._loadtxt_series(text) is None
 
     @pytest.mark.parametrize("line_end", ["\n", "\r\n"])
     def test_is_taken_for_serialized_fixtures(self, monkeypatch, line_end):

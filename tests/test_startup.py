@@ -59,6 +59,18 @@ def test_command_imports_only_what_it_runs(argv):
     assert modules & LATE_MODULES == set()
 
 
+@pytest.mark.parametrize("argv, unused", [
+    (("portfolio", str(DATA_DIR / "portfolio_fixture.csv")), {"json"}),
+    (("backtest", str(DATA_DIR / "portfolio_fixture.csv"), "--symbol", "SYN00"),
+     {"json", "decimal"}),
+], ids=["portfolio-csv", "backtest-csv"])
+def test_csv_reports_load_no_json_and_backtests_no_decimal(argv, unused):
+    # json serves the json format and parse_report, decimal the 1 dp column
+    modules = imported_modules(*argv)
+    assert "fuzzsig.evaluate" in modules
+    assert modules & unused == set()
+
+
 class TestPackageNames:
     @pytest.mark.parametrize("module", sorted(EXPORTS))
     def test_each_name_resolves_to_its_module_attribute(self, module):
