@@ -27,9 +27,8 @@ _MODULE_NAMES = {
                   "Rule", "RuleBase", "Signal", "build_rule_base", "classify_signal",
                   "defuzzify", "fire_rules", "km_type_reduce", "recommend", "rules_from_csv",
                   "rules_to_csv"),
-    "market_data": ("Bars", "MarketDataError", "PriceBar", "PriceSeries", "ValidationReport",
-                    "aggregate_block", "aggregate_periods", "parse_csv", "serialize_csv",
-                    "validate"),
+    "market_data": ("Bars", "MarketDataError", "PriceBar", "PriceSeries", "aggregate_block",
+                    "aggregate_periods", "parse_csv", "serialize_csv"),
     "tuning": ("golden_ratio", "level_labels", "scale_secondaries"),
 }
 _MODULE_OF = {name: module for module, names in _MODULE_NAMES.items() for name in names}

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from .fuzzy import (FootprintOfUncertainty, Gaussian, LinguisticVariable, MembershipFunction,
                     default_mf_table, default_variables)
+from .tuning import DEFAULT_DIVISOR
 
 if typing.TYPE_CHECKING:
     from .inference import RuleBase
@@ -104,7 +105,7 @@ class ResolvedConfig:
     stochastic_k: int = _setting("indicators.stochastic_k", 10)
     stochastic_d: int = _setting("indicators.stochastic_d", 3)
     williams_window: int = _setting("indicators.williams_window", 30)
-    divisor: float = _setting("tuning.divisor", 89.0)
+    divisor: float = _setting("tuning.divisor", DEFAULT_DIVISOR)
     levels: tuple[float, float, float] = _setting("tuning.levels", (0.236, 0.382, 0.618))
     delta: float = _setting("fuzzy.delta", 0.05)
     histogram_gain: float = _setting("fuzzy.histogram_gain", 50.0)

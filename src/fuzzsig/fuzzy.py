@@ -332,9 +332,6 @@ class LinguisticVariable:
         object.__setattr__(self, "terms", tuple(map(tuple, self.terms)))
         _check_coverage(self.name, self.domain, self.terms)
 
-    def term_names(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.terms)
-
     def mf(self, label: str) -> MembershipFunction:
         for name, mf in self.terms:
             if name == label:

@@ -11,11 +11,14 @@ and Williams come from per-block prefix and suffix runs, O(T) for any window
 indicator_frame is its one-series case: the indicators, signal and portfolio
 paths. snapshot computes only the last row: RSI, %K and Williams in
 O(window) steps, and MACD in float EMA steps that resume from the state the
-previous call left (_macd_entry) when its closes begin with that call's. It
-serves the backtest, which scores every prefix of one series in turn and so
-steps each close once, and equals the frame's last row bit for bit. Its
-last-row steps call the ufuncs that numpy's mean, clip, diff, max and min
-end in, on the same operands, so they keep the wrappers' bits.
+previous call left (_macd_entry) when its closes begin with that call's, and
+otherwise start from the state ema and macd reach over the first
+long + trigger - 1 closes. It serves the backtest, which scores every prefix
+of one series in turn and so steps each close once, and equals the frame's
+last row bit for bit. Its last-row steps call the ufuncs that numpy's mean,
+clip, diff, max and min end in, on the same operands, so they keep the
+wrappers' bits. Both paths cap %K at 100, which a close at its window's high
+can otherwise exceed by one ulp, so Williams (%K - 100) never rises above 0.
 """
 
 from __future__ import annotations
@@ -209,7 +212,8 @@ def _percent_k(h: np.ndarray, lo: np.ndarray, c: np.ndarray, k: int) -> np.ndarr
     # a window min of zeros of both signs may be either zero; + 0.0 makes a
     # zero rise +0.0 as in _percent_k_last (in place: no extra temporary)
     rise += 0.0
-    return np.where(span == 0.0, 50.0, 100.0 * rise / safe)
+    # a close at the window's high can round 100 * rise / span one ulp above 100
+    return np.where(span == 0.0, 50.0, np.minimum(100.0 * rise / safe, 100.0))
 
 
 def _percent_k_last(h: np.ndarray, lo: np.ndarray, close: float, k: int) -> float:
@@ -219,12 +223,17 @@ def _percent_k_last(h: np.ndarray, lo: np.ndarray, close: float, k: int) -> floa
     here directly. They carry a NaN through, like the window runs; Python's
     max and min would skip one or not depending on where it sits. Max and
     min never round, so hh and ll equal the frame's but for the sign of a
-    zero, and the numerator's + 0.0 makes a zero %K +0.0 on both paths.
+    zero, and the numerator's + 0.0 makes a zero %K +0.0 on both paths. Both
+    cap %K at 100.0, which a close at the window's high can round one ulp
+    above; a NaN stays NaN.
     """
     hh = np.maximum.reduce(h[-k:]).item()
     ll = np.minimum.reduce(lo[-k:]).item()
     span = hh - ll
-    return 50.0 if span == 0.0 else 100.0 * (close - ll + 0.0) / span
+    if span == 0.0:
+        return 50.0
+    pk = 100.0 * (close - ll + 0.0) / span
+    return 100.0 if pk > 100.0 else pk
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -272,8 +281,9 @@ def indicator_block(
 
     Column t sees bars 0..t only. RSI averages the gains and losses of the
     last n changes (zeros counted), 50 on a flat window; %K is the close's
-    place in the last k bars' range and Williams the same-window %K - 100,
-    50 and -50 on a flat range; %D is the d-point SMA of %K. Each column is
+    place in the last k bars' range, at most 100, and Williams the
+    same-window %K - 100, 50 and -50 on a flat range; %D is the d-point SMA
+    of %K. Each column is
     NaN until its window fills (MACD from long+trigger-2, RSI from n, %K from
     k-1, %D from k+d-2, Williams from n-1), so short series give NaN columns
     rather than errors; a window below 1, or macd_short >= macd_long, is a
@@ -325,52 +335,41 @@ _macd_entry: tuple[tuple[int, int, int], bytes, tuple[float, float, float, float
 
 
 def _macd_last(c: np.ndarray, short: int, long: int, trigger: int) -> tuple[float, float]:
-    """The last MACD line and signal line values of float64 closes c, in float EMA steps.
+    """The last MACD line and signal line values of float64 closes c, bit for bit macd(c)'s.
 
-    EMA(short), EMA(long) and the trigger EMA of their difference step
-    together over the closes; only the trigger EMA's seed window is kept, as a
-    list. The seeds are ema's numpy means: a float64 mean is np.add.reduce
-    and one divide by the count, called here directly to skip the wrapper's
-    Python cost. Every step is ema's IEEE `scaled + keep * previous`, so both
-    values equal macd(c)'s last ones bit for bit. Needs long + trigger - 1
-    closes.
+    The state after the first long + trigger - 1 closes (fast and slow EMA,
+    MACD line, signal) comes from ema and macd themselves, which raise
+    InsufficientHistoryError for fewer closes. The later closes are float
+    steps of ema's IEEE `scaled + keep * previous`, in ema's order.
 
     The backtest asks for every prefix of one series in turn, so the state
     after the closes of the last call is kept (_macd_entry). A call with the
     same windows whose closes begin with exactly those bytes resumes from it
-    and steps over the new closes alone, the same steps in the same order as
-    a pass from the first close; any other call seeds afresh. Matching bytes
-    rather than values keeps -0.0 apart from +0.0 and one NaN payload apart
-    from another. The entry holds a copy, never a view of c, and a call that
-    races another in a second thread can only miss it.
+    and steps over the new closes alone; any other call seeds afresh, so
+    seeding runs once per backtest. Matching bytes rather than values keeps
+    -0.0 apart from +0.0 and one NaN payload apart from another. The entry
+    holds a copy, never a view of c, and a call that races another in a
+    second thread can only miss it.
     """
     global _macd_entry
     windows, data, entry = (short, long, trigger), c.tobytes(), _macd_entry
-    a_short, a_long, a_trigger = (2.0 / (n + 1.0) for n in windows)
-    k_short, k_long, k_trigger = 1.0 - a_short, 1.0 - a_long, 1.0 - a_trigger
     if entry is not None and entry[0] == windows and data.startswith(entry[1]):
         fast, slow, last, signal = entry[2]
         start = len(entry[1]) // c.itemsize
     else:
         start = long + trigger - 1
-        seed = c[:start].tolist()
-        fast = np.add.reduce(c[:short]).item() / short
-        for x in seed[short:long]:
-            fast = a_short * x + k_short * fast
-        slow = np.add.reduce(c[:long]).item() / long
-        line = [fast - slow]  # the signal line's seed window
-        for x in seed[long:]:
-            fast = a_short * x + k_short * fast
-            slow = a_long * x + k_long * slow
-            line.append(fast - slow)
-        last, signal = line[-1], np.add.reduce(line).item() / trigger
+        seed = c[:start]
+        triple = macd(seed, short, long, trigger)
+        fast, slow, last, signal = (x[-1].item() for x in (
+            ema(seed, short), ema(seed, long), triple.macd_line, triple.signal_line))
+    a_short, a_long, a_trigger = (2.0 / (n + 1.0) for n in windows)
+    k_short, k_long, k_trigger = 1.0 - a_short, 1.0 - a_long, 1.0 - a_trigger
     for x in c[start:].tolist():
         fast = a_short * x + k_short * fast
         slow = a_long * x + k_long * slow
         last = fast - slow
         signal = a_trigger * last + k_trigger * signal
-    if len(c) >= long + trigger - 1:  # fewer closes leave no seeded state to resume
-        _macd_entry = (windows, data, (fast, slow, last, signal))
+    _macd_entry = (windows, data, (fast, slow, last, signal))
     return last, signal
 
 
@@ -389,11 +388,13 @@ def snapshot(
 
     The windows are indicator_block's, and so are their ValueErrors. Only
     the last row is computed: MACD in float EMA steps, over the new closes
-    alone when the closes extend the previous call's (_macd_last), RSI from
-    the last rsi_window + 1 closes, %K and Williams from their last k and n
-    bars. It equals indicator_frame(series).row(len - 1) bit for bit,
-    NaN and the sign of a zero included, and raises the same
-    InsufficientHistoryError while the series is too short.
+    alone when the closes extend the previous call's and otherwise from
+    macd's state after its first long + trigger - 1 closes (_macd_last), RSI
+    from the last rsi_window + 1 closes, %K and Williams from their last k
+    and n bars, with %K capped at 100 as in the frame. It equals
+    indicator_frame(series).row(len - 1) bit for bit, NaN and the sign of a
+    zero included, and raises the same InsufficientHistoryError while the
+    series is too short.
     """
     binding, needed = _binding(macd_short, macd_long, macd_trigger, rsi_window, stochastic_k,
                                stochastic_d, williams_window)

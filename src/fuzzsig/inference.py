@@ -5,7 +5,9 @@ RSI 3 x SO 3 x Williams 2) and scores each by weighted directional votes.
 Firing uses min for the AND, clipping for implication, and max for
 aggregation; interval grades are reduced with an exhaustive Karnik-Mendel
 switch-point search and defuzzified at the centroid midpoint. Firing and
-reduction take a block of N >= 1 rows. Every entry point hands indicator
+reduction take a block of N >= 1 rows. Firing reads the term grades in the
+one order grade_inputs stacks them for the configured variables
+(STACKED_TERMS) and rejects any other. Every entry point hands indicator
 rows to recommend_rows, which normalizes them (fuzzy.normalize_rows) and
 evaluates them BLOCK_ROWS at a time. recommend_block (portfolio; recommend,
 its one-series case, runs signal) aggregates each group of series with the
@@ -88,6 +90,10 @@ VOTES = {
     "wa": {"low": -1, "high": +1},
 }
 
+# The (variable, term) of each stacked grade row: the one order grade_inputs writes
+# for the configured variables (ResolvedConfig.validate pins their terms)
+STACKED_TERMS = tuple((name, term) for name, terms in ANTECEDENT_TERMS.items() for term in terms)
+
 PRIMARY_INPUTS = ("macd", "so")
 SECONDARY_INPUTS = ("rsi", "wa")
 
@@ -101,7 +107,6 @@ class Rule:
     so: str
     wa: str
     consequent: Signal
-    provenance: str = "generated"
     score: int | None = None
 
     def antecedent(self) -> tuple[str, str, str, str]:
@@ -117,19 +122,16 @@ class RuleBase:
 
     @functools.cached_property
     def index(self) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-        """The rules as index arrays over term grades stacked in ANTECEDENT_TERMS order.
+        """The rules as index arrays over term grades stacked in STACKED_TERMS order.
 
         Returns every rule's four antecedent term positions ((4, rules), the
         rules grouped by consequent), the rule where each group starts, and each
         group's consequent label. Built once per rule base; raises for the
         first rule naming an unknown term.
         """
-        stacked = itertools.count()
-        position = {name: {term: next(stacked) for term in terms}
-                    for name, terms in ANTECEDENT_TERMS.items()}
+        position = {key: row for row, key in enumerate(STACKED_TERMS)}
         try:
-            rows = [[position[name][term]
-                     for name, term in zip(ANTECEDENT_VARIABLES, rule.antecedent())]
+            rows = [[position[key] for key in zip(ANTECEDENT_VARIABLES, rule.antecedent())]
                     for rule in self.rules]
         except KeyError as exc:
             raise InferenceError(f"rule references unknown variable/term: {exc}") from None
@@ -226,25 +228,6 @@ def _output_grades(output_var: LinguisticVariable, grid_points: int,
     return grid, mu
 
 
-@functools.lru_cache(maxsize=64)
-def _antecedent_rows(term_keys: tuple[tuple[str, str], ...]) -> np.ndarray | None:
-    """Where each ANTECEDENT_TERMS term sits among stacked rows labelled `term_keys`.
-
-    None when the rows are already in that order; the array is shared and
-    read-only. A missing variable or term raises KeyError naming it, which
-    lru_cache does not keep.
-    """
-    position: dict[str, dict[str, int]] = {}
-    for i, (name, term) in enumerate(term_keys):
-        position.setdefault(name, {})[term] = i
-    rows = [position[name][term] for name, labels in ANTECEDENT_TERMS.items() for term in labels]
-    if rows == list(range(len(term_keys))):
-        return None
-    rows = np.array(rows, dtype=np.intp)
-    rows.flags.writeable = False
-    return rows
-
-
 def fire_rules(
     inputs: FuzzifiedInputs,
     rule_base: RuleBase,
@@ -258,20 +241,22 @@ def fire_rules(
     is then clipped once per envelope. Interval grades fire endpoint-wise;
     type-1 grades (lower == upper) fire once, and the aggregate's lower and
     upper envelopes are then the same array. The fold indexes the term
-    grades, stacked in ANTECEDENT_TERMS order, with RuleBase.index; grades
-    already in that order are read in place. N rows of grades give
-    (N, grid_points) envelopes. The output grid and consequent grades are
-    built once per (output variable, grid_points, consequent labels) and
-    shared, so the returned grid is read-only. Inputs lacking an antecedent
-    term, or an output variable lacking a consequent's term, raise
-    InferenceError.
+    grades in place with RuleBase.index. They must be stacked in
+    STACKED_TERMS order, the one grade_inputs writes for the configured
+    variables; any other term_keys (a term reordered, renamed or missing)
+    raise InferenceError naming the first row that differs. N rows of grades
+    give (N, grid_points) envelopes. The output grid and consequent grades
+    are built once per (output variable, grid_points, consequent labels) and
+    shared, so the returned grid is read-only. An output variable lacking a
+    consequent's term raises InferenceError too.
     """
     antecedents, starts, labels = rule_base.index
-    try:
-        rows = _antecedent_rows(inputs.term_keys)
-    except KeyError as exc:
-        raise InferenceError(f"rule references unknown variable/term: {exc}") from None
-    grades = inputs.stacked if rows is None else inputs.stacked[rows]
+    if inputs.term_keys != STACKED_TERMS:
+        row, want, got = next((row, want, got) for row, (want, got) in enumerate(
+            itertools.zip_longest(STACKED_TERMS, inputs.term_keys)) if want != got)
+        raise InferenceError(f"grades must be stacked in the configured term order: "
+                             f"row {row} holds {got or 'nothing'}, expected {want or 'nothing'}")
+    grades = inputs.stacked
     if not inputs.interval:  # type-1 grades have lower == upper: only the upper ones fire
         grades = grades[:, -1:]
     # (consequents, halves, N): the strongest rule of each consequent per row
@@ -599,8 +584,7 @@ def _read_rules(reader) -> RuleBase:
         if key in seen:
             raise InferenceError(f"rule row {lineno}: duplicate antecedent {key}")
         seen.add(key)
-        rules.append(Rule(macd=m, rsi=r, so=s, wa=w, consequent=signals[consequent],
-                          provenance="user"))
+        rules.append(Rule(macd=m, rsi=r, so=s, wa=w, consequent=signals[consequent]))
     if not rules:
         raise InferenceError("rule table has no rules")
     return RuleBase(tuple(rules))

@@ -1,4 +1,4 @@
-"""OHLCV ingestion, validation, and aggregation into fixed-length trading periods.
+"""OHLCV ingestion, bar checks, and aggregation into fixed-length trading periods.
 
 A PriceSeries stores its bars as columns (Bars): one read-only array per
 field, datetime64[D] for the date and float64 for each price and the volume.
@@ -26,7 +26,13 @@ comes from the csv-module reader, which stops at the first faulty row:
   not blank and holds only printing characters (str.isprintable, so an
   inner tab or no-break space fails), and every date cell is exactly 10
   characters and a valid YYYY-MM-DD date;
-- every bar passes the bar checks and no (symbol, date) pair repeats.
+- every bar keeps the bar rule and no (symbol, date) pair repeats.
+
+The bar rule is written twice, once per shape of input: _bars_ok tests whole
+columns and _bar_problem one bar, returning the message of the first rule it
+breaks (a non-finite value, a price not above zero, a negative volume, a low
+or high that does not bracket the open and close). Every error worded for a
+bad bar is _bar_problem's text.
 
 The np.loadtxt reader decodes date cells as arrays: each cell's YYYYMMDD
 number splits into year, month and day, and the day must lie in its month,
@@ -35,9 +41,10 @@ spans. The csv-module reader checks each distinct cell with _iso_date.
 
 aggregate_block collapses the series that make the same number of periods
 into (N, periods) columns, one field at a time, and returns each failing
-series' error by its index; aggregate_periods is its one-series case. Dates
-are checked on whole columns too: _unordered finds every date that is not
-after the one before it, for aggregation, its error text and validate alike.
+series' error by its index; aggregate_periods is its one-series case. A
+series built in code can hold bars parse_csv rejects, so aggregation applies
+the same bar rule, on the N series' concatenated columns, and _unordered
+finds every date that is not after the one before it.
 """
 
 from __future__ import annotations
@@ -184,54 +191,9 @@ class PriceSeries:
         return len(self.bars)
 
 
-@dataclass(frozen=True, slots=True)
-class Finding:
-    symbol: str
-    index: int | None
-    code: str
-    message: str
-
-
-@dataclass(frozen=True, slots=True)
-class ValidationReport:
-    findings: tuple[Finding, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-
-def _bar_problems(bar: PriceBar) -> list[tuple[str, str]]:
-    problems: list[tuple[str, str]] = []
-    if not all(map(math.isfinite, (bar.open, bar.high, bar.low, bar.close, bar.volume))):
-        # NaN fails every comparison below, so it must be caught here
-        problems.append(("nonfinite_value", f"prices and volume must be finite, got "
-                         f"open={bar.open} high={bar.high} low={bar.low} close={bar.close} "
-                         f"volume={bar.volume}"))
-    if min(bar.open, bar.high, bar.low, bar.close) <= 0.0:
-        problems.append((
-            "nonpositive_price",
-            f"prices must be strictly positive, got open={bar.open} high={bar.high} "
-            f"low={bar.low} close={bar.close}",
-        ))
-    if bar.volume < 0:
-        problems.append(("negative_volume", f"volume must be >= 0, got {bar.volume}"))
-    if bar.low > min(bar.open, bar.close) or bar.high < max(bar.open, bar.close):
-        problems.append((
-            "ohlc_bounds",
-            f"low/high must bracket open/close, got open={bar.open} high={bar.high} "
-            f"low={bar.low} close={bar.close}",
-        ))
-    return problems
-
-
 def _unordered(dates: np.ndarray) -> np.ndarray:
     """The indices i >= 1 whose date is not after the one at i - 1, in order."""
     return np.flatnonzero(dates[1:] <= dates[:-1]) + 1
-
-
-def _date_order_problem(dates: np.ndarray, i: int) -> str:
-    return f"bar dates must increase strictly: {dates[i - 1]} then {dates[i]}"
 
 
 def _iso_date(cell: str) -> date:
@@ -267,11 +229,45 @@ _DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]
 _DATE_WEIGHTS = np.array([10_000_000, 1_000_000, 100_000, 10_000, 1_000, 100, 10, 1])
 
 
-def _bars_ok(o, h, lo, c, v) -> bool:
-    """Whether every bar passes _bar_problems, checked on whole columns."""
-    # the chained test accepts exactly the bars _bar_problems accepts (NaN fails it)
-    return bool(((0.0 < lo) & (lo <= o) & (o <= h) & (h < np.inf) & (lo <= c) & (c <= h)
-                 & (0.0 <= v) & (v < np.inf)).all())
+def _bar_problem(o: float, h: float, lo: float, c: float, v: float) -> str | None:
+    """The message of the first bar rule a bar breaks, or None when it keeps them all.
+
+    The rules, in order: every price and the volume finite, every price
+    strictly positive, the volume not negative, and low and high bracketing
+    open and close. A bar keeps them all exactly when _bars_ok holds for it.
+    """
+    # the scalar form of _bars_ok's chained test (NaN fails it)
+    if 0.0 < lo <= o <= h < math.inf and lo <= c <= h and 0.0 <= v < math.inf:
+        return None
+    if not all(map(math.isfinite, (o, h, lo, c, v))):
+        # NaN fails every comparison below, so it must be caught here
+        return (f"prices and volume must be finite, got open={o} high={h} low={lo} close={c} "
+                f"volume={v}")
+    if min(o, h, lo, c) <= 0.0:
+        return f"prices must be strictly positive, got open={o} high={h} low={lo} close={c}"
+    if v < 0.0:
+        return f"volume must be >= 0, got {v}"
+    return f"low/high must bracket open/close, got open={o} high={h} low={lo} close={c}"
+
+
+def _bars_ok(column) -> np.ndarray:
+    """Per bar, whether it keeps every bar rule (_bar_problem), tested on whole columns.
+
+    column(name) gives the values of one of _COLUMNS. It is asked for low,
+    open, high, close and volume in that order, and at most three of them
+    are held at once.
+    """
+    lo, o = column("low"), column("open")
+    ok = (0.0 < lo) & (lo <= o)
+    h = column("high")
+    ok &= (o <= h) & (h < np.inf)
+    del o
+    c = column("close")
+    ok &= (lo <= c) & (c <= h)
+    del lo, h, c
+    v = column("volume")
+    ok &= (0.0 <= v) & (v < np.inf)
+    return ok
 
 
 def _series(code: np.ndarray, ordinal: np.ndarray, values: np.ndarray,
@@ -336,7 +332,7 @@ def _loadtxt_chunk(text: str, codes: dict[str, int], code: np.ndarray, ordinal: 
     digits = cell[:, _DATE_DIGITS] - np.uint32(ord("0"))
     if points[:, _SYMBOL_WIDTH - 1].any() or not (
             (digits <= 9).all() and (cell[:, [4, 7]] == ord("-")).all()
-            and not cell[:, 10].any() and _bars_ok(*chunk)):
+            and not cell[:, 10].any() and _bars_ok(dict(zip(_COLUMNS, chunk)).get).all()):
         return None
     # symbols come in runs; each run's first cell stands for the run
     starts = np.flatnonzero(np.concatenate(([True], symbol[1:] != symbol[:-1])))
@@ -403,7 +399,7 @@ def _csv_series(data: str) -> list[PriceSeries]:
     """parse_csv's result for `data`, read with the csv module one record at a time.
 
     Raises MarketDataError for the first faulty row, checked in this order:
-    field count, symbol, date, numbers, the bar checks, then a repeated
+    field count, symbol, date, numbers, the bar rule, then a repeated
     (symbol, date). A csv.Error names the physical line the reader stopped at.
     """
     reader = csv.reader(io.StringIO(data))
@@ -445,10 +441,9 @@ def _csv_series(data: str) -> list[PriceSeries]:
                 o, h, lo, c, v = float(o), float(h), float(lo), float(c), float(v)
             except ValueError:
                 raise MarketDataError(f"row {line}: non-numeric price/volume field") from None
-            # the scalar form of _bars_ok's test, so equal to "_bar_problems finds none"
-            if not (0.0 < lo <= o <= h < math.inf and lo <= c <= h and 0.0 <= v < math.inf):
-                _, message = _bar_problems(PriceBar(date.fromordinal(ordinal), o, h, lo, c, v))[0]
-                raise MarketDataError(f"row {line}: {message}")
+            problem = _bar_problem(o, h, lo, c, v)
+            if problem is not None:
+                raise MarketDataError(f"row {line}: {problem}")
             key = (codes.setdefault(symbol, len(codes)), ordinal)
             if key in seen:
                 raise MarketDataError(f"row {line}: duplicate entry for {symbol} on "
@@ -503,23 +498,24 @@ def serialize_csv(series_list: list[PriceSeries]) -> bytes:
 def _period_fault(series: PriceSeries, d: int) -> MarketDataError | None:
     """Why `series` cannot be aggregated into d-bar periods, or None.
 
-    Checked in this order: fewer bars than one period, the first bar with a
-    non-finite price or volume, the first date not after the one before it.
+    Checked in this order: fewer bars than one period, the first bar that
+    breaks a bar rule (worded by _bar_problem), the first date not after the
+    one before it.
     """
     bars = series.bars
     if len(bars) < d:
         return MarketDataError(
             f"{series.symbol}: {len(bars)} bars is shorter than one {d}-bar period")
-    finite = np.isfinite(np.stack(bars.columns()))
-    if not finite.all():
-        i = int(np.argmin(finite.all(axis=0)))
-        _, message = _bar_problems(bars[i])[0]
-        return MarketDataError(f"{series.symbol}: bar {i} ({bars.date[i]}): {message}")
+    ok = _bars_ok(lambda name: getattr(bars, name))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        problem = _bar_problem(*(column[i].item() for column in bars.columns()))
+        return MarketDataError(f"{series.symbol}: bar {i} ({bars.date[i]}): {problem}")
     unordered = _unordered(bars.date)
     if len(unordered):
         i = int(unordered[0])
-        return MarketDataError(f"{series.symbol}: bar {i} ({bars.date[i]}): "
-                               f"{_date_order_problem(bars.date, i)}")
+        return MarketDataError(f"{series.symbol}: bar {i} ({bars.date[i]}): bar dates must "
+                               f"increase strictly: {bars.date[i - 1]} then {bars.date[i]}")
     return None
 
 
@@ -539,11 +535,12 @@ def aggregate_block(
     Returns the periods of the series that pass, in order, as an (N, n) array
     per name in `fields` (datetime64[D] for "date"), and for each series that
     fails, its index and its MarketDataError: too few bars for one period, the
-    first bar with a non-finite price or volume, or the first date not after
-    the one before it, checked in that order. parse_csv rejects the last two,
-    but a library caller can pass them, and both are found on the N series'
-    concatenated columns. Each field is stacked and reduced on its own, so the
-    extra memory is one column of the block at a time.
+    first bar that breaks the bar rule (in _bar_problem's words), or the first
+    date not after the one before it, checked in that order. parse_csv
+    rejects the last two, but a library caller can pass them, and both are
+    found on the N series' concatenated columns, at most three of them at a
+    time. Each field is stacked and reduced on its own, so the extra memory
+    of the aggregation is one column of the block at a time.
     """
     d = days_per_period
     if d < 1:
@@ -561,10 +558,8 @@ def aggregate_block(
         owner = np.searchsorted(starts, unordered, side="right") - 1
         # the pair at a series' start straddles two series: its first date follows no other
         suspect = set(owner[unordered != starts[owner]].tolist())
-        for name in _COLUMNS:
-            finite = np.isfinite(np.concatenate([getattr(b, name) for b in bars]))
-            if not finite.all():
-                suspect.update(np.flatnonzero(~np.logical_and.reduceat(finite, starts)).tolist())
+        ok = _bars_ok(lambda name: np.concatenate([getattr(b, name) for b in bars]))
+        suspect.update(np.flatnonzero(~np.logical_and.reduceat(ok, starts)).tolist())
     faults = {i: _period_fault(series_list[i], d) for i in sorted(suspect)}
     kept = [b for i, b in enumerate(bars) if i not in faults]
     rows, m = len(kept), n * d
@@ -599,17 +594,3 @@ def aggregate_periods(series: PriceSeries, days_per_period: int = 15) -> PriceSe
         return series
     return PriceSeries(series.symbol, Bars(*(periods[name][0] for name in _FIELDS)))
 
-
-def validate(series: PriceSeries) -> ValidationReport:
-    """Report every violated bar/series invariant without raising."""
-    findings: list[Finding] = []
-    if not series.bars:
-        findings.append(Finding(series.symbol, None, "empty_series", "series has no bars"))
-    for i, bar in enumerate(series.bars):
-        for code, msg in _bar_problems(bar):
-            findings.append(Finding(series.symbol, i, code, msg))
-    dates = series.bars.date
-    for i in _unordered(dates).tolist():
-        findings.append(Finding(series.symbol, i, "dates_not_increasing",
-                                _date_order_problem(dates, i)))
-    return ValidationReport(tuple(findings))

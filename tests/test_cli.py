@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import re
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,8 @@ from fuzzsig.config import ResolvedConfig
 from fuzzsig.fixtures import flat_series, portfolio_fixture
 from fuzzsig.fuzzy import _check_coverage, _variables
 from fuzzsig.inference import ANTECEDENT_TERMS, build_rule_base, rules_to_csv
-from fuzzsig.market_data import MarketDataError, PriceSeries, aggregate_periods, serialize_csv
+from fuzzsig.market_data import (CSV_HEADER, MarketDataError, PriceSeries, aggregate_periods,
+                                 serialize_csv)
 
 from conftest import DATA_DIR, PORTFOLIO_JSON_PINS
 
@@ -43,6 +45,49 @@ def flat_csv(tmp_path):
     path = tmp_path / "flat.csv"
     path.write_bytes(serialize_csv([flat_series()]))
     return str(path)
+
+
+@pytest.fixture
+def top_close_csv(tmp_path):
+    """41 daily bars; bar 39 closes at the highest high of every window ending there.
+
+    Every other bar has low 13.0, so %K's span there is 13.9502 - 13.0, for
+    which 100 * span / span rounds to one ulp above 100.
+    """
+    rows = [",".join(CSV_HEADER)]
+    for day in range(41):
+        stamp = (date(2020, 1, 1) + timedelta(days=day)).isoformat()
+        bar = "13.9,13.9502,13.88,13.9502" if day == 39 else "13.5,13.9,13.0,13.5"
+        rows.append(f"XYZ,{stamp},{bar},1000")
+    path = tmp_path / "top_close.csv"
+    path.write_text("\n".join(rows) + "\n")
+    first_40 = tmp_path / "top_close_40.csv"
+    first_40.write_text("\n".join(rows[:41]) + "\n")
+    return str(first_40), str(path)
+
+
+class TestCloseAtTheWindowHigh:
+    """A close at its windows' high gives %K 100 and Williams 0 in every command."""
+
+    def test_signal(self, top_close_csv, capsys):
+        assert run(["signal", top_close_csv[0], "--symbol", "XYZ", "--period-days", "1"]) == 0
+        assert capsys.readouterr().out.startswith("XYZ fuzzy_output=")
+
+    def test_portfolio(self, top_close_csv, capsys):
+        assert run(["portfolio", top_close_csv[0], "--period-days", "1"]) == 0
+        [row] = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert row["signal"] in ("Sell", "Hold", "Buy") and row["fuzzy_output"]
+
+    def test_indicators(self, top_close_csv, capsys):
+        assert run(["indicators", top_close_csv[0], "--period-days", "1"]) == 0
+        last = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))[-1]
+        assert (last["period"], last["percent_k"], last["williams"]) == ("39", "100.0", "0.0")
+
+    def test_backtest_keeps_the_period(self, top_close_csv, capsys):
+        assert run(["backtest", top_close_csv[1], "--symbol", "XYZ", "--period-days", "1"]) == 0
+        periods = [row["period_index"]
+                   for row in csv.DictReader(io.StringIO(capsys.readouterr().out))]
+        assert periods[-1] == "39"
 
 
 class TestRulesDump:

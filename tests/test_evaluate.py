@@ -157,9 +157,9 @@ class TestRunPortfolio:
         assert rows[63][2].startswith("indicators: snapshot needs at least 35 period bars")
         assert rows[64][2].startswith("aggregation: ")
 
-    def test_out_of_range_williams_note_matches_the_one_symbol_note(self):
-        # a close above the trailing high (a bar no CSV passes) puts %K above
-        # 100 and Williams above 0; the block row keeps the one-symbol note
+    def test_close_above_the_high_note_matches_the_one_symbol_note(self):
+        # a close above the trailing high (a bar no CSV passes) would put %K
+        # above 100; it fails at aggregation, in the block as for the one symbol
         basket = portfolio_fixture(seed=41, symbols=3, periods=60, days_per_period=1)
         bars = list(basket[1].bars)
         bars[-1] = dataclasses.replace(bars[-1], close=max(b.high for b in bars[-30:]) * 1.001)
@@ -167,8 +167,8 @@ class TestRunPortfolio:
         cfg = ResolvedConfig(days_per_period=1)
         rows = _rows(run_portfolio(basket, cfg))
         assert rows == [_recommended(s, cfg) for s in basket]
-        prefix = "fuzzification: Williams value out of range [-100, 0]: "
-        assert rows[1][2].startswith(prefix) and float(rows[1][2][len(prefix):]) > 0.0
+        prefix = f"aggregation: SYN01: bar 59 ({bars[-1].date}): low/high must bracket open/close"
+        assert rows[1][2].startswith(prefix)
         assert rows[0][0] is not None and rows[2][0] is not None
 
     def test_nan_high_note_matches_the_one_symbol_note(self):

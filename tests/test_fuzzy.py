@@ -279,15 +279,15 @@ class TestGradingKernel:
 
 class TestDefaultVariables:
     def test_term_counts(self):
-        names = {v.name: v for v in default_variables()}
-        assert names["macd"].term_names() == ("low", "high")
-        assert names["rsi"].term_names() == ("low", "medium", "high")
-        assert names["so"].term_names() == ("low", "medium", "high")
-        assert names["wa"].term_names() == ("low", "high")
+        labels = {v.name: tuple(label for label, _ in v.terms) for v in default_variables()}
+        assert labels["macd"] == ("low", "high")
+        assert labels["rsi"] == ("low", "medium", "high")
+        assert labels["so"] == ("low", "medium", "high")
+        assert labels["wa"] == ("low", "high")
 
     def test_output_variable_terms_and_domain(self):
         out = {v.name: v for v in default_variables()}["signal"]
-        assert out.term_names() == ("sell", "hold", "buy")
+        assert tuple(label for label, _ in out.terms) == ("sell", "hold", "buy")
         assert out.domain == (0.0, 1.0)
 
     def test_every_variable_passes_coverage_on_1001_grid(self):

@@ -6,7 +6,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzsig import indicators
@@ -292,6 +292,16 @@ class TestWindowRuns:
                     assert np.array_equal(got, want, equal_nan=True)
 
 
+@st.composite
+def bars_closing_at_their_highs(draw):
+    """(closes, lows) of 1-30 bars that close at their highs, lows 0-50% below them."""
+    length = draw(st.integers(1, 30))
+    closes = draw(st.lists(st.floats(1.0, 100.0), min_size=length, max_size=length))
+    drops = draw(st.lists(st.floats(0.0, 0.5), min_size=length, max_size=length))
+    c = np.array(closes)
+    return c, c * (1.0 - np.array(drops))
+
+
 class TestRangesAndIdentities:
     @given(seed=st.integers(0, 10_000), length=st.integers(35, 120))
     def test_ranges_hold_on_random_series(self, seed, length):
@@ -313,6 +323,22 @@ class TestRangesAndIdentities:
         assert np.all(pk + np.abs(wa) == 100.0)
         last = _percent_k_last(h, lo, c[-1], window)  # snapshot's Williams is last - 100
         assert last + abs(last - 100.0) == 100.0
+
+    @given(bars=bars_closing_at_their_highs())
+    @example(bars=(np.array([13.5] * 29 + [13.9502]), np.array([13.0] * 29 + [13.88])))
+    def test_a_close_at_the_window_high_caps_percent_k_at_100(self, bars):
+        # 100 * span / span rounds one ulp above 100 for about one span in
+        # eight; both paths cap %K at 100, so Williams stays <= 0
+        c, lo = bars
+        for k in range(1, len(c) + 1):
+            pk = _percent_k(c, lo, c, k)
+            wa = pk - 100.0
+            assert np.all(pk <= 100.0) and np.all(wa <= 0.0), k
+            assert np.all(pk + np.abs(wa) == 100.0), k
+            for t in range(k - 1, len(c)):
+                last = _percent_k_last(c[:t + 1], lo[:t + 1], c[t].item(), k)
+                assert last.hex() == pk[t - k + 1].item().hex(), (k, t)
+                assert last <= 100.0 and last - 100.0 <= 0.0 and last + abs(last - 100.0) == 100.0
 
     @given(seed=st.integers(0, 10_000), prefix=st.integers(1, 40))
     def test_window_local_indicators_are_shift_equivariant(self, seed, prefix):
@@ -671,10 +697,12 @@ class TestMacdResume:
         assert exact(_macd_last(c[:n], *windows)) == \
             exact(from_scratch(_macd_last, c[:n], *windows))
 
-    def test_closes_too_few_to_seed_leave_no_entry(self):
-        # a call below long + trigger - 1 closes ends mid-seed: nothing to resume
+    def test_closes_too_few_to_seed_raise_and_leave_no_entry(self):
+        # the seed is macd's over the first long + trigger - 1 closes: fewer raise
         indicators._macd_entry = None
-        _macd_last(random_closes(np.random.default_rng(6), 33), 12, 26, 9)
+        with pytest.raises(InsufficientHistoryError, match=r"^MACD\(12,26,9\) needs at least "
+                                                           r"34 values, got 33$"):
+            _macd_last(random_closes(np.random.default_rng(6), 33), 12, 26, 9)
         assert indicators._macd_entry is None
 
     def test_threads_racing_for_the_entry_each_get_their_own_bits(self):

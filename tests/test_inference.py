@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fuzzsig.config import ResolvedConfig
 from fuzzsig.fixtures import downtrend_series, flat_series, portfolio_fixture, uptrend_series
 from fuzzsig.fuzzy import (
     FootprintOfUncertainty,
+    FuzzifiedInputs,
     LinguisticVariable,
     default_variables,
     grade_inputs,
@@ -20,6 +22,7 @@ from fuzzsig.indicators import IndicatorSnapshot, indicator_block, snapshot
 from fuzzsig.inference import (
     ANTECEDENT_TERMS,
     BLOCK_ROWS,
+    STACKED_TERMS,
     AggregatedOutput,
     InferenceError,
     PipelineError,
@@ -169,30 +172,35 @@ class TestFireRules:
         grades = singleton_grades("low", "low", "low", "low")
         del grades["so"]
         inputs = stacked_inputs(grades, interval=False)
-        with pytest.raises(InferenceError, match="unknown variable/term: 'so'"):
+        with pytest.raises(InferenceError, match=re.escape(
+                "row 5 holds ('wa', 'low'), expected ('so', 'low')")):
             fire_rules(inputs, build_rule_base(), OUTPUT_VAR)
 
     @pytest.mark.parametrize("delta", [None, 0.05])
     @pytest.mark.parametrize("rows", [None, 1, 7])
-    def test_reordered_variables_fire_as_default_order_variables(self, delta, rows):
-        # reordered terms make fire_rules gather the stacked rows into ANTECEDENT_TERMS order;
-        # a float input (rows None) is a one-row block
+    def test_grades_stacked_in_another_term_order_rejected(self, delta, rows):
+        # fire_rules reads the one order grade_inputs writes for the configured
+        # variables; grades of reordered terms name the first row out of place
         reordered = tuple(LinguisticVariable(v.name, v.domain, v.terms[::-1])
-                          for v in default_variables())
-        rng = np.random.default_rng(3)
+                          if v.name == "rsi" else v for v in default_variables())
         fou = None if delta is None else FootprintOfUncertainty(delta)
-        for _ in range(3):
-            values = {name: rng.uniform(-0.2, 1.2, rows or 1) for name in ANTECEDENT_TERMS}
-            normalized = {k: v[0].item() for k, v in values.items()} if rows is None else values
-            default = grade_inputs(normalized, default_variables(), fou)
-            gathered = grade_inputs(normalized, reordered, fou)
-            assert default.term_keys != gathered.term_keys
-            assert default.stacked.shape == (10, 1 if delta is None else 2, rows or 1)
-            got = fire_rules(gathered, build_rule_base(), OUTPUT_VAR)
-            want = fire_rules(default, build_rule_base(), OUTPUT_VAR)
-            assert want.upper.shape == (rows or 1, 1001)
-            for name in ("grid", "lower", "upper", "interval"):
-                assert np.array_equal(getattr(got, name), getattr(want, name))
+        values = {name: np.full(rows or 1, 0.4) for name in ANTECEDENT_TERMS}
+        normalized = {k: v[0].item() for k, v in values.items()} if rows is None else values
+        assert grade_inputs(normalized, default_variables(), fou).term_keys == STACKED_TERMS
+        inputs = grade_inputs(normalized, reordered, fou)
+        message = ("grades must be stacked in the configured term order: "
+                   "row 2 holds ('rsi', 'high'), expected ('rsi', 'low')")
+        with pytest.raises(InferenceError, match=f"^{re.escape(message)}$"):
+            fire_rules(inputs, build_rule_base(), OUTPUT_VAR)
+
+    def test_extra_term_rows_rejected(self):
+        grades = singleton_grades("low", "low", "low", "low")
+        inputs = stacked_inputs(grades, interval=True)
+        extra = FuzzifiedInputs(np.concatenate((inputs.stacked, inputs.stacked[:1])),
+                                (*inputs.term_keys, ("macd", "low")), True)
+        with pytest.raises(InferenceError, match=re.escape(
+                "row 10 holds ('macd', 'low'), expected nothing")):
+            fire_rules(extra, build_rule_base(), OUTPUT_VAR)
 
     def test_stacked_inputs_lacking_a_term_fail_at_inference(self):
         variables = tuple(
@@ -200,16 +208,19 @@ class TestFireRules:
                                                        for label, mf in v.terms))
             if v.name == "rsi" else v for v in default_variables())
         inputs = grade_inputs({name: 0.5 for name in ANTECEDENT_TERMS}, variables)
-        with pytest.raises(InferenceError, match="unknown variable/term: 'medium'"):
+        renamed = "row 3 holds ('rsi', 'mid'), expected ('rsi', 'medium')"
+        with pytest.raises(InferenceError, match=re.escape(renamed)):
             fire_rules(inputs, build_rule_base(), OUTPUT_VAR)
         without_so = grade_inputs({name: 0.5 for name in ANTECEDENT_TERMS},
                                   tuple(v for v in default_variables() if v.name != "so"))
-        with pytest.raises(InferenceError, match="unknown variable/term: 'so'"):
+        with pytest.raises(InferenceError, match=re.escape(
+                "row 5 holds ('wa', 'low'), expected ('so', 'low')")):
             fire_rules(without_so, build_rule_base(), OUTPUT_VAR)
         snap = snapshot(aggregate_periods(flat_series(periods=40), 15))
         [result] = recommend_rows(["FLAT"], snap, ResolvedConfig(), build_rule_base(), variables)
         assert isinstance(result, PipelineError) and result.stage == "inference"
-        assert str(result) == "inference: rule references unknown variable/term: 'medium'"
+        assert str(result) == f"inference: grades must be stacked in the configured term order: " \
+                              f"{renamed}"
 
     def test_output_variable_lacking_a_consequent_term_rejected(self):
         renamed = tuple(("up" if label == "buy" else label, mf) for label, mf in OUTPUT_VAR.terms)
@@ -588,7 +599,7 @@ class TestRulesCsv:
         parsed = rules_from_csv(text)
         assert [r.antecedent() for r in parsed.rules] == [r.antecedent() for r in base.rules]
         assert [r.consequent for r in parsed.rules] == [r.consequent for r in base.rules]
-        assert all(r.provenance == "user" for r in parsed.rules)
+        assert all(r.score is None for r in parsed.rules)
 
     def test_score_column_ignored_on_import(self):
         text = rules_to_csv(build_rule_base(), include_scores=True)

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import random
+import re
 import tracemalloc
 from datetime import date, timedelta
 from unittest import mock
@@ -23,7 +24,6 @@ from fuzzsig.market_data import (
     aggregate_periods,
     parse_csv,
     serialize_csv,
-    validate,
 )
 
 from oracles import reparse_rows, scanned_unordered_dates
@@ -639,7 +639,6 @@ class TestAggregatePeriods:
         with pytest.raises(MarketDataError) as caught:
             aggregate_periods(redated, dpp)
         assert str(caught.value) == message
-        assert message.endswith(validate(redated).findings[0].message)
 
     def test_780_daily_bars_make_52_periods(self):
         series = random_walk_series("S", seed=5, periods=52, days_per_period=15)
@@ -756,7 +755,7 @@ def date_order_baskets(draw):
 class TestDateOrder:
     @settings(max_examples=200)
     @given(case=date_order_baskets())
-    def test_block_and_validate_match_a_per_pair_scan(self, case):
+    def test_block_matches_a_per_pair_scan(self, case):
         d, n, basket = case
         periods, faults = aggregate_block(basket, d)
         faults = {i: str(exc) for i, exc in faults.items()}
@@ -768,70 +767,87 @@ class TestDateOrder:
             if late:
                 j = late[0]
                 assert faults.pop(i) == f"{series.symbol}: bar {j} ({dates[j]}): {problems[0]}"
-            assert [(f.index, f.code, f.message) for f in validate(series).findings] == [
-                (j, "dates_not_increasing", problem) for j, problem in zip(late, problems)]
         assert faults == {}
         kept = sum(not scanned_unordered_dates(s.bars.date.tolist()) for s in basket)
         assert periods["date"].shape == periods["close"].shape == (kept, n)
 
 
-class TestValidate:
-    def test_valid_series_has_empty_report(self):
-        report = validate(make_series(10))
-        assert report.ok
-        assert report.findings == ()
+BAR_VALUES = st.sampled_from([10.0, 9.0, 11.0, 0.0, -0.0, -10.0, float("nan"), float("inf"),
+                               float("-inf"), 5e-324])
 
-    def test_unsorted_dates_cites_both_dates(self):
-        d1, d2 = date(2020, 1, 5), date(2020, 1, 2)
-        series = PriceSeries("S", (bar(d1), bar(d2)))
-        report = validate(series)
-        assert not report.ok
-        (finding,) = report.findings
-        assert finding.code == "dates_not_increasing"
-        assert "2020-01-05" in finding.message and "2020-01-02" in finding.message
 
-    def test_empty_series_reported(self):
-        report = validate(PriceSeries("S", ()))
-        assert [f.code for f in report.findings] == ["empty_series"]
+class TestBarRule:
+    @pytest.mark.parametrize("values, problem", [
+        ((10.0, 11.0, 9.0, 10.5, 100.0), None),
+        ((10.0, 11.0, 9.0, float("nan"), -1.0),
+         "prices and volume must be finite, got open=10.0 high=11.0 low=9.0 close=nan "
+         "volume=-1.0"),
+        ((10.0, 11.0, 0.0, 12.0, -1.0),
+         "prices must be strictly positive, got open=10.0 high=11.0 low=0.0 close=12.0"),
+        ((10.0, 11.0, 9.0, 12.0, -1.0), "volume must be >= 0, got -1.0"),
+        ((10.0, 11.0, 9.0, 12.0, 0.0),
+         "low/high must bracket open/close, got open=10.0 high=11.0 low=9.0 close=12.0"),
+    ])
+    def test_the_first_broken_rule_words_the_problem(self, values, problem):
+        assert market_data._bar_problem(*values) == problem
 
-    def test_nan_bar_is_a_finding(self):
-        series = make_series(3)
-        bars = list(series.bars)
-        bars[1] = bar(bars[1].date, c=float("nan"))
-        report = validate(PriceSeries("T", tuple(bars)))
-        assert [(f.index, f.code) for f in report.findings] == [(1, "nonfinite_value")]
+    @given(bars=st.lists(st.tuples(BAR_VALUES, BAR_VALUES, BAR_VALUES, BAR_VALUES, BAR_VALUES),
+                         min_size=1, max_size=20))
+    def test_the_column_test_keeps_exactly_the_bars_without_a_problem(self, bars):
+        columns = dict(zip(("open", "high", "low", "close", "volume"), np.array(bars).T))
+        ok = market_data._bars_ok(columns.__getitem__)
+        assert ok.tolist() == [market_data._bar_problem(*bar) is None for bar in bars]
 
-    @given(seed=st.integers(0, 5_000))
-    def test_corrupted_series_matches_per_invariant_scan(self, seed):
-        import random
-
+    @given(seed=st.integers(0, 5_000), dpp=st.sampled_from([1, 10]))
+    def test_aggregation_rejects_the_first_bar_parse_csv_rejects_in_its_words(self, seed, dpp):
         rng = random.Random(seed)
         base = random_walk_series("S", seed=seed, periods=3, days_per_period=10).bars
         bars = []
-        for i, b in enumerate(base):
+        for b in base:
             o, h, lo, c, v = b.open, b.high, b.low, b.close, b.volume
-            day = b.date
             roll = rng.random()
-            if roll < 0.15:
+            if roll < 0.05:
                 lo = max(o, c) + 1.0  # break the low bound
-            elif roll < 0.3:
+            elif roll < 0.1:
                 v = -abs(v) - 1.0
-            elif roll < 0.4:
+            elif roll < 0.15:
                 o = -o
-            elif roll < 0.5 and i > 0:
-                day = bars[-1].date  # stall the clock
-            bars.append(PriceBar(day, o, h, lo, c, v))
+            elif roll < 0.2:
+                h = float("nan")
+            bars.append(PriceBar(b.date, o, h, lo, c, v))
         series = PriceSeries("S", tuple(bars))
-        got = {(f.index, f.code) for f in validate(series).findings}
+        bad = [i for i, b in enumerate(bars) if market_data._bar_problem(
+            b.open, b.high, b.low, b.close, b.volume) is not None]
+        if not bad:
+            assert len(aggregate_periods(series, dpp).bars) == 30 // dpp
+            assert parse_csv(serialize_csv([series])) == [series]
+            return
+        i = bad[0]
+        with pytest.raises(MarketDataError) as parsed:
+            parse_csv(serialize_csv([series]))
+        problem = str(parsed.value).removeprefix(f"row {i + 2}: ")
+        assert problem != str(parsed.value)
+        with pytest.raises(MarketDataError) as aggregated:
+            aggregate_periods(series, dpp)
+        assert str(aggregated.value) == f"S: bar {i} ({base.date[i]}): {problem}"
 
-        expected = set()
-        for i, b in enumerate(bars):
-            if min(b.open, b.high, b.low, b.close) <= 0:
-                expected.add((i, "nonpositive_price"))
-            if b.volume < 0:
-                expected.add((i, "negative_volume"))
-            if b.low > min(b.open, b.close) or b.high < max(b.open, b.close):
-                expected.add((i, "ohlc_bounds"))
-            if i and b.date <= bars[i - 1].date:
-                expected.add((i, "dates_not_increasing"))
-        assert got == expected
+    @pytest.mark.parametrize("change, problem", [
+        # negated prices, with high and low swapped so that they still bracket
+        (lambda b: (-b.open, -b.low, -b.high, -b.close, b.volume), "strictly positive"),
+        (lambda b: (b.open, b.low, b.high, b.close, b.volume), "low/high must bracket"),
+        (lambda b: (0.0 * b.open, 0.0 * b.high, 0.0 * b.low, 0.0 * b.close, b.volume),
+         "strictly positive"),
+    ], ids=["negated", "high-below-low", "zero"])
+    def test_a_library_series_the_parser_rejects_fails_at_aggregation(self, change, problem):
+        from fuzzsig.config import ResolvedConfig
+        from fuzzsig.inference import PipelineError, recommend, recommend_block
+
+        [series] = portfolio_fixture(symbols=1)
+        changed = PriceSeries("SYN00", Bars(series.bars.date, *change(series.bars)))
+        with pytest.raises(PipelineError) as caught:
+            recommend(changed)
+        assert caught.value.stage == "aggregation"
+        assert re.match(rf"^aggregation: SYN00: bar 0 \({series.bars.date[0]}\): .*{problem}",
+                        str(caught.value))
+        [row] = recommend_block([changed], ResolvedConfig())
+        assert str(row) == str(caught.value)
