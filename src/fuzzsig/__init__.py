@@ -17,12 +17,11 @@ from importlib import import_module
 _MODULE_NAMES = {
     "config": ("ConfigError", "ResolvedConfig", "load_config_file", "parse_config_text"),
     "evaluate": ("BacktestRecord", "BacktestStats", "PortfolioReport", "ReportRow", "backtest",
-                 "emit_report", "parse_report", "run_portfolio"),
+                 "emit_report", "run_portfolio"),
     "fuzzy": ("FootprintOfUncertainty", "FuzzifiedInputs", "Gaussian", "LeftShoulder",
               "LinguisticVariable", "RightShoulder", "Triangular", "default_variables"),
     "indicators": ("IndicatorFrame", "IndicatorSnapshot", "InsufficientHistoryError",
-                   "MacdTriple", "ema", "indicator_block", "indicator_frame", "macd", "sma",
-                   "snapshot"),
+                   "MacdTriple", "ema", "indicator_block", "macd", "sma", "snapshot"),
     "inference": ("AggregatedOutput", "InferenceError", "PipelineError", "Recommendation",
                   "Rule", "RuleBase", "Signal", "build_rule_base", "classify_signal",
                   "defuzzify", "fire_rules", "km_type_reduce", "recommend", "rules_from_csv",

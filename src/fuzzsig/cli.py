@@ -17,7 +17,7 @@ import os
 import sys
 
 from .config import ConfigError, ResolvedConfig, load_config_file
-from .indicators import indicator_frame
+from .indicators import indicator_block
 from .inference import PipelineError, recommend, rules_from_csv, rules_to_csv
 from .market_data import MarketDataError, PriceSeries, aggregate_periods, parse_csv, serialize_csv
 from .tuning import level_labels, scale_secondaries
@@ -137,7 +137,8 @@ def _indicator_rows(series: PriceSeries, cfg: ResolvedConfig) -> list[dict]:
     A failing RSI or Williams cell raises the earliest period's fault, RSI first.
     """
     periods = aggregate_periods(series, cfg.days_per_period)
-    frame = indicator_frame(periods, **cfg.indicator_windows)
+    bars = periods.bars
+    frame = indicator_block(bars.high, bars.low, bars.close, **cfg.indicator_windows)
 
     def cells(column) -> list[float | None]:
         return [None if math.isnan(x) else x for x in column.tolist()]
@@ -153,7 +154,6 @@ def _indicator_rows(series: PriceSeries, cfg: ResolvedConfig) -> list[dict]:
         labels = level_labels(scaled, cfg.levels).tolist()
         return [None if x is None else label for x, label in zip(column, labels)]
 
-    bars = periods.bars
     columns = (itertools.repeat(periods.symbol), itertools.count(),
                [day.isoformat() for day in bars.date.tolist()], bars.close.tolist(),
                cells(frame.macd_line), cells(frame.signal_line), cells(frame.histogram),

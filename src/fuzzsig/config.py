@@ -142,7 +142,7 @@ class ResolvedConfig:
 
     @property
     def indicator_windows(self) -> dict[str, int]:
-        """Keyword arguments of indicators.indicator_frame and snapshot."""
+        """Keyword arguments of indicators.indicator_block and snapshot."""
         return {name: getattr(self, name) for name in _WINDOW_FIELDS}
 
     def validate(self) -> None:
@@ -175,11 +175,12 @@ class ResolvedConfig:
         entries = {}
         for key, name in _SETTINGS.items():
             value, kind = getattr(self, name), _KIND[name]
-            # float settings render as floats: delta = 0 and delta = 0.0 are one config
+            # float settings render as floats, and + 0.0 turns -0.0 into 0.0: delta = 0,
+            # 0.0 and -0.0 are one config
             if kind is tuple:
-                entries[key] = ", ".join(repr(float(x)) for x in value)
+                entries[key] = ", ".join(repr(float(x) + 0.0) for x in value)
             else:
-                entries[key] = repr(float(value) if kind is float else value)
+                entries[key] = repr(float(value) + 0.0 if kind is float else value)
         for var, terms in self.mf_table.items():
             for label, mf in terms:
                 entries[f"fuzzy.{var}.{label}"] = format_mf(mf)

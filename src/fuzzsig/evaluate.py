@@ -1,7 +1,7 @@
 """Portfolio-level evaluation, rolling no-lookahead backtests, and report emission.
 
-json and decimal load on first use, by the json format, parse_report and
-format_1dp, so a backtest loads neither and a csv report no json.
+json and decimal load on first use, by the json format and format_1dp, so a
+backtest loads neither and a csv report no json.
 """
 
 from __future__ import annotations
@@ -171,26 +171,3 @@ def emit_report(report: PortfolioReport, format: str = "csv") -> bytes:
                        for row in report.rows if row.crisp is not None).encode("utf-8")
     raise ValueError(f"unknown report format {format!r}")
 
-
-def parse_report(data: bytes | str) -> PortfolioReport:
-    """Inverse of the json emission; round-trips a report losslessly."""
-    import json
-
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    payload = json.loads(data)
-    signals = {s.value: s for s in Signal}
-    rows = tuple(
-        ReportRow(
-            symbol=entry["symbol"],
-            crisp=entry["fuzzy_output"],
-            signal=None if entry["signal"] is None else signals[entry["signal"]],
-            note=entry["note"],
-        )
-        for entry in payload["rows"]
-    )
-    return PortfolioReport(
-        rows=rows,
-        generated_at=date.fromisoformat(payload["as_of"]),
-        config_fingerprint=payload["config_fingerprint"],
-    )

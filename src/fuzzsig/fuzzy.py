@@ -10,9 +10,8 @@ rows: a block frame's last column (signal, portfolio) or a backtest prefix's
 snapshot. All membership math is one array kernel, grade_terms, over a
 TermTable: the linear shapes as trapezoids (a, b, c, d), the Gaussians as
 centres and widths. grade_inputs grades every term of every input variable
-in one call on a (terms, N) array, and a shape's own grade and grade_bounds
-are the one-term case. Gaussians take math.exp per element, so no grade
-depends on numpy's SIMD kernels.
+in one call on a (terms, N) array. Gaussians take math.exp per element, so
+no grade depends on numpy's SIMD kernels.
 
 default_variables builds the linguistic variables once per distinct
 (divisor, membership-function table) in a process and returns that one
@@ -60,33 +59,9 @@ def _hash_once(cls):
     return cls
 
 
-class _Shape:
-    """A membership function's grades: the one-term case of grade_terms.
-
-    A float x gives floats, an array x arrays of its shape. grade_bounds gives
-    the (lower, upper) pair under a footprint blur of delta.
-    """
-
-    def grade(self, x):
-        return self._grade(x, None)
-
-    def grade_bounds(self, x, delta: float):
-        return self._grade(x, delta)
-
-    def _grade(self, x, delta: float | None):
-        arr = np.asarray(x, dtype=float)
-        [grades] = grade_terms(term_table((self,)), arr.reshape(1, -1), delta)
-        if delta is None:
-            return grades.item() if arr.ndim == 0 else grades.reshape(arr.shape)
-        lower, upper = grades
-        if arr.ndim == 0:
-            return lower.item(), upper.item()
-        return lower.reshape(arr.shape), upper.reshape(arr.shape)
-
-
 @_hash_once
 @dataclass(frozen=True)
-class Triangular(_Shape):
+class Triangular:
     """Linear rise from left to 1 at peak, linear fall to right, 0 outside."""
 
     left: float
@@ -100,7 +75,7 @@ class Triangular(_Shape):
 
 @_hash_once
 @dataclass(frozen=True)
-class LeftShoulder(_Shape):
+class LeftShoulder:
     """Full membership up to plateau_end, falling linearly to 0 at foot."""
 
     plateau_end: float
@@ -113,7 +88,7 @@ class LeftShoulder(_Shape):
 
 @_hash_once
 @dataclass(frozen=True)
-class RightShoulder(_Shape):
+class RightShoulder:
     """Zero membership up to foot, rising linearly to 1 at plateau_start."""
 
     foot: float
@@ -126,7 +101,7 @@ class RightShoulder(_Shape):
 
 @_hash_once
 @dataclass(frozen=True)
-class Gaussian(_Shape):
+class Gaussian:
     """exp(-((x - center) / width)^2 / 2); strictly positive, 1 at center.
 
     The footprint blurs the width only: the center never moves, so x == center
@@ -331,12 +306,6 @@ class LinguisticVariable:
         object.__setattr__(self, "domain", tuple(self.domain))
         object.__setattr__(self, "terms", tuple(map(tuple, self.terms)))
         _check_coverage(self.name, self.domain, self.terms)
-
-    def mf(self, label: str) -> MembershipFunction:
-        for name, mf in self.terms:
-            if name == label:
-                return mf
-        raise ValueError(f"{self.name!r} has no term {label!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,18 +7,18 @@ with one operation per period, a numpy scalar for one series and a vector
 across the N rows for a block, the same IEEE products and sums, so each block
 row equals the one-series result bit for bit. The window max and min of %K
 and Williams come from per-block prefix and suffix runs, O(T) for any window
-(_window_runs). indicator_block computes every series once over a block, and
-indicator_frame is its one-series case: the indicators, signal and portfolio
-paths. snapshot computes only the last row: RSI, %K and Williams in
-O(window) steps, and MACD in float EMA steps that resume from the state the
-previous call left (_macd_entry) when its closes begin with that call's, and
-otherwise start from the state ema and macd reach over the first
-long + trigger - 1 closes. It serves the backtest, which scores every prefix
-of one series in turn and so steps each close once, and equals the frame's
-last row bit for bit. Its last-row steps call the ufuncs that numpy's mean,
-clip, diff, max and min end in, on the same operands, so they keep the
-wrappers' bits. Both paths cap %K at 100, which a close at its window's high
-can otherwise exceed by one ulp, so Williams (%K - 100) never rises above 0.
+(_window_runs). indicator_block computes every series once, for one series
+or a block: the indicators, signal and portfolio paths. snapshot computes
+only the last row: RSI, %K and Williams in O(window) steps, and MACD in float
+EMA steps that resume from the state the previous call left (_macd_entry)
+when its closes begin with that call's, and otherwise start from the state
+ema and macd reach over the first long + trigger - 1 closes. It serves the
+backtest, which scores every prefix of one series in turn and so steps each
+close once, and equals the frame's last row bit for bit. Its last-row steps
+call the ufuncs that numpy's mean, clip, diff, max and min end in, on the
+same operands, so they keep the wrappers' bits. Both paths cap %K at 100,
+which a close at its window's high can otherwise exceed by one ulp, so
+Williams (%K - 100) never rises above 0.
 """
 
 from __future__ import annotations
@@ -320,15 +320,6 @@ def indicator_block(
     )
 
 
-def indicator_frame(periods: PriceSeries, **windows: int) -> IndicatorFrame:
-    """Every indicator over all period bars: the one-series indicator_block.
-
-    `windows` are indicator_block's keyword arguments.
-    """
-    bars = periods.bars
-    return indicator_block(bars.high, bars.low, bars.close, **windows)
-
-
 # The EMA state _macd_last reached after the closes it was last given: its
 # windows, those closes as bytes, and (fast, slow, MACD line, signal).
 _macd_entry: tuple[tuple[int, int, int], bytes, tuple[float, float, float, float]] | None = None
@@ -391,10 +382,10 @@ def snapshot(
     alone when the closes extend the previous call's and otherwise from
     macd's state after its first long + trigger - 1 closes (_macd_last), RSI
     from the last rsi_window + 1 closes, %K and Williams from their last k
-    and n bars, with %K capped at 100 as in the frame. It equals
-    indicator_frame(series).row(len - 1) bit for bit, NaN and the sign of a
-    zero included, and raises the same InsufficientHistoryError while the
-    series is too short.
+    and n bars, with %K capped at 100 as in the frame. It equals the
+    indicator_block frame's row(len - 1) of the series' high, low and close
+    bit for bit, NaN and the sign of a zero included, and raises the same
+    InsufficientHistoryError while the series is too short.
     """
     binding, needed = _binding(macd_short, macd_long, macd_trigger, rsi_window, stochastic_k,
                                stochastic_d, williams_window)

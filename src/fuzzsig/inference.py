@@ -117,9 +117,6 @@ class Rule:
 class RuleBase:
     rules: tuple[Rule, ...]
 
-    def __len__(self) -> int:
-        return len(self.rules)
-
     @functools.cached_property
     def index(self) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
         """The rules as index arrays over term grades stacked in STACKED_TERMS order.

@@ -53,7 +53,7 @@ import csv
 import io
 import math
 import re
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from datetime import date
 from itertools import repeat
@@ -154,18 +154,12 @@ class Bars(Sequence):
         return PriceBar(self.date[index].item(),
                         *(float(column[index]) for column in self.columns()))
 
-    def __iter__(self) -> Iterator[PriceBar]:
-        return map(PriceBar, *(getattr(self, name).tolist() for name in _FIELDS))
-
     def __add__(self, other: Sequence[PriceBar]) -> Bars:
         if not isinstance(other, Sequence):
             return NotImplemented
         other = Bars.of(other)
         return Bars(*(np.concatenate((getattr(self, name), getattr(other, name)))
                       for name in _FIELDS))
-
-    def __radd__(self, other: Sequence[PriceBar]) -> Bars:
-        return Bars.of(other) + self if isinstance(other, Sequence) else NotImplemented
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Bars):
@@ -186,9 +180,6 @@ class PriceSeries:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bars", Bars.of(self.bars))
-
-    def __len__(self) -> int:
-        return len(self.bars)
 
 
 def _unordered(dates: np.ndarray) -> np.ndarray:

@@ -232,7 +232,7 @@ def swept_mf_bounds(mf, x: float, delta: float, steps: int = 1000) -> tuple[floa
         for i in range(steps + 1):
             width = mf.width - delta + (2.0 * delta) * i / steps
             width = max(width, 1e-12)
-            values.append(Gaussian(mf.center, width).grade(x))
+            values.append(shape_grade(Gaussian(mf.center, width), x))
     else:
         for i in range(steps + 1):
             shift = -delta + (2.0 * delta) * i / steps
@@ -244,7 +244,7 @@ def swept_mf_bounds(mf, x: float, delta: float, steps: int = 1000) -> tuple[floa
                 shifted = RightShoulder(mf.foot + shift, mf.plateau_start + shift)
             else:
                 raise TypeError(f"unsupported shape {type(mf)!r}")
-            values.append(shifted.grade(x))
+            values.append(shape_grade(shifted, x))
     return min(values), max(values)
 
 
@@ -305,7 +305,7 @@ def brute_force_aggregate(inputs, rule_base, output_var, grid, row: int = 0):
                      for name in ("macd", "rsi", "so", "wa")]
             s_lo = min(p[0] for p in pairs)
             s_hi = min(p[1] for p in pairs)
-            mu = output_var.mf(rule.consequent.value.lower()).grade(float(y))
+            mu = shape_grade(dict(output_var.terms)[rule.consequent.value.lower()], float(y))
             best_lo = max(best_lo, min(s_lo, mu))
             best_hi = max(best_hi, min(s_hi, mu))
         lower.append(best_lo)

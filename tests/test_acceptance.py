@@ -12,13 +12,7 @@ import numpy as np
 
 from fuzzsig.config import ResolvedConfig
 from fuzzsig.evaluate import backtest, emit_report, run_portfolio
-from fuzzsig.fixtures import (
-    downtrend_series,
-    flat_series,
-    portfolio_fixture,
-    random_walk_series,
-    uptrend_series,
-)
+from fuzzsig.fixtures import random_walk_series
 from fuzzsig.fuzzy import (
     FootprintOfUncertainty,
     Gaussian,
@@ -52,6 +46,7 @@ from fuzzsig.market_data import PriceSeries, parse_csv
 from fuzzsig.tuning import golden_ratio
 
 from conftest import DATA_DIR
+from helpers import downtrend_series, flat_series, grade, uptrend_series
 from oracles import (
     closed_form_ema,
     composed_macd,
@@ -138,9 +133,9 @@ def test_criterion_02_range_invariants():
         mf = shapes[int(rng.integers(len(shapes)))]
         x = float(rng.random() * 3.0 - 1.0)
         delta = float(rng.random() * 0.2)
-        grade = mf.grade(x)
-        lo, hi = mf.grade_bounds(x, delta)
-        assert 0.0 <= grade <= 1.0
+        g = grade(mf, x)
+        lo, hi = grade(mf, x, delta)
+        assert 0.0 <= g <= 1.0
         assert 0.0 <= lo <= hi <= 1.0
     base = build_rule_base()
     for _ in range(100):

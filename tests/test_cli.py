@@ -11,13 +11,14 @@ import pytest
 
 from fuzzsig.cli import run
 from fuzzsig.config import ResolvedConfig
-from fuzzsig.fixtures import flat_series, portfolio_fixture
+from fuzzsig.fixtures import portfolio_fixture
 from fuzzsig.fuzzy import _check_coverage, _variables
 from fuzzsig.inference import ANTECEDENT_TERMS, build_rule_base, rules_to_csv
 from fuzzsig.market_data import (CSV_HEADER, MarketDataError, PriceSeries, aggregate_periods,
                                  serialize_csv)
 
 from conftest import DATA_DIR, PORTFOLIO_JSON_PINS
+from helpers import flat_series
 
 
 @pytest.fixture

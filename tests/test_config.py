@@ -229,12 +229,16 @@ class TestFingerprint:
             assert bumped.fingerprint() != base, field
 
     def test_equal_configs_share_a_fingerprint(self):
-        # an int given for a float setting compares equal to that float
+        # an int given for a float setting compares equal to that float, and so does -0.0
+        # to 0.0 (`--delta -0` runs the type-1 pipeline of `--delta 0`)
         assert ResolvedConfig().fingerprint() == "b90d09c25ede"
         pairs = [(ResolvedConfig(delta=0), ResolvedConfig(delta=0.0)),
                  (ResolvedConfig(divisor=89, histogram_gain=50), ResolvedConfig()),
                  (ResolvedConfig(levels=(0.236, 0.382, 1)),
-                  ResolvedConfig(levels=(0.236, 0.382, 1.0)))]
+                  ResolvedConfig(levels=(0.236, 0.382, 1.0))),
+                 (ResolvedConfig(delta=-0.0), ResolvedConfig(delta=0.0)),
+                 (ResolvedConfig(levels=(-0.0, 0.382, 0.618)),
+                  ResolvedConfig(levels=(0.0, 0.382, 0.618)))]
         for a, b in pairs:
             assert a == b
             assert a.fingerprint() == b.fingerprint()

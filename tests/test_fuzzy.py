@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fuzzsig.fixtures import flat_series
 from fuzzsig.fuzzy import (
     FootprintOfUncertainty,
     Gaussian,
@@ -30,6 +29,7 @@ from fuzzsig.fuzzy import (
 from fuzzsig.indicators import IndicatorSnapshot, snapshot
 from fuzzsig.market_data import aggregate_periods
 
+from helpers import flat_series, grade
 from oracles import shape_grade, shape_grade_bounds, swept_mf_bounds, term_grades
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
@@ -76,31 +76,31 @@ def smooth_shape(draw):
 
 class TestShapes:
     def test_triangular_peak_is_one(self):
-        assert Triangular(0.236, 0.5, 0.618).grade(0.5) == 1.0
+        assert grade(Triangular(0.236, 0.5, 0.618), 0.5) == 1.0
 
     def test_gaussian_center_is_one(self):
-        assert Gaussian(0.3, 0.15).grade(0.3) == 1.0
+        assert grade(Gaussian(0.3, 0.15), 0.3) == 1.0
 
     def test_triangular_linear_interpolation(self):
         # (0.35 - 0.2) / (0.5 - 0.2)
-        assert Triangular(0.2, 0.5, 0.8).grade(0.35) == pytest.approx(0.5, rel=1e-12)
+        assert grade(Triangular(0.2, 0.5, 0.8), 0.35) == pytest.approx(0.5, rel=1e-12)
 
     def test_triangular_zero_outside_support(self):
         mf = Triangular(0.2, 0.5, 0.8)
-        assert mf.grade(0.1) == 0.0
-        assert mf.grade(0.9) == 0.0
+        assert grade(mf, 0.1) == 0.0
+        assert grade(mf, 0.9) == 0.0
 
     def test_shoulders(self):
         left = LeftShoulder(0.3, 0.45)
-        assert left.grade(0.0) == 1.0
-        assert left.grade(0.3) == 1.0
-        assert left.grade(0.375) == pytest.approx(0.5, rel=1e-12)
-        assert left.grade(0.45) == 0.0
+        assert grade(left, 0.0) == 1.0
+        assert grade(left, 0.3) == 1.0
+        assert grade(left, 0.375) == pytest.approx(0.5, rel=1e-12)
+        assert grade(left, 0.45) == 0.0
         right = RightShoulder(0.55, 0.7)
-        assert right.grade(1.0) == 1.0
-        assert right.grade(0.7) == 1.0
-        assert right.grade(0.625) == pytest.approx(0.5, rel=1e-12)
-        assert right.grade(0.55) == 0.0
+        assert grade(right, 1.0) == 1.0
+        assert grade(right, 0.7) == 1.0
+        assert grade(right, 0.625) == pytest.approx(0.5, rel=1e-12)
+        assert grade(right, 0.55) == 0.0
 
     def test_invalid_orderings_rejected(self):
         with pytest.raises(ValueError):
@@ -114,12 +114,12 @@ class TestShapes:
 
     @given(mf=any_shape(), x=st.floats(-0.5, 1.5))
     def test_grades_stay_in_unit_interval(self, mf, x):
-        assert 0.0 <= mf.grade(x) <= 1.0
+        assert 0.0 <= grade(mf, x) <= 1.0
 
     def test_triangular_integrates_to_half_base(self):
         mf = Triangular(0.1, 0.45, 0.9)
         grid = np.linspace(0.0, 1.0, 1001)
-        area = np.trapezoid(mf.grade(grid), grid)
+        area = np.trapezoid(grade(mf, grid), grid)
         assert area == pytest.approx((0.9 - 0.1) / 2.0, abs=1e-3)
 
 
@@ -129,17 +129,17 @@ class TestIntervalGrades:
         for mf in (Triangular(0.2, 0.5, 0.8), LeftShoulder(0.3, 0.45),
                    RightShoulder(0.55, 0.7), Gaussian(0.5, 0.15)):
             for x in np.linspace(-0.2, 1.2, 57):
-                lo, hi = mf.grade_bounds(float(x), fou.delta)
-                g = mf.grade(float(x))
+                lo, hi = grade(mf, float(x), fou.delta)
+                g = grade(mf, float(x))
                 assert lo == g and hi == g
 
     def test_gaussian_center_unaffected_by_width_blur(self):
-        lo, hi = Gaussian(0.5, 0.15).grade_bounds(0.5, FootprintOfUncertainty(0.05).delta)
+        lo, hi = grade(Gaussian(0.5, 0.15), 0.5, FootprintOfUncertainty(0.05).delta)
         assert (lo, hi) == (1.0, 1.0)
 
     def test_triangular_interval_matches_parameter_sweep(self):
         mf = Triangular(0.2, 0.5, 0.8)
-        lo, hi = mf.grade_bounds(0.35, FootprintOfUncertainty(0.05).delta)
+        lo, hi = grade(mf, 0.35, FootprintOfUncertainty(0.05).delta)
         slo, shi = swept_mf_bounds(mf, 0.35, 0.05, steps=1000)
         assert lo == pytest.approx(slo, abs=1e-3)
         assert hi == pytest.approx(shi, abs=1e-3)
@@ -149,7 +149,7 @@ class TestIntervalGrades:
 
     @given(mf=smooth_shape(), x=st.floats(-0.5, 1.5), delta=st.floats(0.0, 0.2))
     def test_interval_matches_sweep_everywhere(self, mf, x, delta):
-        lo, hi = mf.grade_bounds(x, delta)
+        lo, hi = grade(mf, x, delta)
         slo, shi = swept_mf_bounds(mf, x, delta, steps=400)
         # slope <= 10 and sweep step <= 1e-3 bound the discrepancy near 1e-2
         assert lo <= hi
@@ -161,10 +161,10 @@ class TestIntervalGrades:
     @given(mf=any_shape(), xs=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=70),
            delta=st.sampled_from([0.0, 0.05, 0.3]))
     def test_array_bounds_equal_scalar_bounds_bitwise(self, mf, xs, delta):
-        lo, hi = mf.grade_bounds(np.array(xs), delta)
+        lo, hi = grade(mf, np.array(xs), delta)
         assert lo.shape == hi.shape == (len(xs),)
         for x, a, b in zip(xs, lo.tolist(), hi.tolist()):
-            scalar = mf.grade_bounds(x, delta)
+            scalar = grade(mf, x, delta)
             assert all(type(g) is float for g in scalar)
             assert (a.hex(), b.hex()) == tuple(g.hex() for g in scalar)
 
@@ -172,8 +172,8 @@ class TestIntervalGrades:
            d1=st.floats(0.0, 0.2), d2=st.floats(0.0, 0.2))
     def test_monotone_in_delta(self, mf, x, d1, d2):
         small, big = sorted((d1, d2))
-        lo1, hi1 = mf.grade_bounds(x, small)
-        lo2, hi2 = mf.grade_bounds(x, big)
+        lo1, hi1 = grade(mf, x, small)
+        lo2, hi2 = grade(mf, x, big)
         assert lo2 <= lo1 + 1e-15
         assert hi2 >= hi1 - 1e-15
         assert 0.0 <= lo1 <= hi1 <= 1.0
@@ -216,7 +216,7 @@ DELTAS = [None, 0.0, 0.05, 0.15, 0.4]
 
 
 class TestGradingKernel:
-    """grade_inputs and every shape's grade / grade_bounds against the per-shape oracle, bit for bit."""
+    """grade_inputs and one-term grade_terms against the per-shape oracle, bit for bit."""
 
     @given(data=st.data(), tables=st.lists(st.lists(any_term(), min_size=1, max_size=4),
                                            min_size=1, max_size=3),
@@ -263,16 +263,16 @@ class TestGradingKernel:
 
     @given(data=st.data(), mf=any_term(), delta=st.sampled_from(DELTAS[1:]),
            rows=st.sampled_from([None, 1, 64]))
-    def test_shape_methods_equal_the_shape_formulas(self, data, mf, delta, rows):
+    def test_one_term_grades_equal_the_shape_formulas(self, data, mf, delta, rows):
         points = data.draw(graded_points([mf], delta, rows or 1))
         x = points[0] if rows is None else np.array(points)
-        grade = mf.grade(x)
-        lower, upper = mf.grade_bounds(x, delta)
+        g = grade(mf, x)
+        lower, upper = grade(mf, x, delta)
         if rows is None:
-            assert type(grade) is float and type(lower) is float and type(upper) is float
+            assert type(g) is float and type(lower) is float and type(upper) is float
         else:
-            assert grade.shape == lower.shape == upper.shape == (rows,)
-        assert hexes(grade) == hexes(shape_grade(mf, x))
+            assert g.shape == lower.shape == upper.shape == (rows,)
+        assert hexes(g) == hexes(shape_grade(mf, x))
         want_lower, want_upper = shape_grade_bounds(mf, x, delta)
         assert (hexes(lower), hexes(upper)) == (hexes(want_lower), hexes(want_upper))
 
@@ -293,7 +293,7 @@ class TestDefaultVariables:
     def test_every_variable_passes_coverage_on_1001_grid(self):
         for var in default_variables():
             grid = np.linspace(var.domain[0], var.domain[1], 1001)
-            cover = np.max([mf.grade(grid) for _, mf in var.terms], axis=0)
+            cover = np.max([grade(mf, grid) for _, mf in var.terms], axis=0)
             assert cover.min() >= 0.05
 
     def test_uncovered_variable_rejected(self):

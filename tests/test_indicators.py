@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzsig import indicators
-from fuzzsig.fixtures import flat_series, portfolio_fixture, random_walk_series
+from fuzzsig.fixtures import portfolio_fixture, random_walk_series
 from fuzzsig.indicators import (
     InsufficientHistoryError,
     _macd_last,
@@ -20,7 +20,6 @@ from fuzzsig.indicators import (
     _window_runs,
     ema,
     indicator_block,
-    indicator_frame,
     macd,
     sma,
     snapshot,
@@ -28,6 +27,7 @@ from fuzzsig.indicators import (
 from fuzzsig.market_data import Bars, PriceSeries, aggregate_periods, parse_csv, serialize_csv
 
 from conftest import DATA_DIR
+from helpers import flat_series
 
 from oracles import (
     closed_form_ema,
@@ -407,7 +407,7 @@ class TestSnapshot:
 
         series = period_series(60, seed=3)
         for length in (0, 5, 60):
-            for compute in (snapshot, indicator_frame, block):
+            for compute in (snapshot, block):
                 with pytest.raises(ValueError, match=f"^{message}$"):
                     compute(PriceSeries("S", series.bars[:length]), **windows)
 
@@ -431,7 +431,8 @@ class TestIndicatorFrame:
         usable = 0
         for series in basket:
             periods = aggregate_periods(series, 15)
-            frame = indicator_frame(periods, **windows)
+            bars = periods.bars
+            frame = indicator_block(bars.high, bars.low, bars.close, **windows)
             for t in range(len(periods.bars)):
                 prefix = PriceSeries(periods.symbol, periods.bars[:t + 1])
                 try:
@@ -447,7 +448,8 @@ class TestIndicatorFrame:
     def test_macd_shows_a_row_before_inference_accepts_it(self):
         # the signal line exists from row long+trigger-2, but a snapshot needs
         # one recursion step past its seed: long+trigger bars
-        frame = indicator_frame(period_series(40, seed=5))
+        bars = period_series(40, seed=5).bars
+        frame = indicator_block(bars.high, bars.low, bars.close)
         assert np.isnan(frame.macd_line[32]) and not np.isnan(frame.macd_line[33])
         assert not np.isnan(frame.signal_line[33]) and not np.isnan(frame.histogram[33])
         with pytest.raises(InsufficientHistoryError, match="MACD"):
@@ -455,7 +457,8 @@ class TestIndicatorFrame:
         frame.row(34)
 
     def test_columns_fill_from_their_windows(self):
-        frame = indicator_frame(period_series(40, seed=6))
+        bars = period_series(40, seed=6).bars
+        frame = indicator_block(bars.high, bars.low, bars.close)
         first = {name: int(np.argmax(~np.isnan(getattr(frame, name))))
                  for name in ("macd_line", "rsi", "percent_k", "percent_d", "williams")}
         assert first == {"macd_line": 33, "rsi": 21, "percent_k": 9,
@@ -463,8 +466,8 @@ class TestIndicatorFrame:
 
     @pytest.mark.parametrize("n_periods", [0, 1, 5, 12, 30, 33])
     def test_short_series_give_nan_columns_not_errors(self, n_periods):
-        series = period_series(40, seed=8)
-        frame = indicator_frame(PriceSeries("S", series.bars[:n_periods]))
+        bars = period_series(40, seed=8).bars[:n_periods]
+        frame = indicator_block(bars.high, bars.low, bars.close)
         assert len(frame.close) == len(frame.rsi) == len(frame.williams) == n_periods
         assert np.all(np.isnan(frame.macd_line))
         with pytest.raises(InsufficientHistoryError, match="MACD"):
@@ -532,8 +535,8 @@ class TestSnapshotIsTheFrameRow:
     @settings(max_examples=80, deadline=None)
     def test_every_prefix_snapshot_equals_the_frame_row_bit_for_bit(self, series, windows):
         # snapshot computes only the last row; the frame computes every row
-        frame = indicator_frame(series, **windows)
         h, lo, c = series.bars.high, series.bars.low, series.bars.close
+        frame = indicator_block(h, lo, c, **windows)
         rsi_window = windows.get("rsi_window", 21)
         williams_window = windows.get("williams_window", 30)
         for t in range(-1, len(c)):  # -1: the empty prefix
@@ -565,7 +568,7 @@ class TestSnapshotIsTheFrameRow:
             windows = {"macd_short": 1, "macd_long": 2, "macd_trigger": 1, "rsi_window": 1,
                        "stochastic_k": k, "stochastic_d": 1, "williams_window": k}
             if len(c) >= max(k, 3):
-                want = indicator_frame(series, **windows).row(len(c) - 1)
+                want = indicator_block(h, lo, c, **windows).row(len(c) - 1)
                 assert bits(snapshot(series, **windows)) == bits(want), k
 
     def test_every_prefix_of_the_long_backtest_walk(self):
@@ -573,7 +576,8 @@ class TestSnapshotIsTheFrameRow:
         # from its CSV: every window sum is long enough for numpy's unrolled add
         [daily] = parse_csv(serialize_csv(portfolio_fixture(7, 1, 1040, 15)))
         periods = aggregate_periods(daily, 15)
-        frame = indicator_frame(periods)
+        bars = periods.bars
+        frame = indicator_block(bars.high, bars.low, bars.close)
         assert len(periods.bars) == 1040
         for t in range(frame.needed - 1, 1040):
             prefix = PriceSeries("S", periods.bars[:t + 1])
@@ -766,7 +770,8 @@ class TestIndicatorBlock:
             block = indicator_block(*(np.stack([getattr(s.bars, name) for s in basket])
                                       for name in ("high", "low", "close")), **windows)
             for i, series in enumerate(basket):
-                frame = indicator_frame(series, **windows)
+                bars = series.bars
+                frame = indicator_block(bars.high, bars.low, bars.close, **windows)
                 assert (block.binding, block.needed) == (frame.binding, frame.needed)
                 for name in FRAME_COLUMNS:
                     # NaN positions included: compare the raw float64 bits
@@ -779,7 +784,7 @@ class TestIndicatorBlock:
         # them as vectors; both give the one-series frame's bits at every length
         series = aggregate_periods(random_walk_series("S", seed=periods, periods=periods), 15)
         bars = series.bars
-        frame = indicator_frame(series)
+        frame = indicator_block(bars.high, bars.low, bars.close)
         for rows in (1, 2):
             block = indicator_block(*(np.tile(getattr(bars, name), (rows, 1))
                                       for name in ("high", "low", "close")))

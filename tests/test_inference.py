@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzsig.config import ResolvedConfig
-from fuzzsig.fixtures import downtrend_series, flat_series, portfolio_fixture, uptrend_series
+from fuzzsig.fixtures import portfolio_fixture
 from fuzzsig.fuzzy import (
     FootprintOfUncertainty,
     FuzzifiedInputs,
@@ -43,6 +43,7 @@ from fuzzsig.inference import (
 )
 from fuzzsig.market_data import aggregate_periods
 
+from helpers import downtrend_series, flat_series, grade, uptrend_series
 from oracles import brute_force_aggregate, enumerated_km, max_of_clips, stacked_inputs
 
 OUTPUT_VAR = next(v for v in default_variables() if v.name == "signal")
@@ -78,7 +79,7 @@ def singleton_inputs(macd, rsi, so, wa):
 class TestRuleBase:
     def test_exactly_36_distinct_exhaustive_antecedents(self):
         base = build_rule_base()
-        assert len(base) == 36
+        assert len(base.rules) == 36
         antecedents = {rule.antecedent() for rule in base.rules}
         assert len(antecedents) == 36
         product = set(itertools.product(
@@ -119,7 +120,7 @@ class TestFireRules:
     def test_single_rule_at_full_strength_reproduces_consequent(self):
         inputs = singleton_inputs("low", "low", "medium", "low")  # score -4, Sell
         agg = fire_rules(inputs, build_rule_base(), OUTPUT_VAR)
-        expected = OUTPUT_VAR.mf("sell").grade(agg.grid)
+        expected = grade(dict(OUTPUT_VAR.terms)["sell"], agg.grid)
         assert np.array_equal(agg.upper, [expected])
 
     def test_matches_per_gridpoint_double_loop(self):
@@ -322,9 +323,9 @@ class TestKmTypeReduce:
         grid = np.linspace(0.0, 1.0, 1001)
         zeros = np.zeros((1, len(grid)))
         for upper, expected in (
-            (np.minimum(OUTPUT_VAR.mf("sell").grade(grid), 0.5), (0.0, 0.449)),
-            (np.minimum(OUTPUT_VAR.mf("buy").grade(grid), 0.5), (0.551, 1.0)),
-            (np.minimum(OUTPUT_VAR.mf("hold").grade(grid), 0.35), (0.35, 0.649)),
+            (np.minimum(grade(dict(OUTPUT_VAR.terms)["sell"], grid), 0.5), (0.0, 0.449)),
+            (np.minimum(grade(dict(OUTPUT_VAR.terms)["buy"], grid), 0.5), (0.551, 1.0)),
+            (np.minimum(grade(dict(OUTPUT_VAR.terms)["hold"], grid), 0.35), (0.35, 0.649)),
             (np.where(grid == 0.0, 1.0, 0.0), (0.0, 0.0)),  # mass at one end only
         ):
             cases.append((AggregatedOutput(grid, zeros, upper[None], interval=True), expected))
@@ -372,7 +373,7 @@ class TestKmTypeReduce:
 class TestDefuzzify:
     def test_hold_term_alone_centers_at_half(self):
         grid = np.linspace(0.0, 1.0, 1001)
-        mu = OUTPUT_VAR.mf("hold").grade(grid)[None]
+        mu = grade(dict(OUTPUT_VAR.terms)["hold"], grid)[None]
         agg = AggregatedOutput(grid, mu, mu, interval=False)
         [crisp] = defuzzify(agg)
         assert crisp == pytest.approx(0.5, abs=1e-6)
@@ -604,7 +605,7 @@ class TestRulesCsv:
     def test_score_column_ignored_on_import(self):
         text = rules_to_csv(build_rule_base(), include_scores=True)
         assert text.splitlines()[0] == "macd,rsi,so,wa,consequent,score"
-        assert len(rules_from_csv(text)) == 36
+        assert len(rules_from_csv(text).rules) == 36
 
     def test_duplicate_antecedent_rejected(self):
         text = ("macd,rsi,so,wa,consequent\n"

@@ -15,12 +15,11 @@ from conftest import DATA_DIR
 EXPORTS = {
     "config": ["ConfigError", "ResolvedConfig", "load_config_file", "parse_config_text"],
     "evaluate": ["BacktestRecord", "BacktestStats", "PortfolioReport", "ReportRow", "backtest",
-                 "emit_report", "parse_report", "run_portfolio"],
+                 "emit_report", "run_portfolio"],
     "fuzzy": ["FootprintOfUncertainty", "FuzzifiedInputs", "Gaussian", "LeftShoulder",
               "LinguisticVariable", "RightShoulder", "Triangular", "default_variables"],
     "indicators": ["IndicatorFrame", "IndicatorSnapshot", "InsufficientHistoryError",
-                   "MacdTriple", "ema", "indicator_block", "indicator_frame", "macd", "sma",
-                   "snapshot"],
+                   "MacdTriple", "ema", "indicator_block", "macd", "sma", "snapshot"],
     "inference": ["AggregatedOutput", "InferenceError", "PipelineError", "Recommendation",
                   "Rule", "RuleBase", "Signal", "build_rule_base", "classify_signal",
                   "defuzzify", "fire_rules", "km_type_reduce", "recommend", "rules_from_csv",
@@ -64,7 +63,7 @@ def test_command_imports_only_what_it_runs(argv):
      {"json", "decimal"}),
 ], ids=["portfolio-csv", "backtest-csv"])
 def test_csv_reports_load_no_json_and_backtests_no_decimal(argv, unused):
-    # json serves the json format and parse_report, decimal the 1 dp column
+    # json serves the json format, decimal the 1 dp column
     modules = imported_modules(*argv)
     assert "fuzzsig.evaluate" in modules
     assert modules & unused == set()
