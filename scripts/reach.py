@@ -33,7 +33,8 @@ FIXTURE = ROOT / "tests" / "data" / "portfolio_fixture.csv"
 
 # Functions no CLI command enters that stay, by module.qualname, with the reason.
 KEEP = {
-    "cli.main": "the console script of pyproject.toml; the matrix calls cli.run",
+    "cli.main": "the console script of pyproject.toml; it ends the process with os._exit, "
+                "so the matrix calls cli.run and tests/test_exit.py runs main in subprocesses",
     "fuzzy._hash_once.__getstate__": "keeps the per-process salted hash out of pickles",
     "market_data.Bars.__add__": "the benchmark's smoke test builds its duplicate-row "
                                 "basket with it",

@@ -296,7 +296,22 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """The console script and `python -m fuzzsig.cli`: run, flush, then end the process.
+
+    os._exit skips interpreter teardown (module cleanup, freeing the parsed
+    table and numpy's objects) and every atexit handler; the CLI registers
+    none, starts no thread and closes each file it opens. A failed write to
+    stdout, in run() or at the flush, prints one error line and exits 1; any
+    other exception escaping run() takes Python's normal path.
+    """
+    try:
+        code = run()
+        sys.stdout.flush()
+    except OSError as exc:  # run() turns every file error but a stdout write into exit 1
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        code = 1
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -4,6 +4,8 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, settings
 
+import fuzzsig
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 settings.register_profile(
@@ -20,6 +22,21 @@ settings.register_profile("ci", settings.get_profile("default"), derandomize=Fal
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+def cli_env(**changes: str | None) -> dict[str, str]:
+    """This environment for a child `python -m fuzzsig.cli`: the fuzzsig the tests
+    import on its path, no $FUZZSIG_CONFIG, and each change set (or removed if None)."""
+    src = str(Path(fuzzsig.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    for name, value in {"FUZZSIG_CONFIG": None, **changes}.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
+
 
 # sha256 of `portfolio tests/data/portfolio_fixture.csv --format json` under each
 # flag set: full-precision crisp values, which the golden CSV's 1 dp cannot see

@@ -1,15 +1,13 @@
 """What a CLI process imports, and the package names that load on first use."""
 
 import importlib
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import fuzzsig
-from conftest import DATA_DIR
+from conftest import DATA_DIR, cli_env
 
 # the names `fuzzsig/__init__.py` imported eagerly, by module
 EXPORTS = {
@@ -36,12 +34,8 @@ LATE_MODULES = {"fuzzsig.evaluate", "fuzzsig.fixtures", "hashlib", "json"}
 
 def imported_modules(*argv: str) -> set[str]:
     """The modules a fresh `python -X importtime -m fuzzsig.cli ARGV` process imports."""
-    src = str(Path(fuzzsig.__file__).parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    env.pop("FUZZSIG_CONFIG", None)
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "fuzzsig.cli", *argv],
-                          env=env, capture_output=True, text=True, check=True)
+                          env=cli_env(), capture_output=True, text=True, check=True)
     # lines read "import time: <self us> | <cumulative us> | <indented module name>"
     return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
             if line.startswith("import time:")}
