@@ -36,10 +36,11 @@ KEEP = {
     "cli.main": "the console script of pyproject.toml; it ends the process with os._exit, "
                 "so the matrix calls cli.run and tests/test_exit.py runs main in subprocesses",
     "fuzzy._hash_once.__getstate__": "keeps the per-process salted hash out of pickles",
-    "market_data.Bars.__add__": "the benchmark's smoke test builds its duplicate-row "
-                                "basket with it",
-    "market_data.Bars.__eq__": "series equality, and the serialize_csv round trip",
-    "market_data.Bars.__hash__": "Bars compare by value, so they hash by value",
+    "market_data.Bars.__add__": "concatenates two Bars column by column; the benchmark's "
+                                "smoke test builds its duplicate-row basket with it",
+    "market_data.Bars.__eq__": "two Bars are equal when every column is: series equality, "
+                               "and the serialize_csv round trip",
+    "market_data.Bars.__hash__": "hashes the column values, so equal Bars hash equal",
     "tuning.golden_ratio": "the paper's golden ratio, which acceptance criterion 4 checks",
 }
 

@@ -47,7 +47,8 @@ def parse_mf(text: str) -> MembershipFunction:
     if len(parts) - 1 != arity:
         raise ConfigError(f"{shape} takes {arity} parameters, got {len(parts) - 1}")
     try:
-        params = [float(p) for p in parts[1:]]
+        # + 0.0 turns -0.0 into 0.0: a -0 breakpoint is the config 0 is, as for scalar settings
+        params = [float(p) + 0.0 for p in parts[1:]]
     except ValueError:
         raise ConfigError(f"non-numeric membership function parameter in {text!r}") from None
     if not all(math.isfinite(p) for p in params):

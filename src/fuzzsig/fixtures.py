@@ -3,8 +3,8 @@
 The published evaluation data is not redistributable, so golden files are
 produced from these generators instead; everything here is reproducible from a
 seed alone. Each walk builds its five price and volume columns as lists and
-its dates as one datetime64[D] range, and hands them to Bars, with no PriceBar
-or date object per day.
+its dates as one datetime64[D] range, and hands them to Bars, with no date
+object per day.
 """
 
 from __future__ import annotations

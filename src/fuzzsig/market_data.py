@@ -1,9 +1,8 @@
 """OHLCV ingestion, bar checks, and aggregation into fixed-length trading periods.
 
-A PriceSeries stores its bars as columns (Bars): one read-only array per
-field, datetime64[D] for the date and float64 for each price and the volume.
-PriceBar objects, dated by datetime.date, are built only when a caller
-indexes or iterates the bars.
+A PriceSeries stores its bars as a table of columns (Bars): one read-only
+array per field, datetime64[D] for the date and float64 for each price and
+the volume. Callers read whole columns; there is no per-bar object.
 
 parse_csv keeps one copy of the rows: one set of key columns (symbol code,
 date ordinal) and one (5, rows) array of values, filled in input order and
@@ -72,16 +71,6 @@ class MarketDataError(ValueError):
     """Malformed, inconsistent, or insufficient market data."""
 
 
-@dataclass(frozen=True, slots=True)
-class PriceBar:
-    date: date
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: float
-
-
 def _column(values, dtype, length: int | None = None) -> np.ndarray:
     """`values` as a read-only 1-D array of `dtype`, with `length` items if given."""
     if not isinstance(values, (np.ndarray, Sequence)):  # e.g. a generator: read it once
@@ -97,17 +86,17 @@ def _column(values, dtype, length: int | None = None) -> np.ndarray:
 
 
 @dataclass(frozen=True, slots=True, eq=False)
-class Bars(Sequence):
-    """An immutable sequence of PriceBar stored as columns.
+class Bars:
+    """Price bars as a read-only table of columns.
 
     Every field is a read-only array of the same length: `date` is
     datetime64[D] and the others are float64. Any iterable of dates (date
     objects, datetime64 values or ISO strings) builds the date column; a NaT
-    or a day a datetime.date cannot hold is a ValueError naming its index. An
-    int index builds one PriceBar of a datetime.date and Python floats, a
+    or a day a datetime.date cannot hold is a ValueError naming its index. A
     slice is a Bars of read-only views of these columns (built without
-    repeating the construction checks), and `+` concatenates. A Bars equals
-    any PriceBar sequence holding the same bars.
+    repeating the construction checks); an int index is a TypeError. `+`
+    concatenates two Bars. Two Bars are equal when every column holds equal
+    values, and equal Bars hash equal.
     """
 
     date: np.ndarray
@@ -127,16 +116,6 @@ class Bars(Sequence):
         for name in _COLUMNS:
             object.__setattr__(self, name, _column(getattr(self, name), np.float64, len(dates)))
 
-    @classmethod
-    def of(cls, bars: Sequence[PriceBar]) -> Bars:
-        """`bars` itself if it is a Bars, else its bars copied into columns."""
-        if isinstance(bars, Bars):
-            return bars
-        bars = tuple(bars)
-        values = np.array([(b.open, b.high, b.low, b.close, b.volume) for b in bars],
-                          dtype=np.float64).reshape(len(bars), len(_COLUMNS))
-        return cls([b.date for b in bars], *values.T)
-
     def columns(self) -> tuple[np.ndarray, ...]:
         """open, high, low, close, volume."""
         return self.open, self.high, self.low, self.close, self.volume
@@ -144,42 +123,40 @@ class Bars(Sequence):
     def __len__(self) -> int:
         return len(self.date)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            # views of checked read-only columns: __post_init__ has nothing to check or copy
-            part = object.__new__(Bars)
-            for name in _FIELDS:
-                object.__setattr__(part, name, getattr(self, name)[index])
-            return part
-        return PriceBar(self.date[index].item(),
-                        *(float(column[index]) for column in self.columns()))
+    def __getitem__(self, index: slice) -> Bars:
+        if not isinstance(index, slice):
+            raise TypeError(f"Bars take a slice, not {type(index).__name__}; read a bar's "
+                            f"values from the columns")
+        # views of checked read-only columns: __post_init__ has nothing to check or copy
+        part = object.__new__(Bars)
+        for name in _FIELDS:
+            object.__setattr__(part, name, getattr(self, name)[index])
+        return part
 
-    def __add__(self, other: Sequence[PriceBar]) -> Bars:
-        if not isinstance(other, Sequence):
+    def __add__(self, other: Bars) -> Bars:
+        if not isinstance(other, Bars):
             return NotImplemented
-        other = Bars.of(other)
         return Bars(*(np.concatenate((getattr(self, name), getattr(other, name)))
                       for name in _FIELDS))
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Bars):
-            return all(np.array_equal(getattr(self, name), getattr(other, name))
-                       for name in _FIELDS)
-        if isinstance(other, Sequence) and not isinstance(other, str):
-            return tuple(self) == tuple(other)
-        return NotImplemented
+        if not isinstance(other, Bars):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in _FIELDS)
 
     def __hash__(self) -> int:
-        return hash(tuple(self))
+        # + 0.0 turns -0.0 into the 0.0 it equals
+        return hash((self.date.tobytes(), *((column + 0.0).tobytes() for column in self.columns())))
 
 
 @dataclass(frozen=True, slots=True)
 class PriceSeries:
     symbol: str
-    bars: Bars  # any PriceBar sequence is converted to Bars once, on construction
+    bars: Bars
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bars", Bars.of(self.bars))
+        if not isinstance(self.bars, Bars):
+            raise TypeError(f"PriceSeries bars must be a Bars, got {type(self.bars).__name__}")
 
 
 def _unordered(dates: np.ndarray) -> np.ndarray:

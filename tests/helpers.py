@@ -1,9 +1,11 @@
-"""Test-only builders: trend-ramp price series, and one membership function's grades.
+"""Test-only builders: bars from rows, edited series, trend-ramp price series,
+and one membership function's grades.
 
-The ramps give the pipeline inputs whose signal is known in advance: a
-flat series sits at every layer's neutral point, an uptrend reads Buy and a
-downtrend Sell. They are dated from fuzzsig.fixtures' start day, like the
-seeded walks.
+A Bars is a table of columns, so tests that think in rows build one with
+bars_of and change single cells with with_cells. The ramps give the pipeline
+inputs whose signal is known in advance: a flat series sits at every layer's
+neutral point, an uptrend reads Buy and a downtrend Sell. They are dated from
+fuzzsig.fixtures' start day, like the seeded walks.
 """
 
 from __future__ import annotations
@@ -13,6 +15,28 @@ import numpy as np
 from fuzzsig.fixtures import _dates
 from fuzzsig.fuzzy import grade_terms, term_table
 from fuzzsig.market_data import Bars, PriceSeries
+
+
+FIELDS = ("date", "open", "high", "low", "close", "volume")
+
+
+def bars_of(rows) -> Bars:
+    """A Bars of (date, open, high, low, close, volume) row tuples; no rows, no bars."""
+    columns = list(zip(*rows))
+    return Bars(*(columns or [()] * len(FIELDS)))
+
+
+def with_cells(series: PriceSeries, **cells: dict) -> PriceSeries:
+    """A copy of `series` whose named columns hold new values at the given indices.
+
+    with_cells(s, close={-1: 9.0}) replaces the last close; a date cell takes
+    anything a datetime64[D] array does.
+    """
+    columns = {name: getattr(series.bars, name).copy() for name in FIELDS}
+    for name, changes in cells.items():
+        for i, value in changes.items():
+            columns[name][i] = value
+    return PriceSeries(series.symbol, Bars(**columns))
 
 
 def grade(mf, x, delta: float | None = None):

@@ -14,8 +14,8 @@ from fuzzsig.config import ResolvedConfig
 from fuzzsig.fixtures import portfolio_fixture
 from fuzzsig.fuzzy import _check_coverage, _variables
 from fuzzsig.inference import ANTECEDENT_TERMS, build_rule_base, rules_to_csv
-from fuzzsig.market_data import (CSV_HEADER, MarketDataError, PriceSeries, aggregate_periods,
-                                 serialize_csv)
+from fuzzsig.market_data import (CSV_HEADER, Bars, MarketDataError, PriceSeries,
+                                 aggregate_periods, parse_csv, serialize_csv)
 
 from conftest import DATA_DIR, PORTFOLIO_JSON_PINS
 from helpers import flat_series
@@ -324,6 +324,25 @@ class TestBacktestCommand:
         built = capsysbinary.readouterr().out
         assert run([*argv, "--rules", str(rules)]) == 0
         assert capsysbinary.readouterr().out == built
+
+    @pytest.mark.parametrize("delta", ["0", "0.05"])
+    def test_power_of_two_price_rescale_gives_the_same_bytes(self, delta, tmp_path,
+                                                              capsysbinary):
+        # the indicators and next_return are price ratios, and a power-of-two factor
+        # scales every price exactly
+        fixture = DATA_DIR / "portfolio_fixture.csv"
+        argv = ["--symbol", "SYN01", "--format", "json", "--delta", delta]
+        assert run(["backtest", str(fixture), *argv]) == 0
+        expected = capsysbinary.readouterr().out
+        assert json.loads(expected)["records"]
+        basket = parse_csv(fixture.read_bytes())
+        for factor in (0.25, 4.0, 1024.0):
+            scaled = tmp_path / "scaled.csv"
+            scaled.write_bytes(serialize_csv([PriceSeries(s.symbol, Bars(
+                s.bars.date, *(column * factor for column in s.bars.columns()[:4]),
+                s.bars.volume)) for s in basket]))
+            assert run(["backtest", str(scaled), *argv]) == 0
+            assert capsysbinary.readouterr().out == expected, factor
 
     def test_all_buy_rules_change_the_signals(self, tmp_path, capsys):
         rules = tmp_path / "rules.csv"

@@ -10,7 +10,10 @@ from fuzzsig.config import (
     parse_config_text,
     parse_mf,
 )
+from fuzzsig.cli import run
 from fuzzsig.fuzzy import Gaussian, LeftShoulder, RightShoulder, Triangular
+
+from conftest import DATA_DIR
 
 
 class TestMfSyntax:
@@ -242,6 +245,20 @@ class TestFingerprint:
         for a, b in pairs:
             assert a == b
             assert a.fingerprint() == b.fingerprint()
+
+    def test_a_negative_zero_breakpoint_is_the_config_zero_is(self, tmp_path, capsysbinary):
+        # the parsed parameter is +0.0, so the function, the fingerprint and every output match
+        assert math.copysign(1.0, parse_mf("leftshoulder -0 0.5").plateau_end) == 1.0
+        outputs = []
+        for text in ("-0", "0", "0.0"):
+            cfg = parse_config_text(f"fuzzy.so.low = leftshoulder {text} 0.5\n")
+            assert cfg.fingerprint() == "a92f86a498ba"
+            path = tmp_path / "zero.conf"
+            path.write_text(f"fuzzy.so.low = leftshoulder {text} 0.5\n")
+            assert run(["portfolio", str(DATA_DIR / "portfolio_fixture.csv"), "--format", "json",
+                        "--config", str(path)]) == 0
+            outputs.append(capsysbinary.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_mf_change_moves_the_fingerprint(self):
         table = ResolvedConfig().mf_table

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import hashlib
 import json
@@ -33,6 +32,7 @@ from fuzzsig.inference import (
     rules_from_csv,
 )
 from fuzzsig.market_data import (
+    Bars,
     MarketDataError,
     PriceSeries,
     aggregate_periods,
@@ -41,7 +41,7 @@ from fuzzsig.market_data import (
 )
 
 from conftest import DATA_DIR
-from helpers import uptrend_series
+from helpers import bars_of, uptrend_series, with_cells
 
 
 def _rows(report):
@@ -116,7 +116,7 @@ class TestRunPortfolio:
 
     def test_series_without_bars_are_empty_input(self):
         with pytest.raises(ValueError, match="empty input"):
-            run_portfolio([PriceSeries("A", ()), PriceSeries("B", ())])
+            run_portfolio([PriceSeries("A", bars_of([])), PriceSeries("B", bars_of([]))])
 
     @pytest.mark.parametrize("line, weights", [
         ("rules.primary_weight = 1", {"primary_weight": 1}),
@@ -151,7 +151,7 @@ class TestRunPortfolio:
                   for i, s in enumerate(ragged)]
         ragged[62] = PriceSeries(ragged[62].symbol, ragged[62].bars[:35])
         ragged[63] = PriceSeries(ragged[63].symbol, ragged[63].bars[:34])
-        ragged[64] = PriceSeries(ragged[64].symbol, ())
+        ragged[64] = PriceSeries(ragged[64].symbol, bars_of([]))
         rows = _rows(run_portfolio(ragged, cfg))
         assert rows == [_recommended(s, cfg) for s in ragged]
         assert rows[62][0] is not None
@@ -162,13 +162,12 @@ class TestRunPortfolio:
         # a close above the trailing high (a bar no CSV passes) would put %K
         # above 100; it fails at aggregation, in the block as for the one symbol
         basket = portfolio_fixture(seed=41, symbols=3, periods=60, days_per_period=1)
-        bars = list(basket[1].bars)
-        bars[-1] = dataclasses.replace(bars[-1], close=max(b.high for b in bars[-30:]) * 1.001)
-        basket[1] = PriceSeries(basket[1].symbol, bars)
+        bars = basket[1].bars
+        basket[1] = with_cells(basket[1], close={-1: max(bars.high[-30:].tolist()) * 1.001})
         cfg = ResolvedConfig(days_per_period=1)
         rows = _rows(run_portfolio(basket, cfg))
         assert rows == [_recommended(s, cfg) for s in basket]
-        prefix = f"aggregation: SYN01: bar 59 ({bars[-1].date}): low/high must bracket open/close"
+        prefix = f"aggregation: SYN01: bar 59 ({bars.date[-1]}): low/high must bracket open/close"
         assert rows[1][2].startswith(prefix)
         assert rows[0][0] is not None and rows[2][0] is not None
 
@@ -176,9 +175,7 @@ class TestRunPortfolio:
         # a NaN high (a bar no CSV passes) inside the Williams window fails the
         # row at aggregation, in the block as for the one symbol
         basket = portfolio_fixture(seed=41, symbols=3, periods=60, days_per_period=1)
-        bars = list(basket[1].bars)
-        bars[-20] = dataclasses.replace(bars[-20], high=float("nan"))
-        basket[1] = PriceSeries(basket[1].symbol, bars)
+        basket[1] = with_cells(basket[1], high={-20: float("nan")})
         cfg = ResolvedConfig(days_per_period=1)
         rows = _rows(run_portfolio(basket, cfg))
         assert rows == [_recommended(s, cfg) for s in basket]
@@ -241,10 +238,9 @@ class TestRunPortfolio:
     def test_price_rescale_leaves_crisp_values(self, seed):
         # every input is a price ratio; a power-of-two factor scales exactly
         def scaled(factor):
-            return [PriceSeries(s.symbol, tuple(
-                dataclasses.replace(b, open=b.open * factor, high=b.high * factor,
-                                    low=b.low * factor, close=b.close * factor)
-                for b in s.bars)) for s in basket]
+            return [PriceSeries(s.symbol, Bars(
+                s.bars.date, s.bars.open * factor, s.bars.high * factor, s.bars.low * factor,
+                s.bars.close * factor, s.bars.volume)) for s in basket]
 
         basket = portfolio_fixture(seed=seed, symbols=4, periods=52)
         crisp = [row.crisp for row in run_portfolio(basket).rows]
@@ -263,7 +259,7 @@ class TestRunPortfolio:
     def test_generated_at_defaults_to_last_bar_date(self):
         basket = portfolio_fixture(seed=3, symbols=2, periods=52)
         report = run_portfolio(basket)
-        assert report.generated_at == max(s.bars[-1].date for s in basket)
+        assert report.generated_at == max(s.bars.date[-1].item() for s in basket)
         assert type(report.generated_at) is date
 
 
@@ -314,9 +310,7 @@ class TestArbitraryInput:
 
 
 def _poked(series, day, column):
-    bars = list(series.bars)
-    bars[day] = dataclasses.replace(bars[day], **{column: float("nan")})
-    return PriceSeries(series.symbol, bars)
+    return with_cells(series, **{column: {day: float("nan")}})
 
 
 class TestNonFinitePrices:
@@ -353,10 +347,7 @@ class TestNonFinitePrices:
 
 def _redated(series, moves):
     """The series with bar i dated as bar j is, for each (i, j) in moves."""
-    bars = list(series.bars)
-    for i, j in moves:
-        bars[i] = dataclasses.replace(bars[i], date=series.bars.date[j])
-    return PriceSeries(series.symbol, bars)
+    return with_cells(series, date={i: series.bars.date[j] for i, j in moves})
 
 
 class TestDatesNotIncreasing:
@@ -409,7 +400,7 @@ def aggregation_baskets(draw):
                      _redated(basket[i], [(bar - 1, bar), (bar, bar - 1)]) if fault == "backward"
                      else _poked(basket[i], bar, fault))
     short = random_walk_series("SHORT", seed, periods=1, days_per_period=d)
-    basket += [PriceSeries("SHORT", short.bars[:d - 1]), PriceSeries("EMPTY", ())]
+    basket += [PriceSeries("SHORT", short.bars[:d - 1]), PriceSeries("EMPTY", bars_of([]))]
     return d, draw(st.permutations(basket))
 
 
@@ -440,7 +431,7 @@ class TestBacktest:
         periods = aggregate_periods(series, cfg.days_per_period)
         for record in stats.records:
             assert type(record.date) is date
-            assert record.date == periods.bars[record.period_index].date
+            assert record.date == periods.bars.date[record.period_index].item()
             cutoff = (record.period_index + 1) * cfg.days_per_period
             prefix = PriceSeries(series.symbol, series.bars[:cutoff])
             again = recommend(prefix, cfg)
@@ -465,7 +456,7 @@ class TestBacktest:
         from fuzzsig.market_data import aggregate_periods
 
         periods = aggregate_periods(series, cfg.days_per_period)
-        closes = [b.close for b in periods.bars]
+        closes = periods.bars.close.tolist()
         expected = []
         for t in range(len(periods.bars) - 1):
             prefix = PriceSeries(series.symbol, periods.bars[:t + 1])

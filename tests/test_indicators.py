@@ -363,9 +363,7 @@ def period_series(n_periods, seed=0):
 class TestSnapshot:
     def test_fields_equal_individual_operations(self):
         series = period_series(52, seed=13)
-        h = np.array([b.high for b in series.bars])
-        lo = np.array([b.low for b in series.bars])
-        c = np.array([b.close for b in series.bars])
+        h, lo, c = series.bars.high, series.bars.low, series.bars.close
         snap = snapshot(series)
         triple = macd(c)
         assert snap.macd_line == triple.macd_line[-1]

@@ -1,8 +1,8 @@
-import dataclasses
 import io
 import random
 import re
 import tracemalloc
+from collections.abc import Sequence
 from datetime import date, timedelta
 from unittest import mock
 
@@ -18,7 +18,6 @@ from fuzzsig.market_data import (
     CSV_HEADER,
     Bars,
     MarketDataError,
-    PriceBar,
     PriceSeries,
     aggregate_block,
     aggregate_periods,
@@ -26,17 +25,20 @@ from fuzzsig.market_data import (
     serialize_csv,
 )
 
+from helpers import bars_of, with_cells
 from oracles import reparse_rows, scanned_unordered_dates
 
 HEADER = "symbol,date,open,high,low,close,volume\n"
 
 
-def bar(day, o=10.0, h=11.0, lo=9.0, c=10.5, v=100.0):
-    return PriceBar(day, o, h, lo, c, v)
-
-
 def make_series(n, symbol="T", start=date(2020, 1, 1)):
-    return PriceSeries(symbol, tuple(bar(start + timedelta(days=i)) for i in range(n)))
+    return PriceSeries(symbol, bars_of((start + timedelta(days=i), 10.0, 11.0, 9.0, 10.5, 100.0)
+                                       for i in range(n)))
+
+
+def rows(bars):
+    """The bars as (date, open, high, low, close, volume) tuples of a date and floats."""
+    return list(zip(bars.date.tolist(), *(column.tolist() for column in bars.columns())))
 
 
 class TestParseCsv:
@@ -46,9 +48,9 @@ class TestParseCsv:
         assert len(series) == 1
         assert series[0].symbol == "DANGCEM"
         assert len(series[0].bars) == 1
-        b = series[0].bars[0]
-        assert (b.open, b.high, b.low, b.close, b.volume) == (215.0, 220.0, 210.0, 218.0, 50000.0)
-        assert b.date == date(2017, 1, 3)
+        [(day, *values)] = rows(series[0].bars)
+        assert tuple(values) == (215.0, 220.0, 210.0, 218.0, 50000.0)
+        assert day == date(2017, 1, 3)
 
     def test_low_above_high_rejected_with_row_number(self):
         text = HEADER + "X,2020-01-01,10,9,12,10,0\n"
@@ -117,14 +119,14 @@ class TestParseCsv:
     def test_symbol_and_date_cells_are_stripped(self):
         (series,) = parse_csv(HEADER + " X , 2020-01-02 ,10,11,9,10,0\nX,2020-01-03,10,11,9,10,0\n")
         assert series.symbol == "X"
-        assert [b.date for b in series.bars] == [date(2020, 1, 2), date(2020, 1, 3)]
+        assert series.bars.date.tolist() == [date(2020, 1, 2), date(2020, 1, 3)]
 
     def test_rows_sorted_by_date_within_symbol(self):
         text = (HEADER
                 + "X,2020-01-02,10,11,9,10,0\n"
                 + "X,2020-01-01,10,11,9,10,0\n")
         (series,) = parse_csv(text)
-        assert [b.date.day for b in series.bars] == [1, 2]
+        assert [day.day for day in series.bars.date.tolist()] == [1, 2]
 
     def test_ten_symbols_match_line_level_reparse(self):
         # 10 symbols x 780 daily rows against a naive split-and-compare oracle
@@ -134,11 +136,11 @@ class TestParseCsv:
         expected = reparse_rows(text)
         assert len(parsed) == 10
         for series in parsed:
-            rows = expected[series.symbol]
-            assert len(series.bars) == 780 == len(rows)
-            for b, (day, o, h, lo, c, v) in zip(series.bars, rows):
-                assert b.date.isoformat() == day
-                assert (b.open, b.high, b.low, b.close, b.volume) == (o, h, lo, c, v)
+            expected_rows = expected[series.symbol]
+            assert len(series.bars) == 780 == len(expected_rows)
+            for (got_day, *got), (day, *values) in zip(rows(series.bars), expected_rows):
+                assert got_day.isoformat() == day
+                assert tuple(got) == tuple(values)
 
     def test_parse_serialize_parse_fixed_point(self):
         basket = portfolio_fixture(seed=3, symbols=3, periods=10)
@@ -270,11 +272,11 @@ class TestParseErrorParity:
         a, b = parse_csv(HEADER + "\n".join(INTERLEAVED) + "\n")
         assert (a.symbol, b.symbol) == ("A", "B")
         assert a == parse_csv(HEADER + "\n".join(good_rows(600, "A")) + "\n")[0]
-        assert [x.date for x in b.bars] == [x.date for x in a.bars]
+        assert b.bars.date.tolist() == a.bars.date.tolist()
 
 
 def hexes(bars):
-    return [(b.date, *map(float.hex, (b.open, b.high, b.low, b.close, b.volume))) for b in bars]
+    return [(day, *map(float.hex, values)) for day, *values in rows(bars)]
 
 
 def outcome(data):
@@ -496,38 +498,46 @@ class TestColumns:
            dpp=st.integers(1, 20))
     def test_aggregate_equals_a_hand_fold(self, volumes, dpp):
         start = date(2021, 3, 1)
-        bars = [PriceBar(start + timedelta(days=i), 10.0 + i % 3, 12.5 + i % 5, 9.0 - i % 2,
-                         11.0 + i % 4 / 3, v) for i, v in enumerate(volumes)]
+        bars = [(start + timedelta(days=i), 10.0 + i % 3, 12.5 + i % 5, 9.0 - i % 2,
+                 11.0 + i % 4 / 3, v) for i, v in enumerate(volumes)]
         if len(bars) < dpp:
             return
         expected = []
         for j in range(len(bars) // dpp):
-            chunk = bars[j * dpp:(j + 1) * dpp]
+            day, o, h, lo, c, v = zip(*bars[j * dpp:(j + 1) * dpp])
             total = 0.0
-            for b in chunk:  # left to right
-                total += b.volume
-            expected.append(PriceBar(chunk[-1].date, chunk[0].open, max(b.high for b in chunk),
-                                     min(b.low for b in chunk), chunk[-1].close, total))
-        assert hexes(aggregate_periods(PriceSeries("S", bars), dpp).bars) == hexes(expected)
+            for x in v:  # left to right
+                total += x
+            expected.append((day[-1], o[0], max(h), min(lo), c[-1], total))
+        assert (hexes(aggregate_periods(PriceSeries("S", bars_of(bars)), dpp).bars)
+                == hexes(bars_of(expected)))
 
-    def test_sequence_behaviour(self):
+    def test_a_table_of_columns_not_a_sequence_of_rows(self):
         bars = random_walk_series("S", seed=4, periods=2, days_per_period=10).bars
-        listed = list(bars)
-        assert isinstance(bars, Bars) and len(bars) == 20
-        assert bars[-1] == listed[-1] and bars[-20] == listed[0]
-        assert type(bars[3].close) is float
-        with pytest.raises(IndexError):
-            bars[20]
+        assert len(bars) == 20 and not isinstance(bars, Sequence)
+        for index in (0, -1, np.int64(3)):
+            with pytest.raises(TypeError, match="^Bars take a slice, not "):
+                bars[index]
         head = bars[2:7]
-        assert isinstance(head, Bars) and list(head) == listed[2:7]
+        assert isinstance(head, Bars) and head.close.tolist() == bars.close.tolist()[2:7]
         assert np.shares_memory(head.close, bars.close)
-        assert list(bars[::-3]) == listed[::-3]
         assert bars[:5] + bars[5:] == bars
-        assert bars[:5] + tuple(listed[5:]) == bars
-        assert bars == listed and bars == tuple(listed) and hash(bars) == hash(tuple(listed))
-        assert bars != listed[:-1]
-        moved = dataclasses.replace(bars[4], close=bars[4].high)
-        assert moved.close == listed[4].high and bars[4] == listed[4]
+        assert bars != bars[:-1] and bars[:-1] != bars
+        assert bars != rows(bars) and bars != tuple(rows(bars))
+        with pytest.raises(TypeError):
+            bars + tuple(rows(bars))
+
+    def test_equal_bars_hash_equal(self):
+        series = random_walk_series("S", seed=4, periods=2, days_per_period=10)
+        bars = series.bars
+        zero = with_cells(series, volume={3: 0.0}).bars
+        negative_zero = with_cells(series, volume={3: -0.0}).bars
+        assert zero.volume.tobytes() != negative_zero.volume.tobytes()
+        assert zero == negative_zero and hash(zero) == hash(negative_zero)
+        assert len({zero, negative_zero}) == 1
+        rebuilt = Bars(bars.date, *bars.columns())
+        assert rebuilt is not bars and rebuilt == bars and hash(rebuilt) == hash(bars)
+        assert bars != zero
 
     @given(start=st.none() | st.integers(-25, 25), stop=st.none() | st.integers(-25, 25),
            step=st.none() | st.integers(-4, 4).filter(bool))
@@ -536,7 +546,7 @@ class TestColumns:
         index = slice(start, stop, step)
         part = bars[index]
         built = Bars(bars.date[index].copy(), *(column[index].copy() for column in bars.columns()))
-        assert type(part) is Bars and part == built
+        assert type(part) is Bars and part == built and hash(part) == hash(built)
         assert part.date.tobytes() == built.date.tobytes()
         for column, whole, dtype in zip((part.date, *part.columns()), (bars.date, *bars.columns()),
                                         ("datetime64[D]", *["float64"] * 5)):
@@ -545,11 +555,14 @@ class TestColumns:
                 column[:] = whole[:1]
             assert len(column) == 0 or np.shares_memory(column, whole)
 
-    def test_series_converts_bars_once(self):
+    def test_series_takes_bars_only(self):
         bars = make_series(5).bars
         assert isinstance(bars, Bars)
         assert PriceSeries("T", bars).bars is bars
-        assert PriceSeries("T", ()).bars == ()
+        assert len(PriceSeries("T", bars_of([])).bars) == 0
+        for other, name in (([], "list"), ((), "tuple"), (rows(bars), "list"), (None, "NoneType")):
+            with pytest.raises(TypeError, match=f"^PriceSeries bars must be a Bars, got {name}$"):
+                PriceSeries("X", other)
 
     def test_columns_are_read_only(self):
         series = random_walk_series("S", seed=2, periods=40)
@@ -570,8 +583,9 @@ class TestColumns:
         for dates in (tuple(days), (d for d in days), map(date.isoformat, days),
                       np.array(days, "datetime64[D]"), {d: None for d in days}.keys()):
             assert Bars(dates, close, close, close, close, close) == bars
-        assert [type(b.date) for b in bars] == [date] * 3 and bars.date.tolist() == days
-        assert type(bars[1].date) is date and bars[-1].date == days[-1]
+        assert [type(day) for day in bars.date.tolist()] == [date] * 3
+        assert bars.date.tolist() == days
+        assert type(bars.date[1].item()) is date and bars.date[-1].item() == days[-1]
         assert (bars + bars[:0]).date.tobytes() == bars.date.tobytes()
 
     @pytest.mark.parametrize("bad", [None, np.datetime64("NaT"), "NaT", "10000-01-01",
@@ -600,9 +614,9 @@ class TestAggregatePeriods:
         series = random_walk_series("S", seed=6, periods=40, days_per_period=1)
         out = aggregate_periods(series, 1)
         assert out is series
-        assert list(out.bars) == list(series.bars)
+        assert rows(out.bars) == rows(series.bars)
         with pytest.raises(MarketDataError, match="^E: 0 bars is shorter than one 1-bar period$"):
-            aggregate_periods(PriceSeries("E", ()), 1)
+            aggregate_periods(PriceSeries("E", bars_of([])), 1)
         with pytest.raises(MarketDataError, match="^days_per_period must be >= 1, got 0$"):
             aggregate_periods(series, 0)
 
@@ -613,15 +627,13 @@ class TestAggregatePeriods:
     ])
     def test_nonfinite_value_names_the_first_bad_bar(self, dpp, column, value):
         series = make_series(30)
-        bars = list(series.bars)
-        for i in (7, 21):
-            bars[i] = dataclasses.replace(bars[i], **{column: value})
+        changed = with_cells(series, **{column: {7: value, 21: value}})
         got = {"open": 10.0, "high": 11.0, "low": 9.0, "close": 10.5, "volume": 100.0,
                column: value}
         message = ("T: bar 7 (2020-01-08): prices and volume must be finite, got "
                    + " ".join(f"{name}={x}" for name, x in got.items()))
         with pytest.raises(MarketDataError) as caught:
-            aggregate_periods(PriceSeries("T", bars), dpp)
+            aggregate_periods(changed, dpp)
         assert str(caught.value) == message
 
     @pytest.mark.parametrize("dpp", [1, 15])
@@ -633,10 +645,8 @@ class TestAggregatePeriods:
     ])
     def test_date_out_of_order_names_the_first_bad_bar(self, dpp, moves, message):
         series = make_series(30)
-        bars = list(series.bars)
-        for i, j in (*moves, (21, 20)):  # bar i takes bar j's date
-            bars[i] = dataclasses.replace(bars[i], date=series.bars.date[j])
-        redated = PriceSeries("T", bars)
+        # bar i takes bar j's date
+        redated = with_cells(series, date={i: series.bars.date[j] for i, j in (*moves, (21, 20))})
         with pytest.raises(MarketDataError) as caught:
             aggregate_periods(redated, dpp)
         assert str(caught.value) == message
@@ -651,19 +661,18 @@ class TestAggregatePeriods:
         bars = []
         for i in range(30):
             px = 100.0 + i
-            bars.append(PriceBar(start + timedelta(days=i), px, px + 2.0, px - 1.5, px + 1.0, 10.0 * i))
-        series = PriceSeries("S", tuple(bars))
+            bars.append((start + timedelta(days=i), px, px + 2.0, px - 1.5, px + 1.0, 10.0 * i))
+        series = PriceSeries("S", bars_of(bars))
         out = aggregate_periods(series, 15)
         assert len(out.bars) == 2
-        for j in range(2):
-            chunk = bars[15 * j:15 * (j + 1)]
-            got = out.bars[j]
-            assert got.open == chunk[0].open
-            assert got.close == chunk[-1].close
-            assert got.date == chunk[-1].date
-            assert got.high == max(b.high for b in chunk)
-            assert got.low == min(b.low for b in chunk)
-            assert got.volume == sum(b.volume for b in chunk)
+        for j, (day, o, h, lo, c, v) in enumerate(rows(out.bars)):
+            days, opens, highs, lows, closes, volumes = zip(*bars[15 * j:15 * (j + 1)])
+            assert o == opens[0]
+            assert c == closes[-1]
+            assert day == days[-1]
+            assert h == max(highs)
+            assert lo == min(lows)
+            assert v == sum(volumes)
 
     def test_trailing_partial_period_dropped(self):
         series = make_series(34)
@@ -687,12 +696,12 @@ class TestAggregatePeriods:
             return
         out = aggregate_periods(series, dpp)
         assert len(out.bars) == n_bars // dpp
-        for j, got in enumerate(out.bars):
+        for j, (_, o, h, lo, c, _) in enumerate(rows(out.bars)):
             chunk = series.bars[dpp * j:dpp * (j + 1)]
-            assert got.high == max(b.high for b in chunk)
-            assert got.low == min(b.low for b in chunk)
-            assert got.open == chunk[0].open
-            assert got.close == chunk[-1].close
+            assert h == max(chunk.high.tolist())
+            assert lo == min(chunk.low.tolist())
+            assert o == chunk.open[0]
+            assert c == chunk.close[-1]
 
     @pytest.mark.parametrize("dpp", [1, 5, 15])
     def test_block_rows_equal_the_one_series_periods(self, dpp):
@@ -701,9 +710,7 @@ class TestAggregatePeriods:
         basket = [PriceSeries(s.symbol, s.bars[:10 * dpp + extra]) for s, extra in zip(
             portfolio_fixture(seed=6, symbols=4, periods=11, days_per_period=dpp),
             (0, dpp - 1, dpp // 2, dpp - 1))]
-        bars = list(basket[3].bars)
-        bars[-1] = dataclasses.replace(bars[-1], volume=float("nan"))
-        basket[3] = PriceSeries(basket[3].symbol, bars)
+        basket[3] = with_cells(basket[3], volume={-1: float("nan")})
         periods, faults = aggregate_block(basket, dpp)
         with pytest.raises(MarketDataError) as caught:
             aggregate_periods(basket[3], dpp)
@@ -804,8 +811,7 @@ class TestBarRule:
         rng = random.Random(seed)
         base = random_walk_series("S", seed=seed, periods=3, days_per_period=10).bars
         bars = []
-        for b in base:
-            o, h, lo, c, v = b.open, b.high, b.low, b.close, b.volume
+        for day, o, h, lo, c, v in rows(base):
             roll = rng.random()
             if roll < 0.05:
                 lo = max(o, c) + 1.0  # break the low bound
@@ -815,10 +821,10 @@ class TestBarRule:
                 o = -o
             elif roll < 0.2:
                 h = float("nan")
-            bars.append(PriceBar(b.date, o, h, lo, c, v))
-        series = PriceSeries("S", tuple(bars))
-        bad = [i for i, b in enumerate(bars) if market_data._bar_problem(
-            b.open, b.high, b.low, b.close, b.volume) is not None]
+            bars.append((day, o, h, lo, c, v))
+        series = PriceSeries("S", bars_of(bars))
+        bad = [i for i, (_, *values) in enumerate(bars)
+               if market_data._bar_problem(*values) is not None]
         if not bad:
             assert len(aggregate_periods(series, dpp).bars) == 30 // dpp
             assert parse_csv(serialize_csv([series])) == [series]
