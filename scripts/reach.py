@@ -14,6 +14,10 @@ entered, or be in KEEP with its reason. The script exits 1 and names each
 function that was never entered, each KEEP entry that names no function or
 one that was entered, and each call that exited with a code other than the
 expected one. Its input and output files live in a temporary directory.
+
+Under `python -X dev -W error scripts/reach.py` each warning a call raises is
+an error, and one raised where nothing can catch it, such as the
+ResourceWarning of a file left open, is a problem that names the call.
 """
 
 from __future__ import annotations
@@ -93,10 +97,19 @@ def matrix(cli, tmp: Path, problems: list[str]) -> None:
     fixture, basket, short = str(FIXTURE), str(tmp / "basket.csv"), str(tmp / "short.csv")
 
     def call(*argv: str, expected: int = 0) -> bytes:
-        """cli.run(argv)'s stdout, with stderr captured; a wrong exit code is a problem."""
+        """cli.run(argv)'s stdout, with stderr captured; a wrong exit code is a problem.
+
+        So is an exception that nothing could catch, such as a finalizer's.
+        """
         out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()) as err:
-            code = cli.run(list(argv))
+        sys.unraisablehook = lambda hook: problems.append(
+            f"{hook.exc_type.__name__}: {hook.exc_value}: fuzzsig {' '.join(argv)}")
+        try:
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = cli.run(list(argv))
+        finally:
+            sys.unraisablehook = sys.__unraisablehook__
         out.flush()
         if code != expected:
             problems.append(f"exit {code}, expected {expected}: fuzzsig {' '.join(argv)}\n"

@@ -13,13 +13,12 @@ then command-line flags.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import typing
 from dataclasses import dataclass, field
 
-from .fuzzy import (FootprintOfUncertainty, Gaussian, LinguisticVariable, MembershipFunction,
-                    default_mf_table, default_variables)
+from .fuzzy import (Gaussian, LinguisticVariable, MembershipFunction, default_mf_table,
+                    default_variables)
 from .tuning import DEFAULT_DIVISOR
 
 if typing.TYPE_CHECKING:
@@ -135,11 +134,6 @@ class ResolvedConfig:
 
         return build_rule_base(self.primary_weight, self.secondary_weight,
                                self.buy_at, self.sell_at)
-
-    @functools.cached_property
-    def footprint(self) -> FootprintOfUncertainty | None:
-        """The type-2 footprint of `fuzzy.delta`, built once; None (type-1) at delta 0."""
-        return FootprintOfUncertainty(self.delta) if self.delta > 0 else None
 
     @property
     def indicator_windows(self) -> dict[str, int]:

@@ -10,7 +10,8 @@ rows: a block frame's last column (signal, portfolio) or a backtest prefix's
 snapshot. All membership math is one array kernel, grade_terms, over a
 TermTable: the linear shapes as trapezoids (a, b, c, d), the Gaussians as
 centres and widths. grade_inputs grades every term of every input variable
-in one call on a (terms, N) array. Gaussians take math.exp per element, so
+in one call on a (terms, N) array: type-1 at delta None, intervals at a
+float footprint width delta >= 0. Gaussians take math.exp per element, so
 no grade depends on numpy's SIMD kernels.
 
 default_variables builds the linguistic variables once per distinct
@@ -157,9 +158,11 @@ class TermTable(NamedTuple):
     width: np.ndarray
 
 
-@functools.lru_cache(maxsize=256)
 def term_table(mfs: tuple[MembershipFunction, ...]) -> TermTable:
-    """The TermTable of these membership functions, built once per distinct tuple, read-only."""
+    """The TermTable of these membership functions, read-only; cached by its callers.
+
+    _input_terms holds the input variables' tables, inference._output_grades the output's.
+    """
     inf, nan = math.inf, math.nan
     corners = {
         Triangular: lambda mf: (mf.left, mf.peak, mf.peak, mf.right),
@@ -243,25 +246,9 @@ def grade_terms(table: TermTable, x: np.ndarray, delta: float | None) -> np.ndar
         return out
 
 
-@dataclass(frozen=True)
-class FootprintOfUncertainty:
-    """Non-negative blur applied to every membership function; 0 means type-1."""
-
-    delta: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.delta < 0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
-
-
-@functools.lru_cache(maxsize=256)
 def _check_coverage(name: str, domain: tuple[float, float],
                     terms: tuple[tuple[str, MembershipFunction], ...]) -> None:
-    """Raise ValueError unless the terms cover the domain (see LinguisticVariable).
-
-    The verdict depends only on these frozen values, so it is cached by value.
-    lru_cache keeps no exceptions, so a bad table raises the same text each time.
-    """
+    """Raise ValueError unless the terms cover the domain (see LinguisticVariable)."""
     lo, hi = domain
     if not lo < hi:
         raise ValueError(f"{name!r}: domain must be a proper interval, got {domain}")
@@ -292,9 +279,9 @@ class LinguisticVariable:
 
     Construction verifies coverage: the strongest term grade must be finite
     and stay at or above COVERAGE_FLOOR at every point of a 1001-point domain
-    grid. A NaN grade of any term fails it, naming the term. The grid is
-    graded once per distinct (name, domain, terms) in a process; later
-    constructions reuse the verdict, and a failing table raises every time.
+    grid. A NaN grade of any term fails it, naming the term. Each construction
+    grades the grid; default_variables' cache (_variables) holds the variables
+    it builds, so a process grades each of their grids once.
     """
 
     name: str
@@ -444,19 +431,22 @@ def _input_terms(variables: tuple[LinguisticVariable, ...], names: tuple[str, ..
 def grade_inputs(
     normalized: dict[str, float] | dict[str, np.ndarray],
     variables: tuple[LinguisticVariable, ...],
-    fou: FootprintOfUncertainty | None = None,
+    delta: float | None = None,
 ) -> FuzzifiedInputs:
     """Grade the input variables' terms at normalized values (see normalize_rows).
 
     The values are equal-length arrays, one value per row; a float is a
-    one-row block. With fou=None the grades are type-1; with a footprint
-    they are [lower, upper] intervals, even at delta = 0. Every term of every
-    variable present in `normalized` is graded in one grade_terms call on a
-    (terms, N) array that gathers each term's input column; the per-term
-    parameters come from a TermTable built once per distinct variables
-    tuple. Raises ValueError when `normalized` names no variable, or gives
-    one an array of more than one dimension.
+    one-row block. With delta None the grades are type-1; with a footprint
+    width delta >= 0 they are [lower, upper] intervals, even at delta 0. Every
+    term of every variable present in `normalized` is graded in one
+    grade_terms call on a (terms, N) array that gathers each term's input
+    column; the per-term parameters come from the TermTable _input_terms
+    caches per distinct (variables, names). Raises ValueError when delta is
+    not None or >= 0 (NaN is neither), when `normalized` names no variable,
+    or gives one an array of more than one dimension.
     """
+    if delta is not None and not delta >= 0:
+        raise ValueError(f"delta must be >= 0, got {delta}")
     names, keys, source, table = _input_terms(tuple(variables), tuple(normalized))
     if not names:
         raise ValueError(f"no input variable among {sorted(normalized)}")
@@ -466,6 +456,6 @@ def grade_inputs(
                              f"{np.shape(normalized[name])}")
     x = np.array([normalized[name] for name in names], dtype=float).reshape(
         len(names), -1).take(source, axis=0)
-    if fou is None:  # type-1: lower and upper are the same grades, stacked once
+    if delta is None:  # type-1: lower and upper are the same grades, stacked once
         return FuzzifiedInputs(grade_terms(table, x, None)[:, None], keys, False)
-    return FuzzifiedInputs(grade_terms(table, x, fou.delta), keys, True)
+    return FuzzifiedInputs(grade_terms(table, x, delta), keys, True)

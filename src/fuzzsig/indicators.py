@@ -251,9 +251,9 @@ def _binding(macd_short: int, macd_long: int, macd_trigger: int, rsi_window: int
     if not macd_short < macd_long:
         raise ValueError(f"short period must be below long period, got {macd_short}/{macd_long}")
     # MACD requires one genuine recursion step past the signal line's SMA seed,
-    # hence long + trigger, not - 1.
+    # hence long + trigger, not - 1. No row carries %D, so its window binds nothing.
     requirements = {"MACD": macd_long + macd_trigger, "RSI": rsi_window + 1,
-                    "stochastic": stochastic_k + stochastic_d - 1, "Williams": williams_window}
+                    "stochastic": stochastic_k, "Williams": williams_window}
     return max(requirements.items(), key=lambda kv: (kv[1], kv[0]))
 
 

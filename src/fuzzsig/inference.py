@@ -15,10 +15,10 @@ same number of periods in one market_data.aggregate_block call and passes
 the last column of their indicators.indicator_block. recommend_periods
 serves only the backtest: it passes the one row indicators.snapshot
 computes for each period prefix, in O(window). The rule base, variables and
-footprint come from ResolvedConfig; a caller may pass its own rule base. The
-variables are built once per table (fuzzy.default_variables), the footprint
-once per config, and the output grid and consequent grades once per output
-variable and grid size, so a call pays for its rows, not for rebuilding them.
+footprint width (the float fuzzy.delta; 0 grades type-1) come from
+ResolvedConfig; a caller may pass its own rule base. The variables are built
+once per table (fuzzy.default_variables), and the output grid and consequent
+grades once per output variable and grid size, so a call pays for its rows.
 """
 
 from __future__ import annotations
@@ -405,12 +405,13 @@ def recommend_rows(
         kept = [i for i in kept if i not in faults]
         normalized = {name: x[kept] for name, x in normalized.items()}
     output_var = next(var for var in variables if var.name == "signal")
-    stage = "defuzzification" if cfg.footprint is None else "type reduction"
+    delta = cfg.delta if cfg.delta > 0 else None
+    stage = "defuzzification" if delta is None else "type reduction"
     for start in range(0, len(kept), BLOCK_ROWS):
         block = kept[start:start + BLOCK_ROWS]
         rows = {name: x[start:start + BLOCK_ROWS] for name, x in normalized.items()}
         try:
-            inputs = _stage("fuzzification", grade_inputs, rows, variables, cfg.footprint)
+            inputs = _stage("fuzzification", grade_inputs, rows, variables, delta)
             agg = _stage("inference", fire_rules, inputs, rule_base, output_var, cfg.grid_points)
             fired = agg.fired
             alive = np.count_nonzero(fired)

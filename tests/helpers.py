@@ -1,5 +1,5 @@
 """Test-only builders: bars from rows, edited series, trend-ramp price series,
-and one membership function's grades.
+one membership function's grades, and a count of coverage checks.
 
 A Bars is a table of columns, so tests that think in rows build one with
 bars_of and change single cells with with_cells. The ramps give the pipeline
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from fuzzsig import fuzzy
 from fuzzsig.fixtures import _dates
 from fuzzsig.fuzzy import grade_terms, term_table
 from fuzzsig.market_data import Bars, PriceSeries
@@ -50,6 +51,18 @@ def grade(mf, x, delta: float | None = None):
         return grades.item() if arr.ndim == 0 else grades.reshape(arr.shape)
     lower, upper = (g.item() if arr.ndim == 0 else g.reshape(arr.shape) for g in grades)
     return lower, upper
+
+
+def coverage_checks(monkeypatch) -> list[str]:
+    """The names of the variables whose coverage grid is graded from now on, in order."""
+    checked, check = [], fuzzy._check_coverage
+
+    def counted(name, domain, terms):
+        checked.append(name)
+        return check(name, domain, terms)
+
+    monkeypatch.setattr(fuzzy, "_check_coverage", counted)
+    return checked
 
 
 def flat_series(

@@ -14,7 +14,6 @@ from fuzzsig.config import ResolvedConfig
 from fuzzsig.evaluate import backtest, emit_report, run_portfolio
 from fuzzsig.fixtures import random_walk_series
 from fuzzsig.fuzzy import (
-    FootprintOfUncertainty,
     Gaussian,
     LeftShoulder,
     RightShoulder,
@@ -86,11 +85,11 @@ def random_snapshot(rng: np.random.Generator) -> IndicatorSnapshot:
     )
 
 
-def graded(snap: IndicatorSnapshot, fou: FootprintOfUncertainty | None):
+def graded(snap: IndicatorSnapshot, delta: float | None):
     """The fuzzified inputs of one indicator row: normalize_rows, then grade_inputs."""
     normalized, faults = normalize_rows(snap)
     assert not faults
-    return grade_inputs(normalized, VARIABLES, fou)
+    return grade_inputs(normalized, VARIABLES, delta)
 
 
 def test_criterion_01_indicator_oracle_equivalence():
@@ -140,8 +139,8 @@ def test_criterion_02_range_invariants():
     base = build_rule_base()
     for _ in range(100):
         snap = random_snapshot(rng)
-        for fou in (None, FootprintOfUncertainty(0.05)):
-            [crisp] = defuzzify(fire_rules(graded(snap, fou), base, OUTPUT_VAR))
+        for delta in (None, 0.05):
+            [crisp] = defuzzify(fire_rules(graded(snap, delta), base, OUTPUT_VAR))
             assert 0.0 <= crisp <= 1.0
     ok(2, "indicator, grade, and crisp-output ranges hold under fuzzing")
 
@@ -174,8 +173,7 @@ def test_criterion_05_type_reduction_collapse():
     for _ in range(100):
         snap = random_snapshot(rng)
         [crisp_plain] = defuzzify(fire_rules(graded(snap, None), base, OUTPUT_VAR))
-        [crisp_interval] = defuzzify(fire_rules(graded(snap, FootprintOfUncertainty(0.0)), base,
-                                                OUTPUT_VAR))
+        [crisp_interval] = defuzzify(fire_rules(graded(snap, 0.0), base, OUTPUT_VAR))
         assert abs(crisp_plain - crisp_interval) <= 1e-9
     quad = np.ones(101)
     quad[0] = quad[-1] = 0.5

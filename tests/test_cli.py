@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import json
+import random
 import re
 from datetime import date, timedelta
 from pathlib import Path
@@ -12,13 +13,13 @@ import pytest
 from fuzzsig.cli import run
 from fuzzsig.config import ResolvedConfig
 from fuzzsig.fixtures import portfolio_fixture
-from fuzzsig.fuzzy import _check_coverage, _variables
+from fuzzsig.fuzzy import _variables
 from fuzzsig.inference import ANTECEDENT_TERMS, build_rule_base, rules_to_csv
 from fuzzsig.market_data import (CSV_HEADER, Bars, MarketDataError, PriceSeries,
                                  aggregate_periods, parse_csv, serialize_csv)
 
 from conftest import DATA_DIR, PORTFOLIO_JSON_PINS
-from helpers import flat_series
+from helpers import coverage_checks, flat_series
 
 
 @pytest.fixture
@@ -360,6 +361,23 @@ class TestBacktestCommand:
         assert len(default) == len(all_buy) and set(default) != {"Buy"}
         assert set(all_buy) == {"Buy"}
 
+    def test_a_long_percent_d_window_delays_no_signal(self, tmp_path, capsysbinary):
+        # %D feeds no rule, so its window leaves the history requirement alone
+        cfg = tmp_path / "d40.cfg"
+        cfg.write_text("indicators.stochastic_d = 40\n")
+        fixture = str(DATA_DIR / "portfolio_fixture.csv")
+        for argv in (["backtest", fixture, "--symbol", "SYN00"],
+                     ["signal", fixture, "--symbol", "SYN00", "--period-days", "20"]):
+            assert run(argv) == 0
+            expected = capsysbinary.readouterr().out
+            assert run([*argv, "--config", str(cfg)]) == 0
+            assert capsysbinary.readouterr().out == expected
+        assert expected.startswith(b"SYN00 fuzzy_output=")
+        assert run(["indicators", fixture, "--symbol", "SYN00", "--config", str(cfg)]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsysbinary.readouterr().out.decode())))
+        assert [row["period"] for row in rows if row["percent_d"] == ""] == \
+            [str(t) for t in range(48)]
+
     def test_no_signals_names_the_last_failure(self, tmp_path, capsys):
         rules = tmp_path / "rules.csv"
         rules.write_text("macd,rsi,so,wa,consequent\nlow,low,low,low,sell\n")
@@ -380,6 +398,40 @@ class TestBacktestCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: rule row 3: unknown consequent 'maybe'\n"
+
+
+class TestInputRowOrder:
+    """Shuffled data rows change no backtest byte and no symbol's indicators rows."""
+
+    @pytest.fixture
+    def shuffled_csv(self, tmp_path):
+        header, *rows = (DATA_DIR / "portfolio_fixture.csv").read_bytes().splitlines(keepends=True)
+        random.Random(5).shuffle(rows)
+        path = tmp_path / "shuffled.csv"
+        path.write_bytes(header + b"".join(rows))
+        return str(path)
+
+    @pytest.mark.parametrize("flags", [["--format", "csv"],
+                                       ["--format", "json", "--delta", "0.15"]])
+    def test_backtest_prints_the_same_bytes(self, shuffled_csv, flags, capsysbinary):
+        argv = ["--symbol", "SYN02", *flags]
+        assert run(["backtest", str(DATA_DIR / "portfolio_fixture.csv"), *argv]) == 0
+        expected = capsysbinary.readouterr().out
+        assert run(["backtest", shuffled_csv, *argv]) == 0
+        assert capsysbinary.readouterr().out == expected
+
+    @pytest.mark.parametrize("flags", [[], ["--period-days", "1", "--delta", "0.15"]])
+    def test_indicators_print_the_same_rows_for_each_symbol(self, shuffled_csv, flags, capsys):
+        def rows_by_symbol(path):
+            assert run(["indicators", path, *flags]) == 0
+            rows = {}
+            for line in capsys.readouterr().out.splitlines():
+                rows.setdefault(line.split(",", 1)[0], []).append(line)
+            return rows
+
+        expected = rows_by_symbol(str(DATA_DIR / "portfolio_fixture.csv"))
+        assert len(expected) == 11  # the header and ten symbols
+        assert rows_by_symbol(shuffled_csv) == expected
 
 
 class TestFixturesCommand:
@@ -434,15 +486,14 @@ class TestConfigHandling:
         assert "centroid_interval" not in capsys.readouterr().out
 
     def test_config_file_run_grades_each_coverage_grid_once(self, basket_csv, tmp_path,
-                                                             capsysbinary):
+                                                             capsysbinary, monkeypatch):
         # the load-time check and the run build the same five variables
         cfg = tmp_path / "conf.txt"
         cfg.write_text("fuzzy.rsi.medium = triangular 0.2 0.5 0.8\n")
+        checked = coverage_checks(monkeypatch)
         _variables.cache_clear()
-        _check_coverage.cache_clear()
         assert run(["portfolio", basket_csv, "--config", str(cfg)]) == 0
-        info = _check_coverage.cache_info()
-        assert (info.misses, info.hits) == (5, 0)
+        assert len(checked) == 5
         info = _variables.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 

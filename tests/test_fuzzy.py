@@ -12,14 +12,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fuzzsig
+from fuzzsig import fuzzy
+from fuzzsig.config import ResolvedConfig
 from fuzzsig.fuzzy import (
-    FootprintOfUncertainty,
     Gaussian,
     LeftShoulder,
     LinguisticVariable,
     RightShoulder,
     Triangular,
-    _check_coverage,
+    VARIABLE_ORDER,
     _variables,
     default_mf_table,
     default_variables,
@@ -29,7 +31,7 @@ from fuzzsig.fuzzy import (
 from fuzzsig.indicators import IndicatorSnapshot, snapshot
 from fuzzsig.market_data import aggregate_periods
 
-from helpers import flat_series, grade
+from helpers import coverage_checks, flat_series, grade
 from oracles import shape_grade, shape_grade_bounds, swept_mf_bounds, term_grades
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
@@ -125,21 +127,20 @@ class TestShapes:
 
 class TestIntervalGrades:
     def test_zero_delta_collapses_exactly(self):
-        fou = FootprintOfUncertainty(0.0)
         for mf in (Triangular(0.2, 0.5, 0.8), LeftShoulder(0.3, 0.45),
                    RightShoulder(0.55, 0.7), Gaussian(0.5, 0.15)):
             for x in np.linspace(-0.2, 1.2, 57):
-                lo, hi = grade(mf, float(x), fou.delta)
+                lo, hi = grade(mf, float(x), 0.0)
                 g = grade(mf, float(x))
                 assert lo == g and hi == g
 
     def test_gaussian_center_unaffected_by_width_blur(self):
-        lo, hi = grade(Gaussian(0.5, 0.15), 0.5, FootprintOfUncertainty(0.05).delta)
+        lo, hi = grade(Gaussian(0.5, 0.15), 0.5, 0.05)
         assert (lo, hi) == (1.0, 1.0)
 
     def test_triangular_interval_matches_parameter_sweep(self):
         mf = Triangular(0.2, 0.5, 0.8)
-        lo, hi = grade(mf, 0.35, FootprintOfUncertainty(0.05).delta)
+        lo, hi = grade(mf, 0.35, 0.05)
         slo, shi = swept_mf_bounds(mf, 0.35, 0.05, steps=1000)
         assert lo == pytest.approx(slo, abs=1e-3)
         assert hi == pytest.approx(shi, abs=1e-3)
@@ -233,13 +234,13 @@ class TestGradingKernel:
         for var in variables:
             points = data.draw(graded_points([mf for _, mf in var.terms], blur, rows or 1))
             normalized[var.name] = points[0] if rows is None else np.array(points)
-        fou = None if delta is None else FootprintOfUncertainty(delta)
-        graded = grade_inputs(normalized, variables, fou)
-        assert graded.interval is (fou is not None)
+        graded = grade_inputs(normalized, variables, delta)
+        assert graded.interval is (delta is not None)
         assert graded.term_keys == tuple((var.name, label) for var in variables
                                          for label, _ in var.terms)
         # a float input is a one-row block
-        assert graded.stacked.shape == (len(graded.term_keys), 1 if fou is None else 2, rows or 1)
+        assert graded.stacked.shape == (len(graded.term_keys), 1 if delta is None else 2,
+                                        rows or 1)
         terms = [(var.name, mf) for var in variables for _, mf in var.terms]
         for (name, mf), pair in zip(terms, graded.stacked):
             x, lower, upper = normalized[name], pair[0], pair[-1]
@@ -260,6 +261,18 @@ class TestGradingKernel:
                                              r"got shape \(2, 3\)$"):
             grade_inputs({n: np.full((2, 3), 0.5) for n in ("macd", "rsi", "so", "wa")},
                          default_variables())
+
+    @pytest.mark.parametrize("delta", [-0.1, math.nan])
+    def test_grade_inputs_rejects_a_negative_or_nan_delta(self, delta):
+        with pytest.raises(ValueError, match=f"^delta must be >= 0, got {delta}$"):
+            grade_inputs({"rsi": 0.5}, default_variables(), delta)
+
+    def test_the_footprint_is_the_float_delta_and_grading_keeps_no_value_cache(self):
+        with pytest.raises(AttributeError):
+            fuzzsig.FootprintOfUncertainty
+        assert not hasattr(ResolvedConfig(), "footprint")
+        for uncached in (fuzzy._check_coverage, fuzzy.term_table):
+            assert not hasattr(uncached, "cache_info")
 
     @given(data=st.data(), mf=any_term(), delta=st.sampled_from(DELTAS[1:]),
            rows=st.sampled_from([None, 1, 64]))
@@ -312,7 +325,7 @@ class TestDefaultVariables:
         (("a", Gaussian(float("nan"), 0.3)), ("b", Gaussian(0.5, 0.3))),
     ])
     def test_a_rejected_table_raises_the_same_text_on_every_construction(self, terms):
-        # the coverage verdict is cached, but a raised check is not
+        # each construction grades the grid afresh
         messages = []
         for _ in range(2):
             with np.errstate(invalid="ignore"), pytest.raises(ValueError) as caught:
@@ -320,16 +333,14 @@ class TestDefaultVariables:
             messages.append(str(caught.value))
         assert messages[0] == messages[1]
 
-    def test_coverage_is_graded_once_per_distinct_table(self):
+    def test_coverage_is_graded_once_per_distinct_table(self, monkeypatch):
         # the second call reuses the first call's variables, so nothing is graded again
+        checked = coverage_checks(monkeypatch)
         _variables.cache_clear()
-        _check_coverage.cache_clear()
         first = default_variables()
         assert default_variables() is first
-        info = _check_coverage.cache_info()
-        assert (info.misses, info.hits) == (5, 0)
-        assert info.maxsize is not None  # bounded
-        assert _variables.cache_info().maxsize is not None
+        assert checked == list(VARIABLE_ORDER)
+        assert _variables.cache_info().maxsize is not None  # bounded
 
     def test_equal_tables_share_one_tuple_with_one_hash(self):
         table = default_mf_table()
@@ -398,11 +409,11 @@ def flat_snapshot():
     return snapshot(aggregate_periods(flat_series(periods=40), 15))
 
 
-def graded(snap, fou=None):
+def graded(snap, delta=None):
     """One row's fuzzification, as recommend_rows does it: normalize_rows, then grade_inputs."""
     normalized, faults = normalize_rows(snap)
     assert not faults
-    return grade_inputs(normalized, default_variables(), fou)
+    return grade_inputs(normalized, default_variables(), delta)
 
 
 class TestFuzzify:
@@ -431,7 +442,7 @@ class TestFuzzify:
         snap = flat_snapshot()
         plain = graded(snap)
         assert plain.interval is False
-        blurred = graded(snap, FootprintOfUncertainty(0.05))
+        blurred = graded(snap, 0.05)
         assert blurred.interval is True
         blurred_grades = term_grades(blurred)
         for var, terms in term_grades(plain).items():

@@ -222,7 +222,7 @@ class TestStochastic:
         assert np.all(np.isnan(frame.percent_d)) and np.all(np.isnan(frame.percent_k[:9]))
         series = period_series(60, seed=4)
         with pytest.raises(InsufficientHistoryError, match="stochastic"):
-            snapshot(PriceSeries("S", series.bars[:50]), stochastic_k=50)
+            snapshot(PriceSeries("S", series.bars[:49]), stochastic_k=50)
 
 
 class TestWilliams:
@@ -388,6 +388,16 @@ class TestSnapshot:
         short = PriceSeries("S", series.bars[:36])
         with pytest.raises(InsufficientHistoryError, match="RSI"):
             snapshot(short, rsi_window=50)
+
+    def test_the_percent_d_window_needs_no_history(self):
+        # no snapshot or frame row carries %D: only %K's window binds the stochastic
+        bars = period_series(40, seed=2).bars[:35]
+        frame = indicator_block(bars.high, bars.low, bars.close, stochastic_d=40)
+        assert (frame.binding, frame.needed) == ("MACD", 35)
+        assert bits(snapshot(PriceSeries("S", bars), stochastic_d=40)) == bits(frame.row(34))
+        assert np.all(np.isnan(frame.percent_d))
+        with pytest.raises(InsufficientHistoryError, match=r"36 period bars \(stochastic"):
+            snapshot(PriceSeries("S", bars), stochastic_k=36)
 
     @pytest.mark.parametrize("windows, message", [
         pytest.param({"macd_short": 26}, "short period must be below long period, got 26/26",

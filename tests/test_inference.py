@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from fuzzsig.config import ResolvedConfig
 from fuzzsig.fixtures import portfolio_fixture
 from fuzzsig.fuzzy import (
-    FootprintOfUncertainty,
     FuzzifiedInputs,
     LinguisticVariable,
     default_variables,
@@ -184,11 +183,10 @@ class TestFireRules:
         # variables; grades of reordered terms name the first row out of place
         reordered = tuple(LinguisticVariable(v.name, v.domain, v.terms[::-1])
                           if v.name == "rsi" else v for v in default_variables())
-        fou = None if delta is None else FootprintOfUncertainty(delta)
         values = {name: np.full(rows or 1, 0.4) for name in ANTECEDENT_TERMS}
         normalized = {k: v[0].item() for k, v in values.items()} if rows is None else values
-        assert grade_inputs(normalized, default_variables(), fou).term_keys == STACKED_TERMS
-        inputs = grade_inputs(normalized, reordered, fou)
+        assert grade_inputs(normalized, default_variables(), delta).term_keys == STACKED_TERMS
+        inputs = grade_inputs(normalized, reordered, delta)
         message = ("grades must be stacked in the configured term order: "
                    "row 2 holds ('rsi', 'high'), expected ('rsi', 'low')")
         with pytest.raises(InferenceError, match=f"^{re.escape(message)}$"):
@@ -246,14 +244,14 @@ class TestFireRules:
     def test_block_rows_match_oracle_on_fixture_grades(self, delta):
         # one block of fuzzified fixture snapshots: every row of the (rows, grid)
         # envelopes equals the per-gridpoint oracle and the firing of its one-row block
-        fou = FootprintOfUncertainty(delta) if delta else None
+        blur = delta if delta else None
         variables = default_variables()
         snaps = [snapshot(aggregate_periods(s, 15))
                  for s in portfolio_fixture(seed=8, symbols=12, periods=40)]
-        rows = [grade_inputs(normalize_rows(snap)[0], variables, fou) for snap in snaps]
+        rows = [grade_inputs(normalize_rows(snap)[0], variables, blur) for snap in snaps]
         block = grade_inputs(
             {name: np.concatenate([normalize_rows(snap)[0][name] for snap in snaps])
-             for name in ANTECEDENT_TERMS}, variables, fou)
+             for name in ANTECEDENT_TERMS}, variables, blur)
         base = build_rule_base()
         agg = fire_rules(block, base, OUTPUT_VAR, grid_points=201)
         assert agg.lower.shape == agg.upper.shape == (len(snaps), 201)
@@ -506,10 +504,10 @@ class TestRecommend:
         columns = IndicatorSnapshot(*np.array([dataclasses.astuple(s) for s in snaps]).T)
         normalized, faults = normalize_rows(columns, **scale)
         assert not faults
-        block = chain(grade_inputs(normalized, variables, cfg.footprint))
+        blur = delta if delta else None
+        block = chain(grade_inputs(normalized, variables, blur))
         for series, snap, (crisp, interval) in zip(basket, snaps, block):
-            [alone] = chain(grade_inputs(normalize_rows(snap, **scale)[0], variables,
-                                         cfg.footprint))
+            [alone] = chain(grade_inputs(normalize_rows(snap, **scale)[0], variables, blur))
             assert (crisp.hex(), interval) == (alone[0].hex(), alone[1])
             rec = recommend(series, cfg)
             assert rec.crisp.hex() == crisp.hex()

@@ -8,6 +8,8 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reach.py"
 
 
 def test_every_src_function_is_reached_from_the_cli():
-    proc = subprocess.run([sys.executable, str(SCRIPT)], capture_output=True, text=True,
-                          timeout=300)
+    # under dev mode with warnings as errors: cli.main ends with os._exit, which
+    # closes no file, so every path must close its own
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", str(SCRIPT)],
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
