@@ -37,9 +37,12 @@ FIXTURE = ROOT / "tests" / "data" / "portfolio_fixture.csv"
 
 # Functions no CLI command enters that stay, by module.qualname, with the reason.
 KEEP = {
+    "_frozen.Frozen.__reduce__": "copies and pickles rebuild a value type through __init__, "
+                                 "which keeps the per-process salted hash out of them",
+    "_frozen.Frozen.__setattr__": "makes the value types' attributes read-only; no command "
+                                  "assigns one",
     "cli.main": "the console script of pyproject.toml; it ends the process with os._exit, "
                 "so the matrix calls cli.run and tests/test_exit.py runs main in subprocesses",
-    "fuzzy._hash_once.__getstate__": "keeps the per-process salted hash out of pickles",
     "market_data.Bars.__add__": "concatenates two Bars column by column; the benchmark's "
                                 "smoke test builds its duplicate-row basket with it",
     "market_data.Bars.__eq__": "two Bars are equal when every column is: series equality, "
@@ -68,6 +71,7 @@ fuzzy.wa.high = gaussian 0.618 0.25
 rules.buy_at = 3
 """
 BAD_CONFIG = "fuzzy.delta = -1\n"
+BAD_MF_CONFIG = "fuzzy.rsi.medium = triangular 0.6 0.5 0.4\n"
 BAD_RULES = "macd,rsi,so,wa,consequent\nlow,low,low,nope,sell\n"
 
 
@@ -128,6 +132,7 @@ def matrix(cli, tmp: Path, problems: list[str]) -> None:
         (tmp / name).write_text(text, encoding="utf-8")
     (tmp / "fuzzsig.cfg").write_text(CONFIG, encoding="utf-8")
     (tmp / "bad.cfg").write_text(BAD_CONFIG, encoding="utf-8")
+    (tmp / "bad_mf.cfg").write_text(BAD_MF_CONFIG, encoding="utf-8")
     dump = call("rules", "dump").decode("utf-8").splitlines(keepends=True)
     rules = [line for line in dump if not line.startswith("#")]
     (tmp / "rules.csv").write_text("".join(rules), encoding="utf-8")
@@ -175,6 +180,7 @@ def matrix(cli, tmp: Path, problems: list[str]) -> None:
     call("signal", short, "--symbol", "SYN00", expected=1)
     call("backtest", short, "--symbol", "SYN01", expected=1)
     call("portfolio", fixture, "--config", str(tmp / "bad.cfg"), expected=1)
+    call("rules", "dump", "--config", str(tmp / "bad_mf.cfg"), expected=1)
     call("portfolio", fixture, "--config", str(tmp / "missing.cfg"), expected=1)
     call("portfolio", fixture, "--rules", str(tmp / "bad_rules.csv"), expected=1)
     call("portfolio", fixture, "--rules", str(tmp / "missing_rules.csv"), expected=1)

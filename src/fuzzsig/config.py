@@ -42,7 +42,7 @@ def parse_mf(text: str) -> MembershipFunction:
     if shape not in _MF_SHAPES:
         raise ConfigError(f"unknown membership function shape {shape!r}")
     cls = _MF_SHAPES[shape]
-    arity = len(dataclasses.fields(cls))
+    arity = len(cls._fields)
     if len(parts) - 1 != arity:
         raise ConfigError(f"{shape} takes {arity} parameters, got {len(parts) - 1}")
     try:
@@ -59,7 +59,7 @@ def parse_mf(text: str) -> MembershipFunction:
 
 
 def format_mf(mf: MembershipFunction) -> str:
-    return " ".join([_MF_NAMES[type(mf)], *map(repr, dataclasses.astuple(mf))])
+    return " ".join([_MF_NAMES[type(mf)], *map(repr, mf._values())])
 
 
 # Settings whose values must ascend: (lower, higher)

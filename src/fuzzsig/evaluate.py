@@ -1,15 +1,16 @@
 """Portfolio-level evaluation, rolling no-lookahead backtests, and report emission.
 
 json and decimal load on first use, by the json format and format_1dp, so a
-backtest loads neither and a csv report no json.
+backtest loads neither and a csv report no json. hashlib loads only for the
+json report, the one that prints the config fingerprint.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from datetime import date
+from typing import NamedTuple
 
 from .config import ResolvedConfig
 from .indicators import InsufficientHistoryError
@@ -19,31 +20,31 @@ from .market_data import PriceSeries, aggregate_periods
 REPORT_CSV_HEADER = ("symbol", "fuzzy_output", "signal")
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     symbol: str
     crisp: float | None
     signal: Signal | None
     note: str | None = None
 
 
-@dataclass(frozen=True)
-class PortfolioReport:
+class PortfolioReport(NamedTuple):
     rows: tuple[ReportRow, ...]
     generated_at: date
-    config_fingerprint: str
+    config: ResolvedConfig
+
+    @property
+    def config_fingerprint(self) -> str:
+        return self.config.fingerprint()
 
 
-@dataclass(frozen=True)
-class BacktestRecord:
+class BacktestRecord(NamedTuple):
     period_index: int
     date: date
     signal: Signal
     next_return: float
 
 
-@dataclass(frozen=True)
-class BacktestStats:
+class BacktestStats(NamedTuple):
     symbol: str
     records: tuple[BacktestRecord, ...]
     buy_hit_rate: float | None
@@ -80,7 +81,7 @@ def run_portfolio(
             else ReportRow(series.symbol, result.crisp, result.signal)
             for series, result in zip(series_list, results)]
     as_of = max(s.bars.date[-1] for s in series_list if s.bars).item()
-    return PortfolioReport(tuple(rows), as_of, cfg.fingerprint())
+    return PortfolioReport(tuple(rows), as_of, cfg)
 
 
 def backtest(

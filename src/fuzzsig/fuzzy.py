@@ -16,21 +16,22 @@ no grade depends on numpy's SIMD kernels.
 
 default_variables builds the linguistic variables once per distinct
 (divisor, membership-function table) in a process and returns that one
-tuple to every later call. Variables and membership functions hash their
-fields once and keep the value (never in a pickle or a copy, since str
-hashes are salted per process), so the caches keyed on them by value, such
-as the term table of grade_inputs, cost one lookup per call.
+tuple to every later call. Variables and membership functions compare by
+type and fields, and hash their fields once and keep the value (never in a
+pickle or a copy, since str hashes are salted per process), so the caches
+keyed on them by value, such as the term table of grade_inputs, cost one
+lookup per call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+from ._frozen import Frozen, Value
 from .indicators import IndicatorSnapshot
 from .tuning import DEFAULT_DIVISOR, scale_secondaries
 
@@ -39,81 +40,56 @@ _COVERAGE_GRID = 1001
 _MIN_GAUSSIAN_WIDTH = 1e-12
 
 
-def _hash_once(cls):
-    """Class decorator over @dataclass(frozen=True): hash the fields once per object.
-
-    dataclass's own __hash__ hashes every field on each call, which for a
-    linguistic variable means every membership function. This one keeps the
-    first result on the object. The kept value stays out of pickles and
-    copies, because str hashes are salted per process: an object that comes
-    from a pickle hashes afresh in the process that loads it.
-    """
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __getstate__(self) -> dict:
-        return {key: value for key, value in vars(self).items() if key != "_hash"}
-
-    cls._hash = functools.cached_property(cls.__hash__)  # dataclass's field hash
-    cls._hash.__set_name__(cls, "_hash")
-    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
-    return cls
-
-
-@_hash_once
-@dataclass(frozen=True)
-class Triangular:
+class Triangular(Value):
     """Linear rise from left to 1 at peak, linear fall to right, 0 outside."""
 
-    left: float
-    peak: float
-    right: float
+    __slots__ = _fields = ("left", "peak", "right")
 
-    def __post_init__(self) -> None:
-        if not self.left <= self.peak <= self.right:
+    def __init__(self, left: float, peak: float, right: float) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "peak", peak)
+        object.__setattr__(self, "right", right)
+        if not left <= peak <= right:
             raise ValueError(f"need left <= peak <= right, got {self}")
 
 
-@_hash_once
-@dataclass(frozen=True)
-class LeftShoulder:
+class LeftShoulder(Value):
     """Full membership up to plateau_end, falling linearly to 0 at foot."""
 
-    plateau_end: float
-    foot: float
+    __slots__ = _fields = ("plateau_end", "foot")
 
-    def __post_init__(self) -> None:
-        if not self.plateau_end <= self.foot:
+    def __init__(self, plateau_end: float, foot: float) -> None:
+        object.__setattr__(self, "plateau_end", plateau_end)
+        object.__setattr__(self, "foot", foot)
+        if not plateau_end <= foot:
             raise ValueError(f"need plateau_end <= foot, got {self}")
 
 
-@_hash_once
-@dataclass(frozen=True)
-class RightShoulder:
+class RightShoulder(Value):
     """Zero membership up to foot, rising linearly to 1 at plateau_start."""
 
-    foot: float
-    plateau_start: float
+    __slots__ = _fields = ("foot", "plateau_start")
 
-    def __post_init__(self) -> None:
-        if not self.foot <= self.plateau_start:
+    def __init__(self, foot: float, plateau_start: float) -> None:
+        object.__setattr__(self, "foot", foot)
+        object.__setattr__(self, "plateau_start", plateau_start)
+        if not foot <= plateau_start:
             raise ValueError(f"need foot <= plateau_start, got {self}")
 
 
-@_hash_once
-@dataclass(frozen=True)
-class Gaussian:
+class Gaussian(Value):
     """exp(-((x - center) / width)^2 / 2); strictly positive, 1 at center.
 
     The footprint blurs the width only: the center never moves, so x == center
     stays [1, 1].
     """
 
-    center: float
-    width: float
+    __slots__ = _fields = ("center", "width")
 
-    def __post_init__(self) -> None:
-        if not self.width > 0:
+    def __init__(self, center: float, width: float) -> None:
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "width", width)
+        if not width > 0:
             raise ValueError(f"width must be positive, got {self}")
 
 
@@ -272,9 +248,7 @@ def _check_coverage(name: str, domain: tuple[float, float],
         )
 
 
-@_hash_once
-@dataclass(frozen=True)
-class LinguisticVariable:
+class LinguisticVariable(Value):
     """Named domain interval with labelled term membership functions.
 
     Construction verifies coverage: the strongest term grade must be finite
@@ -284,19 +258,18 @@ class LinguisticVariable:
     it builds, so a process grades each of their grids once.
     """
 
-    name: str
-    domain: tuple[float, float]
-    terms: tuple[tuple[str, MembershipFunction], ...]
+    __slots__ = _fields = ("name", "domain", "terms")
 
-    def __post_init__(self) -> None:
-        # tuples throughout, so the variable and its verdict hash by value
-        object.__setattr__(self, "domain", tuple(self.domain))
-        object.__setattr__(self, "terms", tuple(map(tuple, self.terms)))
+    def __init__(self, name: str, domain: tuple[float, float],
+                 terms: tuple[tuple[str, MembershipFunction], ...]) -> None:
+        # tuples throughout, so the variable hashes by value
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "domain", tuple(domain))
+        object.__setattr__(self, "terms", tuple(map(tuple, terms)))
         _check_coverage(self.name, self.domain, self.terms)
 
 
-@dataclass(frozen=True, eq=False)
-class FuzzifiedInputs:
+class FuzzifiedInputs(Frozen):
     """Every graded term's membership grades over a block of N rows.
 
     `stacked` is (terms, 2, N): each term's (lower, upper) grade per row, with
@@ -304,9 +277,13 @@ class FuzzifiedInputs:
     (interval=False) have lower equal to upper and are stacked once, (terms, 1, N).
     """
 
-    stacked: np.ndarray = field(repr=False)
-    term_keys: tuple[tuple[str, str], ...]
-    interval: bool
+    __slots__ = _fields = ("stacked", "term_keys", "interval")
+
+    def __init__(self, stacked: np.ndarray, term_keys: tuple[tuple[str, str], ...],
+                 interval: bool) -> None:
+        object.__setattr__(self, "stacked", stacked)
+        object.__setattr__(self, "term_keys", term_keys)
+        object.__setattr__(self, "interval", interval)
 
 
 def default_mf_table() -> dict[str, tuple[tuple[str, MembershipFunction], ...]]:

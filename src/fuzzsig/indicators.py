@@ -23,13 +23,14 @@ Williams (%K - 100) never rises above 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._frozen import Frozen
 from .market_data import PriceSeries
 
 
@@ -37,8 +38,7 @@ class InsufficientHistoryError(ValueError):
     """Series too short for the requested indicator window."""
 
 
-@dataclass(frozen=True)
-class MacdTriple:
+class MacdTriple(NamedTuple):
     """MACD line, its trigger-period EMA, and their difference, time-aligned."""
 
     macd_line: np.ndarray
@@ -46,8 +46,7 @@ class MacdTriple:
     histogram: np.ndarray
 
 
-@dataclass(frozen=True)
-class IndicatorSnapshot:
+class IndicatorSnapshot(NamedTuple):
     """Latest value of every indicator plus the latest close, for one series.
 
     snapshot gives floats; a one-series frame's row gives np.float64 values,
@@ -63,20 +62,28 @@ class IndicatorSnapshot:
     close: float
 
 
-@dataclass(frozen=True)
-class IndicatorFrame:
-    """Every indicator over all period bars, (T,) or (N, T); see indicator_block."""
+class IndicatorFrame(Frozen):
+    """Every indicator over all period bars, (T,) or (N, T); see indicator_block.
 
-    close: np.ndarray
-    macd_line: np.ndarray
-    signal_line: np.ndarray
-    histogram: np.ndarray
-    rsi: np.ndarray
-    percent_k: np.ndarray
-    percent_d: np.ndarray
-    williams: np.ndarray
-    binding: str  # the indicator that needs the most bars, and that bar count
-    needed: int
+    `binding` names the indicator that needs the most bars, and `needed` is that bar count.
+    """
+
+    __slots__ = _fields = ("close", "macd_line", "signal_line", "histogram", "rsi", "percent_k",
+                           "percent_d", "williams", "binding", "needed")
+
+    def __init__(self, close: np.ndarray, macd_line: np.ndarray, signal_line: np.ndarray,
+                 histogram: np.ndarray, rsi: np.ndarray, percent_k: np.ndarray,
+                 percent_d: np.ndarray, williams: np.ndarray, binding: str, needed: int) -> None:
+        object.__setattr__(self, "close", close)
+        object.__setattr__(self, "macd_line", macd_line)
+        object.__setattr__(self, "signal_line", signal_line)
+        object.__setattr__(self, "histogram", histogram)
+        object.__setattr__(self, "rsi", rsi)
+        object.__setattr__(self, "percent_k", percent_k)
+        object.__setattr__(self, "percent_d", percent_d)
+        object.__setattr__(self, "williams", williams)
+        object.__setattr__(self, "binding", binding)
+        object.__setattr__(self, "needed", needed)
 
     def row(self, t: int) -> IndicatorSnapshot:
         """The snapshot of bars 0..t; raises until every indicator has its history.

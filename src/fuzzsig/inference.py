@@ -27,11 +27,12 @@ import csv
 import functools
 import io
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
+from ._frozen import Frozen, Value
 from .config import ResolvedConfig
 from .fuzzy import (FuzzifiedInputs, LinguisticVariable, grade_inputs, grade_terms,
                     normalize_rows, term_table)
@@ -100,8 +101,7 @@ SECONDARY_INPUTS = ("rsi", "wa")
 RULES_CSV_HEADER = ("macd", "rsi", "so", "wa", "consequent")
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     macd: str
     rsi: str
     so: str
@@ -113,11 +113,14 @@ class Rule:
         return (self.macd, self.rsi, self.so, self.wa)
 
 
-@dataclass(frozen=True)
-class RuleBase:
-    rules: tuple[Rule, ...]
+class RuleBase(Value):
+    __slots__ = ("rules", "_index")
+    _fields = ("rules",)
 
-    @functools.cached_property
+    def __init__(self, rules: tuple[Rule, ...]) -> None:
+        object.__setattr__(self, "rules", rules)
+
+    @property
     def index(self) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
         """The rules as index arrays over term grades stacked in STACKED_TERMS order.
 
@@ -126,6 +129,10 @@ class RuleBase:
         group's consequent label. Built once per rule base; raises for the
         first rule naming an unknown term.
         """
+        try:
+            return self._index
+        except AttributeError:
+            pass
         position = {key: row for row, key in enumerate(STACKED_TERMS)}
         try:
             rows = [[position[key] for key in zip(ANTECEDENT_VARIABLES, rule.antecedent())]
@@ -137,7 +144,9 @@ class RuleBase:
         order = np.argsort(codes, kind="stable")
         consequents, starts = np.unique(codes[order], return_index=True)
         labels = tuple(signals[k].value.lower() for k in consequents.tolist())
-        return np.array(rows, dtype=np.intp).reshape(-1, 4)[order].T.copy(), starts, labels
+        index = np.array(rows, dtype=np.intp).reshape(-1, 4)[order].T.copy(), starts, labels
+        object.__setattr__(self, "_index", index)
+        return index
 
 
 def vote_score(
@@ -187,22 +196,23 @@ def build_rule_base(
     return RuleBase(tuple(rules))
 
 
-@dataclass(frozen=True)
-class AggregatedOutput:
+class AggregatedOutput(Frozen):
     """Max-aggregated clipped consequents sampled on a uniform output grid.
 
     `lower` and `upper` are (N, grid) envelopes, one row per input row;
     `fired` says, per row, whether the upper envelope is anywhere above zero.
     """
 
-    grid: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    interval: bool
-    fired: np.ndarray = field(init=False, repr=False, compare=False)
+    _fields = ("grid", "lower", "upper", "interval")
+    __slots__ = (*_fields, "fired")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "fired", np.maximum.reduce(self.upper, axis=1) > 0.0)
+    def __init__(self, grid: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                 interval: bool) -> None:
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "interval", interval)
+        object.__setattr__(self, "fired", np.maximum.reduce(upper, axis=1) > 0.0)
 
 
 @functools.lru_cache(maxsize=64)
@@ -370,8 +380,7 @@ def classify_signal(crisp: float) -> Signal:
     return Signal.BUY
 
 
-@dataclass(frozen=True)
-class Recommendation:
+class Recommendation(NamedTuple):
     symbol: str
     crisp: float
     signal: Signal

@@ -53,11 +53,12 @@ import io
 import math
 import re
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from datetime import date
 from itertools import repeat
 
 import numpy as np
+
+from ._frozen import Frozen, Value
 
 CSV_HEADER = ("symbol", "date", "open", "high", "low", "close", "volume")
 _COLUMNS = ("open", "high", "low", "close", "volume")  # the float columns of a Bars
@@ -85,8 +86,7 @@ def _column(values, dtype, length: int | None = None) -> np.ndarray:
     return column
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Bars:
+class Bars(Frozen):
     """Price bars as a read-only table of columns.
 
     Every field is a read-only array of the same length: `date` is
@@ -99,22 +99,17 @@ class Bars:
     values, and equal Bars hash equal.
     """
 
-    date: np.ndarray
-    open: np.ndarray
-    high: np.ndarray
-    low: np.ndarray
-    close: np.ndarray
-    volume: np.ndarray
+    __slots__ = _fields = _FIELDS
 
-    def __post_init__(self) -> None:
-        dates = _column(self.date, _DAY)
+    def __init__(self, date, open, high, low, close, volume) -> None:
+        dates = _column(date, _DAY)
         inside = (_FIRST_DAY <= dates) & (dates <= _LAST_DAY)  # False for NaT
         if not inside.all():
             i = int(np.argmin(inside))
             raise ValueError(f"bar {i}: date {dates[i]} is outside {_FIRST_DAY}..{_LAST_DAY}")
         object.__setattr__(self, "date", dates)
-        for name in _COLUMNS:
-            object.__setattr__(self, name, _column(getattr(self, name), np.float64, len(dates)))
+        for name, column in zip(_COLUMNS, (open, high, low, close, volume)):
+            object.__setattr__(self, name, _column(column, np.float64, len(dates)))
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """open, high, low, close, volume."""
@@ -127,7 +122,7 @@ class Bars:
         if not isinstance(index, slice):
             raise TypeError(f"Bars take a slice, not {type(index).__name__}; read a bar's "
                             f"values from the columns")
-        # views of checked read-only columns: __post_init__ has nothing to check or copy
+        # views of checked read-only columns: __init__ has nothing to check or copy
         part = object.__new__(Bars)
         for name in _FIELDS:
             object.__setattr__(part, name, getattr(self, name)[index])
@@ -149,14 +144,14 @@ class Bars:
         return hash((self.date.tobytes(), *((column + 0.0).tobytes() for column in self.columns())))
 
 
-@dataclass(frozen=True, slots=True)
-class PriceSeries:
-    symbol: str
-    bars: Bars
+class PriceSeries(Value):
+    __slots__ = _fields = ("symbol", "bars")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.bars, Bars):
-            raise TypeError(f"PriceSeries bars must be a Bars, got {type(self.bars).__name__}")
+    def __init__(self, symbol: str, bars: Bars) -> None:
+        if not isinstance(bars, Bars):
+            raise TypeError(f"PriceSeries bars must be a Bars, got {type(bars).__name__}")
+        object.__setattr__(self, "symbol", symbol)
+        object.__setattr__(self, "bars", bars)
 
 
 def _unordered(dates: np.ndarray) -> np.ndarray:

@@ -326,23 +326,26 @@ class TestBacktestCommand:
         assert run([*argv, "--rules", str(rules)]) == 0
         assert capsysbinary.readouterr().out == built
 
+    @pytest.mark.parametrize("command, fmt", [("backtest", "json"), ("signal", "text"),
+                                              ("signal", "json")])
     @pytest.mark.parametrize("delta", ["0", "0.05"])
-    def test_power_of_two_price_rescale_gives_the_same_bytes(self, delta, tmp_path,
-                                                              capsysbinary):
+    def test_power_of_two_price_rescale_gives_the_same_bytes(self, command, fmt, delta,
+                                                              tmp_path, capsysbinary):
         # the indicators and next_return are price ratios, and a power-of-two factor
         # scales every price exactly
         fixture = DATA_DIR / "portfolio_fixture.csv"
-        argv = ["--symbol", "SYN01", "--format", "json", "--delta", delta]
-        assert run(["backtest", str(fixture), *argv]) == 0
+        argv = [command, "--symbol", "SYN01", "--format", fmt, "--delta", delta]
+        assert run([*argv, str(fixture)]) == 0
         expected = capsysbinary.readouterr().out
-        assert json.loads(expected)["records"]
+        if command == "backtest":
+            assert json.loads(expected)["records"]
         basket = parse_csv(fixture.read_bytes())
         for factor in (0.25, 4.0, 1024.0):
             scaled = tmp_path / "scaled.csv"
             scaled.write_bytes(serialize_csv([PriceSeries(s.symbol, Bars(
                 s.bars.date, *(column * factor for column in s.bars.columns()[:4]),
                 s.bars.volume)) for s in basket]))
-            assert run(["backtest", str(scaled), *argv]) == 0
+            assert run([*argv, str(scaled)]) == 0
             assert capsysbinary.readouterr().out == expected, factor
 
     def test_all_buy_rules_change_the_signals(self, tmp_path, capsys):
@@ -401,7 +404,7 @@ class TestBacktestCommand:
 
 
 class TestInputRowOrder:
-    """Shuffled data rows change no backtest byte and no symbol's indicators rows."""
+    """Shuffled data rows change no backtest or signal byte and no symbol's indicators rows."""
 
     @pytest.fixture
     def shuffled_csv(self, tmp_path):
@@ -411,13 +414,15 @@ class TestInputRowOrder:
         path.write_bytes(header + b"".join(rows))
         return str(path)
 
-    @pytest.mark.parametrize("flags", [["--format", "csv"],
-                                       ["--format", "json", "--delta", "0.15"]])
-    def test_backtest_prints_the_same_bytes(self, shuffled_csv, flags, capsysbinary):
-        argv = ["--symbol", "SYN02", *flags]
-        assert run(["backtest", str(DATA_DIR / "portfolio_fixture.csv"), *argv]) == 0
+    @pytest.mark.parametrize("command, flags", [
+        ("backtest", ["--format", "csv"]), ("backtest", ["--format", "json", "--delta", "0.15"]),
+        ("signal", ["--format", "text"]), ("signal", ["--format", "json", "--delta", "0.15"])])
+    def test_backtest_and_signal_print_the_same_bytes(self, shuffled_csv, command, flags,
+                                                      capsysbinary):
+        argv = [command, "--symbol", "SYN02", *flags]
+        assert run([*argv, str(DATA_DIR / "portfolio_fixture.csv")]) == 0
         expected = capsysbinary.readouterr().out
-        assert run(["backtest", shuffled_csv, *argv]) == 0
+        assert run([*argv, shuffled_csv]) == 0
         assert capsysbinary.readouterr().out == expected
 
     @pytest.mark.parametrize("flags", [[], ["--period-days", "1", "--delta", "0.15"]])

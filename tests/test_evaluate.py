@@ -549,7 +549,7 @@ def reference_report():
         ReportRow("GUINNESS", 0.4, Signal.HOLD),
         ReportRow("NB", 0.7, Signal.BUY),
     )
-    return PortfolioReport(rows, date(2020, 3, 23), "deadbeef0123")
+    return PortfolioReport(rows, date(2020, 3, 23), ResolvedConfig())
 
 
 def assert_json_holds(report):
@@ -588,7 +588,7 @@ class TestEmitReport:
     def test_error_rows_survive_csv_and_json(self):
         report = PortfolioReport(
             (ReportRow("OK", 0.5, Signal.HOLD), ReportRow("BAD", None, None, note="boom")),
-            date(2020, 1, 1), "abc",
+            date(2020, 1, 1), ResolvedConfig(delta=0.1),
         )
         text = emit_report(report, "csv").decode()
         assert "BAD,,error: boom" in text

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import math
 import os
 import pickle
@@ -198,7 +197,7 @@ def any_term(draw):
 
 
 def breakpoints(mf):
-    return [float(v) for v in dataclasses.astuple(mf)]
+    return [float(v) for v in mf._values()]
 
 
 def hexes(values):
@@ -344,7 +343,7 @@ class TestDefaultVariables:
 
     def test_equal_tables_share_one_tuple_with_one_hash(self):
         table = default_mf_table()
-        copied = {name: tuple((label, dataclasses.replace(mf)) for label, mf in terms)
+        copied = {name: tuple((label, copy.copy(mf)) for label, mf in terms)
                   for name, terms in table.items()}
         listed = {name: [list(pair) for pair in terms] for name, terms in table.items()}
         a = default_variables(mf_table=table)
@@ -361,6 +360,20 @@ class TestDefaultVariables:
         assert changed[3] != default_variables()[3]
         assert changed[:3] == default_variables()[:3]
 
+    def test_shapes_of_other_types_with_the_same_parameters_differ(self):
+        # shapes compare by type, as tuples would not: _variables keys its cache on them
+        shapes = [LeftShoulder(0.2, 0.5), RightShoulder(0.2, 0.5), Gaussian(0.2, 0.5)]
+        for i, a in enumerate(shapes):
+            for b in shapes[i + 1:]:
+                assert a != b and b != a
+        table = default_mf_table()
+        assert table["so"][0] == ("low", LeftShoulder(0.2, 0.5))
+        table["so"] = (("low", Gaussian(0.2, 0.5)), *table["so"][1:])
+        changed = default_variables(mf_table=table)
+        assert changed is not default_variables()
+        assert changed[2].terms[0] == ("low", Gaussian(0.2, 0.5))
+        assert default_variables()[2].terms[0] == ("low", LeftShoulder(0.2, 0.5))
+
     def test_a_rejected_table_raises_the_same_text_on_every_call(self):
         table = default_mf_table()
         table["rsi"] = (("low", LeftShoulder(0.1, 0.2)), *table["rsi"][1:])  # a gap below medium
@@ -376,9 +389,12 @@ class TestDefaultVariables:
                                        lambda v: tuple(map(copy.copy, v))])
     def test_a_copied_variable_hashes_afresh(self, clone):
         fresh = default_variables()
-        hash(fresh)  # keep a hash on each variable before copying
-        copied = clone(fresh)
-        assert all("_hash" not in vars(var) for var in copied)
+        # built apart from the cached tuple, each keeping a hash made under another salt
+        salted = tuple(LinguisticVariable(var.name, var.domain, var.terms) for var in fresh)
+        for var in salted:
+            object.__setattr__(var, "_hash", hash(var) + 1)
+        copied = clone(salted)
+        assert [hash(var) for var in copied] == [hash(var) for var in fresh]
         assert copied == fresh
         assert hash(copied) == hash(fresh)
         assert [hash(mf) for var in copied for _, mf in var.terms] == \
@@ -418,7 +434,7 @@ def graded(snap, delta=None):
 
 class TestFuzzify:
     def test_rsi_89_grades(self):
-        snap = dataclasses.replace(flat_snapshot(), rsi=89.0)
+        snap = flat_snapshot()._replace(rsi=89.0)
         out = term_grades(graded(snap))
         assert out["rsi"]["high"] == (1.0, 1.0)
         assert out["rsi"]["medium"] == (0.0, 0.0)
@@ -465,13 +481,13 @@ def block_snapshot(**columns):
     """A block snapshot: the flat snapshot's values, with the given columns replaced."""
     n = len(next(iter(columns.values())))
     base = {name: np.full(n, value)
-            for name, value in dataclasses.asdict(flat_snapshot()).items()}
+            for name, value in flat_snapshot()._asdict().items()}
     return IndicatorSnapshot(**{**base, **{k: np.asarray(v, dtype=float)
                                            for k, v in columns.items()}})
 
 
 def one_row(block, i):
-    return IndicatorSnapshot(*(float(x[i]) for x in dataclasses.astuple(block)))
+    return IndicatorSnapshot(*(float(x[i]) for x in block))
 
 
 class TestNormalizeRows:

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 import struct
 import sys
@@ -429,7 +428,7 @@ class TestSnapshot:
 
 
 def bits(snap):
-    return [value.hex() for value in dataclasses.astuple(snap)]
+    return [value.hex() for value in snap]
 
 
 class TestIndicatorFrame:
@@ -688,7 +687,7 @@ class TestMacdResume:
                     snapshot(prefix, **config)
             else:
                 got = snapshot(prefix, **config)
-                assert exact(dataclasses.astuple(got)) == exact(dataclasses.astuple(want))
+                assert exact(got) == exact(want)
 
     def test_a_call_on_longer_closes_steps_on_from_the_kept_state(self):
         c = random_closes(np.random.default_rng(4), 41)
@@ -818,6 +817,6 @@ class TestIndicatorBlock:
         rows = block.row(39)
         for i, series in enumerate(basket):
             want = snapshot(series)
-            assert [x[i].hex() for x in dataclasses.astuple(rows)] == bits(want)
+            assert [x[i].hex() for x in rows] == bits(want)
         with pytest.raises(InsufficientHistoryError, match="got 34$"):
             block.row(33)

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import re
@@ -352,9 +351,10 @@ class TestKmTypeReduce:
         y_l, y_r = km_type_reduce(block)
         assert [(a.hex(), b.hex()) for a, b in zip(y_l.tolist(), y_r.tolist())] == \
             [tuple(y.item().hex() for y in km_type_reduce(a)) for a in rows]
-        type1 = dataclasses.replace(block, interval=False)
+        type1 = AggregatedOutput(block.grid, block.lower, block.upper, interval=False)
         assert [c.hex() for c in defuzzify(type1).tolist()] == \
-            [defuzzify(dataclasses.replace(a, interval=False)).item().hex() for a in rows]
+            [defuzzify(AggregatedOutput(a.grid, a.lower, a.upper, interval=False)).item().hex()
+             for a in rows]
 
     def test_block_with_one_dead_row_errors(self):
         rng = np.random.default_rng(43)
@@ -365,7 +365,7 @@ class TestKmTypeReduce:
         with pytest.raises(InferenceError, match="no rule fired"):
             km_type_reduce(block)
         with pytest.raises(InferenceError, match="no rule fired"):
-            defuzzify(dataclasses.replace(block, interval=False))
+            defuzzify(AggregatedOutput(block.grid, block.lower, block.upper, interval=False))
 
 
 class TestDefuzzify:
@@ -501,7 +501,7 @@ class TestRecommend:
         basket = portfolio_fixture(seed=37, symbols=20, periods=52)
         snaps = [snapshot(aggregate_periods(series, cfg.days_per_period), **cfg.indicator_windows)
                  for series in basket]
-        columns = IndicatorSnapshot(*np.array([dataclasses.astuple(s) for s in snaps]).T)
+        columns = IndicatorSnapshot(*np.array(snaps).T)
         normalized, faults = normalize_rows(columns, **scale)
         assert not faults
         blur = delta if delta else None
@@ -534,7 +534,7 @@ class TestRecommendRows:
         variables, base = cfg.build_variables(), cfg.build_rule_base()
         for series in portfolio_fixture(seed=43, symbols=8, periods=52):
             snap = snapshot(aggregate_periods(series, cfg.days_per_period))
-            arrays = IndicatorSnapshot(*(np.array([x]) for x in dataclasses.astuple(snap)))
+            arrays = IndicatorSnapshot(*(np.array([x]) for x in snap))
             [floats] = recommend_rows([series.symbol], snap, cfg, base, variables)
             [block] = recommend_rows([series.symbol], arrays, cfg, base, variables)
             assert not isinstance(floats, PipelineError)
@@ -553,8 +553,8 @@ class TestRecommendRows:
         basket = portfolio_fixture(seed=31, symbols=130, periods=38, days_per_period=1)
         h, lo, c = (np.stack([getattr(s.bars, name) for s in basket])
                     for name in ("high", "low", "close"))
-        columns = {name: np.array(x) for name, x in dataclasses.asdict(
-            indicator_block(h, lo, c).row(37)).items()}
+        columns = {name: np.array(x)
+                   for name, x in indicator_block(h, lo, c).row(37)._asdict().items()}
         columns["rsi"][0] = 101.0
         columns["close"][63] = 0.0
         columns["williams"][64] = 0.25
@@ -564,7 +564,7 @@ class TestRecommendRows:
         results = recommend_rows(symbols, snap, cfg, one_rule, variables)
         assert len(results) == len(symbols)
         for i, result in enumerate(results):
-            row = IndicatorSnapshot(*(float(x[i]) for x in dataclasses.astuple(snap)))
+            row = IndicatorSnapshot(*(float(x[i]) for x in snap))
             [alone] = recommend_rows([symbols[i]], row, cfg, one_rule, variables)
             assert _outcome(result) == _outcome(alone)
         notes = {i: str(r) for i, r in enumerate(results) if isinstance(r, PipelineError)}

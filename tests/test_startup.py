@@ -52,15 +52,28 @@ def test_command_imports_only_what_it_runs(argv):
 
 
 @pytest.mark.parametrize("argv, unused", [
-    (("portfolio", str(DATA_DIR / "portfolio_fixture.csv")), {"json"}),
+    (("portfolio", str(DATA_DIR / "portfolio_fixture.csv")), {"json", "hashlib"}),
     (("backtest", str(DATA_DIR / "portfolio_fixture.csv"), "--symbol", "SYN00"),
      {"json", "decimal"}),
 ], ids=["portfolio-csv", "backtest-csv"])
 def test_csv_reports_load_no_json_and_backtests_no_decimal(argv, unused):
-    # json serves the json format, decimal the 1 dp column
+    # json serves the json format, decimal the 1 dp column, hashlib the json fingerprint
     modules = imported_modules(*argv)
     assert "fuzzsig.evaluate" in modules
     assert modules & unused == set()
+
+
+def test_resolved_config_is_the_only_dataclass():
+    # dataclasses generates and compiles a class's methods in every process that
+    # imports it; ResolvedConfig keeps it for its field metadata, the config schema
+    code = ("import dataclasses, sys; import fuzzsig.cli, fuzzsig.evaluate, fuzzsig.fixtures\n"
+            "print(sorted(f'{name}.{cls.__qualname__}' for name, module in sys.modules.items()\n"
+            "             if name.startswith('fuzzsig') for cls in vars(module).values()\n"
+            "             if isinstance(cls, type) and cls.__module__ == name\n"
+            "             and dataclasses.is_dataclass(cls)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=cli_env(), capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "['fuzzsig.config.ResolvedConfig']"
 
 
 class TestPackageNames:
