@@ -65,7 +65,7 @@ CONFIG = """\
 # a comment line
 data.days_per_period = 10
 indicators.rsi_window = 14
-tuning.levels = 0.2, 0.4, 0.6
+tuning.levels = 0.4, 0.6
 fuzzy.delta = 0.1
 fuzzy.wa.high = gaussian 0.618 0.25
 rules.buy_at = 3

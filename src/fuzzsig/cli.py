@@ -248,7 +248,7 @@ def _cmd_rules(args, cfg: ResolvedConfig) -> int:
     for line in cfg.canonical_lines():
         if line.startswith("fuzzy."):
             sys.stdout.write(f"# {line}\n")
-    sys.stdout.write(rules_to_csv(cfg.build_rule_base(), include_scores=True))
+    sys.stdout.write(rules_to_csv(cfg.build_rule_base()))
     return 0
 
 

@@ -77,9 +77,8 @@ def _check_setting(name: str, value) -> None:
         raise ConfigError(f"{name} must be finite, got {value!r}")
     elif name == "divisor" and value <= 0:
         raise ConfigError(f"tuning divisor must be positive, got {value}")
-    elif name == "levels" and (
-            len(value) != 3 or not -math.inf < value[0] < value[1] < value[2] < math.inf):
-        raise ConfigError(f"tuning levels must be three ascending finite ratios, got {value}")
+    elif name == "levels" and (len(value) != 2 or not -math.inf < value[0] < value[1] < math.inf):
+        raise ConfigError(f"tuning levels must be two ascending finite ratios, got {value}")
     elif name == "delta" and value < 0:
         raise ConfigError(f"delta must be >= 0, got {value}")
     elif name == "histogram_gain" and value <= 0:
@@ -106,7 +105,7 @@ class ResolvedConfig:
     stochastic_d: int = _setting("indicators.stochastic_d", 3)
     williams_window: int = _setting("indicators.williams_window", 30)
     divisor: float = _setting("tuning.divisor", DEFAULT_DIVISOR)
-    levels: tuple[float, float, float] = _setting("tuning.levels", (0.236, 0.382, 0.618))
+    levels: tuple[float, float] = _setting("tuning.levels", (0.382, 0.618))
     delta: float = _setting("fuzzy.delta", 0.05)
     histogram_gain: float = _setting("fuzzy.histogram_gain", 50.0)
     mf_table: dict[str, tuple[tuple[str, MembershipFunction], ...]] = field(

@@ -73,23 +73,19 @@ class Signal(Enum):
     BUY = "Buy"
 
 
-ANTECEDENT_VARIABLES = ("macd", "rsi", "so", "wa")
-
-ANTECEDENT_TERMS = {
-    "macd": ("low", "high"),
-    "rsi": ("low", "medium", "high"),
-    "so": ("low", "medium", "high"),
-    "wa": ("low", "high"),
-}
-
-# Directional votes per term. MACD high and Williams high (deeply oversold)
-# read bullish; an overbought stochastic reads bearish, an oversold one bullish.
+# The rule vocabulary: each antecedent variable's terms and their directional votes.
+# MACD high and Williams high (deeply oversold) read bullish; an overbought
+# stochastic reads bearish, an oversold one bullish.
 VOTES = {
     "macd": {"low": -1, "high": +1},
     "rsi": {"low": -1, "medium": 0, "high": +1},
     "so": {"low": +1, "medium": 0, "high": -1},
     "wa": {"low": -1, "high": +1},
 }
+
+ANTECEDENT_VARIABLES = tuple(VOTES)
+
+ANTECEDENT_TERMS = {name: tuple(votes) for name, votes in VOTES.items()}
 
 # The (variable, term) of each stacked grade row: the one order grade_inputs writes
 # for the configured variables (ResolvedConfig.validate pins their terms)
@@ -98,7 +94,7 @@ STACKED_TERMS = tuple((name, term) for name, terms in ANTECEDENT_TERMS.items() f
 PRIMARY_INPUTS = ("macd", "so")
 SECONDARY_INPUTS = ("rsi", "wa")
 
-RULES_CSV_HEADER = ("macd", "rsi", "so", "wa", "consequent")
+RULES_CSV_HEADER = (*ANTECEDENT_VARIABLES, "consequent")
 
 
 class Rule(NamedTuple):
@@ -531,17 +527,17 @@ def recommend_block(
     return results
 
 
-def rules_to_csv(rule_base: RuleBase, include_scores: bool = False) -> str:
-    """Serialize rules as `macd,rsi,so,wa,consequent[,score]` lines."""
+def rules_to_csv(rule_base: RuleBase) -> str:
+    """Serialize rules as `macd,rsi,so,wa,consequent,score` lines; a parsed rule's score is blank.
+
+    rules_from_csv ignores the score column, so the table reads back as the same rules.
+    """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    header = list(RULES_CSV_HEADER) + (["score"] if include_scores else [])
-    writer.writerow(header)
+    writer.writerow((*RULES_CSV_HEADER, "score"))
     for rule in rule_base.rules:
-        row = [rule.macd, rule.rsi, rule.so, rule.wa, rule.consequent.value.lower()]
-        if include_scores:
-            row.append("" if rule.score is None else str(rule.score))
-        writer.writerow(row)
+        writer.writerow((*rule.antecedent(), rule.consequent.value.lower(),
+                         "" if rule.score is None else str(rule.score)))
     return out.getvalue()
 
 

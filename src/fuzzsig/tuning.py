@@ -1,7 +1,8 @@
 """Fibonacci-ratio tuning of the secondary indicators (RSI and Williams), on columns.
 
 scale_secondaries divides |RSI| and |Williams| by the divisor, for fuzzification
-and the `indicators` table; level_labels reads them at the retracement levels.
+and the `indicators` table; level_labels cuts them into Low, Medium and High at
+two retracement levels, 0.382 and 0.618 by default.
 """
 
 from __future__ import annotations
@@ -46,12 +47,13 @@ def scale_secondaries(
     return rsi_scaled, wa_scaled, faults
 
 
-def level_labels(scaled, levels: tuple[float, float, float]) -> np.ndarray:
+def level_labels(scaled, levels: tuple[float, float]) -> np.ndarray:
     """Crisp diagnostic labels of scaled secondary values, one str per value.
 
-    High above levels[2] (the golden level), Medium from levels[1] up to
-    levels[2] inclusive, Low below. For reporting only; inference uses the
-    graded membership functions instead.
+    levels is the (medium, high) pair of cuts, 0.382 and the golden 0.618 by
+    default. High above levels[1], Medium from levels[0] up to levels[1]
+    inclusive, Low below. For reporting only; inference uses the graded
+    membership functions instead.
     """
-    _, mid, golden = levels
+    mid, golden = levels
     return np.where(scaled > golden, "High", np.where(scaled >= mid, "Medium", "Low"))

@@ -41,7 +41,7 @@ def cli_env(**changes: str | None) -> dict[str, str]:
 # sha256 of `portfolio tests/data/portfolio_fixture.csv --format json` under each
 # flag set: full-precision crisp values, which the golden CSV's 1 dp cannot see
 PORTFOLIO_JSON_PINS = [
-    (["--delta", "0"], "771231f5462f17e82f0c83a966b2520d2030a918ec9dc1ba71f33fcebcfc0478"),
-    ([], "c71698f047ad49e919db5bd7f6b496d42689b1add0dbac712a06c34ff20bd3fa"),
-    (["--delta", "0.15"], "516d69c0c8de7dc5e84504b735415dde94a8c9a7ae6937d054db0a1fb08c7223"),
+    (["--delta", "0"], "521d61a9a2df0a7df4ef04fff2857e85bd3e82f2372c1f576b828a530ee403c4"),
+    ([], "10ce23533ad31523226c7d664e98bebe6e82bf14e9a396a43a5c759b8537af5b"),
+    (["--delta", "0.15"], "cc08f9b0965e54969073553add005acedab45aa3bab1042bed18431541a66011"),
 ]

@@ -353,9 +353,9 @@ def scalar_scale_secondary(kind: str, raw: float, divisor: float) -> float:
     return abs(raw) / divisor
 
 
-def scalar_level(scaled: float, levels: tuple[float, float, float]) -> str:
+def scalar_level(scaled: float, levels: tuple[float, float]) -> str:
     """High above the golden level, Medium from the mid level up to it, Low below."""
-    _, mid, golden = levels
+    mid, golden = levels
     if scaled > golden:
         return "High"
     if scaled >= mid:

@@ -119,8 +119,8 @@ class TestRulesDump:
         cfg.write_text(line + "\n")
         assert run(["rules", "dump", "--config", str(cfg)]) == 0
         rules = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
-        expected = rules_to_csv(build_rule_base(**weights), include_scores=True).splitlines()
-        assert expected != rules_to_csv(build_rule_base(), include_scores=True).splitlines()
+        expected = rules_to_csv(build_rule_base(**weights)).splitlines()
+        assert expected != rules_to_csv(build_rule_base()).splitlines()
         assert rules == expected
 
 
@@ -140,13 +140,13 @@ class TestSignal:
 
     @pytest.mark.parametrize("fmt, flags, digest", [
         ("text", ["--delta", "0"], "db4871dedc6d359f193b36b888e9d214632ea1be12023053a85902db34efb55d"),
-        ("json", ["--delta", "0"], "63fddf131c1b1035fdb52e51f38bd47300b4622308433630fb0f56f7de736672"),
+        ("json", ["--delta", "0"], "14cbdbae3b7f64aa33c627a0af462b41db125b670aaafed5eab752423744bddb"),
         ("text", [], "a23142b7fa63a04cc533faa64b17219c2891f91ee2335e6cd54d733802c6eec1"),
-        ("json", [], "2f1c4ae60fa54001051020ad445958291375916501e31c07b44412b59ce7fe89"),
+        ("json", [], "dad967db2cedff89b6c7f01672c16e36d42bf07cafb0ba073b7f70e0ad17774d"),
         ("text", ["--delta", "0.15"],
          "475e472fa4657c479904364c65b0e4f10963d9da380adbd60b259b6b79b55d65"),
         ("json", ["--delta", "0.15"],
-         "25abe54dbe5a4219559b074281bd04ac6018700cd04541ee46ec502037c61b17"),
+         "6b983f9df238e1c485fb2f99ad8a980337b4ac484cccbd4ce1c2190fba78c296"),
     ])
     def test_bundled_fixture_bytes_are_pinned(self, fmt, flags, digest, capsysbinary):
         # every symbol's signal, its full-precision fuzzy output included
@@ -545,7 +545,7 @@ class TestConfigHandling:
         ("fuzzy.histogram_gain = nan", "histogram_gain must be finite"),
         ("tuning.divisor = inf", "divisor must be finite"),
         ("fuzzy.macd.low = gaussian nan 0.3", "line 1: non-finite"),
-        ("tuning.levels = 0.236, 0.382, inf", "tuning levels must be three ascending finite"),
+        ("tuning.levels = 0.382, inf", "tuning levels must be two ascending finite"),
     ])
     def test_nonfinite_config_value_exits_1(self, basket_csv, tmp_path, line, named, capsys):
         cfg = tmp_path / "conf.txt"

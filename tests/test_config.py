@@ -65,13 +65,13 @@ class TestParseConfigText:
             "\n"
             "fuzzy.delta = 0.1   # trailing comment\n"
             "indicators.rsi_window = 14\n"
-            "tuning.levels = 0.2, 0.4, 0.6\n"
+            "tuning.levels = 0.4, 0.6\n"
             "fuzzy.wa.high = gaussian 0.6 0.25\n"
         )
         cfg = parse_config_text(text)
         assert cfg.delta == 0.1
         assert cfg.rsi_window == 14
-        assert cfg.levels == (0.2, 0.4, 0.6)
+        assert cfg.levels == (0.4, 0.6)
         assert dict(cfg.mf_table["wa"])["high"] == Gaussian(0.6, 0.25)
         # untouched keys keep their defaults
         assert cfg.macd_long == 26
@@ -95,7 +95,11 @@ class TestParseConfigText:
         ("output.grid_points = 2\n", "line 1: output.grid_points: grid_points must be >= 3"),
         ("tuning.divisor = 0\n", "line 1: tuning.divisor: tuning divisor must be positive"),
         ("fuzzy.histogram_gain = -1\n", "line 1: fuzzy.histogram_gain: histogram_gain must"),
-        ("tuning.levels = 0.2, 0.4\n", "line 1: tuning.levels: tuning levels must be three"),
+        ("tuning.levels = 0.4\n", "line 1: tuning.levels: tuning levels must be two ascending"),
+        # the three-value form of earlier versions is an error, never read as two cuts
+        ("tuning.levels = 0.236, 0.382, 0.618\n",
+         "line 1: tuning.levels: tuning levels must be two ascending finite ratios, "
+         "got (0.236, 0.382, 0.618)"),
     ])
     def test_bad_scalar_names_line_and_key(self, text, named):
         with pytest.raises(ConfigError) as info:
@@ -154,12 +158,15 @@ class TestValidation:
         ("delta", -0.01),
         ("histogram_gain", 0.0),
         ("grid_points", 2),
-        ("levels", (0.5, 0.4, 0.7)),
+        ("levels", (0.5, 0.4)),
+        ("levels", (0.4, 0.4)),
+        ("levels", (0.236, 0.382, 0.618)),
         ("delta", float("nan")),
         ("delta", float("inf")),
         ("histogram_gain", float("inf")),
         ("divisor", float("inf")),
-        ("levels", (0.236, 0.382, float("inf"))),
+        ("levels", (0.382, float("inf"))),
+        ("levels", (float("nan"), 0.618)),
     ])
     def test_bad_values_rejected(self, field, value):
         with pytest.raises(ConfigError):
@@ -218,7 +225,7 @@ class TestFingerprint:
             "stochastic_d": 5,
             "williams_window": 21,
             "divisor": 55.0,
-            "levels": (0.2, 0.4, 0.6),
+            "levels": (0.4, 0.6),
             "delta": 0.02,
             "histogram_gain": 40.0,
             "primary_weight": 3,
@@ -234,14 +241,12 @@ class TestFingerprint:
     def test_equal_configs_share_a_fingerprint(self):
         # an int given for a float setting compares equal to that float, and so does -0.0
         # to 0.0 (`--delta -0` runs the type-1 pipeline of `--delta 0`)
-        assert ResolvedConfig().fingerprint() == "b90d09c25ede"
+        assert ResolvedConfig().fingerprint() == "acb9fcbedc01"
         pairs = [(ResolvedConfig(delta=0), ResolvedConfig(delta=0.0)),
                  (ResolvedConfig(divisor=89, histogram_gain=50), ResolvedConfig()),
-                 (ResolvedConfig(levels=(0.236, 0.382, 1)),
-                  ResolvedConfig(levels=(0.236, 0.382, 1.0))),
+                 (ResolvedConfig(levels=(0.382, 1)), ResolvedConfig(levels=(0.382, 1.0))),
                  (ResolvedConfig(delta=-0.0), ResolvedConfig(delta=0.0)),
-                 (ResolvedConfig(levels=(-0.0, 0.382, 0.618)),
-                  ResolvedConfig(levels=(0.0, 0.382, 0.618)))]
+                 (ResolvedConfig(levels=(-0.0, 0.618)), ResolvedConfig(levels=(0.0, 0.618)))]
         for a, b in pairs:
             assert a == b
             assert a.fingerprint() == b.fingerprint()
@@ -252,7 +257,7 @@ class TestFingerprint:
         outputs = []
         for text in ("-0", "0", "0.0"):
             cfg = parse_config_text(f"fuzzy.so.low = leftshoulder {text} 0.5\n")
-            assert cfg.fingerprint() == "a92f86a498ba"
+            assert cfg.fingerprint() == "87f06901dcea"
             path = tmp_path / "zero.conf"
             path.write_text(f"fuzzy.so.low = leftshoulder {text} 0.5\n")
             assert run(["portfolio", str(DATA_DIR / "portfolio_fixture.csv"), "--format", "json",

@@ -601,7 +601,7 @@ class TestRulesCsv:
         assert all(r.score is None for r in parsed.rules)
 
     def test_score_column_ignored_on_import(self):
-        text = rules_to_csv(build_rule_base(), include_scores=True)
+        text = rules_to_csv(build_rule_base())
         assert text.splitlines()[0] == "macd,rsi,so,wa,consequent,score"
         assert len(rules_from_csv(text).rules) == 36
 
