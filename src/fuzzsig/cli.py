@@ -90,11 +90,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_rules(args: argparse.Namespace):
+    path = getattr(args, "rules", None)
+    if not path:
+        return None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return rules_from_csv(fh.read())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MarketDataError(f"cannot read {path!r}: {exc}") from None
+
+
 def _resolve_config(args: argparse.Namespace) -> ResolvedConfig:
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
     cfg = load_config_file(path) if path else ResolvedConfig()
     flags = {"delta": getattr(args, "delta", None),
-             "days_per_period": getattr(args, "period_days", None)}
+             "days_per_period": getattr(args, "period_days", None),
+             "rule_table": _load_rules(args)}
     overrides = {name: value for name, value in flags.items() if value is not None}
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
@@ -113,17 +125,6 @@ def _pick_symbol(series_list: list[PriceSeries], symbol: str) -> PriceSeries:
             return series
     known = ", ".join(s.symbol for s in series_list) or "none"
     raise MarketDataError(f"symbol {symbol!r} not in input (have: {known})")
-
-
-def _load_rules(args: argparse.Namespace):
-    path = getattr(args, "rules", None)
-    if not path:
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return rules_from_csv(fh.read())
-    except (OSError, UnicodeDecodeError) as exc:
-        raise MarketDataError(f"cannot read {path!r}: {exc}") from None
 
 
 _INDICATOR_COLUMNS = ("symbol", "period", "date", "close", "macd", "macd_signal",
@@ -188,7 +189,7 @@ def _cmd_indicators(args, cfg: ResolvedConfig) -> int:
 
 def _cmd_signal(args, cfg: ResolvedConfig) -> int:
     series = _pick_symbol(_load_series(args.csv), args.symbol)
-    rec = recommend(series, cfg, _load_rules(args))
+    rec = recommend(series, cfg)
     if args.format == "json":
         payload = {
             "symbol": rec.symbol,
@@ -211,7 +212,7 @@ def _cmd_portfolio(args, cfg: ResolvedConfig) -> int:
     from .evaluate import emit_report, run_portfolio
 
     series_list = _load_series(args.csv)
-    report = run_portfolio(series_list, cfg, rule_base=_load_rules(args))
+    report = run_portfolio(series_list, cfg)
     sys.stdout.buffer.write(emit_report(report, args.format))
     return 0
 
@@ -220,7 +221,7 @@ def _cmd_backtest(args, cfg: ResolvedConfig) -> int:
     from .evaluate import backtest
 
     series = _pick_symbol(_load_series(args.csv), args.symbol)
-    stats = backtest(series, cfg, _load_rules(args))
+    stats = backtest(series, cfg)
     if args.format == "json":
         payload = {
             "symbol": stats.symbol,
@@ -248,7 +249,7 @@ def _cmd_rules(args, cfg: ResolvedConfig) -> int:
     for line in cfg.canonical_lines():
         if line.startswith("fuzzy."):
             sys.stdout.write(f"# {line}\n")
-    sys.stdout.write(rules_to_csv(cfg.build_rule_base()))
+    sys.stdout.write(rules_to_csv(cfg.rule_base))
     return 0
 
 

@@ -13,6 +13,7 @@ then command-line flags.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import typing
 from dataclasses import dataclass, field
@@ -116,6 +117,7 @@ class ResolvedConfig:
     buy_at: int = _setting("rules.buy_at", 2)
     sell_at: int = _setting("rules.sell_at", -2)
     grid_points: int = _setting("output.grid_points", 1001)
+    rule_table: RuleBase | None = None  # a parsed --rules table; None generates one from rules.*
 
     def __post_init__(self) -> None:
         self.validate()
@@ -127,8 +129,12 @@ class ResolvedConfig:
         except ValueError as exc:
             raise ConfigError(f"fuzzy variable {exc}") from None
 
-    def build_rule_base(self) -> RuleBase:
-        """The generated 36-rule base scored with the `rules.*` weights and thresholds."""
+    @functools.cached_property
+    def rule_base(self) -> RuleBase:
+        """The rule table, else the generated 36-rule base scored with the `rules.*` weights
+        and thresholds; built once per config."""
+        if self.rule_table is not None:
+            return self.rule_table
         from .inference import build_rule_base  # inference imports this module
 
         return build_rule_base(self.primary_weight, self.secondary_weight,
@@ -165,7 +171,11 @@ class ResolvedConfig:
                               f"{width} of {key}, got {self.delta}")
 
     def canonical_lines(self) -> list[str]:
-        """Stable `key = value` rendering of every setting, sorted by key."""
+        """Stable `key = value` rendering of every setting, sorted by key.
+
+        A rule table renders as one `rules.table` line of `macd,rsi,so,wa:consequent`
+        rules in antecedent order, so the order of its rows does not count.
+        """
         entries = {}
         for key, name in _SETTINGS.items():
             value, kind = getattr(self, name), _KIND[name]
@@ -178,6 +188,10 @@ class ResolvedConfig:
         for var, terms in self.mf_table.items():
             for label, mf in terms:
                 entries[f"fuzzy.{var}.{label}"] = format_mf(mf)
+        if self.rule_table is not None:
+            entries["rules.table"] = "; ".join(
+                f"{','.join(rule.antecedent())}:{rule.consequent.value.lower()}"
+                for rule in sorted(self.rule_table.rules, key=lambda rule: rule.antecedent()))
         return [f"{key} = {entries[key]}" for key in sorted(entries)]
 
     def fingerprint(self) -> str:

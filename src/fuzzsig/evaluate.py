@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .config import ResolvedConfig
 from .indicators import InsufficientHistoryError
-from .inference import PipelineError, RuleBase, Signal, recommend_block, recommend_periods
+from .inference import PipelineError, Signal, recommend_block, recommend_periods
 from .market_data import PriceSeries, aggregate_periods
 
 REPORT_CSV_HEADER = ("symbol", "fuzzy_output", "signal")
@@ -58,24 +58,20 @@ def format_1dp(crisp: float) -> str:
     return str(Decimal(repr(crisp)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
-def run_portfolio(
-    series_list: list[PriceSeries],
-    config: ResolvedConfig | None = None,
-    rule_base: RuleBase | None = None,
-) -> PortfolioReport:
+def run_portfolio(series_list: list[PriceSeries],
+                  config: ResolvedConfig | None = None) -> PortfolioReport:
     """One recommendation row per input symbol, in input order.
 
     Per-symbol pipeline failures become row notes instead of aborting the
-    batch. The symbols are evaluated in blocks (recommend_block), which builds
-    the variables and rule base once from the config; a table that fails the
-    coverage check is a ConfigError for the whole batch. The report is dated
-    by the latest bar across the inputs, keeping identical inputs
+    batch. The symbols are evaluated in blocks (recommend_block); a table that
+    fails the coverage check is a ConfigError for the whole batch once a row
+    reaches grading. The report is dated by the latest bar across the inputs, keeping identical inputs
     byte-identical on re-runs.
     """
     if not any(series.bars for series in series_list):
         raise ValueError("empty input: no series to evaluate")
     cfg = config if config is not None else ResolvedConfig()
-    results = recommend_block(series_list, cfg, rule_base)
+    results = recommend_block(series_list, cfg)
     rows = [ReportRow(series.symbol, None, None, note=str(result))
             if isinstance(result, PipelineError)
             else ReportRow(series.symbol, result.crisp, result.signal)
@@ -84,24 +80,17 @@ def run_portfolio(
     return PortfolioReport(tuple(rows), as_of, cfg)
 
 
-def backtest(
-    series: PriceSeries,
-    config: ResolvedConfig | None = None,
-    rule_base: RuleBase | None = None,
-) -> BacktestStats:
+def backtest(series: PriceSeries, config: ResolvedConfig | None = None) -> BacktestStats:
     """Rolling evaluation: the signal at period t sees bars up to t only.
 
     Each signal is paired with the simple close-to-close return into t+1.
     The hit rates count Buy signals preceding positive returns and Sell
-    signals preceding negative ones (None when a side never fired). The rule
-    base is built once from the config unless given. Fewer than two signals
-    raise InsufficientHistoryError, naming the last failed period and its
-    PipelineError.
+    signals preceding negative ones (None when a side never fired). Fewer
+    than two signals raise InsufficientHistoryError, naming the last failed
+    period and its PipelineError.
     """
     cfg = config if config is not None else ResolvedConfig()
     periods = aggregate_periods(series, cfg.days_per_period)
-    if rule_base is None:
-        rule_base = cfg.build_rule_base()
     bars = periods.bars
     dates, closes = bars.date.tolist(), bars.close.tolist()
     records: list[BacktestRecord] = []
@@ -109,7 +98,7 @@ def backtest(
     for t in range(len(bars) - 1):
         prefix = PriceSeries(periods.symbol, bars[:t + 1])
         try:
-            rec = recommend_periods(prefix, cfg, rule_base)
+            rec = recommend_periods(prefix, cfg)
         except PipelineError as exc:
             last_failure = f"; period {t} failed at {exc}"
             continue

@@ -16,9 +16,10 @@ the last column of their indicators.indicator_block. recommend_periods
 serves only the backtest: it passes the one row indicators.snapshot
 computes for each period prefix, in O(window). The rule base, variables and
 footprint width (the float fuzzy.delta; 0 grades type-1) come from
-ResolvedConfig; a caller may pass its own rule base. The variables are built
-once per table (fuzzy.default_variables), and the output grid and consequent
-grades once per output variable and grid size, so a call pays for its rows.
+ResolvedConfig, whose rule base is its --rules table or the generated one.
+The variables are built once per table (fuzzy.default_variables), and the
+output grid and consequent grades once per output variable and grid size, so
+a call pays for its rows.
 """
 
 from __future__ import annotations
@@ -383,23 +384,21 @@ class Recommendation(NamedTuple):
     centroid_interval: tuple[float, float] | None = None
 
 
-def recommend_rows(
-    symbols: list[str],
-    snap: IndicatorSnapshot,
-    cfg: ResolvedConfig,
-    rule_base: RuleBase,
-    variables: tuple[LinguisticVariable, ...],
-) -> list[Recommendation | PipelineError]:
+def recommend_rows(symbols: list[str], snap: IndicatorSnapshot,
+                   cfg: ResolvedConfig) -> list[Recommendation | PipelineError]:
     """Normalize, grade, fire, type-reduce and classify indicator rows.
 
     `snap` holds one row per symbol: floats for one row, length-N arrays for
-    a block. The rows are normalized at once (normalize_rows); a row that
-    fails normalization gets its own fuzzification error and is left out,
-    and the rest are evaluated BLOCK_ROWS at a time. A row whose upper
+    a block. The variables and rule base come from the config first; a table
+    that fails the variables' coverage check raises ConfigError, not
+    PipelineError. The rows are normalized at once (normalize_rows); a row
+    that fails normalization gets its own fuzzification error and is left
+    out, and the rest are evaluated BLOCK_ROWS at a time. A row whose upper
     envelope is zero fails alone and is kept out of the reduction; a stage
     failing for a whole block fails each of its rows. A failed row gets its
     PipelineError in place of a Recommendation, at its own index.
     """
+    variables, rule_base = cfg.build_variables(), cfg.rule_base
     normalized, faults = normalize_rows(snap, divisor=cfg.divisor,
                                         histogram_gain=cfg.histogram_gain)
     results: list[Recommendation | PipelineError | None] = [None] * len(symbols)
@@ -446,61 +445,42 @@ def recommend_rows(
     return results
 
 
-def recommend_periods(
-    periods: PriceSeries,
-    config: ResolvedConfig | None = None,
-    rule_base: RuleBase | None = None,
-) -> Recommendation:
-    """Run the pipeline on aggregated period bars, building the rule base unless given.
+def recommend_periods(periods: PriceSeries, config: ResolvedConfig | None = None
+                      ) -> Recommendation:
+    """Run the pipeline on aggregated period bars.
 
     The one-row case of recommend_rows, on the snapshot of the last period,
     for the backtest's period prefixes; the row's PipelineError is raised.
-    The variables come from the config after the snapshot; a table that
-    fails their coverage check raises ConfigError, not PipelineError.
     """
     cfg = config if config is not None else ResolvedConfig()
     snap = _stage("indicators", snapshot, periods, **cfg.indicator_windows)
-    variables = cfg.build_variables()
-    if rule_base is None:
-        rule_base = cfg.build_rule_base()
-    [result] = recommend_rows([periods.symbol], snap, cfg, rule_base, variables)
+    [result] = recommend_rows([periods.symbol], snap, cfg)
     if isinstance(result, PipelineError):
         raise result
     return result
 
 
-def recommend(
-    series: PriceSeries,
-    config: ResolvedConfig | None = None,
-    rule_base: RuleBase | None = None,
-) -> Recommendation:
+def recommend(series: PriceSeries, config: ResolvedConfig | None = None) -> Recommendation:
     """Full pipeline on one series' daily bars: the one-series recommend_block.
 
     The row's PipelineError is raised.
     """
     cfg = config if config is not None else ResolvedConfig()
-    [result] = recommend_block([series], cfg, rule_base)
+    [result] = recommend_block([series], cfg)
     if isinstance(result, PipelineError):
         raise result
     return result
 
 
-def recommend_block(
-    series_list: list[PriceSeries],
-    cfg: ResolvedConfig,
-    rule_base: RuleBase | None = None,
-) -> list[Recommendation | PipelineError]:
+def recommend_block(series_list: list[PriceSeries], cfg: ResolvedConfig
+                    ) -> list[Recommendation | PipelineError]:
     """The pipeline on every series' daily bars, with its failure in place of a failed row.
 
-    The variables, and the rule base unless given, are built once from the
-    config. The series that make the same number of periods share one
-    aggregate_block call, one indicator_block, whose last column is their
-    snapshot, and one recommend_rows call. A row does not depend on the
-    other series: it equals recommend(series, cfg, rule_base), bit for bit.
+    The series that make the same number of periods share one aggregate_block
+    call, one indicator_block, whose last column is their snapshot, and one
+    recommend_rows call. A row does not depend on the other series: it equals
+    recommend(series, cfg), bit for bit.
     """
-    variables = cfg.build_variables()
-    if rule_base is None:
-        rule_base = cfg.build_rule_base()
     results: list[Recommendation | PipelineError | None] = [None] * len(series_list)
     groups: dict[int, list[int]] = {}
     for i, series in enumerate(series_list):
@@ -520,8 +500,7 @@ def recommend_block(
         except PipelineError as exc:
             group = [exc] * len(kept)
         else:
-            group = recommend_rows([series_list[i].symbol for i in kept], snap, cfg, rule_base,
-                                   variables)
+            group = recommend_rows([series_list[i].symbol for i in kept], snap, cfg)
         for i, result in zip(kept, group):
             results[i] = result
     return results

@@ -2,6 +2,7 @@ import os
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 import fuzzsig
@@ -36,6 +37,18 @@ def cli_env(**changes: str | None) -> dict[str, str]:
         else:
             env[name] = value
     return env
+
+
+def pinned(*cases: tuple) -> list:
+    """pytest params of (..., digest) cases, each named by its values before the digest,
+    a flag list as its flags run together (["--delta", "0"] is "delta0", [] "default"),
+    so that a new digest leaves the test's name as it was."""
+    def name(value) -> str:
+        if isinstance(value, list):
+            return "".join(flag.removeprefix("--") for flag in value) or "default"
+        return value
+
+    return [pytest.param(*case, id="-".join(map(name, case[:-1]))) for case in cases]
 
 
 # sha256 of `portfolio tests/data/portfolio_fixture.csv --format json` under each

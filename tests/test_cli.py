@@ -18,7 +18,7 @@ from fuzzsig.inference import ANTECEDENT_TERMS, build_rule_base, rules_to_csv
 from fuzzsig.market_data import (CSV_HEADER, Bars, MarketDataError, PriceSeries,
                                  aggregate_periods, parse_csv, serialize_csv)
 
-from conftest import DATA_DIR, PORTFOLIO_JSON_PINS
+from conftest import DATA_DIR, PORTFOLIO_JSON_PINS, pinned
 from helpers import coverage_checks, flat_series
 
 
@@ -138,7 +138,7 @@ class TestSignal:
         assert payload["fuzzy_output"] == pytest.approx(0.5, abs=1e-6)
         assert payload["centroid_interval"][0] <= 0.5 <= payload["centroid_interval"][1]
 
-    @pytest.mark.parametrize("fmt, flags, digest", [
+    @pytest.mark.parametrize("fmt, flags, digest", pinned(
         ("text", ["--delta", "0"], "db4871dedc6d359f193b36b888e9d214632ea1be12023053a85902db34efb55d"),
         ("json", ["--delta", "0"], "14cbdbae3b7f64aa33c627a0af462b41db125b670aaafed5eab752423744bddb"),
         ("text", [], "a23142b7fa63a04cc533faa64b17219c2891f91ee2335e6cd54d733802c6eec1"),
@@ -147,7 +147,7 @@ class TestSignal:
          "475e472fa4657c479904364c65b0e4f10963d9da380adbd60b259b6b79b55d65"),
         ("json", ["--delta", "0.15"],
          "6b983f9df238e1c485fb2f99ad8a980337b4ac484cccbd4ce1c2190fba78c296"),
-    ])
+    ))
     def test_bundled_fixture_bytes_are_pinned(self, fmt, flags, digest, capsysbinary):
         # every symbol's signal, its full-precision fuzzy output included
         fixture = str(DATA_DIR / "portfolio_fixture.csv")
@@ -191,12 +191,26 @@ class TestPortfolio:
             assert (capsysbinary.readouterr().out
                     == (DATA_DIR / "golden_portfolio.csv").read_bytes()), fixture
 
-    @pytest.mark.parametrize("flags,digest", PORTFOLIO_JSON_PINS)
+    @pytest.mark.parametrize("flags,digest", pinned(*PORTFOLIO_JSON_PINS))
     def test_bundled_fixture_json_bytes_are_pinned(self, flags, digest, bundled_fixtures,
                                                    capsysbinary):
         for fixture in bundled_fixtures:
             assert run(["portfolio", fixture, "--format", "json", *flags]) == 0
             assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == digest, fixture
+
+    def test_rules_file_moves_only_the_json_fingerprint(self, tmp_path, capsys):
+        # the built base as a table scores every row alike, and the fingerprint covers it
+        rules = tmp_path / "rules.csv"
+        rules.write_text(rules_to_csv(ResolvedConfig().rule_base))
+        argv = ["portfolio", str(DATA_DIR / "portfolio_fixture.csv"), "--format", "json"]
+        assert run(argv) == 0
+        plain = capsys.readouterr().out.splitlines()
+        assert run([*argv, "--rules", str(rules)]) == 0
+        tabled = capsys.readouterr().out.splitlines()
+        assert len(tabled) == len(plain)
+        changed = [(a, b) for a, b in zip(plain, tabled) if a != b]
+        assert [a for a, _ in changed] == ['  "config_fingerprint": "acb9fcbedc01",']
+        assert changed[0][1].startswith('  "config_fingerprint": ')
 
     def test_double_run_is_bit_identical(self, basket_csv, capsysbinary):
         for fmt in ("csv", "json", "plotdata"):
@@ -250,10 +264,10 @@ class TestIndicatorsCommand:
         assert last[8] in ("Low", "Medium", "High")
         assert last[12] in ("Low", "Medium", "High")
 
-    @pytest.mark.parametrize("fmt,digest", [
+    @pytest.mark.parametrize("fmt,digest", pinned(
         ("csv", "8c838133ee4e3b0a2adcdc4be8f5e0236f3bbceea427a7741f4d97f6e1990e12"),
         ("json", "9c7f9da9b4346f5d308ac6d2c347101dde799752ce54e69a958f3b6c4723ef92"),
-    ])
+    ))
     def test_bundled_fixture_table_bytes_are_pinned(self, fmt, digest, capsysbinary):
         fixture = str(DATA_DIR / "portfolio_fixture.csv")
         assert run(["indicators", fixture, "--format", fmt]) == 0
@@ -300,12 +314,12 @@ class TestBacktestCommand:
         assert "buy_hit_rate" in payload and "sell_hit_rate" in payload
         assert payload["records"]
 
-    @pytest.mark.parametrize("fmt, flags, digest", [
+    @pytest.mark.parametrize("fmt, flags, digest", pinned(
         ("csv", ["--delta", "0"], "8c1815fdc8c7eecf265352b2001532af26da65050b1038cd3e6437b2186d2719"),
         ("json", ["--delta", "0"], "f3fff871d3515a3b54255498012893ba478bdc092039e580262d2c39b5913cfb"),
         ("csv", [], "08d0c1570785caf1871a15d67c71c0bf593361858e3b4b7f910b648b04e4744e"),
         ("json", [], "e3c5c6e89bd5a5073ae3ab852ab3e82b4628553ba8faa1cf43ad5027b204c488"),
-    ])
+    ))
     def test_bundled_fixture_bytes_are_pinned(self, fmt, flags, digest, capsysbinary):
         # every symbol's backtest, its full-precision next_return included
         fixture = str(DATA_DIR / "portfolio_fixture.csv")
@@ -314,13 +328,16 @@ class TestBacktestCommand:
                         *flags]) == 0
         assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == digest
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_rules_file_of_the_built_rule_base_gives_the_same_bytes(self, fmt, tmp_path,
-                                                                     capsysbinary):
+    # the formats that print no config fingerprint
+    @pytest.mark.parametrize("command, fmt", [("backtest", "csv"), ("backtest", "json"),
+                                              ("portfolio", "csv"), ("signal", "text")])
+    def test_rules_file_of_the_built_rule_base_gives_the_same_bytes(self, command, fmt,
+                                                                     tmp_path, capsysbinary):
         rules = tmp_path / "rules.csv"
-        rules.write_text(rules_to_csv(ResolvedConfig().build_rule_base()))
+        rules.write_text(rules_to_csv(ResolvedConfig().rule_base))
         fixture = str(DATA_DIR / "portfolio_fixture.csv")
-        argv = ["backtest", fixture, "--symbol", "SYN03", "--format", fmt]
+        symbol = [] if command == "portfolio" else ["--symbol", "SYN03"]
+        argv = [command, fixture, *symbol, "--format", fmt]
         assert run(argv) == 0
         built = capsysbinary.readouterr().out
         assert run([*argv, "--rules", str(rules)]) == 0
@@ -586,6 +603,17 @@ class TestConfigHandling:
         assert captured.out == ""
         assert captured.err.startswith("error: cannot read ")
         assert f"{str(path)!r}: 'utf-8' codec can't decode byte 0xe9" in captured.err
+
+    @pytest.mark.parametrize("command", ["signal", "portfolio", "backtest"])
+    def test_bad_rules_file_is_reported_before_the_csv_is_read(self, tmp_path, command,
+                                                               capsys):
+        # the table is part of the config, which is resolved first
+        rules = tmp_path / "rules.csv"
+        rules.write_text("macd,rsi,so,wa,consequent\nhigh,high,medium,low,maybe\n")
+        symbol = [] if command == "portfolio" else ["--symbol", "SYN00"]
+        argv = [command, str(tmp_path / "missing.csv"), *symbol, "--rules", str(rules)]
+        assert run(argv) == 1
+        assert capsys.readouterr() == ("", "error: rule row 2: unknown consequent 'maybe'\n")
 
     def test_period_days_flag(self, tmp_path, capsys):
         series = flat_series(periods=40, days_per_period=10)

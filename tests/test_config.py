@@ -12,6 +12,7 @@ from fuzzsig.config import (
 )
 from fuzzsig.cli import run
 from fuzzsig.fuzzy import Gaussian, LeftShoulder, RightShoulder, Triangular
+from fuzzsig.inference import rules_from_csv
 
 from conftest import DATA_DIR
 
@@ -264,6 +265,20 @@ class TestFingerprint:
                         "--config", str(path)]) == 0
             outputs.append(capsysbinary.readouterr().out)
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_a_rule_table_is_one_more_line_whose_row_order_does_not_count(self):
+        header = "macd,rsi,so,wa,consequent\n"
+        rows = ["low,low,medium,high,sell\n", "high,high,medium,low,buy\n"]
+        table = ResolvedConfig(rule_table=rules_from_csv(header + "".join(rows)))
+        reordered = ResolvedConfig(rule_table=rules_from_csv(header + "".join(rows[::-1])))
+        other = ResolvedConfig(rule_table=rules_from_csv(header + rows[0]))
+        untabled = ResolvedConfig(rule_table=None)
+        assert set(table.canonical_lines()) - set(untabled.canonical_lines()) == {
+            "rules.table = high,high,medium,low:buy; low,low,medium,high:sell"}
+        assert len(table.canonical_lines()) == len(untabled.canonical_lines()) + 1
+        assert reordered.fingerprint() == table.fingerprint()
+        assert untabled.fingerprint() == "acb9fcbedc01"
+        assert len({table.fingerprint(), other.fingerprint(), untabled.fingerprint()}) == 3
 
     def test_mf_change_moves_the_fingerprint(self):
         table = ResolvedConfig().mf_table

@@ -48,14 +48,14 @@ def _rows(report):
     return [(None if r.crisp is None else r.crisp.hex(), r.signal, r.note) for r in report.rows]
 
 
-def _recommended(series, cfg, rule_base=None):
+def _recommended(series, cfg):
     """A portfolio row of one series by the one-row path: aggregate_periods, then snapshot.
 
     recommend and run_portfolio take the block path; this is the backtest's.
     """
     try:
         periods = aggregate_periods(series, cfg.days_per_period)
-        rec = recommend_periods(periods, cfg, rule_base)
+        rec = recommend_periods(periods, cfg)
     except MarketDataError as exc:
         return (None, None, f"aggregation: {exc}")
     except PipelineError as exc:
@@ -126,7 +126,7 @@ class TestRunPortfolio:
     ])
     def test_rules_keys_reach_the_rule_base(self, line, weights):
         basket = portfolio_fixture(seed=4, symbols=12, periods=52)
-        expected = _rows(run_portfolio(basket, rule_base=build_rule_base(**weights)))
+        expected = _rows(run_portfolio(basket, ResolvedConfig(rule_table=build_rule_base(**weights))))
         assert expected != _rows(run_portfolio(basket))
         assert _rows(run_portfolio(basket, parse_config_text(line))) == expected
 
@@ -205,11 +205,11 @@ class TestRunPortfolio:
 
     @pytest.mark.parametrize("delta", [0.0, 0.05])
     def test_rows_without_a_fired_rule_fail_alone(self, delta):
-        cfg = ResolvedConfig(delta=delta, days_per_period=1)
         one_rule = rules_from_csv("macd,rsi,so,wa,consequent\nlow,medium,medium,low,hold\n")
+        cfg = ResolvedConfig(delta=delta, days_per_period=1, rule_table=one_rule)
         basket = portfolio_fixture(seed=31, symbols=70, periods=38, days_per_period=1)
-        rows = _rows(run_portfolio(basket, cfg, rule_base=one_rule))
-        assert rows == [_recommended(s, cfg, one_rule) for s in basket]
+        rows = _rows(run_portfolio(basket, cfg))
+        assert rows == [_recommended(s, cfg) for s in basket]
         notes = [row[2] for row in rows if row[0] is None]
         assert 0 < len(notes) < len(rows)
         stage = "type reduction" if delta else "defuzzification"

@@ -200,7 +200,7 @@ class TestFireRules:
                 "row 10 holds ('macd', 'low'), expected nothing")):
             fire_rules(extra, build_rule_base(), OUTPUT_VAR)
 
-    def test_stacked_inputs_lacking_a_term_fail_at_inference(self):
+    def test_stacked_inputs_lacking_a_term_fail_at_inference(self, monkeypatch):
         variables = tuple(
             LinguisticVariable(v.name, v.domain, tuple(("mid" if label == "medium" else label, mf)
                                                        for label, mf in v.terms))
@@ -215,7 +215,9 @@ class TestFireRules:
                 "row 5 holds ('wa', 'low'), expected ('so', 'low')")):
             fire_rules(without_so, build_rule_base(), OUTPUT_VAR)
         snap = snapshot(aggregate_periods(flat_series(periods=40), 15))
-        [result] = recommend_rows(["FLAT"], snap, ResolvedConfig(), build_rule_base(), variables)
+        # validate keeps such a table out of a config, so the config's builder is patched
+        monkeypatch.setattr(ResolvedConfig, "build_variables", lambda cfg: variables)
+        [result] = recommend_rows(["FLAT"], snap, ResolvedConfig())
         assert isinstance(result, PipelineError) and result.stage == "inference"
         assert str(result) == f"inference: grades must be stacked in the configured term order: " \
                               f"{renamed}"
@@ -486,7 +488,7 @@ class TestRecommend:
         # recommend runs rows through recommend_rows; the public layers on each
         # row's one-row block, and on one block of all the rows, give the same bits
         cfg = ResolvedConfig(delta=delta)
-        variables, base = cfg.build_variables(), cfg.build_rule_base()
+        variables, base = cfg.build_variables(), cfg.rule_base
         output_var = next(v for v in variables if v.name == "signal")
         scale = {"divisor": cfg.divisor, "histogram_gain": cfg.histogram_gain}
 
@@ -531,12 +533,11 @@ class TestRecommendRows:
     @pytest.mark.parametrize("delta", [0.0, 0.05])
     def test_float_row_equals_length_one_arrays(self, delta):
         cfg = ResolvedConfig(delta=delta)
-        variables, base = cfg.build_variables(), cfg.build_rule_base()
         for series in portfolio_fixture(seed=43, symbols=8, periods=52):
             snap = snapshot(aggregate_periods(series, cfg.days_per_period))
             arrays = IndicatorSnapshot(*(np.array([x]) for x in snap))
-            [floats] = recommend_rows([series.symbol], snap, cfg, base, variables)
-            [block] = recommend_rows([series.symbol], arrays, cfg, base, variables)
+            [floats] = recommend_rows([series.symbol], snap, cfg)
+            [block] = recommend_rows([series.symbol], arrays, cfg)
             assert not isinstance(floats, PipelineError)
             assert _outcome(floats) == _outcome(block)
             assert (floats.centroid_interval is None) == (delta == 0.0)
@@ -547,9 +548,8 @@ class TestRecommendRows:
         # chunk edges: the faulted rows leave before chunking, so every later
         # row moves to another chunk position and must keep its bits
         assert BLOCK_ROWS == 64
-        cfg = ResolvedConfig(delta=delta, days_per_period=1)
-        variables = cfg.build_variables()
         one_rule = rules_from_csv("macd,rsi,so,wa,consequent\nlow,medium,medium,low,hold\n")
+        cfg = ResolvedConfig(delta=delta, days_per_period=1, rule_table=one_rule)
         basket = portfolio_fixture(seed=31, symbols=130, periods=38, days_per_period=1)
         h, lo, c = (np.stack([getattr(s.bars, name) for s in basket])
                     for name in ("high", "low", "close"))
@@ -561,11 +561,11 @@ class TestRecommendRows:
         columns["rsi"][129] = -1.0
         snap = IndicatorSnapshot(**columns)
         symbols = [s.symbol for s in basket]
-        results = recommend_rows(symbols, snap, cfg, one_rule, variables)
+        results = recommend_rows(symbols, snap, cfg)
         assert len(results) == len(symbols)
         for i, result in enumerate(results):
             row = IndicatorSnapshot(*(float(x[i]) for x in snap))
-            [alone] = recommend_rows([symbols[i]], row, cfg, one_rule, variables)
+            [alone] = recommend_rows([symbols[i]], row, cfg)
             assert _outcome(result) == _outcome(alone)
         notes = {i: str(r) for i, r in enumerate(results) if isinstance(r, PipelineError)}
         assert [notes[i] for i in (0, 63, 64, 129)] == [
@@ -640,5 +640,5 @@ class TestRulesCsv:
     def test_partial_user_base_fires(self):
         text = "macd,rsi,so,wa,consequent\nhigh,high,medium,low,buy\n"
         base = rules_from_csv(text)
-        rec = recommend(uptrend_series(), rule_base=base)
+        rec = recommend(uptrend_series(), ResolvedConfig(rule_table=base))
         assert rec.signal is Signal.BUY

@@ -10,7 +10,6 @@ and libm, any CPU features and any BLAS kernel.
 
 import ast
 import hashlib
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 import pytest
 
 import fuzzsig
-from conftest import DATA_DIR, PORTFOLIO_JSON_PINS
+from conftest import DATA_DIR, PORTFOLIO_JSON_PINS, cli_env
 
 VALUE_PATH = ("fuzzy.py", "inference.py", "indicators.py")
 
@@ -80,10 +79,7 @@ def _blas_is_openblas() -> bool:
                                           reason="numpy's BLAS is not OpenBLAS")),
 ])
 def test_pinned_json_bytes_hold_under_other_kernels(setting):
-    src = str(Path(fuzzsig.__file__).parents[1])
-    env = {**os.environ, **setting,
-           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    env.pop("FUZZSIG_CONFIG", None)
+    env = cli_env(**setting)
     fixture = str(DATA_DIR / "portfolio_fixture.csv")
     for flags, digest in PORTFOLIO_JSON_PINS:
         proc = subprocess.run(
