@@ -26,8 +26,8 @@ _MODULE_NAMES = {
                   "Rule", "RuleBase", "Signal", "build_rule_base", "classify_signal",
                   "defuzzify", "fire_rules", "km_type_reduce", "recommend", "rules_from_csv",
                   "rules_to_csv"),
-    "market_data": ("Bars", "MarketDataError", "PriceSeries", "aggregate_block",
-                    "aggregate_periods", "parse_csv", "serialize_csv"),
+    "market_data": ("Bars", "MarketDataError", "PriceSeries", "aggregate_block", "parse_csv",
+                    "serialize_csv"),
     "tuning": ("golden_ratio", "level_labels", "scale_secondaries"),
 }
 _MODULE_OF = {name: module for module, names in _MODULE_NAMES.items() for name in names}

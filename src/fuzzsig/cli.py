@@ -12,14 +12,14 @@ import csv
 import dataclasses
 import io
 import itertools
-import math
 import os
 import sys
 
+import numpy as np
+
 from .config import ConfigError, ResolvedConfig, load_config_file
-from .indicators import indicator_block
-from .inference import PipelineError, recommend, rules_from_csv, rules_to_csv
-from .market_data import MarketDataError, PriceSeries, aggregate_periods, parse_csv, serialize_csv
+from .inference import PipelineError, period_frames, recommend, rules_from_csv, rules_to_csv
+from .market_data import MarketDataError, PriceSeries, parse_csv, serialize_csv
 from .tuning import level_labels, scale_secondaries
 
 CONFIG_ENV_VAR = "FUZZSIG_CONFIG"
@@ -132,35 +132,40 @@ _INDICATOR_COLUMNS = ("symbol", "period", "date", "close", "macd", "macd_signal"
                       "williams", "williams_level")
 
 
-def _indicator_rows(series: PriceSeries, cfg: ResolvedConfig) -> list[dict]:
-    """One dict per period, keyed by _INDICATOR_COLUMNS; a NaN cell is None and has no level.
+def _indicator_rows(series_list: list[PriceSeries], cfg: ResolvedConfig) -> list[dict]:
+    """One dict per period of each series, in input order, keyed by _INDICATOR_COLUMNS.
 
-    A failing RSI or Williams cell raises the earliest period's fault, RSI first.
+    A NaN cell is None and has no level. The first failing series in input
+    order raises: its aggregation error, else its earliest period's RSI or
+    Williams fault, RSI first.
     """
-    periods = aggregate_periods(series, cfg.days_per_period)
-    bars = periods.bars
-    frame = indicator_block(bars.high, bars.low, bars.close, **cfg.indicator_windows)
+    def cells(column, blank=None) -> list[list]:  # None where `blank`, else the cell, is NaN
+        return np.where(np.isnan(column if blank is None else blank), None, column).tolist()
 
-    def cells(column) -> list[float | None]:
-        return [None if math.isnan(x) else x for x in column.tolist()]
-
-    rsi, williams = cells(frame.rsi), cells(frame.williams)
-    # a blank cell is scaled as 0.0, which cannot fail
-    neutral = ([0.0 if x is None else x for x in column] for column in (rsi, williams))
-    rsi_scaled, wa_scaled, faults = scale_secondaries(*neutral, cfg.divisor)
-    if faults:
-        raise faults[min(faults)]
-
-    def levels(column: list[float | None], scaled) -> list[str | None]:
-        labels = level_labels(scaled, cfg.levels).tolist()
-        return [None if x is None else label for x, label in zip(column, labels)]
-
-    columns = (itertools.repeat(periods.symbol), itertools.count(),
-               [day.isoformat() for day in bars.date.tolist()], bars.close.tolist(),
-               cells(frame.macd_line), cells(frame.signal_line), cells(frame.histogram),
-               rsi, levels(rsi, rsi_scaled), cells(frame.percent_k), cells(frame.percent_d),
-               williams, levels(williams, wa_scaled))
-    return [dict(zip(_INDICATOR_COLUMNS, row)) for row in zip(*columns)]
+    errors, blocks = period_frames(series_list, cfg, ("date", "high", "low", "close"))
+    tables = {}
+    for kept, periods, frame in blocks:
+        # a blank cell is scaled as 0.0, which cannot fail
+        rsi_scaled, wa_scaled, faults = scale_secondaries(
+            *(np.where(np.isnan(x), 0.0, x) for x in (frame.rsi, frame.williams)), cfg.divisor)
+        for cell, exc in faults.items():  # in cell order: a row's earliest period first
+            errors.setdefault(kept[cell // frame.close.shape[1]], exc)
+        if errors:
+            continue
+        rsi_level, wa_level = (level_labels(x, cfg.levels).reshape(frame.close.shape)
+                               for x in (rsi_scaled, wa_scaled))
+        columns = ([[day.isoformat() for day in row] for row in periods["date"].tolist()],
+                   frame.close.tolist(), cells(frame.macd_line), cells(frame.signal_line),
+                   cells(frame.histogram), cells(frame.rsi), cells(rsi_level, frame.rsi),
+                   cells(frame.percent_k), cells(frame.percent_d), cells(frame.williams),
+                   cells(wa_level, frame.williams))
+        for j, i in enumerate(kept):
+            symbol = itertools.repeat(series_list[i].symbol)
+            tables[i] = [dict(zip(_INDICATOR_COLUMNS, row))
+                         for row in zip(symbol, itertools.count(), *(c[j] for c in columns))]
+    if errors:
+        raise errors[min(errors)]
+    return [row for i in range(len(series_list)) for row in tables[i]]
 
 
 def _write_json(payload) -> None:
@@ -173,7 +178,7 @@ def _cmd_indicators(args, cfg: ResolvedConfig) -> int:
     series_list = _load_series(args.csv)
     if args.symbol:
         series_list = [_pick_symbol(series_list, args.symbol)]
-    rows = [row for series in series_list for row in _indicator_rows(series, cfg)]
+    rows = _indicator_rows(series_list, cfg)
     if args.format == "json":
         _write_json(rows)
     else:

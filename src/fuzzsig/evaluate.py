@@ -15,7 +15,7 @@ from typing import NamedTuple
 from .config import ResolvedConfig
 from .indicators import InsufficientHistoryError
 from .inference import PipelineError, Signal, recommend_block, recommend_periods
-from .market_data import PriceSeries, aggregate_periods
+from .market_data import Bars, PriceSeries, aggregate_block
 
 REPORT_CSV_HEADER = ("symbol", "fuzzy_output", "signal")
 
@@ -64,9 +64,8 @@ def run_portfolio(series_list: list[PriceSeries],
 
     Per-symbol pipeline failures become row notes instead of aborting the
     batch. The symbols are evaluated in blocks (recommend_block); a table that
-    fails the coverage check is a ConfigError for the whole batch once a row
-    reaches grading. The report is dated by the latest bar across the inputs, keeping identical inputs
-    byte-identical on re-runs.
+    fails the coverage check is a ConfigError for the whole batch. The report
+    is dated by the latest bar, so identical inputs give identical bytes.
     """
     if not any(series.bars for series in series_list):
         raise ValueError("empty input: no series to evaluate")
@@ -90,13 +89,15 @@ def backtest(series: PriceSeries, config: ResolvedConfig | None = None) -> Backt
     period and its PipelineError.
     """
     cfg = config if config is not None else ResolvedConfig()
-    periods = aggregate_periods(series, cfg.days_per_period)
-    bars = periods.bars
+    periods, faults = aggregate_block([series], cfg.days_per_period)
+    if faults:
+        raise faults[0]
+    bars = Bars(**{name: column[0] for name, column in periods.items()})
     dates, closes = bars.date.tolist(), bars.close.tolist()
     records: list[BacktestRecord] = []
     last_failure = ""
     for t in range(len(bars) - 1):
-        prefix = PriceSeries(periods.symbol, bars[:t + 1])
+        prefix = PriceSeries(series.symbol, bars[:t + 1])
         try:
             rec = recommend_periods(prefix, cfg)
         except PipelineError as exc:

@@ -9,10 +9,11 @@ reduction take a block of N >= 1 rows. Firing reads the term grades in the
 one order grade_inputs stacks them for the configured variables
 (STACKED_TERMS) and rejects any other. Every entry point hands indicator
 rows to recommend_rows, which normalizes them (fuzzy.normalize_rows) and
-evaluates them BLOCK_ROWS at a time. recommend_block (portfolio; recommend,
-its one-series case, runs signal) aggregates each group of series with the
-same number of periods in one market_data.aggregate_block call and passes
-the last column of their indicators.indicator_block. recommend_periods
+evaluates them BLOCK_ROWS at a time. period_frames makes one
+market_data.aggregate_block call and one indicators.indicator_block per
+group of series with the same number of periods: recommend_block
+(portfolio; recommend, its one-series case, runs signal) passes each frame's
+last column, and the `indicators` table prints every column. recommend_periods
 serves only the backtest: it passes the one row indicators.snapshot
 computes for each period prefix, in O(window). The rule base, variables and
 footprint width (the float fuzzy.delta; 0 grades type-1) come from
@@ -37,7 +38,7 @@ from ._frozen import Frozen, Value
 from .config import ResolvedConfig
 from .fuzzy import (FuzzifiedInputs, LinguisticVariable, grade_inputs, grade_terms,
                     normalize_rows, term_table)
-from .indicators import IndicatorSnapshot, indicator_block, snapshot
+from .indicators import IndicatorFrame, IndicatorSnapshot, indicator_block, snapshot
 from .market_data import PriceSeries, aggregate_block
 
 
@@ -461,10 +462,7 @@ def recommend_periods(periods: PriceSeries, config: ResolvedConfig | None = None
 
 
 def recommend(series: PriceSeries, config: ResolvedConfig | None = None) -> Recommendation:
-    """Full pipeline on one series' daily bars: the one-series recommend_block.
-
-    The row's PipelineError is raised.
-    """
+    """Full pipeline on one series' daily bars: the one-series recommend_block, raising."""
     cfg = config if config is not None else ResolvedConfig()
     [result] = recommend_block([series], cfg)
     if isinstance(result, PipelineError):
@@ -472,38 +470,52 @@ def recommend(series: PriceSeries, config: ResolvedConfig | None = None) -> Reco
     return result
 
 
+def period_frames(series_list: list[PriceSeries], cfg: ResolvedConfig,
+                  fields: tuple[str, ...] = ("high", "low", "close")
+                  ) -> tuple[dict[int, Exception], list[tuple[list[int], dict, IndicatorFrame]]]:
+    """The series' period columns and indicators, one block per period count.
+
+    Each group of series with the same number of periods makes one
+    aggregate_block call, of `fields` (high, low and close among them), and
+    one indicator_block. Returns each failing series' aggregation error by its
+    index, and per group, in order of first appearance, the kept indices (row
+    j is series kept[j]), the (N, T) period columns and the frame.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, series in enumerate(series_list):
+        groups.setdefault(len(series.bars) // cfg.days_per_period, []).append(i)
+    faults, blocks = {}, []
+    for members in groups.values():
+        periods, failed = aggregate_block([series_list[i] for i in members], cfg.days_per_period,
+                                          fields)
+        faults.update((members[j], exc) for j, exc in failed.items())
+        kept = [i for j, i in enumerate(members) if j not in failed]
+        if kept:
+            blocks.append((kept, periods, indicator_block(
+                periods["high"], periods["low"], periods["close"], **cfg.indicator_windows)))
+    return faults, blocks
+
+
 def recommend_block(series_list: list[PriceSeries], cfg: ResolvedConfig
                     ) -> list[Recommendation | PipelineError]:
     """The pipeline on every series' daily bars, with its failure in place of a failed row.
 
-    The series that make the same number of periods share one aggregate_block
-    call, one indicator_block, whose last column is their snapshot, and one
+    Each period_frames block's last column is its snapshot, for one
     recommend_rows call. A row does not depend on the other series: it equals
     recommend(series, cfg), bit for bit.
     """
-    results: list[Recommendation | PipelineError | None] = [None] * len(series_list)
-    groups: dict[int, list[int]] = {}
-    for i, series in enumerate(series_list):
-        groups.setdefault(len(series.bars) // cfg.days_per_period, []).append(i)
-    for length, members in groups.items():
-        periods, faults = aggregate_block([series_list[i] for i in members], cfg.days_per_period,
-                                          ("high", "low", "close"))
-        for j, exc in faults.items():
-            results[members[j]] = PipelineError("aggregation", exc)
-        kept = [i for j, i in enumerate(members) if j not in faults]
-        if not kept:
-            continue
+    cfg.build_variables()  # an uncovered table raises ConfigError even if every row fails sooner
+    faults, blocks = period_frames(series_list, cfg)
+    results = {i: PipelineError("aggregation", exc) for i, exc in faults.items()}
+    for kept, _, frame in blocks:
         try:
-            frame = _stage("indicators", indicator_block, periods["high"], periods["low"],
-                           periods["close"], **cfg.indicator_windows)
-            snap = _stage("indicators", frame.row, length - 1)
+            snap = _stage("indicators", frame.row, frame.close.shape[-1] - 1)
         except PipelineError as exc:
             group = [exc] * len(kept)
         else:
             group = recommend_rows([series_list[i].symbol for i in kept], snap, cfg)
-        for i, result in zip(kept, group):
-            results[i] = result
-    return results
+        results.update(zip(kept, group))
+    return [results[i] for i in range(len(series_list))]
 
 
 def rules_to_csv(rule_base: RuleBase) -> str:

@@ -38,12 +38,11 @@ number splits into year, month and day, and the day must lie in its month,
 whose first day and length come from datetime64 once per month the chunk
 spans. The csv-module reader checks each distinct cell with _iso_date.
 
-aggregate_block collapses the series that make the same number of periods
-into (N, periods) columns, one field at a time, and returns each failing
-series' error by its index; aggregate_periods is its one-series case. A
-series built in code can hold bars parse_csv rejects, so aggregation applies
-the same bar rule, on the N series' concatenated columns, and _unordered
-finds every date that is not after the one before it.
+aggregate_block collapses N series with the same number of periods into
+(N, periods) columns, one field at a time, and returns each failing series'
+error by its index. A series built in code can hold bars parse_csv rejects,
+so aggregation applies the same bar rule, on the N series' concatenated
+columns, and _unordered finds every date that is not after the one before it.
 """
 
 from __future__ import annotations
@@ -540,20 +539,3 @@ def aggregate_block(
                              # cumsum adds left to right; np.sum and Python 3.12's float sum do not
                              chunks.cumsum(axis=2)[..., -1])
     return periods, faults
-
-
-def aggregate_periods(series: PriceSeries, days_per_period: int = 15) -> PriceSeries:
-    """The one-series aggregate_block, as a series of period bars.
-
-    One-bar periods are the bars themselves, so for them only the checks run
-    and `series` is returned as it is. A series that fails raises its
-    MarketDataError.
-    """
-    one_day = days_per_period == 1
-    periods, faults = aggregate_block([series], days_per_period, () if one_day else _FIELDS)
-    if faults:
-        raise faults[0]
-    if one_day:
-        return series
-    return PriceSeries(series.symbol, Bars(*(periods[name][0] for name in _FIELDS)))
-

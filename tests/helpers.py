@@ -1,5 +1,6 @@
-"""Test-only builders: bars from rows, edited series, trend-ramp price series,
-one membership function's grades, and a count of coverage checks.
+"""Test-only builders: bars from rows, edited series, one series' period bars,
+trend-ramp price series, one membership function's grades, and a count of
+coverage checks.
 
 A Bars is a table of columns, so tests that think in rows build one with
 bars_of and change single cells with with_cells. The ramps give the pipeline
@@ -15,7 +16,7 @@ import numpy as np
 from fuzzsig import fuzzy
 from fuzzsig.fixtures import _dates
 from fuzzsig.fuzzy import grade_terms, term_table
-from fuzzsig.market_data import Bars, PriceSeries
+from fuzzsig.market_data import Bars, PriceSeries, aggregate_block
 
 
 FIELDS = ("date", "open", "high", "low", "close", "volume")
@@ -38,6 +39,14 @@ def with_cells(series: PriceSeries, **cells: dict) -> PriceSeries:
         for i, value in changes.items():
             columns[name][i] = value
     return PriceSeries(series.symbol, Bars(**columns))
+
+
+def aggregate_periods(series: PriceSeries, days_per_period: int = 15) -> PriceSeries:
+    """The one-series aggregate_block as a series of period bars; a failing series raises."""
+    periods, faults = aggregate_block([series], days_per_period)
+    if faults:
+        raise faults[0]
+    return PriceSeries(series.symbol, Bars(*(periods[name][0] for name in FIELDS)))
 
 
 def grade(mf, x, delta: float | None = None):

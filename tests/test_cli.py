@@ -15,11 +15,11 @@ from fuzzsig.config import ResolvedConfig
 from fuzzsig.fixtures import portfolio_fixture
 from fuzzsig.fuzzy import _variables
 from fuzzsig.inference import ANTECEDENT_TERMS, build_rule_base, rules_to_csv
-from fuzzsig.market_data import (CSV_HEADER, Bars, MarketDataError, PriceSeries,
-                                 aggregate_periods, parse_csv, serialize_csv)
+from fuzzsig.market_data import (CSV_HEADER, Bars, MarketDataError, PriceSeries, parse_csv,
+                                 serialize_csv)
 
 from conftest import DATA_DIR, PORTFOLIO_JSON_PINS, pinned
-from helpers import coverage_checks, flat_series
+from helpers import aggregate_periods, coverage_checks, flat_series
 
 
 @pytest.fixture
@@ -509,7 +509,8 @@ class TestConfigHandling:
 
     def test_config_file_run_grades_each_coverage_grid_once(self, basket_csv, tmp_path,
                                                              capsysbinary, monkeypatch):
-        # the load-time check and the run build the same five variables
+        # the load-time check, recommend_block's up-front check and the grading
+        # build the same five variables
         cfg = tmp_path / "conf.txt"
         cfg.write_text("fuzzy.rsi.medium = triangular 0.2 0.5 0.8\n")
         checked = coverage_checks(monkeypatch)
@@ -517,7 +518,7 @@ class TestConfigHandling:
         assert run(["portfolio", basket_csv, "--config", str(cfg)]) == 0
         assert len(checked) == 5
         info = _variables.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        assert (info.misses, info.hits) == (1, 2)
 
     def test_bad_config_exits_1(self, flat_csv, tmp_path, capsys):
         cfg = tmp_path / "conf.txt"

@@ -1,4 +1,4 @@
-"""Every scalar config value moves some output byte, or ALLOWED says why it may not.
+"""Every config value moves some output, or ALLOWED says why it may not.
 
 One case per key of config._SETTINGS, and one per element of a tuple value. Each
 value is perturbed on its own (ints by +-1, floats by x1.1 and x0.9, a tuple
@@ -8,22 +8,25 @@ commands run on the bundled fixture: `portfolio --format json`, `indicators` and
 lines render the config itself, so they are masked. A case passes when some
 perturbation that loads moves some stdout byte of a command that succeeds.
 
-Membership-function keys (`fuzzy.<variable>.<term>`) are out of scope. They are
-used, but whether a small breakpoint shift shows depends on the data: on the
-bundled fixture and these three commands, a +-0.01 shift moves nothing but the
-echo for every breakpoint of the `fuzzy.so` terms and for all of the `fuzzy.rsi`
-breakpoints but `fuzzy.rsi.low`'s foot. A Hypothesis property over drawn configs
-and baskets is the place for them.
+One case per membership-function parameter (`fuzzy.<variable>.<term>`, 29 in
+all), perturbed by x1.01 and x0.99 in a one-line config. On the bundled fixture
+six such shifts of `fuzzy.rsi` and `fuzzy.so` breakpoints move no byte, so
+these cases score a 200-symbol seeded basket with run_portfolio at a footprint
+width of 0 and 0.05, and pass when some crisp value changes by any bit.
 """
 
 import contextlib
+import dataclasses
 import io
 import re
 
 import pytest
 
 from fuzzsig.cli import run
-from fuzzsig.config import _KIND, _SETTINGS, ConfigError, ResolvedConfig, parse_config_text
+from fuzzsig.config import (_KIND, _SETTINGS, ConfigError, ResolvedConfig, format_mf,
+                            parse_config_text)
+from fuzzsig.evaluate import run_portfolio
+from fuzzsig.fixtures import portfolio_fixture
 
 from conftest import DATA_DIR
 
@@ -54,7 +57,23 @@ def _cases() -> dict[str, list[str]]:
     return cases
 
 
+def _mf_cases() -> dict[str, list[str]]:
+    """Each membership-function parameter's case id and the config line of each perturbation."""
+    cases = {}
+    for var, terms in ResolvedConfig().mf_table.items():
+        for label, mf in terms:
+            shape, *params = format_mf(mf).split()
+            for i in range(len(params)):
+                cases[f"fuzzy.{var}.{label}[{i}]"] = [
+                    f"fuzzy.{var}.{label} = {shape} " + " ".join(
+                        repr(float(x) * factor) if j == i else x for j, x in enumerate(params))
+                    for factor in (1.01, 0.99)]
+    return cases
+
+
 CASES = _cases()
+MF_CASES = _mf_cases()
+DELTAS = (0.0, 0.05)
 
 
 def _loads(line: str) -> bool:
@@ -94,8 +113,29 @@ def baseline(outputs_of):
     return outputs
 
 
+@pytest.fixture(scope="module")
+def basket():
+    return portfolio_fixture(7, 200, 52, 15)
+
+
+@pytest.fixture(scope="module")
+def crisp_baseline(basket):
+    return _crisp_bits(basket, ResolvedConfig())
+
+
+def _crisp_bits(basket, cfg: ResolvedConfig) -> list[list[str | None]]:
+    """The basket's crisp values as float.hex, one list per footprint width in DELTAS."""
+    return [[None if row.crisp is None else row.crisp.hex() for row in
+             run_portfolio(basket, dataclasses.replace(cfg, delta=delta)).rows]
+            for delta in DELTAS]
+
+
 def test_allowed_names_only_real_values():
-    assert ALLOWED.keys() <= CASES.keys()
+    assert ALLOWED.keys() <= CASES.keys() | MF_CASES.keys()
+
+
+def test_membership_function_cases_cover_every_parameter():
+    assert len(MF_CASES) == 29
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -108,3 +148,14 @@ def test_value_moves_an_output(case, outputs_of, baseline):
         assert not moved, f"{case} moves an output now; drop its ALLOWED entry"
     else:
         assert moved, f"{case}: no perturbation in {loaded} moves a byte of any command"
+
+
+@pytest.mark.parametrize("case", MF_CASES)
+def test_membership_function_parameter_moves_a_crisp_value(case, basket, crisp_baseline):
+    loaded = [parse_config_text(line) for line in MF_CASES[case] if _loads(line)]
+    assert loaded, f"{case}: no perturbation loads: {MF_CASES[case]}"
+    moved = any(_crisp_bits(basket, cfg) != crisp_baseline for cfg in loaded)
+    if case in ALLOWED:
+        assert not moved, f"{case} moves a crisp value now; drop its ALLOWED entry"
+    else:
+        assert moved, f"{case}: no perturbation in {MF_CASES[case]} moves a crisp value"

@@ -35,13 +35,12 @@ from fuzzsig.market_data import (
     Bars,
     MarketDataError,
     PriceSeries,
-    aggregate_periods,
     parse_csv,
     serialize_csv,
 )
 
 from conftest import DATA_DIR
-from helpers import bars_of, uptrend_series, with_cells
+from helpers import aggregate_periods, bars_of, uptrend_series, with_cells
 
 
 def _rows(report):
@@ -108,7 +107,18 @@ class TestRunPortfolio:
             calls.clear()
             run_portfolio(symbols, ResolvedConfig())
             counts.append(len(calls))
-        assert counts == [1, 1]
+        assert counts == [2, 2]  # recommend_block's up-front check, then the grading
+
+    def test_uncovered_table_fails_the_batch_before_any_row(self):
+        # each row would fail sooner: on short history, or at aggregation
+        table = dict(ResolvedConfig().mf_table)
+        table["rsi"] = tuple((label, Triangular(0, 0.01, 0.02)) for label, _ in table["rsi"])
+        cfg = ResolvedConfig(mf_table=table)
+        short = random_walk_series("S", seed=1, periods=3)
+        for call, arg in ((run_portfolio, [short, PriceSeries("T", short.bars[:5])]),
+                          (recommend, short)):
+            with pytest.raises(ConfigError, match="fuzzy variable 'rsi': terms cover"):
+                call(arg, cfg)
 
     def test_empty_input_errors(self):
         with pytest.raises(ValueError, match="empty"):
@@ -438,8 +448,8 @@ class TestBacktest:
             assert again.signal is record.signal
 
     def test_keeps_no_parsed_table_alive(self):
-        # one-day periods are the parsed series itself, so every prefix's closes
-        # are views of the table's close column; the MACD entry keeps a copy
+        # the period columns are copies even for one-day periods, and so are the
+        # closes the MACD entry keeps
         [series] = parse_csv(serialize_csv([random_walk_series("S", seed=3, periods=60,
                                                                days_per_period=1)]))
         column = weakref.ref(series.bars.close.base)
@@ -452,9 +462,6 @@ class TestBacktest:
         cfg = ResolvedConfig()
         series = random_walk_series("S", seed=15, periods=50)
         stats = backtest(series, cfg)
-
-        from fuzzsig.market_data import aggregate_periods
-
         periods = aggregate_periods(series, cfg.days_per_period)
         closes = periods.bars.close.tolist()
         expected = []

@@ -28,9 +28,8 @@ from fuzzsig.fuzzy import (
     normalize_rows,
 )
 from fuzzsig.indicators import IndicatorSnapshot, snapshot
-from fuzzsig.market_data import aggregate_periods
 
-from helpers import coverage_checks, flat_series, grade
+from helpers import aggregate_periods, coverage_checks, flat_series, grade
 from oracles import shape_grade, shape_grade_bounds, swept_mf_bounds, term_grades
 
 unit = st.floats(0.0, 1.0, allow_nan=False)

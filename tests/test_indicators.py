@@ -1,16 +1,24 @@
+import contextlib
+import io
+import json
 import re
 import struct
 import sys
+import tempfile
 import threading
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fuzzsig import indicators
+from fuzzsig import indicators, inference
+from fuzzsig.cli import run
 from fuzzsig.fixtures import portfolio_fixture, random_walk_series
 from fuzzsig.indicators import (
+    IndicatorFrame,
     InsufficientHistoryError,
     _macd_last,
     _percent_k,
@@ -23,10 +31,10 @@ from fuzzsig.indicators import (
     sma,
     snapshot,
 )
-from fuzzsig.market_data import Bars, PriceSeries, aggregate_periods, parse_csv, serialize_csv
+from fuzzsig.market_data import Bars, PriceSeries, parse_csv, serialize_csv
 
 from conftest import DATA_DIR
-from helpers import flat_series
+from helpers import aggregate_periods, flat_series
 
 from oracles import (
     closed_form_ema,
@@ -820,3 +828,79 @@ class TestIndicatorBlock:
             assert [x[i].hex() for x in rows] == bits(want)
         with pytest.raises(InsufficientHistoryError, match="got 34$"):
             block.row(33)
+
+
+def _indicators_run(*argv: str) -> tuple[int, str, str]:
+    """An in-process `indicators` run's exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["indicators", *argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _out_of_range_secondaries(high, low, close, **windows) -> IndicatorFrame:
+    """indicator_block with each RSI above 60 and each Williams below -90 out of range."""
+    frame = indicator_block(high, low, close, **windows)
+    columns = {name: getattr(frame, name) for name in IndicatorFrame._fields}
+    columns["rsi"] = np.where(frame.rsi > 60.0, 101.0, frame.rsi)
+    columns["williams"] = np.where(frame.williams < -90.0, 1.0, frame.williams)
+    return IndicatorFrame(**columns)
+
+
+class TestIndicatorsBasket:
+    """An `indicators` run on a basket prints the per-symbol runs, joined in input order."""
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_basket_run_equals_the_per_symbol_runs(self, data):
+        days = data.draw(st.sampled_from([15, 3, 1]), label="period_days")
+        names = data.draw(st.permutations([f"S{i}" for i in range(6)]), label="order")
+        basket = []
+        for name in names[:data.draw(st.integers(2, 6), label="symbols")]:
+            # no whole period, too few periods for a snapshot, or enough
+            periods = data.draw(st.sampled_from([0, 1, 20, 34, 35, 40, 52]).filter(
+                lambda n: n or days > 1), label=f"{name} periods")
+            extra = data.draw(st.integers(0 if periods else 1, days - 1), label=f"{name} extra")
+            walk = random_walk_series(name, data.draw(st.integers(0, 999), label=f"{name} seed"),
+                                      periods + 1, days)
+            basket.append(PriceSeries(name, walk.bars[:periods * days + extra]))
+        fmt = data.draw(st.sampled_from(["csv", "json"]), label="format")
+        # an RSI or Williams fault fails a symbol with its earliest period's fault, RSI first
+        faulty = data.draw(st.booleans(), label="out-of-range secondaries")
+        flags = ["--period-days", str(days), "--format", fmt]
+        with tempfile.TemporaryDirectory() as tmp, (mock.patch.object(
+                inference, "indicator_block", _out_of_range_secondaries)
+                if faulty else contextlib.nullcontext()):
+            path = str(Path(tmp) / "basket.csv")
+            Path(path).write_bytes(serialize_csv(basket))
+            got = _indicators_run(path, *flags)
+            singles = [_indicators_run(path, "--symbol", s.symbol, *flags) for s in basket]
+        failed = [single for single in singles if single[0] != 0]
+        if failed:  # the first failing symbol's error, and nothing on stdout
+            assert got == failed[0]
+            return
+        if fmt == "csv":
+            header = singles[0][1].split("\n", 1)[0]
+            want = header + "\n" + "".join(out.split("\n", 1)[1] for _, out, _ in singles)
+        else:
+            want = json.dumps([row for _, out, _ in singles for row in json.loads(out)],
+                              indent=2) + "\n"
+        assert got == (0, want, "")
+
+    @pytest.mark.parametrize("rsi_from, williams_from, message", [
+        (40, 45, "RSI out of range [0, 100]: 100.041"),
+        (45, 40, "Williams value out of range [-100, 0]: 0.041"),
+        (40, 40, "RSI out of range [0, 100]: 100.041"),
+    ])
+    def test_a_fault_is_the_earliest_period_s_rsi_first(self, rsi_from, williams_from, message):
+        def block(high, low, close, **windows):  # out of range from a period on, by period
+            frame = indicator_block(high, low, close, **windows)
+            columns = {name: getattr(frame, name) for name in IndicatorFrame._fields}
+            t = np.arange(frame.close.shape[-1])
+            columns["rsi"] = np.where(t >= rsi_from, 100.0 + (t + 1) / 1000, frame.rsi)
+            columns["williams"] = np.where(t >= williams_from, (t + 1) / 1000, frame.williams)
+            return IndicatorFrame(**columns)
+
+        with mock.patch.object(inference, "indicator_block", block):
+            got = _indicators_run(str(DATA_DIR / "portfolio_fixture.csv"))
+        assert got == (1, "", f"error: {message}\n")

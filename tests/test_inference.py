@@ -39,9 +39,8 @@ from fuzzsig.inference import (
     rules_from_csv,
     rules_to_csv,
 )
-from fuzzsig.market_data import aggregate_periods
 
-from helpers import downtrend_series, flat_series, grade, uptrend_series
+from helpers import aggregate_periods, downtrend_series, flat_series, grade, uptrend_series
 from oracles import brute_force_aggregate, enumerated_km, max_of_clips, stacked_inputs
 
 OUTPUT_VAR = next(v for v in default_variables() if v.name == "signal")

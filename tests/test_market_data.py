@@ -20,12 +20,11 @@ from fuzzsig.market_data import (
     MarketDataError,
     PriceSeries,
     aggregate_block,
-    aggregate_periods,
     parse_csv,
     serialize_csv,
 )
 
-from helpers import bars_of, with_cells
+from helpers import aggregate_periods, bars_of, with_cells
 from oracles import reparse_rows, scanned_unordered_dates
 
 HEADER = "symbol,date,open,high,low,close,volume\n"
@@ -610,15 +609,17 @@ class TestAggregatePeriods:
         series = make_series(30)
         assert aggregate_periods(series, 1) == series
 
-    def test_one_day_periods_return_the_series_itself(self):
+    def test_one_day_periods_are_the_bars(self):
         series = random_walk_series("S", seed=6, periods=40, days_per_period=1)
-        out = aggregate_periods(series, 1)
-        assert out is series
-        assert rows(out.bars) == rows(series.bars)
-        with pytest.raises(MarketDataError, match="^E: 0 bars is shorter than one 1-bar period$"):
-            aggregate_periods(PriceSeries("E", bars_of([])), 1)
+        periods, faults = aggregate_block([series], 1)
+        assert faults == {}
+        for name, column in zip(("date", "open", "high", "low", "close", "volume"),
+                                (series.bars.date, *series.bars.columns())):
+            assert periods[name][0].tobytes() == column.tobytes()
+        _, faults = aggregate_block([PriceSeries("E", bars_of([]))], 1)
+        assert str(faults[0]) == "E: 0 bars is shorter than one 1-bar period"
         with pytest.raises(MarketDataError, match="^days_per_period must be >= 1, got 0$"):
-            aggregate_periods(series, 0)
+            aggregate_block([series], 0)
 
     @pytest.mark.parametrize("dpp", [1, 15])
     @pytest.mark.parametrize("column, value", [

@@ -22,8 +22,8 @@ EXPORTS = {
                   "Rule", "RuleBase", "Signal", "build_rule_base", "classify_signal",
                   "defuzzify", "fire_rules", "km_type_reduce", "recommend", "rules_from_csv",
                   "rules_to_csv"],
-    "market_data": ["Bars", "MarketDataError", "PriceSeries", "aggregate_block",
-                    "aggregate_periods", "parse_csv", "serialize_csv"],
+    "market_data": ["Bars", "MarketDataError", "PriceSeries", "aggregate_block", "parse_csv",
+                    "serialize_csv"],
     "tuning": ["golden_ratio", "level_labels", "scale_secondaries"],
 }
 
