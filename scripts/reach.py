@@ -7,13 +7,14 @@ Run from anywhere, with no arguments:
 
 It runs a fixed matrix of fuzzsig CLI calls in this process, under
 sys.setprofile: every command and format, delta 0, 0.05 and 0.15, one-day
-periods, a config file, rule tables, the bundled fixture, a 20-symbol basket
-and malformed inputs. It also reads one public name of the package and
-calls dir() on it. Every def under src/fuzzsig (found with ast) must be
-entered, or be in KEEP with its reason. The script exits 1 and names each
-function that was never entered, each KEEP entry that names no function or
-one that was entered, and each call that exited with a code other than the
-expected one. Its input and output files live in a temporary directory.
+periods, a config file, rule tables, the bundled fixture, a 20-symbol basket,
+a symbol outside ASCII and malformed inputs. It also reads one public name of
+the package and calls dir() on it. Every def under src/fuzzsig (found with
+ast) must be entered, or be in KEEP with its reason. The script exits 1 and
+names each function that was never entered, each KEEP entry that names no
+function or one that was entered, and each call that exited with a code other
+than the expected one. Its input and output files live in a temporary
+directory.
 
 Under `python -X dev -W error scripts/reach.py` each warning a call raises is
 an error, and one raised where nothing can catch it, such as the
@@ -99,13 +100,15 @@ def functions() -> dict[tuple[str, int], str]:
 def matrix(cli, tmp: Path, problems: list[str]) -> None:
     """The fixed command matrix, with its files written under tmp."""
     fixture, basket, short = str(FIXTURE), str(tmp / "basket.csv"), str(tmp / "short.csv")
+    accented = str(tmp / "accented.csv")
 
     def call(*argv: str, expected: int = 0) -> bytes:
         """cli.run(argv)'s stdout, with stderr captured; a wrong exit code is a problem.
 
         So is an exception that nothing could catch, such as a finalizer's.
         """
-        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        # ascii: a command that wrote text, not UTF-8 bytes, fails on the non-ASCII symbol
+        out = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
         sys.unraisablehook = lambda hook: problems.append(
             f"{hook.exc_type.__name__}: {hook.exc_value}: fuzzsig {' '.join(argv)}")
         try:
@@ -128,6 +131,8 @@ def matrix(cli, tmp: Path, problems: list[str]) -> None:
         "utf-8").splitlines(keepends=True)
     Path(short).write_text("".join(lines[:11] + lines[601:901] + lines[1201:]),
                            encoding="utf-8")
+    Path(accented).write_text(lines[0] + "".join(line.replace("SYN02,", "\u00c4BC,")
+                                                 for line in lines[1201:]), encoding="utf-8")
     for name, text in MALFORMED.items():
         (tmp / name).write_text(text, encoding="utf-8")
     (tmp / "fuzzsig.cfg").write_text(CONFIG, encoding="utf-8")
@@ -148,9 +153,12 @@ def matrix(cli, tmp: Path, problems: list[str]) -> None:
             call("signal", fixture, "--symbol", "SYN03", "--format", fmt, "--delta", delta)
         for fmt in ("csv", "json"):
             call("backtest", fixture, "--symbol", "SYN01", "--format", fmt, "--delta", delta)
-            call("indicators", fixture, "--symbol", "SYN02", "--format", fmt,
-                 "--delta", delta)
+    for fmt in ("csv", "json"):
+        call("indicators", fixture, "--symbol", "SYN02", "--format", fmt)
     call("indicators", fixture)
+    call("signal", accented, "--symbol", "\u00c4BC")
+    call("backtest", accented, "--symbol", "\u00c4BC")
+    call("indicators", accented)
     call("indicators", short, "--symbol", "SYN01", "--format", "json")
     call("portfolio", basket)
     call("portfolio", basket, "--delta", "0")

@@ -1,5 +1,11 @@
 """Command-line front door: indicator dumps, signals, portfolio runs, backtests.
 
+Each command returns its whole output as UTF-8 bytes with `\n` line ends, and
+run() writes them in one call to the binary `.buffer` of standard output once
+the command has returned. So the bytes do not depend on the locale or
+PYTHONIOENCODING, a failing command writes nothing to stdout, and run() needs
+a stdout stream that has a `.buffer`.
+
 The `indicators` table labels whole columns (tuning.scale_secondaries). A
 command imports what only some commands use (fuzzsig.evaluate,
 fuzzsig.fixtures, json) when it runs, so a process loads what it needs.
@@ -25,11 +31,13 @@ from .tuning import level_labels, scale_secondaries
 CONFIG_ENV_VAR = "FUZZSIG_CONFIG"
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, delta: bool = True) -> None:
+    """--config and --period-days, and --delta where the footprint reaches the output."""
     parser.add_argument("--config", metavar="FILE",
                         help=f"config file (default: ${CONFIG_ENV_VAR} if set)")
-    parser.add_argument("--delta", type=float, metavar="D",
-                        help="override fuzzy.delta (0 disables the type-2 footprint)")
+    if delta:
+        parser.add_argument("--delta", type=float, metavar="D",
+                            help="override fuzzy.delta (0 disables the type-2 footprint)")
     parser.add_argument("--period-days", type=int, metavar="N",
                         help="override data.days_per_period")
 
@@ -53,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("csv", help="input OHLCV CSV file")
     p.add_argument("--symbol", help="restrict to one symbol")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_common(p)
+    _add_common(p, delta=False)
 
     p = sub.add_parser("signal", help="one recommendation for one symbol")
     p.add_argument("csv", help="input OHLCV CSV file")
@@ -85,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symbols", type=_count, default=10)
     p.add_argument("--periods", type=_count, default=52)
     p.add_argument("--out", metavar="FILE", help="write here instead of stdout")
-    _add_common(p)
+    _add_common(p, delta=False)
 
     return parser
 
@@ -168,67 +176,61 @@ def _indicator_rows(series_list: list[PriceSeries], cfg: ResolvedConfig) -> list
     return [row for i in range(len(series_list)) for row in tables[i]]
 
 
-def _write_json(payload) -> None:
+def _csv(header, rows) -> bytes:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue().encode("utf-8")
+
+
+def _json(payload) -> bytes:
     import json  # loaded only by the commands that print JSON
 
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
 
-def _cmd_indicators(args, cfg: ResolvedConfig) -> int:
+def _cmd_indicators(args, cfg: ResolvedConfig) -> bytes:
     series_list = _load_series(args.csv)
     if args.symbol:
         series_list = [_pick_symbol(series_list, args.symbol)]
     rows = _indicator_rows(series_list, cfg)
     if args.format == "json":
-        _write_json(rows)
-    else:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(_INDICATOR_COLUMNS)
-        for row in rows:
-            writer.writerow(["" if row[c] is None else repr(row[c]) if isinstance(row[c], float)
-                             else row[c] for c in _INDICATOR_COLUMNS])
-        sys.stdout.write(out.getvalue())
-    return 0
+        return _json(rows)
+    return _csv(_INDICATOR_COLUMNS, (
+        ["" if row[c] is None else repr(row[c]) if isinstance(row[c], float) else row[c]
+         for c in _INDICATOR_COLUMNS] for row in rows))
 
 
-def _cmd_signal(args, cfg: ResolvedConfig) -> int:
-    series = _pick_symbol(_load_series(args.csv), args.symbol)
-    rec = recommend(series, cfg)
+def _cmd_signal(args, cfg: ResolvedConfig) -> bytes:
+    rec = recommend(_pick_symbol(_load_series(args.csv), args.symbol), cfg)
     if args.format == "json":
-        payload = {
+        return _json({
             "symbol": rec.symbol,
             "fuzzy_output": rec.crisp,
             "signal": rec.signal.value,
             "centroid_interval": rec.centroid_interval,
             "config_fingerprint": cfg.fingerprint(),
-        }
-        _write_json(payload)
-    else:
-        line = f"{rec.symbol} fuzzy_output={rec.crisp:.6f} signal={rec.signal.value}"
-        if rec.centroid_interval is not None:
-            y_l, y_r = rec.centroid_interval
-            line += f" centroid_interval=[{y_l:.6f}, {y_r:.6f}]"
-        sys.stdout.write(line + "\n")
-    return 0
+        })
+    line = f"{rec.symbol} fuzzy_output={rec.crisp:.6f} signal={rec.signal.value}"
+    if rec.centroid_interval is not None:
+        y_l, y_r = rec.centroid_interval
+        line += f" centroid_interval=[{y_l:.6f}, {y_r:.6f}]"
+    return (line + "\n").encode("utf-8")
 
 
-def _cmd_portfolio(args, cfg: ResolvedConfig) -> int:
+def _cmd_portfolio(args, cfg: ResolvedConfig) -> bytes:
     from .evaluate import emit_report, run_portfolio
 
-    series_list = _load_series(args.csv)
-    report = run_portfolio(series_list, cfg)
-    sys.stdout.buffer.write(emit_report(report, args.format))
-    return 0
+    return emit_report(run_portfolio(_load_series(args.csv), cfg), args.format)
 
 
-def _cmd_backtest(args, cfg: ResolvedConfig) -> int:
+def _cmd_backtest(args, cfg: ResolvedConfig) -> bytes:
     from .evaluate import backtest
 
-    series = _pick_symbol(_load_series(args.csv), args.symbol)
-    stats = backtest(series, cfg)
+    stats = backtest(_pick_symbol(_load_series(args.csv), args.symbol), cfg)
     if args.format == "json":
-        payload = {
+        return _json({
             "symbol": stats.symbol,
             "buy_hit_rate": stats.buy_hit_rate,
             "sell_hit_rate": stats.sell_hit_rate,
@@ -237,44 +239,33 @@ def _cmd_backtest(args, cfg: ResolvedConfig) -> int:
                  "signal": r.signal.value, "next_return": r.next_return}
                 for r in stats.records
             ],
-        }
-        _write_json(payload)
-    else:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("symbol", "period_index", "date", "signal", "next_return"))
-        for r in stats.records:
-            writer.writerow((stats.symbol, r.period_index, r.date.isoformat(),
-                             r.signal.value, repr(r.next_return)))
-        sys.stdout.write(out.getvalue())
-    return 0
+        })
+    return _csv(("symbol", "period_index", "date", "signal", "next_return"),
+                ((stats.symbol, r.period_index, r.date.isoformat(), r.signal.value,
+                  repr(r.next_return)) for r in stats.records))
 
 
-def _cmd_rules(args, cfg: ResolvedConfig) -> int:
-    for line in cfg.canonical_lines():
-        if line.startswith("fuzzy."):
-            sys.stdout.write(f"# {line}\n")
-    sys.stdout.write(rules_to_csv(cfg.rule_base))
-    return 0
+def _cmd_rules(args, cfg: ResolvedConfig) -> bytes:
+    echo = "".join(f"# {line}\n" for line in cfg.canonical_lines() if line.startswith("fuzzy."))
+    return (echo + rules_to_csv(cfg.rule_base)).encode("utf-8")
 
 
-def _cmd_fixtures(args, cfg: ResolvedConfig) -> int:
+def _cmd_fixtures(args, cfg: ResolvedConfig) -> bytes:
+    """The fixture CSV, or nothing once it is written to --out."""
     from .fixtures import DEFAULT_SEED, portfolio_fixture
 
     seed = DEFAULT_SEED if args.seed is None else args.seed
-    series_list = portfolio_fixture(seed=seed, symbols=args.symbols,
-                                    periods=args.periods,
-                                    days_per_period=cfg.days_per_period)
-    data = serialize_csv(series_list)
-    if args.out:
-        try:
-            with open(args.out, "wb") as fh:
-                fh.write(data)
-        except OSError as exc:
-            raise MarketDataError(f"cannot write {args.out!r}: {exc}") from None
-    else:
-        sys.stdout.buffer.write(data)
-    return 0
+    data = serialize_csv(portfolio_fixture(seed=seed, symbols=args.symbols,
+                                           periods=args.periods,
+                                           days_per_period=cfg.days_per_period))
+    if not args.out:
+        return data
+    try:
+        with open(args.out, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise MarketDataError(f"cannot write {args.out!r}: {exc}") from None
+    return b""
 
 
 _COMMANDS = {
@@ -294,11 +285,12 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed usage or help
         return int(exc.code or 0)
     try:
-        cfg = _resolve_config(args)
-        return _COMMANDS[args.command](args, cfg)
+        output = _COMMANDS[args.command](args, _resolve_config(args))
     except (ConfigError, MarketDataError, PipelineError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    sys.stdout.buffer.write(output)
+    return 0
 
 
 def main() -> None:

@@ -300,6 +300,30 @@ class TestIndicatorsCommand:
         assert run(["indicators", str(path)]) == 1
         assert capsys.readouterr() == ("", f"error: {info.value}\n")
 
+    @pytest.mark.parametrize("flags", [[], ["--period-days", "1"]])
+    def test_power_of_two_price_rescale_scales_only_the_price_columns(self, flags, tmp_path,
+                                                                       capsysbinary):
+        # the close and the MACD columns are sums of scaled prices; every other
+        # column, the levels included, is a price ratio
+        prices = {"close", "macd", "macd_signal", "macd_histogram"}
+
+        def bits(path, factor=1.0) -> list[dict]:
+            """Each row's float cells as float.hex, a price column's divided by factor first."""
+            assert run(["indicators", str(path), "--format", "json", *flags]) == 0
+            return [{name: (value / factor if name in prices else value).hex()
+                     if isinstance(value, float) else value for name, value in row.items()}
+                    for row in json.loads(capsysbinary.readouterr().out)]
+
+        fixture = DATA_DIR / "portfolio_fixture.csv"
+        expected, basket = bits(fixture), parse_csv(fixture.read_bytes())
+        assert len(expected) == (7800 if flags else 520)
+        for factor in (0.25, 4.0, 1024.0):
+            scaled = tmp_path / "scaled.csv"
+            scaled.write_bytes(serialize_csv([PriceSeries(s.symbol, Bars(
+                s.bars.date, *(column * factor for column in s.bars.columns()[:4]),
+                s.bars.volume)) for s in basket]))
+            assert bits(scaled, factor) == expected, factor
+
 
 class TestBacktestCommand:
     def test_csv_output(self, basket_csv, capsys):
@@ -442,7 +466,7 @@ class TestInputRowOrder:
         assert run([*argv, shuffled_csv]) == 0
         assert capsysbinary.readouterr().out == expected
 
-    @pytest.mark.parametrize("flags", [[], ["--period-days", "1", "--delta", "0.15"]])
+    @pytest.mark.parametrize("flags", [[], ["--period-days", "1"]])
     def test_indicators_print_the_same_rows_for_each_symbol(self, shuffled_csv, flags, capsys):
         def rows_by_symbol(path):
             assert run(["indicators", path, *flags]) == 0

@@ -1,9 +1,10 @@
 """How a CLI process ends: main() flushes both streams, then calls os._exit.
 
 A `python -m fuzzsig.cli` process must print what cli.run prints in process,
-byte for byte, and exit with its code. os._exit skips atexit handlers and
-thread joins, so none may exist; and a stdout write that fails gives one
-error line and exit 1 under either buffering.
+byte for byte, and exit with its code; its stdout is UTF-8 under any
+PYTHONIOENCODING. os._exit skips atexit handlers and thread joins, so none
+may exist; and a stdout write that fails gives one error line and exit 1
+under either buffering.
 """
 
 import json
@@ -37,11 +38,13 @@ def cli_process(argv, stdout=subprocess.PIPE, **env_changes) -> subprocess.Compl
     (["backtest", FIXTURE, "--symbol", "SYN07"], 0),
     (["backtest", FIXTURE, "--symbol", "SYN07", "--format", "json"], 0),
     (["indicators", FIXTURE], 0),
+    (["indicators", FIXTURE, "--format", "json"], 0),
+    (["fixtures", "generate", "--symbols", "3"], 0),
     (["signal", FIXTURE, "--symbol", "NOPE"], 1),
     (["rules", "nope"], 2),
 ], ids=["rules-dump", "signal-text", "signal-json", "portfolio-csv", "portfolio-json",
         "portfolio-plotdata", "backtest-csv", "backtest-json", "indicators-csv",
-        "unknown-symbol", "usage"])
+        "indicators-json", "fixtures-generate", "unknown-symbol", "usage"])
 def test_process_prints_what_run_prints(argv, code, capsysbinary, monkeypatch):
     # buffered stdout, where a missing flush would drop the tail
     proc = cli_process(argv, PYTHONUNBUFFERED=None)
@@ -51,6 +54,27 @@ def test_process_prints_what_run_prints(argv, code, capsysbinary, monkeypatch):
     captured = capsysbinary.readouterr()
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
     assert captured.out if code == 0 else captured.err
+
+
+def test_stdout_bytes_do_not_depend_on_its_encoding(tmp_path):
+    # every command writes UTF-8 to the binary stdout, whatever PYTHONIOENCODING says
+    with open(FIXTURE, encoding="utf-8") as fh:
+        header, *rows = fh
+    basket = tmp_path / "basket.csv"
+    basket.write_text(header + "".join(row.replace("SYN00,", "\u00c4BC,") for row in rows
+                                       if row.startswith("SYN00,")), encoding="utf-8")
+    path, symbol = str(basket), ["--symbol", "\u00c4BC"]
+    for argv, shown in [(["signal", path, *symbol], b"\xc3\x84BC"),
+                        (["signal", path, *symbol, "--format", "json"], b'"\\u00c4BC"'),
+                        (["backtest", path, *symbol], b"\xc3\x84BC"),
+                        (["indicators", path], b"\xc3\x84BC"),
+                        (["portfolio", path], b"\xc3\x84BC"),
+                        (["rules", "dump"], b"\nmacd,rsi,so,wa,consequent,score\n")]:
+        procs = [cli_process(argv, PYTHONIOENCODING=encoding)
+                 for encoding in (None, "ascii", "latin-1")]
+        assert [(p.returncode, p.stdout, p.stderr) for p in procs] == [
+            (0, procs[0].stdout, b"")] * 3, argv
+        assert shown in procs[0].stdout, argv
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

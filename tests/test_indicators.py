@@ -832,10 +832,10 @@ class TestIndicatorBlock:
 
 def _indicators_run(*argv: str) -> tuple[int, str, str]:
     """An in-process `indicators` run's exit code, stdout and stderr."""
-    out, err = io.StringIO(), io.StringIO()
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(["indicators", *argv])
-    return code, out.getvalue(), err.getvalue()
+        code = run(["indicators", *argv])  # writes bytes to out.buffer
+    return code, out.buffer.getvalue().decode("utf-8"), err.getvalue()
 
 
 def _out_of_range_secondaries(high, low, close, **windows) -> IndicatorFrame:
