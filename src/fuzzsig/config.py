@@ -16,8 +16,10 @@ import dataclasses
 import functools
 import math
 import typing
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
+from ._frozen import Frozen
 from .fuzzy import (Gaussian, LinguisticVariable, MembershipFunction, default_mf_table,
                     default_variables)
 from .tuning import DEFAULT_DIVISOR
@@ -88,6 +90,19 @@ def _check_setting(name: str, value) -> None:
         raise ConfigError(f"grid_points must be >= 3, got {value}")
 
 
+class MfTable(Frozen, dict):
+    """ResolvedConfig's {variable: terms} table: each dict method that would change it raises.
+
+    A copy or a pickle rebuilds it from `tables`, a plain dict of its items.
+    """
+
+    __slots__ = ()
+    _fields = ("tables",)
+    tables = property(dict.copy)
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = (
+        Frozen.__setattr__)
+
+
 def _setting(key: str, default):
     """A scalar ResolvedConfig field, set by the dotted config-file `key`."""
     return field(default=default, metadata={"key": key})
@@ -109,9 +124,9 @@ class ResolvedConfig:
     levels: tuple[float, float] = _setting("tuning.levels", (0.382, 0.618))
     delta: float = _setting("fuzzy.delta", 0.05)
     histogram_gain: float = _setting("fuzzy.histogram_gain", 50.0)
-    mf_table: dict[str, tuple[tuple[str, MembershipFunction], ...]] = field(
+    mf_table: Mapping[str, tuple[tuple[str, MembershipFunction], ...]] = field(
         default_factory=default_mf_table
-    )
+    )  # held as a read-only MfTable
     primary_weight: int = _setting("rules.primary_weight", 2)
     secondary_weight: int = _setting("rules.secondary_weight", 1)
     buy_at: int = _setting("rules.buy_at", 2)
@@ -120,6 +135,10 @@ class ResolvedConfig:
     rule_table: RuleBase | None = None  # a parsed --rules table; None generates one from rules.*
 
     def __post_init__(self) -> None:
+        # terms as tuples, and pairs that are tuples kept: a table made from
+        # fuzzy.default_mf_table shares its shapes
+        object.__setattr__(self, "mf_table", MfTable(
+            {var: tuple(map(tuple, terms)) for var, terms in self.mf_table.items()}))
         self.validate()
 
     def build_variables(self) -> tuple[LinguisticVariable, ...]:

@@ -9,9 +9,9 @@ Fuzzification is normalize_rows, then grade_inputs, on N >= 1 indicator
 rows: a block frame's last column (signal, portfolio) or a backtest prefix's
 snapshot. All membership math is one array kernel, grade_terms, over a
 TermTable: the linear shapes as trapezoids (a, b, c, d), the Gaussians as
-centres and widths. grade_inputs grades every term of every input variable
-in one call on a (terms, N) array: type-1 at delta None, intervals at a
-float footprint width delta >= 0. Gaussians take math.exp per element, so
+centres and widths. grade_inputs grades the input terms in one call on a
+(terms, N) array, in STACKED_TERMS order: type-1 at delta None, intervals at
+a float footprint width delta >= 0. Gaussians take math.exp per element, so
 no grade depends on numpy's SIMD kernels.
 
 default_variables builds the linguistic variables once per distinct
@@ -20,7 +20,8 @@ tuple to every later call. Variables and membership functions compare by
 type and fields, and hash their fields once and keep the value (never in a
 pickle or a copy, since str hashes are salted per process), so the caches
 keyed on them by value, such as the term table of grade_inputs, cost one
-lookup per call.
+lookup per call; configs built from default_mf_table share its shapes, which
+match by identity.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._frozen import Frozen, Value
+from ._frozen import Value
 from .indicators import IndicatorSnapshot
 from .tuning import DEFAULT_DIVISOR, scale_secondaries
 
@@ -269,53 +270,44 @@ class LinguisticVariable(Value):
         _check_coverage(self.name, self.domain, self.terms)
 
 
-class FuzzifiedInputs(Frozen):
-    """Every graded term's membership grades over a block of N rows.
-
-    `stacked` is (terms, 2, N): each term's (lower, upper) grade per row, with
-    the (variable, term) of each stacked row in `term_keys`. Type-1 grades
-    (interval=False) have lower equal to upper and are stacked once, (terms, 1, N).
-    """
-
-    __slots__ = _fields = ("stacked", "term_keys", "interval")
-
-    def __init__(self, stacked: np.ndarray, term_keys: tuple[tuple[str, str], ...],
-                 interval: bool) -> None:
-        object.__setattr__(self, "stacked", stacked)
-        object.__setattr__(self, "term_keys", term_keys)
-        object.__setattr__(self, "interval", interval)
+_DEFAULT_MF_TABLE = {
+    "macd": (
+        ("low", Gaussian(-0.5, 0.3)),
+        ("high", Gaussian(0.5, 0.3)),
+    ),
+    "rsi": (
+        ("low", LeftShoulder(0.236, 0.382)),
+        ("medium", Triangular(0.236, 0.5, 0.764)),
+        ("high", RightShoulder(0.5, 0.618)),
+    ),
+    "so": (
+        ("low", LeftShoulder(0.2, 0.5)),
+        ("medium", Triangular(0.2, 0.5, 0.8)),
+        ("high", RightShoulder(0.5, 0.8)),
+    ),
+    "wa": (
+        ("low", Gaussian(0.236, 0.22)),
+        ("high", Gaussian(0.618, 0.22)),
+    ),
+    "signal": (
+        ("sell", LeftShoulder(0.3, 0.45)),
+        ("hold", Triangular(0.35, 0.5, 0.65)),
+        ("buy", RightShoulder(0.55, 0.7)),
+    ),
+}
 
 
 def default_mf_table() -> dict[str, tuple[tuple[str, MembershipFunction], ...]]:
-    """Canonical term tables for the four inputs and the output."""
-    return {
-        "macd": (
-            ("low", Gaussian(-0.5, 0.3)),
-            ("high", Gaussian(0.5, 0.3)),
-        ),
-        "rsi": (
-            ("low", LeftShoulder(0.236, 0.382)),
-            ("medium", Triangular(0.236, 0.5, 0.764)),
-            ("high", RightShoulder(0.5, 0.618)),
-        ),
-        "so": (
-            ("low", LeftShoulder(0.2, 0.5)),
-            ("medium", Triangular(0.2, 0.5, 0.8)),
-            ("high", RightShoulder(0.5, 0.8)),
-        ),
-        "wa": (
-            ("low", Gaussian(0.236, 0.22)),
-            ("high", Gaussian(0.618, 0.22)),
-        ),
-        "signal": (
-            ("sell", LeftShoulder(0.3, 0.45)),
-            ("hold", Triangular(0.35, 0.5, 0.65)),
-            ("buy", RightShoulder(0.55, 0.7)),
-        ),
-    }
+    """Canonical term tables for the four inputs and the output: a new dict over shared tuples."""
+    return dict(_DEFAULT_MF_TABLE)
 
 
 VARIABLE_ORDER = ("macd", "rsi", "so", "wa", "signal")
+
+# The (variable, term) of each row of grade_inputs' grades: the default table's
+# input terms, in table order
+STACKED_TERMS = tuple((name, label) for name in VARIABLE_ORDER[:-1]
+                      for label, _ in _DEFAULT_MF_TABLE[name])
 
 
 def default_variables(
@@ -391,48 +383,46 @@ def normalize_rows(
 
 
 @functools.lru_cache(maxsize=64)
-def _input_terms(variables: tuple[LinguisticVariable, ...], names: tuple[str, ...]):
-    """The graded variables' names, their (variable, term) rows, each row's variable, the table.
+def _input_terms(variables: tuple[LinguisticVariable, ...]) -> TermTable:
+    """The TermTable of the variables' STACKED_TERMS membership functions, in that order.
 
-    Only the variables named in `names` are graded, in `variables` order.
-    Built once per distinct argument pair, and read-only.
+    Each is found by (variable, term), so the order of the variables and of
+    their terms does not count. Built once per distinct variables, and
+    read-only; a missing term raises ValueError, which lru_cache does not keep.
     """
-    graded = [var for var in variables if var.name in names]
-    keys = tuple((var.name, label) for var in graded for label, _ in var.terms)
-    source = np.array([i for i, var in enumerate(graded) for _ in var.terms], dtype=np.intp)
-    source.flags.writeable = False
-    table = term_table(tuple(mf for var in graded for _, mf in var.terms))
-    return tuple(var.name for var in graded), keys, source, table
+    mfs = {(var.name, label): mf for var in variables for label, mf in var.terms}
+    missing = [key for key in STACKED_TERMS if key not in mfs]
+    if missing:
+        raise ValueError(f"no membership function for input term {missing[0]}")
+    return term_table(tuple(mfs[key] for key in STACKED_TERMS))
 
 
 def grade_inputs(
     normalized: dict[str, float] | dict[str, np.ndarray],
     variables: tuple[LinguisticVariable, ...],
     delta: float | None = None,
-) -> FuzzifiedInputs:
+) -> np.ndarray:
     """Grade the input variables' terms at normalized values (see normalize_rows).
 
     The values are equal-length arrays, one value per row; a float is a
-    one-row block. With delta None the grades are type-1; with a footprint
-    width delta >= 0 they are [lower, upper] intervals, even at delta 0. Every
-    term of every variable present in `normalized` is graded in one
-    grade_terms call on a (terms, N) array that gathers each term's input
-    column; the per-term parameters come from the TermTable _input_terms
-    caches per distinct (variables, names). Raises ValueError when delta is
-    not None or >= 0 (NaN is neither), when `normalized` names no variable,
-    or gives one an array of more than one dimension.
+    one-row block. Returns N rows' grades in STACKED_TERMS order: (terms, 1,
+    N) type-1 grades at delta None, (terms, 2, N) (lower, upper) intervals at
+    a footprint width delta >= 0, even 0. One grade_terms call grades every
+    term at its input's column, with the TermTable _input_terms caches.
+    Raises ValueError when delta is not None or >= 0 (NaN is neither), when
+    `normalized` lacks an input or the variables a term, or when an input's
+    values have more than one dimension.
     """
     if delta is not None and not delta >= 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    names, keys, source, table = _input_terms(tuple(variables), tuple(normalized))
-    if not names:
-        raise ValueError(f"no input variable among {sorted(normalized)}")
-    for name in names:
+    table = _input_terms(tuple(variables))
+    for name in VARIABLE_ORDER[:-1]:
+        if name not in normalized:
+            raise ValueError(f"no values for input variable {name!r}")
         if np.ndim(normalized[name]) > 1:
             raise ValueError(f"{name} values must be a float or a 1-D array, got shape "
                              f"{np.shape(normalized[name])}")
-    x = np.array([normalized[name] for name in names], dtype=float).reshape(
-        len(names), -1).take(source, axis=0)
-    if delta is None:  # type-1: lower and upper are the same grades, stacked once
-        return FuzzifiedInputs(grade_terms(table, x, None)[:, None], keys, False)
-    return FuzzifiedInputs(grade_terms(table, x, delta), keys, True)
+    x = np.array([normalized[name] for name, _ in STACKED_TERMS], dtype=float).reshape(
+        len(STACKED_TERMS), -1)
+    grades = grade_terms(table, x, delta)
+    return grades if delta is not None else grades[:, None]  # type-1: stacked once

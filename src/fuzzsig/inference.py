@@ -5,9 +5,9 @@ RSI 3 x SO 3 x Williams 2) and scores each by weighted directional votes.
 Firing uses min for the AND, clipping for implication, and max for
 aggregation; interval grades are reduced with an exhaustive Karnik-Mendel
 switch-point search and defuzzified at the centroid midpoint. Firing and
-reduction take a block of N >= 1 rows. Firing reads the term grades in the
-one order grade_inputs stacks them for the configured variables
-(STACKED_TERMS) and rejects any other. Every entry point hands indicator
+reduction take a block of N >= 1 rows. Firing reads grade_inputs' array, the
+term grades in fuzzy.STACKED_TERMS order, whose rows RuleBase.index names,
+and reads type-1 or interval from its shape. Every entry point hands indicator
 rows to recommend_rows, which normalizes them (fuzzy.normalize_rows) and
 evaluates them BLOCK_ROWS at a time. period_frames makes one
 market_data.aggregate_block call and one indicators.indicator_block per
@@ -36,7 +36,7 @@ import numpy as np
 
 from ._frozen import Frozen, Value
 from .config import ResolvedConfig
-from .fuzzy import (FuzzifiedInputs, LinguisticVariable, grade_inputs, grade_terms,
+from .fuzzy import (STACKED_TERMS, LinguisticVariable, grade_inputs, grade_terms,
                     normalize_rows, term_table)
 from .indicators import IndicatorFrame, IndicatorSnapshot, indicator_block, snapshot
 from .market_data import PriceSeries, aggregate_block
@@ -75,7 +75,8 @@ class Signal(Enum):
     BUY = "Buy"
 
 
-# The rule vocabulary: each antecedent variable's terms and their directional votes.
+# The rule vocabulary: each antecedent variable's terms and their directional votes,
+# in fuzzy.STACKED_TERMS order.
 # MACD high and Williams high (deeply oversold) read bullish; an overbought
 # stochastic reads bearish, an oversold one bullish.
 VOTES = {
@@ -88,10 +89,6 @@ VOTES = {
 ANTECEDENT_VARIABLES = tuple(VOTES)
 
 ANTECEDENT_TERMS = {name: tuple(votes) for name, votes in VOTES.items()}
-
-# The (variable, term) of each stacked grade row: the one order grade_inputs writes
-# for the configured variables (ResolvedConfig.validate pins their terms)
-STACKED_TERMS = tuple((name, term) for name, terms in ANTECEDENT_TERMS.items() for term in terms)
 
 PRIMARY_INPUTS = ("macd", "so")
 SECONDARY_INPUTS = ("rsi", "wa")
@@ -234,36 +231,29 @@ def _output_grades(output_var: LinguisticVariable, grid_points: int,
 
 
 def fire_rules(
-    inputs: FuzzifiedInputs,
+    grades: np.ndarray,
     rule_base: RuleBase,
     output_var: LinguisticVariable,
     grid_points: int = 1001,
 ) -> AggregatedOutput:
     """Fire every rule (min over antecedent grades) and max-aggregate the clips.
 
-    Clipping and max commute, so the rules first fold into one (lower, upper)
-    strength pair per consequent, the max over its rules; each consequent term
-    is then clipped once per envelope. Interval grades fire endpoint-wise;
-    type-1 grades (lower == upper) fire once, and the aggregate's lower and
-    upper envelopes are then the same array. The fold indexes the term
-    grades in place with RuleBase.index. They must be stacked in
-    STACKED_TERMS order, the one grade_inputs writes for the configured
-    variables; any other term_keys (a term reordered, renamed or missing)
-    raise InferenceError naming the first row that differs. N rows of grades
-    give (N, grid_points) envelopes. The output grid and consequent grades
-    are built once per (output variable, grid_points, consequent labels) and
-    shared, so the returned grid is read-only. An output variable lacking a
-    consequent's term raises InferenceError too.
+    `grades` is grade_inputs' array in fuzzy.STACKED_TERMS order, which
+    RuleBase.index indexes in place: (terms, 1, N) type-1 grades, which fire
+    once, so the aggregate's lower and upper envelopes are the same array, or
+    (terms, 2, N) (lower, upper) intervals, which fire endpoint-wise. Any
+    other shape raises InferenceError. Clipping and max commute, so the rules
+    first fold into one strength per consequent and half, the max over its
+    rules, and each consequent term is clipped once per envelope: (N,
+    grid_points) envelopes. The output grid and consequent grades are shared
+    per (output variable, grid_points, consequent labels), so the returned
+    grid is read-only. An output variable lacking a consequent's term raises
+    InferenceError too.
     """
     antecedents, starts, labels = rule_base.index
-    if inputs.term_keys != STACKED_TERMS:
-        row, want, got = next((row, want, got) for row, (want, got) in enumerate(
-            itertools.zip_longest(STACKED_TERMS, inputs.term_keys)) if want != got)
-        raise InferenceError(f"grades must be stacked in the configured term order: "
-                             f"row {row} holds {got or 'nothing'}, expected {want or 'nothing'}")
-    grades = inputs.stacked
-    if not inputs.interval:  # type-1 grades have lower == upper: only the upper ones fire
-        grades = grades[:, -1:]
+    if grades.ndim != 3 or grades.shape[0] != len(STACKED_TERMS) or grades.shape[1] not in (1, 2):
+        raise InferenceError(f"grades must be a ({len(STACKED_TERMS)}, 1 or 2, N) array, "
+                             f"got shape {grades.shape}")
     # (consequents, halves, N): the strongest rule of each consequent per row
     strengths = np.maximum.reduceat(np.minimum.reduce(grades.take(antecedents, axis=0)), starts,
                                     axis=0)
@@ -275,7 +265,7 @@ def fire_rules(
     for term, strength in zip(mu, strengths[..., None]):
         np.maximum(envelopes, np.minimum(term, strength, out=clip), out=envelopes)
     return AggregatedOutput(grid=grid, lower=envelopes[0], upper=envelopes[-1],
-                            interval=inputs.interval)
+                            interval=grades.shape[1] == 2)
 
 
 @functools.lru_cache(maxsize=8)
@@ -416,8 +406,8 @@ def recommend_rows(symbols: list[str], snap: IndicatorSnapshot,
         block = kept[start:start + BLOCK_ROWS]
         rows = {name: x[start:start + BLOCK_ROWS] for name, x in normalized.items()}
         try:
-            inputs = _stage("fuzzification", grade_inputs, rows, variables, delta)
-            agg = _stage("inference", fire_rules, inputs, rule_base, output_var, cfg.grid_points)
+            grades = _stage("fuzzification", grade_inputs, rows, variables, delta)
+            agg = _stage("inference", fire_rules, grades, rule_base, output_var, cfg.grid_points)
             fired = agg.fired
             alive = np.count_nonzero(fired)
             live = agg if alive == len(fired) else AggregatedOutput(

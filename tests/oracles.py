@@ -248,35 +248,31 @@ def swept_mf_bounds(mf, x: float, delta: float, steps: int = 1000) -> tuple[floa
     return min(values), max(values)
 
 
-def stacked_inputs(grades, interval: bool):
-    """FuzzifiedInputs from {variable: {term: (lower, upper)}}, stacked in ANTECEDENT_TERMS order.
+def stacked_inputs(grades, interval: bool) -> np.ndarray:
+    """The grade array of {variable: {term: (lower, upper)}}, stacked in ANTECEDENT_TERMS order.
 
-    Each pair holds floats (one row) or length-N arrays (N rows). Type-1
-    inputs keep the upper grades only. A variable missing from `grades` is
-    left out of the stack.
+    Each pair holds floats (one row) or length-N arrays (N rows). Interval
+    grades give (terms, 2, N); type-1 ones keep the upper grades only, (terms, 1, N).
     """
-    from fuzzsig.fuzzy import FuzzifiedInputs
     from fuzzsig.inference import ANTECEDENT_TERMS
 
-    keys = tuple((name, term) for name, terms in ANTECEDENT_TERMS.items() if name in grades
-                 for term in terms)
+    keys = [(name, term) for name, terms in ANTECEDENT_TERMS.items() for term in terms]
     stacked = np.array([grades[name][term] for name, term in keys],
                        dtype=float).reshape(len(keys), 2, -1)
-    return FuzzifiedInputs(stacked if interval else stacked[:, 1:], keys, interval)
+    return stacked if interval else stacked[:, 1:]
 
 
-def max_of_clips(inputs, rule_base, output_var, grid_points: int = 1001):
+def max_of_clips(grades, rule_base, output_var, grid_points: int = 1001):
     """fire_rules' (lower, upper) envelopes as one max over an array of every clip.
 
     The consequent strengths and output grades are computed as fire_rules
     computes them; the clips are then built as one (consequents, halves, N,
     grid_points) array and reduced over consequents from an initial 0.0.
-    `inputs` must be stacked in ANTECEDENT_TERMS order.
+    `grades` must be stacked in ANTECEDENT_TERMS order.
     """
     from fuzzsig.inference import _output_grades
 
     antecedents, starts, labels = rule_base.index
-    grades = inputs.stacked if inputs.interval else inputs.stacked[:, -1:]
     strengths = np.maximum.reduceat(grades[antecedents].min(axis=0), starts, axis=0)
     _, mu = _output_grades(output_var, grid_points, labels)
     envelopes = np.minimum(mu.reshape(-1, 1, 1, grid_points), strengths[..., None]).max(
@@ -284,33 +280,106 @@ def max_of_clips(inputs, rule_base, output_var, grid_points: int = 1001):
     return envelopes[0], envelopes[-1]
 
 
-def term_grades(inputs, row: int = 0) -> dict[str, dict[str, tuple[float, float]]]:
-    """One row of FuzzifiedInputs as {variable: {term: (lower, upper)}} floats."""
+def term_grades(stacked, row: int = 0) -> dict[str, dict[str, tuple[float, float]]]:
+    """One row of a grade array in STACKED_TERMS order as {variable: {term: (lower, upper)}} floats."""
+    from fuzzsig.fuzzy import STACKED_TERMS
+
     grades: dict[str, dict[str, tuple[float, float]]] = {}
-    for (name, term), pair in zip(inputs.term_keys, inputs.stacked[:, :, row].tolist()):
+    for (name, term), pair in zip(STACKED_TERMS, stacked[:, :, row].tolist(), strict=True):
         grades.setdefault(name, {})[term] = (pair[0], pair[-1])
     return grades
 
 
-def brute_force_aggregate(inputs, rule_base, output_var, grid, row: int = 0):
-    """Per-gridpoint double loop over rules for one input row, independent of fire_rules' order."""
-    grades = term_grades(inputs, row)
+def brute_force_aggregate(stacked, rule_base, output_var, grid, row: int = 0):
+    """Per-gridpoint double loop over rules for one input row, independent of fire_rules' order.
+
+    Each rule's (lower, upper) strength is the min of its antecedent grades,
+    and each output term is graded over the grid by shape_grade, once.
+    """
+    grades = term_grades(stacked, row)
+    mus = {label: shape_grade(mf, np.asarray(grid, dtype=float)).tolist()
+           for label, mf in output_var.terms}
+    strengths = []
+    for rule in rule_base.rules:
+        pairs = [grades[name][getattr(rule, name)] for name in ("macd", "rsi", "so", "wa")]
+        strengths.append((min(p[0] for p in pairs), min(p[1] for p in pairs),
+                          mus[rule.consequent.value.lower()]))
     lower = []
     upper = []
-    for y in grid:
+    for j in range(len(grid)):
         best_lo = 0.0
         best_hi = 0.0
-        for rule in rule_base.rules:
-            pairs = [grades[name][getattr(rule, name)]
-                     for name in ("macd", "rsi", "so", "wa")]
-            s_lo = min(p[0] for p in pairs)
-            s_hi = min(p[1] for p in pairs)
-            mu = shape_grade(dict(output_var.terms)[rule.consequent.value.lower()], float(y))
-            best_lo = max(best_lo, min(s_lo, mu))
-            best_hi = max(best_hi, min(s_hi, mu))
+        for s_lo, s_hi, mu in strengths:
+            best_lo = max(best_lo, min(s_lo, mu[j]))
+            best_hi = max(best_hi, min(s_hi, mu[j]))
         lower.append(best_lo)
         upper.append(best_hi)
     return np.array(lower), np.array(upper)
+
+
+class ReferenceFailure(Exception):
+    """reference_signal's row fails at `stage`, a PipelineError stage name."""
+
+    def __init__(self, stage: str):
+        super().__init__(stage)
+        self.stage = stage
+
+
+def reference_signal(series, cfg) -> tuple[float, tuple[float, float] | None]:
+    """One series' crisp output and centroid interval (None at delta 0), by the oracles alone.
+
+    The chain: the period bars of helpers.aggregate_periods; composed_macd,
+    tallied_rsi, scanned_stochastic and scanned_williams on them;
+    tanh(gain * histogram / close), scalar_scale_secondary and %K / 100; each
+    term's shape_grade, or shape_grade_bounds at delta > 0, stacked by
+    stacked_inputs; brute_force_aggregate over cfg.rule_base; the
+    half-weight trapezoid weights; then enumerated_km's midpoint at delta > 0
+    or the weighted mean at delta 0. No grade_inputs or fire_rules call is on
+    the route. A row that fails raises ReferenceFailure with its stage.
+    """
+    from fuzzsig.fuzzy import LinguisticVariable
+    from helpers import aggregate_periods
+
+    try:
+        periods = aggregate_periods(series, cfg.days_per_period).bars
+    except ValueError:
+        raise ReferenceFailure("aggregation") from None
+    highs, lows, closes = periods.high.tolist(), periods.low.tolist(), periods.close.tolist()
+    count = len(closes)
+    # the MACD histogram needs two values: one EMA step past the signal line's seed
+    if (count < cfg.macd_long + cfg.macd_trigger or count <= cfg.rsi_window
+            or count < cfg.stochastic_k or count < cfg.williams_window):
+        raise ReferenceFailure("indicators")
+    *_, histogram = composed_macd(closes, cfg.macd_short, cfg.macd_long, cfg.macd_trigger)
+    percent_k, _ = scanned_stochastic(highs, lows, closes, cfg.stochastic_k, cfg.stochastic_d)
+    try:
+        inputs = {
+            "macd": math.tanh(cfg.histogram_gain * histogram[-1] / closes[-1]),
+            "rsi": scalar_scale_secondary("rsi", tallied_rsi(closes, cfg.rsi_window),
+                                          cfg.divisor),
+            "so": percent_k[-1] / 100.0,
+            "wa": scalar_scale_secondary(
+                "wa", scanned_williams(highs, lows, closes, cfg.williams_window), cfg.divisor),
+        }
+    except (ZeroDivisionError, ValueError):
+        raise ReferenceFailure("fuzzification") from None
+    delta = cfg.delta
+    grades = {name: {label: shape_grade_bounds(mf, x, delta) if delta > 0
+                     else (shape_grade(mf, x),) * 2 for label, mf in cfg.mf_table[name]}
+              for name, x in inputs.items()}
+    grid = np.linspace(0.0, 1.0, cfg.grid_points)
+    output_var = LinguisticVariable("signal", (0.0, 1.0), cfg.mf_table["signal"])
+    lower, upper = brute_force_aggregate(stacked_inputs(grades, delta > 0), cfg.rule_base,
+                                         output_var, grid)
+    weights = np.ones(len(grid))
+    weights[[0, -1]] = 0.5
+    lower, upper = lower * weights, upper * weights
+    if not upper.any():
+        raise ReferenceFailure("type reduction" if delta > 0 else "defuzzification")
+    if delta > 0:
+        y_l, y_r = enumerated_km(grid, lower, upper)
+        return 0.5 * (y_l + y_r), (y_l, y_r)
+    return float(np.dot(grid, upper) / upper.sum()), None
 
 
 def reparse_rows(text: str) -> dict[str, list[tuple[str, float, float, float, float, float]]]:

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -11,7 +13,7 @@ from fuzzsig.config import (
     parse_mf,
 )
 from fuzzsig.cli import run
-from fuzzsig.fuzzy import Gaussian, LeftShoulder, RightShoulder, Triangular
+from fuzzsig.fuzzy import Gaussian, LeftShoulder, RightShoulder, Triangular, default_mf_table
 from fuzzsig.inference import rules_from_csv
 
 from conftest import DATA_DIR
@@ -207,10 +209,44 @@ class TestValidation:
             dataclasses.replace(ResolvedConfig(), macd_short=30)
 
     def test_term_set_is_fixed(self):
-        table = ResolvedConfig().mf_table
+        table = dict(ResolvedConfig().mf_table)
         table["macd"] = (("low", Gaussian(-0.5, 0.3)),)
         with pytest.raises(ConfigError, match="terms"):
             ResolvedConfig(mf_table=table)
+
+    def test_a_validated_table_cannot_change(self):
+        cfg = ResolvedConfig()
+        with pytest.raises(AttributeError, match="^MfTable is read-only: cannot set 'rsi'$"):
+            cfg.mf_table["rsi"] = (("low", Gaussian(0.2, 0.3)),)
+        table = cfg.mf_table
+        for mutate in (lambda: table.update({"rsi": ()}), lambda: table.pop("rsi"),
+                       lambda: table.setdefault("x", ()), lambda: table.__delitem__("rsi"),
+                       lambda: table.__ior__({"rsi": ()}), table.clear, table.popitem):
+            with pytest.raises((AttributeError, TypeError)):
+                mutate()
+        with pytest.raises(AttributeError, match="read-only"):
+            table.tables = {}
+        assert table == default_mf_table()
+        assert cfg.fingerprint() == "acb9fcbedc01"
+
+    def test_listed_terms_become_tuples(self):
+        table = {var: [list(pair) for pair in terms]
+                 for var, terms in ResolvedConfig().mf_table.items()}
+        cfg = ResolvedConfig(mf_table=table)
+        assert cfg == ResolvedConfig()
+        assert all(type(terms) is tuple and all(type(pair) is tuple for pair in terms)
+                   for terms in cfg.mf_table.values())
+
+    def test_copies_pickles_and_replacements_keep_an_equal_read_only_table(self):
+        cfg = parse_config_text("fuzzy.wa.high = gaussian 0.6 0.25\n")
+        for other in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg), copy.copy(cfg),
+                      dataclasses.replace(cfg)):
+            assert other == cfg
+            assert other.fingerprint() == cfg.fingerprint()
+            assert type(other.mf_table) is type(cfg.mf_table)
+            with pytest.raises(AttributeError, match="read-only"):
+                other.mf_table["wa"] = ()
+        assert dataclasses.replace(cfg, delta=0.1).mf_table == cfg.mf_table
 
 
 class TestFingerprint:
@@ -281,6 +317,6 @@ class TestFingerprint:
         assert len({table.fingerprint(), other.fingerprint(), untabled.fingerprint()}) == 3
 
     def test_mf_change_moves_the_fingerprint(self):
-        table = ResolvedConfig().mf_table
+        table = dict(ResolvedConfig().mf_table)
         table["wa"] = (("low", Gaussian(0.236, 0.22)), ("high", Gaussian(0.618, 0.3)))
         assert ResolvedConfig(mf_table=table).fingerprint() != ResolvedConfig().fingerprint()

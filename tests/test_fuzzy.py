@@ -12,9 +12,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import fuzzsig
-from fuzzsig import fuzzy
-from fuzzsig.config import ResolvedConfig
+from fuzzsig import _frozen, fuzzy, inference
+from fuzzsig.config import ResolvedConfig, parse_config_text
+from fuzzsig.evaluate import backtest
+from fuzzsig.fixtures import random_walk_series
 from fuzzsig.fuzzy import (
+    STACKED_TERMS,
     Gaussian,
     LeftShoulder,
     LinguisticVariable,
@@ -25,7 +28,9 @@ from fuzzsig.fuzzy import (
     default_mf_table,
     default_variables,
     grade_inputs,
+    grade_terms,
     normalize_rows,
+    term_table,
 )
 from fuzzsig.indicators import IndicatorSnapshot, snapshot
 
@@ -215,42 +220,50 @@ DELTAS = [None, 0.0, 0.05, 0.15, 0.4]
 
 
 class TestGradingKernel:
-    """grade_inputs and one-term grade_terms against the per-shape oracle, bit for bit."""
+    """grade_terms, grade_inputs and one-term grade_terms against the per-shape oracle, bit for bit."""
 
     @given(data=st.data(), tables=st.lists(st.lists(any_term(), min_size=1, max_size=4),
                                            min_size=1, max_size=3),
-           delta=st.sampled_from(DELTAS), rows=st.sampled_from([None, 1, 64]))
-    def test_grade_inputs_equals_the_shape_formulas(self, data, tables, delta, rows):
-        # a wide Gaussian keeps every random table above the coverage floor
-        variables = tuple(
-            LinguisticVariable(f"v{i}", (0.0, 1.0),
-                               (("cover", Gaussian(0.5, 1.0)),
-                                *((f"t{j}", mf) for j, mf in enumerate(mfs))))
-            for i, mfs in enumerate(tables))
+           delta=st.sampled_from(DELTAS), rows=st.sampled_from([1, 64]))
+    def test_grade_terms_equals_the_shape_formulas(self, data, tables, delta, rows):
+        # each table's terms grade one shared column of points, as grade_inputs gathers them
         blur = 0.0 if delta is None else delta
-        normalized = {}
-        for var in variables:
-            points = data.draw(graded_points([mf for _, mf in var.terms], blur, rows or 1))
-            normalized[var.name] = points[0] if rows is None else np.array(points)
-        graded = grade_inputs(normalized, variables, delta)
-        assert graded.interval is (delta is not None)
-        assert graded.term_keys == tuple((var.name, label) for var in variables
-                                         for label, _ in var.terms)
-        # a float input is a one-row block
-        assert graded.stacked.shape == (len(graded.term_keys), 1 if delta is None else 2,
-                                        rows or 1)
-        terms = [(var.name, mf) for var in variables for _, mf in var.terms]
-        for (name, mf), pair in zip(terms, graded.stacked):
-            x, lower, upper = normalized[name], pair[0], pair[-1]
+        columns = [np.array(data.draw(graded_points(mfs, blur, rows))) for mfs in tables]
+        terms = [(x, mf) for x, mfs in zip(columns, tables) for mf in mfs]
+        graded = grade_terms(term_table(tuple(mf for _, mf in terms)),
+                             np.array([x for x, _ in terms]), delta)
+        assert graded.shape == ((len(terms), rows) if delta is None else (len(terms), 2, rows))
+        for (x, mf), got in zip(terms, graded):
             if delta is None:
-                want = shape_grade(mf, x)
-                want = (want, want)
+                assert hexes(got) == hexes(shape_grade(mf, x))
             else:
                 want = shape_grade_bounds(mf, x, delta)
-            assert (hexes(lower), hexes(upper)) == (hexes(want[0]), hexes(want[1]))
+                assert (hexes(got[0]), hexes(got[1])) == (hexes(want[0]), hexes(want[1]))
+
+    @pytest.mark.parametrize("delta", [None, 0.0, 0.05])
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_grade_inputs_gathers_each_term_s_input_in_stacked_order(self, delta, rows):
+        values = {"macd": [-0.4, 0.1, 0.7], "rsi": [0.3, 0.55, 1.1],
+                  "so": [0.25, 0.5, 0.9], "wa": [0.1, 0.4, 0.7]}
+        normalized = ({name: v[0] for name, v in values.items()} if rows is None
+                      else {name: np.array(v) for name, v in values.items()})
+        graded = grade_inputs(normalized, default_variables(), delta)
+        # a float input is a one-row block
+        assert graded.shape == (len(STACKED_TERMS), 1 if delta is None else 2, rows or 1)
+        assert STACKED_TERMS == (("macd", "low"), ("macd", "high"), ("rsi", "low"),
+                                 ("rsi", "medium"), ("rsi", "high"), ("so", "low"),
+                                 ("so", "medium"), ("so", "high"), ("wa", "low"), ("wa", "high"))
+        mfs = {(var.name, label): mf for var in default_variables() for label, mf in var.terms}
+        for key, pair in zip(STACKED_TERMS, graded, strict=True):
+            x = np.array(values[key[0]][:rows or 1])
+            if delta is None:
+                want = (shape_grade(mfs[key], x),) * 2
+            else:
+                want = shape_grade_bounds(mfs[key], x, delta)
+            assert (hexes(pair[0]), hexes(pair[-1])) == (hexes(want[0]), hexes(want[1]))
 
     def test_grade_inputs_without_an_input_variable_is_an_error(self):
-        with pytest.raises(ValueError, match=r"no input variable among \['volume'\]"):
+        with pytest.raises(ValueError, match=r"^no values for input variable 'macd'$"):
             grade_inputs({"volume": 0.5}, default_variables())
 
     def test_grade_inputs_rejects_values_of_more_than_one_dimension(self):
@@ -350,6 +363,27 @@ class TestDefaultVariables:
                       default_variables(mf_table=listed), default_variables(divisor=89)):
             assert other is a
             assert hash(other) == hash(a)
+
+    @pytest.mark.parametrize("make", [lambda: ResolvedConfig(delta=0),
+                                      lambda: parse_config_text("fuzzy.delta = 0\n")],
+                             ids=["constructed", "parsed"])
+    def test_configs_built_apart_share_the_default_membership_functions(self, make,
+                                                                         monkeypatch):
+        # equal configs hold the same membership-function objects, so the caches keyed
+        # on them match by identity and compare no shape by value. An equal table built
+        # apart, cached first by another test, would be compared by value: the caches
+        # start empty here
+        assert make().mf_table["rsi"][0] is default_mf_table()["rsi"][0]
+        for cache in (fuzzy._variables, fuzzy._input_terms, inference._output_grades):
+            cache.cache_clear()
+        series = random_walk_series("EQ", 7, periods=80)
+        backtest(series, make())
+        compared = []
+        value_eq = _frozen.Value.__eq__
+        monkeypatch.setattr(_frozen.Value, "__eq__",
+                            lambda a, b: compared.append(a) or value_eq(a, b))
+        assert len(backtest(series, make()).records) > 40
+        assert compared == []
 
     def test_one_changed_gaussian_width_gives_another_tuple(self):
         table = default_mf_table()
@@ -456,9 +490,9 @@ class TestFuzzify:
     def test_interval_mode_flags_and_nests_type1(self):
         snap = flat_snapshot()
         plain = graded(snap)
-        assert plain.interval is False
+        assert plain.shape == (len(STACKED_TERMS), 1, 1)
         blurred = graded(snap, 0.05)
-        assert blurred.interval is True
+        assert blurred.shape == (len(STACKED_TERMS), 2, 1)
         blurred_grades = term_grades(blurred)
         for var, terms in term_grades(plain).items():
             for term, (g, _) in terms.items():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fuzzsig.config import ResolvedConfig
 from fuzzsig.fixtures import portfolio_fixture
 from fuzzsig.fuzzy import (
-    FuzzifiedInputs,
+    STACKED_TERMS,
     LinguisticVariable,
     default_variables,
     grade_inputs,
@@ -20,7 +20,7 @@ from fuzzsig.indicators import IndicatorSnapshot, indicator_block, snapshot
 from fuzzsig.inference import (
     ANTECEDENT_TERMS,
     BLOCK_ROWS,
-    STACKED_TERMS,
+    VOTES,
     AggregatedOutput,
     InferenceError,
     PipelineError,
@@ -167,59 +167,60 @@ class TestFireRules:
             fire_rules(inputs, bad, OUTPUT_VAR)
 
     def test_inputs_lacking_a_variable_rejected(self):
-        grades = singleton_grades("low", "low", "low", "low")
-        del grades["so"]
-        inputs = stacked_inputs(grades, interval=False)
-        with pytest.raises(InferenceError, match=re.escape(
-                "row 5 holds ('wa', 'low'), expected ('so', 'low')")):
-            fire_rules(inputs, build_rule_base(), OUTPUT_VAR)
+        values = {name: 0.5 for name in ANTECEDENT_TERMS if name != "so"}
+        with pytest.raises(ValueError, match=r"^no values for input variable 'so'$"):
+            grade_inputs(values, default_variables())
+
+    def test_votes_name_the_stacked_terms_in_their_order(self):
+        # RuleBase.index reads rule terms against the rows grade_inputs writes
+        assert tuple((name, term) for name, votes in VOTES.items()
+                     for term in votes) == STACKED_TERMS
 
     @pytest.mark.parametrize("delta", [None, 0.05])
     @pytest.mark.parametrize("rows", [None, 1, 7])
-    def test_grades_stacked_in_another_term_order_rejected(self, delta, rows):
-        # fire_rules reads the one order grade_inputs writes for the configured
-        # variables; grades of reordered terms name the first row out of place
+    def test_variables_with_reordered_terms_grade_like_the_default_order(self, delta, rows):
+        # grade_inputs finds each term by (variable, term): neither the order of the
+        # variables nor that of their terms moves a grade bit
+        variables = default_variables()
         reordered = tuple(LinguisticVariable(v.name, v.domain, v.terms[::-1])
-                          if v.name == "rsi" else v for v in default_variables())
-        values = {name: np.full(rows or 1, 0.4) for name in ANTECEDENT_TERMS}
+                          for v in variables[::-1])
+        rng = np.random.default_rng(rows or 0)
+        values = {name: rng.random(rows or 1) for name in ANTECEDENT_TERMS}
         normalized = {k: v[0].item() for k, v in values.items()} if rows is None else values
-        assert grade_inputs(normalized, default_variables(), delta).term_keys == STACKED_TERMS
-        inputs = grade_inputs(normalized, reordered, delta)
-        message = ("grades must be stacked in the configured term order: "
-                   "row 2 holds ('rsi', 'high'), expected ('rsi', 'low')")
-        with pytest.raises(InferenceError, match=f"^{re.escape(message)}$"):
-            fire_rules(inputs, build_rule_base(), OUTPUT_VAR)
+        grades = grade_inputs(normalized, variables, delta)
+        assert grades.shape == (len(STACKED_TERMS), 1 if delta is None else 2, rows or 1)
+        assert grade_inputs(normalized, reordered, delta).tobytes() == grades.tobytes()
+        base = build_rule_base()
+        agg = fire_rules(grades, base, OUTPUT_VAR)
+        again = fire_rules(grade_inputs(normalized, reordered, delta), base, OUTPUT_VAR)
+        assert again.upper.tobytes() == agg.upper.tobytes()
+        assert again.lower.tobytes() == agg.lower.tobytes()
 
     def test_extra_term_rows_rejected(self):
-        grades = singleton_grades("low", "low", "low", "low")
-        inputs = stacked_inputs(grades, interval=True)
-        extra = FuzzifiedInputs(np.concatenate((inputs.stacked, inputs.stacked[:1])),
-                                (*inputs.term_keys, ("macd", "low")), True)
-        with pytest.raises(InferenceError, match=re.escape(
-                "row 10 holds ('macd', 'low'), expected nothing")):
+        grades = stacked_inputs(singleton_grades("low", "low", "low", "low"), interval=True)
+        extra = np.concatenate((grades, grades[:1]))
+        message = "grades must be a (10, 1 or 2, N) array, got shape (11, 2, 1)"
+        with pytest.raises(InferenceError, match=f"^{re.escape(message)}$"):
             fire_rules(extra, build_rule_base(), OUTPUT_VAR)
 
-    def test_stacked_inputs_lacking_a_term_fail_at_inference(self, monkeypatch):
+    def test_variables_lacking_a_term_fail_at_fuzzification(self, monkeypatch):
         variables = tuple(
             LinguisticVariable(v.name, v.domain, tuple(("mid" if label == "medium" else label, mf)
                                                        for label, mf in v.terms))
             if v.name == "rsi" else v for v in default_variables())
-        inputs = grade_inputs({name: 0.5 for name in ANTECEDENT_TERMS}, variables)
-        renamed = "row 3 holds ('rsi', 'mid'), expected ('rsi', 'medium')"
-        with pytest.raises(InferenceError, match=re.escape(renamed)):
-            fire_rules(inputs, build_rule_base(), OUTPUT_VAR)
-        without_so = grade_inputs({name: 0.5 for name in ANTECEDENT_TERMS},
-                                  tuple(v for v in default_variables() if v.name != "so"))
-        with pytest.raises(InferenceError, match=re.escape(
-                "row 5 holds ('wa', 'low'), expected ('so', 'low')")):
-            fire_rules(without_so, build_rule_base(), OUTPUT_VAR)
+        renamed = "no membership function for input term ('rsi', 'medium')"
+        with pytest.raises(ValueError, match=f"^{re.escape(renamed)}$"):
+            grade_inputs({name: 0.5 for name in ANTECEDENT_TERMS}, variables)
+        with pytest.raises(ValueError, match=re.escape(
+                "no membership function for input term ('so', 'low')")):
+            grade_inputs({name: 0.5 for name in ANTECEDENT_TERMS},
+                         tuple(v for v in default_variables() if v.name != "so"))
         snap = snapshot(aggregate_periods(flat_series(periods=40), 15))
         # validate keeps such a table out of a config, so the config's builder is patched
         monkeypatch.setattr(ResolvedConfig, "build_variables", lambda cfg: variables)
         [result] = recommend_rows(["FLAT"], snap, ResolvedConfig())
-        assert isinstance(result, PipelineError) and result.stage == "inference"
-        assert str(result) == f"inference: grades must be stacked in the configured term order: " \
-                              f"{renamed}"
+        assert isinstance(result, PipelineError) and result.stage == "fuzzification"
+        assert str(result) == f"fuzzification: {renamed}"
 
     def test_output_variable_lacking_a_consequent_term_rejected(self):
         renamed = tuple(("up" if label == "buy" else label, mf) for label, mf in OUTPUT_VAR.terms)

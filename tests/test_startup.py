@@ -14,8 +14,8 @@ EXPORTS = {
     "config": ["ConfigError", "ResolvedConfig", "load_config_file", "parse_config_text"],
     "evaluate": ["BacktestRecord", "BacktestStats", "PortfolioReport", "ReportRow", "backtest",
                  "emit_report", "run_portfolio"],
-    "fuzzy": ["FuzzifiedInputs", "Gaussian", "LeftShoulder", "LinguisticVariable",
-              "RightShoulder", "Triangular", "default_variables"],
+    "fuzzy": ["Gaussian", "LeftShoulder", "LinguisticVariable", "RightShoulder", "Triangular",
+              "default_variables"],
     "indicators": ["IndicatorFrame", "IndicatorSnapshot", "InsufficientHistoryError",
                    "MacdTriple", "ema", "indicator_block", "macd", "sma", "snapshot"],
     "inference": ["AggregatedOutput", "InferenceError", "PipelineError", "Recommendation",
