@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, ResolvedConfig, load_config_file
+from .config import DEFAULT_CONFIG, ConfigError, ResolvedConfig, load_config_file
 from .inference import PipelineError, period_frames, recommend, rules_from_csv, rules_to_csv
 from .market_data import MarketDataError, PriceSeries, parse_csv, serialize_csv
 from .tuning import level_labels, scale_secondaries
@@ -111,7 +111,7 @@ def _load_rules(args: argparse.Namespace):
 
 def _resolve_config(args: argparse.Namespace) -> ResolvedConfig:
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
-    cfg = load_config_file(path) if path else ResolvedConfig()
+    cfg = load_config_file(path) if path else DEFAULT_CONFIG
     flags = {"delta": getattr(args, "delta", None),
              "days_per_period": getattr(args, "period_days", None),
              "rule_table": _load_rules(args)}
@@ -194,6 +194,8 @@ def _cmd_indicators(args, cfg: ResolvedConfig) -> bytes:
     series_list = _load_series(args.csv)
     if args.symbol:
         series_list = [_pick_symbol(series_list, args.symbol)]
+    if not any(series.bars for series in series_list):
+        raise ValueError("empty input: no series to evaluate")
     rows = _indicator_rows(series_list, cfg)
     if args.format == "json":
         return _json(rows)

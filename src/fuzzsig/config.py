@@ -20,8 +20,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from ._frozen import Frozen
-from .fuzzy import (Gaussian, LinguisticVariable, MembershipFunction, default_mf_table,
-                    default_variables)
+from .fuzzy import (STACKED_TERMS, Gaussian, LinguisticVariable, MembershipFunction,
+                    OutputTable, TermTable, default_mf_table, default_variables, output_table,
+                    term_table)
 from .tuning import DEFAULT_DIVISOR
 
 if typing.TYPE_CHECKING:
@@ -159,6 +160,19 @@ class ResolvedConfig:
         return build_rule_base(self.primary_weight, self.secondary_weight,
                                self.buy_at, self.sell_at)
 
+    @functools.cached_property
+    def input_terms(self) -> TermTable:
+        """The input terms' TermTable in fuzzy.STACKED_TERMS order; built once per config."""
+        mfs = {(var, label): mf for var, terms in self.mf_table.items() for label, mf in terms}
+        return term_table(tuple(mfs[key] for key in STACKED_TERMS))
+
+    @functools.cached_property
+    def output_table(self) -> OutputTable:
+        """The output grid of `grid_points` points, its trapezoid weights, and the grades of
+        the rule base's consequent terms on it in RuleBase.index label order; built once
+        per config."""
+        return output_table(self.mf_table["signal"], self.rule_base.index[2], self.grid_points)
+
     @property
     def indicator_windows(self) -> dict[str, int]:
         """Keyword arguments of indicators.indicator_block and snapshot."""
@@ -226,6 +240,9 @@ _SETTINGS = {f.metadata["key"]: f.name for f in dataclasses.fields(ResolvedConfi
 _KEY_OF = {name: key for key, name in _SETTINGS.items()}
 _KIND = {f.name: type(f.default) for f in dataclasses.fields(ResolvedConfig) if f.metadata}
 _WINDOW_FIELDS = tuple(name for key, name in _SETTINGS.items() if key.startswith("indicators."))
+
+# The config of every entry point called without one, so its tables are built once
+DEFAULT_CONFIG = ResolvedConfig()
 
 
 def parse_config_text(text: str) -> ResolvedConfig:

@@ -12,7 +12,7 @@ import io
 from datetime import date
 from typing import NamedTuple
 
-from .config import ResolvedConfig
+from .config import DEFAULT_CONFIG, ResolvedConfig
 from .indicators import InsufficientHistoryError
 from .inference import PipelineError, Signal, recommend_block, recommend_periods
 from .market_data import Bars, PriceSeries, aggregate_block
@@ -59,7 +59,7 @@ def format_1dp(crisp: float) -> str:
 
 
 def run_portfolio(series_list: list[PriceSeries],
-                  config: ResolvedConfig | None = None) -> PortfolioReport:
+                  config: ResolvedConfig = DEFAULT_CONFIG) -> PortfolioReport:
     """One recommendation row per input symbol, in input order.
 
     Per-symbol pipeline failures become row notes instead of aborting the
@@ -69,17 +69,16 @@ def run_portfolio(series_list: list[PriceSeries],
     """
     if not any(series.bars for series in series_list):
         raise ValueError("empty input: no series to evaluate")
-    cfg = config if config is not None else ResolvedConfig()
-    results = recommend_block(series_list, cfg)
+    results = recommend_block(series_list, config)
     rows = [ReportRow(series.symbol, None, None, note=str(result))
             if isinstance(result, PipelineError)
             else ReportRow(series.symbol, result.crisp, result.signal)
             for series, result in zip(series_list, results)]
     as_of = max(s.bars.date[-1] for s in series_list if s.bars).item()
-    return PortfolioReport(tuple(rows), as_of, cfg)
+    return PortfolioReport(tuple(rows), as_of, config)
 
 
-def backtest(series: PriceSeries, config: ResolvedConfig | None = None) -> BacktestStats:
+def backtest(series: PriceSeries, config: ResolvedConfig = DEFAULT_CONFIG) -> BacktestStats:
     """Rolling evaluation: the signal at period t sees bars up to t only.
 
     Each signal is paired with the simple close-to-close return into t+1.
@@ -88,8 +87,7 @@ def backtest(series: PriceSeries, config: ResolvedConfig | None = None) -> Backt
     than two signals raise InsufficientHistoryError, naming the last failed
     period and its PipelineError.
     """
-    cfg = config if config is not None else ResolvedConfig()
-    periods, faults = aggregate_block([series], cfg.days_per_period)
+    periods, faults = aggregate_block([series], config.days_per_period)
     if faults:
         raise faults[0]
     bars = Bars(**{name: column[0] for name, column in periods.items()})
@@ -99,7 +97,7 @@ def backtest(series: PriceSeries, config: ResolvedConfig | None = None) -> Backt
     for t in range(len(bars) - 1):
         prefix = PriceSeries(series.symbol, bars[:t + 1])
         try:
-            rec = recommend_periods(prefix, cfg)
+            rec = recommend_periods(prefix, config)
         except PipelineError as exc:
             last_failure = f"; period {t} failed at {exc}"
             continue

@@ -14,14 +14,16 @@ centres and widths. grade_inputs grades the input terms in one call on a
 a float footprint width delta >= 0. Gaussians take math.exp per element, so
 no grade depends on numpy's SIMD kernels.
 
-default_variables builds the linguistic variables once per distinct
-(divisor, membership-function table) in a process and returns that one
-tuple to every later call. Variables and membership functions compare by
-type and fields, and hash their fields once and keep the value (never in a
-pickle or a copy, since str hashes are salted per process), so the caches
-keyed on them by value, such as the term table of grade_inputs, cost one
-lookup per call; configs built from default_mf_table share its shapes, which
-match by identity.
+ResolvedConfig builds the tables the grading reads once per config object:
+input_terms, the input TermTable, and output_table, the OutputTable of the
+output grid, its trapezoid weights and the consequent grades. default_variables
+builds the linguistic variables once per distinct (divisor, membership-function
+table) in a process, through _variables, the one cache left here until the
+benchmark stops pinning its call count; configs built from default_mf_table
+share its shapes, which the cache keys match by identity. Variables and
+membership functions compare by type and fields, and hash their fields once
+and keep the value (never in a pickle or a copy, since str hashes are salted
+per process).
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .tuning import DEFAULT_DIVISOR, scale_secondaries
 COVERAGE_FLOOR = 0.05
 _COVERAGE_GRID = 1001
 _MIN_GAUSSIAN_WIDTH = 1e-12
+OUTPUT_DOMAIN = (0.0, 1.0)
 
 
 class Triangular(Value):
@@ -136,9 +139,10 @@ class TermTable(NamedTuple):
 
 
 def term_table(mfs: tuple[MembershipFunction, ...]) -> TermTable:
-    """The TermTable of these membership functions, read-only; cached by its callers.
+    """The TermTable of these membership functions, read-only.
 
-    _input_terms holds the input variables' tables, inference._output_grades the output's.
+    ResolvedConfig holds the tables built from its membership functions:
+    input_terms, and the output grades of output_table.
     """
     inf, nan = math.inf, math.nan
     corners = {
@@ -221,6 +225,32 @@ def grade_terms(table: TermTable, x: np.ndarray, delta: float | None) -> np.ndar
             out[gaussian] = _gaussian_grades((x.take(gaussian, axis=0) - table.center)[:, None]
                                              / widths)
         return out
+
+
+class OutputTable(NamedTuple):
+    """The output grid, its trapezoid quadrature weights and consequent grades on it, read-only.
+
+    The weights are 1, and 0.5 at both ends of the grid (the uniform step
+    cancels in every centroid); `grades` is (consequents, grid points).
+    """
+
+    grid: np.ndarray
+    weights: np.ndarray
+    grades: np.ndarray
+
+
+def output_table(terms: tuple[tuple[str, MembershipFunction], ...], labels: tuple[str, ...],
+                 grid_points: int) -> OutputTable:
+    """The OutputTable of the output terms named by `labels`, in that order, on OUTPUT_DOMAIN."""
+    grid = np.linspace(*OUTPUT_DOMAIN, grid_points)
+    weights = np.ones(grid_points)
+    weights[0] = weights[-1] = 0.5
+    mfs = dict(terms)
+    grades = grade_terms(term_table(tuple(mfs[label] for label in labels)),
+                         np.broadcast_to(grid, (len(labels), grid_points)), None)
+    for array in (grid, weights, grades):
+        array.flags.writeable = False
+    return OutputTable(grid, weights, grades)
 
 
 def _check_coverage(name: str, domain: tuple[float, float],
@@ -339,7 +369,7 @@ def _variables(divisor: float, tables: tuple[tuple[tuple[str, MembershipFunction
         "rsi": (0.0, secondary_top),
         "so": (0.0, 1.0),
         "wa": (0.0, secondary_top),
-        "signal": (0.0, 1.0),
+        "signal": OUTPUT_DOMAIN,
     }
     return tuple(LinguisticVariable(name, domains[name], terms)
                  for name, terms in zip(VARIABLE_ORDER, tables))
@@ -382,40 +412,25 @@ def normalize_rows(
     return normalized, faults
 
 
-@functools.lru_cache(maxsize=64)
-def _input_terms(variables: tuple[LinguisticVariable, ...]) -> TermTable:
-    """The TermTable of the variables' STACKED_TERMS membership functions, in that order.
-
-    Each is found by (variable, term), so the order of the variables and of
-    their terms does not count. Built once per distinct variables, and
-    read-only; a missing term raises ValueError, which lru_cache does not keep.
-    """
-    mfs = {(var.name, label): mf for var in variables for label, mf in var.terms}
-    missing = [key for key in STACKED_TERMS if key not in mfs]
-    if missing:
-        raise ValueError(f"no membership function for input term {missing[0]}")
-    return term_table(tuple(mfs[key] for key in STACKED_TERMS))
-
-
 def grade_inputs(
     normalized: dict[str, float] | dict[str, np.ndarray],
-    variables: tuple[LinguisticVariable, ...],
+    table: TermTable,
     delta: float | None = None,
 ) -> np.ndarray:
-    """Grade the input variables' terms at normalized values (see normalize_rows).
+    """Grade the input terms at normalized values (see normalize_rows).
 
-    The values are equal-length arrays, one value per row; a float is a
-    one-row block. Returns N rows' grades in STACKED_TERMS order: (terms, 1,
-    N) type-1 grades at delta None, (terms, 2, N) (lower, upper) intervals at
-    a footprint width delta >= 0, even 0. One grade_terms call grades every
-    term at its input's column, with the TermTable _input_terms caches.
-    Raises ValueError when delta is not None or >= 0 (NaN is neither), when
-    `normalized` lacks an input or the variables a term, or when an input's
-    values have more than one dimension.
+    `table` is the input terms' TermTable in STACKED_TERMS order
+    (ResolvedConfig.input_terms). The values are equal-length arrays, one
+    value per row; a float is a one-row block. Returns N rows' grades in
+    STACKED_TERMS order: (terms, 1, N) type-1 grades at delta None, (terms, 2,
+    N) (lower, upper) intervals at a footprint width delta >= 0, even 0. One
+    grade_terms call grades every term at its input's column. Raises
+    ValueError when delta is not None or >= 0 (NaN is neither), when
+    `normalized` lacks an input, or when an input's values have more than one
+    dimension.
     """
     if delta is not None and not delta >= 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    table = _input_terms(tuple(variables))
     for name in VARIABLE_ORDER[:-1]:
         if name not in normalized:
             raise ValueError(f"no values for input variable {name!r}")

@@ -18,15 +18,16 @@ serves only the backtest: it passes the one row indicators.snapshot
 computes for each period prefix, in O(window). The rule base, variables and
 footprint width (the float fuzzy.delta; 0 grades type-1) come from
 ResolvedConfig, whose rule base is its --rules table or the generated one.
-The variables are built once per table (fuzzy.default_variables), and the
-output grid and consequent grades once per output variable and grid size, so
-a call pays for its rows.
+The config also builds, once per config object, the tables that grading and
+firing read (input_terms; output_table: the grid, its trapezoid weights and
+the consequent grades), and the entry points called without a config share
+config.DEFAULT_CONFIG, so a call pays for its rows. recommend_rows asks for the
+variables (fuzzy.default_variables, built once per table) as its coverage check.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 from enum import Enum
@@ -35,9 +36,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._frozen import Frozen, Value
-from .config import ResolvedConfig
-from .fuzzy import (STACKED_TERMS, LinguisticVariable, grade_inputs, grade_terms,
-                    normalize_rows, term_table)
+from .config import DEFAULT_CONFIG, ResolvedConfig
+from .fuzzy import STACKED_TERMS, grade_inputs, normalize_rows
 from .indicators import IndicatorFrame, IndicatorSnapshot, indicator_block, snapshot
 from .market_data import PriceSeries, aggregate_block
 
@@ -194,49 +194,26 @@ def build_rule_base(
 class AggregatedOutput(Frozen):
     """Max-aggregated clipped consequents sampled on a uniform output grid.
 
+    `weights` are the grid's trapezoid quadrature weights (fuzzy.OutputTable);
     `lower` and `upper` are (N, grid) envelopes, one row per input row;
     `fired` says, per row, whether the upper envelope is anywhere above zero.
     """
 
-    _fields = ("grid", "lower", "upper", "interval")
+    _fields = ("grid", "weights", "lower", "upper", "interval")
     __slots__ = (*_fields, "fired")
 
-    def __init__(self, grid: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                 interval: bool) -> None:
+    def __init__(self, grid: np.ndarray, weights: np.ndarray, lower: np.ndarray,
+                 upper: np.ndarray, interval: bool) -> None:
         object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "interval", interval)
         object.__setattr__(self, "fired", np.maximum.reduce(upper, axis=1) > 0.0)
 
 
-@functools.lru_cache(maxsize=64)
-def _output_grades(output_var: LinguisticVariable, grid_points: int,
-                   labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The output grid and each label's term grades on it, (labels, grid_points).
-
-    Built once per distinct argument set and returned read-only, since every
-    caller shares them. A missing term raises InferenceError, which
-    lru_cache does not keep, so it raises on every call.
-    """
-    grid = np.linspace(output_var.domain[0], output_var.domain[1], grid_points)
-    terms = dict(output_var.terms)
-    try:
-        table = term_table(tuple(terms[label] for label in labels))
-    except KeyError as exc:
-        raise InferenceError(f"output variable has no term {exc}") from None
-    mu = grade_terms(table, np.broadcast_to(grid, (len(labels), grid_points)), None)
-    grid.flags.writeable = mu.flags.writeable = False
-    return grid, mu
-
-
-def fire_rules(
-    grades: np.ndarray,
-    rule_base: RuleBase,
-    output_var: LinguisticVariable,
-    grid_points: int = 1001,
-) -> AggregatedOutput:
-    """Fire every rule (min over antecedent grades) and max-aggregate the clips.
+def fire_rules(grades: np.ndarray, cfg: ResolvedConfig) -> AggregatedOutput:
+    """Fire the config's rules (min over antecedent grades) and max-aggregate the clips.
 
     `grades` is grade_inputs' array in fuzzy.STACKED_TERMS order, which
     RuleBase.index indexes in place: (terms, 1, N) type-1 grades, which fire
@@ -244,37 +221,25 @@ def fire_rules(
     (terms, 2, N) (lower, upper) intervals, which fire endpoint-wise. Any
     other shape raises InferenceError. Clipping and max commute, so the rules
     first fold into one strength per consequent and half, the max over its
-    rules, and each consequent term is clipped once per envelope: (N,
-    grid_points) envelopes. The output grid and consequent grades are shared
-    per (output variable, grid_points, consequent labels), so the returned
-    grid is read-only. An output variable lacking a consequent's term raises
-    InferenceError too.
+    rules, and each consequent term is clipped once per envelope: (N, grid)
+    envelopes on the grid of cfg.output_table, whose read-only grid and
+    weights the aggregate carries.
     """
-    antecedents, starts, labels = rule_base.index
+    antecedents, starts, _ = cfg.rule_base.index
     if grades.ndim != 3 or grades.shape[0] != len(STACKED_TERMS) or grades.shape[1] not in (1, 2):
         raise InferenceError(f"grades must be a ({len(STACKED_TERMS)}, 1 or 2, N) array, "
                              f"got shape {grades.shape}")
     # (consequents, halves, N): the strongest rule of each consequent per row
     strengths = np.maximum.reduceat(np.minimum.reduce(grades.take(antecedents, axis=0)), starts,
                                     axis=0)
-    grid, mu = _output_grades(output_var, grid_points, labels)
-    # (halves, N, grid_points): the clips fold into zero envelopes one consequent at a
+    grid, weights, mu = cfg.output_table
+    # (halves, N, grid points): the clips fold into zero envelopes one consequent at a
     # time, in place, so a clip at strength <= 0 adds nothing
-    envelopes = np.zeros((*strengths.shape[1:], grid_points))
+    envelopes = np.zeros((*strengths.shape[1:], len(grid)))
     clip = np.empty_like(envelopes)
     for term, strength in zip(mu, strengths[..., None]):
         np.maximum(envelopes, np.minimum(term, strength, out=clip), out=envelopes)
-    return AggregatedOutput(grid=grid, lower=envelopes[0], upper=envelopes[-1],
-                            interval=grades.shape[1] == 2)
-
-
-@functools.lru_cache(maxsize=8)
-def _quad_weights(n: int) -> np.ndarray:
-    """Trapezoidal quadrature weights on a uniform grid (the step cancels), read-only."""
-    w = np.ones(n)
-    w[0] = w[-1] = 0.5
-    w.flags.writeable = False
-    return w
+    return AggregatedOutput(grid, weights, envelopes[0], envelopes[-1], grades.shape[1] == 2)
 
 
 def _centroids(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -337,8 +302,7 @@ def km_type_reduce(agg: AggregatedOutput) -> tuple[np.ndarray, np.ndarray]:
     """
     if np.count_nonzero(agg.fired) < len(agg.fired):
         raise InferenceError(_NO_RULE_FIRED)
-    quad = _quad_weights(len(agg.grid))
-    lower, upper = quad * agg.lower, quad * agg.upper
+    lower, upper = agg.weights * agg.lower, agg.weights * agg.upper
     return (_switch_point_centroids(agg.grid, upper, lower, np.argmin, np.inf),
             _switch_point_centroids(agg.grid, lower, upper, np.argmax, -np.inf))
 
@@ -354,7 +318,7 @@ def defuzzify(agg: AggregatedOutput) -> np.ndarray:
         return 0.5 * (y_l + y_r)
     if np.count_nonzero(agg.fired) < len(agg.fired):
         raise InferenceError(_NO_RULE_FIRED)
-    return _centroids(agg.grid, _quad_weights(len(agg.grid)) * agg.upper)
+    return _centroids(agg.grid, agg.weights * agg.upper)
 
 
 def classify_signal(crisp: float) -> Signal:
@@ -380,16 +344,17 @@ def recommend_rows(symbols: list[str], snap: IndicatorSnapshot,
     """Normalize, grade, fire, type-reduce and classify indicator rows.
 
     `snap` holds one row per symbol: floats for one row, length-N arrays for
-    a block. The variables and rule base come from the config first; a table
-    that fails the variables' coverage check raises ConfigError, not
-    PipelineError. The rows are normalized at once (normalize_rows); a row
-    that fails normalization gets its own fuzzification error and is left
-    out, and the rest are evaluated BLOCK_ROWS at a time. A row whose upper
+    a block. The config's variables are built first, as its coverage check:
+    a table that fails it raises ConfigError, not PipelineError. Grading and
+    firing read the config's tables. The rows are normalized at once
+    (normalize_rows); a row that fails normalization gets its own
+    fuzzification error and is left out, and the rest are evaluated
+    BLOCK_ROWS at a time. A row whose upper
     envelope is zero fails alone and is kept out of the reduction; a stage
     failing for a whole block fails each of its rows. A failed row gets its
     PipelineError in place of a Recommendation, at its own index.
     """
-    variables, rule_base = cfg.build_variables(), cfg.rule_base
+    cfg.build_variables()
     normalized, faults = normalize_rows(snap, divisor=cfg.divisor,
                                         histogram_gain=cfg.histogram_gain)
     results: list[Recommendation | PipelineError | None] = [None] * len(symbols)
@@ -399,19 +364,18 @@ def recommend_rows(symbols: list[str], snap: IndicatorSnapshot,
             results[i] = PipelineError("fuzzification", exc)
         kept = [i for i in kept if i not in faults]
         normalized = {name: x[kept] for name, x in normalized.items()}
-    output_var = next(var for var in variables if var.name == "signal")
     delta = cfg.delta if cfg.delta > 0 else None
     stage = "defuzzification" if delta is None else "type reduction"
     for start in range(0, len(kept), BLOCK_ROWS):
         block = kept[start:start + BLOCK_ROWS]
         rows = {name: x[start:start + BLOCK_ROWS] for name, x in normalized.items()}
         try:
-            grades = _stage("fuzzification", grade_inputs, rows, variables, delta)
-            agg = _stage("inference", fire_rules, grades, rule_base, output_var, cfg.grid_points)
+            grades = _stage("fuzzification", grade_inputs, rows, cfg.input_terms, delta)
+            agg = _stage("inference", fire_rules, grades, cfg)
             fired = agg.fired
             alive = np.count_nonzero(fired)
             live = agg if alive == len(fired) else AggregatedOutput(
-                agg.grid, agg.lower[fired], agg.upper[fired], agg.interval)
+                agg.grid, agg.weights, agg.lower[fired], agg.upper[fired], agg.interval)
             if not alive:
                 reduced = iter(())
             elif agg.interval:
@@ -436,25 +400,23 @@ def recommend_rows(symbols: list[str], snap: IndicatorSnapshot,
     return results
 
 
-def recommend_periods(periods: PriceSeries, config: ResolvedConfig | None = None
+def recommend_periods(periods: PriceSeries, config: ResolvedConfig = DEFAULT_CONFIG
                       ) -> Recommendation:
     """Run the pipeline on aggregated period bars.
 
     The one-row case of recommend_rows, on the snapshot of the last period,
     for the backtest's period prefixes; the row's PipelineError is raised.
     """
-    cfg = config if config is not None else ResolvedConfig()
-    snap = _stage("indicators", snapshot, periods, **cfg.indicator_windows)
-    [result] = recommend_rows([periods.symbol], snap, cfg)
+    snap = _stage("indicators", snapshot, periods, **config.indicator_windows)
+    [result] = recommend_rows([periods.symbol], snap, config)
     if isinstance(result, PipelineError):
         raise result
     return result
 
 
-def recommend(series: PriceSeries, config: ResolvedConfig | None = None) -> Recommendation:
+def recommend(series: PriceSeries, config: ResolvedConfig = DEFAULT_CONFIG) -> Recommendation:
     """Full pipeline on one series' daily bars: the one-series recommend_block, raising."""
-    cfg = config if config is not None else ResolvedConfig()
-    [result] = recommend_block([series], cfg)
+    [result] = recommend_block([series], config)
     if isinstance(result, PipelineError):
         raise result
     return result

@@ -1,6 +1,6 @@
 """Test-only builders: bars from rows, edited series, one series' period bars,
-trend-ramp price series, one membership function's grades, and a count of
-coverage checks.
+trend-ramp price series, one membership function's grades, an aggregate on a
+weighted grid, and a count of coverage checks.
 
 A Bars is a table of columns, so tests that think in rows build one with
 bars_of and change single cells with with_cells. The ramps give the pipeline
@@ -16,6 +16,7 @@ import numpy as np
 from fuzzsig import fuzzy
 from fuzzsig.fixtures import _dates
 from fuzzsig.fuzzy import grade_terms, term_table
+from fuzzsig.inference import AggregatedOutput
 from fuzzsig.market_data import Bars, PriceSeries, aggregate_block
 
 
@@ -60,6 +61,13 @@ def grade(mf, x, delta: float | None = None):
         return grades.item() if arr.ndim == 0 else grades.reshape(arr.shape)
     lower, upper = (g.item() if arr.ndim == 0 else g.reshape(arr.shape) for g in grades)
     return lower, upper
+
+
+def aggregate(grid, lower, upper, interval: bool) -> AggregatedOutput:
+    """An AggregatedOutput of (N, grid) envelopes, with the trapezoid weights of `grid`."""
+    weights = np.ones(len(grid))
+    weights[[0, -1]] = 0.5
+    return AggregatedOutput(grid, weights, lower, upper, interval)
 
 
 def coverage_checks(monkeypatch) -> list[str]:

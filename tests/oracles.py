@@ -262,20 +262,19 @@ def stacked_inputs(grades, interval: bool) -> np.ndarray:
     return stacked if interval else stacked[:, 1:]
 
 
-def max_of_clips(grades, rule_base, output_var, grid_points: int = 1001):
+def max_of_clips(grades, cfg):
     """fire_rules' (lower, upper) envelopes as one max over an array of every clip.
 
-    The consequent strengths and output grades are computed as fire_rules
-    computes them; the clips are then built as one (consequents, halves, N,
-    grid_points) array and reduced over consequents from an initial 0.0.
-    `grades` must be stacked in ANTECEDENT_TERMS order.
+    The consequent strengths are computed as fire_rules computes them, over
+    the consequent grades of cfg.output_table; the clips are then built as
+    one (consequents, halves, N, grid points) array and reduced over
+    consequents from an initial 0.0. `grades` must be stacked in
+    ANTECEDENT_TERMS order.
     """
-    from fuzzsig.inference import _output_grades
-
-    antecedents, starts, labels = rule_base.index
+    antecedents, starts, _ = cfg.rule_base.index
     strengths = np.maximum.reduceat(grades[antecedents].min(axis=0), starts, axis=0)
-    _, mu = _output_grades(output_var, grid_points, labels)
-    envelopes = np.minimum(mu.reshape(-1, 1, 1, grid_points), strengths[..., None]).max(
+    mu = cfg.output_table.grades
+    envelopes = np.minimum(mu[:, None, None], strengths[..., None]).max(
         axis=0, initial=0.0)
     return envelopes[0], envelopes[-1]
 
@@ -380,6 +379,24 @@ def reference_signal(series, cfg) -> tuple[float, tuple[float, float] | None]:
         y_l, y_r = enumerated_km(grid, lower, upper)
         return 0.5 * (y_l + y_r), (y_l, y_r)
     return float(np.dot(grid, upper) / upper.sum()), None
+
+
+def uncovered_variable(cfg) -> str | None:
+    """The first variable whose terms grade some point of its domain below 0.05, else None.
+
+    The domains are [-1, 1] for MACD, [0, 100 / divisor] for RSI and
+    Williams, and [0, 1] for the stochastic and the output, each sampled at
+    1001 points and graded by shape_grade.
+    """
+    top = 100.0 / cfg.divisor
+    domains = {"macd": (-1.0, 1.0), "rsi": (0.0, top), "so": (0.0, 1.0), "wa": (0.0, top),
+               "signal": (0.0, 1.0)}
+    for name, (lo, hi) in domains.items():
+        grid = np.linspace(lo, hi, 1001)
+        cover = np.max([shape_grade(mf, grid) for _, mf in cfg.mf_table[name]], axis=0)
+        if not cover.min() >= 0.05:
+            return name
+    return None
 
 
 def reparse_rows(text: str) -> dict[str, list[tuple[str, float, float, float, float, float]]]:

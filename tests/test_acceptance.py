@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from fuzzsig.config import ResolvedConfig
+from fuzzsig.config import DEFAULT_CONFIG, ResolvedConfig
 from fuzzsig.evaluate import backtest, emit_report, run_portfolio
 from fuzzsig.fixtures import random_walk_series
 from fuzzsig.fuzzy import (
@@ -18,7 +18,6 @@ from fuzzsig.fuzzy import (
     LeftShoulder,
     RightShoulder,
     Triangular,
-    default_variables,
     grade_inputs,
     normalize_rows,
 )
@@ -31,7 +30,6 @@ from fuzzsig.indicators import (
 )
 from fuzzsig.inference import (
     ANTECEDENT_TERMS,
-    AggregatedOutput,
     RuleBase,
     Signal,
     build_rule_base,
@@ -45,7 +43,7 @@ from fuzzsig.market_data import PriceSeries, parse_csv
 from fuzzsig.tuning import golden_ratio
 
 from conftest import DATA_DIR
-from helpers import downtrend_series, flat_series, grade, uptrend_series
+from helpers import aggregate, downtrend_series, flat_series, grade, uptrend_series
 from oracles import (
     closed_form_ema,
     composed_macd,
@@ -57,8 +55,6 @@ from oracles import (
     tallied_rsi,
 )
 
-VARIABLES = default_variables()
-OUTPUT_VAR = next(v for v in VARIABLES if v.name == "signal")
 
 
 def ok(number: int, text: str) -> None:
@@ -89,7 +85,7 @@ def graded(snap: IndicatorSnapshot, delta: float | None):
     """The fuzzified inputs of one indicator row: normalize_rows, then grade_inputs."""
     normalized, faults = normalize_rows(snap)
     assert not faults
-    return grade_inputs(normalized, VARIABLES, delta)
+    return grade_inputs(normalized, DEFAULT_CONFIG.input_terms, delta)
 
 
 def test_criterion_01_indicator_oracle_equivalence():
@@ -136,11 +132,10 @@ def test_criterion_02_range_invariants():
         lo, hi = grade(mf, x, delta)
         assert 0.0 <= g <= 1.0
         assert 0.0 <= lo <= hi <= 1.0
-    base = build_rule_base()
     for _ in range(100):
         snap = random_snapshot(rng)
         for delta in (None, 0.05):
-            [crisp] = defuzzify(fire_rules(graded(snap, delta), base, OUTPUT_VAR))
+            [crisp] = defuzzify(fire_rules(graded(snap, delta), DEFAULT_CONFIG))
             assert 0.0 <= crisp <= 1.0
     ok(2, "indicator, grade, and crisp-output ranges hold under fuzzing")
 
@@ -169,11 +164,10 @@ def test_criterion_04_golden_ratio():
 def test_criterion_05_type_reduction_collapse():
     """delta=0 interval pipeline equals type-1 within 1e-9; KM matches enumeration."""
     rng = np.random.default_rng(271828)
-    base = build_rule_base()
     for _ in range(100):
         snap = random_snapshot(rng)
-        [crisp_plain] = defuzzify(fire_rules(graded(snap, None), base, OUTPUT_VAR))
-        [crisp_interval] = defuzzify(fire_rules(graded(snap, 0.0), base, OUTPUT_VAR))
+        [crisp_plain] = defuzzify(fire_rules(graded(snap, None), DEFAULT_CONFIG))
+        [crisp_interval] = defuzzify(fire_rules(graded(snap, 0.0), DEFAULT_CONFIG))
         assert abs(crisp_plain - crisp_interval) <= 1e-9
     quad = np.ones(101)
     quad[0] = quad[-1] = 0.5
@@ -181,7 +175,7 @@ def test_criterion_05_type_reduction_collapse():
     for _ in range(100):
         upper = rng.random(101)
         lower = upper * rng.random(101)
-        agg = AggregatedOutput(grid=grid, lower=lower[None], upper=upper[None], interval=True)
+        agg = aggregate(grid, lower[None], upper[None], interval=True)
         [y_l], [y_r] = km_type_reduce(agg)
         e_l, e_r = enumerated_km(grid, quad * lower, quad * upper)
         assert abs(y_l - e_l) <= 1e-9
@@ -192,15 +186,15 @@ def test_criterion_05_type_reduction_collapse():
 def test_criterion_06_centroid_refinement():
     """1001-point centroid within 1e-4 of a 100001-point refinement."""
     rng = random.Random(314159)
-    base = build_rule_base()
+    fine_grid = ResolvedConfig(grid_points=100001)
     for _ in range(100):
         grades = {
             name: {term: (lambda g: (g, g))(rng.random()) for term in terms}
             for name, terms in ANTECEDENT_TERMS.items()
         }
         inputs = stacked_inputs(grades, interval=False)
-        [coarse] = defuzzify(fire_rules(inputs, base, OUTPUT_VAR, grid_points=1001))
-        [fine] = defuzzify(fire_rules(inputs, base, OUTPUT_VAR, grid_points=100001))
+        [coarse] = defuzzify(fire_rules(inputs, DEFAULT_CONFIG))
+        [fine] = defuzzify(fire_rules(inputs, fine_grid))
         assert abs(coarse - fine) <= 1e-4
     ok(6, "1001-point centroid within 1e-4 of the 100001-point refinement")
 
@@ -233,8 +227,9 @@ def test_criterion_07_rule_base_structure():
         inputs = stacked_inputs(grades, interval=True)
         shuffled = list(base.rules)
         rng.shuffle(shuffled)
-        [crisp_a] = defuzzify(fire_rules(inputs, base, OUTPUT_VAR))
-        [crisp_b] = defuzzify(fire_rules(inputs, RuleBase(tuple(shuffled)), OUTPUT_VAR))
+        [crisp_a] = defuzzify(fire_rules(inputs, DEFAULT_CONFIG))
+        shuffled_cfg = ResolvedConfig(rule_table=RuleBase(tuple(shuffled)))
+        [crisp_b] = defuzzify(fire_rules(inputs, shuffled_cfg))
         assert crisp_a == crisp_b
     ok(7, "generated base is exhaustive, vote examples hold, shuffling is bit-identical")
 
@@ -260,15 +255,14 @@ def test_criterion_09_directional_sanity():
 
 def test_criterion_10_consequent_ordering():
     """Singleton activation of one rule lands its crisp in the consequent's band."""
-    base = build_rule_base()
-    for rule in base.rules:
+    for rule in DEFAULT_CONFIG.rule_base.rules:
         grades = {
             name: {term: ((1.0, 1.0) if term == pick else (0.0, 0.0))
                    for term in ANTECEDENT_TERMS[name]}
             for name, pick in zip(("macd", "rsi", "so", "wa"), rule.antecedent())
         }
         inputs = stacked_inputs(grades, interval=False)
-        [crisp] = defuzzify(fire_rules(inputs, base, OUTPUT_VAR))
+        [crisp] = defuzzify(fire_rules(inputs, DEFAULT_CONFIG))
         if rule.consequent is Signal.SELL:
             assert crisp < 0.4
         elif rule.consequent is Signal.BUY:

@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from fuzzsig import _frozen
 from fuzzsig.cli import run
 from fuzzsig.config import ResolvedConfig
 from fuzzsig.fixtures import portfolio_fixture
@@ -263,6 +265,18 @@ class TestIndicatorsCommand:
         assert all(cell != "" for cell in last)
         assert last[8] in ("Low", "Medium", "High")
         assert last[12] in ("Low", "Medium", "High")
+
+    @pytest.mark.parametrize("command, fmt", [("indicators", "csv"), ("indicators", "json"),
+                                              ("portfolio", "csv")])
+    def test_a_header_only_csv_exits_1_as_empty_input(self, command, fmt, tmp_path,
+                                                      capsysbinary):
+        # a bare header or [] on stdout would read as a table of no rows
+        empty = tmp_path / "empty.csv"
+        empty.write_text(",".join(CSV_HEADER) + "\n")
+        assert run([command, str(empty), "--format", fmt]) == 1
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err == b"error: empty input: no series to evaluate\n"
 
     @pytest.mark.parametrize("fmt,digest", pinned(
         ("csv", "8c838133ee4e3b0a2adcdc4be8f5e0236f3bbceea427a7741f4d97f6e1990e12"),
@@ -543,6 +557,42 @@ class TestConfigHandling:
         assert len(checked) == 5
         info = _variables.cache_info()
         assert (info.misses, info.hits) == (1, 2)
+
+    def test_each_config_builds_its_grading_tables_once(self, basket_csv, tmp_path,
+                                                        capsysbinary, monkeypatch):
+        # portfolio, signal and backtest each parse the file into a config of their own,
+        # equal to the others. Each config builds its input term table and its output
+        # table once, however many blocks or period prefixes read them. The variables'
+        # cache is emptied before each command, so each builds an equal variable tuple
+        # apart from the last one's: no lookup may compare two of them, or their shapes
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text("fuzzy.rsi.medium = triangular 0.2 0.5 0.8\n")
+
+        def counted_builds(name: str) -> list[ResolvedConfig]:
+            built, prop = [], getattr(ResolvedConfig, name)
+
+            def build(config):
+                built.append(config)
+                return prop.func(config)
+
+            counted = functools.cached_property(build)
+            counted.__set_name__(ResolvedConfig, name)
+            monkeypatch.setattr(ResolvedConfig, name, counted)
+            return built
+
+        built = {name: counted_builds(name) for name in ("input_terms", "output_table")}
+        compared = []
+        value_eq = _frozen.Value.__eq__
+        monkeypatch.setattr(_frozen.Value, "__eq__",
+                            lambda a, b: compared.append(type(a)) or value_eq(a, b))
+        for argv in (["portfolio", basket_csv], ["signal", basket_csv, "--symbol", "SYN00"],
+                     ["backtest", basket_csv, "--symbol", "SYN00"]):
+            _variables.cache_clear()
+            assert run([*argv, "--config", str(cfg)]) == 0
+        assert compared == []
+        for configs in built.values():
+            assert len(configs) == len(set(map(id, configs))) == 3
+            assert configs[0] == configs[1] == configs[2]
 
     def test_bad_config_exits_1(self, flat_csv, tmp_path, capsys):
         cfg = tmp_path / "conf.txt"

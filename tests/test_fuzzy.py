@@ -12,8 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import fuzzsig
-from fuzzsig import _frozen, fuzzy, inference
-from fuzzsig.config import ResolvedConfig, parse_config_text
+from fuzzsig import _frozen, fuzzy
+from fuzzsig.config import DEFAULT_CONFIG, ResolvedConfig, parse_config_text
 from fuzzsig.evaluate import backtest
 from fuzzsig.fixtures import random_walk_series
 from fuzzsig.fuzzy import (
@@ -247,7 +247,7 @@ class TestGradingKernel:
                   "so": [0.25, 0.5, 0.9], "wa": [0.1, 0.4, 0.7]}
         normalized = ({name: v[0] for name, v in values.items()} if rows is None
                       else {name: np.array(v) for name, v in values.items()})
-        graded = grade_inputs(normalized, default_variables(), delta)
+        graded = grade_inputs(normalized, DEFAULT_CONFIG.input_terms, delta)
         # a float input is a one-row block
         assert graded.shape == (len(STACKED_TERMS), 1 if delta is None else 2, rows or 1)
         assert STACKED_TERMS == (("macd", "low"), ("macd", "high"), ("rsi", "low"),
@@ -264,25 +264,25 @@ class TestGradingKernel:
 
     def test_grade_inputs_without_an_input_variable_is_an_error(self):
         with pytest.raises(ValueError, match=r"^no values for input variable 'macd'$"):
-            grade_inputs({"volume": 0.5}, default_variables())
+            grade_inputs({"volume": 0.5}, DEFAULT_CONFIG.input_terms)
 
     def test_grade_inputs_rejects_values_of_more_than_one_dimension(self):
         # a (2, 3) array per variable used to be flattened into six rows
         with pytest.raises(ValueError, match=r"^macd values must be a float or a 1-D array, "
                                              r"got shape \(2, 3\)$"):
             grade_inputs({n: np.full((2, 3), 0.5) for n in ("macd", "rsi", "so", "wa")},
-                         default_variables())
+                         DEFAULT_CONFIG.input_terms)
 
     @pytest.mark.parametrize("delta", [-0.1, math.nan])
     def test_grade_inputs_rejects_a_negative_or_nan_delta(self, delta):
         with pytest.raises(ValueError, match=f"^delta must be >= 0, got {delta}$"):
-            grade_inputs({"rsi": 0.5}, default_variables(), delta)
+            grade_inputs({"rsi": 0.5}, DEFAULT_CONFIG.input_terms, delta)
 
     def test_the_footprint_is_the_float_delta_and_grading_keeps_no_value_cache(self):
         with pytest.raises(AttributeError):
             fuzzsig.FootprintOfUncertainty
         assert not hasattr(ResolvedConfig(), "footprint")
-        for uncached in (fuzzy._check_coverage, fuzzy.term_table):
+        for uncached in (fuzzy._check_coverage, fuzzy.term_table, fuzzy.output_table):
             assert not hasattr(uncached, "cache_info")
 
     @given(data=st.data(), mf=any_term(), delta=st.sampled_from(DELTAS[1:]),
@@ -369,13 +369,12 @@ class TestDefaultVariables:
                              ids=["constructed", "parsed"])
     def test_configs_built_apart_share_the_default_membership_functions(self, make,
                                                                          monkeypatch):
-        # equal configs hold the same membership-function objects, so the caches keyed
-        # on them match by identity and compare no shape by value. An equal table built
-        # apart, cached first by another test, would be compared by value: the caches
-        # start empty here
+        # equal configs hold the same membership-function objects, so the variables'
+        # cache keyed on them matches by identity and compares no shape by value. An
+        # equal table built apart, cached first by another test, would be compared by
+        # value: the cache starts empty here
         assert make().mf_table["rsi"][0] is default_mf_table()["rsi"][0]
-        for cache in (fuzzy._variables, fuzzy._input_terms, inference._output_grades):
-            cache.cache_clear()
+        _variables.cache_clear()
         series = random_walk_series("EQ", 7, periods=80)
         backtest(series, make())
         compared = []
@@ -462,7 +461,7 @@ def graded(snap, delta=None):
     """One row's fuzzification, as recommend_rows does it: normalize_rows, then grade_inputs."""
     normalized, faults = normalize_rows(snap)
     assert not faults
-    return grade_inputs(normalized, default_variables(), delta)
+    return grade_inputs(normalized, DEFAULT_CONFIG.input_terms, delta)
 
 
 class TestFuzzify:

@@ -7,27 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzsig.config import ResolvedConfig
+from fuzzsig.config import DEFAULT_CONFIG, ResolvedConfig
 from fuzzsig.fixtures import portfolio_fixture
-from fuzzsig.fuzzy import (
-    STACKED_TERMS,
-    LinguisticVariable,
-    default_variables,
-    grade_inputs,
-    normalize_rows,
-)
+from fuzzsig.fuzzy import STACKED_TERMS, default_variables, grade_inputs, normalize_rows
 from fuzzsig.indicators import IndicatorSnapshot, indicator_block, snapshot
 from fuzzsig.inference import (
     ANTECEDENT_TERMS,
     BLOCK_ROWS,
     VOTES,
-    AggregatedOutput,
     InferenceError,
     PipelineError,
     Rule,
     RuleBase,
     Signal,
-    _output_grades,
     _switch_points,
     build_rule_base,
     classify_signal,
@@ -40,7 +32,8 @@ from fuzzsig.inference import (
     rules_to_csv,
 )
 
-from helpers import aggregate_periods, downtrend_series, flat_series, grade, uptrend_series
+from helpers import (aggregate, aggregate_periods, downtrend_series, flat_series, grade,
+                     uptrend_series)
 from oracles import brute_force_aggregate, enumerated_km, max_of_clips, stacked_inputs
 
 OUTPUT_VAR = next(v for v in default_variables() if v.name == "signal")
@@ -110,23 +103,23 @@ class TestFireRules:
         grades = {name: {t: (0.0, 0.0) for t in terms}
                   for name, terms in ANTECEDENT_TERMS.items()}
         inputs = stacked_inputs(grades, interval=False)
-        agg = fire_rules(inputs, build_rule_base(), OUTPUT_VAR)
+        agg = fire_rules(inputs, DEFAULT_CONFIG)
         assert not np.any(agg.upper)
         assert not np.any(agg.lower)
 
     def test_single_rule_at_full_strength_reproduces_consequent(self):
         inputs = singleton_inputs("low", "low", "medium", "low")  # score -4, Sell
-        agg = fire_rules(inputs, build_rule_base(), OUTPUT_VAR)
+        agg = fire_rules(inputs, DEFAULT_CONFIG)
         expected = grade(dict(OUTPUT_VAR.terms)["sell"], agg.grid)
         assert np.array_equal(agg.upper, [expected])
 
     def test_matches_per_gridpoint_double_loop(self):
         rng = random.Random(99)
-        base = build_rule_base()
+        cfg = ResolvedConfig(grid_points=201)
         for interval in (False, True):
             inputs = random_inputs(rng, interval=interval)
-            agg = fire_rules(inputs, base, OUTPUT_VAR, grid_points=201)
-            lo, hi = brute_force_aggregate(inputs, base, OUTPUT_VAR, agg.grid)
+            agg = fire_rules(inputs, cfg)
+            lo, hi = brute_force_aggregate(inputs, cfg.rule_base, OUTPUT_VAR, agg.grid)
             assert np.allclose(agg.lower, lo, rtol=0, atol=0)
             assert np.allclose(agg.upper, hi, rtol=0, atol=0)
 
@@ -139,23 +132,23 @@ class TestFireRules:
         sell_only = RuleBase(tuple(r for r in build_rule_base().rules
                                    if r.consequent is Signal.SELL))
         for base in (build_rule_base(), sell_only, RuleBase(())):
+            cfg = ResolvedConfig(grid_points=101, rule_table=base)
             for _ in range(20):
                 grades = {name: {t: tuple(rng.choice(pool, (2, rows))) for t in terms}
                           for name, terms in ANTECEDENT_TERMS.items()}
                 inputs = stacked_inputs(grades, interval)
-                agg = fire_rules(inputs, base, OUTPUT_VAR, grid_points=101)
-                lower, upper = max_of_clips(inputs, base, OUTPUT_VAR, grid_points=101)
+                agg = fire_rules(inputs, cfg)
+                lower, upper = max_of_clips(inputs, cfg)
                 assert agg.lower.tobytes() == lower.tobytes()
                 assert agg.upper.tobytes() == upper.tobytes()
 
     def test_rule_order_shuffle_is_bit_identical(self):
         rng = random.Random(5)
-        base = build_rule_base()
         inputs = random_inputs(rng, interval=True)
-        agg = fire_rules(inputs, base, OUTPUT_VAR)
-        shuffled = list(base.rules)
+        agg = fire_rules(inputs, DEFAULT_CONFIG)
+        shuffled = list(DEFAULT_CONFIG.rule_base.rules)
         rng.shuffle(shuffled)
-        agg2 = fire_rules(inputs, RuleBase(tuple(shuffled)), OUTPUT_VAR)
+        agg2 = fire_rules(inputs, ResolvedConfig(rule_table=RuleBase(tuple(shuffled))))
         assert np.array_equal(agg.upper, agg2.upper)
         assert np.array_equal(agg.lower, agg2.lower)
         assert np.array_equal(defuzzify(agg), defuzzify(agg2))
@@ -164,12 +157,12 @@ class TestFireRules:
         inputs = singleton_inputs("low", "low", "low", "low")
         bad = RuleBase((Rule("low", "weird", "low", "low", Signal.SELL),))
         with pytest.raises(InferenceError, match="unknown"):
-            fire_rules(inputs, bad, OUTPUT_VAR)
+            fire_rules(inputs, ResolvedConfig(rule_table=bad))
 
     def test_inputs_lacking_a_variable_rejected(self):
         values = {name: 0.5 for name in ANTECEDENT_TERMS if name != "so"}
         with pytest.raises(ValueError, match=r"^no values for input variable 'so'$"):
-            grade_inputs(values, default_variables())
+            grade_inputs(values, DEFAULT_CONFIG.input_terms)
 
     def test_votes_name_the_stacked_terms_in_their_order(self):
         # RuleBase.index reads rule terms against the rows grade_inputs writes
@@ -178,88 +171,60 @@ class TestFireRules:
 
     @pytest.mark.parametrize("delta", [None, 0.05])
     @pytest.mark.parametrize("rows", [None, 1, 7])
-    def test_variables_with_reordered_terms_grade_like_the_default_order(self, delta, rows):
-        # grade_inputs finds each term by (variable, term): neither the order of the
-        # variables nor that of their terms moves a grade bit
-        variables = default_variables()
-        reordered = tuple(LinguisticVariable(v.name, v.domain, v.terms[::-1])
-                          for v in variables[::-1])
+    def test_a_table_listing_its_variables_in_another_order_grades_alike(self, delta, rows):
+        # the input term table is built in STACKED_TERMS order, whatever the order of
+        # the config's table: no grade or envelope bit moves
+        reordered = ResolvedConfig(mf_table=dict(reversed(DEFAULT_CONFIG.mf_table.items())))
+        assert list(reordered.mf_table) == ["signal", "wa", "so", "rsi", "macd"]
         rng = np.random.default_rng(rows or 0)
         values = {name: rng.random(rows or 1) for name in ANTECEDENT_TERMS}
         normalized = {k: v[0].item() for k, v in values.items()} if rows is None else values
-        grades = grade_inputs(normalized, variables, delta)
+        grades = grade_inputs(normalized, DEFAULT_CONFIG.input_terms, delta)
         assert grades.shape == (len(STACKED_TERMS), 1 if delta is None else 2, rows or 1)
-        assert grade_inputs(normalized, reordered, delta).tobytes() == grades.tobytes()
-        base = build_rule_base()
-        agg = fire_rules(grades, base, OUTPUT_VAR)
-        again = fire_rules(grade_inputs(normalized, reordered, delta), base, OUTPUT_VAR)
-        assert again.upper.tobytes() == agg.upper.tobytes()
-        assert again.lower.tobytes() == agg.lower.tobytes()
+        again = grade_inputs(normalized, reordered.input_terms, delta)
+        assert again.tobytes() == grades.tobytes()
+        agg, agg_again = fire_rules(grades, DEFAULT_CONFIG), fire_rules(again, reordered)
+        assert agg_again.upper.tobytes() == agg.upper.tobytes()
+        assert agg_again.lower.tobytes() == agg.lower.tobytes()
 
     def test_extra_term_rows_rejected(self):
         grades = stacked_inputs(singleton_grades("low", "low", "low", "low"), interval=True)
         extra = np.concatenate((grades, grades[:1]))
         message = "grades must be a (10, 1 or 2, N) array, got shape (11, 2, 1)"
         with pytest.raises(InferenceError, match=f"^{re.escape(message)}$"):
-            fire_rules(extra, build_rule_base(), OUTPUT_VAR)
+            fire_rules(extra, DEFAULT_CONFIG)
 
-    def test_variables_lacking_a_term_fail_at_fuzzification(self, monkeypatch):
-        variables = tuple(
-            LinguisticVariable(v.name, v.domain, tuple(("mid" if label == "medium" else label, mf)
-                                                       for label, mf in v.terms))
-            if v.name == "rsi" else v for v in default_variables())
-        renamed = "no membership function for input term ('rsi', 'medium')"
-        with pytest.raises(ValueError, match=f"^{re.escape(renamed)}$"):
-            grade_inputs({name: 0.5 for name in ANTECEDENT_TERMS}, variables)
-        with pytest.raises(ValueError, match=re.escape(
-                "no membership function for input term ('so', 'low')")):
-            grade_inputs({name: 0.5 for name in ANTECEDENT_TERMS},
-                         tuple(v for v in default_variables() if v.name != "so"))
-        snap = snapshot(aggregate_periods(flat_series(periods=40), 15))
-        # validate keeps such a table out of a config, so the config's builder is patched
-        monkeypatch.setattr(ResolvedConfig, "build_variables", lambda cfg: variables)
-        [result] = recommend_rows(["FLAT"], snap, ResolvedConfig())
-        assert isinstance(result, PipelineError) and result.stage == "fuzzification"
-        assert str(result) == f"fuzzification: {renamed}"
-
-    def test_output_variable_lacking_a_consequent_term_rejected(self):
-        renamed = tuple(("up" if label == "buy" else label, mf) for label, mf in OUTPUT_VAR.terms)
-        output_var = LinguisticVariable("signal", OUTPUT_VAR.domain, renamed)
-        inputs = singleton_inputs("low", "low", "low", "low")
-        for _ in range(2):  # the output grades are cached, the failure is not
-            with pytest.raises(InferenceError, match="output variable has no term 'buy'"):
-                fire_rules(inputs, build_rule_base(), output_var)
-
-    def test_output_grid_and_grades_are_shared_read_only(self):
+    def test_the_aggregate_carries_the_config_s_read_only_output_table(self):
         inputs = singleton_inputs("high", "low", "high", "low")
-        first = fire_rules(inputs, build_rule_base(), OUTPUT_VAR, grid_points=101)
-        second = fire_rules(inputs, build_rule_base(), OUTPUT_VAR, grid_points=101)
-        assert first.grid is second.grid
-        grid, mu = _output_grades(OUTPUT_VAR, 101, ("sell", "hold", "buy"))
-        for shared in (first.grid, grid, mu):
+        cfg = ResolvedConfig(grid_points=101)
+        first, second = fire_rules(inputs, cfg), fire_rules(inputs, cfg)
+        table = cfg.output_table
+        assert first.grid is second.grid is table.grid
+        assert first.weights is second.weights is table.weights
+        assert table.grid.tolist() == np.linspace(0.0, 1.0, 101).tolist()
+        assert table.weights.tolist() == [0.5, *[1.0] * 99, 0.5]
+        for shared in (*table, *cfg.input_terms):
             with pytest.raises(ValueError, match="read-only"):
                 shared[0] = 0.5
-        assert _output_grades.cache_info().maxsize is not None  # bounded
 
     @pytest.mark.parametrize("delta", [0.0, 0.05, 0.3])
     def test_block_rows_match_oracle_on_fixture_grades(self, delta):
         # one block of fuzzified fixture snapshots: every row of the (rows, grid)
         # envelopes equals the per-gridpoint oracle and the firing of its one-row block
         blur = delta if delta else None
-        variables = default_variables()
+        cfg = ResolvedConfig(grid_points=201)
         snaps = [snapshot(aggregate_periods(s, 15))
                  for s in portfolio_fixture(seed=8, symbols=12, periods=40)]
-        rows = [grade_inputs(normalize_rows(snap)[0], variables, blur) for snap in snaps]
+        rows = [grade_inputs(normalize_rows(snap)[0], cfg.input_terms, blur) for snap in snaps]
         block = grade_inputs(
             {name: np.concatenate([normalize_rows(snap)[0][name] for snap in snaps])
-             for name in ANTECEDENT_TERMS}, variables, blur)
-        base = build_rule_base()
-        agg = fire_rules(block, base, OUTPUT_VAR, grid_points=201)
+             for name in ANTECEDENT_TERMS}, cfg.input_terms, blur)
+        agg = fire_rules(block, cfg)
         assert agg.lower.shape == agg.upper.shape == (len(snaps), 201)
         for i, inputs in enumerate(rows):
-            one = fire_rules(inputs, base, OUTPUT_VAR, grid_points=201)
+            one = fire_rules(inputs, cfg)
             assert one.lower.shape == one.upper.shape == (1, 201)
-            lo, hi = brute_force_aggregate(block, base, OUTPUT_VAR, agg.grid, row=i)
+            lo, hi = brute_force_aggregate(block, cfg.rule_base, OUTPUT_VAR, agg.grid, row=i)
             for envelope, row, expected in ((agg.lower, one.lower, lo), (agg.upper, one.upper, hi)):
                 assert envelope[i].tobytes() == row[0].tobytes() == expected.tobytes()
 
@@ -269,7 +234,7 @@ def interval_aggregate(rng, points=101):
     grid = np.linspace(0.0, 1.0, points)
     upper = rng.random((1, points))
     lower = upper * rng.random((1, points))
-    return AggregatedOutput(grid=grid, lower=lower, upper=upper, interval=True)
+    return aggregate(grid, lower, upper, interval=True)
 
 
 class TestKmTypeReduce:
@@ -293,7 +258,7 @@ class TestKmTypeReduce:
         for _ in range(25):
             grid = np.linspace(0.0, 1.0, 101)
             mu = rng.random(101)
-            agg = AggregatedOutput(grid=grid, lower=mu[None], upper=mu[None], interval=True)
+            agg = aggregate(grid, mu[None], mu[None], interval=True)
             [y_l], [y_r] = km_type_reduce(agg)
             centroid = float(np.trapezoid(grid * mu, grid) / np.trapezoid(mu, grid))
             assert y_l == pytest.approx(centroid, abs=1e-9)
@@ -307,8 +272,7 @@ class TestKmTypeReduce:
             mid_u, mid_l = rng.random(), 0.0
             upper = np.concatenate((half, [max(mid_u, 1e-3)], half[::-1]))
             lower = np.concatenate((lower_half, [mid_l], lower_half[::-1]))
-            agg = AggregatedOutput(grid=np.linspace(0, 1, 101),
-                                   lower=lower[None], upper=upper[None], interval=True)
+            agg = aggregate(np.linspace(0, 1, 101), lower[None], upper[None], interval=True)
             [y_l], [y_r] = km_type_reduce(agg)
             assert y_l + y_r == pytest.approx(1.0, abs=1e-9)
 
@@ -327,7 +291,7 @@ class TestKmTypeReduce:
             (np.minimum(grade(dict(OUTPUT_VAR.terms)["hold"], grid), 0.35), (0.35, 0.649)),
             (np.where(grid == 0.0, 1.0, 0.0), (0.0, 0.0)),  # mass at one end only
         ):
-            cases.append((AggregatedOutput(grid, zeros, upper[None], interval=True), expected))
+            cases.append((aggregate(grid, zeros, upper[None], interval=True), expected))
         for agg, expected in cases:
             quad = np.ones(len(agg.grid))
             quad[0] = quad[-1] = 0.5
@@ -340,7 +304,7 @@ class TestKmTypeReduce:
 
     def test_all_zero_aggregate_errors(self):
         zeros = np.zeros((1, 101))
-        agg = AggregatedOutput(np.linspace(0, 1, 101), zeros, zeros, interval=True)
+        agg = aggregate(np.linspace(0, 1, 101), zeros, zeros, interval=True)
         with pytest.raises(InferenceError, match="no rule fired"):
             km_type_reduce(agg)
 
@@ -348,14 +312,14 @@ class TestKmTypeReduce:
         rng = np.random.default_rng(41)
         # a 9-row block against 9 one-row blocks
         rows = [interval_aggregate(rng) for _ in range(9)]
-        block = AggregatedOutput(rows[0].grid, np.concatenate([a.lower for a in rows]),
-                                 np.concatenate([a.upper for a in rows]), interval=True)
+        block = aggregate(rows[0].grid, np.concatenate([a.lower for a in rows]),
+                          np.concatenate([a.upper for a in rows]), interval=True)
         y_l, y_r = km_type_reduce(block)
         assert [(a.hex(), b.hex()) for a, b in zip(y_l.tolist(), y_r.tolist())] == \
             [tuple(y.item().hex() for y in km_type_reduce(a)) for a in rows]
-        type1 = AggregatedOutput(block.grid, block.lower, block.upper, interval=False)
+        type1 = aggregate(block.grid, block.lower, block.upper, interval=False)
         assert [c.hex() for c in defuzzify(type1).tolist()] == \
-            [defuzzify(AggregatedOutput(a.grid, a.lower, a.upper, interval=False)).item().hex()
+            [defuzzify(aggregate(a.grid, a.lower, a.upper, interval=False)).item().hex()
              for a in rows]
 
     def test_block_with_one_dead_row_errors(self):
@@ -363,18 +327,18 @@ class TestKmTypeReduce:
         rows = [interval_aggregate(rng) for _ in range(3)]
         upper = np.concatenate([a.upper for a in rows])
         upper[1] = 0.0
-        block = AggregatedOutput(rows[0].grid, np.zeros_like(upper), upper, interval=True)
+        block = aggregate(rows[0].grid, np.zeros_like(upper), upper, interval=True)
         with pytest.raises(InferenceError, match="no rule fired"):
             km_type_reduce(block)
         with pytest.raises(InferenceError, match="no rule fired"):
-            defuzzify(AggregatedOutput(block.grid, block.lower, block.upper, interval=False))
+            defuzzify(aggregate(block.grid, block.lower, block.upper, interval=False))
 
 
 class TestDefuzzify:
     def test_hold_term_alone_centers_at_half(self):
         grid = np.linspace(0.0, 1.0, 1001)
         mu = grade(dict(OUTPUT_VAR.terms)["hold"], grid)[None]
-        agg = AggregatedOutput(grid, mu, mu, interval=False)
+        agg = aggregate(grid, mu, mu, interval=False)
         [crisp] = defuzzify(agg)
         assert crisp == pytest.approx(0.5, abs=1e-6)
 
@@ -382,23 +346,23 @@ class TestDefuzzify:
         rng = np.random.default_rng(41)
         half = rng.random(500)
         mu = np.concatenate((half, [rng.random()], half[::-1]))[None]
-        agg = AggregatedOutput(np.linspace(0, 1, 1001), mu, mu, interval=False)
+        agg = aggregate(np.linspace(0, 1, 1001), mu, mu, interval=False)
         [crisp] = defuzzify(agg)
         assert crisp == pytest.approx(0.5, abs=1e-6)
 
     def test_matches_fine_grid_refinement(self):
         rng = np.random.default_rng(43)
-        base = build_rule_base()
+        fine_grid = ResolvedConfig(grid_points=100001)
         for _ in range(20):
             inputs = random_inputs(random.Random(int(rng.integers(1 << 30))))
-            coarse = fire_rules(inputs, base, OUTPUT_VAR, grid_points=1001)
-            fine = fire_rules(inputs, base, OUTPUT_VAR, grid_points=100001)
+            coarse = fire_rules(inputs, DEFAULT_CONFIG)
+            fine = fire_rules(inputs, fine_grid)
             [crisp_coarse], [crisp_fine] = defuzzify(coarse), defuzzify(fine)
             assert crisp_coarse == pytest.approx(crisp_fine, abs=1e-4)
 
     def test_all_zero_errors(self):
         zeros = np.zeros((1, 101))
-        agg = AggregatedOutput(np.linspace(0, 1, 101), zeros, zeros, interval=False)
+        agg = aggregate(np.linspace(0, 1, 101), zeros, zeros, interval=False)
         with pytest.raises(InferenceError, match="no rule fired"):
             defuzzify(agg)
 
@@ -430,10 +394,9 @@ class TestClassifySignal:
 
 class TestConsequentOrdering:
     def test_singleton_activations_order_by_consequent(self):
-        base = build_rule_base()
-        for rule in base.rules:
+        for rule in DEFAULT_CONFIG.rule_base.rules:
             inputs = singleton_inputs(*rule.antecedent())
-            agg = fire_rules(inputs, base, OUTPUT_VAR)
+            agg = fire_rules(inputs, DEFAULT_CONFIG)
             [crisp] = defuzzify(agg)
             if rule.consequent is Signal.SELL:
                 assert crisp < 0.4
@@ -488,12 +451,10 @@ class TestRecommend:
         # recommend runs rows through recommend_rows; the public layers on each
         # row's one-row block, and on one block of all the rows, give the same bits
         cfg = ResolvedConfig(delta=delta)
-        variables, base = cfg.build_variables(), cfg.rule_base
-        output_var = next(v for v in variables if v.name == "signal")
         scale = {"divisor": cfg.divisor, "histogram_gain": cfg.histogram_gain}
 
         def chain(inputs):
-            agg = fire_rules(inputs, base, output_var, cfg.grid_points)
+            agg = fire_rules(inputs, cfg)
             crisp = defuzzify(agg).tolist()
             if not delta:
                 return [(c, None) for c in crisp]
@@ -507,9 +468,9 @@ class TestRecommend:
         normalized, faults = normalize_rows(columns, **scale)
         assert not faults
         blur = delta if delta else None
-        block = chain(grade_inputs(normalized, variables, blur))
+        block = chain(grade_inputs(normalized, cfg.input_terms, blur))
         for series, snap, (crisp, interval) in zip(basket, snaps, block):
-            [alone] = chain(grade_inputs(normalize_rows(snap, **scale)[0], variables, blur))
+            [alone] = chain(grade_inputs(normalize_rows(snap, **scale)[0], cfg.input_terms, blur))
             assert (crisp.hex(), interval) == (alone[0].hex(), alone[1])
             rec = recommend(series, cfg)
             assert rec.crisp.hex() == crisp.hex()
@@ -584,10 +545,9 @@ class TestTypeReductionCollapse:
     @settings(max_examples=50)
     def test_zero_delta_interval_path_equals_type1(self, seed):
         rng = random.Random(seed)
-        base = build_rule_base()
         grades = random_grades(rng, interval=False)
-        [crisp_t1] = defuzzify(fire_rules(stacked_inputs(grades, False), base, OUTPUT_VAR))
-        [crisp_iv] = defuzzify(fire_rules(stacked_inputs(grades, True), base, OUTPUT_VAR))
+        [crisp_t1] = defuzzify(fire_rules(stacked_inputs(grades, False), DEFAULT_CONFIG))
+        [crisp_iv] = defuzzify(fire_rules(stacked_inputs(grades, True), DEFAULT_CONFIG))
         assert crisp_iv == pytest.approx(crisp_t1, abs=1e-9)
 
 
